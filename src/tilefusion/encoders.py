@@ -284,7 +284,3 @@ def pixel_shuffle(grid: TokenGrid, r: int) -> TokenGrid:
     x = tz.permute(x, (0, 1, 4, 2, 5, 3))
     return TokenGrid(tz.reshape(x, (n, c // (r * r), s * r, s * r)))
 
-
-def token_budget(cfg_a: EncoderConfig, cfg_b: EncoderConfig) -> int:
-    """Fused visual tokens per tile when both branches interleave."""
-    return cfg_a.tokens_per_tile + cfg_b.tokens_per_tile

@@ -62,9 +62,6 @@ class VisualSequence:
     def width(self) -> int:
         return self.embeddings.shape[1]
 
-    def tile_ids(self) -> list[int]:
-        return sorted({tile for tile, _, _ in self.provenance})
-
     def tokens_per_tile(self) -> dict[int, int]:
         counts: dict[int, int] = {}
         for tile, _, _ in self.provenance:

@@ -22,7 +22,7 @@ from .assembly import (
     build_prompt,
     splice,
 )
-from .encoders import Encoder, EncoderConfig, TokenGrid, pixel_unshuffle
+from .encoders import Encoder, EncoderConfig, pixel_unshuffle
 from .errors import ConfigError, ContractError
 from .fusion import (
     FUSION_KINDS,
@@ -212,23 +212,30 @@ class Pipeline:
                            thumbnail=self.cfg.thumbnail)
         return segment(image, self.cfg.tile_size, 1, thumbnail=False)
 
-    def _branch_tokens(self, encoder: Encoder, tiles) -> TokenGrid:
-        grid = encoder.encode(tiles)
-        return pixel_unshuffle(grid, encoder.cfg.unshuffle_r)
+    def branch_tokens(self, image: ImageBuffer) -> dict:
+        """Frozen half of encode_image: tile, encode, unshuffle.
 
-    def encode_image(self, image: ImageBuffer) -> VisualSequence:
-        """Raw image to one fused visual sequence in LM width."""
+        Returns each used branch's post-unshuffle TokenGrid, keyed "A"
+        and "B". Nothing here is trained by any stage, so a trainer may
+        compute this once per image and reuse it.
+        """
         tiles = self.segment_image(image)
+        out = {}
+        for label, encoder in (("A", self.encoder_a), ("B", self.encoder_b)):
+            if encoder is not None:
+                out[label] = pixel_unshuffle(encoder.encode(tiles),
+                                             encoder.cfg.unshuffle_r)
+        return out
+
+    def fuse_tokens(self, tokens: dict) -> VisualSequence:
+        """Trainable half of encode_image: project, then fuse."""
         cfg = self.cfg
         if cfg.encoders == "A":
-            return project(self.projector_a,
-                           self._branch_tokens(self.encoder_a, tiles), "A")
+            return project(self.projector_a, tokens["A"], "A")
         if cfg.encoders == "B":
-            return project(self.projector_b,
-                           self._branch_tokens(self.encoder_b, tiles), "B")
+            return project(self.projector_b, tokens["B"], "B")
 
-        tok_a = self._branch_tokens(self.encoder_a, tiles)
-        tok_b = self._branch_tokens(self.encoder_b, tiles)
+        tok_a, tok_b = tokens["A"], tokens["B"]
         if cfg.fusion == "post-interleave":
             seq_a = project(self.projector_a, tok_a, "A")
             seq_b = project(self.projector_b, tok_b, "B")
@@ -239,17 +246,31 @@ class Pipeline:
             return fuse_post_channel(seq_a, seq_b, self.down)
         return fuse_pre(tok_a, tok_b, cfg.fusion, self.projector_shared)
 
-    def assemble(self, images, question: str,
-                 answer: str) -> AssembledSequence:
-        visuals = [self.encode_image(img) for img in images]
+    def encode_image(self, image: ImageBuffer) -> VisualSequence:
+        """Raw image to one fused visual sequence in LM width."""
+        return self.fuse_tokens(self.branch_tokens(image))
+
+    def assemble(self, images, question: str, answer: str,
+                 tokens=None) -> AssembledSequence:
+        """Splice one sample. tokens, when given, holds branch_tokens
+        output per image and replaces the encoder pass."""
+        if tokens is None:
+            tokens = [self.branch_tokens(img) for img in images]
+        visuals = [self.fuse_tokens(t) for t in tokens]
         prompt_ids = self.tokenizer.encode(build_prompt(len(images), question))
         answer_ids = self.tokenizer.encode(answer)
         return splice(prompt_ids, answer_ids, visuals, self.lm.embed,
                       self.cfg.lm.context_limit)
 
-    def forward_sample(self, images, question: str, answer: str) -> LMOutput:
-        """Loss for one supervised (images, question, answer) sample."""
-        return self.lm.forward(self.assemble(images, question, answer))
+    def forward_sample(self, images, question: str, answer: str,
+                       tokens=None) -> LMOutput:
+        """Loss for one supervised (images, question, answer) sample.
+
+        Without tokens the graph reaches back into both encoders; with
+        precomputed branch_tokens it starts at those tokens.
+        """
+        return self.lm.forward(self.assemble(images, question, answer,
+                                             tokens))
 
     def answer(self, images, question: str, max_new: int = 8) -> str:
         """Greedy decode an answer string for one question."""

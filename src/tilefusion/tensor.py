@@ -462,31 +462,16 @@ def finite_difference_grad(f: Callable[[Tensor], Tensor], x: Tensor,
     The test oracle for every differentiable primitive; independent of the
     reverse pass (only calls f forward).
     """
-    if eps <= 0:
-        raise ContractError(f"eps must be positive, got {eps}")
-
-    def value(t: Tensor) -> float:
-        out = f(t)
-        return out.item() if isinstance(out, Tensor) else float(out)
-
-    grad = np.zeros_like(x.data)
-    for idx in np.ndindex(*x.data.shape):
-        orig = x.data[idx]
-        x.data[idx] = orig + eps
-        fp = value(x)
-        x.data[idx] = orig - eps
-        fm = value(x)
-        x.data[idx] = orig
-        grad[idx] = (fp - fm) / (2.0 * eps)
-    return grad
+    grad = finite_difference_grad_at(f, x, range(x.size), eps)
+    return grad.reshape(x.shape)
 
 
 def finite_difference_grad_at(f: Callable[[Tensor], Tensor], x: Tensor,
                               flat_indices, eps: float = 1e-5) -> np.ndarray:
     """Central differences at selected flat indices only.
 
-    Same oracle as finite_difference_grad, restricted to a subset so
-    large parameter tensors can be spot-checked within a time budget.
+    The oracle behind finite_difference_grad; a subset lets large
+    parameter tensors be spot-checked within a time budget.
     """
     if eps <= 0:
         raise ContractError(f"eps must be positive, got {eps}")

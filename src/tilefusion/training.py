@@ -2,8 +2,12 @@
 
 Stage 1 freezes both encoders and the LM and trains the projectors.
 Stage 2 keeps the encoders frozen and finetunes projectors plus LM.
-Freezing is enforced by parameter-name prefix; frozen parameters still
-receive gradients, the optimizer just never applies them.
+Freezing is enforced by parameter-name prefix. Because the encoders
+are frozen in every stage, run_stage runs them once per sample per
+stage and trains on their cached, detached output tokens; inside
+run_stage no frozen parameter receives a gradient, and the optimizer
+skips frozen parameters regardless. Pipeline.forward_sample itself
+keeps the full graph back into both encoders.
 
 Every step draws its batch from a generator keyed by (seed, stage,
 step), so a resumed run reconstructs the exact batch sequence without
@@ -16,12 +20,15 @@ import hashlib
 import json
 import math
 import os
+import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import tensor as tz
+from .encoders import TokenGrid
 from .errors import ConfigError, ContractError, DimensionError
 
 ENCODER_PREFIXES = ("encoderA.", "encoderB.")
@@ -203,12 +210,16 @@ class Checkpoint:
     blob: bytes
 
     def save(self, out_dir) -> None:
+        """Blob first, manifest last, each replaced atomically.
+
+        Neither file is ever seen half written. A crash between the two
+        leaves the new blob beside the old manifest, which load's digest
+        check rejects.
+        """
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, MANIFEST_NAME), "w") as f:
-            json.dump(self.manifest, f, indent=2, sort_keys=True)
-            f.write("\n")
-        with open(os.path.join(out_dir, WEIGHTS_NAME), "wb") as f:
-            f.write(self.blob)
+        text = json.dumps(self.manifest, indent=2, sort_keys=True) + "\n"
+        _write_atomic(out_dir, WEIGHTS_NAME, self.blob)
+        _write_atomic(out_dir, MANIFEST_NAME, text.encode())
 
     @staticmethod
     def load(out_dir) -> "Checkpoint":
@@ -221,7 +232,24 @@ class Checkpoint:
             raise ContractError(
                 f"weights blob holds {len(blob)} bytes, manifest "
                 f"promises {want}")
+        digest = hashlib.sha256(blob).hexdigest()
+        if digest != manifest.get("blob_sha256"):
+            raise ContractError(
+                f"weights blob sha256 {digest} does not match the "
+                f"manifest's {manifest.get('blob_sha256')}")
         return Checkpoint(manifest, blob)
+
+
+def _write_atomic(out_dir, name: str, data: bytes) -> None:
+    """Write out_dir/name through a temporary file and os.replace."""
+    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", dir=out_dir)
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+        os.replace(tmp, os.path.join(out_dir, name))
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def snapshot(model, step: int, stage: str) -> Checkpoint:
@@ -241,9 +269,11 @@ def snapshot(model, step: int, stage: str) -> Checkpoint:
                         "offset": offset})
         chunks.append(raw)
         offset += len(raw)
+    blob = b"".join(chunks)
     manifest = {"config_hash": config_hash(model.cfg), "step": step,
-                "stage": stage, "params": entries}
-    return Checkpoint(manifest, b"".join(chunks))
+                "stage": stage, "params": entries,
+                "blob_sha256": hashlib.sha256(blob).hexdigest()}
+    return Checkpoint(manifest, blob)
 
 
 def restore(model, ckpt: Checkpoint, strict: bool = True) -> None:
@@ -278,12 +308,41 @@ def batch_indices(seed: int, stage_index: int, step: int, n_samples: int,
     return rng.choice(n_samples, size=k, replace=False)
 
 
+@contextmanager
+def _outside_graph(params):
+    """Leave params out of every graph built inside the block.
+
+    Gradients still flow through the ops that use them to whatever is
+    trainable upstream; only the accumulation into these leaves is
+    skipped.
+    """
+    for p in params:
+        p.requires_grad = False
+    try:
+        yield
+    finally:
+        for p in params:
+            p.requires_grad = True
+
+
+def _frozen_tokens(model, images) -> list:
+    """branch_tokens per image, cut loose from the encoder graph."""
+    return [{label: TokenGrid(tz.Tensor(grid.data.data))
+             for label, grid in model.branch_tokens(img).items()}
+            for img in images]
+
+
 def run_stage(plan: StagePlan, model, dataset, seed: int,
               batch_size: int = 8, out_dir=None, clock=None):
     """Train one stage; returns (final Checkpoint, metrics records).
 
-    When out_dir is given, metrics stream to out_dir/metrics.jsonl as
-    they are produced and the final checkpoint is written there too.
+    Every stage freezes both encoders, so each sample's post-unshuffle
+    tokens are computed on its first draw and reused, detached, for the
+    rest of the stage: the encoders run once per sample per stage and
+    receive no gradient. No frozen parameter accumulates a gradient
+    during the call; the optimizer would skip it anyway. When out_dir
+    is given, metrics stream to out_dir/metrics.jsonl as they are
+    produced and the final checkpoint is written there too.
     """
     if len(dataset) == 0:
         raise ContractError("dataset is empty")
@@ -291,6 +350,8 @@ def run_stage(plan: StagePlan, model, dataset, seed: int,
         clock = time.perf_counter
     model.set_frozen(plan.frozen_prefixes)
     params = model.parameters()
+    frozen = [p for p in params if p.frozen]
+    trainable = [p for p in params if not p.frozen]
     opt = AdamW(params, weight_decay=plan.weight_decay)
     stage_index = STAGE_NAMES.index(plan.name) + 1
 
@@ -299,34 +360,44 @@ def run_stage(plan: StagePlan, model, dataset, seed: int,
         os.makedirs(out_dir, exist_ok=True)
         metrics_path = os.path.join(out_dir, "metrics.jsonl")
 
+    tokens = {}  # dataset index -> detached branch tokens per image
     records = []
-    for step in range(plan.steps):
-        t0 = clock()
-        idx = batch_indices(seed, stage_index, step, len(dataset),
-                            batch_size)
-        losses = []
-        for i in idx:
-            s = dataset[int(i)]
-            losses.append(model.forward_sample(s.images, s.question,
-                                               s.answer).loss)
-        total = losses[0]
-        for extra in losses[1:]:
-            total = tz.add(total, extra)
-        mean_loss = tz.mul_scalar(total, 1.0 / len(losses))
-        loss = mean_loss.item()
-        if not np.isfinite(loss):
-            raise ContractError(
-                f"non-finite loss {loss} at {plan.name} step {step}")
-        for p in params:
-            p.zero_grad()
-        tz.backward(mean_loss)
-        lr = cosine_lr(step, plan.base_lr, plan.steps, plan.warmup_steps)
-        opt.step(lr)
-        rec = MetricsRecord(step=step, stage=plan.name, lr=lr, loss=loss,
-                            wall_ms=(clock() - t0) * 1000.0)
-        records.append(rec)
-        if metrics_path is not None:
-            write_metrics([rec], metrics_path)
+    with _outside_graph(frozen):
+        for step in range(plan.steps):
+            t0 = clock()
+            idx = batch_indices(seed, stage_index, step, len(dataset),
+                                batch_size)
+            losses = []
+            for i in idx:
+                i = int(i)
+                s = dataset[i]
+                if i not in tokens:
+                    tokens[i] = _frozen_tokens(model, s.images)
+                losses.append(model.forward_sample(s.images, s.question,
+                                                   s.answer, tokens[i]).loss)
+            total = losses[0]
+            for extra in losses[1:]:
+                total = tz.add(total, extra)
+            mean_loss = tz.mul_scalar(total, 1.0 / len(losses))
+            loss = mean_loss.item()
+            if not np.isfinite(loss):
+                raise ContractError(
+                    f"non-finite loss {loss} at {plan.name} step {step}")
+            for p in params:
+                p.zero_grad()
+            tz.backward(mean_loss)
+            for p in trainable:
+                if p.grad is not None and not np.all(np.isfinite(p.grad)):
+                    raise ContractError(
+                        f"non-finite gradient for {p.name} at {plan.name} "
+                        f"step {step}")
+            lr = cosine_lr(step, plan.base_lr, plan.steps, plan.warmup_steps)
+            opt.step(lr)
+            rec = MetricsRecord(step=step, stage=plan.name, lr=lr, loss=loss,
+                                wall_ms=(clock() - t0) * 1000.0)
+            records.append(rec)
+            if metrics_path is not None:
+                write_metrics([rec], metrics_path)
 
     ckpt = snapshot(model, plan.steps, plan.name)
     if out_dir is not None:

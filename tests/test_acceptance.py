@@ -25,7 +25,6 @@ from tilefusion.encoders import (
     TokenGrid,
     pixel_shuffle,
     pixel_unshuffle,
-    token_budget,
 )
 from tilefusion.errors import BudgetError
 from tilefusion.experiment import load_config, run_experiment
@@ -109,7 +108,10 @@ def test_full_scale_token_arithmetic():
     assert branch_a.tile_side == branch_b.tile_side == 448
     assert branch_a.tokens_per_tile == 256
     assert branch_b.tokens_per_tile == 256
-    assert token_budget(branch_a, branch_b) == 512
+    fused = PipelineConfig(encoder_a=branch_a, encoder_b=branch_b,
+                           lm=LMConfig(d_lm=16, layers=1, heads=2),
+                           tile_size=448)
+    assert fused.tokens_per_tile() == 512
 
     # the count is realized by the operator, not just the formula
     grid = TokenGrid(tz.Tensor(np.zeros((1, 2, 32, 32))))

@@ -21,9 +21,10 @@ from tilefusion.encoders import (
     lowpass_pixels,
     pixel_shuffle,
     pixel_unshuffle,
-    token_budget,
 )
 from tilefusion.errors import ConfigError, DimensionError
+from tilefusion.lm import LMConfig
+from tilefusion.model import PipelineConfig
 from tilefusion.tiling import ImageBuffer, TileSet, segment
 
 
@@ -49,6 +50,14 @@ def paper_cfg_a():
 def paper_cfg_b():
     return EncoderConfig(patch_size=7, embed_dim=8, depth=1, heads=2,
                          grid_side=64, unshuffle_r=4)
+
+
+def interleaved_tokens_per_tile(a, b):
+    """Fused tokens per tile of an A+B post-interleave pipeline."""
+    cfg = PipelineConfig(encoder_a=a, encoder_b=b,
+                         lm=LMConfig(d_lm=16, layers=1, heads=2),
+                         tile_size=a.tile_side)
+    return cfg.tokens_per_tile()
 
 
 def gradient_tiles(h=100, w=160, tile=32):
@@ -81,19 +90,19 @@ def test_token_budget_paper_scale():
     assert a.grid_side == 32 and b.grid_side == 64
     assert a.tokens_per_tile == 256
     assert b.tokens_per_tile == 256
-    assert token_budget(a, b) == 512
+    assert interleaved_tokens_per_tile(a, b) == 512
 
 
 def test_token_budget_desk_scale():
     a, b = desk_cfg_a(), desk_cfg_b()
     assert a.tokens_per_tile == 16 and b.tokens_per_tile == 16
-    assert token_budget(a, b) == 32
+    assert interleaved_tokens_per_tile(a, b) == 32
 
 
 def test_token_budget_full_collapse():
     a = desk_cfg_a(unshuffle_r=8)
     b = desk_cfg_b(unshuffle_r=16)
-    assert token_budget(a, b) == 2
+    assert interleaved_tokens_per_tile(a, b) == 2
 
 
 # ---------------------------------------------------------------------------

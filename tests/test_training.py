@@ -7,6 +7,7 @@ twice and comparing metric streams, and resume is checked by comparing
 load-then-train against train-through at byte level.
 """
 
+import hashlib
 import json
 import os
 from dataclasses import dataclass, replace
@@ -14,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
+from tilefusion import tensor as tz
 from tilefusion.encoders import EncoderConfig
 from tilefusion.errors import ConfigError, ContractError, DimensionError
 from tilefusion.lm import LMConfig
@@ -21,6 +23,7 @@ from tilefusion.model import Pipeline, PipelineConfig
 from tilefusion.tensor import Parameter
 from tilefusion.tiling import ImageBuffer
 from tilefusion.training import (
+    STAGE_NAMES,
     AdamW,
     Checkpoint,
     MetricsRecord,
@@ -323,6 +326,28 @@ class TestCheckpoint:
         with pytest.raises(ContractError):
             Checkpoint.load(tmp_path)
 
+    def test_flipped_byte_rejected(self, tmp_path):
+        ckpt = snapshot(tiny_pipe(seed=1), step=0, stage="stage1")
+        ckpt.save(tmp_path)
+        blob_path = os.path.join(tmp_path, "weights.bin")
+        with open(blob_path, "rb") as f:
+            raw = bytearray(f.read())
+        raw[len(raw) // 2] ^= 0x01
+        with open(blob_path, "wb") as f:
+            f.write(raw)
+        with pytest.raises(ContractError, match="sha256"):
+            Checkpoint.load(tmp_path)
+
+    def test_save_records_digest_and_leaves_no_temporaries(self, tmp_path):
+        ckpt = snapshot(tiny_pipe(seed=1), step=0, stage="stage1")
+        ckpt.save(tmp_path)
+        ckpt.save(tmp_path)
+        assert sorted(os.listdir(tmp_path)) == ["manifest.json",
+                                                "weights.bin"]
+        with open(os.path.join(tmp_path, "manifest.json")) as f:
+            assert json.load(f)["blob_sha256"] == \
+                hashlib.sha256(ckpt.blob).hexdigest()
+
 
 # stages
 
@@ -348,6 +373,24 @@ class TestRunStage:
         with pytest.raises(ContractError) as err:
             run_stage(stage1_plan(steps=3), pipe, make_dataset(2), seed=0)
         assert "step 0" in str(err.value)
+
+    def test_nan_grad_aborts_before_any_update(self, monkeypatch):
+        pipe = tiny_pipe(seed=0)
+        before = param_bytes(pipe, ("",))
+        real_backward = tz.backward
+
+        def poisoned(loss, *args, **kwargs):
+            real_backward(loss, *args, **kwargs)
+            pipe.projector_b.w1.grad[0, 0] = np.nan
+
+        monkeypatch.setattr(tz, "backward", poisoned)
+        with pytest.raises(ContractError) as err:
+            run_stage(stage1_plan(steps=3), pipe, make_dataset(2), seed=0)
+        msg = str(err.value)
+        assert "projectorB.w1" in msg
+        assert "stage1" in msg and "step 0" in msg
+        assert param_bytes(pipe, ("",)) == before
+        assert all(p.requires_grad for p in pipe.parameters())
 
     def test_metrics_stream_shape(self):
         plan = stage1_plan(steps=6, warmup_steps=2, base_lr=1e-3)
@@ -432,6 +475,75 @@ class TestRunStage:
         assert rec1[0].loss == rec2[0].loss
         for p1, p2 in zip(m1.parameters(), m2.parameters()):
             assert p1.data.tobytes() == p2.data.tobytes(), p1.name
+
+
+def oracle_stage(plan, model, dataset, seed, batch_size):
+    """run_stage's recipe on the uncached, fully differentiable path."""
+    model.set_frozen(plan.frozen_prefixes)
+    params = model.parameters()
+    opt = AdamW(params, weight_decay=plan.weight_decay)
+    stage_index = STAGE_NAMES.index(plan.name) + 1
+    losses = []
+    for step in range(plan.steps):
+        idx = batch_indices(seed, stage_index, step, len(dataset),
+                            batch_size)
+        per_sample = [model.forward_sample(dataset[int(i)].images,
+                                           dataset[int(i)].question,
+                                           dataset[int(i)].answer).loss
+                      for i in idx]
+        total = per_sample[0]
+        for extra in per_sample[1:]:
+            total = tz.add(total, extra)
+        mean = tz.mul_scalar(total, 1.0 / len(per_sample))
+        losses.append(mean.item())
+        for p in params:
+            p.zero_grad()
+        tz.backward(mean)
+        opt.step(cosine_lr(step, plan.base_lr, plan.steps,
+                           plan.warmup_steps))
+    return snapshot(model, plan.steps, plan.name), losses
+
+
+def mixed_dataset(n=6, seed=200):
+    """Wide single images (two tiles plus thumbnail) and image pairs."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        if i % 2:
+            images = [ImageBuffer(rng.random((16, 16, 3))) for _ in range(2)]
+        else:
+            images = [ImageBuffer(rng.random((16, 32, 3)))]
+        out.append(Sample(images, "which?", "abcdef"[i]))
+    return out
+
+
+def equal_token_cfg(fusion):
+    cfg = tiny_cfg(ctx=192)
+    return replace(cfg, fusion=fusion,
+                   encoder_b=replace(cfg.encoder_b, unshuffle_r=4))
+
+
+@pytest.mark.parametrize("cfg", [
+    tiny_cfg(ctx=192),
+    equal_token_cfg("post-channel"),
+    tiny_cfg(ctx=192, fusion="pre-sequence"),
+    replace(tiny_cfg(ctx=192), encoders="B"),
+], ids=["post-interleave", "post-channel", "pre-sequence", "B-only"])
+def test_cached_tokens_match_uncached_oracle_bitwise(cfg):
+    data = mixed_dataset()
+    plans = [stage1_plan(steps=4, warmup_steps=1, base_lr=2e-3),
+             stage2_plan(steps=4, warmup_steps=1, base_lr=5e-4)]
+    fast, slow = Pipeline(cfg, seed=5), Pipeline(cfg, seed=5)
+    encoders = ("encoderA.", "encoderB.")
+    enc_before = param_bytes(fast, encoders)
+    for k, plan in enumerate(plans):
+        ckpt, recs = run_stage(plan, fast, data, seed=13 + k, batch_size=4)
+        want_ckpt, want = oracle_stage(plan, slow, data, 13 + k, 4)
+        assert [r.loss.hex() for r in recs] == [x.hex() for x in want]
+        assert ckpt.blob == want_ckpt.blob
+        assert param_bytes(fast, encoders) == enc_before
+        assert all(p.grad is None for p in fast.parameters()
+                   if p.name.startswith(encoders))
 
 
 def test_metrics_record_round_trips_json():
