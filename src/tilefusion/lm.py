@@ -7,6 +7,17 @@ logits are bit-stable under suffix edits). The loss is mean cross
 entropy of logits[t] against token[t+1], restricted to positions whose
 target is supervised by the loss mask. The LM owns the text embedding
 table that the assembler splices from.
+
+forward optionally takes a KVCache holding every block's keys and
+values for the positions already run. The sequence is then a
+continuation that starts at the cached length: its rows take positional
+embeddings from there on, row i may attend to key j only when
+j <= start + i (the same causal mask, offset by start), the budget check
+covers start + L, and its keys and values are appended to the cache.
+greedy_decode runs the prompt once into a fresh cache and then each
+emitted token as a one-position continuation. Cached logits agree with
+a full recompute to rounding (not bitwise: the one-row matmuls may sum
+in a different order).
 """
 
 from __future__ import annotations
@@ -47,6 +58,16 @@ class LMConfig:
 class LMOutput:
     logits: tz.Tensor
     loss: tz.Tensor | None = None
+
+
+class KVCache:
+    """Per-block keys and values, [heads, length, head_dim], of every
+    position run so far; filled by LanguageModel.forward."""
+
+    def __init__(self):
+        self.length = 0
+        self.keys: list[tz.Tensor] = []
+        self.values: list[tz.Tensor] = []
 
 
 class LanguageModel:
@@ -95,7 +116,8 @@ class LanguageModel:
         out.extend([self.norm_out_g, self.norm_out_b, self.head])
         return out
 
-    def _attend(self, x: tz.Tensor, blk, mask: tz.Tensor) -> tz.Tensor:
+    def _attend(self, x: tz.Tensor, blk, mask: tz.Tensor,
+                cache: KVCache | None, i: int) -> tz.Tensor:
         L, d = x.shape
         h = self.cfg.heads
         hd = d // h
@@ -106,6 +128,14 @@ class LanguageModel:
         q = split(tz.matmul(x, blk["wq"]))
         k = split(tz.matmul(x, blk["wk"]))
         v = split(tz.matmul(x, blk["wv"]))
+        if cache is not None:
+            if i < len(cache.keys):
+                k = tz.concat([cache.keys[i], k], axis=1)
+                v = tz.concat([cache.values[i], v], axis=1)
+                cache.keys[i], cache.values[i] = k, v
+            else:
+                cache.keys.append(k)
+                cache.values.append(v)
         scores = tz.mul_scalar(tz.matmul(q, tz.permute(k, (0, 2, 1))),
                                1.0 / np.sqrt(hd))
         scores = tz.add(scores, tz.expand_leading(mask, h))
@@ -113,30 +143,41 @@ class LanguageModel:
         mixed = tz.reshape(tz.permute(tz.matmul(attn, v), (1, 0, 2)), (L, d))
         return tz.matmul(mixed, blk["wo"])
 
-    def forward(self, seq: AssembledSequence,
-                with_loss: bool = True) -> LMOutput:
+    def forward(self, seq: AssembledSequence, with_loss: bool = True,
+                cache: KVCache | None = None) -> LMOutput:
+        """Logits (and loss) for seq; with a cache, seq continues it.
+
+        The loss of a continuation covers only next-token targets inside
+        the continuation itself.
+        """
         L = seq.length
+        start = 0 if cache is None else cache.length
         if L < 1:
             raise ContractError("cannot run the LM on an empty sequence")
-        if L > self.cfg.context_limit:
-            raise BudgetError(required=L, available=self.cfg.context_limit)
+        if start + L > self.cfg.context_limit:
+            raise BudgetError(required=start + L,
+                              available=self.cfg.context_limit)
         if seq.embeddings.shape[1] != self.cfg.d_lm:
             raise ContractError(
                 f"sequence width {seq.embeddings.shape[1]} != "
                 f"d_lm {self.cfg.d_lm}"
             )
-        mask_np = np.where(np.arange(L)[None, :] > np.arange(L)[:, None],
-                           NEG_INF, 0.0)
+        mask_np = np.where(
+            np.arange(start + L)[None, :] > start + np.arange(L)[:, None],
+            NEG_INF, 0.0)
         mask = tz.Tensor(mask_np)
-        x = tz.add(seq.embeddings, tz.slice_axis(self.pos, 0, 0, L))
-        for blk in self.blocks:
+        x = tz.add(seq.embeddings, tz.slice_axis(self.pos, 0, start,
+                                                 start + L))
+        for i, blk in enumerate(self.blocks):
             normed = tz.layernorm(x, blk["norm1.g"], blk["norm1.b"])
-            x = tz.add(x, self._attend(normed, blk, mask))
+            x = tz.add(x, self._attend(normed, blk, mask, cache, i))
             normed = tz.layernorm(x, blk["norm2.g"], blk["norm2.b"])
             hidden = tz.gelu(tz.add_rowvec(tz.matmul(normed, blk["w1"]),
                                            blk["b1"]))
             x = tz.add(x, tz.add_rowvec(tz.matmul(hidden, blk["w2"]),
                                         blk["b2"]))
+        if cache is not None:
+            cache.length = start + L
         x = tz.layernorm(x, self.norm_out_g, self.norm_out_b)
         logits = tz.matmul(x, self.head)
         if not with_loss:
@@ -148,26 +189,27 @@ class LanguageModel:
 
     def greedy_decode(self, seq: AssembledSequence, max_new: int,
                       eos_id: int | None = None) -> list[int]:
-        """Argmax continuation; ties go to the lowest id; stops at EOS."""
+        """Argmax continuation; ties go to the lowest id; stops at EOS.
+
+        The prompt runs once into a KV cache; each emitted token but the
+        last then runs as a one-position continuation of it.
+        """
         if max_new < 0:
             raise ContractError(f"max_new must be >= 0, got {max_new}")
         if seq.length + max_new > self.cfg.context_limit:
             raise BudgetError(required=seq.length + max_new,
                               available=self.cfg.context_limit)
         emitted: list[int] = []
+        cache = KVCache()
         current = seq
         for _ in range(max_new):
-            out = self.forward(current, with_loss=False)
+            out = self.forward(current, with_loss=False, cache=cache)
             last = out.logits.data[-1]
             next_id = int(np.argmax(last))
             emitted.append(next_id)
             if eos_id is not None and next_id == eos_id:
                 break
             current = AssembledSequence(
-                tz.concat([current.embeddings,
-                           tz.embedding_lookup(self.embed, [next_id])],
-                          axis=0),
-                np.concatenate([current.token_ids, [next_id]]),
-                np.concatenate([current.loss_mask, [False]]),
-            )
+                tz.embedding_lookup(self.embed, [next_id]), [next_id],
+                [False])
         return emitted

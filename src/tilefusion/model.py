@@ -34,7 +34,7 @@ from .fusion import (
     project,
 )
 from .lm import LanguageModel, LMConfig, LMOutput
-from .tensor import Parameter, slice_axis
+from .tensor import Parameter, outside_graph, slice_axis
 from .tiling import ImageBuffer, segment
 
 ENCODER_CHOICES = ("A", "B", "A+B")
@@ -273,15 +273,20 @@ class Pipeline:
                                              tokens))
 
     def answer(self, images, question: str, max_new: int = 8) -> str:
-        """Greedy decode an answer string for one question."""
-        seq = self.assemble(images, question, "")
-        # The training assembler closes every sequence with EOS. For
-        # inference that final slot must stay open, so trim it off.
-        n = seq.length
-        trimmed = AssembledSequence(
-            embeddings=slice_axis(seq.embeddings, 0, 0, n - 1),
-            token_ids=seq.token_ids[:-1],
-            loss_mask=seq.loss_mask[:-1],
-        )
-        new_ids = self.lm.greedy_decode(trimmed, max_new, eos_id=EOS_ID)
+        """Greedy decode an answer string for one question.
+
+        Every parameter stays out of the graph for the call, so decoding
+        records no autograd edges.
+        """
+        with outside_graph(self.parameters()):
+            seq = self.assemble(images, question, "")
+            # The training assembler closes every sequence with EOS. For
+            # inference that final slot must stay open, so trim it off.
+            n = seq.length
+            trimmed = AssembledSequence(
+                embeddings=slice_axis(seq.embeddings, 0, 0, n - 1),
+                token_ids=seq.token_ids[:-1],
+                loss_mask=seq.loss_mask[:-1],
+            )
+            new_ids = self.lm.greedy_decode(trimmed, max_new, eos_id=EOS_ID)
         return self.tokenizer.decode(new_ids)

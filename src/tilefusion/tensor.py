@@ -3,9 +3,14 @@
 Every array in the package is a row-major float64 ``Tensor``. Operations
 record graph edges whenever an input has ``requires_grad`` set; calling
 :func:`backward` on a scalar loss fills ``grad`` buffers by walking the
-recorded graph in reverse topological order. Frozen parameters still
-receive gradients (gradients must flow through frozen sub-models); only
-the optimizer consults the ``frozen`` flag.
+recorded graph in reverse topological order. The ``frozen`` flag alone
+does not cut a parameter out of the graph: only the optimizer consults
+it, so a frozen parameter used outside the blocks below still receives a
+gradient (gradients must flow through frozen sub-models). Inside an
+:func:`outside_graph` block the listed parameters record no edges at
+all; ``training.run_stage`` holds its frozen parameters there for the
+whole stage, and ``Pipeline.answer`` holds every parameter there, so
+greedy decoding builds no graph.
 
 Broadcasting is deliberately restricted: elementwise ops demand equal
 shapes, scalars are explicit (``mul_scalar``), bias addition over the
@@ -17,6 +22,7 @@ contracts downstream testable.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -80,6 +86,25 @@ class Parameter(Tensor):
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.shape}, frozen={self.frozen})"
+
+
+@contextmanager
+def outside_graph(params):
+    """Leave params out of every graph built inside the block.
+
+    Gradients still flow through the ops that use them to whatever still
+    requires grad upstream; only the accumulation into these leaves is
+    skipped. Each parameter gets its previous ``requires_grad`` back on
+    exit, also when the block raises, so blocks nest.
+    """
+    saved = [(p, p.requires_grad) for p in params]
+    for p, _ in saved:
+        p.requires_grad = False
+    try:
+        yield
+    finally:
+        for p, flag in saved:
+            p.requires_grad = flag
 
 
 def as_tensor(x) -> Tensor:
@@ -253,7 +278,9 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 def gelu(x: Tensor) -> Tensor:
     """GELU, tanh approximation (exact derivative of the approximation)."""
-    u = _GELU_C * (x.data + 0.044715 * x.data ** 3)
+    # x * x * x, not x ** 3: numpy's cube calls libm pow per element
+    # (3.4 ms against 0.04 ms for 44k elements with numpy 2.4)
+    u = _GELU_C * (x.data + 0.044715 * (x.data * x.data * x.data))
     t = np.tanh(u)
     out = _make(0.5 * x.data * (1.0 + t), (x,))
     if out.requires_grad:

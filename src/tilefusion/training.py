@@ -22,7 +22,6 @@ import math
 import os
 import tempfile
 import time
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -308,23 +307,6 @@ def batch_indices(seed: int, stage_index: int, step: int, n_samples: int,
     return rng.choice(n_samples, size=k, replace=False)
 
 
-@contextmanager
-def _outside_graph(params):
-    """Leave params out of every graph built inside the block.
-
-    Gradients still flow through the ops that use them to whatever is
-    trainable upstream; only the accumulation into these leaves is
-    skipped.
-    """
-    for p in params:
-        p.requires_grad = False
-    try:
-        yield
-    finally:
-        for p in params:
-            p.requires_grad = True
-
-
 def _frozen_tokens(model, images) -> list:
     """branch_tokens per image, cut loose from the encoder graph."""
     return [{label: TokenGrid(tz.Tensor(grid.data.data))
@@ -362,7 +344,7 @@ def run_stage(plan: StagePlan, model, dataset, seed: int,
 
     tokens = {}  # dataset index -> detached branch tokens per image
     records = []
-    with _outside_graph(frozen):
+    with tz.outside_graph(frozen):
         for step in range(plan.steps):
             t0 = clock()
             idx = batch_indices(seed, stage_index, step, len(dataset),

@@ -5,7 +5,9 @@ leave every prefix logit byte-identical. Zeroing the head makes the
 uniform-loss value an analytic constant, ln(vocab). The loss mask is
 checked against a hand-computed cross entropy and by the all-false case
 (zero loss, exactly zero gradients). A short SGD loop verifies a model
-can overfit one sample and greedy-decode it back.
+can overfit one sample and greedy-decode it back. KV-cached forwards
+are checked against uncached ones within a stated tolerance (1e-12
+relative): one-row matmuls may round differently from a full recompute.
 """
 
 import numpy as np
@@ -22,7 +24,7 @@ from tilefusion.assembly import (
     splice,
 )
 from tilefusion.errors import BudgetError, ConfigError, ContractError
-from tilefusion.lm import LanguageModel, LMConfig
+from tilefusion.lm import KVCache, LanguageModel, LMConfig
 
 TOK = ByteTokenizer()
 
@@ -245,3 +247,113 @@ def test_overfit_one_sample_then_decode_it():
     ids = lm.greedy_decode(trimmed, 3, eos_id=EOS_ID)
     assert TOK.decode(ids) == "4"
     assert ids[-1] == EOS_ID
+
+
+# ---------------------------------------------------------------------------
+# KV cache
+
+
+def random_head_lm(seed, layers=2, context=64):
+    lm = small_lm(d=8, layers=layers, heads=2, context=context, seed=seed)
+    lm.head.data[...] = np.random.default_rng(seed + 100).standard_normal(
+        lm.head.shape) * 0.5
+    return lm
+
+
+def one_token(lm, token_id):
+    return AssembledSequence(tz.embedding_lookup(lm.embed, [token_id]),
+                             [token_id], [False])
+
+
+def grown(seq, token_id, lm):
+    return AssembledSequence(
+        tz.concat([seq.embeddings, tz.embedding_lookup(lm.embed, [token_id])],
+                  axis=0),
+        np.concatenate([seq.token_ids, [token_id]]),
+        np.concatenate([seq.loss_mask, [False]]))
+
+
+@pytest.mark.parametrize("seed,prompt_len", [(20, 1), (21, 5), (22, 17)])
+def test_cached_steps_match_uncached_forward(seed, prompt_len):
+    lm = random_head_lm(seed)
+    rng = np.random.default_rng(seed)
+    full = raw_sequence(lm, prompt_len, rng)
+    cache = KVCache()
+    first = lm.forward(full, with_loss=False, cache=cache).logits.data
+    # an empty cache runs exactly the uncached computation
+    assert first.tobytes() == lm.forward(
+        full, with_loss=False).logits.data.tobytes()
+    assert cache.length == prompt_len
+    for token_id in rng.integers(0, 256, size=6):
+        step = lm.forward(one_token(lm, int(token_id)), with_loss=False,
+                          cache=cache).logits.data
+        full = grown(full, int(token_id), lm)
+        want = lm.forward(full, with_loss=False).logits.data[-1:]
+        assert step.shape == (1, VOCAB_SIZE)
+        assert tz.relative_error(step, want) <= 1e-12
+        assert cache.length == full.length
+
+
+def test_cached_decode_equals_uncached_greedy_loop():
+    for seed in (23, 24, 25):
+        lm = random_head_lm(seed)
+        seq = text_sequence(lm, f"prompt {seed}", "")
+        want = []
+        current = seq
+        for _ in range(8):
+            logits = lm.forward(current, with_loss=False).logits.data
+            want.append(int(np.argmax(logits[-1])))
+            current = grown(current, want[-1], lm)
+        assert lm.greedy_decode(seq, 8) == want
+
+
+def test_multi_token_continuation_matches_full_rows():
+    lm = random_head_lm(26)
+    rng = np.random.default_rng(27)
+    seq = raw_sequence(lm, 11, rng)
+    full = lm.forward(seq, with_loss=False).logits.data
+
+    def part(a, b):
+        return AssembledSequence(tz.slice_axis(seq.embeddings, 0, a, b),
+                                 seq.token_ids[a:b], seq.loss_mask[a:b])
+
+    cache = KVCache()
+    pieces = [lm.forward(part(a, b), with_loss=False, cache=cache).logits.data
+              for a, b in ((0, 4), (4, 9), (9, 11))]
+    assert tz.relative_error(np.concatenate(pieces), full) <= 1e-12
+
+
+def test_continuation_past_context_limit_is_budget_error():
+    lm = random_head_lm(28, context=8)
+    rng = np.random.default_rng(29)
+    cache = KVCache()
+    lm.forward(raw_sequence(lm, 6, rng), with_loss=False, cache=cache)
+    with pytest.raises(BudgetError):
+        lm.forward(raw_sequence(lm, 3, rng), with_loss=False, cache=cache)
+    assert cache.length == 6
+    lm.forward(raw_sequence(lm, 2, rng), with_loss=False, cache=cache)
+    assert cache.length == 8
+    with pytest.raises(BudgetError):
+        lm.forward(one_token(lm, 1), with_loss=False, cache=cache)
+
+
+def test_greedy_runs_prompt_once_then_one_position_per_token(monkeypatch):
+    lengths = []
+    original = LanguageModel.forward
+
+    def spy(self, seq, *args, **kwargs):
+        lengths.append(seq.length)
+        return original(self, seq, *args, **kwargs)
+
+    monkeypatch.setattr(LanguageModel, "forward", spy)
+    lm = random_head_lm(30)
+    seq = text_sequence(lm, "count", "")
+    emitted = lm.greedy_decode(seq, 5)
+    assert len(emitted) == 5
+    assert lengths == [seq.length] + [1] * 4
+
+    # stopping at EOS: still one forward per emitted token, none after
+    lengths.clear()
+    emitted = lm.greedy_decode(seq, 5, eos_id=emitted[2])
+    assert len(emitted) == 3
+    assert lengths == [seq.length, 1, 1]

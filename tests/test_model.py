@@ -9,11 +9,12 @@ from tilefusion.assembly import VOCAB_SIZE
 from tilefusion.encoders import EncoderConfig, pixel_unshuffle
 from tilefusion.errors import BudgetError, ConfigError
 from tilefusion.fusion import project
-from tilefusion.lm import LMConfig
+from tilefusion.lm import LanguageModel, LMConfig
 from tilefusion.model import ENCODER_CHOICES, Pipeline, PipelineConfig
 from tilefusion.tensor import (
     backward,
     finite_difference_grad_at,
+    outside_graph,
     relative_error,
 )
 from tilefusion.tiling import ImageBuffer
@@ -212,6 +213,47 @@ class TestForward:
         text = pipe.answer([landscape_image()], "q", max_new=4)
         assert isinstance(text, str)
         assert len(text) <= 4
+
+    def test_answer_builds_no_graph(self, monkeypatch):
+        outputs = []
+        original = LanguageModel.forward
+
+        def spy(self, seq, *args, **kwargs):
+            out = original(self, seq, *args, **kwargs)
+            outputs.append((seq.embeddings, out.logits))
+            return out
+
+        monkeypatch.setattr(LanguageModel, "forward", spy)
+        pipe = Pipeline(desk_cfg(), seed=2)
+        pipe.answer([landscape_image()], "q", max_new=4)
+        assert outputs
+        for embeddings, logits in outputs:
+            for t in (embeddings, logits):
+                assert not t.requires_grad
+                assert t._prev == ()
+
+    def test_answer_restores_requires_grad(self):
+        pipe = Pipeline(desk_cfg(), seed=2)
+        params = pipe.parameters()
+        # a mix of earlier values, so restoring cannot just mean True
+        for p in params[::3]:
+            p.requires_grad = False
+        before = [p.requires_grad for p in params]
+        pipe.answer([landscape_image()], "q", max_new=2)
+        assert [p.requires_grad for p in params] == before
+
+        enc = [p for p in params if p.name.startswith("encoderA.")]
+        with outside_graph(enc):
+            pipe.answer([landscape_image()], "q", max_new=2)
+            assert not any(p.requires_grad for p in enc)
+        assert [p.requires_grad for p in params] == before
+
+    def test_answer_restores_requires_grad_on_budget_error(self):
+        pipe = Pipeline(desk_cfg(ctx=100), seed=0)
+        params = pipe.parameters()
+        with pytest.raises(BudgetError):
+            pipe.answer([landscape_image()], "what?", max_new=4)
+        assert all(p.requires_grad for p in params)
 
     def test_two_images_double_the_visual_tokens(self):
         pipe = Pipeline(desk_cfg(ctx=300), seed=0)
