@@ -312,7 +312,8 @@ def run_experiment(cfg: dict, out_dir=None, clock=None,
     generation or training, so an unknown fusion kind or impossible
     geometry fails before compute. Complementary-task runs also check
     that the two encoder front ends actually separate the coarse and
-    fine factors.
+    fine factors. A rerun into the same out_dir replaces its metrics,
+    checkpoint and result.
     """
     problems = validate_experiment_config(cfg)
     if problems:
@@ -333,6 +334,12 @@ def run_experiment(cfg: dict, out_dir=None, clock=None,
     data = generate(spec)
     training = cfg["training"]
     batch_size = training.get("batch_size", 8)
+    if out_dir is not None:
+        # run_stage appends, so a rerun into the same directory would
+        # otherwise keep the previous run's records
+        stale = os.path.join(out_dir, "metrics.jsonl")
+        if os.path.exists(stale):
+            os.remove(stale)
     total_steps = 0
     for plan in plans:
         run_stage(plan, model, data.train, seed=seed,

@@ -12,6 +12,13 @@ all; ``training.run_stage`` holds its frozen parameters there for the
 whole stage, and ``Pipeline.answer`` holds every parameter there, so
 greedy decoding builds no graph.
 
+Graphs are acyclic: a node refers only to its inputs (``_prev`` and the
+closure in ``_backward``), never to itself, so a step's graph is freed by
+reference counting as soon as its loss is dropped, not by the cyclic
+garbage collector. To keep it so, a backward closure receives its output
+gradient as its argument (``backward`` calls ``node._backward(node.grad)``)
+and must never capture its output tensor.
+
 Broadcasting is deliberately restricted: elementwise ops demand equal
 shapes, scalars are explicit (``mul_scalar``), bias addition over the
 trailing dim is its own primitive (``add_rowvec``), and replication along
@@ -40,7 +47,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._prev: tuple[Tensor, ...] = ()
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[np.ndarray], None] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -115,12 +122,14 @@ def _make(data: np.ndarray, inputs: Sequence[Tensor]) -> Tensor:
     """Wrap an op result, recording graph edges iff any input needs grad.
 
     The caller assigns ``out._backward`` afterwards when the result
-    requires grad (the closure needs the created node in scope).
+    requires grad.
     """
     out = Tensor(data)
-    if any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        out._prev = tuple(inputs)
+    for t in inputs:
+        if t.requires_grad:
+            out.requires_grad = True
+            out._prev = tuple(inputs)
+            break
     return out
 
 
@@ -128,8 +137,12 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # a fresh buffer in t.data's layout, never an alias of g (add
+        # hands one g to both inputs); 0.0 + g turns -0.0 into +0.0
+        t.grad = np.empty_like(t.data)
+        np.add(0.0, g, out=t.grad)
+    else:
+        t.grad += g
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +160,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul batch dims differ: {a.shape} @ {b.shape}")
     out = _make(np.matmul(a.data, b.data), (a, b))
     if out.requires_grad:
-        def backward():
-            g = out.grad
+        def backward(g):
             if a.requires_grad:
                 _accum(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
             if b.requires_grad:
@@ -168,9 +180,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"add shapes differ: {a.shape} vs {b.shape}")
     out = _make(a.data + b.data, (a, b))
     if out.requires_grad:
-        def backward():
-            _accum(a, out.grad)
-            _accum(b, out.grad)
+        def backward(g):
+            _accum(a, g)
+            _accum(b, g)
         out._backward = backward
     return out
 
@@ -181,9 +193,9 @@ def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
         raise DimensionError(f"add_rowvec: {x.shape} + {v.shape}")
     out = _make(x.data + v.data, (x, v))
     if out.requires_grad:
-        def backward():
-            _accum(x, out.grad)
-            _accum(v, out.grad.reshape(-1, v.shape[0]).sum(axis=0))
+        def backward(g):
+            _accum(x, g)
+            _accum(v, g.reshape(-1, v.shape[0]).sum(axis=0))
         out._backward = backward
     return out
 
@@ -194,9 +206,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"mul shapes differ: {a.shape} vs {b.shape}")
     out = _make(a.data * b.data, (a, b))
     if out.requires_grad:
-        def backward():
-            _accum(a, out.grad * b.data)
-            _accum(b, out.grad * a.data)
+        def backward(g):
+            _accum(a, g * b.data)
+            _accum(b, g * a.data)
         out._backward = backward
     return out
 
@@ -205,7 +217,7 @@ def mul_scalar(x: Tensor, s: float) -> Tensor:
     s = float(s)
     out = _make(x.data * s, (x,))
     if out.requires_grad:
-        out._backward = lambda: _accum(x, out.grad * s)
+        out._backward = lambda g: _accum(x, g * s)
     return out
 
 
@@ -215,7 +227,7 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
         raise DimensionError(f"reshape {x.shape} -> {shape}: size mismatch")
     out = _make(x.data.reshape(shape), (x,))
     if out.requires_grad:
-        out._backward = lambda: _accum(x, out.grad.reshape(x.shape))
+        out._backward = lambda g: _accum(x, g.reshape(x.shape))
     return out
 
 
@@ -223,22 +235,25 @@ def permute(x: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(int(a) for a in axes)
     if sorted(axes) != list(range(x.data.ndim)):
         raise DimensionError(f"permute axes {axes} invalid for shape {x.shape}")
-    inv = tuple(np.argsort(axes))
     out = _make(np.transpose(x.data, axes), (x,))
     if out.requires_grad:
-        out._backward = lambda: _accum(x, np.transpose(out.grad, inv))
+        inv = [0] * len(axes)
+        for i, a in enumerate(axes):
+            inv[a] = i
+        out._backward = lambda g: _accum(x, np.transpose(g, inv))
     return out
 
 
 def softmax_lastdim(x: Tensor) -> Tensor:
     """Softmax along the last axis (max-shifted for stability)."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=-1, keepdims=True)
+    # one buffer, not three: encoder attention scores run to megabytes,
+    # and each fresh transient of that size is page-faulted in anew
+    p = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    np.divide(p, p.sum(axis=-1, keepdims=True), out=p)
     out = _make(p, (x,))
     if out.requires_grad:
-        def backward():
-            g = out.grad
+        def backward(g):
             dot = (g * p).sum(axis=-1, keepdims=True)
             _accum(x, (g - dot) * p)
         out._backward = backward
@@ -258,8 +273,7 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
     xhat = (x.data - mu) * inv
     out = _make(xhat * gamma.data + beta.data, (x, gamma, beta))
     if out.requires_grad:
-        def backward():
-            g = out.grad
+        def backward(g):
             if beta.requires_grad:
                 _accum(beta, g.reshape(-1, d).sum(axis=0))
             if gamma.requires_grad:
@@ -284,10 +298,10 @@ def gelu(x: Tensor) -> Tensor:
     t = np.tanh(u)
     out = _make(0.5 * x.data * (1.0 + t), (x,))
     if out.requires_grad:
-        def backward():
+        def backward(g):
             du = _GELU_C * (1.0 + 3 * 0.044715 * x.data ** 2)
             dy = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t ** 2) * du
-            _accum(x, out.grad * dy)
+            _accum(x, g * dy)
         out._backward = backward
     return out
 
@@ -303,9 +317,9 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         )
     out = _make(table.data[ids], (table,))
     if out.requires_grad:
-        def backward():
+        def backward(g):
             gt = np.zeros_like(table.data)
-            np.add.at(gt, ids, out.grad)
+            np.add.at(gt, ids, g)
             _accum(table, gt)
         out._backward = backward
     return out
@@ -327,12 +341,12 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     out = _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
     if out.requires_grad:
         sizes = [t.shape[axis] for t in tensors]
-        def backward():
+        def backward(g):
             offset = 0
             idx = [slice(None)] * nd
             for t, n in zip(tensors, sizes):
                 idx[axis] = slice(offset, offset + n)
-                _accum(t, out.grad[tuple(idx)])
+                _accum(t, g[tuple(idx)])
                 offset += n
         out._backward = backward
     return out
@@ -350,9 +364,9 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     idx = tuple(idx)
     out = _make(x.data[idx], (x,))
     if out.requires_grad:
-        def backward():
+        def backward(g):
             gx = np.zeros_like(x.data)
-            gx[idx] = out.grad
+            gx[idx] = g
             _accum(x, gx)
         out._backward = backward
     return out
@@ -364,7 +378,7 @@ def expand_leading(x: Tensor, n: int) -> Tensor:
         raise DimensionError(f"expand_leading needs n >= 1, got {n}")
     out = _make(np.broadcast_to(x.data, (n,) + x.shape).copy(), (x,))
     if out.requires_grad:
-        out._backward = lambda: _accum(x, out.grad.sum(axis=0))
+        out._backward = lambda g: _accum(x, g.sum(axis=0))
     return out
 
 
@@ -372,7 +386,7 @@ def sum_all(x: Tensor) -> Tensor:
     """Full reduction to a scalar."""
     out = _make(np.asarray(x.data.sum()), (x,))
     if out.requires_grad:
-        out._backward = lambda: _accum(x, np.full_like(x.data, float(out.grad)))
+        out._backward = lambda g: _accum(x, np.full_like(x.data, float(g)))
     return out
 
 
@@ -396,7 +410,7 @@ def masked_cross_entropy(logits: Tensor, targets, mask) -> Tensor:
     if m == 0:
         out = _make(np.asarray(0.0), (logits,))
         if out.requires_grad:
-            out._backward = lambda: _accum(logits, np.zeros_like(logits.data))
+            out._backward = lambda g: _accum(logits, np.zeros_like(logits.data))
         return out
     shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
@@ -405,12 +419,12 @@ def masked_cross_entropy(logits: Tensor, targets, mask) -> Tensor:
     loss = -logp[rows, targets[rows]].sum() / m
     out = _make(np.asarray(loss), (logits,))
     if out.requires_grad:
-        def backward():
+        def backward(g):
             p = np.exp(logp)
             gl = np.zeros_like(logits.data)
             gl[rows] = p[rows]
             gl[rows, targets[rows]] -= 1.0
-            _accum(logits, gl * (float(out.grad) / m))
+            _accum(logits, gl * (float(g) / m))
         out._backward = backward
     return out
 
@@ -479,7 +493,7 @@ def backward(loss: Tensor, seed_grad: float = 1.0) -> None:
     _accum(loss, np.full_like(loss.data, float(seed_grad)))
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
-            node._backward()
+            node._backward(node.grad)
 
 
 def finite_difference_grad(f: Callable[[Tensor], Tensor], x: Tensor,

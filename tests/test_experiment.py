@@ -231,6 +231,15 @@ class TestRunExperiment:
         with open(os.path.join(out, "result.json")) as f:
             assert json.load(f) == asdict(row)
 
+    def test_rerun_into_same_dir_keeps_one_run_of_metrics(self, tmp_path):
+        out = str(tmp_path / "run")
+        run_experiment(tiny_cfg(), out_dir=out)
+        run_experiment(tiny_cfg(), out_dir=out)
+        records = read_metrics(os.path.join(out, "metrics.jsonl"))
+        steps = [(r.stage, r.step) for r in records]
+        assert steps == [("stage1", 0), ("stage1", 1),
+                         ("stage2", 0), ("stage2", 1), ("stage2", 2)]
+
     def test_invalid_config_rejected(self):
         cfg = tiny_cfg()
         cfg["model"]["fusion"] = "mean-pool"

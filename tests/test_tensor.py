@@ -7,10 +7,16 @@ eps=1e-5 in float64. Structural facts (shape algebra, inverse pairs,
 normalization) are asserted directly.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from tilefusion.encoders import EncoderConfig
 from tilefusion.errors import ContractError, DimensionError
+from tilefusion.lm import LMConfig
+from tilefusion.model import Pipeline, PipelineConfig
 from tilefusion.tensor import (
     OPS,
     Parameter,
@@ -36,6 +42,7 @@ from tilefusion.tensor import (
     softmax_lastdim,
     sum_all,
 )
+from tilefusion.tiling import ImageBuffer
 
 N_RANDOM_CASES = 20
 FD_EPS = 1e-5
@@ -472,3 +479,164 @@ def run_fixed_graph(seed):
 def test_graph_evaluation_is_deterministic():
     assert run_fixed_graph(123) == run_fixed_graph(123)
     assert run_fixed_graph(123) != run_fixed_graph(124)
+
+
+# ---------------------------------------------------------------------------
+# graph lifetime: freed by reference counting, never by the cyclic GC
+
+
+def graph_nodes(loss):
+    """Every tensor reachable from loss through recorded edges."""
+    seen = {id(loss): loss}
+    stack = [loss]
+    while stack:
+        for child in stack.pop()._prev:
+            if id(child) not in seen:
+                seen[id(child)] = child
+                stack.append(child)
+    return list(seen.values())
+
+
+def _mask(rng):
+    mask = rng.integers(0, 2, size=6).astype(bool)
+    mask[0] = True
+    return mask
+
+
+# One op output per primitive, built from the inputs of its gradient
+# check above; the empty-mask cross entropy has its own closure.
+CYCLE_CASES = {
+    "matmul": lambda rng: matmul(rand_tensor(rng, (3, 2, 4)),
+                                 rand_tensor(rng, (4, 5))),
+    "add": lambda rng: add(rand_tensor(rng, (3, 4)), rand_tensor(rng, (3, 4))),
+    "add-rowvec": lambda rng: add_rowvec(rand_tensor(rng, (2, 3, 4)),
+                                         rand_tensor(rng, (4,))),
+    "mul": lambda rng: mul(rand_tensor(rng, (4, 3)), rand_tensor(rng, (4, 3))),
+    "mul-scalar": lambda rng: mul_scalar(rand_tensor(rng, (3, 4)), -1.5),
+    "reshape": lambda rng: reshape(rand_tensor(rng, (2, 6)), (3, 4)),
+    "permute": lambda rng: permute(rand_tensor(rng, (2, 3, 4)), (2, 0, 1)),
+    "softmax-lastdim": lambda rng: softmax_lastdim(rand_tensor(rng, (3, 5))),
+    "layernorm": lambda rng: layernorm(rand_tensor(rng, (4, 6)),
+                                       rand_tensor(rng, (6,)),
+                                       rand_tensor(rng, (6,))),
+    "gelu": lambda rng: gelu(rand_tensor(rng, (3, 4))),
+    "embedding-lookup": lambda rng: embedding_lookup(
+        rand_tensor(rng, (7, 4)), rng.integers(0, 7, size=5)),
+    "concat-along-axis": lambda rng: concat(
+        [rand_tensor(rng, (2, k)) for k in (1, 3, 2)], axis=1),
+    "slice": lambda rng: slice_axis(rand_tensor(rng, (4, 6)), 1, 1, 4),
+    "expand-leading": lambda rng: expand_leading(rand_tensor(rng, (3, 4)), 5),
+    "sum": lambda rng: sum_all(rand_tensor(rng, (3, 4))),
+    "masked-cross-entropy": lambda rng: masked_cross_entropy(
+        rand_tensor(rng, (6, 9)), rng.integers(0, 9, size=6), _mask(rng)),
+    "masked-cross-entropy-empty": lambda rng: masked_cross_entropy(
+        rand_tensor(rng, (6, 9)), rng.integers(0, 9, size=6),
+        np.zeros(6, dtype=bool)),
+}
+
+
+def assert_freed_by_refcount(build):
+    """build() -> (loss, interior node). With the cyclic GC off, dropping
+    the loss after backward must free the node and leave no garbage."""
+    gc.collect()
+    gc.disable()
+    try:
+        loss, node = build()
+        backward(loss)
+        assert node.grad is not None
+        node_closure = weakref.ref(node._backward)
+        del loss, node
+        assert node_closure() is None, "graph node outlived its loss"
+        assert gc.collect() == 0, "graph left cyclic garbage"
+    finally:
+        gc.enable()
+
+
+def test_cycle_cases_cover_every_primitive():
+    assert set(OPS) <= set(CYCLE_CASES)
+
+
+@pytest.mark.parametrize("kind", sorted(CYCLE_CASES))
+def test_op_graph_freed_without_cyclic_gc(kind):
+    def build():
+        out = CYCLE_CASES[kind](np.random.default_rng(30))
+        return sum_all(mul_scalar(out, 0.5)), out
+
+    assert_freed_by_refcount(build)
+
+
+def test_pipeline_graph_freed_without_cyclic_gc():
+    enc_a = EncoderConfig(patch_size=4, embed_dim=8, depth=1, heads=2,
+                          grid_side=8, unshuffle_r=2)
+    enc_b = EncoderConfig(patch_size=2, embed_dim=8, depth=1, heads=2,
+                          grid_side=16, unshuffle_r=4)
+    pipe = Pipeline(PipelineConfig(
+        encoder_a=enc_a, encoder_b=enc_b,
+        lm=LMConfig(d_lm=16, layers=1, heads=2, context_limit=160),
+        tile_size=32, max_tiles=6, projector_hidden=8), seed=0)
+    img = ImageBuffer(np.random.default_rng(31).random((32, 64, 3)))
+
+    def build():
+        loss = pipe.forward_sample([img], "what?", "ab").loss
+        return loss, loss._prev[0]
+
+    assert_freed_by_refcount(build)
+
+
+# ---------------------------------------------------------------------------
+# gradient accumulation: fresh buffers, exact values
+
+
+def check_accumulated(f, leaves):
+    """backward(f()) against the oracle; every grad in the graph is its
+    own buffer with its tensor's shape and strides."""
+    loss = f()
+    backward(loss)
+    for t in leaves:
+        want = finite_difference_grad(lambda _unused: f(), t, eps=FD_EPS)
+        assert relative_error(t.grad, want) < GRAD_TOL
+    nodes = [n for n in graph_nodes(loss) if n.grad is not None]
+    assert all(t in nodes for t in leaves)
+    for n in nodes:
+        assert n.grad.shape == n.data.shape
+        assert n.grad.strides == n.data.strides
+    for i, a in enumerate(nodes):
+        for b in nodes[i + 1:]:
+            assert not np.shares_memory(a.grad, b.grad)
+    return loss
+
+
+def test_accumulate_add_of_a_tensor_with_itself():
+    rng = np.random.default_rng(40)
+    x = rand_tensor(rng, (3, 4))
+    r = Tensor(rng.standard_normal((3, 4)))
+    check_accumulated(lambda: sum_all(mul(add(x, x), r)), [x])
+
+
+def test_accumulate_add_inputs_sharing_one_upstream_grad():
+    rng = np.random.default_rng(41)
+    a = rand_tensor(rng, (3, 4))
+    b = rand_tensor(rng, (3, 4))
+    r = Tensor(rng.standard_normal((3, 4)))
+    check_accumulated(lambda: sum_all(mul(add(a, b), r)), [a, b])
+
+
+def test_accumulate_through_reshape_and_permute_views():
+    rng = np.random.default_rng(42)
+    x = rand_tensor(rng, (2, 3, 4))
+    r = Tensor(rng.standard_normal((4, 6)))
+
+    def f():
+        y = permute(x, (2, 0, 1))           # a transposed view of x
+        z = add(reshape(y, (4, 6)), reshape(permute(x, (2, 0, 1)), (4, 6)))
+        return sum_all(mul(z, r))
+
+    loss = check_accumulated(f, [x])
+    assert any(not n.data.flags["C_CONTIGUOUS"] for n in graph_nodes(loss))
+
+
+def test_negative_zero_only_contribution_becomes_positive_zero():
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    backward(sum_all(mul_scalar(x, -0.0)))
+    np.testing.assert_array_equal(x.grad, np.zeros((2, 3)))
+    assert not np.signbit(x.grad).any()
