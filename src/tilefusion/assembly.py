@@ -188,3 +188,39 @@ def splice(prompt_ids, answer_ids, visual: list[VisualSequence],
     embeddings = segments[0] if len(segments) == 1 else tz.concat(segments, axis=0)
     return AssembledSequence(embeddings, np.array(token_ids),
                              np.array(loss_mask))
+
+
+@dataclass
+class SequenceBatch:
+    """B sequences padded on the right to one length L.
+
+    embeddings [B, L, d], token_ids and loss_mask [B, L]. A pad position
+    has a zero embedding row, PAD_ID and a false loss mask; under the
+    LM's causal mask no real position ever attends to it.
+    """
+
+    embeddings: tz.Tensor
+    token_ids: np.ndarray
+    loss_mask: np.ndarray
+
+
+def pad_batch(seqs: list[AssembledSequence]) -> SequenceBatch:
+    """Right-pad seqs to the longest and stack them, in order."""
+    if not seqs:
+        raise ContractError("cannot batch zero sequences")
+    L = max(s.length for s in seqs)
+    d = seqs[0].embeddings.shape[1]
+    ids = np.full((len(seqs), L), PAD_ID, dtype=np.int64)
+    mask = np.zeros((len(seqs), L), dtype=bool)
+    parts: list[tz.Tensor] = []
+    for b, s in enumerate(seqs):
+        if s.embeddings.shape[1] != d:
+            raise DimensionError(
+                f"sequence {b} width {s.embeddings.shape[1]} != {d}")
+        ids[b, :s.length] = s.token_ids
+        mask[b, :s.length] = s.loss_mask
+        parts.append(s.embeddings)
+        if s.length < L:
+            parts.append(tz.Tensor(np.zeros((L - s.length, d))))
+    flat = parts[0] if len(parts) == 1 else tz.concat(parts, axis=0)
+    return SequenceBatch(tz.reshape(flat, (len(seqs), L, d)), ids, mask)

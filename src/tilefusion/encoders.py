@@ -1,8 +1,9 @@
 """Two toy patch-embedding vision transformers and pixel-unshuffle.
 
 Each branch is a small pre-norm ViT: non-overlapping patchify, linear
-embed, learned positional embeddings, depth x (self-attention + GELU
-MLP), final layernorm, reshaped to a channels-first spatial token grid.
+embed, learned positional embeddings, depth x the unmasked block shared
+with the LM (transformer.py), final layernorm, reshaped to a
+channels-first spatial token grid.
 Pixel unshuffle then trades spatial extent for channels, cutting the
 token count by r squared per branch before projection.
 
@@ -22,6 +23,7 @@ import numpy as np
 from . import tensor as tz
 from .errors import ConfigError, DimensionError
 from .tiling import ImageBuffer, TileSet, normalize
+from .transformer import init_block, linear, run_block
 
 INPUT_FILTERS = ("none", "lowpass", "highpass")
 
@@ -144,10 +146,6 @@ def apply_input_filter(buf: ImageBuffer, kind: str, block: int) -> ImageBuffer:
 # encoder
 
 
-def _init_linear(rng, fan_in, fan_out):
-    return rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in)
-
-
 class Encoder:
     """A toy ViT branch. Parameters are named under the given prefix."""
 
@@ -160,30 +158,12 @@ class Encoder:
         d = cfg.embed_dim
         t = cfg.grid_side * cfg.grid_side
         P = tz.Parameter
-
-        def lin(name, fi, fo):
-            return P(f"{prefix}.{name}", _init_linear(rng, fi, fo))
-
-        self.patch_w = lin("patch_embed.w", cfg.patch_size ** 2 * in_channels, d)
+        self.patch_w = linear(f"{prefix}.patch_embed.w", rng,
+                              cfg.patch_size ** 2 * in_channels, d)
         self.patch_b = P(f"{prefix}.patch_embed.b", np.zeros(d))
         self.pos = P(f"{prefix}.pos", rng.standard_normal((t, d)) * 0.02)
-        self.blocks = []
-        for i in range(cfg.depth):
-            blk = {
-                "norm1.g": P(f"{prefix}.block{i}.norm1.g", np.ones(d)),
-                "norm1.b": P(f"{prefix}.block{i}.norm1.b", np.zeros(d)),
-                "wq": lin(f"block{i}.attn.wq", d, d),
-                "wk": lin(f"block{i}.attn.wk", d, d),
-                "wv": lin(f"block{i}.attn.wv", d, d),
-                "wo": lin(f"block{i}.attn.wo", d, d),
-                "norm2.g": P(f"{prefix}.block{i}.norm2.g", np.ones(d)),
-                "norm2.b": P(f"{prefix}.block{i}.norm2.b", np.zeros(d)),
-                "w1": lin(f"block{i}.mlp.w1", d, 4 * d),
-                "b1": P(f"{prefix}.block{i}.mlp.b1", np.zeros(4 * d)),
-                "w2": lin(f"block{i}.mlp.w2", 4 * d, d),
-                "b2": P(f"{prefix}.block{i}.mlp.b2", np.zeros(d)),
-            }
-            self.blocks.append(blk)
+        self.blocks = [init_block(f"{prefix}.block{i}", d, rng)
+                       for i in range(cfg.depth)]
         self.norm_out_g = P(f"{prefix}.norm_out.g", np.ones(d))
         self.norm_out_b = P(f"{prefix}.norm_out.b", np.zeros(d))
 
@@ -193,25 +173,6 @@ class Encoder:
             out.extend(blk.values())
         out.extend([self.norm_out_g, self.norm_out_b])
         return out
-
-    def _attend(self, x: tz.Tensor, blk) -> tz.Tensor:
-        n, t, d = x.shape
-        h = self.cfg.heads
-        hd = d // h
-        q = tz.matmul(x, blk["wq"])
-        k = tz.matmul(x, blk["wk"])
-        v = tz.matmul(x, blk["wv"])
-
-        def split(y):
-            return tz.permute(tz.reshape(y, (n, t, h, hd)), (0, 2, 1, 3))
-
-        q, k, v = split(q), split(k), split(v)
-        scores = tz.mul_scalar(tz.matmul(q, tz.permute(k, (0, 1, 3, 2))),
-                               1.0 / np.sqrt(hd))
-        attn = tz.softmax_lastdim(scores)
-        mixed = tz.matmul(attn, v)
-        merged = tz.reshape(tz.permute(mixed, (0, 2, 1, 3)), (n, t, d))
-        return tz.matmul(merged, blk["wo"])
 
     def encode(self, tiles: TileSet) -> TokenGrid:
         """Raw [0,1] tiles -> filter -> normalize -> ViT -> token grid."""
@@ -247,11 +208,7 @@ class Encoder:
         x = tz.add_rowvec(tz.matmul(tz.Tensor(flat), self.patch_w), self.patch_b)
         x = tz.add(x, tz.expand_leading(self.pos, n))
         for blk in self.blocks:
-            normed = tz.layernorm(x, blk["norm1.g"], blk["norm1.b"])
-            x = tz.add(x, self._attend(normed, blk))
-            normed = tz.layernorm(x, blk["norm2.g"], blk["norm2.b"])
-            hidden = tz.gelu(tz.add_rowvec(tz.matmul(normed, blk["w1"]), blk["b1"]))
-            x = tz.add(x, tz.add_rowvec(tz.matmul(hidden, blk["w2"]), blk["b2"]))
+            x = run_block(x, blk, cfg.heads)
         x = tz.layernorm(x, self.norm_out_g, self.norm_out_b)
         spatial = tz.permute(tz.reshape(x, (n, gs, gs, cfg.embed_dim)),
                              (0, 3, 1, 2))

@@ -28,7 +28,7 @@ from .fusion import FUSION_KINDS
 from .lm import LMConfig
 from .model import ENCODER_CHOICES, Pipeline, PipelineConfig
 from .training import Checkpoint, restore, run_stage, stage1_plan, \
-    stage2_plan
+    stage2_plan, write_atomic
 
 ADAPTER_PREFIXES = ("projectorA.", "projectorB.", "projector_shared.",
                     "fusion.")
@@ -364,9 +364,8 @@ def run_experiment(cfg: dict, out_dir=None, clock=None,
     )
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "result.json"), "w") as f:
-            json.dump(asdict(result), f, indent=2)
-            f.write("\n")
+        text = json.dumps(asdict(result), indent=2) + "\n"
+        write_atomic(out_dir, "result.json", text.encode())
     return result
 
 
@@ -483,14 +482,8 @@ def write_report(report: AblationReport, out_dir,
     """Write report files; returns the paths written."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    if "csv" in formats:
-        path = os.path.join(out_dir, "report.csv")
-        with open(path, "w") as f:
-            f.write(report_to_csv(report))
-        paths.append(path)
-    if "json" in formats:
-        path = os.path.join(out_dir, "report.json")
-        with open(path, "w") as f:
-            f.write(report_to_json(report))
-        paths.append(path)
+    for fmt, render in (("csv", report_to_csv), ("json", report_to_json)):
+        if fmt in formats:
+            write_atomic(out_dir, f"report.{fmt}", render(report).encode())
+            paths.append(os.path.join(out_dir, f"report.{fmt}"))
     return paths

@@ -23,6 +23,7 @@ import numpy as np
 from . import tensor as tz
 from .encoders import TokenGrid
 from .errors import ConfigError, ContractError, DimensionError
+from .transformer import linear
 
 FUSION_KINDS = ("post-interleave", "post-channel", "pre-sequence", "pre-channel")
 
@@ -77,13 +78,9 @@ class Projector:
         rng = np.random.default_rng(seed)
         self.in_dim = in_dim
         self.d_lm = d_lm
-        self.w1 = tz.Parameter(f"{prefix}.w1",
-                               rng.standard_normal((in_dim, hidden))
-                               / np.sqrt(in_dim))
+        self.w1 = linear(f"{prefix}.w1", rng, in_dim, hidden)
         self.b1 = tz.Parameter(f"{prefix}.b1", np.zeros(hidden))
-        self.w2 = tz.Parameter(f"{prefix}.w2",
-                               rng.standard_normal((hidden, d_lm))
-                               / np.sqrt(hidden))
+        self.w2 = linear(f"{prefix}.w2", rng, hidden, d_lm)
         self.b2 = tz.Parameter(f"{prefix}.b2", np.zeros(d_lm))
 
     def parameters(self) -> list[tz.Parameter]:

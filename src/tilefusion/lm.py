@@ -1,12 +1,20 @@
 """Decoder-only causal transformer over assembled sequences.
 
-Pre-norm blocks, learned absolute positional embeddings, an untied
-output head, and a strict causal mask applied additively (-1e30 before
-softmax, which underflows to exactly zero attention weight, so prefix
-logits are bit-stable under suffix edits). The loss is mean cross
-entropy of logits[t] against token[t+1], restricted to positions whose
-target is supervised by the loss mask. The LM owns the text embedding
-table that the assembler splices from.
+The shared pre-norm blocks of transformer.py, learned absolute
+positional embeddings, an untied output head, and a strict causal mask
+applied additively (-1e30 before softmax, which underflows to exactly
+zero attention weight, so prefix logits are bit-stable under suffix
+edits). The loss is mean cross entropy of logits[t] against token[t+1],
+restricted to positions whose target is supervised by the loss mask.
+The LM owns the text embedding table that the assembler splices from.
+
+forward runs a SequenceBatch of B right-padded sequences as one
+[B, L, d] batch, and one AssembledSequence as B = 1 ([L, V] logits).
+Pads need no mask of their own: each comes after every real position
+of its row, so the causal mask already gives it zero weight, and pads
+carry no loss. The batch loss is the mean of the samples' masked
+losses. Padding can move a sample's logits by rounding only: a softmax
+row sum over more (zero) weights may group differently.
 
 forward optionally takes a KVCache holding every block's keys and
 values for the positions already run. The sequence is then a
@@ -19,7 +27,6 @@ emitted token as a one-position continuation. Cached logits agree with
 a full recompute to rounding (not bitwise: the one-row matmuls may sum
 in a different order).
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -27,8 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .assembly import VOCAB_SIZE, AssembledSequence
+from .assembly import VOCAB_SIZE, AssembledSequence, SequenceBatch, pad_batch
 from .errors import BudgetError, ConfigError, ContractError
+from .transformer import KVCache, init_block, run_block
 
 NEG_INF = -1e30
 
@@ -60,16 +68,6 @@ class LMOutput:
     loss: tz.Tensor | None = None
 
 
-class KVCache:
-    """Per-block keys and values, [heads, length, head_dim], of every
-    position run so far; filled by LanguageModel.forward."""
-
-    def __init__(self):
-        self.length = 0
-        self.keys: list[tz.Tensor] = []
-        self.values: list[tz.Tensor] = []
-
-
 class LanguageModel:
     """Toy causal LM; parameters named under the "lm." prefix."""
 
@@ -78,29 +76,10 @@ class LanguageModel:
         rng = np.random.default_rng(seed)
         d = cfg.d_lm
         P = tz.Parameter
-
-        def lin(name, fi, fo):
-            return P(f"lm.{name}", rng.standard_normal((fi, fo)) / np.sqrt(fi))
-
         self.embed = P("lm.embed", rng.standard_normal((cfg.vocab, d)) * 0.02)
         self.pos = P("lm.pos", rng.standard_normal((cfg.context_limit, d)) * 0.02)
-        self.blocks = []
-        for i in range(cfg.layers):
-            blk = {
-                "norm1.g": P(f"lm.block{i}.norm1.g", np.ones(d)),
-                "norm1.b": P(f"lm.block{i}.norm1.b", np.zeros(d)),
-                "wq": lin(f"block{i}.attn.wq", d, d),
-                "wk": lin(f"block{i}.attn.wk", d, d),
-                "wv": lin(f"block{i}.attn.wv", d, d),
-                "wo": lin(f"block{i}.attn.wo", d, d),
-                "norm2.g": P(f"lm.block{i}.norm2.g", np.ones(d)),
-                "norm2.b": P(f"lm.block{i}.norm2.b", np.zeros(d)),
-                "w1": lin(f"block{i}.mlp.w1", d, 4 * d),
-                "b1": P(f"lm.block{i}.mlp.b1", np.zeros(4 * d)),
-                "w2": lin(f"block{i}.mlp.w2", 4 * d, d),
-                "b2": P(f"lm.block{i}.mlp.b2", np.zeros(d)),
-            }
-            self.blocks.append(blk)
+        self.blocks = [init_block(f"lm.block{i}", d, rng)
+                       for i in range(cfg.layers)]
         self.norm_out_g = P("lm.norm_out.g", np.ones(d))
         self.norm_out_b = P("lm.norm_out.b", np.zeros(d))
         # small but nonzero: a zero head would block every gradient to
@@ -116,75 +95,50 @@ class LanguageModel:
         out.extend([self.norm_out_g, self.norm_out_b, self.head])
         return out
 
-    def _attend(self, x: tz.Tensor, blk, mask: tz.Tensor,
-                cache: KVCache | None, i: int) -> tz.Tensor:
-        L, d = x.shape
-        h = self.cfg.heads
-        hd = d // h
-
-        def split(y):
-            return tz.permute(tz.reshape(y, (L, h, hd)), (1, 0, 2))
-
-        q = split(tz.matmul(x, blk["wq"]))
-        k = split(tz.matmul(x, blk["wk"]))
-        v = split(tz.matmul(x, blk["wv"]))
-        if cache is not None:
-            if i < len(cache.keys):
-                k = tz.concat([cache.keys[i], k], axis=1)
-                v = tz.concat([cache.values[i], v], axis=1)
-                cache.keys[i], cache.values[i] = k, v
-            else:
-                cache.keys.append(k)
-                cache.values.append(v)
-        scores = tz.mul_scalar(tz.matmul(q, tz.permute(k, (0, 2, 1))),
-                               1.0 / np.sqrt(hd))
-        scores = tz.add(scores, tz.expand_leading(mask, h))
-        attn = tz.softmax_lastdim(scores)
-        mixed = tz.reshape(tz.permute(tz.matmul(attn, v), (1, 0, 2)), (L, d))
-        return tz.matmul(mixed, blk["wo"])
-
-    def forward(self, seq: AssembledSequence, with_loss: bool = True,
+    def forward(self, seq: AssembledSequence | SequenceBatch,
+                with_loss: bool = True,
                 cache: KVCache | None = None) -> LMOutput:
         """Logits (and loss) for seq; with a cache, seq continues it.
 
-        The loss of a continuation covers only next-token targets inside
-        the continuation itself.
+        One AssembledSequence gives [L, V] logits; a SequenceBatch gives
+        [B, L, V] logits and the mean over samples of each sample's
+        masked loss. The loss of a continuation covers only next-token
+        targets inside the continuation itself.
         """
-        L = seq.length
+        batch = seq if isinstance(seq, SequenceBatch) else pad_batch([seq])
+        B, L = batch.token_ids.shape
         start = 0 if cache is None else cache.length
         if L < 1:
             raise ContractError("cannot run the LM on an empty sequence")
         if start + L > self.cfg.context_limit:
             raise BudgetError(required=start + L,
                               available=self.cfg.context_limit)
-        if seq.embeddings.shape[1] != self.cfg.d_lm:
+        if batch.embeddings.shape[2] != self.cfg.d_lm:
             raise ContractError(
-                f"sequence width {seq.embeddings.shape[1]} != "
+                f"sequence width {batch.embeddings.shape[2]} != "
                 f"d_lm {self.cfg.d_lm}"
             )
-        mask_np = np.where(
+        causal = np.where(
             np.arange(start + L)[None, :] > start + np.arange(L)[:, None],
             NEG_INF, 0.0)
-        mask = tz.Tensor(mask_np)
-        x = tz.add(seq.embeddings, tz.slice_axis(self.pos, 0, start,
-                                                 start + L))
+        # a broadcast view, not a copy: every block adds it to its scores
+        mask = tz.Tensor(np.broadcast_to(
+            causal, (B, self.cfg.heads, L, start + L)))
+        pos = tz.slice_axis(self.pos, 0, start, start + L)
+        x = tz.add(batch.embeddings, tz.expand_leading(pos, B))
         for i, blk in enumerate(self.blocks):
-            normed = tz.layernorm(x, blk["norm1.g"], blk["norm1.b"])
-            x = tz.add(x, self._attend(normed, blk, mask, cache, i))
-            normed = tz.layernorm(x, blk["norm2.g"], blk["norm2.b"])
-            hidden = tz.gelu(tz.add_rowvec(tz.matmul(normed, blk["w1"]),
-                                           blk["b1"]))
-            x = tz.add(x, tz.add_rowvec(tz.matmul(hidden, blk["w2"]),
-                                        blk["b2"]))
+            x = run_block(x, blk, self.cfg.heads, mask, cache, i)
         if cache is not None:
             cache.length = start + L
         x = tz.layernorm(x, self.norm_out_g, self.norm_out_b)
         logits = tz.matmul(x, self.head)
-        if not with_loss:
-            return LMOutput(logits)
-        shifted = tz.slice_axis(logits, 0, 0, L - 1)
-        loss = tz.masked_cross_entropy(shifted, seq.token_ids[1:],
-                                       seq.loss_mask[1:])
+        loss = None
+        if with_loss:
+            loss = tz.masked_cross_entropy(
+                tz.slice_axis(logits, 1, 0, L - 1), batch.token_ids[:, 1:],
+                batch.loss_mask[:, 1:])
+        if seq is not batch:
+            logits = tz.reshape(logits, (L, self.cfg.vocab))
         return LMOutput(logits, loss)
 
     def greedy_decode(self, seq: AssembledSequence, max_new: int,

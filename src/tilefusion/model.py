@@ -34,8 +34,9 @@ from .fusion import (
     project,
 )
 from .lm import LanguageModel, LMConfig, LMOutput
-from .tensor import Parameter, outside_graph, slice_axis
+from .tensor import outside_graph, slice_axis
 from .tiling import ImageBuffer, segment
+from .transformer import linear
 
 ENCODER_CHOICES = ("A", "B", "A+B")
 
@@ -166,9 +167,7 @@ class Pipeline:
                     "projectorB", cfg.width_b, hidden, d, seed_proj_b)
         if both and cfg.fusion == "post-channel":
             rng = np.random.default_rng(seed_down)
-            self.down = Parameter(
-                "fusion.down",
-                rng.standard_normal((2 * d, d)) / np.sqrt(2 * d))
+            self.down = linear("fusion.down", rng, 2 * d, d)
 
         self.lm = LanguageModel(cfg.lm, seed_lm)
 

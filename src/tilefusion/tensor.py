@@ -223,7 +223,9 @@ def mul_scalar(x: Tensor, s: float) -> Tensor:
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(int(d) for d in shape)
-    if int(np.prod(shape)) != x.size:
+    # math.prod, not np.prod: this runs on every reshape, where numpy's
+    # call overhead (~6 us) was most of the op's cost on small tensors
+    if math.prod(shape) != x.size:
         raise DimensionError(f"reshape {x.shape} -> {shape}: size mismatch")
     out = _make(x.data.reshape(shape), (x,))
     if out.requires_grad:
@@ -395,36 +397,50 @@ def masked_cross_entropy(logits: Tensor, targets, mask) -> Tensor:
 
     Fused softmax + NLL for numerical stability; gradient is
     (softmax - onehot) / n_masked on selected rows, zero elsewhere.
-    Returns a 0.0 scalar (zero gradient) when the mask selects nothing.
+    A sample whose mask selects nothing contributes a 0.0 loss (zero
+    gradient). With a leading batch axis ([B, n, V] logits, [B, n]
+    targets and mask) each sample's masked mean is taken on its own,
+    the B means are added in sample order and the total is scaled by
+    1/B: bitwise the mean of B separate calls chained through add and
+    mul_scalar.
     """
     targets = np.asarray(targets, dtype=np.int64)
     mask = np.asarray(mask, dtype=bool)
-    if logits.data.ndim != 2:
-        raise DimensionError(f"cross entropy expects 2-D logits, got {logits.shape}")
-    n, v = logits.shape
-    if targets.shape != (n,) or mask.shape != (n,):
+    if logits.data.ndim not in (2, 3):
         raise DimensionError(
-            f"cross entropy rows {n} vs targets {targets.shape}, mask {mask.shape}"
+            f"cross entropy expects [n, V] or [B, n, V] logits, "
+            f"got {logits.shape}")
+    lead = logits.shape[:-1]
+    if targets.shape != lead or mask.shape != lead:
+        raise DimensionError(
+            f"cross entropy rows {lead} vs targets {targets.shape}, "
+            f"mask {mask.shape}"
         )
-    m = int(mask.sum())
-    if m == 0:
-        out = _make(np.asarray(0.0), (logits,))
-        if out.requires_grad:
-            out._backward = lambda g: _accum(logits, np.zeros_like(logits.data))
-        return out
-    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    logp = shifted - logz
-    rows = np.nonzero(mask)[0]
-    loss = -logp[rows, targets[rows]].sum() / m
-    out = _make(np.asarray(loss), (logits,))
+    B = logits.shape[0] if logits.data.ndim == 3 else 1
+    x = logits.data.reshape((B,) + logits.shape[-2:])
+    mask = mask.reshape(B, -1)
+    bi, ri = np.nonzero(mask)  # selected rows, sample-major
+    counts = mask.sum(axis=1)
+    chosen = targets.reshape(B, -1)[bi, ri]
+    rows = x[bi, ri]  # [M, V]
+    shifted = rows - rows.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    picked = logp[np.arange(len(bi)), chosen]
+    ends = np.cumsum(counts)
+    per_sample = [-picked[e - m:e].sum() / m if m else 0.0
+                  for m, e in zip(counts.tolist(), ends.tolist())]
+    total = per_sample[0]
+    for extra in per_sample[1:]:
+        total = total + extra
+    total = total * (1.0 / B)
+    out = _make(np.asarray(total, dtype=np.float64), (logits,))
     if out.requires_grad:
         def backward(g):
             p = np.exp(logp)
-            gl = np.zeros_like(logits.data)
-            gl[rows] = p[rows]
-            gl[rows, targets[rows]] -= 1.0
-            _accum(logits, gl * (float(g) / m))
+            p[np.arange(len(bi)), chosen] -= 1.0
+            gl = np.zeros_like(x)
+            gl[bi, ri] = p * (float(g) * (1.0 / B) / counts[bi])[:, None]
+            _accum(logits, gl.reshape(logits.shape))
         out._backward = backward
     return out
 

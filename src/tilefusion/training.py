@@ -9,6 +9,12 @@ run_stage no frozen parameter receives a gradient, and the optimizer
 skips frozen parameters regardless. Pipeline.forward_sample itself
 keeps the full graph back into both encoders.
 
+Each step assembles its samples one by one and runs the LM once on
+them as one right-padded [B, L, d] batch (assembly.pad_batch): one
+graph per step, not one per sample. The causal mask keeps every pad
+out of every real position's attention, and pads carry no loss, so the
+step loss is the mean of the samples' masked losses, as before.
+
 Every step draws its batch from a generator keyed by (seed, stage,
 step), so a resumed run reconstructs the exact batch sequence without
 replaying RNG history. Checkpoints store one little-endian f32 blob in
@@ -27,6 +33,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as tz
+from .assembly import pad_batch
 from .encoders import TokenGrid
 from .errors import ConfigError, ContractError, DimensionError
 
@@ -217,8 +224,8 @@ class Checkpoint:
         """
         os.makedirs(out_dir, exist_ok=True)
         text = json.dumps(self.manifest, indent=2, sort_keys=True) + "\n"
-        _write_atomic(out_dir, WEIGHTS_NAME, self.blob)
-        _write_atomic(out_dir, MANIFEST_NAME, text.encode())
+        write_atomic(out_dir, WEIGHTS_NAME, self.blob)
+        write_atomic(out_dir, MANIFEST_NAME, text.encode())
 
     @staticmethod
     def load(out_dir) -> "Checkpoint":
@@ -239,8 +246,13 @@ class Checkpoint:
         return Checkpoint(manifest, blob)
 
 
-def _write_atomic(out_dir, name: str, data: bytes) -> None:
-    """Write out_dir/name through a temporary file and os.replace."""
+def write_atomic(out_dir, name: str, data: bytes) -> None:
+    """Write out_dir/name through a temporary file and os.replace.
+
+    Readers, and a process that dies mid-write, see the old file or
+    the new one, never a truncated one; a failed write removes its
+    temporary file.
+    """
     fd, tmp = tempfile.mkstemp(prefix=f".{name}.", dir=out_dir)
     try:
         with os.fdopen(fd, "wb") as f:
@@ -321,7 +333,10 @@ def run_stage(plan: StagePlan, model, dataset, seed: int,
     Every stage freezes both encoders, so each sample's post-unshuffle
     tokens are computed on its first draw and reused, detached, for the
     rest of the stage: the encoders run once per sample per stage and
-    receive no gradient. No frozen parameter accumulates a gradient
+    receive no gradient. A step's samples are then assembled and run
+    through the LM in one padded batch call; padding on the right is
+    safe because the causal mask already hides each pad from every
+    real position. No frozen parameter accumulates a gradient
     during the call; the optimizer would skip it anyway. When out_dir
     is given, metrics stream to out_dir/metrics.jsonl as they are
     produced and the final checkpoint is written there too.
@@ -349,18 +364,15 @@ def run_stage(plan: StagePlan, model, dataset, seed: int,
             t0 = clock()
             idx = batch_indices(seed, stage_index, step, len(dataset),
                                 batch_size)
-            losses = []
+            seqs = []
             for i in idx:
                 i = int(i)
                 s = dataset[i]
                 if i not in tokens:
                     tokens[i] = _frozen_tokens(model, s.images)
-                losses.append(model.forward_sample(s.images, s.question,
-                                                   s.answer, tokens[i]).loss)
-            total = losses[0]
-            for extra in losses[1:]:
-                total = tz.add(total, extra)
-            mean_loss = tz.mul_scalar(total, 1.0 / len(losses))
+                seqs.append(model.assemble(s.images, s.question, s.answer,
+                                           tokens[i]))
+            mean_loss = model.lm.forward(pad_batch(seqs)).loss
             loss = mean_loss.item()
             if not np.isfinite(loss):
                 raise ContractError(

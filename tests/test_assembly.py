@@ -22,6 +22,7 @@ from tilefusion.assembly import (
     AssembledSequence,
     ByteTokenizer,
     build_prompt,
+    pad_batch,
     splice,
 )
 from tilefusion.errors import BudgetError, ContractError, DimensionError
@@ -244,3 +245,50 @@ def test_splice_deterministic():
     assert a.embeddings.data.tobytes() == b.embeddings.data.tobytes()
     assert a.token_ids.tobytes() == b.token_ids.tobytes()
     assert a.loss_mask.tobytes() == b.loss_mask.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# batching
+
+
+def test_pad_batch_right_pads_with_zero_rows_and_no_loss():
+    tab = table()
+    short = splice(TOK.encode("ab"), [99], [], tab, 64)
+    longer = splice(TOK.encode(build_prompt(1, "what?")), [97, 98],
+                    [visual_seq(3, 4)], tab, 64)
+    batch = pad_batch([short, longer])
+    L = longer.length
+    assert batch.embeddings.shape == (2, L, 4)
+    n = short.length
+    np.testing.assert_array_equal(batch.embeddings.data[0, :n],
+                                  short.embeddings.data)
+    np.testing.assert_array_equal(batch.embeddings.data[0, n:], 0.0)
+    np.testing.assert_array_equal(batch.embeddings.data[1],
+                                  longer.embeddings.data)
+    assert list(batch.token_ids[0]) == list(short.token_ids) + \
+        [PAD_ID] * (L - n)
+    assert list(batch.loss_mask[0]) == list(short.loss_mask) + \
+        [False] * (L - n)
+    assert list(batch.token_ids[1]) == list(longer.token_ids)
+    assert list(batch.loss_mask[1]) == list(longer.loss_mask)
+
+
+def test_pad_batch_gradients_reach_each_sample_only_from_its_rows():
+    tab = table()
+    seqs = [splice(TOK.encode(q), [97], [], tab, 64) for q in ("a", "bcd")]
+    batch = pad_batch(seqs)
+    weights = np.random.default_rng(1).standard_normal(batch.embeddings.shape)
+    tz.backward(tz.sum_all(tz.mul(batch.embeddings, tz.Tensor(weights))))
+    want = np.zeros_like(tab.data)
+    for b, s in enumerate(seqs):
+        np.add.at(want, s.token_ids, weights[b, :s.length])
+    np.testing.assert_allclose(tab.grad, want, rtol=0, atol=1e-12)
+
+
+def test_pad_batch_rejects_empty_and_mixed_widths():
+    with pytest.raises(ContractError):
+        pad_batch([])
+    a = splice([97], [], [], table(d=4), 64)
+    b = splice([97], [], [], table(d=6), 64)
+    with pytest.raises(DimensionError):
+        pad_batch([a, b])

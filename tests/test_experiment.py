@@ -80,6 +80,19 @@ def fake_clock():
     return tick
 
 
+def failing_replace(target):
+    """os.replace that fails, like a full disk, when it would land on
+    target; every other replace goes through."""
+    real = os.replace
+
+    def replace(src, dst):
+        if os.path.basename(dst) == target:
+            raise OSError(f"no space left writing {target}")
+        real(src, dst)
+
+    return replace
+
+
 class TestValidation:
     def test_good_config_has_no_problems(self):
         assert validate_experiment_config(tiny_cfg()) == []
@@ -231,6 +244,22 @@ class TestRunExperiment:
         with open(os.path.join(out, "result.json")) as f:
             assert json.load(f) == asdict(row)
 
+    def test_failed_result_write_keeps_previous_result(self, tmp_path,
+                                                       monkeypatch):
+        out = str(tmp_path / "run")
+        run_experiment(tiny_cfg(), out_dir=out)
+        with open(os.path.join(out, "result.json")) as f:
+            before = f.read()
+        monkeypatch.setattr(os, "replace", failing_replace("result.json"))
+        cfg = tiny_cfg()
+        cfg["seed"] = 4
+        with pytest.raises(OSError):
+            run_experiment(cfg, out_dir=out)
+        with open(os.path.join(out, "result.json")) as f:
+            assert f.read() == before
+        assert sorted(os.listdir(out)) == [
+            "manifest.json", "metrics.jsonl", "result.json", "weights.bin"]
+
     def test_rerun_into_same_dir_keeps_one_run_of_metrics(self, tmp_path):
         out = str(tmp_path / "run")
         run_experiment(tiny_cfg(), out_dir=out)
@@ -359,6 +388,24 @@ class TestAblate:
             ["report.csv", "report.json"]
         with open(os.path.join(str(out), "report.csv")) as f:
             assert f.read() == report_to_csv(report)
+
+    def test_failed_report_write_keeps_previous_files(self, tmp_path,
+                                                      monkeypatch):
+        names = write_cells(tmp_path, [tiny_cfg()])
+        report = ablate(tiny_matrix(tmp_path, names), str(tmp_path),
+                        clock=fake_clock())
+        out = tmp_path / "report"
+        write_report(report, str(out))
+        before = {n: (out / n).read_text() for n in os.listdir(out)}
+        renamed = copy.copy(report)
+        renamed.name = "renamed"
+        for name in ("report.csv", "report.json"):
+            with monkeypatch.context() as m:
+                m.setattr(os, "replace", failing_replace(name))
+                with pytest.raises(OSError):
+                    write_report(renamed, str(out))
+            assert {n: (out / n).read_text()
+                    for n in os.listdir(out)} == before
 
     def test_per_cell_artifacts_under_out_dir(self, tmp_path):
         names = write_cells(tmp_path, [tiny_cfg()])

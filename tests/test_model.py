@@ -1,6 +1,8 @@
 """End-to-end pipeline tests: wiring, naming, freezing, and gradients."""
 
+import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from tilefusion.assembly import VOCAB_SIZE
 from tilefusion.encoders import EncoderConfig, pixel_unshuffle
 from tilefusion.errors import BudgetError, ConfigError
+from tilefusion.experiment import build_pipeline_config, load_config
 from tilefusion.fusion import project
 from tilefusion.lm import LanguageModel, LMConfig
 from tilefusion.model import ENCODER_CHOICES, Pipeline, PipelineConfig
@@ -18,6 +21,10 @@ from tilefusion.tensor import (
     relative_error,
 )
 from tilefusion.tiling import ImageBuffer
+from tilefusion.training import snapshot
+
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "..", "configs")
 
 KNOWN_PREFIXES = ("encoderA.", "encoderB.", "projectorA.", "projectorB.",
                   "projector_shared.", "fusion.down", "lm.")
@@ -140,6 +147,21 @@ class TestParameterWiring:
             if p.name.startswith("lm."):
                 continue
             assert p.data.tobytes() == by_name[p.name].data.tobytes(), p.name
+
+    def test_shipped_init_is_golden(self):
+        # Recorded before the encoder and LM blocks became one shared
+        # block; numpy's Generator makes the draws platform-independent.
+        # A change means renamed, reordered or re-drawn parameters, and
+        # old checkpoints and seeds would no longer mean what they did.
+        cfg = load_config(os.path.join(CONFIG_DIR,
+                                       "complementary-hybrid.json"))
+        pipe = Pipeline(build_pipeline_config(cfg["model"]), seed=0)
+        names = "\n".join(p.name for p in pipe.parameters()).encode()
+        blob = snapshot(pipe, 0, "stage1").blob
+        assert hashlib.sha256(names).hexdigest() == (
+            "1fdb29c40795f677a9d257220851a65fc6b89fd535aa0be0913f4d52d1919b6e")
+        assert hashlib.sha256(blob).hexdigest() == (
+            "3fb0af95a20d512aa19b327379e18b0098e29c13945f2de0607239d6c3cf0c82")
 
     def test_set_frozen_matches_prefixes_exactly(self):
         pipe = Pipeline(desk_cfg(), seed=0)

@@ -376,6 +376,16 @@ def test_grad_masked_cross_entropy():
         check_grads(lambda: masked_cross_entropy(logits, targets, mask), [logits])
 
 
+def test_grad_masked_cross_entropy_with_batch_axis():
+    rng = np.random.default_rng(28)
+    for _ in range(N_RANDOM_CASES):
+        logits = rand_tensor(rng, (3, 6, 9), scale=2.0)
+        targets = rng.integers(0, 9, size=(3, 6))
+        mask = rng.integers(0, 2, size=(3, 6)).astype(bool)
+        mask[0, 0] = True
+        check_grads(lambda: masked_cross_entropy(logits, targets, mask), [logits])
+
+
 # ---------------------------------------------------------------------------
 # op-specific behavior
 
@@ -440,6 +450,32 @@ def test_masked_ce_uniform_logits_give_log_vocab():
     logits = Tensor(np.zeros((4, v)))
     loss = masked_cross_entropy(logits, [1, 2, 3, 4], [True] * 4)
     np.testing.assert_allclose(loss.item(), np.log(v), rtol=0, atol=1e-12)
+
+
+def test_masked_ce_batch_is_bitwise_the_chained_sample_means():
+    # seven samples: 1/7 is inexact and seven sums can round by order
+    rng = np.random.default_rng(27)
+    for _ in range(N_RANDOM_CASES):
+        data = rng.standard_normal((7, 5, 9)) * 3.0
+        targets = rng.integers(0, 9, size=(7, 5))
+        mask = rng.integers(0, 2, size=(7, 5)).astype(bool)
+        mask[2] = False  # a sample with nothing to predict adds 0.0
+        mask[:, 0] = mask[:, 0] | (np.arange(7) != 2)
+        logits = Tensor(data.copy(), requires_grad=True)
+        loss = masked_cross_entropy(logits, targets, mask)
+        backward(loss, seed_grad=0.3)
+        rows = [Tensor(data[b].copy(), requires_grad=True) for b in range(7)]
+        per = [masked_cross_entropy(r, targets[b], mask[b])
+               for b, r in enumerate(rows)]
+        total = per[0]
+        for extra in per[1:]:
+            total = add(total, extra)
+        want = mul_scalar(total, 1.0 / 7)
+        backward(want, seed_grad=0.3)
+        assert loss.data.tobytes() == want.data.tobytes()
+        for b, r in enumerate(rows):
+            assert logits.grad[b].tobytes() == r.grad.tobytes()
+        np.testing.assert_array_equal(logits.grad[2], np.zeros((5, 9)))
 
 
 def test_masked_ce_rejects_bad_shapes():

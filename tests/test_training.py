@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from tilefusion import tensor as tz
+from tilefusion.assembly import pad_batch
 from tilefusion.encoders import EncoderConfig
 from tilefusion.errors import ConfigError, ContractError, DimensionError
 from tilefusion.lm import LMConfig
@@ -487,14 +488,10 @@ def oracle_stage(plan, model, dataset, seed, batch_size):
     for step in range(plan.steps):
         idx = batch_indices(seed, stage_index, step, len(dataset),
                             batch_size)
-        per_sample = [model.forward_sample(dataset[int(i)].images,
-                                           dataset[int(i)].question,
-                                           dataset[int(i)].answer).loss
-                      for i in idx]
-        total = per_sample[0]
-        for extra in per_sample[1:]:
-            total = tz.add(total, extra)
-        mean = tz.mul_scalar(total, 1.0 / len(per_sample))
+        seqs = [model.assemble(dataset[int(i)].images,
+                               dataset[int(i)].question,
+                               dataset[int(i)].answer) for i in idx]
+        mean = model.lm.forward(pad_batch(seqs)).loss
         losses.append(mean.item())
         for p in params:
             p.zero_grad()
@@ -544,6 +541,98 @@ def test_cached_tokens_match_uncached_oracle_bitwise(cfg):
         assert param_bytes(fast, encoders) == enc_before
         assert all(p.grad is None for p in fast.parameters()
                    if p.name.startswith(encoders))
+
+
+def per_sample_mean(model, samples):
+    """The slow path: one forward_sample graph per sample, chained."""
+    losses = [model.forward_sample(s.images, s.question, s.answer).loss
+              for s in samples]
+    total = losses[0]
+    for extra in losses[1:]:
+        total = tz.add(total, extra)
+    return tz.mul_scalar(total, 1.0 / len(losses))
+
+
+def batched_mean(model, samples):
+    """run_stage's path: one padded LM batch."""
+    return model.lm.forward(pad_batch(
+        [model.assemble(s.images, s.question, s.answer)
+         for s in samples])).loss
+
+
+def trainable_grads(model, loss):
+    for p in model.parameters():
+        p.zero_grad()
+    tz.backward(loss)
+    return {p.name: p.grad for p in model.parameters() if not p.frozen}
+
+
+def stage2_model():
+    model = Pipeline(tiny_cfg(ctx=192), seed=5)
+    model.set_frozen(stage2_plan(steps=1).frozen_prefixes)
+    return model
+
+
+# Unequal lengths are not bitwise: a softmax row sum over more (zero)
+# key weights is grouped differently by numpy's pairwise summation once
+# a row reaches past the last multiple of 8 of the shorter length, so
+# the loss may move by an ulp. Summing weight gradients over all samples
+# inside one matmul, not across one graph per sample, moves them more.
+@pytest.mark.parametrize("data, loss_rtol", [
+    (make_dataset(4), 0.0),
+    (mixed_dataset(), 1e-15),
+], ids=["equal-length", "mixed-length"])
+def test_batched_lm_matches_per_sample_graphs(data, loss_rtol):
+    model = stage2_model()
+    want_loss = per_sample_mean(model, data)
+    want = trainable_grads(model, want_loss)
+    got_loss = batched_mean(model, data)
+    got = trainable_grads(model, got_loss)
+    if loss_rtol == 0.0:
+        assert got_loss.item().hex() == want_loss.item().hex()
+    assert abs(got_loss.item() - want_loss.item()) <= \
+        loss_rtol * want_loss.item()
+    assert got.keys() == want.keys()
+    for name, g in want.items():
+        assert tz.relative_error(got[name], g) <= 1e-12, name
+
+
+def test_padding_does_not_leak_into_a_shorter_sample():
+    model = stage2_model()
+    seqs = [model.assemble(s.images, s.question, s.answer)
+            for s in mixed_dataset()]
+    short, long_a, long_b = seqs[1], seqs[0], seqs[2]
+    assert short.length < long_a.length == long_b.length
+    n = short.length
+    alone = model.lm.forward(short).logits.data
+    beside_a = model.lm.forward(pad_batch([short, long_a])).logits.data
+    beside_b = model.lm.forward(pad_batch([long_b, short])).logits.data
+    # at one padded length, nothing of the partner reaches the short rows
+    assert beside_a[0, :n].tobytes() == beside_b[1, :n].tobytes()
+    assert tz.relative_error(beside_a[0, :n], alone) <= 1e-13
+    # an unpadded sample's rows are bitwise its unbatched rows
+    assert beside_a[1].tobytes() == \
+        model.lm.forward(long_a).logits.data.tobytes()
+
+
+def test_batched_loss_gradient_matches_finite_differences():
+    model = stage2_model()
+    data = mixed_dataset()
+    grads = trainable_grads(model, batched_mean(model, data))
+    d = model.cfg.lm.d_lm
+    short = model.assemble(data[1].images, data[1].question, data[1].answer)
+    # row short.length + 2 of lm.pos sits under a pad of the short
+    # samples: only the long ones may put gradient there
+    picks = {model.projector_a.w1: [0, 37],
+             model.lm.blocks[0]["wq"]: [5, 200],
+             model.lm.pos: [3, (short.length + 2) * d + 1],
+             model.lm.head: [7, 3000]}
+    for p, idx in picks.items():
+        fd = tz.finite_difference_grad_at(
+            lambda _t: batched_mean(model, data), p, idx)
+        got = grads[p.name].reshape(-1)[idx]
+        assert np.all(got != 0.0), p.name
+        assert tz.relative_error(got, fd) < 1e-4, p.name
 
 
 def test_metrics_record_round_trips_json():

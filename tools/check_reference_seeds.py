@@ -9,12 +9,17 @@ after a change that may move numerics.
     python3 tools/check_reference_seeds.py
     python3 tools/check_reference_seeds.py --workload eval-decode
     python3 tools/check_reference_seeds.py --dump outputs.json
+    python3 tools/check_reference_seeds.py --against parent.json
 
 The reference check allows a relative loss tolerance, so it cannot show
 that a change is bitwise. --dump writes every seed's outputs to a JSON
 file (train losses as float.hex, eval answers and the decoded token
 count as they are); dumps made on two commits are byte-identical
-exactly when the outputs are, so compare them with cmp.
+exactly when the outputs are, so compare them with cmp. For a change
+that is not bitwise by design, --against DUMP reads a dump made on
+another commit and prints, per workload, the share of outputs that are
+bitwise equal to it and, for the train workloads, the largest relative
+loss difference.
 
 It imports perfbench/workloads.py and changes nothing under perfbench/.
 """
@@ -45,6 +50,33 @@ def check_seed(tf, name: str, seed: int) -> tuple:
     return check, exact
 
 
+def drift_lines(dump: dict, other: dict) -> list:
+    """Per workload: bitwise-equal share and max relative loss change."""
+    lines = []
+    for name, seeds in dump.items():
+        shared = [s for s in seeds if s in other.get(name, {})]
+        if not shared:
+            lines.append(f"{name}: no seed in common with the other dump")
+            continue
+        key = "losses" if "losses" in seeds[shared[0]] else "answers"
+        ours = [x for s in shared for x in seeds[s][key]]
+        theirs = [x for s in shared for x in other[name][s][key]]
+        if len(ours) != len(theirs):
+            lines.append(f"{name}: {len(ours)} outputs against "
+                         f"{len(theirs)} in the other dump")
+            continue
+        equal = sum(a == b for a, b in zip(ours, theirs))
+        line = (f"{name}: {equal}/{len(ours)} {key} bitwise equal "
+                f"({equal / len(ours):.1%}) over {len(shared)} seeds")
+        if key == "losses":
+            rel = max((abs(float.fromhex(a) - float.fromhex(b))
+                       / abs(float.fromhex(b))
+                       for a, b in zip(ours, theirs) if a != b), default=0.0)
+            line += f", max relative loss difference {rel:.3g}"
+        lines.append(line)
+    return lines
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--workload", action="append",
@@ -52,7 +84,13 @@ def main(argv=None) -> int:
                    help="workload to check (repeatable); default all")
     p.add_argument("--dump", metavar="PATH",
                    help="also write every seed's exact outputs as JSON")
+    p.add_argument("--against", metavar="DUMP",
+                   help="report drift against a --dump from another commit")
     args = p.parse_args(argv)
+    other = None
+    if args.against:
+        with open(args.against) as f:
+            other = json.load(f)
     names = args.workload or list(workloads.WORKLOADS)
     tf = workloads.import_package()
     bad = []
@@ -75,6 +113,10 @@ def main(argv=None) -> int:
         with open(args.dump, "w") as f:
             json.dump(dump, f, indent=1, sort_keys=True)
             f.write("\n")
+    if other is not None:
+        print(f"drift against {args.against}:")
+        for line in drift_lines(dump, other):
+            print(f"  {line}")
     total = len(names) * workloads.REFERENCE_SEEDS
     print(f"{total - len(bad)}/{total} workload seeds match the reference"
           + (f"; failed: {', '.join(bad)}" if bad else ""))
