@@ -8,6 +8,10 @@ that image's full run of fused visual embeddings, giving a single
 The answer span (answer bytes plus the closing EOS) is the only region
 the loss mask selects.
 
+splice_batch builds a whole step's right-padded [B, L, d] batch as one
+row gather from [visual rows; embedding table; zero row]: one index per
+position, with a scatter-add backward. splice is its B = 1 case.
+
 Overflowing the context limit is a hard error. Upstream tile capping is
 the intended way to stay under budget; silent truncation would corrupt
 the image markup.
@@ -127,67 +131,22 @@ def splice(prompt_ids, answer_ids, visual: list[VisualSequence],
     Each image-context marker in the prompt expands to the matching
     image's visual embeddings; text positions are embedding-table rows.
     The loss mask selects the answer bytes and the closing EOS, nothing
-    else. Exceeding context_limit raises a budget error.
+    else. Exceeding context_limit raises a budget error. This is the
+    B = 1 case of splice_batch.
     """
-    prompt_ids = [int(i) for i in prompt_ids]
-    answer_ids = [int(i) for i in answer_ids]
-    markers = sum(1 for i in prompt_ids if i == IMG_CONTEXT_ID)
-    if markers != len(visual):
-        raise ContractError(
-            f"prompt has {markers} image markers but {len(visual)} "
-            "visual sequences were supplied"
-        )
-    if any(i == IMG_CONTEXT_ID for i in answer_ids):
-        raise ContractError("answers must not contain image markers")
     d = embed_table.shape[1]
-    for k, vs in enumerate(visual):
-        if vs.width != d:
-            raise DimensionError(
-                f"visual sequence {k} width {vs.width} != LM width {d}"
-            )
-
-    visual_total = sum(vs.n_tokens for vs in visual)
-    length = 2 + len(prompt_ids) - markers + visual_total + len(answer_ids)
-    if length > context_limit:
-        raise BudgetError(required=length, available=context_limit)
-
-    token_ids: list[int] = []
-    loss_mask: list[bool] = []
-    segments: list[tz.Tensor] = []
-    run: list[int] = [BOS_ID]
-    loss_mask.append(False)
-    token_ids.append(BOS_ID)
-
-    def flush_run():
-        if run:
-            segments.append(tz.embedding_lookup(embed_table, run))
-            run.clear()
-
-    image_index = 0
-    for i in prompt_ids:
-        if i == IMG_CONTEXT_ID:
-            flush_run()
-            vs = visual[image_index]
-            segments.append(vs.embeddings)
-            token_ids.extend([IMG_CONTEXT_ID] * vs.n_tokens)
-            loss_mask.extend([False] * vs.n_tokens)
-            image_index += 1
-        else:
-            run.append(i)
-            token_ids.append(i)
-            loss_mask.append(False)
-    for i in answer_ids:
-        run.append(i)
-        token_ids.append(i)
-        loss_mask.append(True)
-    run.append(EOS_ID)
-    token_ids.append(EOS_ID)
-    loss_mask.append(True)
-    flush_run()
-
-    embeddings = segments[0] if len(segments) == 1 else tz.concat(segments, axis=0)
-    return AssembledSequence(embeddings, np.array(token_ids),
-                             np.array(loss_mask))
+    if not visual:
+        rows = tz.Tensor(np.zeros((0, d)))
+    elif len(visual) == 1:
+        rows = visual[0].embeddings
+    else:
+        rows = tz.concat([vs.embeddings for vs in visual], axis=0)
+    batch = splice_batch([(prompt_ids, answer_ids)],
+                         [[vs.n_tokens for vs in visual]], rows,
+                         embed_table, context_limit)
+    L = batch.token_ids.shape[1]
+    return AssembledSequence(tz.reshape(batch.embeddings, (L, d)),
+                             batch.token_ids[0], batch.loss_mask[0])
 
 
 @dataclass
@@ -204,23 +163,89 @@ class SequenceBatch:
     loss_mask: np.ndarray
 
 
-def pad_batch(seqs: list[AssembledSequence]) -> SequenceBatch:
-    """Right-pad seqs to the longest and stack them, in order."""
-    if not seqs:
+def _layout(prompt_ids, answer_ids, counts, first_row: int,
+            text_row: int, context_limit: int):
+    """One sample's gather index, token ids and answer start.
+
+    Marker k takes the next counts[k] visual rows from first_row on;
+    token id t takes table row text_row + t.
+    """
+    prompt_ids = [int(i) for i in prompt_ids]
+    tail = [int(i) for i in answer_ids] + [EOS_ID]
+    markers = prompt_ids.count(IMG_CONTEXT_ID)
+    if markers != len(counts):
+        raise ContractError(
+            f"prompt has {markers} image markers but {len(counts)} "
+            "visual sequences were supplied"
+        )
+    if IMG_CONTEXT_ID in tail:
+        raise ContractError("answers must not contain image markers")
+    length = 1 + len(prompt_ids) - markers + sum(counts) + len(tail)
+    if length > context_limit:
+        raise BudgetError(required=length, available=context_limit)
+
+    index = [text_row + BOS_ID]
+    ids = [BOS_ID]
+    images = iter(counts)
+    row = first_row
+    for i in prompt_ids:
+        if i == IMG_CONTEXT_ID:
+            n = next(images)
+            index.extend(range(row, row + n))
+            ids.extend([IMG_CONTEXT_ID] * n)
+            row += n
+        else:
+            index.append(text_row + i)
+            ids.append(i)
+    answer_start = len(ids)
+    index.extend(text_row + i for i in tail)
+    ids.extend(tail)
+    return index, ids, answer_start
+
+
+def splice_batch(texts, visual_counts, rows: tz.Tensor,
+                 embed_table: tz.Tensor, context_limit: int) -> SequenceBatch:
+    """Splice B samples into one right-padded batch with one row gather.
+
+    texts[b] is sample b's (prompt_ids, answer_ids); visual_counts[b]
+    holds the visual row count of each of its images, in marker order.
+    rows [R, d] stacks every image's visual rows, sample after sample
+    and image after image, so they are consumed in order. Every
+    position, real or pad, is one row of [rows; embed_table; zero row],
+    gathered in one lookup whose backward scatter-adds into rows and
+    embed_table. Each sample follows splice's rules (markers, loss
+    mask, budget); a pad has the zero row, PAD_ID and no loss.
+    """
+    if not texts:
         raise ContractError("cannot batch zero sequences")
-    L = max(s.length for s in seqs)
-    d = seqs[0].embeddings.shape[1]
-    ids = np.full((len(seqs), L), PAD_ID, dtype=np.int64)
-    mask = np.zeros((len(seqs), L), dtype=bool)
-    parts: list[tz.Tensor] = []
-    for b, s in enumerate(seqs):
-        if s.embeddings.shape[1] != d:
-            raise DimensionError(
-                f"sequence {b} width {s.embeddings.shape[1]} != {d}")
-        ids[b, :s.length] = s.token_ids
-        mask[b, :s.length] = s.loss_mask
-        parts.append(s.embeddings)
-        if s.length < L:
-            parts.append(tz.Tensor(np.zeros((L - s.length, d))))
-    flat = parts[0] if len(parts) == 1 else tz.concat(parts, axis=0)
-    return SequenceBatch(tz.reshape(flat, (len(seqs), L, d)), ids, mask)
+    if len(visual_counts) != len(texts):
+        raise ContractError(
+            f"{len(texts)} samples but {len(visual_counts)} visual lists")
+    d = embed_table.shape[1]
+    if rows.data.ndim != 2 or rows.shape[1] != d:
+        raise DimensionError(
+            f"visual rows {rows.shape} do not match LM width {d}")
+    n_rows = rows.shape[0]
+    layouts = []
+    first = 0
+    for (prompt_ids, answer_ids), counts in zip(texts, visual_counts):
+        layouts.append(_layout(prompt_ids, answer_ids, counts, first,
+                               n_rows, context_limit))
+        first += sum(counts)
+    if first != n_rows:
+        raise ContractError(
+            f"samples take {first} visual rows, {n_rows} were supplied")
+
+    B = len(texts)
+    L = max(len(ids) for _, ids, _ in layouts)
+    index = np.full((B, L), n_rows + embed_table.shape[0], dtype=np.int64)
+    token_ids = np.full((B, L), PAD_ID, dtype=np.int64)
+    loss_mask = np.zeros((B, L), dtype=bool)
+    for b, (idx, ids, answer_start) in enumerate(layouts):
+        index[b, :len(idx)] = idx
+        token_ids[b, :len(ids)] = ids
+        loss_mask[b, answer_start:len(ids)] = True
+    table = tz.concat([rows, embed_table, tz.Tensor(np.zeros((1, d)))],
+                      axis=0)
+    return SequenceBatch(tz.embedding_lookup(table, index), token_ids,
+                         loss_mask)

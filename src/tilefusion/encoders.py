@@ -206,7 +206,7 @@ class Encoder:
         flat = patched.reshape(n, gs * gs, ps * ps * self.in_channels)
 
         x = tz.add_rowvec(tz.matmul(tz.Tensor(flat), self.patch_w), self.patch_b)
-        x = tz.add(x, tz.expand_leading(self.pos, n))
+        x = tz.add_rowvec(x, self.pos)
         for blk in self.blocks:
             x = run_block(x, blk, cfg.heads)
         x = tz.layernorm(x, self.norm_out_g, self.norm_out_b)

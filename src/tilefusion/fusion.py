@@ -151,14 +151,16 @@ def fuse_post_interleave(a: VisualSequence, b: VisualSequence) -> VisualSequence
             f"tile sets differ: {[t for t, _, _ in blocks_a]} vs "
             f"{[t for t, _, _ in blocks_b]}"
         )
-    pieces = []
+    # one row gather from [a; b]: b's row i sits at a.n_tokens + i
+    order = []
     provenance = []
     for (tile, ia, ja), (_, ib, jb) in zip(blocks_a, blocks_b):
-        pieces.append(tz.slice_axis(a.embeddings, 0, ia, ja))
+        order.extend(range(ia, ja))
         provenance.extend(a.provenance[ia:ja])
-        pieces.append(tz.slice_axis(b.embeddings, 0, ib, jb))
+        order.extend(range(a.n_tokens + ib, a.n_tokens + jb))
         provenance.extend(b.provenance[ib:jb])
-    return VisualSequence(tz.concat(pieces, axis=0), provenance)
+    rows = tz.concat([a.embeddings, b.embeddings], axis=0)
+    return VisualSequence(tz.embedding_lookup(rows, order), provenance)
 
 
 def fuse_post_channel(a: VisualSequence, b: VisualSequence,
@@ -199,14 +201,16 @@ def fuse_pre(a_raw: TokenGrid, b_raw: TokenGrid, kind: str,
                 f"pre-sequence needs equal channels, got "
                 f"{a_raw.channels} vs {b_raw.channels}"
             )
-        pieces = []
+        # per tile: a's block, then b's, as one row gather from [a; b]
+        order = []
         provenance = []
         for t in range(n):
-            pieces.append(tz.slice_axis(rows_a, 0, t * ta, (t + 1) * ta))
+            order.extend(range(t * ta, (t + 1) * ta))
             provenance.extend((t, "A", i) for i in range(ta))
-            pieces.append(tz.slice_axis(rows_b, 0, t * tb, (t + 1) * tb))
+            order.extend(range(n * ta + t * tb, n * ta + (t + 1) * tb))
             provenance.extend((t, "B", i) for i in range(tb))
-        fused = shared.apply(tz.concat(pieces, axis=0))
+        rows = tz.concat([rows_a, rows_b], axis=0)
+        fused = shared.apply(tz.embedding_lookup(rows, order))
         return VisualSequence(fused, provenance)
     if kind == "pre-channel":
         if ta != tb:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .assembly import VOCAB_SIZE, AssembledSequence, SequenceBatch, pad_batch
+from .assembly import VOCAB_SIZE, AssembledSequence, SequenceBatch
 from .errors import BudgetError, ConfigError, ContractError
 from .transformer import KVCache, init_block, run_block
 
@@ -105,7 +105,12 @@ class LanguageModel:
         masked loss. The loss of a continuation covers only next-token
         targets inside the continuation itself.
         """
-        batch = seq if isinstance(seq, SequenceBatch) else pad_batch([seq])
+        if isinstance(seq, SequenceBatch):
+            batch = seq
+        else:
+            batch = SequenceBatch(
+                tz.reshape(seq.embeddings, (1,) + seq.embeddings.shape),
+                seq.token_ids[None], seq.loss_mask[None])
         B, L = batch.token_ids.shape
         start = 0 if cache is None else cache.length
         if L < 1:
@@ -125,7 +130,7 @@ class LanguageModel:
         mask = tz.Tensor(np.broadcast_to(
             causal, (B, self.cfg.heads, L, start + L)))
         pos = tz.slice_axis(self.pos, 0, start, start + L)
-        x = tz.add(batch.embeddings, tz.expand_leading(pos, B))
+        x = tz.add_rowvec(batch.embeddings, pos)
         for i, blk in enumerate(self.blocks):
             x = run_block(x, blk, self.cfg.heads, mask, cache, i)
         if cache is not None:

@@ -6,11 +6,29 @@ buffers; each is segmented into tiles, encoded per branch, compressed
 by pixel unshuffle, projected into LM width, fused into a single visual
 sequence, and spliced into the token stream around the prompt text.
 
+The image side after the encoders runs once per batch, not once per
+image: fuse_images stacks every image's post-unshuffle tokens along the
+tile axis and calls project and the fusion function once, and
+assemble_batch splices a whole step with one row gather
+(assembly.splice_batch). Because fusion is tile-local, image k's rows
+are the contiguous rows of its tiles. assemble, forward_sample and
+answer splice one sample through the same builder (assembly.splice),
+fusing each of its images on its own.
+
+Frozen encoders cost one forward pass per distinct image per Pipeline:
+frozen_tokens keeps each image's detached post-unshuffle tokens in
+token_cache, keyed by the image's shape and the sha1 of its pixel
+bytes, across every run_stage call. The cache holds only for the
+encoder weights it was filled with; sync_token_cache, which run_stage
+calls once, empties it when their digest has changed (restore, or any
+write to a weight). answer never touches it.
+
 Parameter names are namespaced by component ("encoderA.", "projectorB.",
 "fusion.down", "lm.") so training stages can freeze whole subsystems by
 prefix alone.
 """
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +37,12 @@ from .assembly import (
     EOS_ID,
     AssembledSequence,
     ByteTokenizer,
+    SequenceBatch,
     build_prompt,
     splice,
+    splice_batch,
 )
-from .encoders import Encoder, EncoderConfig, pixel_unshuffle
+from .encoders import Encoder, EncoderConfig, TokenGrid, pixel_unshuffle
 from .errors import ConfigError, ContractError
 from .fusion import (
     FUSION_KINDS,
@@ -34,7 +54,7 @@ from .fusion import (
     project,
 )
 from .lm import LanguageModel, LMConfig, LMOutput
-from .tensor import outside_graph, slice_axis
+from .tensor import Tensor, concat, outside_graph, slice_axis
 from .tiling import ImageBuffer, segment
 from .transformer import linear
 
@@ -171,6 +191,11 @@ class Pipeline:
 
         self.lm = LanguageModel(cfg.lm, seed_lm)
 
+        # (image shape, pixel digest) -> detached branch tokens, valid
+        # for the encoder weights whose digest is token_cache_weights
+        self.token_cache = {}
+        self.token_cache_weights = None
+
         # Start every parameter on the f32 lattice. Checkpoints store
         # f32, and saving quantizes live values in place; with lattice
         # init that quantization is a no-op for parameters a stage never
@@ -216,7 +241,7 @@ class Pipeline:
 
         Returns each used branch's post-unshuffle TokenGrid, keyed "A"
         and "B". Nothing here is trained by any stage, so a trainer may
-        compute this once per image and reuse it.
+        compute this once per image and reuse it (frozen_tokens).
         """
         tiles = self.segment_image(image)
         out = {}
@@ -226,15 +251,55 @@ class Pipeline:
                                              encoder.cfg.unshuffle_r)
         return out
 
-    def fuse_tokens(self, tokens: dict) -> VisualSequence:
-        """Trainable half of encode_image: project, then fuse."""
+    def sync_token_cache(self) -> None:
+        """Empty token_cache if the encoder weights changed since it was
+        filled. Call it before frozen_tokens whenever the weights may
+        have been written; run_stage calls it once per stage."""
+        h = hashlib.sha1()
+        for enc in (self.encoder_a, self.encoder_b):
+            if enc is not None:
+                for p in enc.parameters():
+                    h.update(p.data.tobytes())
+        digest = h.digest()
+        if digest != self.token_cache_weights:
+            self.token_cache.clear()
+            self.token_cache_weights = digest
+
+    def frozen_tokens(self, image: ImageBuffer) -> dict:
+        """branch_tokens of image, detached, from token_cache.
+
+        Only for frozen encoders: a miss encodes the image and keeps the
+        result, a hit returns it without running any encoder.
+        """
+        pixels = np.ascontiguousarray(image.pixels)
+        key = (pixels.shape, hashlib.sha1(pixels).digest())
+        tokens = self.token_cache.get(key)
+        if tokens is None:
+            tokens = {label: TokenGrid(Tensor(grid.data.data))
+                      for label, grid in self.branch_tokens(image).items()}
+            self.token_cache[key] = tokens
+        return tokens
+
+    def fuse_images(self, tokens: list) -> VisualSequence:
+        """Trainable half of encode_image, for many images in one pass.
+
+        tokens holds branch_tokens output per image. Each branch's grids
+        are stacked along the tile axis, image after image, then
+        projected and fused once, so tile indices in the provenance run
+        across the stack and image k's rows follow image k - 1's.
+        """
+        stacked = {}
+        for label in tokens[0]:
+            grids = [t[label].data for t in tokens]
+            stacked[label] = TokenGrid(
+                grids[0] if len(grids) == 1 else concat(grids, axis=0))
         cfg = self.cfg
         if cfg.encoders == "A":
-            return project(self.projector_a, tokens["A"], "A")
+            return project(self.projector_a, stacked["A"], "A")
         if cfg.encoders == "B":
-            return project(self.projector_b, tokens["B"], "B")
+            return project(self.projector_b, stacked["B"], "B")
 
-        tok_a, tok_b = tokens["A"], tokens["B"]
+        tok_a, tok_b = stacked["A"], stacked["B"]
         if cfg.fusion == "post-interleave":
             seq_a = project(self.projector_a, tok_a, "A")
             seq_b = project(self.projector_b, tok_b, "B")
@@ -247,7 +312,11 @@ class Pipeline:
 
     def encode_image(self, image: ImageBuffer) -> VisualSequence:
         """Raw image to one fused visual sequence in LM width."""
-        return self.fuse_tokens(self.branch_tokens(image))
+        return self.fuse_images([self.branch_tokens(image)])
+
+    def _text_ids(self, n_images: int, question: str, answer: str):
+        return (self.tokenizer.encode(build_prompt(n_images, question)),
+                self.tokenizer.encode(answer))
 
     def assemble(self, images, question: str, answer: str,
                  tokens=None) -> AssembledSequence:
@@ -255,11 +324,32 @@ class Pipeline:
         output per image and replaces the encoder pass."""
         if tokens is None:
             tokens = [self.branch_tokens(img) for img in images]
-        visuals = [self.fuse_tokens(t) for t in tokens]
-        prompt_ids = self.tokenizer.encode(build_prompt(len(images), question))
-        answer_ids = self.tokenizer.encode(answer)
+        # splice takes one sequence per image; every shipped task has one
+        # image per sample, so this is one fused pass
+        visuals = [self.fuse_images([t]) for t in tokens]
+        prompt_ids, answer_ids = self._text_ids(len(images), question, answer)
         return splice(prompt_ids, answer_ids, visuals, self.lm.embed,
                       self.cfg.lm.context_limit)
+
+    def assemble_batch(self, samples, tokens=None) -> SequenceBatch:
+        """Splice samples (each with .images, .question, .answer) into one
+        right-padded batch: one fuse_images pass over all their images
+        and one row gather. tokens, when given, holds branch_tokens output
+        per image per sample and replaces the encoder pass."""
+        if tokens is None:
+            tokens = [[self.branch_tokens(img) for img in s.images]
+                      for s in samples]
+        flat = [t for per_sample in tokens for t in per_sample]
+        rows = (self.fuse_images(flat).embeddings if flat
+                else Tensor(np.zeros((0, self.cfg.lm.d_lm))))
+        texts = [self._text_ids(len(s.images), s.question, s.answer)
+                 for s in samples]
+        # an image's fused rows: its tiles times fused tokens per tile
+        per_tile = self.cfg.tokens_per_tile()
+        counts = [[next(iter(t.values())).n_tiles * per_tile
+                   for t in per_sample] for per_sample in tokens]
+        return splice_batch(texts, counts, rows, self.lm.embed,
+                            self.cfg.lm.context_limit)
 
     def forward_sample(self, images, question: str, answer: str,
                        tokens=None) -> LMOutput:

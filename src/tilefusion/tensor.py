@@ -20,10 +20,10 @@ gradient as its argument (``backward`` calls ``node._backward(node.grad)``)
 and must never capture its output tensor.
 
 Broadcasting is deliberately restricted: elementwise ops demand equal
-shapes, scalars are explicit (``mul_scalar``), bias addition over the
-trailing dim is its own primitive (``add_rowvec``), and replication along
-a new leading axis is ``expand_leading``. Explicit shapes keep the fusion
-contracts downstream testable.
+shapes, scalars are explicit (``mul_scalar``), and adding one tensor to
+every leading index of another (a bias over the trailing dim, positional
+embeddings over a batch) is its own primitive (``add_rowvec``). Explicit
+shapes keep the fusion contracts downstream testable.
 """
 
 from __future__ import annotations
@@ -114,10 +114,6 @@ def outside_graph(params):
             p.requires_grad = flag
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _make(data: np.ndarray, inputs: Sequence[Tensor]) -> Tensor:
     """Wrap an op result, recording graph edges iff any input needs grad.
 
@@ -188,14 +184,20 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
-    """Add a 1-D vector to the trailing dim of x (bias add)."""
-    if v.data.ndim != 1 or x.shape[-1] != v.shape[0]:
+    """Add v to x at every leading index; v has x's trailing shape.
+
+    A 1-D v is a bias over the trailing dim; a [T, d] v adds positional
+    embeddings to every sequence of an [N, T, d] batch. v's gradient sums
+    g over the leading axes.
+    """
+    k = v.data.ndim
+    if k < 1 or k > x.data.ndim or x.shape[-k:] != v.shape:
         raise DimensionError(f"add_rowvec: {x.shape} + {v.shape}")
     out = _make(x.data + v.data, (x, v))
     if out.requires_grad:
         def backward(g):
             _accum(x, g)
-            _accum(v, g.reshape(-1, v.shape[0]).sum(axis=0))
+            _accum(v, g.reshape((-1,) + v.shape).sum(axis=0))
         out._backward = backward
     return out
 
@@ -374,16 +376,6 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     return out
 
 
-def expand_leading(x: Tensor, n: int) -> Tensor:
-    """Replicate x along a new leading axis of length n."""
-    if n < 1:
-        raise DimensionError(f"expand_leading needs n >= 1, got {n}")
-    out = _make(np.broadcast_to(x.data, (n,) + x.shape).copy(), (x,))
-    if out.requires_grad:
-        out._backward = lambda g: _accum(x, g.sum(axis=0))
-    return out
-
-
 def sum_all(x: Tensor) -> Tensor:
     """Full reduction to a scalar."""
     out = _make(np.asarray(x.data.sum()), (x,))
@@ -461,17 +453,9 @@ OPS: dict[str, Callable] = {
     "embedding-lookup": embedding_lookup,
     "concat-along-axis": concat,
     "slice": slice_axis,
-    "expand-leading": expand_leading,
     "sum": sum_all,
     "masked-cross-entropy": masked_cross_entropy,
 }
-
-
-def primitive_forward(kind: str, *inputs, **kwargs) -> Tensor:
-    """Dispatch a primitive by op-kind name."""
-    if kind not in OPS:
-        raise ContractError(f"unknown primitive {kind!r}")
-    return OPS[kind](*inputs, **kwargs)
 
 
 # ---------------------------------------------------------------------------

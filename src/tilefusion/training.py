@@ -3,17 +3,20 @@
 Stage 1 freezes both encoders and the LM and trains the projectors.
 Stage 2 keeps the encoders frozen and finetunes projectors plus LM.
 Freezing is enforced by parameter-name prefix. Because the encoders
-are frozen in every stage, run_stage runs them once per sample per
-stage and trains on their cached, detached output tokens; inside
-run_stage no frozen parameter receives a gradient, and the optimizer
-skips frozen parameters regardless. Pipeline.forward_sample itself
-keeps the full graph back into both encoders.
+are frozen in every stage, run_stage trains on their cached, detached
+output tokens (Pipeline.frozen_tokens): the cache lives on the
+Pipeline, so the encoders run once per distinct image per Pipeline,
+across both stages, until the encoder weights change. Inside run_stage
+no frozen parameter receives a gradient, and the optimizer skips frozen
+parameters regardless. Pipeline.forward_sample itself keeps the full
+graph back into both encoders.
 
-Each step assembles its samples one by one and runs the LM once on
-them as one right-padded [B, L, d] batch (assembly.pad_batch): one
-graph per step, not one per sample. The causal mask keeps every pad
-out of every real position's attention, and pads carry no loss, so the
-step loss is the mean of the samples' masked losses, as before.
+Each step builds one right-padded [B, L, d] batch
+(Pipeline.assemble_batch: one projector/fusion pass over all the step's
+images, one row gather) and runs the LM on it once: one graph per step,
+not one per sample. The causal mask keeps every pad out of every real
+position's attention, and pads carry no loss, so the step loss is the
+mean of the samples' masked losses.
 
 Every step draws its batch from a generator keyed by (seed, stage,
 step), so a resumed run reconstructs the exact batch sequence without
@@ -33,8 +36,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as tz
-from .assembly import pad_batch
-from .encoders import TokenGrid
 from .errors import ConfigError, ContractError, DimensionError
 
 ENCODER_PREFIXES = ("encoderA.", "encoderB.")
@@ -319,27 +320,22 @@ def batch_indices(seed: int, stage_index: int, step: int, n_samples: int,
     return rng.choice(n_samples, size=k, replace=False)
 
 
-def _frozen_tokens(model, images) -> list:
-    """branch_tokens per image, cut loose from the encoder graph."""
-    return [{label: TokenGrid(tz.Tensor(grid.data.data))
-             for label, grid in model.branch_tokens(img).items()}
-            for img in images]
-
-
 def run_stage(plan: StagePlan, model, dataset, seed: int,
               batch_size: int = 8, out_dir=None, clock=None):
     """Train one stage; returns (final Checkpoint, metrics records).
 
-    Every stage freezes both encoders, so each sample's post-unshuffle
-    tokens are computed on its first draw and reused, detached, for the
-    rest of the stage: the encoders run once per sample per stage and
-    receive no gradient. A step's samples are then assembled and run
-    through the LM in one padded batch call; padding on the right is
-    safe because the causal mask already hides each pad from every
-    real position. No frozen parameter accumulates a gradient
-    during the call; the optimizer would skip it anyway. When out_dir
-    is given, metrics stream to out_dir/metrics.jsonl as they are
-    produced and the final checkpoint is written there too.
+    Every stage freezes both encoders, so each image's post-unshuffle
+    tokens come from the model's token cache (Pipeline.frozen_tokens),
+    detached: the encoders run once per distinct image per Pipeline,
+    not per stage, and receive no gradient. The cache is checked once
+    here against a digest of the encoder weights and emptied if they
+    changed. A step's samples are then spliced into one padded batch
+    (Pipeline.assemble_batch) and run through the LM in one call;
+    padding on the right is safe because the causal mask already hides
+    each pad from every real position. No frozen parameter accumulates
+    a gradient during the call; the optimizer would skip it anyway.
+    When out_dir is given, metrics stream to out_dir/metrics.jsonl as
+    they are produced and the final checkpoint is written there too.
     """
     if len(dataset) == 0:
         raise ContractError("dataset is empty")
@@ -357,22 +353,18 @@ def run_stage(plan: StagePlan, model, dataset, seed: int,
         os.makedirs(out_dir, exist_ok=True)
         metrics_path = os.path.join(out_dir, "metrics.jsonl")
 
-    tokens = {}  # dataset index -> detached branch tokens per image
+    model.sync_token_cache()
     records = []
     with tz.outside_graph(frozen):
         for step in range(plan.steps):
             t0 = clock()
             idx = batch_indices(seed, stage_index, step, len(dataset),
                                 batch_size)
-            seqs = []
-            for i in idx:
-                i = int(i)
-                s = dataset[i]
-                if i not in tokens:
-                    tokens[i] = _frozen_tokens(model, s.images)
-                seqs.append(model.assemble(s.images, s.question, s.answer,
-                                           tokens[i]))
-            mean_loss = model.lm.forward(pad_batch(seqs)).loss
+            samples = [dataset[int(i)] for i in idx]
+            tokens = [[model.frozen_tokens(img) for img in s.images]
+                      for s in samples]
+            batch = model.assemble_batch(samples, tokens)
+            mean_loss = model.lm.forward(batch).loss
             loss = mean_loss.item()
             if not np.isfinite(loss):
                 raise ContractError(

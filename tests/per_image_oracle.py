@@ -1,0 +1,140 @@
+"""The per-image image side, kept as the oracle for the batched one.
+
+Each image is projected and fused on its own (fuse_tokens), each sample
+is spliced from concatenated runs of embedding lookups and visual rows
+(splice), and the samples are right-padded into one batch by concat
+(pad_batch). Pipeline.assemble_batch must give the same visual rows and
+provenance bitwise, and the same batch up to stated tolerances.
+"""
+
+import numpy as np
+
+from tilefusion import tensor as tz
+from tilefusion.assembly import (
+    BOS_ID,
+    EOS_ID,
+    IMG_CONTEXT_ID,
+    PAD_ID,
+    AssembledSequence,
+    SequenceBatch,
+    build_prompt,
+)
+from tilefusion.errors import BudgetError, ContractError, DimensionError
+from tilefusion.fusion import (
+    fuse_post_channel,
+    fuse_post_interleave,
+    fuse_pre,
+    project,
+)
+
+
+def fuse_tokens(model, tokens):
+    """Project, then fuse, one image's branch tokens."""
+    cfg = model.cfg
+    if cfg.encoders == "A":
+        return project(model.projector_a, tokens["A"], "A")
+    if cfg.encoders == "B":
+        return project(model.projector_b, tokens["B"], "B")
+    tok_a, tok_b = tokens["A"], tokens["B"]
+    if cfg.fusion == "post-interleave":
+        return fuse_post_interleave(project(model.projector_a, tok_a, "A"),
+                                    project(model.projector_b, tok_b, "B"))
+    if cfg.fusion == "post-channel":
+        return fuse_post_channel(project(model.projector_a, tok_a, "A"),
+                                 project(model.projector_b, tok_b, "B"),
+                                 model.down)
+    return fuse_pre(tok_a, tok_b, cfg.fusion, model.projector_shared)
+
+
+def splice(prompt_ids, answer_ids, visual, embed_table, context_limit):
+    """[BOS] + prompt + answer + [EOS], markers expanded, by concat."""
+    prompt_ids = [int(i) for i in prompt_ids]
+    answer_ids = [int(i) for i in answer_ids]
+    markers = sum(1 for i in prompt_ids if i == IMG_CONTEXT_ID)
+    if markers != len(visual):
+        raise ContractError("marker count differs from visual count")
+    if any(i == IMG_CONTEXT_ID for i in answer_ids):
+        raise ContractError("answers must not contain image markers")
+    d = embed_table.shape[1]
+    for vs in visual:
+        if vs.width != d:
+            raise DimensionError("visual width differs from LM width")
+    length = (2 + len(prompt_ids) - markers
+              + sum(vs.n_tokens for vs in visual) + len(answer_ids))
+    if length > context_limit:
+        raise BudgetError(required=length, available=context_limit)
+
+    token_ids = [BOS_ID]
+    loss_mask = [False]
+    segments = []
+    run = [BOS_ID]
+
+    def flush_run():
+        if run:
+            segments.append(tz.embedding_lookup(embed_table, run))
+            run.clear()
+
+    image_index = 0
+    for i in prompt_ids:
+        if i == IMG_CONTEXT_ID:
+            flush_run()
+            vs = visual[image_index]
+            segments.append(vs.embeddings)
+            token_ids.extend([IMG_CONTEXT_ID] * vs.n_tokens)
+            loss_mask.extend([False] * vs.n_tokens)
+            image_index += 1
+        else:
+            run.append(i)
+            token_ids.append(i)
+            loss_mask.append(False)
+    for i in answer_ids + [EOS_ID]:
+        run.append(i)
+        token_ids.append(i)
+        loss_mask.append(True)
+    flush_run()
+    embeddings = (segments[0] if len(segments) == 1
+                  else tz.concat(segments, axis=0))
+    return AssembledSequence(embeddings, np.array(token_ids),
+                             np.array(loss_mask))
+
+
+def pad_batch(seqs):
+    """Right-pad seqs to the longest and stack them, in order."""
+    if not seqs:
+        raise ContractError("cannot batch zero sequences")
+    L = max(s.length for s in seqs)
+    d = seqs[0].embeddings.shape[1]
+    ids = np.full((len(seqs), L), PAD_ID, dtype=np.int64)
+    mask = np.zeros((len(seqs), L), dtype=bool)
+    parts = []
+    for b, s in enumerate(seqs):
+        if s.embeddings.shape[1] != d:
+            raise DimensionError(
+                f"sequence {b} width {s.embeddings.shape[1]} != {d}")
+        ids[b, :s.length] = s.token_ids
+        mask[b, :s.length] = s.loss_mask
+        parts.append(s.embeddings)
+        if s.length < L:
+            parts.append(tz.Tensor(np.zeros((L - s.length, d))))
+    flat = parts[0] if len(parts) == 1 else tz.concat(parts, axis=0)
+    return SequenceBatch(tz.reshape(flat, (len(seqs), L, d)), ids, mask)
+
+
+def assemble(model, images, question, answer, tokens=None):
+    """One sample through the per-image path; (sequence, visuals)."""
+    if tokens is None:
+        tokens = [model.branch_tokens(img) for img in images]
+    visuals = [fuse_tokens(model, t) for t in tokens]
+    seq = splice(model.tokenizer.encode(build_prompt(len(images), question)),
+                 model.tokenizer.encode(answer), visuals, model.lm.embed,
+                 model.cfg.lm.context_limit)
+    return seq, visuals
+
+
+def assemble_batch(model, samples, tokens=None):
+    """pad_batch over per-sample assemble; (batch, visuals per sample)."""
+    if tokens is None:
+        tokens = [None] * len(samples)
+    pairs = [assemble(model, s.images, s.question, s.answer, t)
+             for s, t in zip(samples, tokens)]
+    return pad_batch([seq for seq, _ in pairs]), [v for _, v in pairs]

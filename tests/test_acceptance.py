@@ -282,6 +282,7 @@ def test_two_stage_freeze_semantics():
     assert time.perf_counter() - t0 < 120.0
 
 
+@pytest.mark.slow
 def test_hybrid_beats_either_single_branch():
     t0 = time.perf_counter()
     hybrid_cfg = shipped("complementary-hybrid")
@@ -313,6 +314,7 @@ def test_hybrid_beats_either_single_branch():
     assert time.perf_counter() - t0 < 900.0
 
 
+@pytest.mark.slow
 def test_tiling_beats_untiled_at_equal_budget():
     t0 = time.perf_counter()
     tiled_cfg = shipped("tile-detail-tiled")

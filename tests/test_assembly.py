@@ -22,11 +22,13 @@ from tilefusion.assembly import (
     AssembledSequence,
     ByteTokenizer,
     build_prompt,
-    pad_batch,
     splice,
+    splice_batch,
 )
 from tilefusion.errors import BudgetError, ContractError, DimensionError
 from tilefusion.fusion import VisualSequence
+
+from per_image_oracle import pad_batch
 
 TOK = ByteTokenizer()
 
@@ -292,3 +294,73 @@ def test_pad_batch_rejects_empty_and_mixed_widths():
     b = splice([97], [], [], table(d=6), 64)
     with pytest.raises(DimensionError):
         pad_batch([a, b])
+
+
+def batch_case():
+    """Three samples: one image, pure text, two images; their rows."""
+    tab = table()
+    va = visual_seq(3, 4, tag_base=10.0)
+    vb = visual_seq(2, 4, tag_base=20.0)
+    vc = visual_seq(4, 4, tag_base=30.0)
+    texts = [(TOK.encode(build_prompt(1, "what?")), [97, 98]),
+             (TOK.encode("ab"), [99]),
+             (TOK.encode(build_prompt(2, "q")), [100])]
+    visuals = [[va], [], [vb, vc]]
+    return tab, texts, visuals
+
+
+def test_splice_batch_is_per_sample_splice_right_padded():
+    tab, texts, visuals = batch_case()
+    rows = tz.concat([v.embeddings for vs in visuals for v in vs], axis=0)
+    counts = [[v.n_tokens for v in vs] for vs in visuals]
+    batch = splice_batch(texts, counts, rows, tab, 64)
+    seqs = [splice(p, a, vs, tab, 64) for (p, a), vs in zip(texts, visuals)]
+    L = max(s.length for s in seqs)
+    assert batch.embeddings.shape == (3, L, 4)
+    for b, s in enumerate(seqs):
+        n = s.length
+        assert batch.embeddings.data[b, :n].tobytes() == \
+            s.embeddings.data.tobytes()
+        np.testing.assert_array_equal(batch.embeddings.data[b, n:], 0.0)
+        assert list(batch.token_ids[b]) == list(s.token_ids) + \
+            [PAD_ID] * (L - n)
+        assert list(batch.loss_mask[b]) == list(s.loss_mask) + \
+            [False] * (L - n)
+
+
+def test_splice_batch_gradients_scatter_into_rows_and_table():
+    tab, texts, visuals = batch_case()
+    rows = tz.Tensor(np.concatenate(
+        [v.embeddings.data for vs in visuals for v in vs]), requires_grad=True)
+    counts = [[v.n_tokens for v in vs] for vs in visuals]
+    batch = splice_batch(texts, counts, rows, tab, 64)
+    weights = np.random.default_rng(2).standard_normal(batch.embeddings.shape)
+    tz.backward(tz.sum_all(tz.mul(batch.embeddings, tz.Tensor(weights))))
+    want_tab = np.zeros_like(tab.data)
+    want_rows = []
+    for b in range(len(texts)):
+        ids = batch.token_ids[b]
+        text = (ids != IMG_CONTEXT_ID) & (ids != PAD_ID)
+        np.add.at(want_tab, ids[text], weights[b, text])
+        want_rows.append(weights[b, ids == IMG_CONTEXT_ID])
+    np.testing.assert_allclose(tab.grad, want_tab, rtol=0, atol=1e-12)
+    # every visual row is gathered exactly once, so its gradient is exact
+    assert rows.grad.tobytes() == np.concatenate(want_rows).tobytes()
+
+
+def test_splice_batch_rejects_bad_inputs():
+    tab, texts, visuals = batch_case()
+    rows = tz.concat([v.embeddings for vs in visuals for v in vs], axis=0)
+    counts = [[v.n_tokens for v in vs] for vs in visuals]
+    with pytest.raises(ContractError):
+        splice_batch([], [], rows, tab, 64)
+    with pytest.raises(ContractError):
+        splice_batch(texts, counts[:2], rows, tab, 64)
+    with pytest.raises(ContractError):  # rows left over
+        splice_batch(texts, [[3], [], [2, 3]], rows, tab, 64)
+    with pytest.raises(ContractError):  # a marker without rows
+        splice_batch(texts, [[3], [], [6]], rows, tab, 64)
+    with pytest.raises(DimensionError):
+        splice_batch(texts, counts, rows, table(d=6), 64)
+    with pytest.raises(BudgetError):
+        splice_batch(texts, counts, rows, tab, 12)

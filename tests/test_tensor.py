@@ -26,7 +26,6 @@ from tilefusion.tensor import (
     backward,
     concat,
     embedding_lookup,
-    expand_leading,
     finite_difference_grad,
     gelu,
     layernorm,
@@ -35,7 +34,6 @@ from tilefusion.tensor import (
     mul,
     mul_scalar,
     permute,
-    primitive_forward,
     relative_error,
     reshape,
     slice_axis,
@@ -114,15 +112,6 @@ def test_pixelwise_ops_reject_shape_mismatch():
         mul(a, b)
     with pytest.raises(DimensionError):
         matmul(a, Tensor(np.zeros((4, 2))))
-
-
-def test_dispatch_by_kind():
-    a = Tensor(np.ones((2, 3)))
-    b = Tensor(np.ones((3, 2)))
-    out = primitive_forward("matmul", a, b)
-    np.testing.assert_array_equal(out.data, np.full((2, 2), 3.0))
-    with pytest.raises(ContractError):
-        primitive_forward("not-an-op", a)
 
 
 def test_parameter_flags():
@@ -357,12 +346,14 @@ def test_grad_slice():
         check_grads(lambda: sum_all(mul(slice_axis(x, 1, 1, 4), r)), [x])
 
 
-def test_grad_expand_leading():
+def test_grad_add_rowvec_trailing_tensor():
+    # positional embeddings [T, d] added to every sequence of [N, T, d]
     rng = np.random.default_rng(25)
     for _ in range(N_RANDOM_CASES):
-        x = rand_tensor(rng, (3, 4))
+        x = rand_tensor(rng, (5, 3, 4))
+        v = rand_tensor(rng, (3, 4))
         r = Tensor(rng.standard_normal((5, 3, 4)))
-        check_grads(lambda: sum_all(mul(expand_leading(x, 5), r)), [x])
+        check_grads(lambda: sum_all(mul(add_rowvec(x, v), r)), [x, v])
 
 
 def test_grad_masked_cross_entropy():
@@ -431,9 +422,16 @@ def test_concat_rejects_incompatible_shapes():
         concat([], axis=0)
 
 
-def test_expand_leading_rejects_zero():
+def test_add_rowvec_shapes():
+    x = Tensor(np.zeros((5, 3, 4)))
+    assert add_rowvec(x, Tensor(np.ones(4))).shape == (5, 3, 4)
+    assert add_rowvec(x, Tensor(np.ones((3, 4)))).shape == (5, 3, 4)
+    assert add_rowvec(x, Tensor(np.ones((5, 3, 4)))).shape == (5, 3, 4)
+    for bad in ((3,), (4, 3), (2, 3, 4), (1, 5, 3, 4)):
+        with pytest.raises(DimensionError):
+            add_rowvec(x, Tensor(np.zeros(bad)))
     with pytest.raises(DimensionError):
-        expand_leading(Tensor(np.zeros(2)), 0)
+        add_rowvec(x, Tensor(np.float64(1.0)))
 
 
 def test_masked_ce_empty_mask_is_zero_loss_zero_grad():
@@ -561,7 +559,8 @@ CYCLE_CASES = {
     "concat-along-axis": lambda rng: concat(
         [rand_tensor(rng, (2, k)) for k in (1, 3, 2)], axis=1),
     "slice": lambda rng: slice_axis(rand_tensor(rng, (4, 6)), 1, 1, 4),
-    "expand-leading": lambda rng: expand_leading(rand_tensor(rng, (3, 4)), 5),
+    "add-rowvec-trailing-tensor": lambda rng: add_rowvec(
+        rand_tensor(rng, (5, 3, 4)), rand_tensor(rng, (3, 4))),
     "sum": lambda rng: sum_all(rand_tensor(rng, (3, 4))),
     "masked-cross-entropy": lambda rng: masked_cross_entropy(
         rand_tensor(rng, (6, 9)), rng.integers(0, 9, size=6), _mask(rng)),

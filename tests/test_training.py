@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 from tilefusion import tensor as tz
-from tilefusion.assembly import pad_batch
-from tilefusion.encoders import EncoderConfig
+from tilefusion.encoders import Encoder, EncoderConfig
 from tilefusion.errors import ConfigError, ContractError, DimensionError
 from tilefusion.lm import LMConfig
+from tilefusion import model as model_module
 from tilefusion.model import Pipeline, PipelineConfig
 from tilefusion.tensor import Parameter
 from tilefusion.tiling import ImageBuffer
@@ -39,6 +39,9 @@ from tilefusion.training import (
     stage1_plan,
     stage2_plan,
 )
+
+import per_image_oracle as oracle
+from per_image_oracle import pad_batch
 
 
 @dataclass
@@ -488,10 +491,8 @@ def oracle_stage(plan, model, dataset, seed, batch_size):
     for step in range(plan.steps):
         idx = batch_indices(seed, stage_index, step, len(dataset),
                             batch_size)
-        seqs = [model.assemble(dataset[int(i)].images,
-                               dataset[int(i)].question,
-                               dataset[int(i)].answer) for i in idx]
-        mean = model.lm.forward(pad_batch(seqs)).loss
+        samples = [dataset[int(i)] for i in idx]
+        mean = model.lm.forward(model.assemble_batch(samples)).loss
         losses.append(mean.item())
         for p in params:
             p.zero_grad()
@@ -555,9 +556,7 @@ def per_sample_mean(model, samples):
 
 def batched_mean(model, samples):
     """run_stage's path: one padded LM batch."""
-    return model.lm.forward(pad_batch(
-        [model.assemble(s.images, s.question, s.answer)
-         for s in samples])).loss
+    return model.lm.forward(model.assemble_batch(samples)).loss
 
 
 def trainable_grads(model, loss):
@@ -633,6 +632,180 @@ def test_batched_loss_gradient_matches_finite_differences():
         got = grads[p.name].reshape(-1)[idx]
         assert np.all(got != 0.0), p.name
         assert tz.relative_error(got, fd) < 1e-4, p.name
+
+
+# The batched image side against the per-image oracle. Fusion is
+# tile-local and every op on the way is row-wise, so the visual rows,
+# provenance, batch and loss are bitwise. Trainable gradients are not:
+# a projector's weight gradient sums all the step's rows in one matmul
+# instead of one matmul per image, and the table's scatter-add runs in
+# another order; they agree within 1e-12 relative (relative_error).
+LAYOUTS = {
+    "post-interleave": tiny_cfg(ctx=192),
+    "post-channel": equal_token_cfg("post-channel"),
+    "pre-sequence": tiny_cfg(ctx=192, fusion="pre-sequence"),
+    "pre-channel": equal_token_cfg("pre-channel"),
+    "B-only": replace(tiny_cfg(ctx=192), encoders="B"),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_batched_image_side_matches_per_image_oracle(layout, monkeypatch):
+    model = Pipeline(LAYOUTS[layout], seed=5)
+    model.set_frozen(stage2_plan(steps=1).frozen_prefixes)
+    data = mixed_dataset()
+    model.sync_token_cache()
+    tokens = [[model.frozen_tokens(img) for img in s.images] for s in data]
+    flat = [t for per_sample in tokens for t in per_sample]
+
+    # rows and provenance of every image, from one fused pass
+    fused = model.fuse_images(flat)
+    start = tile0 = 0
+    for t in flat:
+        want = oracle.fuse_tokens(model, t)
+        n = want.n_tokens
+        assert fused.embeddings.data[start:start + n].tobytes() == \
+            want.embeddings.data.tobytes()
+        assert [(tile - tile0, b, i) for tile, b, i
+                in fused.provenance[start:start + n]] == want.provenance
+        start += n
+        tile0 += next(iter(t.values())).n_tiles
+    assert start == fused.n_tokens
+
+    # the B = 1 path hands splice each image's own rows and provenance
+    seen = []
+    real_splice = model_module.splice
+    monkeypatch.setattr(model_module, "splice",
+                        lambda *a: seen.append(a[2]) or real_splice(*a))
+    for s, t in zip(data, tokens):
+        got = model.assemble(s.images, s.question, s.answer, t)
+        want, want_vis = oracle.assemble(model, s.images, s.question,
+                                         s.answer, t)
+        assert got.embeddings.data.tobytes() == want.embeddings.data.tobytes()
+        assert got.token_ids.tobytes() == want.token_ids.tobytes()
+        assert [(v.embeddings.data.tobytes(), v.provenance)
+                for v in seen.pop()] == \
+            [(v.embeddings.data.tobytes(), v.provenance) for v in want_vis]
+
+    got = model.assemble_batch(data, tokens)
+    want, _ = oracle.assemble_batch(model, data, tokens)
+    assert got.embeddings.data.tobytes() == want.embeddings.data.tobytes()
+    assert got.token_ids.tobytes() == want.token_ids.tobytes()
+    assert got.loss_mask.tobytes() == want.loss_mask.tobytes()
+
+    want_loss = model.lm.forward(want).loss
+    want_grads = trainable_grads(model, want_loss)
+    got_loss = model.lm.forward(got).loss
+    got_grads = trainable_grads(model, got_loss)
+    assert got_loss.item().hex() == want_loss.item().hex()
+    assert got_grads.keys() == want_grads.keys()
+    for name, g in want_grads.items():
+        assert tz.relative_error(got_grads[name], g) <= 1e-12, name
+
+
+class EncodeSpy:
+    """Records (encoder prefix, tile bytes) of every Encoder.encode."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        original = Encoder.encode
+
+        def spy(encoder, tiles):
+            self.calls.append((encoder.prefix, b"".join(
+                p.pixels.tobytes() for p in tiles.patches)))
+            return original(encoder, tiles)
+
+        monkeypatch.setattr(Encoder, "encode", spy)
+
+
+def cache_plans():
+    # batch_size = len(data) below: every step draws every sample
+    return [stage1_plan(steps=2, warmup_steps=1, base_lr=2e-3),
+            stage2_plan(steps=2, warmup_steps=1, base_lr=5e-4)]
+
+
+def distinct_images(data):
+    return len({img.pixels.tobytes() for s in data for img in s.images})
+
+
+def test_token_cache_encodes_each_image_once_across_stages(monkeypatch):
+    spy = EncodeSpy(monkeypatch)
+    data = mixed_dataset()
+    model = Pipeline(tiny_cfg(ctx=192), seed=5)
+    per_stage = []
+    for k, plan in enumerate(cache_plans()):
+        before = len(spy.calls)
+        run_stage(plan, model, data, seed=13 + k, batch_size=len(data))
+        per_stage.append(len(spy.calls) - before)
+    assert per_stage == [2 * distinct_images(data), 0]
+    assert len(set(spy.calls)) == len(spy.calls)
+
+
+def bump_encoder_weight(model):
+    # an f32 value, so the end-of-stage snapshot leaves it as it is
+    model.encoder_b.pos.data[0, 0] = 0.5
+
+
+def restore_other_weights(model):
+    restore(model, snapshot(Pipeline(model.cfg, seed=99), 0, "stage1"))
+
+
+@pytest.mark.parametrize("change", [bump_encoder_weight, restore_other_weights],
+                         ids=["in-place-write", "restore"])
+def test_token_cache_refills_when_encoder_weights_change(monkeypatch, change):
+    spy = EncodeSpy(monkeypatch)
+    data = mixed_dataset()
+    model = Pipeline(tiny_cfg(ctx=192), seed=5)
+    stage1, stage2 = cache_plans()
+    run_stage(stage1, model, data, seed=13, batch_size=len(data))
+    old = {key: {label: grid.data.data.copy() for label, grid in t.items()}
+           for key, t in model.token_cache.items()}
+    change(model)
+    before = len(spy.calls)
+    run_stage(stage2, model, data, seed=14, batch_size=len(data))
+    assert len(spy.calls) - before == 2 * distinct_images(data)
+    assert model.token_cache.keys() == old.keys()
+    for s in data:
+        for img in s.images:
+            n = len(spy.calls)
+            cached = model.frozen_tokens(img)
+            assert len(spy.calls) == n  # a hit
+            fresh = model.branch_tokens(img)
+            assert cached.keys() == fresh.keys()
+            for label in fresh:
+                assert cached[label].data.data.tobytes() == \
+                    fresh[label].data.data.tobytes()
+    assert any(not np.array_equal(t["B"], model.token_cache[k]["B"].data.data)
+               for k, t in old.items())
+
+
+def test_new_pipeline_starts_with_empty_token_cache(monkeypatch):
+    spy = EncodeSpy(monkeypatch)
+    data = mixed_dataset()
+    plan = cache_plans()[0]
+    first = Pipeline(tiny_cfg(ctx=192), seed=5)
+    run_stage(plan, first, data, seed=13, batch_size=len(data))
+    assert len(first.token_cache) == distinct_images(data)
+    second = Pipeline(tiny_cfg(ctx=192), seed=5)
+    assert second.token_cache == {}
+    before = len(spy.calls)
+    run_stage(plan, second, data, seed=13, batch_size=len(data))
+    assert len(spy.calls) - before == 2 * distinct_images(data)
+
+
+def test_answer_neither_reads_nor_fills_token_cache(monkeypatch):
+    spy = EncodeSpy(monkeypatch)
+    data = mixed_dataset()
+    model = Pipeline(tiny_cfg(ctx=192), seed=5)
+    run_stage(cache_plans()[0], model, data, seed=13, batch_size=len(data))
+    cache = dict(model.token_cache)
+    unseen = ImageBuffer(np.random.default_rng(7).random((16, 16, 3)))
+    for images in (data[1].images, [unseen]):
+        before = len(spy.calls)
+        model.answer(images, "which?", max_new=2)
+        assert len(spy.calls) - before == 2 * len(images)
+        assert model.token_cache.keys() == cache.keys()
+        assert all(model.token_cache[k] is v for k, v in cache.items())
 
 
 def test_metrics_record_round_trips_json():
