@@ -16,7 +16,7 @@ output; the synthetic-task oracles rely on that exactness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -201,7 +201,7 @@ class Pipeline:
         # init that quantization is a no-op for parameters a stage never
         # updated, so freeze guarantees stay byte-exact across saves.
         for p in self.parameters():
-            p.data = p.data.astype(np.float32).astype(np.float64)
+            p.data[...] = p.data.astype(np.float32)
 
     def parameters(self) -> list:
         out = []

@@ -82,7 +82,12 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A named, trainable tensor. ``frozen`` excludes it from optimizer steps."""
+    """A named, trainable tensor. ``frozen`` excludes it from optimizer steps.
+
+    An optimizer may hold ``data`` as a view into its own buffer, so code
+    that changes a parameter's values writes them in place
+    (``p.data[...] = values``) instead of rebinding ``data``.
+    """
 
     __slots__ = ("name", "frozen")
 

@@ -7,9 +7,10 @@ are frozen in every stage, run_stage trains on their cached, detached
 output tokens (Pipeline.frozen_tokens): the cache lives on the
 Pipeline, so the encoders run once per distinct image per Pipeline,
 across both stages, until the encoder weights change. Inside run_stage
-no frozen parameter receives a gradient, and the optimizer skips frozen
-parameters regardless. Pipeline.forward_sample itself keeps the full
-graph back into both encoders.
+no frozen parameter receives a gradient, and each stage's AdamW holds
+only the parameters that stage trains, as views into its one flat
+buffer. Pipeline.forward_sample itself keeps the full graph back into
+both encoders.
 
 Each step builds one right-padded [B, L, d] batch
 (Pipeline.assemble_batch: one projector/fusion pass over all the step's
@@ -124,47 +125,55 @@ def cosine_lr(step: int, base_lr: float, total_steps: int,
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
-class AdamW:
-    """Decoupled weight decay Adam over named parameters.
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
-    Moments and step counters are kept per parameter, and frozen
-    parameters are skipped entirely: no moment update, no decay.
+
+class AdamW:
+    """Decoupled weight decay Adam over one flat buffer.
+
+    The parameters not frozen at construction are the trained set. Their
+    values move into one contiguous float64 buffer, in the given order,
+    and each Parameter.data becomes a view of its slice; the moments are
+    two more buffers of the same layout, and all share one step count.
+    Every trained parameter must have a gradient at every step.
     """
 
-    def __init__(self, params, betas=(0.9, 0.999), eps=1e-8,
-                 weight_decay=0.0):
-        self.params = list(params)
-        self.b1, self.b2 = betas
-        self.eps = eps
+    def __init__(self, params, weight_decay=0.0):
+        self.params = [p for p in params if not p.frozen]
         self.weight_decay = weight_decay
-        self._m = {p.name: np.zeros_like(p.data) for p in self.params}
-        self._v = {p.name: np.zeros_like(p.data) for p in self.params}
-        self._t = {p.name: 0 for p in self.params}
+        # the empty tail lets a stage that trains nothing concatenate
+        self.data = np.concatenate([p.data.ravel() for p in self.params]
+                                   + [np.empty(0)])
+        ends = np.cumsum([p.data.size for p in self.params])
+        for p, view in zip(self.params, np.split(self.data, ends[:-1])):
+            p.data = view.reshape(p.data.shape)
+        self.m = np.zeros_like(self.data)
+        self.v = np.zeros_like(self.data)
+        self.t = 0
 
     def step(self, lr: float) -> None:
+        """One update; raises, moving nothing, on a missing, misshapen
+        or non-finite gradient."""
         for p in self.params:
-            if p.frozen:
-                continue
-            g = p.grad
-            if g is None:
-                continue
-            if g.shape != p.data.shape:
-                raise DimensionError(
-                    f"{p.name}: grad shape {g.shape} != "
-                    f"param shape {p.data.shape}")
-            t = self._t[p.name] + 1
-            self._t[p.name] = t
-            m = self._m[p.name]
-            v = self._v[p.name]
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * g * g
-            m_hat = m / (1.0 - self.b1 ** t)
-            v_hat = v / (1.0 - self.b2 ** t)
-            p.data = (p.data
-                      - lr * self.weight_decay * p.data
-                      - lr * m_hat / (np.sqrt(v_hat) + self.eps))
+            got = getattr(p.grad, "shape", None)  # None: no gradient
+            if got != p.data.shape:
+                raise DimensionError(f"{p.name}: grad shape {got} != "
+                                     f"param shape {p.data.shape}")
+        g = np.concatenate([p.grad for p in self.params] + [np.empty(0)],
+                           axis=None)
+        if not np.isfinite(g).all():
+            bad = next(p.name for p in self.params
+                       if not np.isfinite(p.grad).all())
+            raise ContractError(f"non-finite gradient for {bad}")
+        self.t += 1
+        self.m *= BETA1
+        self.m += (1.0 - BETA1) * g
+        self.v *= BETA2
+        self.v += (1.0 - BETA2) * g * g
+        m_hat = self.m / (1.0 - BETA1 ** self.t)
+        v_hat = self.v / (1.0 - BETA2 ** self.t)
+        self.data -= lr * self.weight_decay * self.data
+        self.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass
@@ -275,7 +284,7 @@ def snapshot(model, step: int, stage: str) -> Checkpoint:
     offset = 0
     for p in model.parameters():
         q = p.data.astype("<f4")
-        p.data = q.astype(np.float64)
+        p.data[...] = q
         raw = q.tobytes()
         entries.append({"name": p.name, "shape": list(p.data.shape),
                         "offset": offset})
@@ -308,7 +317,7 @@ def restore(model, ckpt: Checkpoint, strict: bool = True) -> None:
         n = math.prod(shape)
         arr = np.frombuffer(ckpt.blob, dtype="<f4", count=n,
                             offset=e["offset"])
-        p.data = arr.astype(np.float64).reshape(shape)
+        p.data[...] = arr.reshape(shape)
 
 
 def batch_indices(seed: int, stage_index: int, step: int, n_samples: int,
@@ -333,7 +342,9 @@ def run_stage(plan: StagePlan, model, dataset, seed: int,
     (Pipeline.assemble_batch) and run through the LM in one call;
     padding on the right is safe because the causal mask already hides
     each pad from every real position. No frozen parameter accumulates
-    a gradient during the call; the optimizer would skip it anyway.
+    a gradient during the call, and the stage's AdamW, built after the
+    freeze, holds only the trainable ones; its ContractError on a
+    non-finite gradient comes back with the stage and step added.
     When out_dir is given, metrics stream to out_dir/metrics.jsonl as
     they are produced and the final checkpoint is written there too.
     """
@@ -344,7 +355,6 @@ def run_stage(plan: StagePlan, model, dataset, seed: int,
     model.set_frozen(plan.frozen_prefixes)
     params = model.parameters()
     frozen = [p for p in params if p.frozen]
-    trainable = [p for p in params if not p.frozen]
     opt = AdamW(params, weight_decay=plan.weight_decay)
     stage_index = STAGE_NAMES.index(plan.name) + 1
 
@@ -372,13 +382,12 @@ def run_stage(plan: StagePlan, model, dataset, seed: int,
             for p in params:
                 p.zero_grad()
             tz.backward(mean_loss)
-            for p in trainable:
-                if p.grad is not None and not np.all(np.isfinite(p.grad)):
-                    raise ContractError(
-                        f"non-finite gradient for {p.name} at {plan.name} "
-                        f"step {step}")
             lr = cosine_lr(step, plan.base_lr, plan.steps, plan.warmup_steps)
-            opt.step(lr)
+            try:
+                opt.step(lr)
+            except ContractError as err:
+                raise ContractError(f"{err} at {plan.name} step {step}") \
+                    from err
             rec = MetricsRecord(step=step, stage=plan.name, lr=lr, loss=loss,
                                 wall_ms=(clock() - t0) * 1000.0)
             records.append(rec)

@@ -160,16 +160,27 @@ class TestAdamW:
         assert p.data.tobytes() == want.tobytes()
 
     def test_matches_reference_trajectory_bitwise(self):
+        # trained parameters of several shapes around a frozen one: the
+        # flat update is elementwise, so each slice is the loop's update
         rng = np.random.default_rng(3)
-        p0 = rng.standard_normal((4, 5))
-        grads = [rng.standard_normal((4, 5)) for _ in range(10)]
-        p = Parameter("w", p0.copy())
-        opt = AdamW([p], weight_decay=0.01)
-        for g in grads:
-            p.grad = g
+        shapes = {"a": (4, 5), "frozen": (3,), "b": (2, 3, 2), "c": (7,)}
+        starts = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        params = [Parameter(k, starts[k].copy(), frozen=(k == "frozen"))
+                  for k in shapes]
+        grads = {k: [rng.standard_normal(s) for _ in range(10)]
+                 for k, s in shapes.items()}
+        opt = AdamW(params, weight_decay=0.01)
+        for step in range(10):
+            for p in params:
+                p.grad = grads[p.name][step]
             opt.step(0.05)
-        want = ref_adamw(p0, grads, 0.05, wd=0.01)
-        assert np.array_equal(p.data, want)
+        for p in params:
+            if p.frozen:
+                assert p.data.tobytes() == starts[p.name].tobytes()
+            else:
+                want = ref_adamw(starts[p.name], grads[p.name], 0.05,
+                                 wd=0.01)
+                assert np.array_equal(p.data, want), p.name
 
     def test_grad_shape_mismatch_rejected(self):
         p = Parameter("w", np.ones((2, 2)))
@@ -177,28 +188,60 @@ class TestAdamW:
         with pytest.raises(DimensionError):
             AdamW([p]).step(0.1)
 
-    def test_missing_grad_is_skipped(self):
-        p = Parameter("w", np.ones(3))
-        p.grad = None
-        before = p.data.tobytes()
-        AdamW([p], weight_decay=0.5).step(0.1)
-        assert p.data.tobytes() == before
+    def test_missing_grad_rejected_and_nothing_moves(self):
+        ok = Parameter("w_ok", np.ones(3))
+        missing = Parameter("w_missing", np.ones(2))
+        ok.grad = np.ones(3)
+        missing.grad = None
+        before = [ok.data.tobytes(), missing.data.tobytes()]
+        with pytest.raises(DimensionError, match="w_missing"):
+            AdamW([ok, missing], weight_decay=0.5).step(0.1)
+        assert [ok.data.tobytes(), missing.data.tobytes()] == before
 
-    def test_per_param_step_counter(self):
-        # a param frozen for the first updates must get fresh bias
-        # correction when it thaws, as if its history started there
+    def test_param_thawed_after_construction_is_not_trained(self):
+        # the trained set is fixed when the optimizer is built; a param
+        # thawed later needs a new optimizer, whose bias correction
+        # starts afresh, as if its history started there
         pa = Parameter("a", np.array([1.0]), frozen=True)
         opt = AdamW([pa])
         pa.grad = np.array([1.0])
         opt.step(0.1)
-        opt.step(0.1)
         pa.frozen = False
         opt.step(0.1)
+        assert pa.data.tobytes() == np.array([1.0]).tobytes()
+        AdamW([pa]).step(0.1)
         pb = Parameter("b", np.array([1.0]))
         opt2 = AdamW([pb])
         pb.grad = np.array([1.0])
         opt2.step(0.1)
         assert np.array_equal(pa.data, pb.data)
+
+
+def random_grads(params, rng):
+    for p in params:
+        p.grad = rng.standard_normal(p.data.shape)
+
+
+@pytest.mark.parametrize("checkpoint", ["snapshot", "restore"])
+def test_checkpoint_keeps_optimizer_storage(checkpoint):
+    model = tiny_pipe(seed=3)
+    model.set_frozen(stage2_plan(steps=1).frozen_prefixes)
+    opt = AdamW(model.parameters(), weight_decay=0.01)
+    rng = np.random.default_rng(4)
+    random_grads(opt.params, rng)
+    opt.step(0.1)
+    if checkpoint == "snapshot":
+        snapshot(model, 1, "stage2")
+    else:
+        restore(model, snapshot(tiny_pipe(seed=99), 0, "stage2"))
+    assert all(np.shares_memory(p.data, opt.data) for p in opt.params)
+    before = param_bytes(model, ("",))
+    random_grads(opt.params, rng)
+    opt.step(0.1)
+    after = param_bytes(model, ("",))
+    assert all(after[p.name] != before[p.name] for p in opt.params)
+    assert all(after[k] == before[k] for k in before
+               if k.startswith(("encoderA.", "encoderB.")))
 
 
 # plans
@@ -479,6 +522,26 @@ class TestRunStage:
         assert rec1[0].loss == rec2[0].loss
         for p1, p2 in zip(m1.parameters(), m2.parameters()):
             assert p1.data.tobytes() == p2.data.tobytes(), p1.name
+
+
+def test_gapped_trainable_set_trains_only_its_own_slices():
+    # post-channel orders projectorA, projectorB, fusion.down: freezing
+    # projectorB leaves a gap inside the trained set
+    model = Pipeline(equal_token_cfg("post-channel"), seed=5)
+    plan = stage1_plan(steps=3, warmup_steps=1, base_lr=2e-3,
+                       extra_frozen=("projectorB.",))
+    model.set_frozen(plan.frozen_prefixes)
+    trained = [k for k, p in enumerate(model.parameters()) if not p.frozen]
+    assert trained != list(range(trained[0], trained[-1] + 1))
+    fixed = ("projectorB.", "encoderA.", "encoderB.", "lm.")
+    moving = ("projectorA.", "fusion.down")
+    fixed_before = param_bytes(model, fixed)
+    moving_before = param_bytes(model, moving)
+    run_stage(plan, model, make_dataset(4), seed=11, batch_size=4)
+    assert param_bytes(model, fixed) == fixed_before
+    moving_after = param_bytes(model, moving)
+    assert moving_after.keys() == moving_before.keys()
+    assert all(moving_after[k] != moving_before[k] for k in moving_before)
 
 
 def oracle_stage(plan, model, dataset, seed, batch_size):
