@@ -57,8 +57,6 @@ _ID_TO_LITERAL = {
 class ByteTokenizer:
     """Reversible byte-level tokenizer with image-markup specials."""
 
-    vocab_size = VOCAB_SIZE
-
     def encode(self, text: str) -> list[int]:
         raw = text.encode("utf-8")
         ids: list[int] = []

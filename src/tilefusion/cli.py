@@ -104,8 +104,7 @@ def cmd_inspect_tiling(args) -> int:
         cfg = load_config(args.config)
         pipe_cfg = build_pipeline_config(cfg["model"])
         tile = pipe_cfg.tile_size
-        max_tiles = pipe_cfg.max_tiles
-        thumbnail = pipe_cfg.thumbnail
+        max_tiles, thumbnail = pipe_cfg.tiler_args()
     grid = select_grid(width, height, max_tiles)
     patches = grid.n_tiles
     with_thumb = thumbnail and grid.n_tiles > 1

@@ -26,6 +26,7 @@ from .tiling import ImageBuffer, TileSet, normalize
 from .transformer import init_block, linear, run_block
 
 INPUT_FILTERS = ("none", "lowpass", "highpass")
+IN_CHANNELS = 3  # RGB tiles
 
 
 @dataclass
@@ -40,7 +41,6 @@ class EncoderConfig:
     unshuffle_r: int
     norm_mean: tuple = (0.5, 0.5, 0.5)
     norm_std: tuple = (0.5, 0.5, 0.5)
-    frozen: bool = False
     input_filter: str = "none"
     filter_block: int = 2
 
@@ -149,17 +149,15 @@ def apply_input_filter(buf: ImageBuffer, kind: str, block: int) -> ImageBuffer:
 class Encoder:
     """A toy ViT branch. Parameters are named under the given prefix."""
 
-    def __init__(self, cfg: EncoderConfig, prefix: str, seed: int,
-                 in_channels: int = 3):
+    def __init__(self, cfg: EncoderConfig, prefix: str, seed: int):
         self.cfg = cfg
         self.prefix = prefix
-        self.in_channels = in_channels
         rng = np.random.default_rng(seed)
         d = cfg.embed_dim
         t = cfg.grid_side * cfg.grid_side
         P = tz.Parameter
         self.patch_w = linear(f"{prefix}.patch_embed.w", rng,
-                              cfg.patch_size ** 2 * in_channels, d)
+                              cfg.patch_size ** 2 * IN_CHANNELS, d)
         self.patch_b = P(f"{prefix}.patch_embed.b", np.zeros(d))
         self.pos = P(f"{prefix}.pos", rng.standard_normal((t, d)) * 0.02)
         self.blocks = [init_block(f"{prefix}.block{i}", d, rng)
@@ -185,9 +183,9 @@ class Encoder:
                     f"(grid_side {cfg.grid_side} x patch {cfg.patch_size}), "
                     f"got {p.height}x{p.width}"
                 )
-            if p.channels != self.in_channels:
+            if p.channels != IN_CHANNELS:
                 raise DimensionError(
-                    f"encoder expects {self.in_channels} channels, got {p.channels}"
+                    f"encoder expects {IN_CHANNELS} channels, got {p.channels}"
                 )
         filtered = TileSet(
             tiles=[apply_input_filter(t, cfg.input_filter, cfg.filter_block)
@@ -201,9 +199,9 @@ class Encoder:
         stack = np.stack([p.pixels for p in ready.patches])  # [n, H, W, C]
         n = stack.shape[0]
         gs, ps = cfg.grid_side, cfg.patch_size
-        patched = stack.reshape(n, gs, ps, gs, ps, self.in_channels)
+        patched = stack.reshape(n, gs, ps, gs, ps, IN_CHANNELS)
         patched = patched.transpose(0, 1, 3, 2, 4, 5)
-        flat = patched.reshape(n, gs * gs, ps * ps * self.in_channels)
+        flat = patched.reshape(n, gs * gs, ps * ps * IN_CHANNELS)
 
         x = tz.add_rowvec(tz.matmul(tz.Tensor(flat), self.patch_w), self.patch_b)
         x = tz.add_rowvec(x, self.pos)

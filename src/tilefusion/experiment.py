@@ -6,6 +6,15 @@ by path and runs them as cells of an ablation, collecting one report
 row per cell. Reports are written as CSV with a fixed column order
 plus a JSON mirror carrying the same rows.
 
+The task, model, model.encoder_a/encoder_b and model.lm sections are
+defined once, by the dataclasses they build (TaskSpec, PipelineConfig,
+EncoderConfig, LMConfig): their keys, JSON types and required keys are
+read off the dataclass fields, with the type hints resolved at import.
+A tuple field is a JSON list, a nested config a JSON object, and a
+field without a default is required. The top-level, training, stage
+and matrix sections have no dataclass behind them and keep hand-written
+schemas.
+
 Every config key is documented in configs/schema.md. Validation
 collects all problems at once and raises a single ConfigError naming
 the offending keys, so a bad file fails before any compute starts.
@@ -14,7 +23,8 @@ the offending keys, so a bad file fails before any compute starts.
 import json
 import os
 import time
-from dataclasses import asdict, dataclass
+import typing
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 
 from .datagen import (
     TASK_KINDS,
@@ -102,31 +112,52 @@ def _check_section(problems, obj, schema, required, prefix):
     return True
 
 
+def _json_schema(cls) -> tuple:
+    """(JSON types, required keys, nested configs, tuple fields) of a
+    config dataclass, read off its fields."""
+    hints = typing.get_type_hints(cls)
+    nested = {k: h for k, h in hints.items() if is_dataclass(h)}
+    tuples = tuple(k for k, h in hints.items() if h is tuple)
+    types = {k: dict if k in nested else list if k in tuples else h
+             for k, h in hints.items()}
+    required = tuple(f.name for f in fields(cls) if f.default is MISSING
+                     and f.default_factory is MISSING)
+    return types, required, nested, tuples
+
+
+# Resolved once: encoders.py and lm.py postpone their annotations, and
+# resolving them on every build would cost far more than the build.
+_SCHEMAS = {cls: _json_schema(cls)
+            for cls in (TaskSpec, EncoderConfig, LMConfig, PipelineConfig)}
+
+
+def _check_config(problems, obj, cls, prefix):
+    """Check a section, and its nested sections, against its dataclass."""
+    types, required, nested, _ = _SCHEMAS[cls]
+    if not _check_section(problems, obj, types, required, prefix):
+        return False
+    for key, sub in nested.items():
+        if isinstance(obj.get(key), dict):
+            _check_config(problems, obj[key], sub, f"{prefix}{key}.")
+    return True
+
+
+def _from_json(cls, section):
+    """Build a config dataclass from its validated JSON section."""
+    _, _, nested, tuples = _SCHEMAS[cls]
+    kw = dict(section)
+    for key in tuples:
+        if key in kw:
+            kw[key] = tuple(kw[key])
+    for key, sub in nested.items():
+        if key in kw:
+            kw[key] = _from_json(sub, kw[key])
+    return cls(**kw)
+
+
 _TOP_SCHEMA = {"config_id": str, "seed": int, "task": dict,
                "model": dict, "training": dict}
 _TOP_REQUIRED = ("config_id", "task", "model", "training")
-
-_TASK_SCHEMA = {"kind": str, "image_size": list, "tile_size": int,
-                "n_classes": int, "n_train": int, "n_eval": int,
-                "seed": int}
-_TASK_REQUIRED = tuple(_TASK_SCHEMA)
-
-_ENC_SCHEMA = {"patch_size": int, "embed_dim": int, "depth": int,
-               "heads": int, "grid_side": int, "unshuffle_r": int,
-               "norm_mean": list, "norm_std": list,
-               "input_filter": str, "filter_block": int}
-_ENC_REQUIRED = ("patch_size", "embed_dim", "depth", "heads",
-                 "grid_side", "unshuffle_r")
-
-_LM_SCHEMA = {"d_lm": int, "layers": int, "heads": int, "vocab": int,
-              "context_limit": int}
-_LM_REQUIRED = ("d_lm", "layers", "heads")
-
-_MODEL_SCHEMA = {"encoders": str, "fusion": str, "tiling": bool,
-                 "thumbnail": bool, "tile_size": int, "max_tiles": int,
-                 "projector_hidden": int, "encoder_a": dict,
-                 "encoder_b": dict, "lm": dict}
-_MODEL_REQUIRED = ("tile_size", "encoder_a", "encoder_b", "lm")
 
 _STAGE_SCHEMA = {"steps": int, "base_lr": float, "weight_decay": float,
                  "warmup_steps": int, "extra_frozen": list}
@@ -142,8 +173,7 @@ def validate_task_block(task, problems=None, prefix="task."):
     """Schema-check a task section; returns the problem list."""
     if problems is None:
         problems = []
-    if not _check_section(problems, task, _TASK_SCHEMA, _TASK_REQUIRED,
-                          prefix):
+    if not _check_config(problems, task, TaskSpec, prefix):
         return problems
     kind = task.get("kind")
     if isinstance(kind, str) and kind not in TASK_KINDS:
@@ -185,8 +215,7 @@ def validate_experiment_config(cfg) -> list:
         validate_task_block(cfg["task"], problems)
     model = cfg.get("model")
     if isinstance(model, dict):
-        if _check_section(problems, model, _MODEL_SCHEMA,
-                          _MODEL_REQUIRED, "model."):
+        if _check_config(problems, model, PipelineConfig, "model."):
             enc = model.get("encoders")
             if isinstance(enc, str) and enc not in ENCODER_CHOICES:
                 problems.append(
@@ -195,13 +224,6 @@ def validate_experiment_config(cfg) -> list:
             if isinstance(fusion, str) and fusion not in FUSION_KINDS:
                 problems.append(
                     f"model.fusion: must be one of {FUSION_KINDS}")
-            for name in ("encoder_a", "encoder_b"):
-                if isinstance(model.get(name), dict):
-                    _check_section(problems, model[name], _ENC_SCHEMA,
-                                   _ENC_REQUIRED, f"model.{name}.")
-            if isinstance(model.get("lm"), dict):
-                _check_section(problems, model["lm"], _LM_SCHEMA,
-                               _LM_REQUIRED, "model.lm.")
     training = cfg.get("training")
     if isinstance(training, dict):
         if _check_section(problems, training, _TRAIN_SCHEMA,
@@ -230,36 +252,17 @@ def load_config(path) -> dict:
 
 
 def build_task_spec(task, seed_override=None) -> TaskSpec:
-    kw = dict(task)
-    kw["image_size"] = tuple(kw["image_size"])
     if seed_override is not None:
-        kw["seed"] = seed_override
-    return TaskSpec(**kw)
+        task = dict(task, seed=seed_override)
+    return _from_json(TaskSpec, task)
 
 
 def build_encoder_config(enc) -> EncoderConfig:
-    kw = dict(enc)
-    for key in ("norm_mean", "norm_std"):
-        if key in kw:
-            kw[key] = tuple(float(v) for v in kw[key])
-    return EncoderConfig(**kw)
+    return _from_json(EncoderConfig, enc)
 
 
 def build_pipeline_config(model) -> PipelineConfig:
-    kw = dict(model)
-    kw["encoder_a"] = build_encoder_config(model["encoder_a"])
-    kw["encoder_b"] = build_encoder_config(model["encoder_b"])
-    kw["lm"] = LMConfig(**model["lm"])
-    return PipelineConfig(**kw)
-
-
-def _stage_kwargs(stage) -> dict:
-    kw = {"steps": stage["steps"]}
-    for key in ("base_lr", "weight_decay", "warmup_steps"):
-        if key in stage:
-            kw[key] = stage[key]
-    kw["extra_frozen"] = tuple(stage.get("extra_frozen", ()))
-    return kw
+    return _from_json(PipelineConfig, model)
 
 
 def build_stage_plans(training, param_names):
@@ -272,11 +275,12 @@ def build_stage_plans(training, param_names):
     adapters = tuple(p for p in ADAPTER_PREFIXES
                      if any(n.startswith(p) for n in param_names))
     if training.get("freeze_vision_adapters", False):
-        kw = _stage_kwargs(training["stage2"])
-        kw["extra_frozen"] = tuple(kw["extra_frozen"]) + adapters
-        return [stage2_plan(**kw)], "encoders+adapters"
-    plans = [stage1_plan(**_stage_kwargs(training["stage1"])),
-             stage2_plan(**_stage_kwargs(training["stage2"]))]
+        stage = training["stage2"]
+        extra = tuple(stage.get("extra_frozen", ())) + adapters
+        return ([stage2_plan(**dict(stage, extra_frozen=extra))],
+                "encoders+adapters")
+    plans = [stage1_plan(**training["stage1"]),
+             stage2_plan(**training["stage2"])]
     return plans, "encoders"
 
 
@@ -284,13 +288,9 @@ def planned_patches(cfg: PipelineConfig, image_size) -> int:
     """Patch count the tiler will produce for this image size."""
     from .tiling import select_grid
 
-    if not cfg.tiling:
-        return 1
-    grid = select_grid(image_size[0], image_size[1], cfg.max_tiles)
-    n = grid.n_tiles
-    if cfg.thumbnail and n > 1:
-        n += 1
-    return n
+    max_tiles, thumbnail = cfg.tiler_args()
+    n = select_grid(image_size[0], image_size[1], max_tiles).n_tiles
+    return n + 1 if thumbnail and n > 1 else n
 
 
 def evaluate(model: Pipeline, samples, max_new: int = 4) -> float:

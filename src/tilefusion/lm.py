@@ -46,11 +46,10 @@ class LMConfig:
     d_lm: int
     layers: int
     heads: int
-    vocab: int = VOCAB_SIZE
     context_limit: int = 512
 
     def __post_init__(self):
-        if min(self.d_lm, self.layers, self.heads, self.vocab) < 1:
+        if min(self.d_lm, self.layers, self.heads) < 1:
             raise ConfigError("LM dims must all be positive")
         if self.d_lm % self.heads != 0:
             raise ConfigError(
@@ -76,7 +75,7 @@ class LanguageModel:
         rng = np.random.default_rng(seed)
         d = cfg.d_lm
         P = tz.Parameter
-        self.embed = P("lm.embed", rng.standard_normal((cfg.vocab, d)) * 0.02)
+        self.embed = P("lm.embed", rng.standard_normal((VOCAB_SIZE, d)) * 0.02)
         self.pos = P("lm.pos", rng.standard_normal((cfg.context_limit, d)) * 0.02)
         self.blocks = [init_block(f"lm.block{i}", d, rng)
                        for i in range(cfg.layers)]
@@ -86,7 +85,7 @@ class LanguageModel:
         # anything upstream, and the projector-only training stage needs
         # gradients to flow through a frozen head
         self.head = P("lm.head",
-                      rng.standard_normal((d, cfg.vocab)) * 0.02)
+                      rng.standard_normal((d, VOCAB_SIZE)) * 0.02)
 
     def parameters(self) -> list[tz.Parameter]:
         out = [self.embed, self.pos]
@@ -143,7 +142,7 @@ class LanguageModel:
                 tz.slice_axis(logits, 1, 0, L - 1), batch.token_ids[:, 1:],
                 batch.loss_mask[:, 1:])
         if seq is not batch:
-            logits = tz.reshape(logits, (L, self.cfg.vocab))
+            logits = tz.reshape(logits, (L, VOCAB_SIZE))
         return LMOutput(logits, loss)
 
     def greedy_decode(self, seq: AssembledSequence, max_new: int,

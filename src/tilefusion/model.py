@@ -74,7 +74,7 @@ class PipelineConfig:
     encoder_a: EncoderConfig
     encoder_b: EncoderConfig
     lm: LMConfig
-    tile_size: int = 32
+    tile_size: int
     max_tiles: int = 6
     tiling: bool = True
     thumbnail: bool = True
@@ -115,6 +115,13 @@ class PipelineConfig:
 
     def _uses(self, branch: str) -> bool:
         return branch in self.encoders.split("+")
+
+    def tiler_args(self) -> tuple:
+        """(max_tiles, thumbnail) the tiler runs with; tiling=False
+        means one tile and no thumbnail."""
+        if self.tiling:
+            return self.max_tiles, self.thumbnail
+        return 1, False
 
     @property
     def width_a(self) -> int:
@@ -231,10 +238,9 @@ class Pipeline:
             p.frozen = any(p.name.startswith(pre) for pre in prefixes)
 
     def segment_image(self, image: ImageBuffer):
-        if self.cfg.tiling:
-            return segment(image, self.cfg.tile_size, self.cfg.max_tiles,
-                           thumbnail=self.cfg.thumbnail)
-        return segment(image, self.cfg.tile_size, 1, thumbnail=False)
+        max_tiles, thumbnail = self.cfg.tiler_args()
+        return segment(image, self.cfg.tile_size, max_tiles,
+                       thumbnail=thumbnail)
 
     def branch_tokens(self, image: ImageBuffer) -> dict:
         """Frozen half of encode_image: tile, encode, unshuffle.

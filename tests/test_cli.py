@@ -3,10 +3,17 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from tilefusion.cli import main
 from tilefusion.datagen import load_dataset
+from tilefusion.experiment import build_pipeline_config, load_config, \
+    planned_patches
+from tilefusion.model import Pipeline
+from tilefusion.tiling import ImageBuffer
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def tiny_cfg():
@@ -194,6 +201,22 @@ class TestInspectTiling:
         assert "patches: 4" in text
         assert "tokens per tile: 32" in text
         assert "tokens per image: 128" in text
+
+    @pytest.mark.parametrize("name", ["tile-detail-tiled",
+                                      "tile-detail-untiled"])
+    def test_config_report_matches_the_pipeline(self, name, capsys):
+        path = os.path.join(CONFIG_DIR, f"{name}.json")
+        assert main(["inspect-tiling", "96x32", "--config", path]) == 0
+        text = capsys.readouterr().out
+        cfg = build_pipeline_config(load_config(path)["model"])
+        tiles = Pipeline(cfg).segment_image(ImageBuffer(np.zeros((32, 96, 3))))
+        patches = len(tiles.patches)
+        assert patches == (4 if cfg.tiling else 1)
+        assert patches == planned_patches(cfg, (96, 32))
+        assert f"thumbnail: {'yes' if cfg.tiling else 'no'}\n" in text
+        assert f"patches: {patches}\n" in text
+        assert (f"tokens per image: {cfg.tokens_per_tile() * patches}\n"
+                in text)
 
     def test_bad_size_exits_2(self, capsys):
         assert main(["inspect-tiling", "wide"]) == 2
