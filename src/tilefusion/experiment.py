@@ -32,7 +32,7 @@ from .datagen import (
     check_frequency_separation,
     generate,
 )
-from .encoders import EncoderConfig
+from .encoders import IN_CHANNELS, EncoderConfig
 from .errors import ConfigError
 from .fusion import FUSION_KINDS
 from .lm import LMConfig
@@ -202,6 +202,22 @@ def _validate_stage(stage, problems, prefix):
                     f"expected one of {KNOWN_PREFIXES}")
 
 
+def _check_channel_stats(enc, problems, prefix):
+    """norm_mean and norm_std hold one number per input channel, and
+    no std is zero: normalize would otherwise fail at the first encode."""
+    for key in ("norm_mean", "norm_std"):
+        stats = enc.get(key)
+        if not isinstance(stats, list):
+            continue  # absent, or already reported as not a list
+        ok = (len(stats) == IN_CHANNELS
+              and all(_is_type(v, float) for v in stats))
+        if ok and key == "norm_std" and 0 in stats:
+            problems.append(f"{prefix}{key}: every std must be nonzero")
+        elif not ok:
+            problems.append(f"{prefix}{key}: expected {IN_CHANNELS} "
+                            "numbers, one per input channel")
+
+
 def validate_experiment_config(cfg) -> list:
     """Collect every schema problem in one pass."""
     problems = []
@@ -224,6 +240,10 @@ def validate_experiment_config(cfg) -> list:
             if isinstance(fusion, str) and fusion not in FUSION_KINDS:
                 problems.append(
                     f"model.fusion: must be one of {FUSION_KINDS}")
+            for branch in ("encoder_a", "encoder_b"):
+                if isinstance(model.get(branch), dict):
+                    _check_channel_stats(model[branch], problems,
+                                         f"model.{branch}.")
     training = cfg.get("training")
     if isinstance(training, dict):
         if _check_section(problems, training, _TRAIN_SCHEMA,

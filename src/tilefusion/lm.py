@@ -16,6 +16,16 @@ carry no loss. The batch loss is the mean of the samples' masked
 losses. Padding can move a sample's logits by rounding only: a softmax
 row sum over more (zero) weights may group differently.
 
+loss(batch) is forward(batch).loss without the logits nothing reads,
+and is what training runs; forward stays the reference it is tested
+against. Every block but the last must still run all L rows, as keys
+and values for later rows. The last block takes queries_from = the
+earliest row whose next token some sample supervises, so its queries
+and MLP, the final norm and the [B, rows, V] head run on those rows
+only; shipped answers are one character, so that is a few rows of L.
+The loss agrees with forward's to rounding (matmuls over fewer rows may
+sum in another order).
+
 forward optionally takes a KVCache holding every block's keys and
 values for the positions already run. The sequence is then a
 continuation that starts at the cached length: its rows take positional
@@ -23,9 +33,11 @@ embeddings from there on, row i may attend to key j only when
 j <= start + i (the same causal mask, offset by start), the budget check
 covers start + L, and its keys and values are appended to the cache.
 greedy_decode runs the prompt once into a fresh cache and then each
-emitted token as a one-position continuation. Cached logits agree with
-a full recompute to rounding (not bitwise: the one-row matmuls may sum
-in a different order).
+emitted token as a one-position continuation. The cache holds arrays,
+not graph nodes: decoding runs outside the graph, and nothing
+differentiates through it. Cached logits agree with a full recompute
+to rounding (not bitwise: the one-row matmuls may sum in a different
+order).
 """
 from __future__ import annotations
 
@@ -94,6 +106,32 @@ class LanguageModel:
         out.extend([self.norm_out_g, self.norm_out_b, self.head])
         return out
 
+    def _inputs(self, batch: SequenceBatch, start: int) -> tuple:
+        """Checks, then (the first block's input, the causal mask) for a
+        batch whose first row is position start."""
+        B, L = batch.token_ids.shape
+        if L < 1:
+            raise ContractError("cannot run the LM on an empty sequence")
+        if start + L > self.cfg.context_limit:
+            raise BudgetError(required=start + L,
+                              available=self.cfg.context_limit)
+        if batch.embeddings.shape[2] != self.cfg.d_lm:
+            raise ContractError(
+                f"sequence width {batch.embeddings.shape[2]} != "
+                f"d_lm {self.cfg.d_lm}"
+            )
+        causal = np.where(
+            np.arange(start + L)[None, :] > start + np.arange(L)[:, None],
+            NEG_INF, 0.0)
+        # a broadcast view, not a copy: every block adds it to its scores
+        mask = np.broadcast_to(causal, (B, self.cfg.heads, L, start + L))
+        pos = tz.slice_axis(self.pos, 0, start, start + L)
+        return tz.add_rowvec(batch.embeddings, pos), mask
+
+    def _head(self, x: tz.Tensor) -> tz.Tensor:
+        return tz.matmul(tz.layernorm(x, self.norm_out_g, self.norm_out_b),
+                         self.head)
+
     def forward(self, seq: AssembledSequence | SequenceBatch,
                 with_loss: bool = True,
                 cache: KVCache | None = None) -> LMOutput:
@@ -110,32 +148,14 @@ class LanguageModel:
             batch = SequenceBatch(
                 tz.reshape(seq.embeddings, (1,) + seq.embeddings.shape),
                 seq.token_ids[None], seq.loss_mask[None])
-        B, L = batch.token_ids.shape
+        L = batch.token_ids.shape[1]
         start = 0 if cache is None else cache.length
-        if L < 1:
-            raise ContractError("cannot run the LM on an empty sequence")
-        if start + L > self.cfg.context_limit:
-            raise BudgetError(required=start + L,
-                              available=self.cfg.context_limit)
-        if batch.embeddings.shape[2] != self.cfg.d_lm:
-            raise ContractError(
-                f"sequence width {batch.embeddings.shape[2]} != "
-                f"d_lm {self.cfg.d_lm}"
-            )
-        causal = np.where(
-            np.arange(start + L)[None, :] > start + np.arange(L)[:, None],
-            NEG_INF, 0.0)
-        # a broadcast view, not a copy: every block adds it to its scores
-        mask = tz.Tensor(np.broadcast_to(
-            causal, (B, self.cfg.heads, L, start + L)))
-        pos = tz.slice_axis(self.pos, 0, start, start + L)
-        x = tz.add_rowvec(batch.embeddings, pos)
+        x, mask = self._inputs(batch, start)
         for i, blk in enumerate(self.blocks):
             x = run_block(x, blk, self.cfg.heads, mask, cache, i)
         if cache is not None:
             cache.length = start + L
-        x = tz.layernorm(x, self.norm_out_g, self.norm_out_b)
-        logits = tz.matmul(x, self.head)
+        logits = self._head(x)
         loss = None
         if with_loss:
             loss = tz.masked_cross_entropy(
@@ -144,6 +164,28 @@ class LanguageModel:
         if seq is not batch:
             logits = tz.reshape(logits, (L, VOCAB_SIZE))
         return LMOutput(logits, loss)
+
+    def loss(self, batch: SequenceBatch) -> tz.Tensor:
+        """forward(batch).loss, computing only the logits it reads.
+
+        Row r's logits predict token r + 1, so the rows read start at
+        first, the earliest row whose next token some sample supervises.
+        The last block runs rows first: as queries, and the final norm
+        and the head run on rows first to L - 2. With nothing
+        supervised, first is L - 1: the loss is 0.0 and every gradient
+        exactly zero, as with forward.
+        """
+        L = batch.token_ids.shape[1]
+        x, mask = self._inputs(batch, 0)
+        read = np.flatnonzero(batch.loss_mask[:, 1:].any(axis=0))
+        first = int(read[0]) if read.size else L - 1
+        last = len(self.blocks) - 1
+        for i, blk in enumerate(self.blocks):
+            x = run_block(x, blk, self.cfg.heads, mask,
+                          queries_from=first if i == last else 0)
+        logits = self._head(tz.slice_axis(x, 1, 0, L - 1 - first))
+        return tz.masked_cross_entropy(logits, batch.token_ids[:, first + 1:],
+                                       batch.loss_mask[:, first + 1:])
 
     def greedy_decode(self, seq: AssembledSequence, max_new: int,
                       eos_id: int | None = None) -> list[int]:

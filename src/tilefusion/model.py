@@ -17,11 +17,12 @@ fusing each of its images on its own.
 
 Frozen encoders cost one forward pass per distinct image per Pipeline:
 frozen_tokens keeps each image's detached post-unshuffle tokens in
-token_cache, keyed by the image's shape and the sha1 of its pixel
-bytes, across every run_stage call. The cache holds only for the
-encoder weights it was filled with; sync_token_cache, which run_stage
-calls once, empties it when their digest has changed (restore, or any
-write to a weight). answer never touches it.
+token_cache, keyed by the image's content_key (its shape and the sha1
+of its pixel bytes, hashed once per ImageBuffer), across every
+run_stage call. The cache holds only for the encoder weights it was
+filled with; sync_token_cache, which run_stage calls once, empties it
+when their digest has changed (restore, or any write to a weight).
+answer never touches it.
 
 Parameter names are namespaced by component ("encoderA.", "projectorB.",
 "fusion.down", "lm.") so training stages can freeze whole subsystems by
@@ -277,13 +278,11 @@ class Pipeline:
         Only for frozen encoders: a miss encodes the image and keeps the
         result, a hit returns it without running any encoder.
         """
-        pixels = np.ascontiguousarray(image.pixels)
-        key = (pixels.shape, hashlib.sha1(pixels).digest())
-        tokens = self.token_cache.get(key)
+        tokens = self.token_cache.get(image.content_key)
         if tokens is None:
             tokens = {label: TokenGrid(Tensor(grid.data.data))
                       for label, grid in self.branch_tokens(image).items()}
-            self.token_cache[key] = tokens
+            self.token_cache[image.content_key] = tokens
         return tokens
 
     def fuse_images(self, tokens: list) -> VisualSequence:

@@ -19,6 +19,12 @@ garbage collector. To keep it so, a backward closure receives its output
 gradient as its argument (``backward`` calls ``node._backward(node.grad)``)
 and must never capture its output tensor.
 
+The array-level forward and backward formulas of layernorm, GELU and
+softmax (``*_forward``/``*_backward``) are kept apart from their Tensor
+primitives, so that transformer.run_block, a fused node built with the
+same ``_make``/``_accum`` protocol as the primitives, runs the same
+arithmetic as the ops it replaces.
+
 Broadcasting is deliberately restricted: elementwise ops demand equal
 shapes, scalars are explicit (``mul_scalar``), and adding one tensor to
 every leading index of another (a bias over the trailing dim, positional
@@ -239,65 +245,129 @@ def permute(x: Tensor, axes: Sequence[int]) -> Tensor:
     return out
 
 
-def softmax_lastdim(x: Tensor) -> Tensor:
-    """Softmax along the last axis (max-shifted for stability)."""
+def softmax_forward(x: np.ndarray) -> np.ndarray:
+    """Softmax of an array along its last axis (max-shifted for stability)."""
     # one buffer, not three: encoder attention scores run to megabytes,
     # and each fresh transient of that size is page-faulted in anew
-    p = x.data - x.data.max(axis=-1, keepdims=True)
+    p = x - x.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     np.divide(p, p.sum(axis=-1, keepdims=True), out=p)
+    return p
+
+
+def softmax_backward(g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Gradient of the softmax input, given its output p and output grad g."""
+    dot = (g * p).sum(axis=-1, keepdims=True)
+    return (g - dot) * p
+
+
+def softmax_lastdim(x: Tensor) -> Tensor:
+    """Softmax along the last axis (max-shifted for stability)."""
+    p = softmax_forward(x.data)
     out = _make(p, (x,))
     if out.requires_grad:
-        def backward(g):
-            dot = (g * p).sum(axis=-1, keepdims=True)
-            _accum(x, (g - dot) * p)
-        out._backward = backward
+        out._backward = lambda g: _accum(x, softmax_backward(g, p))
     return out
 
 
-def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+LN_EPS = 1e-5
+
+
+def layernorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                      eps: float = LN_EPS) -> tuple:
+    """(output, xhat, inv) of layer normalization over the last axis;
+    xhat and inv = 1 / std are what layernorm_backward needs."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    out = xhat * gamma
+    out += beta
+    return out, xhat, inv
+
+
+def layernorm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
+                       gamma: Tensor, beta: Tensor) -> np.ndarray:
+    """Accumulate gamma's and beta's gradients (those that require
+    grad); return the gradient of the normalized input."""
+    d = xhat.shape[-1]
+    if beta.requires_grad:
+        _accum(beta, g.reshape(-1, d).sum(axis=0))
+    if gamma.requires_grad:
+        _accum(gamma, (g * xhat).reshape(-1, d).sum(axis=0))
+    gx = g * gamma.data
+    m1 = gx.mean(axis=-1, keepdims=True)
+    m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+    gx -= m1
+    gx -= xhat * m2
+    gx *= inv
+    return gx
+
+
+def layernorm(x: Tensor, gamma: Tensor, beta: Tensor,
+              eps: float = LN_EPS) -> Tensor:
     """Layer normalization over the last axis with affine gain/shift."""
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise DimensionError(
             f"layernorm affine shapes {gamma.shape}/{beta.shape} vs feature dim {d}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = _make(xhat * gamma.data + beta.data, (x, gamma, beta))
+    data, xhat, inv = layernorm_forward(x.data, gamma.data, beta.data, eps)
+    out = _make(data, (x, gamma, beta))
     if out.requires_grad:
-        def backward(g):
-            if beta.requires_grad:
-                _accum(beta, g.reshape(-1, d).sum(axis=0))
-            if gamma.requires_grad:
-                _accum(gamma, (g * xhat).reshape(-1, d).sum(axis=0))
-            if x.requires_grad:
-                gx = g * gamma.data
-                m1 = gx.mean(axis=-1, keepdims=True)
-                m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-                _accum(x, (gx - m1 - xhat * m2) * inv)
-        out._backward = backward
+        out._backward = lambda g: _accum(
+            x, layernorm_backward(g, xhat, inv, gamma, beta))
     return out
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
+def gelu_forward(x: np.ndarray) -> tuple:
+    """(GELU(x), tanh(u)): the tanh approximation and the tanh that
+    gelu_backward reuses."""
+    # x * x * x, not x ** 3: numpy's cube calls libm pow per element
+    # (3.4 ms against 0.04 ms for 44k elements with numpy 2.4). Both
+    # passes work in place, each step the same arithmetic as the plain
+    # expression, which with a fresh temporary per step took ~1.7x as
+    # long on an [8, 43, 128] input.
+    u = x * x
+    u *= x
+    u *= 0.044715
+    u += x
+    u *= _GELU_C
+    t = np.tanh(u, out=u)
+    y = 1.0 + t
+    y *= x
+    y *= 0.5
+    return y, t
+
+
+def gelu_backward(g: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Gradient of GELU's input x, given g and gelu_forward's tanh t
+    (the exact derivative of the approximation)."""
+    du = x * x  # du/dx
+    du *= 3 * 0.044715
+    du += 1.0
+    du *= _GELU_C
+    dy = t * t
+    np.subtract(1.0, dy, out=dy)
+    dy *= x
+    dy *= 0.5
+    dy *= du
+    np.add(1.0, t, out=du)  # du's buffer, done with, now holds 1 + t
+    du *= 0.5
+    dy += du
+    dy *= g
+    return dy
+
+
 def gelu(x: Tensor) -> Tensor:
     """GELU, tanh approximation (exact derivative of the approximation)."""
-    # x * x * x, not x ** 3: numpy's cube calls libm pow per element
-    # (3.4 ms against 0.04 ms for 44k elements with numpy 2.4)
-    u = _GELU_C * (x.data + 0.044715 * (x.data * x.data * x.data))
-    t = np.tanh(u)
-    out = _make(0.5 * x.data * (1.0 + t), (x,))
+    data, t = gelu_forward(x.data)
+    out = _make(data, (x,))
     if out.requires_grad:
-        def backward(g):
-            du = _GELU_C * (1.0 + 3 * 0.044715 * x.data ** 2)
-            dy = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t ** 2) * du
-            _accum(x, g * dy)
-        out._backward = backward
+        out._backward = lambda g: _accum(x, gelu_backward(g, x.data, t))
     return out
 
 

@@ -11,9 +11,11 @@ reader and writer map 8-bit files to [0, 1] by dividing by 255.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -33,22 +35,37 @@ class TileGrid(NamedTuple):
         return TileGrid(self.rows, self.cols)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ImageBuffer:
     """A float64 HWC pixel array. Loader output lives in [0, 1];
-    normalized buffers may leave that range."""
+    normalized buffers may leave that range.
+
+    The pixels are read-only from construction on (a view of another
+    array is copied first, since its base could still be written), so
+    content_key, computed on first use, cannot go stale.
+    """
 
     pixels: np.ndarray
 
     def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.float64)
-        if self.pixels.ndim != 3:
+        pixels = np.asarray(self.pixels, dtype=np.float64)
+        if pixels.ndim != 3:
             raise DimensionError(
-                f"image pixels must be H x W x C, got shape {self.pixels.shape}"
+                f"image pixels must be H x W x C, got shape {pixels.shape}"
             )
-        h, w, _ = self.pixels.shape
+        h, w, _ = pixels.shape
         if h < 1 or w < 1:
             raise DimensionError(f"image dims must be positive, got {h}x{w}")
+        if pixels.base is not None:
+            pixels = pixels.copy()
+        pixels.flags.writeable = False
+        object.__setattr__(self, "pixels", pixels)
+
+    @cached_property
+    def content_key(self) -> tuple:
+        """(shape, sha1 of the pixel bytes): equal for equal images."""
+        return (self.pixels.shape,
+                hashlib.sha1(np.ascontiguousarray(self.pixels)).digest())
 
     @property
     def height(self) -> int:

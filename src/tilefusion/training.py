@@ -17,7 +17,11 @@ Each step builds one right-padded [B, L, d] batch
 images, one row gather) and runs the LM on it once: one graph per step,
 not one per sample. The causal mask keeps every pad out of every real
 position's attention, and pads carry no loss, so the step loss is the
-mean of the samples' masked losses.
+mean of the samples' masked losses. The step runs LanguageModel.loss,
+not forward: the same loss up to rounding, with the last block's
+queries, the final norm and the head run only on the rows the loss
+reads (from the earliest supervised next token on), where forward
+computes every logit.
 
 Every step draws its batch from a generator keyed by (seed, stage,
 step), so a resumed run reconstructs the exact batch sequence without
@@ -339,7 +343,7 @@ def run_stage(plan: StagePlan, model, dataset, seed: int,
     not per stage, and receive no gradient. The cache is checked once
     here against a digest of the encoder weights and emptied if they
     changed. A step's samples are then spliced into one padded batch
-    (Pipeline.assemble_batch) and run through the LM in one call;
+    (Pipeline.assemble_batch) and run through the LM's loss in one call;
     padding on the right is safe because the causal mask already hides
     each pad from every real position. No frozen parameter accumulates
     a gradient during the call, and the stage's AdamW, built after the
@@ -374,7 +378,7 @@ def run_stage(plan: StagePlan, model, dataset, seed: int,
             tokens = [[model.frozen_tokens(img) for img in s.images]
                       for s in samples]
             batch = model.assemble_batch(samples, tokens)
-            mean_loss = model.lm.forward(batch).loss
+            mean_loss = model.lm.loss(batch)
             loss = mean_loss.item()
             if not np.isfinite(loss):
                 raise ContractError(

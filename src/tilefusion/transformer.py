@@ -2,10 +2,21 @@
 
 x + attn(norm1(x)), then x + mlp(norm2(x)) with a 4d-wide GELU MLP, on
 [N, T, d]: N tiles for an encoder, N sequences for the LM. Attention
-takes an optional additive mask of the scores' shape [N, heads, T, S]
-and an optional KVCache whose earlier keys and values come first, so S
-is the cached length plus T. Checkpoints and seeds rely on init_block's
-parameter names and on its draw order: wq, wk, wv, wo, w1, w2.
+takes an optional additive mask [N, heads, T, S] and an optional KVCache
+whose earlier keys and values come first, so S is the cached length
+plus T. Checkpoints and seeds rely on init_block's parameter names and
+on its draw order: wq, wk, wv, wo, w1, w2.
+
+run_block is one autograd node, not ~25: its forward runs on arrays and
+keeps the activations its backward needs, and its backward is derived
+by hand, in the order of the composed-op graph (tests/block_oracle.py,
+which it equals bitwise). It accumulates into x and into each block
+parameter that requires grad. The formulas of layernorm, GELU and
+softmax are tensor.py's, shared with their primitives. queries_from
+(default 0) makes only rows queries_from: queries and outputs, while
+keys and values still cover every row: the offset a KVCache
+continuation applies from the other side. The LM's training loss uses
+it on its last block; encoders and decoding run every row.
 """
 
 from __future__ import annotations
@@ -13,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as tz
+from .errors import DimensionError
 
 
 def linear(name: str, rng, fan_in: int, fan_out: int) -> tz.Parameter:
@@ -42,18 +54,24 @@ def init_block(prefix: str, d: int, rng) -> dict:
 
 class KVCache:
     """Per-block keys and values, [N, heads, length, head_dim], of every
-    position run so far; filled by the blocks, length kept by the LM."""
+    position run so far; filled by the blocks, length kept by the LM.
+
+    The cache holds plain arrays, not Tensors: a cached continuation's
+    backward treats the earlier positions' keys and values as constants.
+    Nothing differentiates through a cache, because greedy decoding
+    (Pipeline.answer) runs outside the graph.
+    """
 
     def __init__(self):
         self.length = 0
-        self.keys: list[tz.Tensor] = []
-        self.values: list[tz.Tensor] = []
+        self.keys: list[np.ndarray] = []
+        self.values: list[np.ndarray] = []
 
-    def extend(self, layer: int, k: tz.Tensor, v: tz.Tensor) -> tuple:
+    def extend(self, layer: int, k: np.ndarray, v: np.ndarray) -> tuple:
         """Append one call's keys and values to layer's; return all."""
         if layer < len(self.keys):
-            k = tz.concat([self.keys[layer], k], axis=2)
-            v = tz.concat([self.values[layer], v], axis=2)
+            k = np.concatenate([self.keys[layer], k], axis=2)
+            v = np.concatenate([self.values[layer], v], axis=2)
             self.keys[layer], self.values[layer] = k, v
         else:
             self.keys.append(k)
@@ -62,26 +80,97 @@ class KVCache:
 
 
 def run_block(x: tz.Tensor, blk: dict, heads: int,
-              mask: tz.Tensor | None = None, cache: KVCache | None = None,
-              layer: int = 0) -> tz.Tensor:
-    """One pre-norm block over [N, T, d]; layer indexes the cache."""
+              mask: np.ndarray | None = None, cache: KVCache | None = None,
+              layer: int = 0, queries_from: int = 0) -> tz.Tensor:
+    """One pre-norm block over [N, T, d] as one graph node.
+
+    Keys and values cover all T rows (after the cache's, if any); only
+    rows queries_from: are queries, so the output is [N, T - queries_from,
+    d]. mask, if given, is additive and [N, heads, T, S]; the block uses
+    its rows queries_from:. layer indexes the cache.
+    """
     n, t, d = x.shape
     hd = d // heads
+    tq = t - queries_from
+    if not 0 <= queries_from < t:
+        raise DimensionError(f"queries_from {queries_from} outside [0, {t})")
+    p = {name: w.data for name, w in blk.items()}
+    scale = 1.0 / np.sqrt(hd)
 
-    def split(y):  # [N, T, d] -> [N, heads, T, hd]
-        return tz.permute(tz.reshape(y, (n, t, heads, hd)), (0, 2, 1, 3))
+    def split(y, rows):  # [N, rows, d] -> [N, heads, rows, hd]
+        return y.reshape(n, rows, heads, hd).transpose(0, 2, 1, 3)
 
-    normed = tz.layernorm(x, blk["norm1.g"], blk["norm1.b"])
-    q, k, v = (split(tz.matmul(normed, blk[w])) for w in ("wq", "wk", "wv"))
+    def merge(y, rows):  # [N, heads, rows, hd] -> contiguous [N, rows, d]
+        # contiguous, so every matmul below takes numpy's BLAS path, as
+        # the composed graph's gradient buffers do
+        return np.ascontiguousarray(y.transpose(0, 2, 1, 3)).reshape(
+            n, rows, d)
+
+    h1, xhat1, inv1 = tz.layernorm_forward(x.data, p["norm1.g"],
+                                           p["norm1.b"])
+    hq = h1[:, queries_from:]
+    q = split(np.matmul(hq, p["wq"]), tq)
+    k = split(np.matmul(h1, p["wk"]), t)
+    v = split(np.matmul(h1, p["wv"]), t)
     if cache is not None:
         k, v = cache.extend(layer, k, v)
-    scores = tz.mul_scalar(tz.matmul(q, tz.permute(k, (0, 1, 3, 2))),
-                           1.0 / np.sqrt(hd))
+    scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * scale
     if mask is not None:
-        scores = tz.add(scores, mask)
-    mixed = tz.matmul(tz.softmax_lastdim(scores), v)
-    merged = tz.reshape(tz.permute(mixed, (0, 2, 1, 3)), (n, t, d))
-    x = tz.add(x, tz.matmul(merged, blk["wo"]))
-    normed = tz.layernorm(x, blk["norm2.g"], blk["norm2.b"])
-    hidden = tz.gelu(tz.add_rowvec(tz.matmul(normed, blk["w1"]), blk["b1"]))
-    return tz.add(x, tz.add_rowvec(tz.matmul(hidden, blk["w2"]), blk["b2"]))
+        if mask.shape != (n, heads, t, k.shape[2]):
+            raise DimensionError(f"mask {mask.shape} vs scores "
+                                 f"{(n, heads, t, k.shape[2])}")
+        scores += mask[:, :, queries_from:]
+    attn = tz.softmax_forward(scores)
+    merged = merge(np.matmul(attn, v), tq)
+    x1 = x.data[:, queries_from:] + np.matmul(merged, p["wo"])
+    h2, xhat2, inv2 = tz.layernorm_forward(x1, p["norm2.g"], p["norm2.b"])
+    pre = np.matmul(h2, p["w1"])
+    pre += p["b1"]
+    hidden, tanh = tz.gelu_forward(pre)
+    mlp = np.matmul(hidden, p["w2"])
+    mlp += p["b2"]
+    out = tz._make(x1 + mlp, (x,) + tuple(blk.values()))
+    if not out.requires_grad:
+        return out
+
+    def weight_grad(name, a, g):  # a: [..., fan_in], g: [..., fan_out]
+        w = blk[name]
+        if w.requires_grad:
+            tz._accum(w, a.reshape(-1, a.shape[-1]).T
+                      @ g.reshape(-1, g.shape[-1]))
+
+    def backward(g):
+        weight_grad("w2", hidden, g)
+        if blk["b2"].requires_grad:
+            tz._accum(blk["b2"], g.reshape(-1, d).sum(axis=0))
+        g_pre = tz.gelu_backward(np.matmul(g, p["w2"].T), pre, tanh)
+        weight_grad("w1", h2, g_pre)
+        if blk["b1"].requires_grad:
+            tz._accum(blk["b1"], g_pre.reshape(-1, 4 * d).sum(axis=0))
+        g_x1 = tz.layernorm_backward(np.matmul(g_pre, p["w1"].T), xhat2,
+                                     inv2, blk["norm2.g"], blk["norm2.b"])
+        g_x1 += g
+        weight_grad("wo", merged, g_x1)
+        g_mixed = split(np.matmul(g_x1, p["wo"].T), tq)
+        g_v = np.matmul(attn.transpose(0, 1, 3, 2), g_mixed)
+        g_scores = tz.softmax_backward(
+            np.matmul(g_mixed, v.transpose(0, 1, 3, 2)), attn)
+        g_scores *= scale
+        g_q = merge(np.matmul(g_scores, k), tq)
+        g_k = np.matmul(q.transpose(0, 1, 3, 2), g_scores)  # [N, h, hd, S]
+        # cached positions come first and are constants
+        g_k = merge(g_k[..., -t:].transpose(0, 1, 3, 2), t)
+        g_v = merge(g_v[:, :, -t:], t)
+        weight_grad("wq", hq, g_q)
+        weight_grad("wk", h1, g_k)
+        weight_grad("wv", h1, g_v)
+        g_h1 = np.matmul(g_k, p["wk"].T)
+        g_h1[:, queries_from:] += np.matmul(g_q, p["wq"].T)
+        g_h1 += np.matmul(g_v, p["wv"].T)
+        g_x = tz.layernorm_backward(g_h1, xhat1, inv1, blk["norm1.g"],
+                                    blk["norm1.b"])
+        g_x[:, queries_from:] += g_x1
+        tz._accum(x, g_x)
+
+    out._backward = backward
+    return out

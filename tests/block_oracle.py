@@ -1,0 +1,46 @@
+"""The transformer block composed from tensor primitives: the oracle.
+
+transformer.run_block runs the block as one graph node with a hand
+derived backward; this is the same block built op by op, whose backward
+is the autograd of the primitives. Tests compare the two, output and
+every gradient. Same arguments as transformer.run_block; the cache's
+earlier keys and values enter the graph as constants.
+"""
+
+import numpy as np
+
+from tilefusion import tensor as tz
+
+
+def run_block(x, blk, heads, mask=None, cache=None, layer=0,
+              queries_from=0):
+    n, t, d = x.shape
+    hd = d // heads
+
+    def split(y, rows):  # [N, rows, d] -> [N, heads, rows, hd]
+        return tz.permute(tz.reshape(y, (n, rows, heads, hd)), (0, 2, 1, 3))
+
+    normed = tz.layernorm(x, blk["norm1.g"], blk["norm1.b"])
+    queries = normed
+    if queries_from:
+        queries = tz.slice_axis(normed, 1, queries_from, t)
+        x = tz.slice_axis(x, 1, queries_from, t)
+    q = split(tz.matmul(queries, blk["wq"]), t - queries_from)
+    k, v = (split(tz.matmul(normed, blk[w]), t) for w in ("wk", "wv"))
+    if cache is not None:
+        past = cache.keys[layer].shape[2] if layer < len(cache.keys) else 0
+        all_k, all_v = cache.extend(layer, k.data, v.data)
+        if past:
+            k = tz.concat([tz.Tensor(all_k[:, :, :past]), k], axis=2)
+            v = tz.concat([tz.Tensor(all_v[:, :, :past]), v], axis=2)
+    scores = tz.mul_scalar(tz.matmul(q, tz.permute(k, (0, 1, 3, 2))),
+                           1.0 / np.sqrt(hd))
+    if mask is not None:
+        scores = tz.add(scores, tz.Tensor(mask[:, :, queries_from:]))
+    mixed = tz.matmul(tz.softmax_lastdim(scores), v)
+    merged = tz.reshape(tz.permute(mixed, (0, 2, 1, 3)),
+                        (n, t - queries_from, d))
+    x = tz.add(x, tz.matmul(merged, blk["wo"]))
+    normed = tz.layernorm(x, blk["norm2.g"], blk["norm2.b"])
+    hidden = tz.gelu(tz.add_rowvec(tz.matmul(normed, blk["w1"]), blk["b1"]))
+    return tz.add(x, tz.add_rowvec(tz.matmul(hidden, blk["w2"]), blk["b2"]))

@@ -150,6 +150,31 @@ class TestValidation:
         assert "extra_frozen" in text
         assert "decoder." in text
 
+    @pytest.mark.parametrize("key, value", [
+        ("norm_mean", [0.5, 0.5]),
+        ("norm_std", [0.5, 0.5, 0.5, 0.5]),
+        ("norm_mean", ["0.5", 0.5, 0.5]),
+        ("norm_std", [0.5, True, 0.5]),
+        ("norm_std", [0.5, 0.0, 0.5]),
+    ], ids=["short", "long", "string", "bool", "zero-std"])
+    def test_channel_stats_checked_before_any_compute(self, key, value):
+        cfg = tiny_cfg()
+        cfg["model"]["encoder_b"][key] = value
+        assert [p.split(":")[0] for p in validate_experiment_config(cfg)] \
+            == [f"model.encoder_b.{key}"]
+
+    def test_channel_stat_problems_share_one_report(self):
+        cfg = tiny_cfg()
+        cfg["model"]["encoder_a"]["norm_mean"] = [0.5, 0.5]
+        cfg["model"]["encoder_b"]["norm_std"] = [1, "x", 1]
+        cfg["model"]["fusion"] = "mean-pool"
+        cfg["model"]["encoder_a"]["norm_std"] = [1, 2, 3]  # ints are fine
+        text = "; ".join(validate_experiment_config(cfg))
+        assert "model.encoder_a.norm_mean: expected 3 numbers" in text
+        assert "model.encoder_b.norm_std: expected 3 numbers" in text
+        assert "model.fusion" in text
+        assert "encoder_a.norm_std" not in text
+
     def test_load_config_raises_with_all_problems(self, tmp_path):
         cfg = tiny_cfg()
         cfg["model"]["fusion"] = "mean-pool"

@@ -20,6 +20,7 @@ from tilefusion.assembly import (
     VOCAB_SIZE,
     AssembledSequence,
     ByteTokenizer,
+    SequenceBatch,
     build_prompt,
     splice,
 )
@@ -122,6 +123,65 @@ def test_all_mask_false_gives_zero_loss_and_zero_grads():
     for p in lm.parameters():
         if p.grad is not None:
             assert np.abs(p.grad).max() == 0.0, p.name
+
+
+# ---------------------------------------------------------------------------
+# LanguageModel.loss: forward(batch).loss from the rows the loss reads
+
+
+def raw_batch(lm, mask, seed):
+    """Random ids and their embeddings, as one [B, L] batch."""
+    mask = np.asarray(mask, dtype=bool)
+    ids = np.random.default_rng(seed).integers(0, 256, size=mask.shape)
+    emb = tz.embedding_lookup(lm.embed, ids.reshape(-1))
+    return SequenceBatch(tz.reshape(emb, mask.shape + (lm.cfg.d_lm,)),
+                         ids, mask)
+
+
+def loss_and_grads(lm, make_batch, loss_fn):
+    for p in lm.parameters():
+        p.zero_grad()
+    loss = loss_fn(make_batch())  # a fresh graph for each backward
+    tz.backward(loss)
+    return loss.item(), {p.name: p.grad for p in lm.parameters()}
+
+
+def assert_loss_matches_forward(lm, mask, seed):
+    def make_batch():
+        return raw_batch(lm, mask, seed)
+
+    got, got_grads = loss_and_grads(lm, make_batch, lm.loss)
+    want, want_grads = loss_and_grads(
+        lm, make_batch, lambda b: lm.forward(b).loss)
+    assert abs(got - want) <= 1e-15 * abs(want)
+    for name, g in want_grads.items():
+        assert tz.relative_error(got_grads[name], g) <= 1e-12, name
+    return got, got_grads
+
+
+def test_loss_of_all_false_mask_is_zero_with_zero_grads():
+    lm = random_head_lm(40)
+    got, grads = assert_loss_matches_forward(lm, np.zeros((3, 7)), 41)
+    assert got == 0.0
+    for name, g in grads.items():
+        assert g is not None and not g.any(), name
+
+
+def test_loss_of_one_position_sequences():
+    lm = random_head_lm(42)
+    got, grads = assert_loss_matches_forward(lm, [[True], [False]], 43)
+    assert got == 0.0
+    assert all(g is not None and not g.any() for g in grads.values())
+
+
+def test_loss_of_equal_length_batch():
+    lm = random_head_lm(44, layers=3)
+    mask = np.zeros((3, 9), dtype=bool)
+    mask[0, 7:] = True
+    mask[1, 4] = mask[1, 8] = True  # the earliest read row sets the cut
+    mask[2, 6:8] = True
+    got, _ = assert_loss_matches_forward(lm, mask, 45)
+    assert got > 0.0
 
 
 # ---------------------------------------------------------------------------

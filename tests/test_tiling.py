@@ -5,6 +5,7 @@ table of hand-frozen cases; segmentation is checked by bit-exact
 reassembly of the resized image; pixmap files round-trip byte-identical.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -334,3 +335,24 @@ def test_image_buffer_validation():
         ImageBuffer(np.zeros((4, 4)))
     with pytest.raises(DimensionError):
         ImageBuffer(np.zeros((0, 4, 3)))
+
+
+def test_image_buffer_pixels_cannot_change_under_its_key():
+    pixels = np.random.default_rng(9).random((4, 6, 3))
+    img = ImageBuffer(pixels)
+    key = img.content_key
+    with pytest.raises(ValueError):
+        img.pixels[0, 0, 0] = 0.5
+    with pytest.raises(ValueError):
+        pixels[0, 0, 0] = 0.5  # the array handed in is the buffer's own
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        img.pixels = np.zeros((4, 6, 3))
+    # a view is copied: writes through its base do not reach the buffer
+    base = np.zeros((4, 8, 3))
+    view = ImageBuffer(base[:, :6])
+    view_key = view.content_key
+    base[...] = 1.0
+    assert not view.pixels.any() and view.content_key == view_key
+    assert img.content_key == key
+    assert ImageBuffer(pixels.copy()).content_key == key
+    assert ImageBuffer(pixels[:, ::-1]).content_key != key

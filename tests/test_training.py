@@ -697,6 +697,23 @@ def test_batched_loss_gradient_matches_finite_differences():
         assert tz.relative_error(got, fd) < 1e-4, p.name
 
 
+@pytest.mark.parametrize("data", [make_dataset(4), mixed_dataset()],
+                         ids=["equal-length", "mixed-length"])
+def test_lm_loss_matches_forward_loss(data):
+    """run_stage's LanguageModel.loss, which runs the last block and the
+    head only on rows the loss reads, against forward(batch).loss."""
+    model = stage2_model()
+    want_loss = batched_mean(model, data)
+    want = trainable_grads(model, want_loss)
+    got_loss = model.lm.loss(model.assemble_batch(data))
+    got = trainable_grads(model, got_loss)
+    assert abs(got_loss.item() - want_loss.item()) <= \
+        1e-15 * want_loss.item()
+    assert got.keys() == want.keys()
+    for name, g in want.items():
+        assert tz.relative_error(got[name], g) <= 1e-12, name
+
+
 # The batched image side against the per-image oracle. Fusion is
 # tile-local and every op on the way is row-wise, so the visual rows,
 # provenance, batch and loss are bitwise. Trainable gradients are not:
@@ -840,6 +857,24 @@ def test_token_cache_refills_when_encoder_weights_change(monkeypatch, change):
                     fresh[label].data.data.tobytes()
     assert any(not np.array_equal(t["B"], model.token_cache[k]["B"].data.data)
                for k, t in old.items())
+
+
+def test_frozen_tokens_hashes_each_image_once(monkeypatch):
+    model = Pipeline(tiny_cfg(ctx=192), seed=5)
+    model.sync_token_cache()
+    hashed = []
+    sha1 = hashlib.sha1
+    monkeypatch.setattr(hashlib, "sha1",
+                        lambda data=b"": hashed.append(1) or sha1(data))
+    pixels = np.random.default_rng(8).random((16, 32, 3))
+    img = ImageBuffer(pixels)
+    first = model.frozen_tokens(img)
+    assert len(hashed) == 1
+    assert model.frozen_tokens(img) is first
+    assert len(hashed) == 1
+    # an equal image is another buffer: hashed once, then a hit
+    assert model.frozen_tokens(ImageBuffer(pixels.copy())) is first
+    assert len(hashed) == 2
 
 
 def test_new_pipeline_starts_with_empty_token_cache(monkeypatch):

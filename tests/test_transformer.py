@@ -1,0 +1,129 @@
+"""The fused transformer block against its composed oracle.
+
+transformer.run_block is one graph node with a hand-derived backward;
+tests/block_oracle.py builds the same block from tensor primitives.
+The two must agree bitwise, output and every gradient, with and without
+a mask, with queries_from > 0, after a pre-filled KV cache, and with
+some parameters left out of the graph. Finite differences check the
+fused node's gradients independently of both backward passes.
+"""
+
+import numpy as np
+import pytest
+
+import block_oracle
+from test_tensor import assert_freed_by_refcount
+from tilefusion import tensor as tz
+from tilefusion.errors import DimensionError
+from tilefusion.transformer import KVCache, init_block, run_block
+
+HEADS = 2
+D = 8
+NEG_INF = -1e30
+
+
+def make_case(n, t, queries_from=0, masked=False, past=0, seed=0):
+    """Fresh block parameters, input, mask, cache and output weights."""
+    rng = np.random.default_rng(seed)
+    blk = init_block("blk", D, rng)
+    for p in blk.values():  # off the init values, so no gradient is trivial
+        p.data[...] += 0.3 * rng.standard_normal(p.shape)
+    x = tz.Tensor(rng.standard_normal((n, t, D)), requires_grad=True)
+    hd = D // HEADS
+    cached = (rng.standard_normal((n, HEADS, past, hd)),
+              rng.standard_normal((n, HEADS, past, hd)))
+    mask = None
+    if masked:
+        causal = np.where(np.arange(past + t)[None, :]
+                          > past + np.arange(t)[:, None], NEG_INF, 0.0)
+        mask = np.broadcast_to(causal, (n, HEADS, t, past + t))
+    weights = tz.Tensor(rng.standard_normal((n, t - queries_from, D)))
+
+    def cache():
+        if not past:
+            return None
+        c = KVCache()
+        c.keys.append(cached[0].copy())
+        c.values.append(cached[1].copy())
+        c.length = past
+        return c
+
+    def loss(block):
+        out = block(x, blk, HEADS, mask, cache(), 0,
+                    queries_from=queries_from)
+        return tz.sum_all(tz.mul(out, weights)), out
+
+    return x, blk, loss
+
+
+CASES = {
+    "plain": dict(n=3, t=7),
+    "masked": dict(n=2, t=9, masked=True),
+    "queries-from": dict(n=3, t=11, queries_from=4, masked=True),
+    "queries-from-unmasked": dict(n=2, t=6, queries_from=5),
+    "pre-filled-cache": dict(n=2, t=3, masked=True, past=5),
+    "one-position-continuation": dict(n=1, t=1, masked=True, past=4),
+}
+
+
+def grads(x, blk, loss, block):
+    for t in [x, *blk.values()]:
+        t.zero_grad()
+    value, out = loss(block)
+    tz.backward(value)
+    return out.data, [t.grad for t in [x, *blk.values()]]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_fused_block_equals_composed_oracle_bitwise(case):
+    x, blk, loss = make_case(**CASES[case])
+    got_out, got = grads(x, blk, loss, run_block)
+    want_out, want = grads(x, blk, loss, block_oracle.run_block)
+    assert got_out.tobytes() == want_out.tobytes()
+    names = ["x", *blk]
+    for name, g, w in zip(names, got, want):
+        assert g is not None, name
+        assert g.tobytes() == w.tobytes(), name
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_fused_block_gradients_match_finite_differences(case):
+    x, blk, loss = make_case(**CASES[case])
+    _, got = grads(x, blk, loss, run_block)
+    rng = np.random.default_rng(1)
+    for t, g in zip([x, *blk.values()], got):
+        idx = rng.choice(t.size, size=min(t.size, 5), replace=False)
+        fd = tz.finite_difference_grad_at(
+            lambda _t: loss(run_block)[0], t, idx)
+        assert tz.relative_error(g.reshape(-1)[idx], fd) < 1e-4
+
+
+def test_fused_block_accumulates_only_into_what_requires_grad():
+    x, blk, loss = make_case(n=2, t=5, masked=True)
+    left_out = [blk[k] for k in ("norm1.g", "wk", "b1", "w2")]
+    with tz.outside_graph(left_out):
+        got_out, got = grads(x, blk, loss, run_block)
+        want_out, want = grads(x, blk, loss, block_oracle.run_block)
+    assert got_out.tobytes() == want_out.tobytes()
+    for t, g, w in zip([x, *blk.values()], got, want):
+        if any(t is p for p in left_out):
+            assert g is None and w is None
+        else:
+            assert g.tobytes() == w.tobytes()
+
+
+def test_fused_block_rejects_bad_mask_and_query_range():
+    x, blk, _ = make_case(n=2, t=4)
+    with pytest.raises(DimensionError):
+        run_block(x, blk, HEADS, np.zeros((2, HEADS, 3, 4)))
+    for queries_from in (-1, 4):
+        with pytest.raises(DimensionError):
+            run_block(x, blk, HEADS, queries_from=queries_from)
+
+
+def test_fused_block_graph_freed_without_cyclic_gc():
+    def build():
+        _, _, loss = make_case(n=2, t=5, queries_from=2, masked=True)
+        return loss(run_block)  # (loss, the block's output node)
+
+    assert_freed_by_refcount(build)
