@@ -22,7 +22,7 @@ import numpy as np
 
 from . import tensor as tz
 from .errors import ConfigError, DimensionError
-from .tiling import ImageBuffer, TileSet, normalize
+from .tiling import ImageBuffer, TileSet, normalize_pixels
 from .transformer import init_block, linear, run_block
 
 INPUT_FILTERS = ("none", "lowpass", "highpass")
@@ -112,34 +112,44 @@ class TokenGrid:
 
 
 def _block_sums(ints: np.ndarray, b: int) -> np.ndarray:
-    h, w, c = ints.shape
+    """b x b block sums of [..., H, W, C], repeated over each block."""
+    *lead, h, w, c = ints.shape
     if h % b or w % b:
         raise DimensionError(f"filter block {b} does not divide image {h}x{w}")
-    s = ints.reshape(h // b, b, w // b, b, c).sum(axis=(1, 3))
-    return np.repeat(np.repeat(s, b, axis=0), b, axis=1)
+    s = ints.reshape(*lead, h // b, b, w // b, b, c).sum(axis=(-4, -2))
+    return np.repeat(np.repeat(s, b, axis=-3), b, axis=-2)
 
 
 def lowpass_pixels(px: np.ndarray, block: int) -> np.ndarray:
-    """Replace each pixel by its block mean, on the u8 lattice."""
+    """Replace each pixel of [..., H, W, C] by its block mean, on the u8
+    lattice."""
     ints = np.rint(px * 255.0)
     return _block_sums(ints, block) / (block * block * 255.0)
 
 
 def highpass_pixels(px: np.ndarray, block: int) -> np.ndarray:
-    """Keep only the deviation from the block mean, on the u8 lattice."""
+    """Keep only each pixel's deviation from its block mean, on the u8
+    lattice; px is [..., H, W, C]."""
     ints = np.rint(px * 255.0)
     num = ints * float(block * block) - _block_sums(ints, block)
     return num / (block * block * 255.0)
 
 
-def apply_input_filter(buf: ImageBuffer, kind: str, block: int) -> ImageBuffer:
+def filter_pixels(px: np.ndarray, kind: str, block: int) -> np.ndarray:
+    """The input filter kind on [..., H, W, C]; "none" returns px."""
     if kind == "none":
-        return buf
+        return px
     if kind == "lowpass":
-        return ImageBuffer(lowpass_pixels(buf.pixels, block))
+        return lowpass_pixels(px, block)
     if kind == "highpass":
-        return ImageBuffer(highpass_pixels(buf.pixels, block))
+        return highpass_pixels(px, block)
     raise ConfigError(f"unknown input filter {kind!r}")
+
+
+def apply_input_filter(buf: ImageBuffer, kind: str, block: int) -> ImageBuffer:
+    """filter_pixels on one image; "none" returns buf itself."""
+    px = filter_pixels(buf.pixels, kind, block)
+    return buf if px is buf.pixels else ImageBuffer(px)
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +182,18 @@ class Encoder:
         out.extend([self.norm_out_g, self.norm_out_b])
         return out
 
-    def encode(self, tiles: TileSet) -> TokenGrid:
-        """Raw [0,1] tiles -> filter -> normalize -> ViT -> token grid."""
+    def patch_rows(self, tiles: TileSet) -> np.ndarray:
+        """Raw [0,1] tiles -> filter -> normalize -> [n, gs * gs, ps * ps
+        * C] patch rows, the embedding's input.
+
+        Filter and normalization run once on the stacked [n, H, W, C]
+        patches; elementwise and exact-integer arithmetic, they equal
+        apply_input_filter and tiling.normalize run tile by tile.
+        """
         cfg = self.cfg
         side = cfg.tile_side
-        for p in tiles.patches:
+        patches = tiles.patches
+        for p in patches:
             if p.height != side or p.width != side:
                 raise DimensionError(
                     f"encoder expects {side}x{side} tiles "
@@ -187,22 +204,20 @@ class Encoder:
                 raise DimensionError(
                     f"encoder expects {IN_CHANNELS} channels, got {p.channels}"
                 )
-        filtered = TileSet(
-            tiles=[apply_input_filter(t, cfg.input_filter, cfg.filter_block)
-                   for t in tiles.tiles],
-            grid=tiles.grid,
-            thumbnail=None if tiles.thumbnail is None else apply_input_filter(
-                tiles.thumbnail, cfg.input_filter, cfg.filter_block),
-            source_dims=tiles.source_dims,
-        )
-        ready = normalize(filtered, cfg.norm_mean, cfg.norm_std)
-        stack = np.stack([p.pixels for p in ready.patches])  # [n, H, W, C]
-        n = stack.shape[0]
+        stack = np.stack([p.pixels for p in patches])  # [n, H, W, C]
+        stack = normalize_pixels(
+            filter_pixels(stack, cfg.input_filter, cfg.filter_block),
+            cfg.norm_mean, cfg.norm_std)
         gs, ps = cfg.grid_side, cfg.patch_size
-        patched = stack.reshape(n, gs, ps, gs, ps, IN_CHANNELS)
+        patched = stack.reshape(len(patches), gs, ps, gs, ps, IN_CHANNELS)
         patched = patched.transpose(0, 1, 3, 2, 4, 5)
-        flat = patched.reshape(n, gs * gs, ps * ps * IN_CHANNELS)
+        return patched.reshape(len(patches), gs * gs, ps * ps * IN_CHANNELS)
 
+    def encode(self, tiles: TileSet) -> TokenGrid:
+        """Raw [0,1] tiles -> patch_rows -> ViT -> token grid."""
+        cfg = self.cfg
+        flat = self.patch_rows(tiles)
+        n, gs = flat.shape[0], cfg.grid_side
         x = tz.add_rowvec(tz.matmul(tz.Tensor(flat), self.patch_w), self.patch_b)
         x = tz.add_rowvec(x, self.pos)
         for blk in self.blocks:

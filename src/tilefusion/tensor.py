@@ -23,7 +23,11 @@ The array-level forward and backward formulas of layernorm, GELU and
 softmax (``*_forward``/``*_backward``) are kept apart from their Tensor
 primitives, so that transformer.run_block, a fused node built with the
 same ``_make``/``_accum`` protocol as the primitives, runs the same
-arithmetic as the ops it replaces.
+arithmetic as the ops it replaces. They allocate no more than that
+arithmetic needs: layernorm computes the deviation from the mean once
+and normalizes it in place (bitwise numpy's mean/var), and
+``softmax_forward(x, out=x)`` overwrites its input, so a caller that
+owns a megabyte score array pays for no second one.
 
 Broadcasting is deliberately restricted: elementwise ops demand equal
 shapes, scalars are explicit (``mul_scalar``), and adding one tensor to
@@ -245,11 +249,16 @@ def permute(x: Tensor, axes: Sequence[int]) -> Tensor:
     return out
 
 
-def softmax_forward(x: np.ndarray) -> np.ndarray:
-    """Softmax of an array along its last axis (max-shifted for stability)."""
+def softmax_forward(x: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax of an array along its last axis (max-shifted for stability).
+
+    With out=x the softmax replaces x in place; by default x is left
+    unchanged and the result is a fresh array.
+    """
     # one buffer, not three: encoder attention scores run to megabytes,
     # and each fresh transient of that size is page-faulted in anew
-    p = x - x.max(axis=-1, keepdims=True)
+    p = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
     np.exp(p, out=p)
     np.divide(p, p.sum(axis=-1, keepdims=True), out=p)
     return p
@@ -277,10 +286,16 @@ def layernorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                       eps: float = LN_EPS) -> tuple:
     """(output, xhat, inv) of layer normalization over the last axis;
     xhat and inv = 1 / std are what layernorm_backward needs."""
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
+    # numpy's own mean and var arithmetic (sum / d, then the sum of the
+    # squared deviations / d), bitwise, with the deviation x - mu
+    # computed once and normalized in place
+    d = x.shape[-1]
+    xhat = x - x.sum(axis=-1, keepdims=True) / d
+    inv = np.square(xhat).sum(axis=-1, keepdims=True) / d
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
     out = xhat * gamma
     out += beta
     return out, xhat, inv

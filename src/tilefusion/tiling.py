@@ -2,11 +2,13 @@
 
 An input of arbitrary resolution is matched to the tileable grid whose
 aspect ratio is closest in log space, stretched to that grid with
-bilinear resampling (half-pixel centers), and cut row-major into
-tile_size x tile_size buffers. Multi-tile sets also carry a full-image
-thumbnail, appended after the tiles, so downstream consumers keep a
-global view. Images travel as float64 HWC arrays; the portable pixmap
-reader and writer map 8-bit files to [0, 1] by dividing by 255.
+bilinear resampling (half-pixel centers; an image already at the grid's
+size is used as it is, which the resampling would only copy), and cut
+row-major into tile_size x tile_size buffers. Multi-tile sets also
+carry a full-image thumbnail, appended after the tiles, so downstream
+consumers keep a global view. Images travel as float64 HWC arrays; the
+portable pixmap reader and writer map 8-bit files to [0, 1] by dividing
+by 255.
 """
 
 from __future__ import annotations
@@ -134,9 +136,17 @@ def select_grid(width: int, height: int, max_tiles: int) -> TileGrid:
 
 
 def resize_bilinear(img: ImageBuffer, out_w: int, out_h: int) -> ImageBuffer:
-    """Bilinear resample with half-pixel-center sampling."""
+    """Bilinear resample with half-pixel-center sampling.
+
+    A resize to the image's own size returns img itself: every sample
+    then falls on a source pixel with zero weight on its neighbours, so
+    the formula would only copy the pixels (bitwise, -0.0 aside), and
+    an ImageBuffer is immutable.
+    """
     if out_w < 1 or out_h < 1:
         raise DimensionError(f"resize target must be positive, got {out_w}x{out_h}")
+    if (out_h, out_w) == (img.height, img.width):
+        return img
     src = img.pixels
     h, w = img.height, img.width
     ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0.0, h - 1.0)
@@ -176,21 +186,31 @@ def segment(img: ImageBuffer, tile_size: int, max_tiles: int,
                    source_dims=(img.height, img.width))
 
 
-def normalize(tileset: TileSet, mean: Sequence[float],
-              std: Sequence[float]) -> TileSet:
-    """Per-channel (x - mean) / std over every patch; pure function."""
+def normalize_pixels(px: np.ndarray, mean: Sequence[float],
+                     std: Sequence[float]) -> np.ndarray:
+    """Per-channel (px - mean) / std over the trailing channel axis of
+    px, with any leading axes: one image [H, W, C] or a stack of them."""
     mean = np.asarray(mean, dtype=np.float64).reshape(-1)
     std = np.asarray(std, dtype=np.float64).reshape(-1)
     if np.any(std == 0.0):
         raise ContractError("normalize std must be nonzero in every channel")
+    c = px.shape[-1]
+    if c != mean.size or c != std.size:
+        raise DimensionError(
+            f"normalize stats cover {mean.size}/{std.size} channels, "
+            f"image has {c}"
+        )
+    out = px - mean
+    out /= std
+    return out
+
+
+def normalize(tileset: TileSet, mean: Sequence[float],
+              std: Sequence[float]) -> TileSet:
+    """normalize_pixels over every patch; pure function."""
 
     def apply(buf: ImageBuffer) -> ImageBuffer:
-        if buf.channels != mean.size or buf.channels != std.size:
-            raise DimensionError(
-                f"normalize stats cover {mean.size}/{std.size} channels, "
-                f"image has {buf.channels}"
-            )
-        return ImageBuffer((buf.pixels - mean) / std)
+        return ImageBuffer(normalize_pixels(buf.pixels, mean, std))
 
     return TileSet(
         tiles=[apply(t) for t in tileset.tiles],

@@ -30,6 +30,7 @@ manifest order; saving quantizes the live parameters to the same f32
 values, which makes resume-then-train bitwise equal to train-through.
 """
 
+import contextlib
 import hashlib
 import json
 import math
@@ -194,11 +195,11 @@ class MetricsRecord:
                            "wall_ms": self.wall_ms})
 
 
-def write_metrics(records, path) -> None:
-    """Append records to a JSON-lines file, one object per line."""
-    with open(path, "a") as f:
-        for rec in records:
-            f.write(rec.to_json_line() + "\n")
+def write_metrics(records, f) -> None:
+    """Append records to an open JSON-lines file, one object per line,
+    in one write, then flush: a reader sees every record written."""
+    f.write("".join(rec.to_json_line() + "\n" for rec in records))
+    f.flush()
 
 
 def read_metrics(path) -> list:
@@ -349,8 +350,9 @@ def run_stage(plan: StagePlan, model, dataset, seed: int,
     a gradient during the call, and the stage's AdamW, built after the
     freeze, holds only the trainable ones; its ContractError on a
     non-finite gradient comes back with the stage and step added.
-    When out_dir is given, metrics stream to out_dir/metrics.jsonl as
-    they are produced and the final checkpoint is written there too.
+    When out_dir is given, metrics stream to out_dir/metrics.jsonl, opened
+    once for the stage and appended to, one flushed record per step;
+    the final checkpoint is written there too.
     """
     if len(dataset) == 0:
         raise ContractError("dataset is empty")
@@ -362,14 +364,13 @@ def run_stage(plan: StagePlan, model, dataset, seed: int,
     opt = AdamW(params, weight_decay=plan.weight_decay)
     stage_index = STAGE_NAMES.index(plan.name) + 1
 
-    metrics_path = None
+    model.sync_token_cache()
+    metrics = contextlib.nullcontext()
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        metrics_path = os.path.join(out_dir, "metrics.jsonl")
-
-    model.sync_token_cache()
+        metrics = open(os.path.join(out_dir, "metrics.jsonl"), "a")
     records = []
-    with tz.outside_graph(frozen):
+    with metrics as metrics_file, tz.outside_graph(frozen):
         for step in range(plan.steps):
             t0 = clock()
             idx = batch_indices(seed, stage_index, step, len(dataset),
@@ -395,8 +396,8 @@ def run_stage(plan: StagePlan, model, dataset, seed: int,
             rec = MetricsRecord(step=step, stage=plan.name, lr=lr, loss=loss,
                                 wall_ms=(clock() - t0) * 1000.0)
             records.append(rec)
-            if metrics_path is not None:
-                write_metrics([rec], metrics_path)
+            if metrics_file is not None:
+                write_metrics([rec], metrics_file)
 
     ckpt = snapshot(model, plan.steps, plan.name)
     if out_dir is not None:

@@ -12,7 +12,12 @@ keeps the activations its backward needs, and its backward is derived
 by hand, in the order of the composed-op graph (tests/block_oracle.py,
 which it equals bitwise). It accumulates into x and into each block
 parameter that requires grad. The formulas of layernorm, GELU and
-softmax are tensor.py's, shared with their primitives. queries_from
+softmax are tensor.py's, shared with their primitives. The attention
+scores, the block's largest array ([N, heads, T, S]: 1 MB per tile in
+the 256-token encoder), are scaled, masked and softmaxed in the one
+buffer their matmul returns, so no second array of that size is
+allocated (each fresh one of that size was page-faulted in anew, as
+glibc hands it back to the system on free). queries_from
 (default 0) makes only rows queries_from: queries and outputs, while
 keys and values still cover every row: the offset a KVCache
 continuation applies from the other side. The LM's training loss uses
@@ -114,13 +119,14 @@ def run_block(x: tz.Tensor, blk: dict, heads: int,
     v = split(np.matmul(h1, p["wv"]), t)
     if cache is not None:
         k, v = cache.extend(layer, k, v)
-    scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * scale
+    scores = np.matmul(q, k.transpose(0, 1, 3, 2))
+    scores *= scale
     if mask is not None:
         if mask.shape != (n, heads, t, k.shape[2]):
             raise DimensionError(f"mask {mask.shape} vs scores "
                                  f"{(n, heads, t, k.shape[2])}")
         scores += mask[:, :, queries_from:]
-    attn = tz.softmax_forward(scores)
+    attn = tz.softmax_forward(scores, out=scores)
     merged = merge(np.matmul(attn, v), tq)
     x1 = x.data[:, queries_from:] + np.matmul(merged, p["wo"])
     h2, xhat2, inv2 = tz.layernorm_forward(x1, p["norm2.g"], p["norm2.b"])

@@ -22,10 +22,10 @@ from tilefusion.encoders import (
     pixel_shuffle,
     pixel_unshuffle,
 )
-from tilefusion.errors import ConfigError, DimensionError
+from tilefusion.errors import ConfigError, ContractError, DimensionError
 from tilefusion.lm import LMConfig
 from tilefusion.model import PipelineConfig
-from tilefusion.tiling import ImageBuffer, TileSet, segment
+from tilefusion.tiling import ImageBuffer, TileSet, normalize, segment
 
 
 def desk_cfg_a(**kw):
@@ -348,3 +348,49 @@ def test_encode_gradient_matches_finite_differences():
         fd = tz.finite_difference_grad(lambda _t: loss_fn(), p)
         err = tz.relative_error(p.grad, fd)
         assert err < 1e-4, f"{p.name}: rel err {err:.2e}"
+
+
+def per_tile_patch_rows(enc, tiles):
+    """The embedding input built tile by tile: apply_input_filter and
+    tiling.normalize on each ImageBuffer, then stack and patchify."""
+    cfg = enc.cfg
+    filtered = TileSet(
+        tiles=[apply_input_filter(t, cfg.input_filter, cfg.filter_block)
+               for t in tiles.tiles],
+        grid=tiles.grid,
+        thumbnail=apply_input_filter(tiles.thumbnail, cfg.input_filter,
+                                     cfg.filter_block),
+        source_dims=tiles.source_dims,
+    )
+    ready = normalize(filtered, cfg.norm_mean, cfg.norm_std)
+    stack = np.stack([p.pixels for p in ready.patches])
+    n, gs, ps = stack.shape[0], cfg.grid_side, cfg.patch_size
+    patched = stack.reshape(n, gs, ps, gs, ps, 3).transpose(0, 1, 3, 2, 4, 5)
+    return patched.reshape(n, gs * gs, ps * ps * 3)
+
+
+@pytest.mark.parametrize("kind", ["none", "lowpass", "highpass"])
+def test_stacked_preprocessing_equals_per_tile_bitwise(kind):
+    rng = np.random.default_rng(13)
+    px = rng.integers(0, 256, size=(100, 160, 3)) / 255.0
+    tiles = segment(ImageBuffer(px), 32, 6)
+    assert len(tiles.tiles) > 1 and tiles.thumbnail is not None
+    enc = Encoder(desk_cfg_a(input_filter=kind, filter_block=4,
+                             norm_mean=(0.4, 0.5, 0.6),
+                             norm_std=(0.2, 0.3, 0.7)), "e", seed=0)
+    got = enc.patch_rows(tiles)
+    want = per_tile_patch_rows(enc, tiles)
+    assert got.shape == want.shape == (tiles.patch_count, 64, 48)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_encode_rejects_bad_normalize_stats():
+    tiles = gradient_tiles()
+    with pytest.raises(ContractError):
+        Encoder(desk_cfg_a(norm_std=(0.5, 0.0, 0.5)), "e", 0).encode(tiles)
+    with pytest.raises(DimensionError):
+        Encoder(desk_cfg_a(norm_mean=(0.5, 0.5)), "e", 0).encode(tiles)
+    four = TileSet(tiles=[ImageBuffer(np.zeros((32, 32, 4)))], grid=None,
+                   thumbnail=None)
+    with pytest.raises(DimensionError):
+        Encoder(desk_cfg_a(), "e", 0).encode(four)

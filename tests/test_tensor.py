@@ -29,6 +29,7 @@ from tilefusion.tensor import (
     finite_difference_grad,
     gelu,
     layernorm,
+    layernorm_forward,
     masked_cross_entropy,
     matmul,
     mul,
@@ -37,6 +38,7 @@ from tilefusion.tensor import (
     relative_error,
     reshape,
     slice_axis,
+    softmax_forward,
     softmax_lastdim,
     sum_all,
 )
@@ -675,3 +677,49 @@ def test_negative_zero_only_contribution_becomes_positive_zero():
     backward(sum_all(mul_scalar(x, -0.0)))
     np.testing.assert_array_equal(x.grad, np.zeros((2, 3)))
     assert not np.signbit(x.grad).any()
+
+
+# ---------------------------------------------------------------------------
+# array kernels against their plain formulas
+
+
+def layernorm_mean_var(x, gamma, beta, eps=1e-5):
+    """The two-pass formula layernorm_forward replaced: numpy's mean and
+    var, a fresh array per step."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    out = xhat * gamma
+    out += beta
+    return out, xhat, inv
+
+
+@pytest.mark.parametrize("shape", [(8, 42, 32), (1, 256, 8), (3, 5, 1)])
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+def test_layernorm_forward_bitwise_equals_mean_var(shape, offset):
+    rng = np.random.default_rng(43)
+    x = offset + rng.standard_normal(shape)
+    gamma = rng.standard_normal(shape[-1])
+    beta = rng.standard_normal(shape[-1])
+    before = x.copy()
+    got = layernorm_forward(x, gamma, beta)
+    want = layernorm_mean_var(x, gamma, beta)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+    assert x.tobytes() == before.tobytes()
+
+
+def test_softmax_forward_in_place_equals_fresh_and_default_is_pure():
+    rng = np.random.default_rng(44)
+    x = rng.standard_normal((2, 3, 5, 7)) * 30.0
+    x[0, 0, 0, :3] = -1e30  # masked entries, as in causal attention
+    before = x.copy()
+    fresh = softmax_forward(x)
+    assert x.tobytes() == before.tobytes()
+    assert fresh.tobytes() == softmax_forward(x.copy()).tobytes()
+    buf = x.copy()
+    out = softmax_forward(buf, out=buf)
+    assert out is buf
+    assert out.tobytes() == fresh.tobytes()

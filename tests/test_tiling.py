@@ -356,3 +356,35 @@ def test_image_buffer_pixels_cannot_change_under_its_key():
     assert img.content_key == key
     assert ImageBuffer(pixels.copy()).content_key == key
     assert ImageBuffer(pixels[:, ::-1]).content_key != key
+
+
+def half_pixel_bilinear(px, out_w, out_h):
+    """The resampling formula written out pixel by pixel."""
+    h, w, _ = px.shape
+    out = np.empty((out_h, out_w, px.shape[2]))
+    for i in range(out_h):
+        y = min(max((i + 0.5) * (h / out_h) - 0.5, 0.0), h - 1.0)
+        y0 = math.floor(y)
+        y1, fy = min(y0 + 1, h - 1), y - y0
+        for j in range(out_w):
+            x = min(max((j + 0.5) * (w / out_w) - 0.5, 0.0), w - 1.0)
+            x0 = math.floor(x)
+            x1, fx = min(x0 + 1, w - 1), x - x0
+            top = px[y0, x0] * (1.0 - fx) + px[y0, x1] * fx
+            bot = px[y1, x0] * (1.0 - fx) + px[y1, x1] * fx
+            out[i, j] = top * (1.0 - fy) + bot * fy
+    return out
+
+
+@pytest.mark.parametrize("h, w", [(32, 32), (32, 96), (5, 3), (1, 1)])
+def test_resize_to_own_size_equals_the_formula(h, w):
+    rng = np.random.default_rng(h * 100 + w)
+    px = rng.random((h, w, 3))
+    px[0, 0] = (0.0, 1.0, 0.5)
+    img = ImageBuffer(px)
+    out = resize_bilinear(img, w, h)
+    assert out is img
+    assert out.pixels.tobytes() == half_pixel_bilinear(px, w, h).tobytes()
+    stretched = resize_bilinear(img, w + 2, h + 1)
+    assert stretched.pixels.tobytes() == \
+        half_pixel_bilinear(px, w + 2, h + 1).tobytes()

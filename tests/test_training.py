@@ -506,6 +506,33 @@ class TestRunStage:
         assert loaded.blob == ckpt.blob
         assert loaded.manifest == ckpt.manifest
 
+    def test_metrics_file_holds_every_earlier_record_at_each_step(
+            self, tmp_path):
+        # a clock that reads the file: run_stage calls it at the start
+        # and the end of each step, and at the start of a step the file
+        # must hold every record of the steps before it
+        plan = stage1_plan(steps=5, warmup_steps=1, base_lr=1e-3)
+        out = tmp_path / "run"
+        out.mkdir()
+        path = out / "metrics.jsonl"
+        path.write_text(MetricsRecord(0, "stage0", 0.0, 1.0, 2.0)
+                        .to_json_line() + "\n")
+        seen, tick = [], fake_clock()
+
+        def clock():
+            seen.append(read_metrics(str(path)))
+            return tick()
+
+        _, recs = run_stage(plan, tiny_pipe(seed=5), make_dataset(2),
+                            seed=6, batch_size=2, out_dir=str(out),
+                            clock=clock)
+        assert len(seen) == 2 * plan.steps
+        for step in range(plan.steps):
+            assert seen[2 * step][1:] == recs[:step]
+        from_disk = read_metrics(str(path))
+        assert from_disk[0].stage == "stage0"  # appended, not truncated
+        assert from_disk[1:] == recs
+
     def test_resume_reproduces_next_step_loss_exactly(self, tmp_path):
         data = make_dataset(4)
         first = stage1_plan(steps=4, warmup_steps=1, base_lr=1e-3)

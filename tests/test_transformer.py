@@ -8,6 +8,8 @@ some parameters left out of the graph. Finite differences check the
 fused node's gradients independently of both backward passes.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -127,3 +129,24 @@ def test_fused_block_graph_freed_without_cyclic_gc():
         return loss(run_block)  # (loss, the block's output node)
 
     assert_freed_by_refcount(build)
+
+
+def test_block_forward_allocates_no_second_score_array():
+    # encoder B's shape: 256 patch tokens, so the [1, 2, 256, 256]
+    # scores (1 MB) are the block's largest array; scaling, softmax and
+    # all must run in the buffer the score matmul returns
+    rng = np.random.default_rng(5)
+    t = 256
+    blk = init_block("blk", D, rng)
+    x = tz.Tensor(rng.standard_normal((1, t, D)))
+    with tz.outside_graph(blk.values()):
+        run_block(x, blk, HEADS)  # warm numpy's caches outside the trace
+        scores_nbytes = 1 * HEADS * t * t * 8
+        tracemalloc.start()
+        try:
+            out = run_block(x, blk, HEADS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert out.shape == (1, t, D)
+    assert peak < 2 * scores_nbytes, (peak, scores_nbytes)
