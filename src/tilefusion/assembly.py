@@ -3,14 +3,17 @@
 Text is tokenized at the byte level (ids 0..255) with six specials on
 top: PAD, BOS, EOS, and the image markup trio. A prompt carries one
 image-context marker per image; at splice time each marker expands to
-that image's full run of fused visual embeddings, giving a single
-[L x d] embedding matrix with token ids and a loss mask aligned to it.
-The answer span (answer bytes plus the closing EOS) is the only region
-the loss mask selects.
+that image's full run of fused visual embeddings, giving L embedding
+rows with token ids and a loss mask aligned to them. The answer span
+(answer bytes plus the closing EOS) is the only region the loss mask
+selects.
 
-splice_batch builds a whole step's right-padded [B, L, d] batch as one
-row gather from [visual rows; embedding table; zero row]: one index per
-position, with a scatter-add backward. splice is its B = 1 case.
+SequenceBatch is the one sequence type the LM takes, for training and
+answering alike: B sequences right-padded to one length, [B, L, d]
+embeddings with [B, L] ids and mask. splice_batch builds a whole step's
+batch as one row gather from [visual rows; embedding table; zero row]:
+one index per position, with a scatter-add backward. splice is its
+B = 1 case and returns the one-row batch.
 
 Overflowing the context limit is a hard error. Upstream tile capping is
 the intended way to stay under budget; silent truncation would corrupt
@@ -96,58 +99,6 @@ def build_prompt(n_images: int, question: str) -> str:
 
 
 @dataclass
-class AssembledSequence:
-    """The LM-ready sequence: embeddings, aligned ids, and loss mask."""
-
-    embeddings: tz.Tensor
-    token_ids: np.ndarray
-    loss_mask: np.ndarray
-
-    def __post_init__(self):
-        self.token_ids = np.asarray(self.token_ids, dtype=np.int64)
-        self.loss_mask = np.asarray(self.loss_mask, dtype=bool)
-        L = self.embeddings.shape[0]
-        if self.token_ids.shape != (L,) or self.loss_mask.shape != (L,):
-            raise DimensionError(
-                f"sequence pieces disagree: {L} embeddings, "
-                f"{self.token_ids.shape} ids, {self.loss_mask.shape} mask"
-            )
-
-    @property
-    def length(self) -> int:
-        return self.embeddings.shape[0]
-
-    @property
-    def n_visual(self) -> int:
-        return int((self.token_ids == IMG_CONTEXT_ID).sum())
-
-
-def splice(prompt_ids, answer_ids, visual: list[VisualSequence],
-           embed_table: tz.Tensor, context_limit: int) -> AssembledSequence:
-    """Assemble [BOS] + prompt + answer + [EOS] with markers expanded.
-
-    Each image-context marker in the prompt expands to the matching
-    image's visual embeddings; text positions are embedding-table rows.
-    The loss mask selects the answer bytes and the closing EOS, nothing
-    else. Exceeding context_limit raises a budget error. This is the
-    B = 1 case of splice_batch.
-    """
-    d = embed_table.shape[1]
-    if not visual:
-        rows = tz.Tensor(np.zeros((0, d)))
-    elif len(visual) == 1:
-        rows = visual[0].embeddings
-    else:
-        rows = tz.concat([vs.embeddings for vs in visual], axis=0)
-    batch = splice_batch([(prompt_ids, answer_ids)],
-                         [[vs.n_tokens for vs in visual]], rows,
-                         embed_table, context_limit)
-    L = batch.token_ids.shape[1]
-    return AssembledSequence(tz.reshape(batch.embeddings, (L, d)),
-                             batch.token_ids[0], batch.loss_mask[0])
-
-
-@dataclass
 class SequenceBatch:
     """B sequences padded on the right to one length L.
 
@@ -159,6 +110,43 @@ class SequenceBatch:
     embeddings: tz.Tensor
     token_ids: np.ndarray
     loss_mask: np.ndarray
+
+    def __post_init__(self):
+        self.token_ids = np.asarray(self.token_ids, dtype=np.int64)
+        self.loss_mask = np.asarray(self.loss_mask, dtype=bool)
+        shape = self.embeddings.shape
+        if (len(shape) != 3 or self.token_ids.shape != shape[:2]
+                or self.loss_mask.shape != shape[:2]):
+            raise DimensionError(
+                f"sequence pieces disagree: {shape} embeddings, "
+                f"{self.token_ids.shape} ids, {self.loss_mask.shape} mask"
+            )
+
+    @property
+    def length(self) -> int:
+        return self.embeddings.shape[1]
+
+
+def splice(prompt_ids, answer_ids, visual: list[VisualSequence],
+           embed_table: tz.Tensor, context_limit: int) -> SequenceBatch:
+    """Assemble [BOS] + prompt + answer + [EOS] with markers expanded.
+
+    Each image-context marker in the prompt expands to the matching
+    image's visual embeddings; text positions are embedding-table rows.
+    The loss mask selects the answer bytes and the closing EOS, nothing
+    else. Exceeding context_limit raises a budget error. This is the
+    B = 1 case of splice_batch, and returns its one-row batch.
+    """
+    d = embed_table.shape[1]
+    if not visual:
+        rows = tz.Tensor(np.zeros((0, d)))
+    elif len(visual) == 1:
+        rows = visual[0].embeddings
+    else:
+        rows = tz.concat([vs.embeddings for vs in visual], axis=0)
+    return splice_batch([(prompt_ids, answer_ids)],
+                        [[vs.n_tokens for vs in visual]], rows,
+                        embed_table, context_limit)
 
 
 def _layout(prompt_ids, answer_ids, counts, first_row: int,

@@ -248,6 +248,10 @@ def validate_experiment_config(cfg) -> list:
     if isinstance(training, dict):
         if _check_section(problems, training, _TRAIN_SCHEMA,
                           _TRAIN_REQUIRED, "training."):
+            for key in ("batch_size", "eval_max_new"):
+                value = training.get(key)
+                if _is_type(value, int) and value < 1:
+                    problems.append(f"training.{key}: must be >= 1")
             for name in ("stage1", "stage2"):
                 if isinstance(training.get(name), dict):
                     _validate_stage(training[name], problems,

@@ -8,22 +8,22 @@ edits). The loss is mean cross entropy of logits[t] against token[t+1],
 restricted to positions whose target is supervised by the loss mask.
 The LM owns the text embedding table that the assembler splices from.
 
-forward runs a SequenceBatch of B right-padded sequences as one
-[B, L, d] batch, and one AssembledSequence as B = 1 ([L, V] logits).
-Pads need no mask of their own: each comes after every real position
-of its row, so the causal mask already gives it zero weight, and pads
-carry no loss. The batch loss is the mean of the samples' masked
-losses. Padding can move a sample's logits by rounding only: a softmax
-row sum over more (zero) weights may group differently.
+Every input is a SequenceBatch of B right-padded sequences, run as one
+[B, L, d] batch; forward returns its [B, L, V] logits. Pads need no
+mask of their own: each comes after every real position of its row, so
+the causal mask already gives it zero weight, and pads carry no loss.
+Padding can move a sample's logits by rounding only: a softmax row sum
+over more (zero) weights may group differently.
 
-loss(batch) is forward(batch).loss without the logits nothing reads,
-and is what training runs; forward stays the reference it is tested
-against. Every block but the last must still run all L rows, as keys
-and values for later rows. The last block takes queries_from = the
-earliest row whose next token some sample supervises, so its queries
-and MLP, the final norm and the [B, rows, V] head run on those rows
-only; shipped answers are one character, so that is a few rows of L.
-The loss agrees with forward's to rounding (matmuls over fewer rows may
+loss(batch) is what training runs: the mean over samples of each
+sample's masked loss, the masked cross entropy of forward's logits
+[:, :-1] computed without the logits nothing reads. Every block but the
+last must still run all L rows, as keys and values for later rows. The
+last block takes queries_from = the earliest row whose next token some
+sample supervises, so its queries and MLP, the final norm and the
+[B, rows, V] head run on those rows only; shipped answers are one
+character, so that is a few rows of L. The loss agrees with the one
+taken over forward's logits to rounding (matmuls over fewer rows may
 sum in another order).
 
 forward optionally takes a KVCache holding every block's keys and
@@ -32,9 +32,9 @@ continuation that starts at the cached length: its rows take positional
 embeddings from there on, row i may attend to key j only when
 j <= start + i (the same causal mask, offset by start), the budget check
 covers start + L, and its keys and values are appended to the cache.
-greedy_decode runs the prompt once into a fresh cache and then each
-emitted token as a one-position continuation. The cache holds arrays,
-not graph nodes: decoding runs outside the graph, and nothing
+greedy_decode runs a one-row prompt batch once into a fresh cache and
+then each emitted token as a one-position continuation. The cache holds
+arrays, not graph nodes: decoding runs outside the graph, and nothing
 differentiates through it. Cached logits agree with a full recompute
 to rounding (not bitwise: the one-row matmuls may sum in a different
 order).
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .assembly import VOCAB_SIZE, AssembledSequence, SequenceBatch
+from .assembly import VOCAB_SIZE, SequenceBatch
 from .errors import BudgetError, ConfigError, ContractError
 from .transformer import KVCache, init_block, run_block
 
@@ -71,12 +71,6 @@ class LMConfig:
             raise ConfigError(
                 f"context_limit must be >= 1, got {self.context_limit}"
             )
-
-
-@dataclass
-class LMOutput:
-    logits: tz.Tensor
-    loss: tz.Tensor | None = None
 
 
 class LanguageModel:
@@ -132,48 +126,27 @@ class LanguageModel:
         return tz.matmul(tz.layernorm(x, self.norm_out_g, self.norm_out_b),
                          self.head)
 
-    def forward(self, seq: AssembledSequence | SequenceBatch,
-                with_loss: bool = True,
-                cache: KVCache | None = None) -> LMOutput:
-        """Logits (and loss) for seq; with a cache, seq continues it.
-
-        One AssembledSequence gives [L, V] logits; a SequenceBatch gives
-        [B, L, V] logits and the mean over samples of each sample's
-        masked loss. The loss of a continuation covers only next-token
-        targets inside the continuation itself.
-        """
-        if isinstance(seq, SequenceBatch):
-            batch = seq
-        else:
-            batch = SequenceBatch(
-                tz.reshape(seq.embeddings, (1,) + seq.embeddings.shape),
-                seq.token_ids[None], seq.loss_mask[None])
-        L = batch.token_ids.shape[1]
+    def forward(self, batch: SequenceBatch,
+                cache: KVCache | None = None) -> tz.Tensor:
+        """[B, L, V] logits of batch; with a cache, batch continues it."""
         start = 0 if cache is None else cache.length
         x, mask = self._inputs(batch, start)
         for i, blk in enumerate(self.blocks):
             x = run_block(x, blk, self.cfg.heads, mask, cache, i)
         if cache is not None:
-            cache.length = start + L
-        logits = self._head(x)
-        loss = None
-        if with_loss:
-            loss = tz.masked_cross_entropy(
-                tz.slice_axis(logits, 1, 0, L - 1), batch.token_ids[:, 1:],
-                batch.loss_mask[:, 1:])
-        if seq is not batch:
-            logits = tz.reshape(logits, (L, VOCAB_SIZE))
-        return LMOutput(logits, loss)
+            cache.length = start + batch.length
+        return self._head(x)
 
     def loss(self, batch: SequenceBatch) -> tz.Tensor:
-        """forward(batch).loss, computing only the logits it reads.
+        """Mean masked cross entropy of forward(batch)'s logits[:, :-1]
+        against token_ids[:, 1:], computing only the logits it reads.
 
         Row r's logits predict token r + 1, so the rows read start at
         first, the earliest row whose next token some sample supervises.
         The last block runs rows first: as queries, and the final norm
         and the head run on rows first to L - 2. With nothing
         supervised, first is L - 1: the loss is 0.0 and every gradient
-        exactly zero, as with forward.
+        exactly zero.
         """
         L = batch.token_ids.shape[1]
         x, mask = self._inputs(batch, 0)
@@ -187,29 +160,32 @@ class LanguageModel:
         return tz.masked_cross_entropy(logits, batch.token_ids[:, first + 1:],
                                        batch.loss_mask[:, first + 1:])
 
-    def greedy_decode(self, seq: AssembledSequence, max_new: int,
+    def greedy_decode(self, batch: SequenceBatch, max_new: int,
                       eos_id: int | None = None) -> list[int]:
-        """Argmax continuation; ties go to the lowest id; stops at EOS.
+        """Argmax continuation of a one-row batch; ties go to the lowest
+        id; stops at EOS.
 
         The prompt runs once into a KV cache; each emitted token but the
         last then runs as a one-position continuation of it.
         """
+        if batch.token_ids.shape[0] != 1:
+            raise ContractError(
+                f"greedy_decode takes one row, got {batch.token_ids.shape[0]}")
         if max_new < 0:
             raise ContractError(f"max_new must be >= 0, got {max_new}")
-        if seq.length + max_new > self.cfg.context_limit:
-            raise BudgetError(required=seq.length + max_new,
+        if batch.length + max_new > self.cfg.context_limit:
+            raise BudgetError(required=batch.length + max_new,
                               available=self.cfg.context_limit)
         emitted: list[int] = []
         cache = KVCache()
-        current = seq
         for _ in range(max_new):
-            out = self.forward(current, with_loss=False, cache=cache)
-            last = out.logits.data[-1]
-            next_id = int(np.argmax(last))
+            # positional: perfbench's lm.forward hook reads args[1]
+            logits = self.forward(batch, cache)
+            next_id = int(np.argmax(logits.data[0, -1]))
             emitted.append(next_id)
             if eos_id is not None and next_id == eos_id:
                 break
-            current = AssembledSequence(
-                tz.embedding_lookup(self.embed, [next_id]), [next_id],
-                [False])
+            batch = SequenceBatch(
+                tz.embedding_lookup(self.embed, [[next_id]]), [[next_id]],
+                [[False]])
         return emitted

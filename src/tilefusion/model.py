@@ -11,9 +11,9 @@ image: fuse_images stacks every image's post-unshuffle tokens along the
 tile axis and calls project and the fusion function once, and
 assemble_batch splices a whole step with one row gather
 (assembly.splice_batch). Because fusion is tile-local, image k's rows
-are the contiguous rows of its tiles. assemble, forward_sample and
-answer splice one sample through the same builder (assembly.splice),
-fusing each of its images on its own.
+are the contiguous rows of its tiles. answer splices its one sample
+into a one-row SequenceBatch through the same builder (assembly.splice),
+fusing each of its images on its own, and decodes it.
 
 Frozen encoders cost one forward pass per distinct image per Pipeline:
 frozen_tokens keeps each image's detached post-unshuffle tokens in
@@ -36,7 +36,6 @@ import numpy as np
 
 from .assembly import (
     EOS_ID,
-    AssembledSequence,
     ByteTokenizer,
     SequenceBatch,
     build_prompt,
@@ -54,7 +53,7 @@ from .fusion import (
     fuse_pre,
     project,
 )
-from .lm import LanguageModel, LMConfig, LMOutput
+from .lm import LanguageModel, LMConfig
 from .tensor import Tensor, concat, outside_graph, slice_axis
 from .tiling import ImageBuffer, segment
 from .transformer import linear
@@ -244,7 +243,7 @@ class Pipeline:
                        thumbnail=thumbnail)
 
     def branch_tokens(self, image: ImageBuffer) -> dict:
-        """Frozen half of encode_image: tile, encode, unshuffle.
+        """Frozen half of the image side: tile, encode, unshuffle.
 
         Returns each used branch's post-unshuffle TokenGrid, keyed "A"
         and "B". Nothing here is trained by any stage, so a trainer may
@@ -286,7 +285,8 @@ class Pipeline:
         return tokens
 
     def fuse_images(self, tokens: list) -> VisualSequence:
-        """Trainable half of encode_image, for many images in one pass.
+        """Trainable half of the image side: project and fuse, for many
+        images in one pass.
 
         tokens holds branch_tokens output per image. Each branch's grids
         are stacked along the tile axis, image after image, then
@@ -315,27 +315,6 @@ class Pipeline:
             return fuse_post_channel(seq_a, seq_b, self.down)
         return fuse_pre(tok_a, tok_b, cfg.fusion, self.projector_shared)
 
-    def encode_image(self, image: ImageBuffer) -> VisualSequence:
-        """Raw image to one fused visual sequence in LM width."""
-        return self.fuse_images([self.branch_tokens(image)])
-
-    def _text_ids(self, n_images: int, question: str, answer: str):
-        return (self.tokenizer.encode(build_prompt(n_images, question)),
-                self.tokenizer.encode(answer))
-
-    def assemble(self, images, question: str, answer: str,
-                 tokens=None) -> AssembledSequence:
-        """Splice one sample. tokens, when given, holds branch_tokens
-        output per image and replaces the encoder pass."""
-        if tokens is None:
-            tokens = [self.branch_tokens(img) for img in images]
-        # splice takes one sequence per image; every shipped task has one
-        # image per sample, so this is one fused pass
-        visuals = [self.fuse_images([t]) for t in tokens]
-        prompt_ids, answer_ids = self._text_ids(len(images), question, answer)
-        return splice(prompt_ids, answer_ids, visuals, self.lm.embed,
-                      self.cfg.lm.context_limit)
-
     def assemble_batch(self, samples, tokens=None) -> SequenceBatch:
         """Splice samples (each with .images, .question, .answer) into one
         right-padded batch: one fuse_images pass over all their images
@@ -347,24 +326,15 @@ class Pipeline:
         flat = [t for per_sample in tokens for t in per_sample]
         rows = (self.fuse_images(flat).embeddings if flat
                 else Tensor(np.zeros((0, self.cfg.lm.d_lm))))
-        texts = [self._text_ids(len(s.images), s.question, s.answer)
-                 for s in samples]
+        encode = self.tokenizer.encode
+        texts = [(encode(build_prompt(len(s.images), s.question)),
+                  encode(s.answer)) for s in samples]
         # an image's fused rows: its tiles times fused tokens per tile
         per_tile = self.cfg.tokens_per_tile()
         counts = [[next(iter(t.values())).n_tiles * per_tile
                    for t in per_sample] for per_sample in tokens]
         return splice_batch(texts, counts, rows, self.lm.embed,
                             self.cfg.lm.context_limit)
-
-    def forward_sample(self, images, question: str, answer: str,
-                       tokens=None) -> LMOutput:
-        """Loss for one supervised (images, question, answer) sample.
-
-        Without tokens the graph reaches back into both encoders; with
-        precomputed branch_tokens it starts at those tokens.
-        """
-        return self.lm.forward(self.assemble(images, question, answer,
-                                             tokens))
 
     def answer(self, images, question: str, max_new: int = 8) -> str:
         """Greedy decode an answer string for one question.
@@ -373,14 +343,19 @@ class Pipeline:
         records no autograd edges.
         """
         with outside_graph(self.parameters()):
-            seq = self.assemble(images, question, "")
+            # splice takes one sequence per image; every shipped task has
+            # one image per sample, so this is one fused pass
+            visuals = [self.fuse_images([self.branch_tokens(img)])
+                       for img in images]
+            prompt_ids = self.tokenizer.encode(
+                build_prompt(len(images), question))
+            batch = splice(prompt_ids, [], visuals, self.lm.embed,
+                           self.cfg.lm.context_limit)
             # The training assembler closes every sequence with EOS. For
             # inference that final slot must stay open, so trim it off.
-            n = seq.length
-            trimmed = AssembledSequence(
-                embeddings=slice_axis(seq.embeddings, 0, 0, n - 1),
-                token_ids=seq.token_ids[:-1],
-                loss_mask=seq.loss_mask[:-1],
-            )
-            new_ids = self.lm.greedy_decode(trimmed, max_new, eos_id=EOS_ID)
+            L = batch.length
+            prompt = SequenceBatch(slice_axis(batch.embeddings, 1, 0, L - 1),
+                                   batch.token_ids[:, :L - 1],
+                                   batch.loss_mask[:, :L - 1])
+            new_ids = self.lm.greedy_decode(prompt, max_new, eos_id=EOS_ID)
         return self.tokenizer.decode(new_ids)

@@ -9,16 +9,16 @@ Pipeline, so the encoders run once per distinct image per Pipeline,
 across both stages, until the encoder weights change. Inside run_stage
 no frozen parameter receives a gradient, and each stage's AdamW holds
 only the parameters that stage trains, as views into its one flat
-buffer. Pipeline.forward_sample itself keeps the full graph back into
-both encoders.
+buffer. Pipeline.assemble_batch without tokens keeps the full graph
+back into both encoders.
 
 Each step builds one right-padded [B, L, d] batch
 (Pipeline.assemble_batch: one projector/fusion pass over all the step's
 images, one row gather) and runs the LM on it once: one graph per step,
 not one per sample. The causal mask keeps every pad out of every real
 position's attention, and pads carry no loss, so the step loss is the
-mean of the samples' masked losses. The step runs LanguageModel.loss,
-not forward: the same loss up to rounding, with the last block's
+mean of the samples' masked losses. The step runs LanguageModel.loss:
+the loss over forward's logits up to rounding, with the last block's
 queries, the final norm and the head run only on the rows the loss
 reads (from the earliest supervised next token on), where forward
 computes every logit.

@@ -2,10 +2,17 @@
 
 Each image is projected and fused on its own (fuse_tokens), each sample
 is spliced from concatenated runs of embedding lookups and visual rows
-(splice), and the samples are right-padded into one batch by concat
-(pad_batch). Pipeline.assemble_batch must give the same visual rows and
-provenance bitwise, and the same batch up to stated tolerances.
+(splice) into its own AssembledSequence, and the samples are
+right-padded into one batch by concat (pad_batch). Pipeline.assemble_batch
+and Pipeline.answer must give the same visual rows and provenance
+bitwise, and the same batch up to stated tolerances.
+
+as_batch runs one AssembledSequence as a one-row SequenceBatch, and
+reference_loss is the LM loss taken over all of forward's logits, the
+reference for LanguageModel.loss.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,7 +22,6 @@ from tilefusion.assembly import (
     EOS_ID,
     IMG_CONTEXT_ID,
     PAD_ID,
-    AssembledSequence,
     SequenceBatch,
     build_prompt,
 )
@@ -26,6 +32,45 @@ from tilefusion.fusion import (
     fuse_pre,
     project,
 )
+
+
+@dataclass
+class AssembledSequence:
+    """One unpadded sequence: [L, d] embeddings, [L] ids and loss mask."""
+
+    embeddings: tz.Tensor
+    token_ids: np.ndarray
+    loss_mask: np.ndarray
+
+    def __post_init__(self):
+        self.token_ids = np.asarray(self.token_ids, dtype=np.int64)
+        self.loss_mask = np.asarray(self.loss_mask, dtype=bool)
+        L = self.embeddings.shape[0]
+        if self.token_ids.shape != (L,) or self.loss_mask.shape != (L,):
+            raise DimensionError(
+                f"sequence pieces disagree: {L} embeddings, "
+                f"{self.token_ids.shape} ids, {self.loss_mask.shape} mask"
+            )
+
+    @property
+    def length(self) -> int:
+        return self.embeddings.shape[0]
+
+
+def as_batch(seq):
+    """seq as a one-row SequenceBatch, by reshape."""
+    return SequenceBatch(
+        tz.reshape(seq.embeddings, (1,) + seq.embeddings.shape),
+        seq.token_ids[None], seq.loss_mask[None])
+
+
+def reference_loss(lm, batch):
+    """Mean masked cross entropy of all of lm.forward(batch)'s logits
+    but the last row, against the next token."""
+    logits = lm.forward(batch)
+    return tz.masked_cross_entropy(
+        tz.slice_axis(logits, 1, 0, batch.length - 1),
+        batch.token_ids[:, 1:], batch.loss_mask[:, 1:])
 
 
 def fuse_tokens(model, tokens):

@@ -14,6 +14,7 @@ import pytest
 
 import tilefusion.tensor as tz
 from tilefusion.assembly import (
+    IMG_CONTEXT_ID,
     VOCAB_SIZE,
     ByteTokenizer,
     build_prompt,
@@ -225,7 +226,7 @@ def test_end_to_end_gradients_match_finite_differences():
     img = ImageBuffer(np.random.default_rng(5).random((8, 16, 3)))
 
     def loss_value(_ignored=None):
-        return pipe.forward_sample([img], "q", "ab").loss
+        return pipe.lm.loss(pipe.assemble_batch([Sample([img], "q", "ab")]))
 
     loss = loss_value()
     backward(loss)
@@ -378,7 +379,7 @@ def test_context_budget_enforced_and_full_scale_fits():
         [(t, "A", p) for t in range(7) for p in range(512)])
 
     seq = splice(prompt, answer, [visual], embed, context_limit=8196)
-    assert seq.n_visual == 3584
+    assert (seq.token_ids == IMG_CONTEXT_ID).sum() == 3584
     text_positions = 2 + (len(prompt) - 1) + len(answer)
     assert seq.length == 3584 + text_positions
     assert seq.length < 8196

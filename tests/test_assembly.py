@@ -19,8 +19,8 @@ from tilefusion.assembly import (
     IMG_START_ID,
     PAD_ID,
     VOCAB_SIZE,
-    AssembledSequence,
     ByteTokenizer,
+    SequenceBatch,
     build_prompt,
     splice,
     splice_batch,
@@ -28,6 +28,7 @@ from tilefusion.assembly import (
 from tilefusion.errors import BudgetError, ContractError, DimensionError
 from tilefusion.fusion import VisualSequence
 
+import per_image_oracle as oracle
 from per_image_oracle import pad_batch
 
 TOK = ByteTokenizer()
@@ -38,6 +39,10 @@ def visual_seq(n_tokens, width, tag_base=0.0, tile=0):
     data[:, 0] = tag_base + np.arange(n_tokens)
     prov = [(tile, "A", i) for i in range(n_tokens)]
     return VisualSequence(tz.Tensor(data, requires_grad=True), prov)
+
+
+def n_visual(seq):
+    return int((seq.token_ids == IMG_CONTEXT_ID).sum())
 
 
 def table(d=4, seed=0):
@@ -139,7 +144,8 @@ def test_splice_desk_arithmetic():
     seq = splice(prompt, answer, vis, table(), context_limit=512)
     want_len = 1 + 1 + 224 + 1 + 5 + 3 + 1
     assert seq.length == want_len
-    assert seq.n_visual == 224
+    assert seq.embeddings.shape == (1, want_len, 4)
+    assert n_visual(seq) == 224
     visual_rows = seq.token_ids == IMG_CONTEXT_ID
     assert not seq.loss_mask[visual_rows].any()
 
@@ -148,11 +154,11 @@ def test_splice_mask_covers_answer_and_eos_only():
     prompt = TOK.encode(build_prompt(1, "q?"))
     answer = TOK.encode("ab")
     seq = splice(prompt, answer, [visual_seq(3, 4)], table(), 64)
-    on = np.nonzero(seq.loss_mask)[0]
-    assert list(seq.token_ids[on]) == [97, 98, EOS_ID]
+    on = np.nonzero(seq.loss_mask[0])[0]
+    assert list(seq.token_ids[0, on]) == [97, 98, EOS_ID]
     assert on[-1] == seq.length - 1
     assert (np.diff(on) == 1).all()
-    assert seq.token_ids[0] == BOS_ID and not seq.loss_mask[0]
+    assert seq.token_ids[0, 0] == BOS_ID and not seq.loss_mask[0, 0]
 
 
 def test_splice_paper_scale_budget():
@@ -160,7 +166,7 @@ def test_splice_paper_scale_budget():
     answer = TOK.encode("yes")
     vis = [visual_seq(7 * 512, 2)]
     seq = splice(prompt, answer, vis, table(d=2), context_limit=8196)
-    assert seq.n_visual == 3584
+    assert n_visual(seq) == 3584
     assert seq.length <= 8196
 
 
@@ -176,8 +182,8 @@ def test_splice_budget_overflow_is_hard_error():
 def test_splice_pure_text():
     seq = splice(TOK.encode("ping"), TOK.encode("pong"), [], table(), 32)
     assert seq.length == 1 + 4 + 4 + 1
-    assert seq.n_visual == 0
-    assert list(seq.token_ids) == [BOS_ID] + TOK.encode("ping") \
+    assert n_visual(seq) == 0
+    assert list(seq.token_ids[0]) == [BOS_ID] + TOK.encode("ping") \
         + TOK.encode("pong") + [EOS_ID]
 
 
@@ -205,8 +211,8 @@ def test_splice_order_stability_two_images():
     va = visual_seq(3, 4, tag_base=100.0)
     vb = visual_seq(2, 4, tag_base=200.0)
     seq = splice(prompt, [97], [va, vb], table(), 64)
-    rows = np.nonzero(seq.token_ids == IMG_CONTEXT_ID)[0]
-    tags = seq.embeddings.data[rows, 0]
+    rows = np.nonzero(seq.token_ids[0] == IMG_CONTEXT_ID)[0]
+    tags = seq.embeddings.data[0, rows, 0]
     np.testing.assert_array_equal(tags, [100.0, 101.0, 102.0, 200.0, 201.0])
 
 
@@ -214,8 +220,9 @@ def test_splice_visual_rows_carry_exact_embeddings():
     prompt = TOK.encode(build_prompt(1, "q?"))
     vs = visual_seq(5, 4, tag_base=7.0)
     seq = splice(prompt, [120], [vs], table(), 64)
-    rows = np.nonzero(seq.token_ids == IMG_CONTEXT_ID)[0]
-    np.testing.assert_array_equal(seq.embeddings.data[rows], vs.embeddings.data)
+    rows = np.nonzero(seq.token_ids[0] == IMG_CONTEXT_ID)[0]
+    np.testing.assert_array_equal(seq.embeddings.data[0, rows],
+                                  vs.embeddings.data)
 
 
 def test_splice_gradients_reach_table_and_visuals():
@@ -228,16 +235,25 @@ def test_splice_gradients_reach_table_and_visuals():
     tz.backward(tz.sum_all(tz.mul(seq.embeddings, r)))
     assert np.abs(tab.grad).max() > 0
     assert np.abs(vs.embeddings.grad).max() > 0
-    used = set(int(i) for i in seq.token_ids if i != IMG_CONTEXT_ID)
+    used = set(int(i) for i in seq.token_ids[0] if i != IMG_CONTEXT_ID)
     unused = [i for i in range(VOCAB_SIZE) if i not in used and
               i != IMG_CONTEXT_ID]
     assert np.abs(tab.grad[unused]).max() == 0.0
 
 
-def test_assembled_sequence_validation():
-    with pytest.raises(DimensionError):
-        AssembledSequence(tz.Tensor(np.zeros((3, 2))), np.zeros(2),
-                          np.zeros(3, dtype=bool))
+def test_sequence_batch_validation():
+    emb = tz.Tensor(np.zeros((1, 3, 2)))
+    with pytest.raises(DimensionError):  # ids too short
+        SequenceBatch(emb, np.zeros((1, 2)), np.zeros((1, 3), dtype=bool))
+    with pytest.raises(DimensionError):  # mask too short
+        SequenceBatch(emb, np.zeros((1, 3)), np.zeros((1, 2), dtype=bool))
+    with pytest.raises(DimensionError):  # not [B, L, d]
+        SequenceBatch(tz.Tensor(np.zeros((3, 2))), np.zeros(3),
+                      np.zeros(3, dtype=bool))
+    batch = SequenceBatch(emb, np.zeros((1, 3)), np.zeros((1, 3)))
+    assert batch.token_ids.dtype == np.int64
+    assert batch.loss_mask.dtype == bool
+    assert batch.length == 3
 
 
 def test_splice_deterministic():
@@ -255,9 +271,9 @@ def test_splice_deterministic():
 
 def test_pad_batch_right_pads_with_zero_rows_and_no_loss():
     tab = table()
-    short = splice(TOK.encode("ab"), [99], [], tab, 64)
-    longer = splice(TOK.encode(build_prompt(1, "what?")), [97, 98],
-                    [visual_seq(3, 4)], tab, 64)
+    short = oracle.splice(TOK.encode("ab"), [99], [], tab, 64)
+    longer = oracle.splice(TOK.encode(build_prompt(1, "what?")), [97, 98],
+                           [visual_seq(3, 4)], tab, 64)
     batch = pad_batch([short, longer])
     L = longer.length
     assert batch.embeddings.shape == (2, L, 4)
@@ -277,7 +293,8 @@ def test_pad_batch_right_pads_with_zero_rows_and_no_loss():
 
 def test_pad_batch_gradients_reach_each_sample_only_from_its_rows():
     tab = table()
-    seqs = [splice(TOK.encode(q), [97], [], tab, 64) for q in ("a", "bcd")]
+    seqs = [oracle.splice(TOK.encode(q), [97], [], tab, 64)
+            for q in ("a", "bcd")]
     batch = pad_batch(seqs)
     weights = np.random.default_rng(1).standard_normal(batch.embeddings.shape)
     tz.backward(tz.sum_all(tz.mul(batch.embeddings, tz.Tensor(weights))))
@@ -290,8 +307,8 @@ def test_pad_batch_gradients_reach_each_sample_only_from_its_rows():
 def test_pad_batch_rejects_empty_and_mixed_widths():
     with pytest.raises(ContractError):
         pad_batch([])
-    a = splice([97], [], [], table(d=4), 64)
-    b = splice([97], [], [], table(d=6), 64)
+    a = oracle.splice([97], [], [], table(d=4), 64)
+    b = oracle.splice([97], [], [], table(d=6), 64)
     with pytest.raises(DimensionError):
         pad_batch([a, b])
 
@@ -320,11 +337,11 @@ def test_splice_batch_is_per_sample_splice_right_padded():
     for b, s in enumerate(seqs):
         n = s.length
         assert batch.embeddings.data[b, :n].tobytes() == \
-            s.embeddings.data.tobytes()
+            s.embeddings.data[0].tobytes()
         np.testing.assert_array_equal(batch.embeddings.data[b, n:], 0.0)
-        assert list(batch.token_ids[b]) == list(s.token_ids) + \
+        assert list(batch.token_ids[b]) == list(s.token_ids[0]) + \
             [PAD_ID] * (L - n)
-        assert list(batch.loss_mask[b]) == list(s.loss_mask) + \
+        assert list(batch.loss_mask[b]) == list(s.loss_mask[0]) + \
             [False] * (L - n)
 
 

@@ -138,6 +138,28 @@ class TestValidation:
         text = "; ".join(validate_experiment_config(cfg))
         assert "task.n_eval" in text
 
+    @pytest.mark.parametrize("key, value", [
+        ("batch_size", 0), ("batch_size", -3),
+        ("eval_max_new", 0), ("eval_max_new", -1),
+    ])
+    def test_training_counts_must_be_positive(self, key, value):
+        cfg = tiny_cfg()
+        cfg["training"][key] = value
+        assert validate_experiment_config(cfg) == [
+            f"training.{key}: must be >= 1"]
+        cfg["training"][key] = 1
+        assert validate_experiment_config(cfg) == []
+
+    def test_training_count_problems_share_one_report(self):
+        cfg = tiny_cfg()
+        cfg["training"]["batch_size"] = 0
+        cfg["training"]["eval_max_new"] = -1
+        cfg["task"]["n_eval"] = 0
+        text = "; ".join(validate_experiment_config(cfg))
+        assert "training.batch_size: must be >= 1" in text
+        assert "training.eval_max_new: must be >= 1" in text
+        assert "task.n_eval" in text
+
     def test_config_id_charset(self):
         cfg = tiny_cfg()
         cfg["config_id"] = "bad,id"

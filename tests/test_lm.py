@@ -18,14 +18,20 @@ from tilefusion.assembly import (
     BOS_ID,
     EOS_ID,
     VOCAB_SIZE,
-    AssembledSequence,
     ByteTokenizer,
     SequenceBatch,
     build_prompt,
     splice,
 )
-from tilefusion.errors import BudgetError, ConfigError, ContractError
+from tilefusion.errors import (
+    BudgetError,
+    ConfigError,
+    ContractError,
+    DimensionError,
+)
 from tilefusion.lm import KVCache, LanguageModel, LMConfig
+
+from per_image_oracle import reference_loss
 
 TOK = ByteTokenizer()
 
@@ -40,12 +46,11 @@ def text_sequence(lm, prompt, answer):
                   lm.cfg.context_limit)
 
 
-def raw_sequence(lm, length, rng, mask=None):
-    ids = rng.integers(0, 256, size=length)
-    emb = tz.embedding_lookup(lm.embed, ids)
-    if mask is None:
-        mask = np.zeros(length, dtype=bool)
-    return AssembledSequence(emb, ids, mask)
+def raw_sequence(lm, length, rng):
+    """One row of random ids and their embeddings, with no loss."""
+    ids = rng.integers(0, 256, size=(1, length))
+    return SequenceBatch(tz.embedding_lookup(lm.embed, ids), ids,
+                         np.zeros((1, length), dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -65,16 +70,14 @@ def test_single_position_logits_no_loss():
     lm = small_lm()
     rng = np.random.default_rng(0)
     seq = raw_sequence(lm, 1, rng)
-    out = lm.forward(seq)
-    assert out.logits.shape == (1, VOCAB_SIZE)
-    assert out.loss.item() == 0.0
+    assert lm.forward(seq).shape == (1, 1, VOCAB_SIZE)
+    assert reference_loss(lm, seq).item() == 0.0
 
 
 def test_logit_shape_matches_length():
     lm = small_lm()
     seq = text_sequence(lm, "hello", "world")
-    out = lm.forward(seq)
-    assert out.logits.shape == (seq.length, VOCAB_SIZE)
+    assert lm.forward(seq).shape == (1, seq.length, VOCAB_SIZE)
 
 
 def test_oversize_input_is_budget_error():
@@ -92,7 +95,7 @@ def test_zero_head_loss_is_log_vocab():
     lm = small_lm(seed=3)
     lm.head.data[...] = 0.0
     seq = text_sequence(lm, "what is this?", "ans")
-    loss = lm.forward(seq).loss.item()
+    loss = reference_loss(lm, seq).item()
     assert abs(loss - np.log(VOCAB_SIZE)) < 1e-9
 
 
@@ -102,31 +105,30 @@ def test_loss_matches_hand_computed_cross_entropy():
         if p.name == "lm.head":
             p.data[...] = np.random.default_rng(5).standard_normal(p.shape) * 0.3
     seq = text_sequence(lm, "q", "ab")
-    out = lm.forward(seq)
-    logits = out.logits.data[:-1]
-    targets = seq.token_ids[1:]
-    mask = seq.loss_mask[1:]
+    logits = lm.forward(seq).data[0, :-1]
+    targets = seq.token_ids[0, 1:]
+    mask = seq.loss_mask[0, 1:]
     rows = np.nonzero(mask)[0]
     z = logits - logits.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     want = -logp[rows, targets[rows]].mean()
-    assert abs(out.loss.item() - want) < 1e-12
+    assert abs(reference_loss(lm, seq).item() - want) < 1e-12
 
 
 def test_all_mask_false_gives_zero_loss_and_zero_grads():
     lm = small_lm(seed=6)
     rng = np.random.default_rng(7)
-    seq = raw_sequence(lm, 12, rng)  # mask defaults to all false
-    out = lm.forward(seq)
-    assert out.loss.item() == 0.0
-    tz.backward(out.loss)
+    seq = raw_sequence(lm, 12, rng)  # an all-false mask
+    loss = reference_loss(lm, seq)
+    assert loss.item() == 0.0
+    tz.backward(loss)
     for p in lm.parameters():
         if p.grad is not None:
             assert np.abs(p.grad).max() == 0.0, p.name
 
 
 # ---------------------------------------------------------------------------
-# LanguageModel.loss: forward(batch).loss from the rows the loss reads
+# LanguageModel.loss: reference_loss from the rows the loss reads
 
 
 def raw_batch(lm, mask, seed):
@@ -152,11 +154,20 @@ def assert_loss_matches_forward(lm, mask, seed):
 
     got, got_grads = loss_and_grads(lm, make_batch, lm.loss)
     want, want_grads = loss_and_grads(
-        lm, make_batch, lambda b: lm.forward(b).loss)
+        lm, make_batch, lambda b: reference_loss(lm, b))
     assert abs(got - want) <= 1e-15 * abs(want)
     for name, g in want_grads.items():
         assert tz.relative_error(got_grads[name], g) <= 1e-12, name
     return got, got_grads
+
+
+def test_loss_rejects_a_mask_shorter_than_the_ids():
+    # unchecked, a short mask supervises nothing: loss 0.0, no gradient
+    lm = random_head_lm(46)
+    good = raw_batch(lm, [[False, False, True, True]], 47)
+    with pytest.raises(DimensionError):
+        lm.loss(SequenceBatch(good.embeddings, good.token_ids,
+                              good.loss_mask[:, :3]))
 
 
 def test_loss_of_all_false_mask_is_zero_with_zero_grads():
@@ -199,12 +210,12 @@ def test_prefix_logits_bit_stable_under_suffix_edit():
     for j in [3, 7, 9]:
         bumped = base.copy()
         bumped[j] += rng.standard_normal(base.shape[1])
-        seq_a = AssembledSequence(tz.Tensor(base), ids,
-                                  np.zeros(10, dtype=bool))
-        seq_b = AssembledSequence(tz.Tensor(bumped), ids,
-                                  np.zeros(10, dtype=bool))
-        la = lm.forward(seq_a, with_loss=False).logits.data
-        lb = lm.forward(seq_b, with_loss=False).logits.data
+        seq_a = SequenceBatch(tz.Tensor(base[None]), ids[None],
+                              np.zeros((1, 10), dtype=bool))
+        seq_b = SequenceBatch(tz.Tensor(bumped[None]), ids[None],
+                              np.zeros((1, 10), dtype=bool))
+        la = lm.forward(seq_a).data[0]
+        lb = lm.forward(seq_b).data[0]
         assert la[:j].tobytes() == lb[:j].tobytes(), f"prefix broke at {j}"
         assert la[j:].tobytes() != lb[j:].tobytes()
 
@@ -215,12 +226,12 @@ def test_attention_rows_sum_to_one_despite_mask():
     lm = small_lm(seed=11)
     lm.head.data[...] = np.random.default_rng(12).standard_normal(
         lm.head.shape) * 0.5
-    emb = np.ones((5, lm.cfg.d_lm)) * 0.3
-    seq = AssembledSequence(tz.Tensor(emb), np.zeros(5, dtype=np.int64),
-                            np.zeros(5, dtype=bool))
+    emb = np.ones((1, 5, lm.cfg.d_lm)) * 0.3
+    seq = SequenceBatch(tz.Tensor(emb), np.zeros((1, 5), dtype=np.int64),
+                        np.zeros((1, 5), dtype=bool))
     # constant input: position t attends over t identical values, so all
     # positions see the same mix and differ only through pos embeddings
-    out = lm.forward(seq, with_loss=False).logits.data
+    out = lm.forward(seq).data
     assert np.isfinite(out).all()
 
 
@@ -237,7 +248,7 @@ def test_lm_gradient_matches_finite_differences():
 
     def loss_fn():
         seq = splice(seq_ids, ans_ids, [], lm.embed, 16)
-        return lm.forward(seq).loss
+        return reference_loss(lm, seq)
 
     for p in lm.parameters():
         p.zero_grad()
@@ -261,6 +272,15 @@ def test_greedy_zero_budget_and_empty():
         lm.greedy_decode(seq, lm.cfg.context_limit)
     with pytest.raises(ContractError):
         lm.greedy_decode(seq, -1)
+
+
+def test_greedy_rejects_more_than_one_row():
+    lm = small_lm()
+    rng = np.random.default_rng(2)
+    two = raw_batch(lm, np.zeros((2, 4)), 3)
+    with pytest.raises(ContractError):
+        lm.greedy_decode(two, 1)
+    assert lm.greedy_decode(raw_sequence(lm, 4, rng), 1)
 
 
 def test_greedy_is_deterministic():
@@ -291,7 +311,7 @@ def test_overfit_one_sample_then_decode_it():
         for p in params:
             p.zero_grad()
         seq = splice(TOK.encode(prompt), TOK.encode(answer), [], lm.embed, 32)
-        loss = lm.forward(seq).loss
+        loss = reference_loss(lm, seq)
         tz.backward(loss)
         for p in params:
             p.data -= 0.05 * p.grad
@@ -299,10 +319,10 @@ def test_overfit_one_sample_then_decode_it():
     assert last < 0.05
     probe = splice(TOK.encode(prompt), [], [], lm.embed, 32)
     # drop the trailing EOS the empty answer produced; keep BOS + prompt
-    trimmed = AssembledSequence(
-        tz.slice_axis(probe.embeddings, 0, 0, probe.length - 1),
-        probe.token_ids[:-1],
-        probe.loss_mask[:-1],
+    trimmed = SequenceBatch(
+        tz.slice_axis(probe.embeddings, 1, 0, probe.length - 1),
+        probe.token_ids[:, :-1],
+        probe.loss_mask[:, :-1],
     )
     ids = lm.greedy_decode(trimmed, 3, eos_id=EOS_ID)
     assert TOK.decode(ids) == "4"
@@ -321,16 +341,16 @@ def random_head_lm(seed, layers=2, context=64):
 
 
 def one_token(lm, token_id):
-    return AssembledSequence(tz.embedding_lookup(lm.embed, [token_id]),
-                             [token_id], [False])
+    return SequenceBatch(tz.embedding_lookup(lm.embed, [[token_id]]),
+                         [[token_id]], [[False]])
 
 
 def grown(seq, token_id, lm):
-    return AssembledSequence(
-        tz.concat([seq.embeddings, tz.embedding_lookup(lm.embed, [token_id])],
-                  axis=0),
-        np.concatenate([seq.token_ids, [token_id]]),
-        np.concatenate([seq.loss_mask, [False]]))
+    step = one_token(lm, token_id)
+    return SequenceBatch(
+        tz.concat([seq.embeddings, step.embeddings], axis=1),
+        np.concatenate([seq.token_ids, step.token_ids], axis=1),
+        np.concatenate([seq.loss_mask, step.loss_mask], axis=1))
 
 
 @pytest.mark.parametrize("seed,prompt_len", [(20, 1), (21, 5), (22, 17)])
@@ -339,17 +359,15 @@ def test_cached_steps_match_uncached_forward(seed, prompt_len):
     rng = np.random.default_rng(seed)
     full = raw_sequence(lm, prompt_len, rng)
     cache = KVCache()
-    first = lm.forward(full, with_loss=False, cache=cache).logits.data
+    first = lm.forward(full, cache=cache).data
     # an empty cache runs exactly the uncached computation
-    assert first.tobytes() == lm.forward(
-        full, with_loss=False).logits.data.tobytes()
+    assert first.tobytes() == lm.forward(full).data.tobytes()
     assert cache.length == prompt_len
     for token_id in rng.integers(0, 256, size=6):
-        step = lm.forward(one_token(lm, int(token_id)), with_loss=False,
-                          cache=cache).logits.data
+        step = lm.forward(one_token(lm, int(token_id)), cache=cache).data
         full = grown(full, int(token_id), lm)
-        want = lm.forward(full, with_loss=False).logits.data[-1:]
-        assert step.shape == (1, VOCAB_SIZE)
+        want = lm.forward(full).data[:, -1:]
+        assert step.shape == (1, 1, VOCAB_SIZE)
         assert tz.relative_error(step, want) <= 1e-12
         assert cache.length == full.length
 
@@ -361,8 +379,8 @@ def test_cached_decode_equals_uncached_greedy_loop():
         want = []
         current = seq
         for _ in range(8):
-            logits = lm.forward(current, with_loss=False).logits.data
-            want.append(int(np.argmax(logits[-1])))
+            logits = lm.forward(current).data
+            want.append(int(np.argmax(logits[0, -1])))
             current = grown(current, want[-1], lm)
         assert lm.greedy_decode(seq, 8) == want
 
@@ -371,30 +389,30 @@ def test_multi_token_continuation_matches_full_rows():
     lm = random_head_lm(26)
     rng = np.random.default_rng(27)
     seq = raw_sequence(lm, 11, rng)
-    full = lm.forward(seq, with_loss=False).logits.data
+    full = lm.forward(seq).data
 
     def part(a, b):
-        return AssembledSequence(tz.slice_axis(seq.embeddings, 0, a, b),
-                                 seq.token_ids[a:b], seq.loss_mask[a:b])
+        return SequenceBatch(tz.slice_axis(seq.embeddings, 1, a, b),
+                             seq.token_ids[:, a:b], seq.loss_mask[:, a:b])
 
     cache = KVCache()
-    pieces = [lm.forward(part(a, b), with_loss=False, cache=cache).logits.data
+    pieces = [lm.forward(part(a, b), cache=cache).data
               for a, b in ((0, 4), (4, 9), (9, 11))]
-    assert tz.relative_error(np.concatenate(pieces), full) <= 1e-12
+    assert tz.relative_error(np.concatenate(pieces, axis=1), full) <= 1e-12
 
 
 def test_continuation_past_context_limit_is_budget_error():
     lm = random_head_lm(28, context=8)
     rng = np.random.default_rng(29)
     cache = KVCache()
-    lm.forward(raw_sequence(lm, 6, rng), with_loss=False, cache=cache)
+    lm.forward(raw_sequence(lm, 6, rng), cache=cache)
     with pytest.raises(BudgetError):
-        lm.forward(raw_sequence(lm, 3, rng), with_loss=False, cache=cache)
+        lm.forward(raw_sequence(lm, 3, rng), cache=cache)
     assert cache.length == 6
-    lm.forward(raw_sequence(lm, 2, rng), with_loss=False, cache=cache)
+    lm.forward(raw_sequence(lm, 2, rng), cache=cache)
     assert cache.length == 8
     with pytest.raises(BudgetError):
-        lm.forward(one_token(lm, 1), with_loss=False, cache=cache)
+        lm.forward(one_token(lm, 1), cache=cache)
 
 
 def test_greedy_runs_prompt_once_then_one_position_per_token(monkeypatch):

@@ -7,7 +7,8 @@ import os
 import numpy as np
 import pytest
 
-from tilefusion.assembly import VOCAB_SIZE
+from tilefusion.assembly import IMG_CONTEXT_ID, VOCAB_SIZE
+from tilefusion.datagen import Sample
 from tilefusion.encoders import EncoderConfig, pixel_unshuffle
 from tilefusion.errors import BudgetError, ConfigError
 from tilefusion.experiment import build_pipeline_config, load_config
@@ -48,6 +49,18 @@ def desk_cfg(encoders="A+B", fusion="post-interleave", tiling=True,
         fusion=fusion,
         projector_hidden=8,
     )
+
+
+def encode_image(pipe, img):
+    """One image's fused visual sequence, through the batch path."""
+    return pipe.fuse_images([pipe.branch_tokens(img)])
+
+
+def sample_loss(pipe, images, question, answer):
+    """Training's loss for one sample, with the graph back into both
+    encoders."""
+    return pipe.lm.loss(pipe.assemble_batch([Sample(images, question,
+                                                    answer)]))
 
 
 def landscape_image(seed=0, h=32, w=64):
@@ -180,18 +193,18 @@ class TestForward:
         for fusion, per_tile in (("post-interleave", 32),
                                  ("post-channel", 16)):
             pipe = Pipeline(desk_cfg(fusion=fusion), seed=1)
-            seq = pipe.encode_image(img)
+            seq = encode_image(pipe, img)
             assert seq.n_tokens == 3 * per_tile
             assert seq.width == 16
         pipe = Pipeline(desk_cfg(encoders="B"), seed=1)
-        assert pipe.encode_image(img).n_tokens == 3 * 16
+        assert encode_image(pipe, img).n_tokens == 3 * 16
 
     def test_single_branch_equals_manual_projection(self):
         pipe = Pipeline(desk_cfg(encoders="A"), seed=9)
         img = landscape_image(3)
         grid = pipe.encoder_a.encode(pipe.segment_image(img))
         manual = project(pipe.projector_a, pixel_unshuffle(grid, 2), "A")
-        got = pipe.encode_image(img)
+        got = encode_image(pipe, img)
         assert got.embeddings.data.tobytes() == manual.embeddings.data.tobytes()
         assert got.provenance == manual.provenance
 
@@ -203,15 +216,15 @@ class TestForward:
         ts = off.segment_image(img)
         assert ts.patch_count == 1
         assert ts.thumbnail is None
-        assert off.encode_image(img).n_tokens == 32
+        assert encode_image(off, img).n_tokens == 32
 
     def test_zero_head_loss_is_uniform(self):
         # an all-zero head makes every next-token distribution uniform,
         # so the masked loss is exactly log(vocab) through the full pipe
         pipe = Pipeline(desk_cfg(), seed=0)
         pipe.lm.head.data[...] = 0.0
-        out = pipe.forward_sample([landscape_image()], "what?", "ab")
-        assert abs(out.loss.item() - math.log(VOCAB_SIZE)) < 1e-9
+        loss = sample_loss(pipe, [landscape_image()], "what?", "ab")
+        assert abs(loss.item() - math.log(VOCAB_SIZE)) < 1e-9
 
     def test_forward_deterministic_per_seed(self):
         img = landscape_image(4)
@@ -221,14 +234,14 @@ class TestForward:
             rng = np.random.default_rng(0)
             pipe.lm.head.data = rng.standard_normal(
                 pipe.lm.head.data.shape) * 0.05
-            losses.append(pipe.forward_sample([img], "q", "a").loss.item())
+            losses.append(sample_loss(pipe, [img], "q", "a").item())
         assert losses[0] == losses[1]
         assert losses[0] != losses[2]
 
     def test_budget_overflow_is_hard_error(self):
         pipe = Pipeline(desk_cfg(ctx=100), seed=0)
         with pytest.raises(BudgetError):
-            pipe.forward_sample([landscape_image()], "what?", "ab")
+            sample_loss(pipe, [landscape_image()], "what?", "ab")
 
     def test_answer_returns_decoded_string(self):
         pipe = Pipeline(desk_cfg(), seed=2)
@@ -242,7 +255,7 @@ class TestForward:
 
         def spy(self, seq, *args, **kwargs):
             out = original(self, seq, *args, **kwargs)
-            outputs.append((seq.embeddings, out.logits))
+            outputs.append((seq.embeddings, out))
             return out
 
         monkeypatch.setattr(LanguageModel, "forward", spy)
@@ -280,9 +293,13 @@ class TestForward:
     def test_two_images_double_the_visual_tokens(self):
         pipe = Pipeline(desk_cfg(ctx=300), seed=0)
         img = landscape_image()
-        seq = pipe.assemble([img, img], "q", "a")
-        civilian = pipe.assemble([img], "q", "a")
-        assert seq.n_visual == 2 * civilian.n_visual == 192
+        seq = pipe.assemble_batch([Sample([img, img], "q", "a")])
+        civilian = pipe.assemble_batch([Sample([img], "q", "a")])
+
+        def n_visual(batch):
+            return int((batch.token_ids == IMG_CONTEXT_ID).sum())
+
+        assert n_visual(seq) == 2 * n_visual(civilian) == 192
 
 
 class TestFullPipelineGradients:
@@ -305,11 +322,11 @@ class TestFullPipelineGradients:
         pipe.lm.head.data = rng.standard_normal(pipe.lm.head.data.shape) * 0.1
 
         img = ImageBuffer(np.random.default_rng(5).random((4, 8, 3)))
-        seq = pipe.encode_image(img)
+        seq = encode_image(pipe, img)
         assert seq.n_tokens == 4
 
         def loss_value(_ignored=None):
-            return pipe.forward_sample([img], "q", "ab").loss
+            return sample_loss(pipe, [img], "q", "ab")
 
         loss = loss_value()
         backward(loss)
@@ -335,7 +352,7 @@ class TestFullPipelineGradients:
         pipe = Pipeline(cfg, seed=1)
         rng = np.random.default_rng(2)
         pipe.lm.head.data = rng.standard_normal(pipe.lm.head.data.shape) * 0.1
-        loss = pipe.forward_sample([landscape_image(8)], "q", "zz").loss
+        loss = sample_loss(pipe, [landscape_image(8)], "q", "zz")
         backward(loss)
         touched = {pre: 0.0 for pre in ("encoderA.", "encoderB.",
                                         "projectorA.", "projectorB.",
@@ -353,7 +370,7 @@ class TestFullPipelineGradients:
         rng = np.random.default_rng(2)
         pipe.lm.head.data = rng.standard_normal(pipe.lm.head.data.shape) * 0.1
         pipe.set_frozen(["encoderA.", "encoderB."])
-        loss = pipe.forward_sample([landscape_image(8)], "q", "y").loss
+        loss = sample_loss(pipe, [landscape_image(8)], "q", "y")
         backward(loss)
         enc = [p for p in pipe.parameters()
                if p.name.startswith("encoderA.block0.attn.")]

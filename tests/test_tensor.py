@@ -13,6 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
+from tilefusion.datagen import Sample
 from tilefusion.encoders import EncoderConfig
 from tilefusion.errors import ContractError, DimensionError
 from tilefusion.lm import LMConfig
@@ -614,7 +615,8 @@ def test_pipeline_graph_freed_without_cyclic_gc():
     img = ImageBuffer(np.random.default_rng(31).random((32, 64, 3)))
 
     def build():
-        loss = pipe.forward_sample([img], "what?", "ab").loss
+        loss = pipe.lm.loss(pipe.assemble_batch([Sample([img], "what?",
+                                                          "ab")]))
         return loss, loss._prev[0]
 
     assert_freed_by_refcount(build)

@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 
 from tilefusion import tensor as tz
+from tilefusion.assembly import EOS_ID, SequenceBatch
 from tilefusion.encoders import Encoder, EncoderConfig
 from tilefusion.errors import ConfigError, ContractError, DimensionError
-from tilefusion.lm import LMConfig
+from tilefusion.lm import LanguageModel, LMConfig
 from tilefusion import model as model_module
 from tilefusion.model import Pipeline, PipelineConfig
 from tilefusion.tensor import Parameter
@@ -41,7 +42,7 @@ from tilefusion.training import (
 )
 
 import per_image_oracle as oracle
-from per_image_oracle import pad_batch
+from per_image_oracle import as_batch, pad_batch, reference_loss
 
 
 @dataclass
@@ -582,7 +583,7 @@ def oracle_stage(plan, model, dataset, seed, batch_size):
         idx = batch_indices(seed, stage_index, step, len(dataset),
                             batch_size)
         samples = [dataset[int(i)] for i in idx]
-        mean = model.lm.forward(model.assemble_batch(samples)).loss
+        mean = reference_loss(model.lm, model.assemble_batch(samples))
         losses.append(mean.item())
         for p in params:
             p.zero_grad()
@@ -635,9 +636,10 @@ def test_cached_tokens_match_uncached_oracle_bitwise(cfg):
 
 
 def per_sample_mean(model, samples):
-    """The slow path: one forward_sample graph per sample, chained."""
-    losses = [model.forward_sample(s.images, s.question, s.answer).loss
-              for s in samples]
+    """The slow path: one per-image oracle graph per sample, chained."""
+    losses = [reference_loss(model.lm, as_batch(
+        oracle.assemble(model, s.images, s.question, s.answer)[0]))
+        for s in samples]
     total = losses[0]
     for extra in losses[1:]:
         total = tz.add(total, extra)
@@ -645,8 +647,8 @@ def per_sample_mean(model, samples):
 
 
 def batched_mean(model, samples):
-    """run_stage's path: one padded LM batch."""
-    return model.lm.forward(model.assemble_batch(samples)).loss
+    """run_stage's batch, with the loss over every logit."""
+    return reference_loss(model.lm, model.assemble_batch(samples))
 
 
 def trainable_grads(model, loss):
@@ -688,20 +690,20 @@ def test_batched_lm_matches_per_sample_graphs(data, loss_rtol):
 
 def test_padding_does_not_leak_into_a_shorter_sample():
     model = stage2_model()
-    seqs = [model.assemble(s.images, s.question, s.answer)
+    seqs = [oracle.assemble(model, s.images, s.question, s.answer)[0]
             for s in mixed_dataset()]
     short, long_a, long_b = seqs[1], seqs[0], seqs[2]
     assert short.length < long_a.length == long_b.length
     n = short.length
-    alone = model.lm.forward(short).logits.data
-    beside_a = model.lm.forward(pad_batch([short, long_a])).logits.data
-    beside_b = model.lm.forward(pad_batch([long_b, short])).logits.data
+    alone = model.lm.forward(as_batch(short)).data[0]
+    beside_a = model.lm.forward(pad_batch([short, long_a])).data
+    beside_b = model.lm.forward(pad_batch([long_b, short])).data
     # at one padded length, nothing of the partner reaches the short rows
     assert beside_a[0, :n].tobytes() == beside_b[1, :n].tobytes()
     assert tz.relative_error(beside_a[0, :n], alone) <= 1e-13
     # an unpadded sample's rows are bitwise its unbatched rows
     assert beside_a[1].tobytes() == \
-        model.lm.forward(long_a).logits.data.tobytes()
+        model.lm.forward(as_batch(long_a)).data[0].tobytes()
 
 
 def test_batched_loss_gradient_matches_finite_differences():
@@ -709,7 +711,7 @@ def test_batched_loss_gradient_matches_finite_differences():
     data = mixed_dataset()
     grads = trainable_grads(model, batched_mean(model, data))
     d = model.cfg.lm.d_lm
-    short = model.assemble(data[1].images, data[1].question, data[1].answer)
+    short = model.assemble_batch(data[1:2])
     # row short.length + 2 of lm.pos sits under a pad of the short
     # samples: only the long ones may put gradient there
     picks = {model.projector_a.w1: [0, 37],
@@ -728,7 +730,7 @@ def test_batched_loss_gradient_matches_finite_differences():
                          ids=["equal-length", "mixed-length"])
 def test_lm_loss_matches_forward_loss(data):
     """run_stage's LanguageModel.loss, which runs the last block and the
-    head only on rows the loss reads, against forward(batch).loss."""
+    head only on rows the loss reads, against reference_loss."""
     model = stage2_model()
     want_loss = batched_mean(model, data)
     want = trainable_grads(model, want_loss)
@@ -757,7 +759,7 @@ LAYOUTS = {
 
 
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
-def test_batched_image_side_matches_per_image_oracle(layout, monkeypatch):
+def test_batched_image_side_matches_per_image_oracle(layout):
     model = Pipeline(LAYOUTS[layout], seed=5)
     model.set_frozen(stage2_plan(steps=1).frozen_prefixes)
     data = mixed_dataset()
@@ -779,35 +781,60 @@ def test_batched_image_side_matches_per_image_oracle(layout, monkeypatch):
         tile0 += next(iter(t.values())).n_tiles
     assert start == fused.n_tokens
 
-    # the B = 1 path hands splice each image's own rows and provenance
-    seen = []
-    real_splice = model_module.splice
-    monkeypatch.setattr(model_module, "splice",
-                        lambda *a: seen.append(a[2]) or real_splice(*a))
-    for s, t in zip(data, tokens):
-        got = model.assemble(s.images, s.question, s.answer, t)
-        want, want_vis = oracle.assemble(model, s.images, s.question,
-                                         s.answer, t)
-        assert got.embeddings.data.tobytes() == want.embeddings.data.tobytes()
-        assert got.token_ids.tobytes() == want.token_ids.tobytes()
-        assert [(v.embeddings.data.tobytes(), v.provenance)
-                for v in seen.pop()] == \
-            [(v.embeddings.data.tobytes(), v.provenance) for v in want_vis]
-
     got = model.assemble_batch(data, tokens)
     want, _ = oracle.assemble_batch(model, data, tokens)
     assert got.embeddings.data.tobytes() == want.embeddings.data.tobytes()
     assert got.token_ids.tobytes() == want.token_ids.tobytes()
     assert got.loss_mask.tobytes() == want.loss_mask.tobytes()
 
-    want_loss = model.lm.forward(want).loss
+    want_loss = reference_loss(model.lm, want)
     want_grads = trainable_grads(model, want_loss)
-    got_loss = model.lm.forward(got).loss
+    got_loss = reference_loss(model.lm, got)
     got_grads = trainable_grads(model, got_loss)
     assert got_loss.item().hex() == want_loss.item().hex()
     assert got_grads.keys() == want_grads.keys()
     for name, g in want_grads.items():
         assert tz.relative_error(got_grads[name], g) <= 1e-12, name
+
+
+# answer splices one sample through the B = 1 builder (model.splice),
+# fusing each image on its own; its prompt is the per-image oracle's
+# sample with an empty answer and the closing EOS slot trimmed, bitwise.
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_answer_prompt_matches_per_image_oracle(layout, monkeypatch):
+    model = Pipeline(LAYOUTS[layout], seed=5)
+    prompts, seen = [], []
+    real_decode = LanguageModel.greedy_decode
+    monkeypatch.setattr(
+        LanguageModel, "greedy_decode",
+        lambda self, batch, *a, **k: prompts.append(batch)
+        or real_decode(self, batch, *a, **k))
+    real_splice = model_module.splice
+    monkeypatch.setattr(model_module, "splice",
+                        lambda *a: seen.append(a[2]) or real_splice(*a))
+    # a two-tile image with a thumbnail, then a two-image sample
+    wide, pair = mixed_dataset()[:2]
+    assert [img.pixels.shape[:2] for img in wide.images] == [(16, 32)]
+    assert len(pair.images) == 2
+    for s in (wide, pair):
+        text = model.answer(s.images, s.question, max_new=4)
+        got = prompts.pop()
+        seq, want_vis = oracle.assemble(model, s.images, s.question, "")
+        L = seq.length - 1
+        assert seq.token_ids[L] == EOS_ID
+        assert got.embeddings.data.tobytes() == \
+            seq.embeddings.data[None, :L].tobytes()
+        assert got.token_ids.tobytes() == seq.token_ids[None, :L].tobytes()
+        assert got.loss_mask.tobytes() == seq.loss_mask[None, :L].tobytes()
+        # splice got each image's own rows and provenance
+        assert [(v.embeddings.data.tobytes(), v.provenance)
+                for v in seen.pop()] == \
+            [(v.embeddings.data.tobytes(), v.provenance) for v in want_vis]
+        want = SequenceBatch(tz.Tensor(seq.embeddings.data[None, :L]),
+                             seq.token_ids[None, :L],
+                             seq.loss_mask[None, :L])
+        want_ids = real_decode(model.lm, want, 4, eos_id=EOS_ID)
+        assert text == model.tokenizer.decode(want_ids)
 
 
 class EncodeSpy:
