@@ -24,9 +24,8 @@ from .experiment import (
     evaluate_run,
     load_config,
     run_experiment,
-    validate_task_block,
 )
-from .tiling import select_grid
+from .tiling import patch_count, select_grid
 
 _SIZE_RE = re.compile(r"^(\d+)x(\d+)$")
 
@@ -38,11 +37,7 @@ def _load_json(path):
 
 def cmd_gen_data(args) -> int:
     cfg = _load_json(args.config)
-    task = cfg.get("task", cfg)
-    problems = validate_task_block(task)
-    if problems:
-        raise ConfigError(
-            f"invalid config {args.config}: " + "; ".join(problems))
+    task = cfg.get("task", cfg) if isinstance(cfg, dict) else cfg
     spec = build_task_spec(task, seed_override=args.seed)
     data = generate(spec)
     for split, samples in (("train", data.train), ("eval", data.eval)):
@@ -106,14 +101,11 @@ def cmd_inspect_tiling(args) -> int:
         tile = pipe_cfg.tile_size
         max_tiles, thumbnail = pipe_cfg.tiler_args()
     grid = select_grid(width, height, max_tiles)
-    patches = grid.n_tiles
-    with_thumb = thumbnail and grid.n_tiles > 1
-    if with_thumb:
-        patches += 1
+    patches = patch_count(grid, thumbnail)
     print(f"input: {width}x{height}")
     print(f"tile: {tile}, max tiles: {max_tiles}")
     print(f"grid: {grid.cols}x{grid.rows} ({grid.n_tiles} tiles)")
-    print(f"thumbnail: {'yes' if with_thumb else 'no'}")
+    print(f"thumbnail: {'yes' if patches > grid.n_tiles else 'no'}")
     print(f"patches: {patches}")
     if pipe_cfg is not None:
         per_tile = pipe_cfg.tokens_per_tile()

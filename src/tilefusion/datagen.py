@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoders import EncoderConfig, highpass_pixels, lowpass_pixels
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, reject
 from .tiling import image_from_u8, image_to_u8, read_ppm, write_ppm
 
 TASK_KINDS = ("tile-detail", "complementary")
@@ -50,16 +50,28 @@ class TaskSpec:
     seed: int
 
     def __post_init__(self):
+        problems = []
         if self.kind not in TASK_KINDS:
-            raise ConfigError(f"kind must be one of {TASK_KINDS}, "
-                              f"got {self.kind!r}")
-        w, h = self.image_size
-        if w <= 0 or h <= 0 or self.tile_size <= 0:
-            raise ConfigError("image_size and tile_size must be positive")
-        if self.n_train < 0 or self.n_eval < 0:
-            raise ConfigError("sample counts must be nonnegative")
+            problems.append(f"kind: must be one of {TASK_KINDS}, "
+                            f"got {self.kind!r}")
+        if not (len(self.image_size) == 2
+                and all(isinstance(v, int) and not isinstance(v, bool)
+                        and v > 0 for v in self.image_size)):
+            problems.append("image_size: expected [width, height] "
+                            "positive integers")
+        if self.tile_size <= 0:
+            problems.append("tile_size: must be positive")
+        for key in ("n_train", "n_eval"):
+            if getattr(self, key) < 0:
+                problems.append(f"{key}: must be nonnegative")
         if self.n_classes < 2:
-            raise ConfigError("need at least 2 classes")
+            problems.append("n_classes: need at least 2 classes")
+        if not problems:
+            geometry = (_complementary_geometry
+                        if self.kind == "complementary"
+                        else _tile_detail_geometry)
+            problems = geometry(self)
+        reject(problems)
 
 
 @dataclass
@@ -121,22 +133,25 @@ SHAPE_MASKS = _shape_masks()
 TEXTURE_CELLS = _texture_cells()
 
 
-def _complementary_geometry(spec: TaskSpec):
+def _complementary_geometry(spec: TaskSpec) -> list:
+    """Problems with a complementary spec's image size and classes."""
     w, h = spec.image_size
+    problems = []
     if w != h:
-        raise ConfigError(f"complementary images are square, got {w}x{h}")
-    if w % CELL != 0:
-        raise ConfigError(f"image side {w} not divisible by cell {CELL}")
-    blocks = w // CELL
-    if blocks < SHAPE_CANVAS:
-        raise ConfigError(
-            f"image holds {blocks} blocks per side, shapes need "
-            f"{SHAPE_CANVAS}")
+        problems.append(
+            f"image_size: complementary images are square, got {w}x{h}")
+    elif w % CELL != 0:
+        problems.append(
+            f"image_size: side {w} not divisible by cell {CELL}")
+    elif w // CELL < SHAPE_CANVAS:
+        problems.append(
+            f"image_size: image holds {w // CELL} blocks per side, "
+            f"shapes need {SHAPE_CANVAS}")
     if spec.n_classes != N_SHAPES * N_TEXTURES:
-        raise ConfigError(
-            f"complementary task has {N_SHAPES * N_TEXTURES} classes, "
-            f"config says {spec.n_classes}")
-    return blocks
+        problems.append(
+            f"n_classes: complementary task has {N_SHAPES * N_TEXTURES} "
+            f"classes, config says {spec.n_classes}")
+    return problems
 
 
 def render_complementary(side: int, shape_id: int, texture_id: int,
@@ -215,7 +230,6 @@ def _complementary_split(spec: TaskSpec, n: int, rng) -> list:
 def generate_complementary(spec: TaskSpec) -> TaskData:
     if spec.kind != "complementary":
         raise ConfigError(f"spec kind is {spec.kind!r}")
-    _complementary_geometry(spec)
     verify_complementary_blindness(spec.image_size[0])
     r_train, r_eval = [np.random.default_rng(c) for c in
                        np.random.SeedSequence(spec.seed).spawn(2)]
@@ -229,23 +243,27 @@ def check_frequency_separation(cfg_a: EncoderConfig,
 
     Branch A must be the coarse branch (block-mean input, patches no
     finer than the texture cell) and branch B the fine branch (block
-    residual input, patches able to resolve inside a cell).
+    residual input, patches able to resolve inside a cell). Problems
+    are keyed by the model's encoder_a and encoder_b sections.
     """
     problems = []
     if cfg_a.input_filter != "lowpass":
-        problems.append("branch A must use the lowpass input filter")
+        problems.append("encoder_a.input_filter: branch A must use the "
+                        "lowpass input filter")
     if cfg_b.input_filter != "highpass":
-        problems.append("branch B must use the highpass input filter")
-    if cfg_a.filter_block != CELL or cfg_b.filter_block != CELL:
-        problems.append(f"filter blocks must equal the texture cell "
-                        f"({CELL})")
+        problems.append("encoder_b.input_filter: branch B must use the "
+                        "highpass input filter")
+    for key, cfg in (("encoder_a", cfg_a), ("encoder_b", cfg_b)):
+        if cfg.filter_block != CELL:
+            problems.append(f"{key}.filter_block: must equal the texture "
+                            f"cell ({CELL})")
     if cfg_a.patch_size % CELL != 0:
-        problems.append("branch A patch size must be a multiple of the "
+        problems.append("encoder_a.patch_size: must be a multiple of the "
                         "texture cell")
     if cfg_a.patch_size <= cfg_b.patch_size:
-        problems.append("branch A patches must be coarser than branch B")
-    if problems:
-        raise ConfigError("; ".join(problems))
+        problems.append("encoder_a.patch_size: branch A patches must be "
+                        "coarser than branch B")
+    reject(problems)
 
 
 def complementary_oracle(sample: Sample) -> str:
@@ -331,23 +349,26 @@ GLYPH_MASKS = _glyph_masks()
 _QUESTION_RE = re.compile(r"^tile r(\d+)c(\d+)\?$")
 
 
-def _tile_detail_geometry(spec: TaskSpec):
+def _tile_detail_geometry(spec: TaskSpec) -> list:
+    """Problems with a tile-detail spec's image, tile and classes."""
     w, h = spec.image_size
     t = spec.tile_size
+    problems = []
     if w % t != 0 or h % t != 0:
-        raise ConfigError(
-            f"image {w}x{h} is not a whole number of {t}px tiles")
-    cols, rows = w // t, h // t
-    if cols * rows < 2:
-        raise ConfigError("tile-detail needs more than one tile")
+        problems.append(
+            f"image_size: image {w}x{h} is not a whole number of "
+            f"{t}px tiles")
+    elif (w // t) * (h // t) < 2:
+        problems.append("image_size: tile-detail needs more than one tile")
     if spec.n_classes > len(GLYPH_MASKS):
-        raise ConfigError(
-            f"at most {len(GLYPH_MASKS)} glyph classes, config says "
-            f"{spec.n_classes}")
+        problems.append(
+            f"n_classes: at most {len(GLYPH_MASKS)} glyph classes, "
+            f"config says {spec.n_classes}")
     if t < GLYPH_SIZE + 2 * GLYPH_MARGIN:
-        raise ConfigError(
-            f"tile {t}px cannot hold a {GLYPH_SIZE}px glyph with margin")
-    return cols, rows
+        problems.append(
+            f"tile_size: tile {t}px cannot hold a {GLYPH_SIZE}px glyph "
+            "with margin")
+    return problems
 
 
 def tile_detail_question(row: int, col: int) -> str:
@@ -373,9 +394,9 @@ def _render_cell(canvas: np.ndarray, y0: int, x0: int, t: int,
 
 
 def _tile_detail_split(spec: TaskSpec, n: int, rng) -> list:
-    cols, rows = _tile_detail_geometry(spec)
     w, h = spec.image_size
     t = spec.tile_size
+    cols, rows = w // t, h // t
     ids = _balanced_ids(n, spec.n_classes, rng)
     out = []
     for cid in ids:
@@ -398,7 +419,6 @@ def _tile_detail_split(spec: TaskSpec, n: int, rng) -> list:
 def generate_tile_detail(spec: TaskSpec) -> TaskData:
     if spec.kind != "tile-detail":
         raise ConfigError(f"spec kind is {spec.kind!r}")
-    _tile_detail_geometry(spec)
     r_train, r_eval = [np.random.default_rng(c) for c in
                        np.random.SeedSequence(spec.seed).spawn(2)]
     return TaskData(train=_tile_detail_split(spec, spec.n_train, r_train),

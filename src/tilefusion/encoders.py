@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, reject
 from .tiling import ImageBuffer, TileSet, normalize_pixels
 from .transformer import init_block, linear, run_block
 
@@ -45,25 +45,20 @@ class EncoderConfig:
     filter_block: int = 2
 
     def __post_init__(self):
-        if min(self.patch_size, self.embed_dim, self.depth, self.heads,
-               self.grid_side, self.unshuffle_r) < 1:
-            raise ConfigError("encoder dims must all be positive")
-        if self.embed_dim % self.heads != 0:
-            raise ConfigError(
-                f"embed_dim {self.embed_dim} not divisible by heads {self.heads}"
-            )
-        if self.grid_side % self.unshuffle_r != 0:
-            raise ConfigError(
-                f"grid_side {self.grid_side} not divisible by "
-                f"unshuffle factor {self.unshuffle_r}"
-            )
+        problems = [f"{key}: must be >= 1" for key in (
+            "patch_size", "embed_dim", "depth", "heads", "grid_side",
+            "unshuffle_r", "filter_block") if getattr(self, key) < 1]
+        if self.heads >= 1 and self.embed_dim % self.heads != 0:
+            problems.append(f"heads: {self.heads} does not divide "
+                            f"embed_dim {self.embed_dim}")
+        if (self.unshuffle_r >= 1
+                and self.grid_side % self.unshuffle_r != 0):
+            problems.append(f"unshuffle_r: {self.unshuffle_r} does not "
+                            f"divide grid_side {self.grid_side}")
         if self.input_filter not in INPUT_FILTERS:
-            raise ConfigError(
-                f"input_filter must be one of {INPUT_FILTERS}, "
-                f"got {self.input_filter!r}"
-            )
-        if self.filter_block < 1:
-            raise ConfigError(f"filter_block must be >= 1, got {self.filter_block}")
+            problems.append(f"input_filter: must be one of "
+                            f"{INPUT_FILTERS}, got {self.input_filter!r}")
+        reject(problems)
 
     @property
     def tile_side(self) -> int:

@@ -21,4 +21,22 @@ class BudgetError(ValueError):
 
 
 class ConfigError(ValueError):
-    """An experiment or task configuration is invalid."""
+    """An experiment or task configuration is invalid.
+
+    problems holds every issue found, each as "<key>: <text>"; the
+    message joins them with "; ".
+    """
+
+    def __init__(self, *problems: str):
+        super().__init__("; ".join(problems))
+        self.problems = list(problems)
+
+    def under(self, prefix: str) -> list:
+        """The problems with their keys nested under prefix."""
+        return [prefix + p for p in self.problems]
+
+
+def reject(problems) -> None:
+    """Raise every problem found as one ConfigError; none, no error."""
+    if problems:
+        raise ConfigError(*problems)

@@ -6,18 +6,24 @@ by path and runs them as cells of an ablation, collecting one report
 row per cell. Reports are written as CSV with a fixed column order
 plus a JSON mirror carrying the same rows.
 
-The task, model, model.encoder_a/encoder_b and model.lm sections are
-defined once, by the dataclasses they build (TaskSpec, PipelineConfig,
-EncoderConfig, LMConfig): their keys, JSON types and required keys are
-read off the dataclass fields, with the type hints resolved at import.
-A tuple field is a JSON list, a nested config a JSON object, and a
-field without a default is required. The top-level, training, stage
-and matrix sections have no dataclass behind them and keep hand-written
-schemas.
+Every config section is defined once, by the dataclass it builds
+(ExperimentConfig, TaskSpec, PipelineConfig, EncoderConfig, LMConfig,
+TrainingConfig, StageConfig, MatrixConfig): its keys, JSON types and
+required keys are read off the dataclass fields, with the type hints
+resolved at import. A tuple field is a JSON list, a nested config a
+JSON object, an `X | None` field an optional X, and a field without a
+default is required. The section's value rules live in its
+dataclass's __post_init__, which reports all of them at once.
 
-Every config key is documented in configs/schema.md. Validation
-collects all problems at once and raises a single ConfigError naming
-the offending keys, so a bad file fails before any compute starts.
+Validating a config is building it. Each section is type-checked
+against its dataclass, then its nested sections are built, then the
+section itself; every problem on the way is collected under its key
+path. A section whose type check or nested section failed is not
+built, so one mistake does not cascade into follow-on reports. The
+validate_* functions return the problem list; load_config, the
+build_* functions, run_experiment, evaluate_run and ablate raise it as
+one ConfigError, before any compute starts. Every config key is
+documented in configs/schema.md.
 """
 
 import json
@@ -25,24 +31,16 @@ import os
 import time
 import typing
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from types import UnionType
 
-from .datagen import (
-    TASK_KINDS,
-    TaskSpec,
-    check_frequency_separation,
-    generate,
-)
+from .datagen import TaskSpec, check_frequency_separation, generate
 from .encoders import IN_CHANNELS, EncoderConfig
-from .errors import ConfigError
-from .fusion import FUSION_KINDS
+from .errors import ConfigError, reject
 from .lm import LMConfig
-from .model import ENCODER_CHOICES, Pipeline, PipelineConfig
-from .training import Checkpoint, restore, run_stage, stage1_plan, \
-    stage2_plan, write_atomic
-
-ADAPTER_PREFIXES = ("projectorA.", "projectorB.", "projector_shared.",
-                    "fusion.")
-KNOWN_PREFIXES = ("encoderA.", "encoderB.", "lm.") + ADAPTER_PREFIXES
+from .model import Pipeline, PipelineConfig
+from .tiling import patch_count, select_grid
+from .training import Checkpoint, StageConfig, TrainingConfig, restore, \
+    run_stage, write_atomic
 
 CSV_COLUMNS = ("config_id", "encoders", "fusion", "tiling", "frozen",
                "accuracy", "tokens_per_tile", "tokens_per_image",
@@ -50,6 +48,44 @@ CSV_COLUMNS = ("config_id", "encoders", "fusion", "tiling", "frozen",
 
 _ID_CHARS = set("abcdefghijklmnopqrstuvwxyz"
                 "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-")
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """One experiment: the task, the model and the training recipe."""
+
+    config_id: str
+    task: TaskSpec
+    model: PipelineConfig
+    training: TrainingConfig
+    seed: int = 0
+
+    def __post_init__(self):
+        # the complementary task's single-branch bounds hold only when
+        # the two branches see its two frequency bands
+        if self.task.kind == "complementary":
+            try:
+                check_frequency_separation(self.model.encoder_a,
+                                           self.model.encoder_b)
+            except ConfigError as err:
+                raise ConfigError(*err.under("model.")) from None
+
+
+@dataclass(frozen=True)
+class MatrixConfig:
+    """An ablation: a report name and one experiment config per cell."""
+
+    name: str
+    cells: tuple
+    seed: int | None = None
+
+    def __post_init__(self):
+        problems = [f"cells[{i}]: expected a path string"
+                    for i, cell in enumerate(self.cells)
+                    if not isinstance(cell, str)]
+        if not self.cells:
+            problems.append("cells: must list at least one config path")
+        reject(problems)
 
 
 @dataclass
@@ -95,27 +131,18 @@ def _is_type(value, want):
     return isinstance(value, want)
 
 
-def _check_section(problems, obj, schema, required, prefix):
-    if not isinstance(obj, dict):
-        problems.append(f"{prefix.rstrip('.')}: expected an object")
-        return False
-    for key in sorted(obj):
-        if key not in schema:
-            problems.append(f"unknown key {prefix}{key}")
-    for key in required:
-        if key not in obj:
-            problems.append(f"missing key {prefix}{key}")
-    for key, want in schema.items():
-        if key in obj and not _is_type(obj[key], want):
-            problems.append(
-                f"{prefix}{key}: expected {want.__name__}")
-    return True
+def _json_type(hint):
+    """The JSON type of a field hint: X for `X | None`, else the hint."""
+    if isinstance(hint, UnionType):
+        (hint,) = [h for h in typing.get_args(hint) if h is not type(None)]
+    return hint
 
 
 def _json_schema(cls) -> tuple:
     """(JSON types, required keys, nested configs, tuple fields) of a
     config dataclass, read off its fields."""
-    hints = typing.get_type_hints(cls)
+    hints = {k: _json_type(h)
+             for k, h in typing.get_type_hints(cls).items()}
     nested = {k: h for k, h in hints.items() if is_dataclass(h)}
     tuples = tuple(k for k, h in hints.items() if h is tuple)
     types = {k: dict if k in nested else list if k in tuples else h
@@ -128,78 +155,9 @@ def _json_schema(cls) -> tuple:
 # Resolved once: encoders.py and lm.py postpone their annotations, and
 # resolving them on every build would cost far more than the build.
 _SCHEMAS = {cls: _json_schema(cls)
-            for cls in (TaskSpec, EncoderConfig, LMConfig, PipelineConfig)}
-
-
-def _check_config(problems, obj, cls, prefix):
-    """Check a section, and its nested sections, against its dataclass."""
-    types, required, nested, _ = _SCHEMAS[cls]
-    if not _check_section(problems, obj, types, required, prefix):
-        return False
-    for key, sub in nested.items():
-        if isinstance(obj.get(key), dict):
-            _check_config(problems, obj[key], sub, f"{prefix}{key}.")
-    return True
-
-
-def _from_json(cls, section):
-    """Build a config dataclass from its validated JSON section."""
-    _, _, nested, tuples = _SCHEMAS[cls]
-    kw = dict(section)
-    for key in tuples:
-        if key in kw:
-            kw[key] = tuple(kw[key])
-    for key, sub in nested.items():
-        if key in kw:
-            kw[key] = _from_json(sub, kw[key])
-    return cls(**kw)
-
-
-_TOP_SCHEMA = {"config_id": str, "seed": int, "task": dict,
-               "model": dict, "training": dict}
-_TOP_REQUIRED = ("config_id", "task", "model", "training")
-
-_STAGE_SCHEMA = {"steps": int, "base_lr": float, "weight_decay": float,
-                 "warmup_steps": int, "extra_frozen": list}
-_STAGE_REQUIRED = ("steps",)
-
-_TRAIN_SCHEMA = {"batch_size": int, "eval_max_new": int,
-                 "freeze_vision_adapters": bool, "stage1": dict,
-                 "stage2": dict}
-_TRAIN_REQUIRED = ("stage1", "stage2")
-
-
-def validate_task_block(task, problems=None, prefix="task."):
-    """Schema-check a task section; returns the problem list."""
-    if problems is None:
-        problems = []
-    if not _check_config(problems, task, TaskSpec, prefix):
-        return problems
-    kind = task.get("kind")
-    if isinstance(kind, str) and kind not in TASK_KINDS:
-        problems.append(f"{prefix}kind: must be one of {TASK_KINDS}")
-    size = task.get("image_size")
-    if isinstance(size, list):
-        ok = (len(size) == 2
-              and all(_is_type(v, int) and v > 0 for v in size))
-        if not ok:
-            problems.append(
-                f"{prefix}image_size: expected [width, height] "
-                "positive integers")
-    return problems
-
-
-def _validate_stage(stage, problems, prefix):
-    if not _check_section(problems, stage, _STAGE_SCHEMA,
-                          _STAGE_REQUIRED, prefix):
-        return
-    extra = stage.get("extra_frozen")
-    if isinstance(extra, list):
-        for item in extra:
-            if item not in KNOWN_PREFIXES:
-                problems.append(
-                    f"{prefix}extra_frozen: unknown prefix {item!r}, "
-                    f"expected one of {KNOWN_PREFIXES}")
+            for cls in (ExperimentConfig, TaskSpec, PipelineConfig,
+                        EncoderConfig, LMConfig, TrainingConfig,
+                        StageConfig, MatrixConfig)}
 
 
 def _check_channel_stats(enc, problems, prefix):
@@ -218,106 +176,132 @@ def _check_channel_stats(enc, problems, prefix):
                             "numbers, one per input channel")
 
 
-def validate_experiment_config(cfg) -> list:
-    """Collect every schema problem in one pass."""
-    problems = []
-    if not _check_section(problems, cfg, _TOP_SCHEMA, _TOP_REQUIRED, ""):
-        return problems
+def _check_experiment(cfg, problems, prefix):
+    """An experiment's id is a plain name, and it scores at least one
+    eval sample (a task on its own may have none)."""
     cid = cfg.get("config_id")
     if isinstance(cid, str) and (not cid or set(cid) - _ID_CHARS):
         problems.append(
-            "config_id: use letters, digits, '_' or '-' only")
-    if isinstance(cfg.get("task"), dict):
-        validate_task_block(cfg["task"], problems)
-    model = cfg.get("model")
-    if isinstance(model, dict):
-        if _check_config(problems, model, PipelineConfig, "model."):
-            enc = model.get("encoders")
-            if isinstance(enc, str) and enc not in ENCODER_CHOICES:
-                problems.append(
-                    f"model.encoders: must be one of {ENCODER_CHOICES}")
-            fusion = model.get("fusion")
-            if isinstance(fusion, str) and fusion not in FUSION_KINDS:
-                problems.append(
-                    f"model.fusion: must be one of {FUSION_KINDS}")
-            for branch in ("encoder_a", "encoder_b"):
-                if isinstance(model.get(branch), dict):
-                    _check_channel_stats(model[branch], problems,
-                                         f"model.{branch}.")
-    training = cfg.get("training")
-    if isinstance(training, dict):
-        if _check_section(problems, training, _TRAIN_SCHEMA,
-                          _TRAIN_REQUIRED, "training."):
-            for key in ("batch_size", "eval_max_new"):
-                value = training.get(key)
-                if _is_type(value, int) and value < 1:
-                    problems.append(f"training.{key}: must be >= 1")
-            for name in ("stage1", "stage2"):
-                if isinstance(training.get(name), dict):
-                    _validate_stage(training[name], problems,
-                                    f"training.{name}.")
-    if isinstance(cfg.get("task"), dict):
-        n_eval = cfg["task"].get("n_eval")
-        if _is_type(n_eval, int) and n_eval < 1:
-            problems.append("task.n_eval: experiments need at least "
-                            "one eval sample")
+            f"{prefix}config_id: use letters, digits, '_' or '-' only")
+    task = cfg.get("task")
+    n_eval = task.get("n_eval") if isinstance(task, dict) else None
+    if _is_type(n_eval, int) and n_eval < 1:
+        problems.append(f"{prefix}task.n_eval: experiments need at "
+                        "least one eval sample")
+
+
+# Rules checked on a section's JSON whether or not it builds: they are
+# reported beside every other problem, and a section that breaks one
+# is still built. The channel stats stay out of EncoderConfig, whose
+# encode reports a bad std itself.
+_JSON_RULES = {EncoderConfig: _check_channel_stats,
+               ExperimentConfig: _check_experiment}
+
+
+def _build(problems, obj, cls, prefix):
+    """cls built from its JSON section obj, or None if it cannot be;
+    appends every problem found to problems, keyed under prefix."""
+    if not isinstance(obj, dict):
+        problems.append(f"{prefix.rstrip('.') or 'config'}: "
+                        "expected an object")
+        return None
+    types, required, nested, tuples = _SCHEMAS[cls]
+    found = len(problems)
+    problems += [f"unknown key {prefix}{key}" for key in sorted(obj)
+                 if key not in types]
+    problems += [f"missing key {prefix}{key}" for key in required
+                 if key not in obj]
+    problems += [f"{prefix}{key}: expected {want.__name__}"
+                 for key, want in types.items()
+                 if key in obj and not _is_type(obj[key], want)]
+    failed = len(problems) > found
+    kw = dict(obj)
+    for key, sub in nested.items():
+        if isinstance(obj.get(key), dict):
+            kw[key] = _build(problems, obj[key], sub, f"{prefix}{key}.")
+            failed = failed or kw[key] is None
+    if cls in _JSON_RULES:
+        _JSON_RULES[cls](obj, problems, prefix)
+    if failed:
+        return None
+    for key in tuples:
+        if key in kw:
+            kw[key] = tuple(kw[key])
+    try:
+        return cls(**kw)
+    except ConfigError as err:
+        problems += err.under(prefix)
+        return None
+
+
+def _construct(obj, cls, prefix="", what="config"):
+    """cls built from obj; raises every problem as one ConfigError."""
+    problems = []
+    built = _build(problems, obj, cls, prefix)
+    if problems:
+        raise ConfigError(f"invalid {what}: " + "; ".join(problems))
+    return built
+
+
+def validate_experiment_config(cfg) -> list:
+    """Every problem with an experiment config, each with its key path."""
+    problems = []
+    _build(problems, cfg, ExperimentConfig, "")
+    return problems
+
+
+def validate_matrix(matrix) -> list:
+    """Every problem with a matrix config, each with its key path."""
+    problems = []
+    _build(problems, matrix, MatrixConfig, "")
     return problems
 
 
 def load_config(path) -> dict:
-    """Read and validate one experiment config file."""
+    """Read and validate one experiment config file; returns its JSON."""
     with open(path) as f:
         cfg = json.load(f)
-    problems = validate_experiment_config(cfg)
-    if problems:
-        raise ConfigError(
-            f"invalid config {path}: " + "; ".join(problems))
+    _construct(cfg, ExperimentConfig, what=f"config {path}")
     return cfg
+
+
+def build_experiment(cfg, seed_override=None) -> ExperimentConfig:
+    """Every section of an experiment config, built; seed_override, when
+    given, replaces its seed."""
+    if seed_override is not None:
+        cfg = dict(cfg, seed=seed_override)
+    return _construct(cfg, ExperimentConfig)
 
 
 def build_task_spec(task, seed_override=None) -> TaskSpec:
     if seed_override is not None:
         task = dict(task, seed=seed_override)
-    return _from_json(TaskSpec, task)
+    return _construct(task, TaskSpec, "task.")
 
 
 def build_encoder_config(enc) -> EncoderConfig:
-    return _from_json(EncoderConfig, enc)
+    return _construct(enc, EncoderConfig)
 
 
 def build_pipeline_config(model) -> PipelineConfig:
-    return _from_json(PipelineConfig, model)
+    return _construct(model, PipelineConfig, "model.")
 
 
 def build_stage_plans(training, param_names):
-    """Expand the training section into stage plans plus a freeze tag.
-
-    With freeze_vision_adapters set, the projector stage is dropped
-    (nothing it trains would be trainable) and the finetune stage runs
-    with every adapter prefix frozen, leaving only the LM learning.
-    """
-    adapters = tuple(p for p in ADAPTER_PREFIXES
-                     if any(n.startswith(p) for n in param_names))
-    if training.get("freeze_vision_adapters", False):
-        stage = training["stage2"]
-        extra = tuple(stage.get("extra_frozen", ())) + adapters
-        return ([stage2_plan(**dict(stage, extra_frozen=extra))],
-                "encoders+adapters")
-    plans = [stage1_plan(**training["stage1"]),
-             stage2_plan(**training["stage2"])]
-    return plans, "encoders"
+    """The training section's stage plans for a model with these
+    parameters, plus its freeze tag (TrainingConfig.plans)."""
+    return _construct(training, TrainingConfig, "training.").plans(
+        param_names)
 
 
 def planned_patches(cfg: PipelineConfig, image_size) -> int:
     """Patch count the tiler will produce for this image size."""
-    from .tiling import select_grid
-
     max_tiles, thumbnail = cfg.tiler_args()
-    n = select_grid(image_size[0], image_size[1], max_tiles).n_tiles
-    return n + 1 if thumbnail and n > 1 else n
+    return patch_count(select_grid(image_size[0], image_size[1], max_tiles),
+                       thumbnail)
 
 
-def evaluate(model: Pipeline, samples, max_new: int = 4) -> float:
+def evaluate(model: Pipeline, samples, max_new: int) -> float:
     """Exact-match accuracy of greedy-decoded answers."""
     if not samples:
         raise ConfigError("eval split is empty")
@@ -332,32 +316,22 @@ def run_experiment(cfg: dict, out_dir=None, clock=None,
                    seed_override=None) -> ExperimentResult:
     """Build, train both stages, evaluate; returns the report row.
 
-    The model and all config objects are constructed before any data
-    generation or training, so an unknown fusion kind or impossible
-    geometry fails before compute. Complementary-task runs also check
-    that the two encoder front ends actually separate the coarse and
-    fine factors. A rerun into the same out_dir replaces its metrics,
-    checkpoint and result.
+    Every config object and the model are built before any data
+    generation or training, so an unknown fusion kind, an impossible
+    geometry or (on the complementary task) encoder front ends that do
+    not separate the coarse and fine factors fail before compute. A
+    rerun into the same out_dir replaces its metrics, checkpoint and
+    result.
     """
-    problems = validate_experiment_config(cfg)
-    if problems:
-        raise ConfigError("invalid config: " + "; ".join(problems))
-    seed = cfg.get("seed", 0) if seed_override is None else seed_override
+    exp = build_experiment(cfg, seed_override)
     tick = time.perf_counter if clock is None else clock
     t0 = tick()
 
-    spec = build_task_spec(cfg["task"])
-    pipe_cfg = build_pipeline_config(cfg["model"])
-    if spec.kind == "complementary":
-        check_frequency_separation(pipe_cfg.encoder_a,
-                                   pipe_cfg.encoder_b)
-    model = Pipeline(pipe_cfg, seed=seed)
-    names = [p.name for p in model.parameters()]
-    plans, frozen = build_stage_plans(cfg["training"], names)
+    model = Pipeline(exp.model, seed=exp.seed)
+    plans, frozen = exp.training.plans(
+        [p.name for p in model.parameters()])
 
-    data = generate(spec)
-    training = cfg["training"]
-    batch_size = training.get("batch_size", 8)
+    data = generate(exp.task)
     if out_dir is not None:
         # run_stage appends, so a rerun into the same directory would
         # otherwise keep the previous run's records
@@ -366,23 +340,24 @@ def run_experiment(cfg: dict, out_dir=None, clock=None,
             os.remove(stale)
     total_steps = 0
     for plan in plans:
-        run_stage(plan, model, data.train, seed=seed,
-                  batch_size=batch_size, out_dir=out_dir, clock=clock)
+        run_stage(plan, model, data.train, seed=exp.seed,
+                  batch_size=exp.training.batch_size, out_dir=out_dir,
+                  clock=clock)
         total_steps += plan.steps
 
     accuracy = evaluate(model, data.eval,
-                        max_new=training.get("eval_max_new", 4))
+                        max_new=exp.training.eval_max_new)
     wall_ms = (tick() - t0) * 1000.0
     result = ExperimentResult(
-        config_id=cfg["config_id"],
-        encoders=pipe_cfg.encoders,
-        fusion=pipe_cfg.fusion,
-        tiling=pipe_cfg.tiling,
+        config_id=exp.config_id,
+        encoders=exp.model.encoders,
+        fusion=exp.model.fusion,
+        tiling=exp.model.tiling,
         frozen=frozen,
         accuracy=accuracy,
-        tokens_per_tile=pipe_cfg.tokens_per_tile(),
-        tokens_per_image=pipe_cfg.tokens_per_tile()
-        * planned_patches(pipe_cfg, spec.image_size),
+        tokens_per_tile=exp.model.tokens_per_tile(),
+        tokens_per_image=exp.model.tokens_per_tile()
+        * planned_patches(exp.model, exp.task.image_size),
         steps=total_steps,
         wall_ms=wall_ms,
     )
@@ -395,36 +370,11 @@ def run_experiment(cfg: dict, out_dir=None, clock=None,
 
 def evaluate_run(cfg: dict, run_dir, seed_override=None) -> float:
     """Rebuild the model, load the run's checkpoint, re-evaluate."""
-    problems = validate_experiment_config(cfg)
-    if problems:
-        raise ConfigError("invalid config: " + "; ".join(problems))
-    seed = cfg.get("seed", 0) if seed_override is None else seed_override
-    spec = build_task_spec(cfg["task"])
-    pipe_cfg = build_pipeline_config(cfg["model"])
-    model = Pipeline(pipe_cfg, seed=seed)
+    exp = build_experiment(cfg, seed_override)
+    model = Pipeline(exp.model, seed=exp.seed)
     restore(model, Checkpoint.load(run_dir))
-    data = generate(spec)
-    max_new = cfg["training"].get("eval_max_new", 4)
-    return evaluate(model, data.eval, max_new=max_new)
-
-
-_MATRIX_SCHEMA = {"name": str, "seed": int, "cells": list}
-_MATRIX_REQUIRED = ("name", "cells")
-
-
-def validate_matrix(matrix) -> list:
-    problems = []
-    if not _check_section(problems, matrix, _MATRIX_SCHEMA,
-                          _MATRIX_REQUIRED, ""):
-        return problems
-    cells = matrix.get("cells")
-    if isinstance(cells, list):
-        if not cells:
-            problems.append("cells: must list at least one config path")
-        for i, cell in enumerate(cells):
-            if not isinstance(cell, str):
-                problems.append(f"cells[{i}]: expected a path string")
-    return problems
+    data = generate(exp.task)
+    return evaluate(model, data.eval, max_new=exp.training.eval_max_new)
 
 
 def ablate(matrix: dict, matrix_dir, out_dir=None, clock=None,
@@ -437,13 +387,11 @@ def ablate(matrix: dict, matrix_dir, out_dir=None, clock=None,
     cell so rows differ only in what the cell config changes. Each
     failure is recorded on its row and flips the report to partial.
     """
-    problems = validate_matrix(matrix)
-    if problems:
-        raise ConfigError("invalid matrix: " + "; ".join(problems))
-    seed = matrix.get("seed") if seed_override is None else seed_override
+    spec = _construct(matrix, MatrixConfig, what="matrix")
+    seed = spec.seed if seed_override is None else seed_override
     rows = []
     seen = set()
-    for rel in matrix["cells"]:
+    for rel in spec.cells:
         cid = os.path.splitext(os.path.basename(rel))[0]
         try:
             cfg = load_config(os.path.join(matrix_dir, rel))
@@ -460,7 +408,7 @@ def ablate(matrix: dict, matrix_dir, out_dir=None, clock=None,
         except Exception as err:
             rows.append(CellResult(cid, "failed",
                                    f"{type(err).__name__}: {err}", None))
-    report = AblationReport(name=matrix["name"], seed=seed,
+    report = AblationReport(name=spec.name, seed=seed,
                             complete=all(r.status == "ok" for r in rows),
                             rows=rows)
     if out_dir is not None:

@@ -47,7 +47,7 @@ import numpy as np
 
 from . import tensor as tz
 from .assembly import VOCAB_SIZE, SequenceBatch
-from .errors import BudgetError, ConfigError, ContractError
+from .errors import BudgetError, ContractError, reject
 from .transformer import KVCache, init_block, run_block
 
 NEG_INF = -1e30
@@ -61,16 +61,13 @@ class LMConfig:
     context_limit: int = 512
 
     def __post_init__(self):
-        if min(self.d_lm, self.layers, self.heads) < 1:
-            raise ConfigError("LM dims must all be positive")
-        if self.d_lm % self.heads != 0:
-            raise ConfigError(
-                f"d_lm {self.d_lm} not divisible by heads {self.heads}"
-            )
-        if self.context_limit < 1:
-            raise ConfigError(
-                f"context_limit must be >= 1, got {self.context_limit}"
-            )
+        problems = [f"{key}: must be >= 1" for key in (
+            "d_lm", "layers", "heads", "context_limit")
+            if getattr(self, key) < 1]
+        if self.heads >= 1 and self.d_lm % self.heads != 0:
+            problems.append(
+                f"heads: {self.heads} does not divide d_lm {self.d_lm}")
+        reject(problems)
 
 
 class LanguageModel:

@@ -43,7 +43,7 @@ from .assembly import (
     splice_batch,
 )
 from .encoders import Encoder, EncoderConfig, TokenGrid, pixel_unshuffle
-from .errors import ConfigError, ContractError
+from .errors import ContractError, reject
 from .fusion import (
     FUSION_KINDS,
     Projector,
@@ -83,35 +83,38 @@ class PipelineConfig:
     projector_hidden: int = 16
 
     def __post_init__(self):
+        problems = []
         if self.encoders not in ENCODER_CHOICES:
-            raise ConfigError(
-                f"encoders must be one of {ENCODER_CHOICES}, got {self.encoders!r}")
+            problems.append(f"encoders: must be one of {ENCODER_CHOICES}, "
+                            f"got {self.encoders!r}")
         if self.fusion not in FUSION_KINDS:
-            raise ConfigError(
-                f"fusion must be one of {FUSION_KINDS}, got {self.fusion!r}")
-        if self.tile_size <= 0 or self.max_tiles <= 0:
-            raise ConfigError("tile_size and max_tiles must be positive")
-        if self.projector_hidden <= 0:
-            raise ConfigError("projector_hidden must be positive")
-        for label, enc in (("A", self.encoder_a), ("B", self.encoder_b)):
+            problems.append(f"fusion: must be one of {FUSION_KINDS}, "
+                            f"got {self.fusion!r}")
+        for key in ("tile_size", "max_tiles", "projector_hidden"):
+            if getattr(self, key) <= 0:
+                problems.append(f"{key}: must be positive")
+        for label, key in (("A", "encoder_a"), ("B", "encoder_b")):
+            enc = getattr(self, key)
             if self._uses(label) and enc.tile_side != self.tile_size:
-                raise ConfigError(
-                    f"encoder {label} expects {enc.tile_side}px tiles, "
-                    f"pipeline produces {self.tile_size}px")
+                problems.append(
+                    f"{key}: expects {enc.tile_side}px tiles (patch_size "
+                    f"x grid_side), the pipeline's tile_size is "
+                    f"{self.tile_size}")
         if self.encoders == "A+B":
             wa = self.width_a
             wb = self.width_b
             if self.fusion == "pre-sequence" and wa != wb:
-                raise ConfigError(
-                    f"pre-sequence fusion needs equal post-unshuffle widths, "
-                    f"got {wa} and {wb}")
+                problems.append(
+                    f"fusion: pre-sequence needs equal post-unshuffle "
+                    f"widths, got {wa} and {wb}")
             if self.fusion in ("post-channel", "pre-channel"):
                 ta = self.encoder_a.tokens_per_tile
                 tb = self.encoder_b.tokens_per_tile
                 if ta != tb:
-                    raise ConfigError(
-                        f"{self.fusion} fusion needs equal tokens per tile, "
-                        f"got {ta} and {tb}")
+                    problems.append(
+                        f"fusion: {self.fusion} needs equal tokens per "
+                        f"tile, got {ta} and {tb}")
+        reject(problems)
 
     def _uses(self, branch: str) -> bool:
         return branch in self.encoders.split("+")
@@ -336,7 +339,7 @@ class Pipeline:
         return splice_batch(texts, counts, rows, self.lm.embed,
                             self.cfg.lm.context_limit)
 
-    def answer(self, images, question: str, max_new: int = 8) -> str:
+    def answer(self, images, question: str, max_new: int) -> str:
         """Greedy decode an answer string for one question.
 
         Every parameter stays out of the graph for the call, so decoding

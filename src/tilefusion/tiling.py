@@ -162,13 +162,17 @@ def resize_bilinear(img: ImageBuffer, out_w: int, out_h: int) -> ImageBuffer:
     return ImageBuffer(top * (1.0 - fy) + bot * fy)
 
 
+def patch_count(grid: TileGrid, thumbnail: bool) -> int:
+    """Patches segment cuts on this grid: its tiles, plus a thumbnail
+    when the flag is on and there is more than one tile (a single tile
+    already is the whole image)."""
+    return grid.n_tiles + int(thumbnail and grid.n_tiles > 1)
+
+
 def segment(img: ImageBuffer, tile_size: int, max_tiles: int,
             thumbnail: bool = True) -> TileSet:
-    """Resize to the selected grid and split into row-major square tiles.
-
-    Multi-tile results get a full-image thumbnail appended when the flag
-    is on; a single tile already is the whole image, so no thumbnail.
-    """
+    """Resize to the selected grid and split into row-major square tiles,
+    appending a full-image thumbnail where patch_count counts one."""
     if tile_size < 2:
         raise ContractError(f"tile_size must be >= 2, got {tile_size}")
     grid = select_grid(img.width, img.height, max_tiles)
@@ -180,7 +184,7 @@ def segment(img: ImageBuffer, tile_size: int, max_tiles: int,
         for c in range(grid.cols)
     ]
     thumb = None
-    if thumbnail and len(tiles) > 1:
+    if patch_count(grid, thumbnail) > grid.n_tiles:
         thumb = resize_bilinear(img, tile_size, tile_size)
     return TileSet(tiles=tiles, grid=grid, thumbnail=thumb,
                    source_dims=(img.height, img.width))

@@ -42,10 +42,16 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as tz
-from .errors import ConfigError, ContractError, DimensionError
+from .errors import ConfigError, ContractError, DimensionError, reject
 
 ENCODER_PREFIXES = ("encoderA.", "encoderB.")
+ADAPTER_PREFIXES = ("projectorA.", "projectorB.", "projector_shared.",
+                    "fusion.")
+KNOWN_PREFIXES = ENCODER_PREFIXES + ("lm.",) + ADAPTER_PREFIXES
 STAGE_NAMES = ("stage1", "stage2")
+STAGE_FROZEN = {"stage1": ENCODER_PREFIXES + ("lm.",),
+                "stage2": ENCODER_PREFIXES}
+STAGE_BASE_LR = {"stage1": 4e-4, "stage2": 4e-5}
 
 
 @dataclass(frozen=True)
@@ -60,57 +66,116 @@ class StagePlan:
     warmup_steps: int
 
     def __post_init__(self):
+        problems = []
         if self.name not in STAGE_NAMES:
-            raise ConfigError(f"stage name must be one of {STAGE_NAMES}, "
-                              f"got {self.name!r}")
+            problems.append(f"name: must be one of {STAGE_NAMES}, "
+                            f"got {self.name!r}")
         if self.steps <= 0:
-            raise ConfigError(f"steps must be positive, got {self.steps}")
+            problems.append(f"steps: must be positive, got {self.steps}")
         if not 0 <= self.warmup_steps <= self.steps:
-            raise ConfigError(
-                f"warmup_steps must lie in [0, {self.steps}], "
-                f"got {self.warmup_steps}")
+            problems.append(f"warmup_steps: must lie in [0, {self.steps}], "
+                            f"got {self.warmup_steps}")
         if self.base_lr <= 0:
-            raise ConfigError(f"base_lr must be positive, got {self.base_lr}")
+            problems.append(
+                f"base_lr: must be positive, got {self.base_lr}")
         if self.weight_decay < 0:
-            raise ConfigError(
-                f"weight_decay must be nonnegative, got {self.weight_decay}")
+            problems.append(f"weight_decay: must be nonnegative, "
+                            f"got {self.weight_decay}")
         frozen = set(self.frozen_prefixes)
         if not set(ENCODER_PREFIXES) <= frozen:
-            raise ConfigError("both encoder prefixes must be frozen in "
-                              "every stage")
+            problems.append("frozen_prefixes: both encoder prefixes must "
+                            "be frozen in every stage")
         if self.name == "stage1" and "lm." not in frozen:
-            raise ConfigError("stage1 must freeze the LM")
+            problems.append("frozen_prefixes: stage1 must freeze the LM")
         if self.name == "stage2" and "lm." in frozen:
-            raise ConfigError("stage2 must leave the LM trainable")
+            problems.append(
+                "frozen_prefixes: stage2 must leave the LM trainable")
+        reject(problems)
 
 
-def _default_warmup(steps: int) -> int:
-    return int(round(0.03 * steps))
+def stage_plan(name: str, steps: int, base_lr=None,
+               weight_decay: float = 0.01, warmup_steps=None,
+               extra_frozen=()) -> StagePlan:
+    """The named stage's plan. Unset, base_lr takes the stage's default
+    (STAGE_BASE_LR) and warmup_steps 3% of steps, rounded."""
+    return StagePlan(
+        name=name,
+        frozen_prefixes=STAGE_FROZEN[name] + tuple(extra_frozen),
+        base_lr=STAGE_BASE_LR[name] if base_lr is None else base_lr,
+        weight_decay=weight_decay, steps=steps,
+        warmup_steps=(int(round(0.03 * steps)) if warmup_steps is None
+                      else warmup_steps))
 
 
-def stage1_plan(steps: int, base_lr: float = 4e-4,
-                weight_decay: float = 0.01, warmup_steps=None,
-                extra_frozen=()) -> StagePlan:
+def stage1_plan(steps: int, **kw) -> StagePlan:
     """Projector training: encoders and LM stay fixed."""
-    if warmup_steps is None:
-        warmup_steps = _default_warmup(steps)
-    return StagePlan(name="stage1",
-                     frozen_prefixes=ENCODER_PREFIXES + ("lm.",)
-                     + tuple(extra_frozen),
-                     base_lr=base_lr, weight_decay=weight_decay,
-                     steps=steps, warmup_steps=warmup_steps)
+    return stage_plan("stage1", steps, **kw)
 
 
-def stage2_plan(steps: int, base_lr: float = 4e-5,
-                weight_decay: float = 0.01, warmup_steps=None,
-                extra_frozen=()) -> StagePlan:
+def stage2_plan(steps: int, **kw) -> StagePlan:
     """Finetuning: projectors and LM train, encoders stay fixed."""
-    if warmup_steps is None:
-        warmup_steps = _default_warmup(steps)
-    return StagePlan(name="stage2",
-                     frozen_prefixes=ENCODER_PREFIXES + tuple(extra_frozen),
-                     base_lr=base_lr, weight_decay=weight_decay,
-                     steps=steps, warmup_steps=warmup_steps)
+    return stage_plan("stage2", steps, **kw)
+
+
+@dataclass(frozen=True)
+class StageConfig:
+    """One stage section of a training config; stage_plan fills in the
+    defaults of base_lr and warmup_steps left unset."""
+
+    steps: int
+    base_lr: float | None = None
+    weight_decay: float = 0.01
+    warmup_steps: int | None = None
+    extra_frozen: tuple = ()
+
+    def __post_init__(self):
+        reject([f"extra_frozen: unknown prefix {p!r}, expected one of "
+                f"{KNOWN_PREFIXES}" for p in self.extra_frozen
+                if p not in KNOWN_PREFIXES])
+
+    def plan(self, name: str, extra_frozen=()) -> StagePlan:
+        """This section as the named stage's plan, freezing extra_frozen
+        on top of its own."""
+        return stage_plan(name, self.steps, self.base_lr, self.weight_decay,
+                          self.warmup_steps, self.extra_frozen + extra_frozen)
+
+
+@dataclass(frozen=True)
+class TrainingConfig:
+    """The training section: both stages and what they share."""
+
+    stage1: StageConfig
+    stage2: StageConfig
+    batch_size: int = 8
+    eval_max_new: int = 4
+    freeze_vision_adapters: bool = False
+
+    def __post_init__(self):
+        problems = [f"{key}: must be >= 1"
+                    for key in ("batch_size", "eval_max_new")
+                    if getattr(self, key) < 1]
+        for name in STAGE_NAMES:
+            try:
+                getattr(self, name).plan(name)
+            except ConfigError as err:
+                problems += err.under(f"{name}.")
+        reject(problems)
+
+    def plans(self, param_names) -> tuple:
+        """(stage plans, freeze tag) for a model with these parameters.
+
+        With freeze_vision_adapters set, the projector stage is dropped
+        (nothing it trains would be trainable) and the finetune stage
+        runs with every adapter prefix the model has frozen, leaving
+        only the LM learning.
+        """
+        if self.freeze_vision_adapters:
+            adapters = tuple(p for p in ADAPTER_PREFIXES
+                             if any(n.startswith(p) for n in param_names))
+            return [self.stage2.plan("stage2", adapters)], \
+                "encoders+adapters"
+        return [self.stage1.plan("stage1"),
+                self.stage2.plan("stage2")], "encoders"
 
 
 def cosine_lr(step: int, base_lr: float, total_steps: int,
@@ -248,7 +313,7 @@ class Checkpoint:
             manifest = json.load(f)
         with open(os.path.join(out_dir, WEIGHTS_NAME), "rb") as f:
             blob = f.read()
-        want = sum(4 * math.prod(e["shape"]) for e in manifest["params"])
+        want = _blob_size(manifest)
         if len(blob) != want:
             raise ContractError(
                 f"weights blob holds {len(blob)} bytes, manifest "
@@ -259,6 +324,34 @@ class Checkpoint:
                 f"weights blob sha256 {digest} does not match the "
                 f"manifest's {manifest.get('blob_sha256')}")
         return Checkpoint(manifest, blob)
+
+
+def _blob_size(manifest) -> int:
+    """Bytes of blob a manifest lays out; raises ContractError unless it
+    has the layout snapshot writes: an object with config_hash,
+    blob_sha256 and a params list of {name, shape, offset}, each offset
+    the sum of the f32 sizes before it."""
+    if not (isinstance(manifest, dict)
+            and isinstance(manifest.get("config_hash"), str)
+            and isinstance(manifest.get("blob_sha256"), str)
+            and isinstance(manifest.get("params"), list)):
+        raise ContractError("checkpoint manifest must be an object with "
+                            "config_hash, blob_sha256 and a params list")
+    size = 0
+    for i, e in enumerate(manifest["params"]):
+        if not (isinstance(e, dict) and isinstance(e.get("name"), str)
+                and isinstance(e.get("shape"), list)
+                and all(type(d) is int and d >= 0 for d in e["shape"])
+                and type(e.get("offset")) is int):
+            raise ContractError(
+                f"checkpoint manifest params[{i}] must be "
+                "{name: str, shape: [int >= 0], offset: int}")
+        if e["offset"] != size:
+            raise ContractError(
+                f"checkpoint manifest params[{i}] ({e['name']}) starts at "
+                f"offset {e['offset']}, the sizes before it sum to {size}")
+        size += 4 * math.prod(e["shape"])
+    return size
 
 
 def write_atomic(out_dir, name: str, data: bytes) -> None:

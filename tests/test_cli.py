@@ -99,6 +99,15 @@ class TestGenData:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_object_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1]")
+        code = main(["gen-data", "--config", str(path),
+                     "--out", str(tmp_path / "d")])
+        assert code == 2
+        assert "error: invalid config: task: expected an object" in \
+            capsys.readouterr().err
+
 
 class TestTrainEval:
     def test_train_then_eval(self, tmp_path, capsys):
@@ -126,6 +135,15 @@ class TestTrainEval:
         path = write_cfg(tmp_path, cfg)
         assert main(["train", "--config", path]) == 2
         assert "model.fusion" in capsys.readouterr().err
+
+    def test_malformed_manifest_exits_2(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, tiny_cfg())
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "manifest.json").write_text("[]")
+        (out / "weights.bin").write_bytes(b"")
+        assert main(["eval", "--config", path, "--out", str(out)]) == 2
+        assert "error: checkpoint manifest" in capsys.readouterr().err
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code = main(["train", "--config",

@@ -104,6 +104,11 @@ class TestValidation:
         assert "missing key model" in text
         assert "missing key training" in text
 
+    def test_non_object_config_named(self):
+        assert validate_experiment_config([]) == [
+            "config: expected an object"]
+        assert validate_matrix("cells") == ["config: expected an object"]
+
     def test_unknown_keys_listed_with_path(self):
         cfg = tiny_cfg()
         cfg["mystery"] = 1
@@ -196,6 +201,70 @@ class TestValidation:
         assert "model.encoder_b.norm_std: expected 3 numbers" in text
         assert "model.fusion" in text
         assert "encoder_a.norm_std" not in text
+
+    def test_stage_problems_share_one_report(self):
+        cfg = tiny_cfg()
+        cfg["training"]["stage1"]["steps"] = 0
+        cfg["training"]["stage2"]["warmup_steps"] = -5
+        cfg["training"]["stage2"]["base_lr"] = -1.0
+        assert [p.split(":")[0] for p in validate_experiment_config(cfg)] \
+            == ["training.stage1.steps", "training.stage2.warmup_steps",
+                "training.stage2.base_lr"]
+
+    # rules the dataclasses own, each reported before any compute
+    OWNED_RULES = [
+        ("training.stage1.steps", 0, "training.stage1.steps"),
+        ("training.stage2.warmup_steps", -5, "training.stage2.warmup_steps"),
+        ("training.stage2.base_lr", -1.0, "training.stage2.base_lr"),
+        ("model.encoder_a.grid_side", 4, "model.encoder_a"),
+        ("model.lm.heads", 3, "model.lm.heads"),
+        ("model.lm.context_limit", 0, "model.lm.context_limit"),
+        ("task.image_size", [32, 16], "task.image_size"),
+        ("model.encoder_a.input_filter", "none",
+         "model.encoder_a.input_filter"),
+    ]
+
+    @pytest.mark.parametrize("key, value, reported", OWNED_RULES,
+                             ids=[rule[0] for rule in OWNED_RULES])
+    def test_owned_rule_reported_with_its_path(self, key, value, reported):
+        cfg = tiny_cfg()
+        *path, last = key.split(".")
+        section = cfg
+        for part in path:
+            section = section[part]
+        section[last] = value
+        assert [p.split(":")[0] for p in validate_experiment_config(cfg)] \
+            == [reported]
+
+    def test_failed_section_is_not_built(self):
+        # the LM section fails, so the model and the experiment are not
+        # built, and their rules do not report on top of it
+        cfg = tiny_cfg()
+        cfg["model"]["lm"]["heads"] = 3
+        cfg["model"]["encoder_a"]["input_filter"] = "none"
+        cfg["model"]["encoder_a"]["grid_side"] = 4
+        assert [p.split(":")[0] for p in validate_experiment_config(cfg)] \
+            == ["model.lm.heads"]
+
+    def test_load_config_reports_owned_rules_at_once(self, tmp_path):
+        # every rule above whose section does not sit on another failing
+        # one: grid_side and input_filter are checked by the model and
+        # experiment sections, which fail to build here
+        cfg = tiny_cfg()
+        cfg["training"]["stage1"]["steps"] = 0
+        cfg["training"]["stage2"]["warmup_steps"] = -5
+        cfg["training"]["stage2"]["base_lr"] = -1.0
+        cfg["model"]["lm"]["heads"] = 3
+        cfg["model"]["lm"]["context_limit"] = 0
+        cfg["task"]["image_size"] = [32, 16]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(ConfigError) as err:
+            load_config(str(path))
+        for key in ("training.stage1.steps", "training.stage2.warmup_steps",
+                    "training.stage2.base_lr", "model.lm.heads",
+                    "model.lm.context_limit", "task.image_size"):
+            assert f"{key}: " in str(err.value)
 
     def test_load_config_raises_with_all_problems(self, tmp_path):
         cfg = tiny_cfg()

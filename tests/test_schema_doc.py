@@ -19,6 +19,7 @@ from tilefusion.datagen import TaskSpec
 from tilefusion.encoders import EncoderConfig
 from tilefusion.lm import LMConfig
 from tilefusion.model import PipelineConfig
+from tilefusion.training import StageConfig, TrainingConfig
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -33,21 +34,18 @@ def derived(cls):
 
 # schema.md heading -> (schema validation uses, section paths it covers)
 TABLES = {
-    "Experiment config": ((experiment._TOP_SCHEMA,
-                           experiment._TOP_REQUIRED), [()]),
+    "Experiment config": (derived(experiment.ExperimentConfig), [()]),
     "`task`": (derived(TaskSpec), [("task",)]),
     "`model`": (derived(PipelineConfig), [("model",)]),
     "encoder keys (`model.encoder_a`, `model.encoder_b`)": (
         derived(EncoderConfig),
         [("model", "encoder_a"), ("model", "encoder_b")]),
     "LM keys (`model.lm`)": (derived(LMConfig), [("model", "lm")]),
-    "`training`": ((experiment._TRAIN_SCHEMA, experiment._TRAIN_REQUIRED),
-                   [("training",)]),
+    "`training`": (derived(TrainingConfig), [("training",)]),
     "stage keys (`training.stage1`, `training.stage2`)": (
-        (experiment._STAGE_SCHEMA, experiment._STAGE_REQUIRED),
+        derived(StageConfig),
         [("training", "stage1"), ("training", "stage2")]),
-    "Matrix config": ((experiment._MATRIX_SCHEMA,
-                       experiment._MATRIX_REQUIRED), [None]),
+    "Matrix config": (derived(experiment.MatrixConfig), [None]),
 }
 
 

@@ -386,6 +386,30 @@ class TestCheckpoint:
         with pytest.raises(ContractError, match="sha256"):
             Checkpoint.load(tmp_path)
 
+    @pytest.mark.parametrize("edit", ["list", "no-params",
+                                      "swapped-offsets"])
+    def test_malformed_manifest_rejected(self, tmp_path, edit):
+        snapshot(tiny_pipe(seed=1), step=0, stage="stage1").save(tmp_path)
+        path = os.path.join(tmp_path, "manifest.json")
+        with open(path) as f:
+            man = json.load(f)
+        if edit == "list":
+            man = man["params"]
+        elif edit == "no-params":
+            del man["params"]
+        else:
+            # two entries of one shape: the blob and its digest still
+            # match, only the weights would land on the wrong names
+            by_shape = {}
+            for e in man["params"]:
+                by_shape.setdefault(tuple(e["shape"]), []).append(e)
+            a, b = next(es for es in by_shape.values() if len(es) > 1)[:2]
+            a["offset"], b["offset"] = b["offset"], a["offset"]
+        with open(path, "w") as f:
+            json.dump(man, f)
+        with pytest.raises(ContractError, match="manifest"):
+            Checkpoint.load(tmp_path)
+
     def test_save_records_digest_and_leaves_no_temporaries(self, tmp_path):
         ckpt = snapshot(tiny_pipe(seed=1), step=0, stage="stage1")
         ckpt.save(tmp_path)
