@@ -15,14 +15,25 @@ are the contiguous rows of its tiles. answer splices its one sample
 into a one-row SequenceBatch through the same builder (assembly.splice),
 fusing each of its images on its own, and decodes it.
 
-Frozen encoders cost one forward pass per distinct image per Pipeline:
-frozen_tokens keeps each image's detached post-unshuffle tokens in
-token_cache, keyed by the image's content_key (its shape and the sha1
-of its pixel bytes, hashed once per ImageBuffer), across every
-run_stage call. The cache holds only for the encoder weights it was
-filled with; sync_token_cache, which run_stage calls once, empties it
-when their digest has changed (restore, or any write to a weight).
-answer never touches it.
+Frozen encoders cost one forward pass per distinct encoder input per
+Pipeline, across every run_stage call. frozen_tokens keeps detached
+post-unshuffle tokens on two levels:
+
+- token_cache maps an image's content_key (its shape and the sha1 of
+  its pixel bytes, hashed once per ImageBuffer) to {label: TokenGrid};
+  a repeat image is one dict lookup.
+- view_cache, read only on a token_cache miss, maps (label, rows shape,
+  sha1 of rows) to that branch's TokenGrid, where rows is
+  Encoder.patch_rows of the image's tiles: the encoder's exact input,
+  after its filter and normalization. The encoder is a pure function of
+  those rows, so two images whose filtered views agree (a complementary
+  image's highpass view depends only on its texture) share one encode.
+  token_cache entries hold the view_cache grids themselves.
+
+Both hold only for the encoder weights they were filled with;
+sync_token_cache, which run_stage calls once, empties both when their
+digest has changed (restore, or any write to a weight). answer never
+touches either.
 
 Parameter names are namespaced by component ("encoderA.", "projectorB.",
 "fusion.down", "lm.") so training stages can freeze whole subsystems by
@@ -201,9 +212,11 @@ class Pipeline:
 
         self.lm = LanguageModel(cfg.lm, seed_lm)
 
-        # (image shape, pixel digest) -> detached branch tokens, valid
-        # for the encoder weights whose digest is token_cache_weights
+        # (image shape, pixel digest) -> {label: detached TokenGrid} and
+        # (label, rows shape, rows digest) -> the same grids, valid for
+        # the encoder weights whose digest is token_cache_weights
         self.token_cache = {}
+        self.view_cache = {}
         self.token_cache_weights = None
 
         # Start every parameter on the f32 lattice. Checkpoints store
@@ -215,9 +228,8 @@ class Pipeline:
 
     def parameters(self) -> list:
         out = []
-        for enc in (self.encoder_a, self.encoder_b):
-            if enc is not None:
-                out.extend(enc.parameters())
+        for _, enc in self._branches():
+            out.extend(enc.parameters())
         for proj in (self.projector_a, self.projector_b,
                      self.projector_shared):
             if proj is not None:
@@ -245,45 +257,61 @@ class Pipeline:
         return segment(image, self.cfg.tile_size, max_tiles,
                        thumbnail=thumbnail)
 
+    def _branches(self) -> list:
+        """(label, encoder) of each used branch, "A" first."""
+        return [(label, encoder) for label, encoder in
+                (("A", self.encoder_a), ("B", self.encoder_b))
+                if encoder is not None]
+
     def branch_tokens(self, image: ImageBuffer) -> dict:
         """Frozen half of the image side: tile, encode, unshuffle.
 
         Returns each used branch's post-unshuffle TokenGrid, keyed "A"
         and "B". Nothing here is trained by any stage, so a trainer may
-        compute this once per image and reuse it (frozen_tokens).
+        compute this once per encoder input and reuse it (frozen_tokens).
         """
         tiles = self.segment_image(image)
-        out = {}
-        for label, encoder in (("A", self.encoder_a), ("B", self.encoder_b)):
-            if encoder is not None:
-                out[label] = pixel_unshuffle(encoder.encode(tiles),
-                                             encoder.cfg.unshuffle_r)
-        return out
+        return {label: pixel_unshuffle(encoder.encode(tiles),
+                                       encoder.cfg.unshuffle_r)
+                for label, encoder in self._branches()}
 
     def sync_token_cache(self) -> None:
-        """Empty token_cache if the encoder weights changed since it was
-        filled. Call it before frozen_tokens whenever the weights may
-        have been written; run_stage calls it once per stage."""
+        """Empty token_cache and view_cache if the encoder weights
+        changed since they were filled. Call it before frozen_tokens
+        whenever the weights may have been written; run_stage calls it
+        once per stage."""
         h = hashlib.sha1()
-        for enc in (self.encoder_a, self.encoder_b):
-            if enc is not None:
-                for p in enc.parameters():
-                    h.update(p.data.tobytes())
+        for _, enc in self._branches():
+            for p in enc.parameters():
+                h.update(p.data.tobytes())
         digest = h.digest()
         if digest != self.token_cache_weights:
             self.token_cache.clear()
+            self.view_cache.clear()
             self.token_cache_weights = digest
 
     def frozen_tokens(self, image: ImageBuffer) -> dict:
-        """branch_tokens of image, detached, from token_cache.
+        """branch_tokens of image, detached, from the two caches.
 
-        Only for frozen encoders: a miss encodes the image and keeps the
-        result, a hit returns it without running any encoder.
+        Only for frozen encoders. A token_cache hit returns the image's
+        grids. On a miss, each branch hashes its patch_rows and runs its
+        encoder only if view_cache has no grid for them; the image's
+        entry then holds the view_cache grids.
         """
         tokens = self.token_cache.get(image.content_key)
         if tokens is None:
-            tokens = {label: TokenGrid(Tensor(grid.data.data))
-                      for label, grid in self.branch_tokens(image).items()}
+            tiles = self.segment_image(image)
+            tokens = {}
+            for label, encoder in self._branches():
+                rows = encoder.patch_rows(tiles)
+                key = (label, rows.shape, hashlib.sha1(rows).digest())
+                grid = self.view_cache.get(key)
+                if grid is None:
+                    grid = pixel_unshuffle(encoder.encode(tiles),
+                                           encoder.cfg.unshuffle_r)
+                    grid = TokenGrid(Tensor(grid.data.data))
+                    self.view_cache[key] = grid
+                tokens[label] = grid
             self.token_cache[image.content_key] = tokens
         return tokens
 

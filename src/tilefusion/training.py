@@ -5,12 +5,14 @@ Stage 2 keeps the encoders frozen and finetunes projectors plus LM.
 Freezing is enforced by parameter-name prefix. Because the encoders
 are frozen in every stage, run_stage trains on their cached, detached
 output tokens (Pipeline.frozen_tokens): the cache lives on the
-Pipeline, so the encoders run once per distinct image per Pipeline,
-across both stages, until the encoder weights change. Inside run_stage
-no frozen parameter receives a gradient, and each stage's AdamW holds
-only the parameters that stage trains, as views into its one flat
-buffer. Pipeline.assemble_batch without tokens keeps the full graph
-back into both encoders.
+Pipeline, keyed by image and, on an image miss, by each branch's
+encoder input, so each encoder runs once per distinct input per
+Pipeline, across both stages, until the encoder weights change. Inside
+run_stage no frozen parameter receives a gradient, and each stage's
+AdamW holds only the parameters that stage trains, as views into its
+one flat buffer, and updates them through two preallocated scratch
+buffers of the same size. Pipeline.assemble_batch without tokens keeps
+the full graph back into both encoders.
 
 Each step builds one right-padded [B, L, d] batch
 (Pipeline.assemble_batch: one projector/fusion pass over all the step's
@@ -206,6 +208,12 @@ class AdamW:
     and each Parameter.data becomes a view of its slice; the moments are
     two more buffers of the same layout, and all share one step count.
     Every trained parameter must have a gradient at every step.
+
+    A step allocates nothing the size of the buffer: the gradients are
+    copied into one preallocated flat buffer, and every update runs in
+    place or through out= into it and one more scratch buffer, in the
+    operand order of the plain expressions, so the result is bitwise
+    theirs.
     """
 
     def __init__(self, params, weight_decay=0.0):
@@ -220,6 +228,9 @@ class AdamW:
         self.m = np.zeros_like(self.data)
         self.v = np.zeros_like(self.data)
         self.t = 0
+        self._grad = np.empty_like(self.data)
+        self._scratch = np.empty_like(self.data)
+        self._finite = np.empty(self.data.shape, dtype=bool)
 
     def step(self, lr: float) -> None:
         """One update; raises, moving nothing, on a missing, misshapen
@@ -229,21 +240,28 @@ class AdamW:
             if got != p.data.shape:
                 raise DimensionError(f"{p.name}: grad shape {got} != "
                                      f"param shape {p.data.shape}")
-        g = np.concatenate([p.grad for p in self.params] + [np.empty(0)],
-                           axis=None)
-        if not np.isfinite(g).all():
+        g, tmp = self._grad, self._scratch
+        np.concatenate([p.grad for p in self.params] + [np.empty(0)],
+                       axis=None, out=g)
+        if not np.isfinite(g, out=self._finite).all():
             bad = next(p.name for p in self.params
                        if not np.isfinite(p.grad).all())
             raise ContractError(f"non-finite gradient for {bad}")
         self.t += 1
+        # m += (1 - BETA1) * g; v += (1 - BETA2) * g * g
         self.m *= BETA1
-        self.m += (1.0 - BETA1) * g
+        self.m += np.multiply(1.0 - BETA1, g, out=tmp)
         self.v *= BETA2
-        self.v += (1.0 - BETA2) * g * g
-        m_hat = self.m / (1.0 - BETA1 ** self.t)
-        v_hat = self.v / (1.0 - BETA2 ** self.t)
-        self.data -= lr * self.weight_decay * self.data
-        self.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        np.multiply(1.0 - BETA2, g, out=tmp)
+        self.v += np.multiply(tmp, g, out=tmp)
+        # data -= lr * wd * data, before the Adam term, which reads only
+        # m and v
+        self.data -= np.multiply(lr * self.weight_decay, self.data, out=g)
+        # data -= lr * m_hat / (sqrt(v_hat) + eps)
+        m_hat = np.divide(self.m, 1.0 - BETA1 ** self.t, out=g)
+        v_hat = np.divide(self.v, 1.0 - BETA2 ** self.t, out=tmp)
+        denom = np.add(np.sqrt(v_hat, out=tmp), ADAM_EPS, out=tmp)
+        self.data -= np.divide(np.multiply(lr, m_hat, out=g), denom, out=g)
 
 
 @dataclass
@@ -310,7 +328,11 @@ class Checkpoint:
     @staticmethod
     def load(out_dir) -> "Checkpoint":
         with open(os.path.join(out_dir, MANIFEST_NAME)) as f:
-            manifest = json.load(f)
+            try:
+                manifest = json.load(f)
+            except ValueError as err:  # JSONDecodeError, UnicodeDecodeError
+                raise ContractError(
+                    f"checkpoint manifest is not JSON: {err}") from err
         with open(os.path.join(out_dir, WEIGHTS_NAME), "rb") as f:
             blob = f.read()
         want = _blob_size(manifest)
@@ -433,13 +455,13 @@ def run_stage(plan: StagePlan, model, dataset, seed: int,
 
     Every stage freezes both encoders, so each image's post-unshuffle
     tokens come from the model's token cache (Pipeline.frozen_tokens),
-    detached: the encoders run once per distinct image per Pipeline,
-    not per stage, and receive no gradient. The cache is checked once
-    here against a digest of the encoder weights and emptied if they
-    changed. A step's samples are then spliced into one padded batch
-    (Pipeline.assemble_batch) and run through the LM's loss in one call;
-    padding on the right is safe because the causal mask already hides
-    each pad from every real position. No frozen parameter accumulates
+    detached: the encoders run once per distinct encoder input per
+    Pipeline, not per stage, and receive no gradient. The cache is
+    checked once here against a digest of the encoder weights and
+    emptied if they changed. A step's samples are then spliced into one
+    padded batch (Pipeline.assemble_batch) and run through the LM's loss
+    in one call; padding on the right is safe because the causal mask
+    already hides each pad from every real position. No frozen parameter accumulates
     a gradient during the call, and the stage's AdamW, built after the
     freeze, holds only the trainable ones; its ContractError on a
     non-finite gradient comes back with the stage and step added.

@@ -10,20 +10,27 @@ load-then-train against train-through at byte level.
 import hashlib
 import json
 import os
+import tracemalloc
+from collections import Counter
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tilefusion import tensor as tz
 from tilefusion.assembly import EOS_ID, SequenceBatch
-from tilefusion.encoders import Encoder, EncoderConfig
+from tilefusion.datagen import (ANSWER_ALPHABET, N_TEXTURES, generate,
+                                render_complementary)
+from tilefusion.encoders import Encoder, EncoderConfig, lowpass_pixels
 from tilefusion.errors import ConfigError, ContractError, DimensionError
+from tilefusion.experiment import (build_pipeline_config, build_task_spec,
+                                   load_config)
 from tilefusion.lm import LanguageModel, LMConfig
 from tilefusion import model as model_module
 from tilefusion.model import Pipeline, PipelineConfig
 from tilefusion.tensor import Parameter
-from tilefusion.tiling import ImageBuffer
+from tilefusion.tiling import ImageBuffer, image_from_u8
 from tilefusion.training import (
     STAGE_NAMES,
     AdamW,
@@ -50,6 +57,9 @@ class Sample:
     images: list
     question: str
     answer: str
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def tiny_cfg(ctx=96, fusion="post-interleave"):
@@ -198,6 +208,22 @@ class TestAdamW:
         with pytest.raises(DimensionError, match="w_missing"):
             AdamW([ok, missing], weight_decay=0.5).step(0.1)
         assert [ok.data.tobytes(), missing.data.tobytes()] == before
+
+    def test_step_allocates_less_than_one_flat_buffer(self):
+        rng = np.random.default_rng(5)
+        params = [Parameter("a", rng.standard_normal((200, 200))),
+                  Parameter("b", rng.standard_normal((100, 100)))]
+        opt = AdamW(params, weight_decay=0.01)
+        assert opt.data.size == 50_000
+        for p in params:
+            p.grad = rng.standard_normal(p.data.shape)
+        tracemalloc.start()
+        try:
+            opt.step(0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < opt.data.nbytes
 
     def test_param_thawed_after_construction_is_not_trained(self):
         # the trained set is fixed when the optimizer is built; a param
@@ -408,6 +434,16 @@ class TestCheckpoint:
         with open(path, "w") as f:
             json.dump(man, f)
         with pytest.raises(ContractError, match="manifest"):
+            Checkpoint.load(tmp_path)
+
+    def test_truncated_manifest_rejected(self, tmp_path):
+        snapshot(tiny_pipe(seed=1), step=0, stage="stage1").save(tmp_path)
+        path = os.path.join(tmp_path, "manifest.json")
+        with open(path, "rb") as f:
+            raw = f.read()
+        with open(path, "wb") as f:
+            f.write(raw[:len(raw) // 2])
+        with pytest.raises(ContractError, match="manifest is not JSON"):
             Checkpoint.load(tmp_path)
 
     def test_save_records_digest_and_leaves_no_temporaries(self, tmp_path):
@@ -862,15 +898,16 @@ def test_answer_prompt_matches_per_image_oracle(layout, monkeypatch):
 
 
 class EncodeSpy:
-    """Records (encoder prefix, tile bytes) of every Encoder.encode."""
+    """Records (encoder prefix, input shape, input bytes) of every
+    Encoder.encode; the input is the encoder's patch_rows."""
 
     def __init__(self, monkeypatch):
         self.calls = []
         original = Encoder.encode
 
         def spy(encoder, tiles):
-            self.calls.append((encoder.prefix, b"".join(
-                p.pixels.tobytes() for p in tiles.patches)))
+            rows = encoder.patch_rows(tiles)
+            self.calls.append((encoder.prefix, rows.shape, rows.tobytes()))
             return original(encoder, tiles)
 
         monkeypatch.setattr(Encoder, "encode", spy)
@@ -918,11 +955,18 @@ def test_token_cache_refills_when_encoder_weights_change(monkeypatch, change):
     run_stage(stage1, model, data, seed=13, batch_size=len(data))
     old = {key: {label: grid.data.data.copy() for label, grid in t.items()}
            for key, t in model.token_cache.items()}
+    old_views = {key: grid.data.data.copy()
+                 for key, grid in model.view_cache.items()}
     change(model)
     before = len(spy.calls)
     run_stage(stage2, model, data, seed=14, batch_size=len(data))
     assert len(spy.calls) - before == 2 * distinct_images(data)
     assert model.token_cache.keys() == old.keys()
+    assert model.view_cache.keys() == old_views.keys()
+    assert len(old_views) == 2 * distinct_images(data)
+    views = {id(grid) for grid in model.view_cache.values()}
+    assert all(id(grid) in views
+               for t in model.token_cache.values() for grid in t.values())
     for s in data:
         for img in s.images:
             n = len(spy.calls)
@@ -935,6 +979,8 @@ def test_token_cache_refills_when_encoder_weights_change(monkeypatch, change):
                     fresh[label].data.data.tobytes()
     assert any(not np.array_equal(t["B"], model.token_cache[k]["B"].data.data)
                for k, t in old.items())
+    assert any(not np.array_equal(grid, model.view_cache[k].data.data)
+               for k, grid in old_views.items() if k[0] == "B")
 
 
 def test_frozen_tokens_hashes_each_image_once(monkeypatch):
@@ -946,13 +992,14 @@ def test_frozen_tokens_hashes_each_image_once(monkeypatch):
                         lambda data=b"": hashed.append(1) or sha1(data))
     pixels = np.random.default_rng(8).random((16, 32, 3))
     img = ImageBuffer(pixels)
+    # a miss: the image's content_key, then one digest per branch input
     first = model.frozen_tokens(img)
-    assert len(hashed) == 1
+    assert len(hashed) == 3
     assert model.frozen_tokens(img) is first
-    assert len(hashed) == 1
+    assert len(hashed) == 3
     # an equal image is another buffer: hashed once, then a hit
     assert model.frozen_tokens(ImageBuffer(pixels.copy())) is first
-    assert len(hashed) == 2
+    assert len(hashed) == 4
 
 
 def test_new_pipeline_starts_with_empty_token_cache(monkeypatch):
@@ -963,7 +1010,7 @@ def test_new_pipeline_starts_with_empty_token_cache(monkeypatch):
     run_stage(plan, first, data, seed=13, batch_size=len(data))
     assert len(first.token_cache) == distinct_images(data)
     second = Pipeline(tiny_cfg(ctx=192), seed=5)
-    assert second.token_cache == {}
+    assert second.token_cache == {} and second.view_cache == {}
     before = len(spy.calls)
     run_stage(plan, second, data, seed=13, batch_size=len(data))
     assert len(spy.calls) - before == 2 * distinct_images(data)
@@ -975,6 +1022,7 @@ def test_answer_neither_reads_nor_fills_token_cache(monkeypatch):
     model = Pipeline(tiny_cfg(ctx=192), seed=5)
     run_stage(cache_plans()[0], model, data, seed=13, batch_size=len(data))
     cache = dict(model.token_cache)
+    views = dict(model.view_cache)
     unseen = ImageBuffer(np.random.default_rng(7).random((16, 16, 3)))
     for images in (data[1].images, [unseen]):
         before = len(spy.calls)
@@ -982,6 +1030,59 @@ def test_answer_neither_reads_nor_fills_token_cache(monkeypatch):
         assert len(spy.calls) - before == 2 * len(images)
         assert model.token_cache.keys() == cache.keys()
         assert all(model.token_cache[k] is v for k, v in cache.items())
+        assert model.view_cache.keys() == views.keys()
+        assert all(model.view_cache[k] is v for k, v in views.items())
+
+
+def shipped_complementary(n_train):
+    """A complementary-hybrid train split of n_train samples, and the
+    shipped model built from that config."""
+    cfg = load_config(CONFIG_DIR / "complementary-hybrid.json")
+    spec = build_task_spec({**cfg["task"], "n_train": n_train, "n_eval": 0})
+    model = Pipeline(build_pipeline_config(cfg["model"]), seed=cfg["seed"])
+    return generate(spec).train, model
+
+
+# Branch A sees a lowpass view, which no texture changes, and branch B a
+# highpass view, which depends on the texture alone: each encoder runs
+# once per distinct view, and the cache still returns each image's own
+# branch_tokens, bitwise.
+def test_view_cache_encodes_each_distinct_view_once(monkeypatch):
+    data, model = shipped_complementary(48)
+    spy = EncodeSpy(monkeypatch)
+    model.sync_token_cache()
+    # a small split rarely repeats a lowpass view, so add two shapes in
+    # two placements, each in every texture
+    images = [img for s in data for img in s.images] + [
+        image_from_u8(render_complementary(32, shape, texture, jx, 2,
+                                           70, 180))
+        for shape in (0, 1) for jx in (0, 3) for texture in range(N_TEXTURES)]
+    tokens = [model.frozen_tokens(img) for img in images]
+    textures = {ANSWER_ALPHABET.index(s.answer) % N_TEXTURES for s in data}
+    block = model.cfg.encoder_a.filter_block
+    lowpass = {lowpass_pixels(img.pixels, block).tobytes() for img in images}
+    n_images = len({img.content_key for img in images})
+    assert len(lowpass) < n_images and len(textures) < n_images
+    encodes = Counter(prefix for prefix, _, _ in spy.calls)
+    assert encodes == {"encoderA": len(lowpass), "encoderB": len(textures)}
+    assert len(model.token_cache) == n_images
+    assert len(model.view_cache) == len(lowpass) + len(textures)
+    for img, got in zip(images, tokens):
+        want = model.branch_tokens(img)
+        assert got.keys() == want.keys()
+        for label in want:
+            assert got[label].data.data.tobytes() == \
+                want[label].data.data.tobytes()
+
+
+# The gain of the view cache rests on this: the shipped complementary
+# data gives branch B no more distinct inputs than there are textures.
+def test_shipped_complementary_branch_b_sees_at_most_n_textures_views():
+    data, model = shipped_complementary(64)
+    enc = model.encoder_b
+    views = {enc.patch_rows(model.segment_image(img)).tobytes()
+             for s in data for img in s.images}
+    assert len(views) <= N_TEXTURES
 
 
 def test_metrics_record_round_trips_json():
