@@ -16,24 +16,29 @@ into a one-row SequenceBatch through the same builder (assembly.splice),
 fusing each of its images on its own, and decodes it.
 
 Frozen encoders cost one forward pass per distinct encoder input per
-Pipeline, across every run_stage call. frozen_tokens keeps detached
-post-unshuffle tokens on two levels:
+Pipeline, across every run_stage and answer call. frozen_tokens keeps
+detached post-unshuffle tokens on two levels:
 
 - token_cache maps an image's content_key (its shape and the sha1 of
   its pixel bytes, hashed once per ImageBuffer) to {label: TokenGrid};
   a repeat image is one dict lookup.
-- view_cache, read only on a token_cache miss, maps (label, rows shape,
-  sha1 of rows) to that branch's TokenGrid, where rows is
-  Encoder.patch_rows of the image's tiles: the encoder's exact input,
-  after its filter and normalization. The encoder is a pure function of
-  those rows, so two images whose filtered views agree (a complementary
-  image's highpass view depends only on its texture) share one encode.
+- view_cache, read only on a token_cache miss, maps each branch's input
+  to that branch's TokenGrid. A branch with an input filter keys it by
+  (label, rows shape, sha1 of rows), where rows is Encoder.patch_rows
+  of the image's tiles: the encoder's exact input, after its filter
+  and normalization. The encoder is a pure function of those rows, so
+  two images whose filtered views agree (a complementary image's
+  highpass view depends only on its texture) share one encode. An
+  unfiltered branch's input is a function of the image alone, so it
+  keys its view by (label, content_key) and hashes nothing more.
   token_cache entries hold the view_cache grids themselves.
 
 Both hold only for the encoder weights they were filled with;
-sync_token_cache, which run_stage calls once, empties both when their
-digest has changed (restore, or any write to a weight). answer never
-touches either.
+sync_token_cache, which run_stage calls once per stage and answer once
+per call, empties both when those weights' bytes have changed (restore,
+or any write to a weight). A cached grid is the encoder's output on
+identical rows, so answers from the caches are bitwise the answers of
+the uncached branch_tokens path.
 
 Parameter names are namespaced by component ("encoderA.", "projectorB.",
 "fusion.down", "lm.") so training stages can freeze whole subsystems by
@@ -213,8 +218,8 @@ class Pipeline:
         self.lm = LanguageModel(cfg.lm, seed_lm)
 
         # (image shape, pixel digest) -> {label: detached TokenGrid} and
-        # (label, rows shape, rows digest) -> the same grids, valid for
-        # the encoder weights whose digest is token_cache_weights
+        # each branch's view key -> the same grids, valid for the
+        # encoder weights whose bytes are token_cache_weights
         self.token_cache = {}
         self.view_cache = {}
         self.token_cache_weights = None
@@ -267,8 +272,9 @@ class Pipeline:
         """Frozen half of the image side: tile, encode, unshuffle.
 
         Returns each used branch's post-unshuffle TokenGrid, keyed "A"
-        and "B". Nothing here is trained by any stage, so a trainer may
-        compute this once per encoder input and reuse it (frozen_tokens).
+        and "B". Nothing here is trained by any stage, so training and
+        answer compute it once per encoder input and reuse it
+        (frozen_tokens); this uncached form is their reference.
         """
         tiles = self.segment_image(image)
         return {label: pixel_unshuffle(encoder.encode(tiles),
@@ -279,32 +285,35 @@ class Pipeline:
         """Empty token_cache and view_cache if the encoder weights
         changed since they were filled. Call it before frozen_tokens
         whenever the weights may have been written; run_stage calls it
-        once per stage."""
-        h = hashlib.sha1()
-        for _, enc in self._branches():
-            for p in enc.parameters():
-                h.update(p.data.tobytes())
-        digest = h.digest()
-        if digest != self.token_cache_weights:
+        once per stage and answer once per call. The check compares a
+        kept copy of the weights' bytes, so it is exact."""
+        weights = b"".join(p.data.tobytes() for _, enc in self._branches()
+                           for p in enc.parameters())
+        if weights != self.token_cache_weights:
             self.token_cache.clear()
             self.view_cache.clear()
-            self.token_cache_weights = digest
+            self.token_cache_weights = weights
 
     def frozen_tokens(self, image: ImageBuffer) -> dict:
         """branch_tokens of image, detached, from the two caches.
 
-        Only for frozen encoders. A token_cache hit returns the image's
-        grids. On a miss, each branch hashes its patch_rows and runs its
-        encoder only if view_cache has no grid for them; the image's
-        entry then holds the view_cache grids.
+        Only for encoder weights that sync_token_cache has seen. A
+        token_cache hit returns the image's grids. On a miss, each
+        branch looks up its view key (a filtered branch hashes its
+        patch_rows, an unfiltered one reuses the image's content_key)
+        and runs its encoder only if view_cache has no grid for it; the
+        image's entry then holds the view_cache grids.
         """
         tokens = self.token_cache.get(image.content_key)
         if tokens is None:
             tiles = self.segment_image(image)
             tokens = {}
             for label, encoder in self._branches():
-                rows = encoder.patch_rows(tiles)
-                key = (label, rows.shape, hashlib.sha1(rows).digest())
+                if encoder.cfg.input_filter == "none":
+                    key = (label, image.content_key)
+                else:
+                    rows = encoder.patch_rows(tiles)
+                    key = (label, rows.shape, hashlib.sha1(rows).digest())
                 grid = self.view_cache.get(key)
                 if grid is None:
                     grid = pixel_unshuffle(encoder.encode(tiles),
@@ -370,13 +379,18 @@ class Pipeline:
     def answer(self, images, question: str, max_new: int) -> str:
         """Greedy decode an answer string for one question.
 
-        Every parameter stays out of the graph for the call, so decoding
-        records no autograd edges.
+        Each image's branch tokens come from the frozen-token caches
+        (frozen_tokens), checked first against the encoder weights
+        (sync_token_cache): a repeat image encodes nothing, and a new
+        one runs only the branches whose view is new. Every parameter
+        stays out of the graph for the call, so decoding records no
+        autograd edges.
         """
+        self.sync_token_cache()
         with outside_graph(self.parameters()):
             # splice takes one sequence per image; every shipped task has
             # one image per sample, so this is one fused pass
-            visuals = [self.fuse_images([self.branch_tokens(img)])
+            visuals = [self.fuse_images([self.frozen_tokens(img)])
                        for img in images]
             prompt_ids = self.tokenizer.encode(
                 build_prompt(len(images), question))

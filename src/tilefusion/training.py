@@ -457,7 +457,7 @@ def run_stage(plan: StagePlan, model, dataset, seed: int,
     tokens come from the model's token cache (Pipeline.frozen_tokens),
     detached: the encoders run once per distinct encoder input per
     Pipeline, not per stage, and receive no gradient. The cache is
-    checked once here against a digest of the encoder weights and
+    checked once here against a copy of the encoder weights and
     emptied if they changed. A step's samples are then spliced into one
     padded batch (Pipeline.assemble_batch) and run through the LM's loss
     in one call; padding on the right is safe because the causal mask

@@ -983,23 +983,42 @@ def test_token_cache_refills_when_encoder_weights_change(monkeypatch, change):
                for k, grid in old_views.items() if k[0] == "B")
 
 
-def test_frozen_tokens_hashes_each_image_once(monkeypatch):
-    model = Pipeline(tiny_cfg(ctx=192), seed=5)
+def sha1_calls(monkeypatch, model, pixels):
+    """hashlib.sha1 calls so far after each of: a first frozen_tokens of
+    an image, the same buffer again, then an equal image in a new buffer;
+    the last two must return the first call's grids."""
     model.sync_token_cache()
     hashed = []
     sha1 = hashlib.sha1
     monkeypatch.setattr(hashlib, "sha1",
                         lambda data=b"": hashed.append(1) or sha1(data))
-    pixels = np.random.default_rng(8).random((16, 32, 3))
     img = ImageBuffer(pixels)
-    # a miss: the image's content_key, then one digest per branch input
     first = model.frozen_tokens(img)
-    assert len(hashed) == 3
+    counts = [len(hashed)]
     assert model.frozen_tokens(img) is first
-    assert len(hashed) == 3
-    # an equal image is another buffer: hashed once, then a hit
+    counts.append(len(hashed))
     assert model.frozen_tokens(ImageBuffer(pixels.copy())) is first
-    assert len(hashed) == 4
+    counts.append(len(hashed))
+    return counts
+
+
+# A miss hashes the image's content_key, which an unfiltered branch
+# reuses as its view key; a repeat is a hit; an equal image in another
+# buffer is hashed once, then a hit.
+def test_frozen_tokens_hashes_each_image_once(monkeypatch):
+    model = Pipeline(tiny_cfg(ctx=192), seed=5)
+    pixels = np.random.default_rng(8).random((16, 32, 3))
+    assert sha1_calls(monkeypatch, model, pixels) == [1, 1, 2]
+
+
+# A filtered branch's view is its patch_rows, hashed once per miss.
+def test_frozen_tokens_hashes_each_filtered_view_once(monkeypatch):
+    cfg = tiny_cfg(ctx=192)
+    cfg = replace(cfg, encoder_a=replace(cfg.encoder_a,
+                                         input_filter="lowpass"))
+    model = Pipeline(cfg, seed=5)
+    pixels = np.random.default_rng(8).random((16, 32, 3))
+    assert sha1_calls(monkeypatch, model, pixels) == [2, 2, 3]
 
 
 def test_new_pipeline_starts_with_empty_token_cache(monkeypatch):
@@ -1016,24 +1035,6 @@ def test_new_pipeline_starts_with_empty_token_cache(monkeypatch):
     assert len(spy.calls) - before == 2 * distinct_images(data)
 
 
-def test_answer_neither_reads_nor_fills_token_cache(monkeypatch):
-    spy = EncodeSpy(monkeypatch)
-    data = mixed_dataset()
-    model = Pipeline(tiny_cfg(ctx=192), seed=5)
-    run_stage(cache_plans()[0], model, data, seed=13, batch_size=len(data))
-    cache = dict(model.token_cache)
-    views = dict(model.view_cache)
-    unseen = ImageBuffer(np.random.default_rng(7).random((16, 16, 3)))
-    for images in (data[1].images, [unseen]):
-        before = len(spy.calls)
-        model.answer(images, "which?", max_new=2)
-        assert len(spy.calls) - before == 2 * len(images)
-        assert model.token_cache.keys() == cache.keys()
-        assert all(model.token_cache[k] is v for k, v in cache.items())
-        assert model.view_cache.keys() == views.keys()
-        assert all(model.view_cache[k] is v for k, v in views.items())
-
-
 def shipped_complementary(n_train):
     """A complementary-hybrid train split of n_train samples, and the
     shipped model built from that config."""
@@ -1041,6 +1042,87 @@ def shipped_complementary(n_train):
     spec = build_task_spec({**cfg["task"], "n_train": n_train, "n_eval": 0})
     model = Pipeline(build_pipeline_config(cfg["model"]), seed=cfg["seed"])
     return generate(spec).train, model
+
+
+# answer reads and fills the same caches as training: a repeat image
+# encodes nothing, and a new image whose highpass view (its texture) was
+# seen runs only branch A.
+def test_answer_encodes_only_new_views(monkeypatch):
+    _, model = shipped_complementary(0)
+    spy = EncodeSpy(monkeypatch)
+
+    def render(shape, jx, texture):
+        return image_from_u8(render_complementary(32, shape, texture, jx, 2,
+                                                  70, 180))
+
+    def encodes(image):
+        before = len(spy.calls)
+        model.answer([image], "which?", max_new=2)
+        return [prefix for prefix, _, _ in spy.calls[before:]]
+
+    first = render(0, 0, 1)
+    assert encodes(first) == ["encoderA", "encoderB"]
+    assert encodes(first) == []
+    assert encodes(render(0, 0, 1)) == []  # an equal image, another buffer
+    assert encodes(render(1, 3, 1)) == ["encoderA"]
+    assert encodes(render(1, 3, 2)) == ["encoderB"]
+
+
+def answer_prompts(monkeypatch, model, samples, max_new=4):
+    """(answer, prompt bytes handed to greedy_decode) per sample."""
+    prompts, out = [], []
+    real_decode = LanguageModel.greedy_decode
+    with monkeypatch.context() as m:
+        m.setattr(LanguageModel, "greedy_decode",
+                  lambda self, batch, *a, **k: prompts.append(batch)
+                  or real_decode(self, batch, *a, **k))
+        for s in samples:
+            text = model.answer(s.images, s.question, max_new=max_new)
+            batch = prompts.pop()
+            out.append((text, batch.embeddings.data.tobytes(),
+                        batch.token_ids.tobytes(),
+                        batch.loss_mask.tobytes()))
+    return out
+
+
+# On the shipped complementary config, after a training stage filled the
+# caches, answers to trained and new samples, cold and then warm, equal
+# the uncached branch_tokens path on a twin with the same weights,
+# bitwise; some new images hit a view another image encoded.
+def test_answer_matches_uncached_branch_tokens_path(monkeypatch):
+    cfg = load_config(CONFIG_DIR / "complementary-hybrid.json")
+    spec = build_task_spec({**cfg["task"], "n_train": 24, "n_eval": 24})
+    data = generate(spec)
+    model = Pipeline(build_pipeline_config(cfg["model"]), seed=cfg["seed"])
+    ckpt, _ = run_stage(stage1_plan(steps=2, warmup_steps=1, base_lr=3e-3),
+                        model, data.train, seed=3, batch_size=8)
+    uncached = Pipeline(model.cfg, seed=cfg["seed"])
+    restore(uncached, ckpt)
+    monkeypatch.setattr(uncached, "frozen_tokens", uncached.branch_tokens)
+    samples = data.train[:8] + data.eval
+    want = answer_prompts(monkeypatch, uncached, samples)
+    assert uncached.token_cache == {} and uncached.view_cache == {}
+    images, views = len(model.token_cache), len(model.view_cache)
+    assert answer_prompts(monkeypatch, model, samples + samples) == \
+        want + want
+    new_images = len(model.token_cache) - images
+    assert 0 < len(model.view_cache) - views < 2 * new_images
+
+
+# After a weight change that skips run_stage, the next answer must
+# resync: it equals a fresh Pipeline's answer with the new weights.
+@pytest.mark.parametrize("change", [bump_encoder_weight, restore_other_weights],
+                         ids=["in-place-write", "restore"])
+def test_answer_resyncs_after_encoder_weight_change(monkeypatch, change):
+    data = mixed_dataset()
+    model = Pipeline(tiny_cfg(ctx=192), seed=5)
+    before = answer_prompts(monkeypatch, model, data)
+    change(model)
+    fresh = Pipeline(model.cfg, seed=5)
+    restore(fresh, snapshot(model, 0, "stage1"))
+    want = answer_prompts(monkeypatch, fresh, data)
+    assert answer_prompts(monkeypatch, model, data) == want
+    assert [p[1] for p in want] != [p[1] for p in before]
 
 
 # Branch A sees a lowpass view, which no texture changes, and branch B a

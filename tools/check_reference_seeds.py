@@ -4,7 +4,9 @@ A perfbench run checks the outputs of one task seed only. This script
 runs one repetition per task seed (0 to REFERENCE_SEEDS - 1) of each
 workload through perfbench's own Workload and check_outputs, prints one
 line per seed and every mismatch, and exits 1 if any seed fails. Use it
-after a change that may move numerics.
+after a change that may move numerics. Each eval seed also runs a second
+repetition on the same Pipeline, so its cache-warm answers are checked
+against the reference and against the cold first pass.
 
     python3 tools/check_reference_seeds.py
     python3 tools/check_reference_seeds.py --workload eval-decode
@@ -12,10 +14,11 @@ after a change that may move numerics.
     python3 tools/check_reference_seeds.py --against parent.json
 
 The reference check allows a relative loss tolerance, so it cannot show
-that a change is bitwise. --dump writes every seed's outputs to a JSON
-file (train losses as float.hex, eval answers and the decoded token
-count as they are); dumps made on two commits are byte-identical
-exactly when the outputs are, so compare them with cmp. For a change
+that a change is bitwise. --dump writes every seed's outputs, from
+its first repetition, to a JSON file (train losses as float.hex, eval
+answers and the decoded token count as they are); dumps made on two
+commits are byte-identical exactly when the outputs are, so compare
+them with cmp. For a change
 that is not bitwise by design, --against DUMP reads a dump made on
 another commit and prints, per workload, the share of outputs that are
 bitwise equal to it and, for the train workloads, the largest relative
@@ -36,12 +39,16 @@ import workloads  # noqa: E402
 
 
 def check_seed(tf, name: str, seed: int) -> tuple:
-    """(check result, exact outputs) of one repetition of one seed."""
+    """(check result, exact outputs of the first repetition) of one
+    seed. An eval workload runs a second, untraced repetition on the
+    same Pipeline, whose frozen-token caches the first one filled, so
+    the check holds the cache-warm answers to the cold ones."""
     wl = workloads.Workload(tf, name, seed)
     wl.set_up()
     rep, tracer = wl.traced_once()
+    reps = [rep] if wl.is_train else [rep, wl.run_once()]
     ref = workloads.load_reference(name, wl.ref_key)
-    check = workloads.check_outputs(wl, [rep], ref, tracer.counts)
+    check = workloads.check_outputs(wl, reps, ref, tracer.counts)
     if wl.is_train:
         exact = {"losses": [float(x).hex() for x in rep["outputs"]]}
     else:
