@@ -7,6 +7,12 @@ channels-first spatial token grid.
 Pixel unshuffle then trades spatial extent for channels, cutting the
 token count by r squared per branch before projection.
 
+Every training stage freezes both encoders, so they are forward-only
+array code: encode runs on the parameters' arrays (the block through
+transformer.block_forward), builds no graph node, and returns a
+TokenGrid holding an ndarray. No gradient ever reaches an encoder
+parameter; the projectors wrap a grid's rows as a constant Tensor.
+
 A branch may declare an input filter that keeps only the coarse 8-bit
 block structure (lowpass) or only the within-block detail (highpass).
 Filters run on the integer pixel lattice with a single final division,
@@ -21,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .errors import ConfigError, DimensionError, reject
+from .errors import ConfigError, ContractError, DimensionError, reject
 from .tiling import ImageBuffer, TileSet, normalize_pixels
-from .transformer import init_block, linear, run_block
+from .transformer import block_forward, init_block, linear
 
 INPUT_FILTERS = ("none", "lowpass", "highpass")
 IN_CHANNELS = 3  # RGB tiles
@@ -72,11 +78,15 @@ class EncoderConfig:
 
 @dataclass
 class TokenGrid:
-    """Per-tile spatial features, channels first: [n_tiles, C, side, side]."""
+    """Per-tile spatial features, channels first: [n_tiles, C, side, side],
+    as an array: an encoder's output, outside every graph."""
 
-    data: tz.Tensor
+    data: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.data, np.ndarray):
+            raise ContractError(f"token grid data must be an ndarray, got "
+                                f"{type(self.data).__name__}")
         s = self.data.shape
         if len(s) != 4 or s[2] != s[3]:
             raise DimensionError(
@@ -95,11 +105,10 @@ class TokenGrid:
     def side(self) -> int:
         return self.data.shape[2]
 
-    def flatten_tokens(self) -> tz.Tensor:
+    def flatten_tokens(self) -> np.ndarray:
         """[n_tiles * side * side, C]: tile order, then row-major scan."""
         n, c, s, _ = self.data.shape
-        moved = tz.permute(self.data, (0, 2, 3, 1))
-        return tz.reshape(moved, (n * s * s, c))
+        return self.data.transpose(0, 2, 3, 1).reshape(n * s * s, c)
 
 
 # ---------------------------------------------------------------------------
@@ -209,22 +218,21 @@ class Encoder:
         return patched.reshape(len(patches), gs * gs, ps * ps * IN_CHANNELS)
 
     def encode(self, tiles: TileSet) -> TokenGrid:
-        """Raw [0,1] tiles -> patch_rows -> ViT -> token grid."""
+        """Raw [0,1] tiles -> patch_rows -> ViT -> token grid, on arrays."""
         cfg = self.cfg
         flat = self.patch_rows(tiles)
         n, gs = flat.shape[0], cfg.grid_side
-        x = tz.add_rowvec(tz.matmul(tz.Tensor(flat), self.patch_w), self.patch_b)
-        x = tz.add_rowvec(x, self.pos)
+        x = flat @ self.patch_w.data + self.patch_b.data + self.pos.data
         for blk in self.blocks:
-            x = run_block(x, blk, cfg.heads)
-        x = tz.layernorm(x, self.norm_out_g, self.norm_out_b)
-        spatial = tz.permute(tz.reshape(x, (n, gs, gs, cfg.embed_dim)),
-                             (0, 3, 1, 2))
-        return TokenGrid(spatial)
+            x, _ = block_forward(x, blk, cfg.heads)
+        x, _, _ = tz.layernorm_forward(x, self.norm_out_g.data,
+                                       self.norm_out_b.data)
+        return TokenGrid(x.reshape(n, gs, gs, cfg.embed_dim)
+                         .transpose(0, 3, 1, 2))
 
 
 # ---------------------------------------------------------------------------
-# pixel shuffle pair
+# pixel unshuffle
 
 
 def pixel_unshuffle(grid: TokenGrid, r: int) -> TokenGrid:
@@ -235,17 +243,6 @@ def pixel_unshuffle(grid: TokenGrid, r: int) -> TokenGrid:
     n, c, s, _ = grid.data.shape
     if r < 1 or s % r != 0:
         raise DimensionError(f"side {s} not divisible by unshuffle factor {r}")
-    x = tz.reshape(grid.data, (n, c, s // r, r, s // r, r))
-    x = tz.permute(x, (0, 1, 3, 5, 2, 4))
-    return TokenGrid(tz.reshape(x, (n, c * r * r, s // r, s // r)))
-
-
-def pixel_shuffle(grid: TokenGrid, r: int) -> TokenGrid:
-    """Exact inverse of pixel_unshuffle."""
-    n, c, s, _ = grid.data.shape
-    if r < 1 or c % (r * r) != 0:
-        raise DimensionError(f"channels {c} not divisible by r*r = {r * r}")
-    x = tz.reshape(grid.data, (n, c // (r * r), r, r, s, s))
-    x = tz.permute(x, (0, 1, 4, 2, 5, 3))
-    return TokenGrid(tz.reshape(x, (n, c // (r * r), s * r, s * r)))
-
+    x = grid.data.reshape(n, c, s // r, r, s // r, r)
+    x = x.transpose(0, 1, 3, 5, 2, 4)
+    return TokenGrid(x.reshape(n, c * r * r, s // r, s // r))

@@ -12,6 +12,10 @@ Strategies:
                    the channel concat of the projected pair
   pre-sequence     raw per-tile sequence concat, then ONE shared projector
   pre-channel      raw channel concat, then ONE shared projector
+
+Token grids are frozen encoder output, arrays outside every graph:
+project and fuse_pre wrap their rows as a constant Tensor, so a fused
+sequence's graph starts at the projectors.
 """
 
 from __future__ import annotations
@@ -97,8 +101,7 @@ class Projector:
 
 def project(proj: Projector, tokens: TokenGrid, branch_id: str) -> VisualSequence:
     """Project a token grid, preserving tile order and spatial scan order."""
-    rows = tokens.flatten_tokens()
-    out = proj.apply(rows)
+    out = proj.apply(tz.Tensor(tokens.flatten_tokens()))
     per_tile = tokens.side * tokens.side
     provenance = [
         (t, branch_id, i)
@@ -209,16 +212,16 @@ def fuse_pre(a_raw: TokenGrid, b_raw: TokenGrid, kind: str,
             provenance.extend((t, "A", i) for i in range(ta))
             order.extend(range(n * ta + t * tb, n * ta + (t + 1) * tb))
             provenance.extend((t, "B", i) for i in range(tb))
-        rows = tz.concat([rows_a, rows_b], axis=0)
-        fused = shared.apply(tz.embedding_lookup(rows, order))
+        rows = np.concatenate([rows_a, rows_b])
+        fused = shared.apply(tz.Tensor(rows[order]))
         return VisualSequence(fused, provenance)
     if kind == "pre-channel":
         if ta != tb:
             raise ContractError(
                 f"pre-channel needs equal token counts, got {ta} vs {tb}"
             )
-        stacked = tz.concat([rows_a, rows_b], axis=1)
-        fused = shared.apply(stacked)
+        stacked = np.concatenate([rows_a, rows_b], axis=1)
+        fused = shared.apply(tz.Tensor(stacked))
         provenance = [(t, "A+B", i) for t in range(n) for i in range(ta)]
         return VisualSequence(fused, provenance)
     raise ConfigError(f"unknown pre-fusion kind {kind!r}")

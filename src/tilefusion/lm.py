@@ -33,7 +33,8 @@ embeddings from there on, row i may attend to key j only when
 j <= start + i (the same causal mask, offset by start), the budget check
 covers start + L, and its keys and values are appended to the cache.
 greedy_decode runs a one-row prompt batch once into a fresh cache and
-then each emitted token as a one-position continuation. The cache holds
+then each emitted token but the last as a one-position continuation,
+so its budget is the prompt length plus max_new - 1. The cache holds
 arrays, not graph nodes: decoding runs outside the graph, and nothing
 differentiates through it. Cached logits agree with a full recompute
 to rounding (not bitwise: the one-row matmuls may sum in a different
@@ -170,8 +171,11 @@ class LanguageModel:
                 f"greedy_decode takes one row, got {batch.token_ids.shape[0]}")
         if max_new < 0:
             raise ContractError(f"max_new must be >= 0, got {max_new}")
-        if batch.length + max_new > self.cfg.context_limit:
-            raise BudgetError(required=batch.length + max_new,
+        # the last emitted token is never run, so decoding runs
+        # batch.length + max_new - 1 positions (the prompt's, if none)
+        needed = batch.length + max(max_new - 1, 0)
+        if needed > self.cfg.context_limit:
+            raise BudgetError(required=needed,
                               available=self.cfg.context_limit)
         emitted: list[int] = []
         cache = KVCache()

@@ -15,9 +15,11 @@ are the contiguous rows of its tiles. answer splices its one sample
 into a one-row SequenceBatch through the same builder (assembly.splice),
 fusing each of its images on its own, and decodes it.
 
-Frozen encoders cost one forward pass per distinct encoder input per
-Pipeline, across every run_stage and answer call. frozen_tokens keeps
-detached post-unshuffle tokens on two levels:
+The encoders are frozen in every stage and run forward only, on arrays
+(encoders.py): their TokenGrids hold ndarrays and never enter a graph,
+so no gradient reaches an encoder parameter. They cost one forward pass
+per distinct encoder input per Pipeline, across every run_stage and
+answer call. frozen_tokens keeps post-unshuffle tokens on two levels:
 
 - token_cache maps an image's content_key (its shape and the sha1 of
   its pixel bytes, hashed once per ImageBuffer) to {label: TokenGrid};
@@ -38,7 +40,8 @@ sync_token_cache, which run_stage calls once per stage and answer once
 per call, empties both when those weights' bytes have changed (restore,
 or any write to a weight). A cached grid is the encoder's output on
 identical rows, so answers from the caches are bitwise the answers of
-the uncached branch_tokens path.
+an uncached encode (tests/per_image_oracle.py keeps that path as the
+oracle).
 
 Parameter names are namespaced by component ("encoderA.", "projectorB.",
 "fusion.down", "lm.") so training stages can freeze whole subsystems by
@@ -70,7 +73,7 @@ from .fusion import (
     project,
 )
 from .lm import LanguageModel, LMConfig
-from .tensor import Tensor, concat, outside_graph, slice_axis
+from .tensor import Tensor, outside_graph, slice_axis
 from .tiling import ImageBuffer, segment
 from .transformer import linear
 
@@ -217,7 +220,7 @@ class Pipeline:
 
         self.lm = LanguageModel(cfg.lm, seed_lm)
 
-        # (image shape, pixel digest) -> {label: detached TokenGrid} and
+        # (image shape, pixel digest) -> {label: TokenGrid} and
         # each branch's view key -> the same grids, valid for the
         # encoder weights whose bytes are token_cache_weights
         self.token_cache = {}
@@ -268,19 +271,6 @@ class Pipeline:
                 (("A", self.encoder_a), ("B", self.encoder_b))
                 if encoder is not None]
 
-    def branch_tokens(self, image: ImageBuffer) -> dict:
-        """Frozen half of the image side: tile, encode, unshuffle.
-
-        Returns each used branch's post-unshuffle TokenGrid, keyed "A"
-        and "B". Nothing here is trained by any stage, so training and
-        answer compute it once per encoder input and reuse it
-        (frozen_tokens); this uncached form is their reference.
-        """
-        tiles = self.segment_image(image)
-        return {label: pixel_unshuffle(encoder.encode(tiles),
-                                       encoder.cfg.unshuffle_r)
-                for label, encoder in self._branches()}
-
     def sync_token_cache(self) -> None:
         """Empty token_cache and view_cache if the encoder weights
         changed since they were filled. Call it before frozen_tokens
@@ -295,7 +285,8 @@ class Pipeline:
             self.token_cache_weights = weights
 
     def frozen_tokens(self, image: ImageBuffer) -> dict:
-        """branch_tokens of image, detached, from the two caches.
+        """Each used branch's post-unshuffle TokenGrid of image (tile,
+        encode, unshuffle), keyed "A" and "B", from the two caches.
 
         Only for encoder weights that sync_token_cache has seen. A
         token_cache hit returns the image's grids. On a miss, each
@@ -318,7 +309,6 @@ class Pipeline:
                 if grid is None:
                     grid = pixel_unshuffle(encoder.encode(tiles),
                                            encoder.cfg.unshuffle_r)
-                    grid = TokenGrid(Tensor(grid.data.data))
                     self.view_cache[key] = grid
                 tokens[label] = grid
             self.token_cache[image.content_key] = tokens
@@ -328,16 +318,18 @@ class Pipeline:
         """Trainable half of the image side: project and fuse, for many
         images in one pass.
 
-        tokens holds branch_tokens output per image. Each branch's grids
-        are stacked along the tile axis, image after image, then
-        projected and fused once, so tile indices in the provenance run
-        across the stack and image k's rows follow image k - 1's.
+        tokens holds frozen_tokens output per image. Each branch's grid
+        arrays are stacked along the tile axis with np.concatenate, image
+        after image, then projected and fused once, so tile indices in
+        the provenance run across the stack and image k's rows follow
+        image k - 1's. The stack is a constant: gradients start at the
+        projectors.
         """
         stacked = {}
         for label in tokens[0]:
             grids = [t[label].data for t in tokens]
             stacked[label] = TokenGrid(
-                grids[0] if len(grids) == 1 else concat(grids, axis=0))
+                grids[0] if len(grids) == 1 else np.concatenate(grids))
         cfg = self.cfg
         if cfg.encoders == "A":
             return project(self.projector_a, stacked["A"], "A")
@@ -355,14 +347,12 @@ class Pipeline:
             return fuse_post_channel(seq_a, seq_b, self.down)
         return fuse_pre(tok_a, tok_b, cfg.fusion, self.projector_shared)
 
-    def assemble_batch(self, samples, tokens=None) -> SequenceBatch:
+    def assemble_batch(self, samples, tokens) -> SequenceBatch:
         """Splice samples (each with .images, .question, .answer) into one
         right-padded batch: one fuse_images pass over all their images
-        and one row gather. tokens, when given, holds branch_tokens output
-        per image per sample and replaces the encoder pass."""
-        if tokens is None:
-            tokens = [[self.branch_tokens(img) for img in s.images]
-                      for s in samples]
+        and one row gather. tokens holds frozen_tokens output per image
+        per sample; the graph it starts reaches the projectors, the
+        fusion map and the LM, never an encoder."""
         flat = [t for per_sample in tokens for t in per_sample]
         rows = (self.fuse_images(flat).embeddings if flat
                 else Tensor(np.zeros((0, self.cfg.lm.d_lm))))

@@ -1,6 +1,7 @@
 """Dense f64 tensors with reverse-mode differentiation.
 
-Every array in the package is a row-major float64 ``Tensor``. Operations
+Every differentiable value in the package is a float64 ``Tensor``; the
+frozen encoders alone run on plain arrays (encoders.py). Operations
 record graph edges whenever an input has ``requires_grad`` set; calling
 :func:`backward` on a scalar loss fills ``grad`` buffers by walking the
 recorded graph in reverse topological order. The ``frozen`` flag alone
@@ -221,31 +222,6 @@ def mul_scalar(x: Tensor, s: float) -> Tensor:
     out = _make(x.data * s, (x,))
     if out.requires_grad:
         out._backward = lambda g: _accum(x, g * s)
-    return out
-
-
-def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(int(d) for d in shape)
-    # math.prod, not np.prod: this runs on every reshape, where numpy's
-    # call overhead (~6 us) was most of the op's cost on small tensors
-    if math.prod(shape) != x.size:
-        raise DimensionError(f"reshape {x.shape} -> {shape}: size mismatch")
-    out = _make(x.data.reshape(shape), (x,))
-    if out.requires_grad:
-        out._backward = lambda g: _accum(x, g.reshape(x.shape))
-    return out
-
-
-def permute(x: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = tuple(int(a) for a in axes)
-    if sorted(axes) != list(range(x.data.ndim)):
-        raise DimensionError(f"permute axes {axes} invalid for shape {x.shape}")
-    out = _make(np.transpose(x.data, axes), (x,))
-    if out.requires_grad:
-        inv = [0] * len(axes)
-        for i, a in enumerate(axes):
-            inv[a] = i
-        out._backward = lambda g: _accum(x, np.transpose(g, inv))
     return out
 
 
@@ -521,8 +497,6 @@ OPS: dict[str, Callable] = {
     "add-rowvec": add_rowvec,
     "mul": mul,
     "mul-scalar": mul_scalar,
-    "reshape": reshape,
-    "permute": permute,
     "softmax-lastdim": softmax_lastdim,
     "layernorm": layernorm,
     "gelu": gelu,

@@ -3,16 +3,16 @@
 Stage 1 freezes both encoders and the LM and trains the projectors.
 Stage 2 keeps the encoders frozen and finetunes projectors plus LM.
 Freezing is enforced by parameter-name prefix. Because the encoders
-are frozen in every stage, run_stage trains on their cached, detached
-output tokens (Pipeline.frozen_tokens): the cache lives on the
-Pipeline, keyed by image and, on an image miss, by each branch's
-encoder input, so each encoder runs once per distinct input per
-Pipeline, across both stages, until the encoder weights change. Inside
+are frozen in every stage, they run forward only, on arrays, and
+run_stage trains on their cached output tokens
+(Pipeline.frozen_tokens): the cache lives on the Pipeline, keyed by
+image and, on an image miss, by each branch's encoder input, so each
+encoder runs once per distinct input per Pipeline, across both
+stages, until the encoder weights change. Inside
 run_stage no frozen parameter receives a gradient, and each stage's
 AdamW holds only the parameters that stage trains, as views into its
 one flat buffer, and updates them through two preallocated scratch
-buffers of the same size. Pipeline.assemble_batch without tokens keeps
-the full graph back into both encoders.
+buffers of the same size.
 
 Each step builds one right-padded [B, L, d] batch
 (Pipeline.assemble_batch: one projector/fusion pass over all the step's
@@ -455,8 +455,9 @@ def run_stage(plan: StagePlan, model, dataset, seed: int,
 
     Every stage freezes both encoders, so each image's post-unshuffle
     tokens come from the model's token cache (Pipeline.frozen_tokens),
-    detached: the encoders run once per distinct encoder input per
-    Pipeline, not per stage, and receive no gradient. The cache is
+    as arrays outside the graph: the encoders run once per distinct
+    encoder input per Pipeline, not per stage, and receive no gradient.
+    The cache is
     checked once here against a copy of the encoder weights and
     emptied if they changed. A step's samples are then spliced into one
     padded batch (Pipeline.assemble_batch) and run through the LM's loss

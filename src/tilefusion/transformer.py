@@ -7,11 +7,14 @@ whose earlier keys and values come first, so S is the cached length
 plus T. Checkpoints and seeds rely on init_block's parameter names and
 on its draw order: wq, wk, wv, wo, w1, w2.
 
-run_block is one autograd node, not ~25: its forward runs on arrays and
-keeps the activations its backward needs, and its backward is derived
-by hand, in the order of the composed-op graph (tests/block_oracle.py,
-which it equals bitwise). It accumulates into x and into each block
-parameter that requires grad. The formulas of layernorm, GELU and
+block_forward runs the block on arrays and returns, beside its output,
+a backward that keeps the activations it needs; run_block makes that
+one autograd node, not ~25. The backward is derived by hand, in the
+order of the composed-op graph (tests/block_oracle.py, which it equals
+bitwise), and accumulates into x and into each block parameter that
+requires grad. The LM runs run_block; the encoders, frozen in every
+stage, call block_forward and keep its output alone, so they build no
+graph. The formulas of layernorm, GELU and
 softmax are tensor.py's, shared with their primitives. The attention
 scores, the block's largest array ([N, heads, T, S]: 1 MB per tile in
 the 256-token encoder), are scaled, masked and softmaxed in the one
@@ -84,15 +87,20 @@ class KVCache:
         return k, v
 
 
-def run_block(x: tz.Tensor, blk: dict, heads: int,
-              mask: np.ndarray | None = None, cache: KVCache | None = None,
-              layer: int = 0, queries_from: int = 0) -> tz.Tensor:
-    """One pre-norm block over [N, T, d] as one graph node.
+def block_forward(x: np.ndarray, blk: dict, heads: int,
+                  mask: np.ndarray | None = None,
+                  cache: KVCache | None = None, layer: int = 0,
+                  queries_from: int = 0) -> tuple:
+    """One pre-norm block over the [N, T, d] array x, on arrays:
+    (output, backward).
 
     Keys and values cover all T rows (after the cache's, if any); only
     rows queries_from: are queries, so the output is [N, T - queries_from,
     d]. mask, if given, is additive and [N, heads, T, S]; the block uses
-    its rows queries_from:. layer indexes the cache.
+    its rows queries_from:. layer indexes the cache. backward(g), given
+    the output's gradient, accumulates into each block parameter that
+    requires grad and returns x's gradient; the encoders, which are
+    frozen, keep the output alone.
     """
     n, t, d = x.shape
     hd = d // heads
@@ -111,8 +119,7 @@ def run_block(x: tz.Tensor, blk: dict, heads: int,
         return np.ascontiguousarray(y.transpose(0, 2, 1, 3)).reshape(
             n, rows, d)
 
-    h1, xhat1, inv1 = tz.layernorm_forward(x.data, p["norm1.g"],
-                                           p["norm1.b"])
+    h1, xhat1, inv1 = tz.layernorm_forward(x, p["norm1.g"], p["norm1.b"])
     hq = h1[:, queries_from:]
     q = split(np.matmul(hq, p["wq"]), tq)
     k = split(np.matmul(h1, p["wk"]), t)
@@ -128,16 +135,13 @@ def run_block(x: tz.Tensor, blk: dict, heads: int,
         scores += mask[:, :, queries_from:]
     attn = tz.softmax_forward(scores, out=scores)
     merged = merge(np.matmul(attn, v), tq)
-    x1 = x.data[:, queries_from:] + np.matmul(merged, p["wo"])
+    x1 = x[:, queries_from:] + np.matmul(merged, p["wo"])
     h2, xhat2, inv2 = tz.layernorm_forward(x1, p["norm2.g"], p["norm2.b"])
     pre = np.matmul(h2, p["w1"])
     pre += p["b1"]
     hidden, tanh = tz.gelu_forward(pre)
     mlp = np.matmul(hidden, p["w2"])
     mlp += p["b2"]
-    out = tz._make(x1 + mlp, (x,) + tuple(blk.values()))
-    if not out.requires_grad:
-        return out
 
     def weight_grad(name, a, g):  # a: [..., fan_in], g: [..., fan_out]
         w = blk[name]
@@ -176,7 +180,19 @@ def run_block(x: tz.Tensor, blk: dict, heads: int,
         g_x = tz.layernorm_backward(g_h1, xhat1, inv1, blk["norm1.g"],
                                     blk["norm1.b"])
         g_x[:, queries_from:] += g_x1
-        tz._accum(x, g_x)
+        return g_x
 
-    out._backward = backward
+    return x1 + mlp, backward
+
+
+def run_block(x: tz.Tensor, blk: dict, heads: int,
+              mask: np.ndarray | None = None, cache: KVCache | None = None,
+              layer: int = 0, queries_from: int = 0) -> tz.Tensor:
+    """block_forward as one graph node over the Tensor x; same
+    arguments."""
+    data, backward = block_forward(x.data, blk, heads, mask, cache, layer,
+                                   queries_from)
+    out = tz._make(data, (x,) + tuple(blk.values()))
+    if out.requires_grad:
+        out._backward = lambda g: tz._accum(x, backward(g))
     return out

@@ -9,6 +9,7 @@ earlier keys and values enter the graph as constants.
 
 import numpy as np
 
+from oracle_ops import permute, reshape
 from tilefusion import tensor as tz
 
 
@@ -18,7 +19,7 @@ def run_block(x, blk, heads, mask=None, cache=None, layer=0,
     hd = d // heads
 
     def split(y, rows):  # [N, rows, d] -> [N, heads, rows, hd]
-        return tz.permute(tz.reshape(y, (n, rows, heads, hd)), (0, 2, 1, 3))
+        return permute(reshape(y, (n, rows, heads, hd)), (0, 2, 1, 3))
 
     normed = tz.layernorm(x, blk["norm1.g"], blk["norm1.b"])
     queries = normed
@@ -33,13 +34,12 @@ def run_block(x, blk, heads, mask=None, cache=None, layer=0,
         if past:
             k = tz.concat([tz.Tensor(all_k[:, :, :past]), k], axis=2)
             v = tz.concat([tz.Tensor(all_v[:, :, :past]), v], axis=2)
-    scores = tz.mul_scalar(tz.matmul(q, tz.permute(k, (0, 1, 3, 2))),
+    scores = tz.mul_scalar(tz.matmul(q, permute(k, (0, 1, 3, 2))),
                            1.0 / np.sqrt(hd))
     if mask is not None:
         scores = tz.add(scores, tz.Tensor(mask[:, :, queries_from:]))
     mixed = tz.matmul(tz.softmax_lastdim(scores), v)
-    merged = tz.reshape(tz.permute(mixed, (0, 2, 1, 3)),
-                        (n, t - queries_from, d))
+    merged = reshape(permute(mixed, (0, 2, 1, 3)), (n, t - queries_from, d))
     x = tz.add(x, tz.matmul(merged, blk["wo"]))
     normed = tz.layernorm(x, blk["norm2.g"], blk["norm2.b"])
     hidden = tz.gelu(tz.add_rowvec(tz.matmul(normed, blk["w1"]), blk["b1"]))

@@ -1,5 +1,12 @@
 """The per-image image side, kept as the oracle for the batched one.
 
+branch_tokens(model, image) is the frozen half without the frozen-token
+caches: tile, encode, unshuffle, on every call. Pipeline.frozen_tokens
+must return its grids bitwise, and uncached_batch is
+Pipeline.assemble_batch on those grids, the reference for training on
+cached ones. pixel_shuffle is pixel_unshuffle's inverse, the oracle of
+its index law.
+
 Each image is projected and fused on its own (fuse_tokens), each sample
 is spliced from concatenated runs of embedding lookups and visual rows
 (splice) into its own AssembledSequence, and the samples are
@@ -25,6 +32,7 @@ from tilefusion.assembly import (
     SequenceBatch,
     build_prompt,
 )
+from tilefusion.encoders import TokenGrid, pixel_unshuffle
 from tilefusion.errors import BudgetError, ContractError, DimensionError
 from tilefusion.fusion import (
     fuse_post_channel,
@@ -32,6 +40,8 @@ from tilefusion.fusion import (
     fuse_pre,
     project,
 )
+
+from oracle_ops import reshape
 
 
 @dataclass
@@ -57,10 +67,37 @@ class AssembledSequence:
         return self.embeddings.shape[0]
 
 
+def branch_tokens(model, image):
+    """Each used branch's post-unshuffle TokenGrid of image, keyed "A"
+    and "B": tile, encode, unshuffle, with no cache."""
+    tiles = model.segment_image(image)
+    return {label: pixel_unshuffle(enc.encode(tiles), enc.cfg.unshuffle_r)
+            for label, enc in (("A", model.encoder_a), ("B", model.encoder_b))
+            if enc is not None}
+
+
+def uncached_batch(model, samples):
+    """Pipeline.assemble_batch of samples on branch_tokens of every
+    image."""
+    return model.assemble_batch(
+        samples, [[branch_tokens(model, img) for img in s.images]
+                  for s in samples])
+
+
+def pixel_shuffle(grid, r):
+    """Exact inverse of pixel_unshuffle."""
+    n, c, s, _ = grid.data.shape
+    if r < 1 or c % (r * r) != 0:
+        raise DimensionError(f"channels {c} not divisible by r*r = {r * r}")
+    x = grid.data.reshape(n, c // (r * r), r, r, s, s)
+    x = x.transpose(0, 1, 4, 2, 5, 3)
+    return TokenGrid(x.reshape(n, c // (r * r), s * r, s * r))
+
+
 def as_batch(seq):
     """seq as a one-row SequenceBatch, by reshape."""
     return SequenceBatch(
-        tz.reshape(seq.embeddings, (1,) + seq.embeddings.shape),
+        reshape(seq.embeddings, (1,) + seq.embeddings.shape),
         seq.token_ids[None], seq.loss_mask[None])
 
 
@@ -162,13 +199,13 @@ def pad_batch(seqs):
         if s.length < L:
             parts.append(tz.Tensor(np.zeros((L - s.length, d))))
     flat = parts[0] if len(parts) == 1 else tz.concat(parts, axis=0)
-    return SequenceBatch(tz.reshape(flat, (len(seqs), L, d)), ids, mask)
+    return SequenceBatch(reshape(flat, (len(seqs), L, d)), ids, mask)
 
 
 def assemble(model, images, question, answer, tokens=None):
     """One sample through the per-image path; (sequence, visuals)."""
     if tokens is None:
-        tokens = [model.branch_tokens(img) for img in images]
+        tokens = [branch_tokens(model, img) for img in images]
     visuals = [fuse_tokens(model, t) for t in tokens]
     seq = splice(model.tokenizer.encode(build_prompt(len(images), question)),
                  model.tokenizer.encode(answer), visuals, model.lm.embed,

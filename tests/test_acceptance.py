@@ -21,12 +21,7 @@ from tilefusion.assembly import (
     splice,
 )
 from tilefusion.datagen import verify_complementary_blindness
-from tilefusion.encoders import (
-    EncoderConfig,
-    TokenGrid,
-    pixel_shuffle,
-    pixel_unshuffle,
-)
+from tilefusion.encoders import EncoderConfig, TokenGrid, pixel_unshuffle
 from tilefusion.errors import BudgetError
 from tilefusion.experiment import load_config, run_experiment
 from tilefusion.fusion import (
@@ -49,6 +44,8 @@ from tilefusion.training import (
     stage1_plan,
     stage2_plan,
 )
+
+from per_image_oracle import pixel_shuffle, uncached_batch
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                           "..", "configs")
@@ -115,10 +112,10 @@ def test_full_scale_token_arithmetic():
     assert fused.tokens_per_tile() == 512
 
     # the count is realized by the operator, not just the formula
-    grid = TokenGrid(tz.Tensor(np.zeros((1, 2, 32, 32))))
+    grid = TokenGrid(np.zeros((1, 2, 32, 32)))
     out = pixel_unshuffle(grid, 2)
     assert out.side * out.side == 256
-    grid_b = TokenGrid(tz.Tensor(np.zeros((1, 2, 64, 64))))
+    grid_b = TokenGrid(np.zeros((1, 2, 64, 64)))
     out_b = pixel_unshuffle(grid_b, 4)
     assert out_b.side * out_b.side == 256
     assert time.perf_counter() - t0 < 1.0
@@ -152,10 +149,10 @@ def test_unshuffle_shape_law_and_exact_inverse():
         r = int(rng.integers(1, 6))
         s = r * int(rng.integers(1, 5))
         x = rng.standard_normal((b, c, s, s))
-        out = pixel_unshuffle(TokenGrid(tz.Tensor(x)), r)
+        out = pixel_unshuffle(TokenGrid(x), r)
         assert out.data.shape == (b, c * r * r, s // r, s // r)
         back = pixel_shuffle(out, r)
-        assert back.data.data.tobytes() == x.tobytes()
+        assert back.data.tobytes() == x.tobytes()
     assert time.perf_counter() - t0 < 5.0
 
 
@@ -226,7 +223,7 @@ def test_end_to_end_gradients_match_finite_differences():
     img = ImageBuffer(np.random.default_rng(5).random((8, 16, 3)))
 
     def loss_value(_ignored=None):
-        return pipe.lm.loss(pipe.assemble_batch([Sample([img], "q", "ab")]))
+        return pipe.lm.loss(uncached_batch(pipe, [Sample([img], "q", "ab")]))
 
     loss = loss_value()
     backward(loss)
@@ -235,6 +232,10 @@ def test_end_to_end_gradients_match_finite_differences():
     used_rows = [257, 259, 260, ord("q"), ord("a"), ord("b"), 258]
     worst = 0.0
     for p in pipe.parameters():
+        # the encoders are frozen, forward-only array code: no gradient
+        if p.name.startswith(("encoderA.", "encoderB.")):
+            assert p.grad is None, p.name
+            continue
         size = p.data.size
         picks = set(rng.choice(size, size=min(8, size),
                                replace=False).tolist())

@@ -1,5 +1,7 @@
-"""tools/count_loc.py counts code lines, never docstrings or comments."""
+"""tools/count_loc.py counts code lines, never docstrings or comments,
+and with --against REV each file's change since a git revision."""
 
+import subprocess
 import sys
 from pathlib import Path
 
@@ -36,3 +38,43 @@ def test_counts_only_lines_with_code():
 def test_blank_and_docstring_only_files_count_zero():
     assert count_loc.code_lines("") == 0
     assert count_loc.code_lines('"""Only a docstring."""\n\n# note\n') == 0
+
+
+def git(repo, *args):
+    subprocess.run(["git", "-C", str(repo), "-c", "user.name=t",
+                    "-c", "user.email=t@example.com",
+                    "-c", "commit.gpgsign=false", *args],
+                   check=True, capture_output=True)
+
+
+def test_against_a_revision_prints_each_files_change(tmp_path, capsys):
+    repo = tmp_path / "repo"
+    src = repo / "src"
+    src.mkdir(parents=True)
+    git(repo, "init", "-q")
+    (src / "kept.py").write_text("a = 1\nb = 2\n")
+    (src / "gone.py").write_text("x = 1\n")
+    (src / "notes.txt").write_text("not python\n")
+    git(repo, "add", "-A")
+    git(repo, "commit", "-q", "-m", "first")
+    (src / "kept.py").write_text('"""Doc."""\na = 1\n')
+    (src / "gone.py").unlink()
+    (src / "new.py").write_text("y = 1\nz = 2\n")
+    git(repo, "add", "-A")
+    git(repo, "commit", "-q", "-m", "second")
+    # the working tree is what is counted, committed or not
+    (src / "new.py").write_text("y = 1\nz = 2\nw = 3\n")
+
+    assert count_loc.main([str(src), "--against", "HEAD~1"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "     0     -1  src/gone.py",
+        "     1     -1  src/kept.py",
+        "     3     +3  src/new.py",
+        "     4     +1  total",
+    ]
+    assert count_loc.main([str(src / "new.py"), "--against", "HEAD"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "     3     +1  src/new.py",
+        "     3     +1  total",
+    ]
+    assert count_loc.main([str(src), "--against", "no-such-rev"]) == 1

@@ -34,9 +34,8 @@ def tagged_sequence(n_tiles, per_tile, width, branch, tag_base, rng):
     return VisualSequence(tz.Tensor(data, requires_grad=True), prov)
 
 
-def grid_from(rng, n_tiles, side, channels, requires_grad=False):
-    data = rng.standard_normal((n_tiles, channels, side, side))
-    return TokenGrid(tz.Tensor(data, requires_grad=requires_grad))
+def grid_from(rng, n_tiles, side, channels):
+    return TokenGrid(rng.standard_normal((n_tiles, channels, side, side)))
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +62,7 @@ def test_identity_projector_is_gelu():
     proj.b2.data[...] = 0.0
     grid = grid_from(rng, 1, 2, d)
     out = project(proj, grid, "A")
-    want = tz.gelu(grid.flatten_tokens()).data
+    want = tz.gelu(tz.Tensor(grid.flatten_tokens())).data
     np.testing.assert_array_equal(out.embeddings.data, want)
 
 
@@ -276,7 +275,7 @@ def test_pre_channel_zero_b_slice_is_branch_a_projection():
     solo.w2.data[...] = shared.w2.data
     solo.b2.data[...] = shared.b2.data
     fused = fuse_pre(a, b, "pre-channel", shared)
-    alone = solo.apply(a.flatten_tokens())
+    alone = solo.apply(tz.Tensor(a.flatten_tokens()))
     np.testing.assert_allclose(fused.embeddings.data, alone.data,
                                rtol=0, atol=1e-15)
 

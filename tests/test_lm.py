@@ -135,9 +135,7 @@ def raw_batch(lm, mask, seed):
     """Random ids and their embeddings, as one [B, L] batch."""
     mask = np.asarray(mask, dtype=bool)
     ids = np.random.default_rng(seed).integers(0, 256, size=mask.shape)
-    emb = tz.embedding_lookup(lm.embed, ids.reshape(-1))
-    return SequenceBatch(tz.reshape(emb, mask.shape + (lm.cfg.d_lm,)),
-                         ids, mask)
+    return SequenceBatch(tz.embedding_lookup(lm.embed, ids), ids, mask)
 
 
 def loss_and_grads(lm, make_batch, loss_fn):
@@ -413,6 +411,26 @@ def test_continuation_past_context_limit_is_budget_error():
     assert cache.length == 8
     with pytest.raises(BudgetError):
         lm.forward(one_token(lm, 1), cache=cache)
+
+
+def test_greedy_budget_counts_only_the_positions_it_runs(monkeypatch):
+    # the last emitted token is never run: a 6-token prompt and 3 new
+    # tokens run 6 + 2 = 8 positions, which a context of 8 holds
+    lengths = []
+    original = LanguageModel.forward
+
+    def spy(self, seq, *args, **kwargs):
+        lengths.append(seq.length)
+        return original(self, seq, *args, **kwargs)
+
+    monkeypatch.setattr(LanguageModel, "forward", spy)
+    lm = random_head_lm(31, context=8)
+    prompt = raw_sequence(lm, 6, np.random.default_rng(32))
+    assert len(lm.greedy_decode(prompt, 3)) == 3
+    assert sum(lengths) == 8
+    with pytest.raises(BudgetError) as err:
+        lm.greedy_decode(prompt, 4)
+    assert (err.value.required, err.value.available) == (9, 8)
 
 
 def test_greedy_runs_prompt_once_then_one_position_per_token(monkeypatch):

@@ -1,4 +1,9 @@
-"""End-to-end pipeline tests: wiring, naming, freezing, and gradients."""
+"""End-to-end pipeline tests: wiring, naming, freezing, and gradients.
+
+The encoders are frozen, forward-only array code, so the gradient tests
+cover the projectors, the fusion map and the LM, and pin that no
+encoder parameter ever receives a gradient.
+"""
 
 import hashlib
 import math
@@ -24,9 +29,12 @@ from tilefusion.tensor import (
 from tilefusion.tiling import ImageBuffer
 from tilefusion.training import snapshot
 
+from per_image_oracle import branch_tokens, uncached_batch
+
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                           "..", "configs")
 
+ENCODER_PREFIXES = ("encoderA.", "encoderB.")
 KNOWN_PREFIXES = ("encoderA.", "encoderB.", "projectorA.", "projectorB.",
                   "projector_shared.", "fusion.down", "lm.")
 
@@ -53,14 +61,13 @@ def desk_cfg(encoders="A+B", fusion="post-interleave", tiling=True,
 
 def encode_image(pipe, img):
     """One image's fused visual sequence, through the batch path."""
-    return pipe.fuse_images([pipe.branch_tokens(img)])
+    return pipe.fuse_images([branch_tokens(pipe, img)])
 
 
 def sample_loss(pipe, images, question, answer):
-    """Training's loss for one sample, with the graph back into both
-    encoders."""
-    return pipe.lm.loss(pipe.assemble_batch([Sample(images, question,
-                                                    answer)]))
+    """Training's loss for one sample, on its uncached branch tokens."""
+    return pipe.lm.loss(uncached_batch(pipe, [Sample(images, question,
+                                                     answer)]))
 
 
 def landscape_image(seed=0, h=32, w=64):
@@ -293,8 +300,8 @@ class TestForward:
     def test_two_images_double_the_visual_tokens(self):
         pipe = Pipeline(desk_cfg(ctx=300), seed=0)
         img = landscape_image()
-        seq = pipe.assemble_batch([Sample([img, img], "q", "a")])
-        civilian = pipe.assemble_batch([Sample([img], "q", "a")])
+        seq = uncached_batch(pipe, [Sample([img, img], "q", "a")])
+        civilian = uncached_batch(pipe, [Sample([img], "q", "a")])
 
         def n_visual(batch):
             return int((batch.token_ids == IMG_CONTEXT_ID).sum())
@@ -335,6 +342,9 @@ class TestFullPipelineGradients:
         used_rows = [257, 259, 260, ord("q"), ord("a"), ord("b"), 258]
         worst = 0.0
         for p in pipe.parameters():
+            if p.name.startswith(ENCODER_PREFIXES):
+                assert p.grad is None, p.name
+                continue
             n = p.data.size
             picks = set(rng.choice(n, size=min(6, n), replace=False).tolist())
             if p.name == "lm.embed":
@@ -354,8 +364,7 @@ class TestFullPipelineGradients:
         pipe.lm.head.data = rng.standard_normal(pipe.lm.head.data.shape) * 0.1
         loss = sample_loss(pipe, [landscape_image(8)], "q", "zz")
         backward(loss)
-        touched = {pre: 0.0 for pre in ("encoderA.", "encoderB.",
-                                        "projectorA.", "projectorB.",
+        touched = {pre: 0.0 for pre in ("projectorA.", "projectorB.",
                                         "fusion.down", "lm.")}
         for p in pipe.parameters():
             for pre in touched:
@@ -369,14 +378,39 @@ class TestFullPipelineGradients:
         pipe = Pipeline(desk_cfg(), seed=1)
         rng = np.random.default_rng(2)
         pipe.lm.head.data = rng.standard_normal(pipe.lm.head.data.shape) * 0.1
-        pipe.set_frozen(["encoderA.", "encoderB."])
+        pipe.set_frozen(["lm."])
         loss = sample_loss(pipe, [landscape_image(8)], "q", "y")
         backward(loss)
-        enc = [p for p in pipe.parameters()
-               if p.name.startswith("encoderA.block0.attn.")]
-        assert enc
-        assert all(p.frozen for p in enc)
-        assert any(np.abs(p.grad).max() > 0 for p in enc)
+        frozen = [p for p in pipe.parameters()
+                  if p.name.startswith("lm.block0.attn.")]
+        assert frozen
+        assert all(p.frozen for p in frozen)
+        assert any(np.abs(p.grad).max() > 0 for p in frozen)
+
+    @pytest.mark.parametrize("fusion", ["post-interleave", "post-channel",
+                                        "pre-channel"])
+    def test_encoders_never_enter_a_graph(self, fusion):
+        # every parameter requires grad and none is held outside the
+        # graph, yet the encoders, forward-only array code, get nothing,
+        # whether their tokens come from the caches or a fresh encode
+        pipe = Pipeline(desk_cfg(fusion=fusion), seed=1)
+        params = pipe.parameters()
+        assert all(p.requires_grad for p in params)
+        samples = [Sample([landscape_image(8)], "q", "y"),
+                   Sample([landscape_image(9)], "which?", "zz")]
+        pipe.sync_token_cache()
+        cached = [[pipe.frozen_tokens(img) for img in s.images]
+                  for s in samples]
+        for batch in (pipe.assemble_batch(samples, cached),
+                      uncached_batch(pipe, samples)):
+            for p in params:
+                p.zero_grad()
+            backward(pipe.lm.loss(batch))
+            for p in params:
+                if p.name.startswith(ENCODER_PREFIXES):
+                    assert p.grad is None, p.name
+                else:
+                    assert p.grad is not None, p.name
 
 
 def test_encoder_choices_registry():

@@ -4,7 +4,10 @@ The load-bearing oracle is finite differences: every differentiable
 primitive's reverse-mode gradient is checked against a central-difference
 estimate on repeated random small tensors, relative error under 1e-4 at
 eps=1e-5 in float64. Structural facts (shape algebra, inverse pairs,
-normalization) are asserted directly.
+normalization) are asserted directly. reshape and permute are no
+longer in src/ (nothing there moves elements between axes in a graph);
+they are checked here as the ops tests/oracle_ops.py keeps for the
+composed-block and per-image oracles.
 """
 
 import gc
@@ -35,15 +38,16 @@ from tilefusion.tensor import (
     matmul,
     mul,
     mul_scalar,
-    permute,
     relative_error,
-    reshape,
     slice_axis,
     softmax_forward,
     softmax_lastdim,
     sum_all,
 )
 from tilefusion.tiling import ImageBuffer
+
+from oracle_ops import permute, reshape
+from per_image_oracle import uncached_batch
 
 N_RANDOM_CASES = 20
 FD_EPS = 1e-5
@@ -489,9 +493,8 @@ def test_masked_ce_rejects_bad_shapes():
 
 def test_ops_registry_covers_contract_kinds():
     required = {
-        "matmul", "add", "mul-scalar", "reshape", "permute",
-        "softmax-lastdim", "layernorm", "gelu", "embedding-lookup",
-        "concat-along-axis", "slice",
+        "matmul", "add", "mul-scalar", "softmax-lastdim", "layernorm",
+        "gelu", "embedding-lookup", "concat-along-axis", "slice",
     }
     assert required <= set(OPS)
 
@@ -540,8 +543,9 @@ def _mask(rng):
     return mask
 
 
-# One op output per primitive, built from the inputs of its gradient
-# check above; the empty-mask cross entropy has its own closure.
+# One op output per primitive and per oracle shape op, built from the
+# inputs of its gradient check above; the empty-mask cross entropy has
+# its own closure.
 CYCLE_CASES = {
     "matmul": lambda rng: matmul(rand_tensor(rng, (3, 2, 4)),
                                  rand_tensor(rng, (4, 5))),
@@ -615,7 +619,7 @@ def test_pipeline_graph_freed_without_cyclic_gc():
     img = ImageBuffer(np.random.default_rng(31).random((32, 64, 3)))
 
     def build():
-        loss = pipe.lm.loss(pipe.assemble_batch([Sample([img], "what?",
+        loss = pipe.lm.loss(uncached_batch(pipe, [Sample([img], "what?",
                                                           "ab")]))
         return loss, loss._prev[0]
 

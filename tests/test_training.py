@@ -633,7 +633,7 @@ def test_gapped_trainable_set_trains_only_its_own_slices():
 
 
 def oracle_stage(plan, model, dataset, seed, batch_size):
-    """run_stage's recipe on the uncached, fully differentiable path."""
+    """run_stage's recipe on the uncached path (oracle.uncached_batch)."""
     model.set_frozen(plan.frozen_prefixes)
     params = model.parameters()
     opt = AdamW(params, weight_decay=plan.weight_decay)
@@ -643,7 +643,7 @@ def oracle_stage(plan, model, dataset, seed, batch_size):
         idx = batch_indices(seed, stage_index, step, len(dataset),
                             batch_size)
         samples = [dataset[int(i)] for i in idx]
-        mean = reference_loss(model.lm, model.assemble_batch(samples))
+        mean = reference_loss(model.lm, oracle.uncached_batch(model, samples))
         losses.append(mean.item())
         for p in params:
             p.zero_grad()
@@ -708,7 +708,7 @@ def per_sample_mean(model, samples):
 
 def batched_mean(model, samples):
     """run_stage's batch, with the loss over every logit."""
-    return reference_loss(model.lm, model.assemble_batch(samples))
+    return reference_loss(model.lm, oracle.uncached_batch(model, samples))
 
 
 def trainable_grads(model, loss):
@@ -771,7 +771,7 @@ def test_batched_loss_gradient_matches_finite_differences():
     data = mixed_dataset()
     grads = trainable_grads(model, batched_mean(model, data))
     d = model.cfg.lm.d_lm
-    short = model.assemble_batch(data[1:2])
+    short = oracle.uncached_batch(model, data[1:2])
     # row short.length + 2 of lm.pos sits under a pad of the short
     # samples: only the long ones may put gradient there
     picks = {model.projector_a.w1: [0, 37],
@@ -794,7 +794,7 @@ def test_lm_loss_matches_forward_loss(data):
     model = stage2_model()
     want_loss = batched_mean(model, data)
     want = trainable_grads(model, want_loss)
-    got_loss = model.lm.loss(model.assemble_batch(data))
+    got_loss = model.lm.loss(oracle.uncached_batch(model, data))
     got = trainable_grads(model, got_loss)
     assert abs(got_loss.item() - want_loss.item()) <= \
         1e-15 * want_loss.item()
@@ -953,9 +953,9 @@ def test_token_cache_refills_when_encoder_weights_change(monkeypatch, change):
     model = Pipeline(tiny_cfg(ctx=192), seed=5)
     stage1, stage2 = cache_plans()
     run_stage(stage1, model, data, seed=13, batch_size=len(data))
-    old = {key: {label: grid.data.data.copy() for label, grid in t.items()}
+    old = {key: {label: grid.data.copy() for label, grid in t.items()}
            for key, t in model.token_cache.items()}
-    old_views = {key: grid.data.data.copy()
+    old_views = {key: grid.data.copy()
                  for key, grid in model.view_cache.items()}
     change(model)
     before = len(spy.calls)
@@ -972,14 +972,14 @@ def test_token_cache_refills_when_encoder_weights_change(monkeypatch, change):
             n = len(spy.calls)
             cached = model.frozen_tokens(img)
             assert len(spy.calls) == n  # a hit
-            fresh = model.branch_tokens(img)
+            fresh = oracle.branch_tokens(model, img)
             assert cached.keys() == fresh.keys()
             for label in fresh:
-                assert cached[label].data.data.tobytes() == \
-                    fresh[label].data.data.tobytes()
-    assert any(not np.array_equal(t["B"], model.token_cache[k]["B"].data.data)
+                assert cached[label].data.tobytes() == \
+                    fresh[label].data.tobytes()
+    assert any(not np.array_equal(t["B"], model.token_cache[k]["B"].data)
                for k, t in old.items())
-    assert any(not np.array_equal(grid, model.view_cache[k].data.data)
+    assert any(not np.array_equal(grid, model.view_cache[k].data)
                for k, grid in old_views.items() if k[0] == "B")
 
 
@@ -1098,7 +1098,8 @@ def test_answer_matches_uncached_branch_tokens_path(monkeypatch):
                         model, data.train, seed=3, batch_size=8)
     uncached = Pipeline(model.cfg, seed=cfg["seed"])
     restore(uncached, ckpt)
-    monkeypatch.setattr(uncached, "frozen_tokens", uncached.branch_tokens)
+    monkeypatch.setattr(uncached, "frozen_tokens",
+                        lambda img: oracle.branch_tokens(uncached, img))
     samples = data.train[:8] + data.eval
     want = answer_prompts(monkeypatch, uncached, samples)
     assert uncached.token_cache == {} and uncached.view_cache == {}
@@ -1150,11 +1151,11 @@ def test_view_cache_encodes_each_distinct_view_once(monkeypatch):
     assert len(model.token_cache) == n_images
     assert len(model.view_cache) == len(lowpass) + len(textures)
     for img, got in zip(images, tokens):
-        want = model.branch_tokens(img)
+        want = oracle.branch_tokens(model, img)
         assert got.keys() == want.keys()
         for label in want:
-            assert got[label].data.data.tobytes() == \
-                want[label].data.data.tobytes()
+            assert got[label].data.tobytes() == \
+                want[label].data.tobytes()
 
 
 # The gain of the view cache rests on this: the shipped complementary

@@ -7,12 +7,17 @@ tokenizer. A string literal inside code counts every line it spans.
 
     python3 tools/count_loc.py            # every .py file under src/
     python3 tools/count_loc.py src/tilefusion/lm.py tools
+    python3 tools/count_loc.py --against HEAD~1
 
-Prints one line per file and a total line last.
+Prints one line per file and a total line last. With --against REV it
+also prints, beside each count, the change against the same paths at
+git revision REV, whose files it reads with git show, so no second
+checkout is needed; a file only one side has counts 0 on the other.
 """
 
 import argparse
 import io
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -47,11 +52,48 @@ def python_files(paths) -> list:
     return out
 
 
+def git(top, *args) -> str:
+    return subprocess.run(["git", "-C", str(top), *args], check=True,
+                          capture_output=True, text=True).stdout
+
+
+def print_deltas(paths, rev: str) -> None:
+    """Each file's code lines and their change since rev, then the
+    total; files are named relative to their repository's top."""
+    paths = [Path(p).resolve() for p in paths]
+    first = paths[0] if paths[0].is_dir() else paths[0].parent
+    top = Path(git(first, "rev-parse", "--show-toplevel").strip())
+    now = {path.relative_to(top).as_posix(): code_lines(path.read_text())
+           for path in python_files(paths)}
+    listed = git(top, "ls-tree", "-r", "--name-only", rev, "--",
+                 *(p.relative_to(top).as_posix() for p in paths))
+    then = {name: code_lines(git(top, "show", f"{rev}:{name}"))
+            for name in listed.splitlines() if name.endswith(".py")}
+    total = delta = 0
+    for name in sorted(now.keys() | then.keys()):
+        n = now.get(name, 0)
+        d = n - then.get(name, 0)
+        total += n
+        delta += d
+        print(f"{n:6d} {d:+6d}  {name}")
+    print(f"{total:6d} {delta:+6d}  total")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("paths", nargs="*", default=[ROOT / "src"],
                         help="files or directories (default: src/)")
+    parser.add_argument("--against", metavar="REV",
+                        help="also print each count's change since this "
+                             "git revision")
     args = parser.parse_args(argv)
+    if args.against:
+        try:
+            print_deltas(args.paths, args.against)
+        except subprocess.CalledProcessError as err:
+            print(err.stderr.strip(), file=sys.stderr)
+            return 1
+        return 0
     total = 0
     for path in python_files(args.paths):
         n = code_lines(path.read_text())
