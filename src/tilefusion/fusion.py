@@ -1,9 +1,10 @@
 """Projectors and token-fusion strategies.
 
 Each branch owns a two-layer GELU MLP projector into the language model
-width. Fused visual sequences carry per-token provenance
-(tile_index, branch_id, within-tile position) so ordering laws are
-checkable after the fact.
+width. A fused visual sequence carries its tile layout: its tile count
+and the (branch_id, count) segments every tile holds, in row order.
+Per-token provenance (tile_index, branch_id, within-tile position) is
+derived from that layout, so ordering laws are checkable after the fact.
 
 Strategies:
   post-interleave  per tile: branch-A block then branch-B block, both in
@@ -34,30 +35,30 @@ FUSION_KINDS = ("post-interleave", "post-channel", "pre-sequence", "pre-channel"
 
 @dataclass
 class VisualSequence:
-    """Projected visual tokens plus provenance, one row per token."""
+    """Projected visual tokens, tile-major: every tile holds the same
+    segments, each a (branch_id, count) run of rows, in row order."""
 
     embeddings: tz.Tensor
-    provenance: list[tuple[int, str, int]]
+    n_tiles: int
+    segments: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
         if self.embeddings.data.ndim != 2:
             raise DimensionError(
                 f"embeddings must be [n_tokens, d], got {self.embeddings.shape}"
             )
-        if len(self.provenance) != self.embeddings.shape[0]:
+        if self.n_tokens != self.n_tiles * self.per_tile:
             raise ContractError(
-                f"provenance length {len(self.provenance)} != "
-                f"{self.embeddings.shape[0]} tokens"
+                f"{self.n_tokens} tokens do not fill {self.n_tiles} tiles "
+                f"of {self.per_tile}"
             )
-        last: dict[tuple[int, str], int] = {}
-        for tile, branch, pos in self.provenance:
-            key = (tile, branch)
-            if key in last and pos <= last[key]:
-                raise ContractError(
-                    f"within-tile positions not increasing for tile {tile} "
-                    f"branch {branch}"
-                )
-            last[key] = pos
+        branches = [branch for branch, _ in self.segments]
+        if len(set(branches)) != len(branches):
+            raise ContractError(f"a branch repeats within a tile: {branches}")
+
+    @property
+    def per_tile(self) -> int:
+        return sum(count for _, count in self.segments)
 
     @property
     def n_tokens(self) -> int:
@@ -67,11 +68,11 @@ class VisualSequence:
     def width(self) -> int:
         return self.embeddings.shape[1]
 
-    def tokens_per_tile(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for tile, _, _ in self.provenance:
-            counts[tile] = counts.get(tile, 0) + 1
-        return counts
+    @property
+    def provenance(self) -> list[tuple[int, str, int]]:
+        """(tile_index, branch_id, within-tile position) of each row."""
+        return [(t, branch, i) for t in range(self.n_tiles)
+                for branch, count in self.segments for i in range(count)]
 
 
 class Projector:
@@ -102,68 +103,32 @@ class Projector:
 def project(proj: Projector, tokens: TokenGrid, branch_id: str) -> VisualSequence:
     """Project a token grid, preserving tile order and spatial scan order."""
     out = proj.apply(tz.Tensor(tokens.flatten_tokens()))
-    per_tile = tokens.side * tokens.side
-    provenance = [
-        (t, branch_id, i)
-        for t in range(tokens.n_tiles)
-        for i in range(per_tile)
-    ]
-    return VisualSequence(out, provenance)
+    return VisualSequence(out, tokens.n_tiles,
+                          ((branch_id, tokens.side * tokens.side),))
 
 
-def _tile_blocks(seq: VisualSequence) -> list[tuple[int, int, int]]:
-    """Contiguous (tile, start, stop) row blocks, ascending tile order.
+def interleave_order(n_tiles: int, ta: int, tb: int) -> np.ndarray:
+    """Row order of [a; b] that puts, per tile, a's ta rows then b's tb.
 
-    Requires the sequence to be tile-major (all of tile t's rows adjacent).
+    a holds n_tiles tiles of ta rows, b n_tiles tiles of tb rows, both
+    tile-major; b's row i sits at n_tiles * ta + i.
     """
-    blocks: list[tuple[int, int, int]] = []
-    seen: set[int] = set()
-    i = 0
-    n = seq.n_tokens
-    while i < n:
-        tile = seq.provenance[i][0]
-        if tile in seen:
-            raise ContractError(f"tokens of tile {tile} are not contiguous")
-        seen.add(tile)
-        j = i
-        while j < n and seq.provenance[j][0] == tile:
-            j += 1
-        blocks.append((tile, i, j))
-        i = j
-    if [b[0] for b in blocks] != sorted(seen):
-        raise ContractError("tiles are not in ascending order")
-    return blocks
+    tile = np.arange(n_tiles)[:, None]
+    return np.concatenate([tile * ta + np.arange(ta),
+                           n_tiles * ta + tile * tb + np.arange(tb)],
+                          axis=1).ravel()
 
 
 def fuse_post_interleave(a: VisualSequence, b: VisualSequence) -> VisualSequence:
-    """Per tile: all of a's tokens, then all of b's, both in input order.
-
-    A branch with no tokens at all contributes nothing; the other branch
-    passes through unchanged.
-    """
-    if a.n_tokens == 0:
-        return VisualSequence(b.embeddings, list(b.provenance))
-    if b.n_tokens == 0:
-        return VisualSequence(a.embeddings, list(a.provenance))
+    """Per tile: all of a's tokens, then all of b's, both in input order."""
     if a.width != b.width:
         raise DimensionError(f"width mismatch: {a.width} vs {b.width}")
-    blocks_a = _tile_blocks(a)
-    blocks_b = _tile_blocks(b)
-    if [t for t, _, _ in blocks_a] != [t for t, _, _ in blocks_b]:
-        raise ContractError(
-            f"tile sets differ: {[t for t, _, _ in blocks_a]} vs "
-            f"{[t for t, _, _ in blocks_b]}"
-        )
-    # one row gather from [a; b]: b's row i sits at a.n_tokens + i
-    order = []
-    provenance = []
-    for (tile, ia, ja), (_, ib, jb) in zip(blocks_a, blocks_b):
-        order.extend(range(ia, ja))
-        provenance.extend(a.provenance[ia:ja])
-        order.extend(range(a.n_tokens + ib, a.n_tokens + jb))
-        provenance.extend(b.provenance[ib:jb])
+    if a.n_tiles != b.n_tiles:
+        raise ContractError(f"tile counts differ: {a.n_tiles} vs {b.n_tiles}")
     rows = tz.concat([a.embeddings, b.embeddings], axis=0)
-    return VisualSequence(tz.embedding_lookup(rows, order), provenance)
+    order = interleave_order(a.n_tiles, a.per_tile, b.per_tile)
+    return VisualSequence(tz.embedding_lookup(rows, order), a.n_tiles,
+                          a.segments + b.segments)
 
 
 def fuse_post_channel(a: VisualSequence, b: VisualSequence,
@@ -171,10 +136,10 @@ def fuse_post_channel(a: VisualSequence, b: VisualSequence,
     """Aligned channel concat followed by a learned [2d -> d] map."""
     if a.width != b.width:
         raise DimensionError(f"width mismatch: {a.width} vs {b.width}")
-    if a.tokens_per_tile() != b.tokens_per_tile():
+    if (a.n_tiles, a.per_tile) != (b.n_tiles, b.per_tile):
         raise ContractError(
-            f"per-tile token counts differ: {a.tokens_per_tile()} vs "
-            f"{b.tokens_per_tile()}"
+            f"tile layouts differ: {a.n_tiles} tiles of {a.per_tile} vs "
+            f"{b.n_tiles} tiles of {b.per_tile}"
         )
     if down.shape != (2 * a.width, a.width):
         raise DimensionError(
@@ -182,8 +147,7 @@ def fuse_post_channel(a: VisualSequence, b: VisualSequence,
         )
     paired = tz.concat([a.embeddings, b.embeddings], axis=1)
     fused = tz.matmul(paired, down)
-    provenance = [(tile, "A+B", pos) for tile, _, pos in a.provenance]
-    return VisualSequence(fused, provenance)
+    return VisualSequence(fused, a.n_tiles, (("A+B", a.per_tile),))
 
 
 def fuse_pre(a_raw: TokenGrid, b_raw: TokenGrid, kind: str,
@@ -204,17 +168,9 @@ def fuse_pre(a_raw: TokenGrid, b_raw: TokenGrid, kind: str,
                 f"pre-sequence needs equal channels, got "
                 f"{a_raw.channels} vs {b_raw.channels}"
             )
-        # per tile: a's block, then b's, as one row gather from [a; b]
-        order = []
-        provenance = []
-        for t in range(n):
-            order.extend(range(t * ta, (t + 1) * ta))
-            provenance.extend((t, "A", i) for i in range(ta))
-            order.extend(range(n * ta + t * tb, n * ta + (t + 1) * tb))
-            provenance.extend((t, "B", i) for i in range(tb))
         rows = np.concatenate([rows_a, rows_b])
-        fused = shared.apply(tz.Tensor(rows[order]))
-        return VisualSequence(fused, provenance)
+        fused = shared.apply(tz.Tensor(rows[interleave_order(n, ta, tb)]))
+        return VisualSequence(fused, n, (("A", ta), ("B", tb)))
     if kind == "pre-channel":
         if ta != tb:
             raise ContractError(
@@ -222,6 +178,5 @@ def fuse_pre(a_raw: TokenGrid, b_raw: TokenGrid, kind: str,
             )
         stacked = np.concatenate([rows_a, rows_b], axis=1)
         fused = shared.apply(tz.Tensor(stacked))
-        provenance = [(t, "A+B", i) for t in range(n) for i in range(ta)]
-        return VisualSequence(fused, provenance)
+        return VisualSequence(fused, n, (("A+B", ta),))
     raise ConfigError(f"unknown pre-fusion kind {kind!r}")

@@ -109,7 +109,9 @@ class PipelineConfig:
         if self.fusion not in FUSION_KINDS:
             problems.append(f"fusion: must be one of {FUSION_KINDS}, "
                             f"got {self.fusion!r}")
-        for key in ("tile_size", "max_tiles", "projector_hidden"):
+        if self.tile_size < 2:
+            problems.append("tile_size: must be >= 2")
+        for key in ("max_tiles", "projector_hidden"):
             if getattr(self, key) <= 0:
                 problems.append(f"{key}: must be positive")
         for label, key in (("A", "encoder_a"), ("B", "encoder_b")):
@@ -320,10 +322,10 @@ class Pipeline:
 
         tokens holds frozen_tokens output per image. Each branch's grid
         arrays are stacked along the tile axis with np.concatenate, image
-        after image, then projected and fused once, so tile indices in
-        the provenance run across the stack and image k's rows follow
-        image k - 1's. The stack is a constant: gradients start at the
-        projectors.
+        after image, then projected and fused once, so the result's
+        n_tiles counts the tiles of the whole stack and image k's rows
+        follow image k - 1's. The stack is a constant: gradients start
+        at the projectors.
         """
         stacked = {}
         for label in tokens[0]:

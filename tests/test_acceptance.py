@@ -166,10 +166,10 @@ def test_fusion_invariants_hold_across_random_configs():
         d = int(rng.choice([4, 6, 8]))
         a = VisualSequence(
             tz.Tensor(rng.standard_normal((n_tiles * ta, d))),
-            [(t, "A", p) for t in range(n_tiles) for p in range(ta)])
+            n_tiles, (("A", ta),))
         b = VisualSequence(
             tz.Tensor(rng.standard_normal((n_tiles * tb, d))),
-            [(t, "B", p) for t in range(n_tiles) for p in range(tb)])
+            n_tiles, (("B", tb),))
 
         fused = fuse_post_interleave(a, b)
         assert fused.n_tokens == a.n_tokens + b.n_tokens
@@ -194,7 +194,7 @@ def test_fusion_invariants_hold_across_random_configs():
         # channel fusion length law: token count of one branch, same d
         b_aligned = VisualSequence(
             tz.Tensor(rng.standard_normal((n_tiles * ta, d))),
-            [(t, "B", p) for t in range(n_tiles) for p in range(ta)])
+            n_tiles, (("B", ta),))
         down = tz.Tensor(rng.standard_normal((2 * d, d)))
         channel = fuse_post_channel(a, b_aligned, down)
         assert channel.n_tokens == a.n_tokens
@@ -376,8 +376,7 @@ def test_context_budget_enforced_and_full_scale_fits():
 
     # 7 tiles of 512 fused tokens: one full-scale image after tiling
     visual = VisualSequence(
-        tz.Tensor(np.zeros((7 * 512, d))),
-        [(t, "A", p) for t in range(7) for p in range(512)])
+        tz.Tensor(np.zeros((7 * 512, d))), 7, (("A", 512),))
 
     seq = splice(prompt, answer, [visual], embed, context_limit=8196)
     assert (seq.token_ids == IMG_CONTEXT_ID).sum() == 3584

@@ -34,11 +34,11 @@ from per_image_oracle import pad_batch
 TOK = ByteTokenizer()
 
 
-def visual_seq(n_tokens, width, tag_base=0.0, tile=0):
+def visual_seq(n_tokens, width, tag_base=0.0):
     data = np.zeros((n_tokens, width))
     data[:, 0] = tag_base + np.arange(n_tokens)
-    prov = [(tile, "A", i) for i in range(n_tokens)]
-    return VisualSequence(tz.Tensor(data, requires_grad=True), prov)
+    return VisualSequence(tz.Tensor(data, requires_grad=True), 1,
+                          (("A", n_tokens),))
 
 
 def n_visual(seq):

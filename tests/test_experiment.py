@@ -236,6 +236,20 @@ class TestValidation:
         assert [p.split(":")[0] for p in validate_experiment_config(cfg)] \
             == [reported]
 
+    def test_one_pixel_tiles_rejected_before_any_compute(self):
+        # encoders sized for 1-pixel tiles agree with tile_size 1, but
+        # the tiler needs tiles of at least 2 pixels
+        path = os.path.join(os.path.dirname(__file__), "..", "configs",
+                            "tile-detail-tiled.json")
+        with open(path) as f:
+            cfg = json.load(f)
+        cfg["model"]["tile_size"] = 1
+        for key in ("encoder_a", "encoder_b"):
+            cfg["model"][key].update(patch_size=1, grid_side=1,
+                                     unshuffle_r=1)
+        assert validate_experiment_config(cfg) == \
+            ["model.tile_size: must be >= 2"]
+
     def test_failed_section_is_not_built(self):
         # the LM section fails, so the model and the experiment are not
         # built, and their rules do not report on top of it

@@ -21,6 +21,7 @@ from tilefusion.fusion import (
     fuse_post_channel,
     fuse_post_interleave,
     fuse_pre,
+    interleave_order,
     project,
 )
 
@@ -30,8 +31,8 @@ def tagged_sequence(n_tiles, per_tile, width, branch, tag_base, rng):
     n = n_tiles * per_tile
     data = rng.standard_normal((n, width))
     data[:, 0] = tag_base + np.arange(n)
-    prov = [(t, branch, i) for t in range(n_tiles) for i in range(per_tile)]
-    return VisualSequence(tz.Tensor(data, requires_grad=True), prov)
+    return VisualSequence(tz.Tensor(data, requires_grad=True), n_tiles,
+                          ((branch, per_tile),))
 
 
 def grid_from(rng, n_tiles, side, channels):
@@ -72,7 +73,7 @@ def test_project_desk_token_count():
     out = project(proj, grid_from(rng, 7, 4, 6), "A")
     assert out.n_tokens == 112
     assert out.width == 5
-    assert out.tokens_per_tile() == {t: 16 for t in range(7)}
+    assert (out.n_tiles, out.per_tile) == (7, 16)
 
 
 def test_project_preserves_scan_order():
@@ -96,12 +97,10 @@ def test_projector_rejects_width_mismatch():
 
 def test_interleave_hand_case():
     a = VisualSequence(
-        tz.Tensor(np.array([[1.0], [2.0], [3.0], [4.0]])),
-        [(0, "A", 0), (0, "A", 1), (1, "A", 0), (1, "A", 1)],
+        tz.Tensor(np.array([[1.0], [2.0], [3.0], [4.0]])), 2, (("A", 2),)
     )
     b = VisualSequence(
-        tz.Tensor(np.array([[10.0], [20.0], [30.0], [40.0]])),
-        [(0, "B", 0), (0, "B", 1), (1, "B", 0), (1, "B", 1)],
+        tz.Tensor(np.array([[10.0], [20.0], [30.0], [40.0]])), 2, (("B", 2),)
     )
     out = fuse_post_interleave(a, b)
     np.testing.assert_array_equal(
@@ -109,17 +108,6 @@ def test_interleave_hand_case():
         [1.0, 2.0, 10.0, 20.0, 3.0, 4.0, 30.0, 40.0],
     )
     assert out.n_tokens == 8
-
-
-def test_interleave_empty_b_returns_a():
-    rng = np.random.default_rng(5)
-    a = tagged_sequence(2, 3, 4, "A", 0, rng)
-    b = VisualSequence(tz.Tensor(np.zeros((0, 4))), [])
-    out = fuse_post_interleave(a, b)
-    assert out.embeddings.data.tobytes() == a.embeddings.data.tobytes()
-    assert out.provenance == a.provenance
-    flipped = fuse_post_interleave(b, a)
-    assert flipped.embeddings.data.tobytes() == a.embeddings.data.tobytes()
 
 
 def test_interleave_permutation_oracle_random_configs():
@@ -151,6 +139,21 @@ def test_interleave_permutation_oracle_random_configs():
         for t in range(n_tiles):
             branches = [br for tt, br, _ in out.provenance if tt == t]
             assert branches == ["A"] * ta + ["B"] * tb
+
+
+def test_interleave_order_matches_per_tile_loop():
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        n_tiles = int(rng.integers(1, 8))
+        ta = int(rng.integers(1, 10))
+        tb = int(rng.integers(1, 10))
+        # oracle: per tile, a's block of [a; b], then b's
+        want = []
+        for t in range(n_tiles):
+            want.extend(range(t * ta, (t + 1) * ta))
+            want.extend(range(n_tiles * ta + t * tb,
+                              n_tiles * ta + (t + 1) * tb))
+        assert interleave_order(n_tiles, ta, tb).tolist() == want
 
 
 def test_interleave_paper_scale_length():
@@ -312,13 +315,17 @@ def test_gradients_flow_to_both_projectors_under_interleave():
 
 
 def test_visual_sequence_validation():
-    with pytest.raises(ContractError):
-        VisualSequence(tz.Tensor(np.zeros((2, 3))), [(0, "A", 0)])
-    with pytest.raises(ContractError):
-        VisualSequence(tz.Tensor(np.zeros((2, 3))),
-                       [(0, "A", 1), (0, "A", 1)])
     with pytest.raises(DimensionError):
-        VisualSequence(tz.Tensor(np.zeros(4)), [])
+        VisualSequence(tz.Tensor(np.zeros(4)), 1, (("A", 4),))
+    with pytest.raises(ContractError):
+        VisualSequence(tz.Tensor(np.zeros((5, 3))), 2, (("A", 2),))
+    with pytest.raises(ContractError):
+        VisualSequence(tz.Tensor(np.zeros((4, 3))), 1,
+                       (("A", 1), ("B", 2), ("A", 1)))
+    seq = VisualSequence(tz.Tensor(np.zeros((6, 3))), 2,
+                         (("A", 2), ("B", 1)))
+    assert seq.provenance == [(0, "A", 0), (0, "A", 1), (0, "B", 0),
+                              (1, "A", 0), (1, "A", 1), (1, "B", 0)]
 
 
 def test_fusion_kind_registry():

@@ -840,6 +840,7 @@ def test_batched_image_side_matches_per_image_oracle(layout):
         start += n
         tile0 += next(iter(t.values())).n_tiles
     assert start == fused.n_tokens
+    assert fused.per_tile == model.cfg.tokens_per_tile()
 
     got = model.assemble_batch(data, tokens)
     want, _ = oracle.assemble_batch(model, data, tokens)

@@ -1,0 +1,130 @@
+"""Alternating parent/change perfbench pairs, summarised per metric.
+
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --pairs 10 \
+        --workload all --seconds 25
+
+Each pair runs perfbench/run.py --trace 0 once in each checkout, one
+run at a time: the parent runs first on odd pairs (1, 3, ...) and the
+change first on even ones, so drift in the host's load falls on both
+sides alike. For each workload and end-to-end metric it then prints the
+parent and change medians, the pairs the change won (strictly better),
+and the parent's quartile spread (q3 - q1), and flags a metric whose
+change median is worse than the parent's by more than its bound, taken
+as a share of the parent median. Metric directions and bounds come from
+the BENCHMARK.json beside this script, which it only reads.
+
+Each run's metrics go to standard error as it ends, so every run made
+is on record. Exits 1 when a metric is flagged or a run gives no
+result or fails its output checks.
+"""
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def result_metrics(stdout: str, workload: str) -> tuple[dict, bool]:
+    """(metrics, correct) from one perfbench/run.py standard output.
+
+    The last line is the result document, each metric a {"value",
+    "unit"} object; only the values are kept. A single-workload run
+    names its metrics bare; they are prefixed with the workload here,
+    as an --workload all run names them.
+    """
+    doc = json.loads(stdout.strip().splitlines()[-1])
+    prefix = "" if workload == "all" else f"{workload}."
+    metrics = {prefix + k: m["value"] for k, m in doc["metrics"].items()}
+    return metrics, bool(doc["correct"])
+
+
+def summarise(parent: list[dict], change: list[dict], spec: dict) -> list[dict]:
+    """One row per workload x end-to-end metric over paired runs.
+
+    parent[i] and change[i] are the metrics of pair i. A metric is
+    flagged when the change median is worse than the parent median by
+    more than bound * |parent median|.
+    """
+    rows = []
+    for workload in spec["workloads"]:
+        for metric in spec["end_to_end"]:
+            key = f"{workload['name']}.{metric['name']}"
+            if key not in parent[0]:
+                continue
+            p = np.array([run[key] for run in parent], dtype=float)
+            c = np.array([run[key] for run in change], dtype=float)
+            sign = 1.0 if metric["better"] == "lower" else -1.0
+            p_med, c_med = float(np.median(p)), float(np.median(c))
+            q1, q3 = np.percentile(p, [25, 75])
+            rows.append({
+                "metric": key, "parent": p_med, "change": c_med,
+                "wins": int(np.sum(sign * (c - p) < 0)), "pairs": len(p),
+                "parent_iqr": float(q3 - q1),
+                "flagged": sign * (c_med - p_med) > metric["bound"] * abs(p_med),
+            })
+    return rows
+
+
+def format_rows(rows: list[dict]) -> list[str]:
+    lines = [f"{'metric':34s} {'parent':>10s} {'change':>10s} "
+             f"{'wins':>6s} {'parent q3-q1':>12s}"]
+    for r in rows:
+        lines.append(
+            f"{r['metric']:34s} {r['parent']:10.4g} {r['change']:10.4g} "
+            f"{r['wins']:>3d}/{r['pairs']:<2d} {r['parent_iqr']:12.4g}"
+            + ("  WORSE THAN BOUND" if r["flagged"] else ""))
+    return lines
+
+
+def run_once(checkout: Path, args) -> tuple[dict, bool]:
+    cmd = [sys.executable, str(checkout / "perfbench" / "run.py"),
+           "--workload", args.workload, "--seconds", str(args.seconds),
+           "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True)
+    if not proc.stdout.strip():
+        raise RuntimeError(f"{checkout}: exited {proc.returncode} "
+                           "without a result")
+    return result_metrics(proc.stdout, args.workload)
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("parent", type=Path)
+    p.add_argument("change", type=Path)
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--workload", default="all")
+    p.add_argument("--seconds", type=int, default=25)
+    args = p.parse_args(argv)
+    if args.pairs < 1:
+        p.error("--pairs must be at least 1")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+    runs = {"parent": [], "change": []}
+    failed = 0
+    for i in range(1, args.pairs + 1):
+        order = ("parent", "change") if i % 2 else ("change", "parent")
+        for side in order:
+            try:
+                metrics, correct = run_once(getattr(args, side).resolve(), args)
+            except (RuntimeError, ValueError, KeyError) as err:
+                print(f"pair {i} {side}: {err}", file=sys.stderr)
+                return 1
+            failed += not correct
+            runs[side].append(metrics)
+            print(f"pair {i} {side}: {json.dumps(metrics)}",
+                  file=sys.stderr, flush=True)
+
+    rows = summarise(runs["parent"], runs["change"], spec)
+    print("\n".join(format_rows(rows)))
+    if failed:
+        print(f"{failed} runs failed their output checks")
+    return 1 if failed or any(r["flagged"] for r in rows) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
