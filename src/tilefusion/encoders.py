@@ -3,15 +3,16 @@
 Each branch is a small pre-norm ViT: non-overlapping patchify, linear
 embed, learned positional embeddings, depth x the unmasked block shared
 with the LM (transformer.py), final layernorm, reshaped to a
-channels-first spatial token grid.
+channels-last spatial token grid [n_tiles, side, side, d].
 Pixel unshuffle then trades spatial extent for channels, cutting the
-token count by r squared per branch before projection.
+token count by r squared per branch, and returns the [n_tiles, tokens,
+channels] rows the projectors read.
 
 Every training stage freezes both encoders, so they are forward-only
 array code: encode runs on the parameters' arrays (the block through
-transformer.block_forward), builds no graph node, and returns a
-TokenGrid holding an ndarray. No gradient ever reaches an encoder
-parameter; the projectors wrap a grid's rows as a constant Tensor.
+transformer.block_forward), builds no graph node, and returns an
+ndarray. No gradient ever reaches an encoder parameter; the projectors
+wrap a branch's rows as a constant Tensor.
 
 A branch may declare an input filter that keeps only the coarse 8-bit
 block structure (lowpass) or only the within-block detail (highpass).
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .errors import ConfigError, ContractError, DimensionError, reject
-from .tiling import ImageBuffer, TileSet, normalize_pixels
+from .errors import ConfigError, DimensionError, reject
+from .tiling import TileSet, normalize_pixels
 from .transformer import block_forward, init_block, linear
 
 INPUT_FILTERS = ("none", "lowpass", "highpass")
@@ -76,41 +77,6 @@ class EncoderConfig:
         return (self.grid_side // self.unshuffle_r) ** 2
 
 
-@dataclass
-class TokenGrid:
-    """Per-tile spatial features, channels first: [n_tiles, C, side, side],
-    as an array: an encoder's output, outside every graph."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        if not isinstance(self.data, np.ndarray):
-            raise ContractError(f"token grid data must be an ndarray, got "
-                                f"{type(self.data).__name__}")
-        s = self.data.shape
-        if len(s) != 4 or s[2] != s[3]:
-            raise DimensionError(
-                f"token grid must be [n_tiles, C, side, side], got {s}"
-            )
-
-    @property
-    def n_tiles(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def side(self) -> int:
-        return self.data.shape[2]
-
-    def flatten_tokens(self) -> np.ndarray:
-        """[n_tiles * side * side, C]: tile order, then row-major scan."""
-        n, c, s, _ = self.data.shape
-        return self.data.transpose(0, 2, 3, 1).reshape(n * s * s, c)
-
-
 # ---------------------------------------------------------------------------
 # input filters (exact 8-bit block arithmetic)
 
@@ -150,12 +116,6 @@ def filter_pixels(px: np.ndarray, kind: str, block: int) -> np.ndarray:
     raise ConfigError(f"unknown input filter {kind!r}")
 
 
-def apply_input_filter(buf: ImageBuffer, kind: str, block: int) -> ImageBuffer:
-    """filter_pixels on one image; "none" returns buf itself."""
-    px = filter_pixels(buf.pixels, kind, block)
-    return buf if px is buf.pixels else ImageBuffer(px)
-
-
 # ---------------------------------------------------------------------------
 # encoder
 
@@ -192,7 +152,7 @@ class Encoder:
 
         Filter and normalization run once on the stacked [n, H, W, C]
         patches; elementwise and exact-integer arithmetic, they equal
-        apply_input_filter and tiling.normalize run tile by tile.
+        filter_pixels and normalize_pixels run tile by tile.
         """
         cfg = self.cfg
         side = cfg.tile_side
@@ -217,8 +177,9 @@ class Encoder:
         patched = patched.transpose(0, 1, 3, 2, 4, 5)
         return patched.reshape(len(patches), gs * gs, ps * ps * IN_CHANNELS)
 
-    def encode(self, tiles: TileSet) -> TokenGrid:
-        """Raw [0,1] tiles -> patch_rows -> ViT -> token grid, on arrays."""
+    def encode(self, tiles: TileSet) -> np.ndarray:
+        """Raw [0,1] tiles -> patch_rows -> ViT -> [n, gs, gs, d] token
+        grid, channels last, on arrays."""
         cfg = self.cfg
         flat = self.patch_rows(tiles)
         n, gs = flat.shape[0], cfg.grid_side
@@ -227,22 +188,24 @@ class Encoder:
             x, _ = block_forward(x, blk, cfg.heads)
         x, _, _ = tz.layernorm_forward(x, self.norm_out_g.data,
                                        self.norm_out_b.data)
-        return TokenGrid(x.reshape(n, gs, gs, cfg.embed_dim)
-                         .transpose(0, 3, 1, 2))
+        return x.reshape(n, gs, gs, cfg.embed_dim)
 
 
 # ---------------------------------------------------------------------------
 # pixel unshuffle
 
 
-def pixel_unshuffle(grid: TokenGrid, r: int) -> TokenGrid:
-    """Fold r x r spatial neighborhoods into channels.
+def pixel_unshuffle(grid: np.ndarray, r: int) -> np.ndarray:
+    """Fold r x r spatial neighborhoods of a [n, s, s, C] grid into
+    channels: [n, (s/r)^2, C*r*r] rows, tokens in row-major scan.
 
-    out[n, c*r*r + dr*r + dc, i, j] = in[n, c, i*r + dr, j*r + dc]
+    out[n, i*(s/r) + j, c*r*r + dr*r + dc] = in[n, i*r + dr, j*r + dc, c]
     """
-    n, c, s, _ = grid.data.shape
+    if grid.ndim != 4 or grid.shape[1] != grid.shape[2]:
+        raise DimensionError(
+            f"token grid must be [n_tiles, side, side, C], got {grid.shape}")
+    n, s, _, c = grid.shape
     if r < 1 or s % r != 0:
         raise DimensionError(f"side {s} not divisible by unshuffle factor {r}")
-    x = grid.data.reshape(n, c, s // r, r, s // r, r)
-    x = x.transpose(0, 1, 3, 5, 2, 4)
-    return TokenGrid(x.reshape(n, c * r * r, s // r, s // r))
+    x = grid.reshape(n, s // r, r, s // r, r, c).transpose(0, 1, 3, 5, 2, 4)
+    return x.reshape(n, (s // r) ** 2, c * r * r)

@@ -33,7 +33,10 @@ import typing
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from types import UnionType
 
-from .datagen import TaskSpec, check_frequency_separation, generate
+from .assembly import ByteTokenizer, build_prompt
+from .datagen import (COMPLEMENTARY_QUESTION, TaskSpec,
+                      check_frequency_separation, generate,
+                      tile_detail_question)
 from .encoders import IN_CHANNELS, EncoderConfig
 from .errors import ConfigError, reject
 from .lm import LMConfig
@@ -61,6 +64,7 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        problems = []
         # the complementary task's single-branch bounds hold only when
         # the two branches see its two frequency bands
         if self.task.kind == "complementary":
@@ -68,7 +72,28 @@ class ExperimentConfig:
                 check_frequency_separation(self.model.encoder_a,
                                            self.model.encoder_b)
             except ConfigError as err:
-                raise ConfigError(*err.under("model.")) from None
+                problems += err.under("model.")
+        # assembly and greedy decoding refuse a sequence over the context
+        # limit mid-run, so the longest one is checked here. Every sample
+        # holds one image and a one-byte answer. prefix counts [BOS] and
+        # the prompt, its marker replaced by the image's visual tokens;
+        # training adds the answer and [EOS], a decode eval_max_new - 1
+        # positions (its last token is never fed back)
+        task, limit = self.task, self.model.lm.context_limit
+        w, h = task.image_size
+        question = (COMPLEMENTARY_QUESTION if task.kind == "complementary"
+                    else tile_detail_question(h // task.tile_size - 1,
+                                              w // task.tile_size - 1))
+        prefix = (len(ByteTokenizer().encode(build_prompt(1, question)))
+                  + self.model.tokens_per_tile()
+                  * planned_patches(self.model, task.image_size))
+        needed, what = max(
+            (prefix + 2, "training"),
+            (prefix + max(self.training.eval_max_new - 1, 0), "decoding"))
+        if needed > limit:
+            problems.append(f"model.lm.context_limit: {what} needs "
+                            f"{needed} positions, the limit is {limit}")
+        reject(problems)
 
 
 @dataclass(frozen=True)

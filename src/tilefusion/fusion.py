@@ -14,9 +14,11 @@ Strategies:
   pre-sequence     raw per-tile sequence concat, then ONE shared projector
   pre-channel      raw channel concat, then ONE shared projector
 
-Token grids are frozen encoder output, arrays outside every graph:
-project and fuse_pre wrap their rows as a constant Tensor, so a fused
-sequence's graph starts at the projectors.
+Branch tokens are frozen encoder output after pixel unshuffle:
+[n_tiles, tokens, channels] arrays, outside every graph. project and
+fuse_pre read them as [n_tiles * tokens, channels] rows, tile-major,
+and wrap those as a constant Tensor, so a fused sequence's graph starts
+at the projectors.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .encoders import TokenGrid
 from .errors import ConfigError, ContractError, DimensionError
 from .transformer import linear
 
@@ -100,11 +101,13 @@ class Projector:
         return tz.add_rowvec(tz.matmul(hidden, self.w2), self.b2)
 
 
-def project(proj: Projector, tokens: TokenGrid, branch_id: str) -> VisualSequence:
-    """Project a token grid, preserving tile order and spatial scan order."""
-    out = proj.apply(tz.Tensor(tokens.flatten_tokens()))
-    return VisualSequence(out, tokens.n_tiles,
-                          ((branch_id, tokens.side * tokens.side),))
+def project(proj: Projector, tokens: np.ndarray,
+            branch_id: str) -> VisualSequence:
+    """Project [n_tiles, t, C] branch tokens, preserving tile order and
+    spatial scan order."""
+    n, t, c = tokens.shape
+    out = proj.apply(tz.Tensor(tokens.reshape(n * t, c)))
+    return VisualSequence(out, n, ((branch_id, t),))
 
 
 def interleave_order(n_tiles: int, ta: int, tb: int) -> np.ndarray:
@@ -150,33 +153,28 @@ def fuse_post_channel(a: VisualSequence, b: VisualSequence,
     return VisualSequence(fused, a.n_tiles, (("A+B", a.per_tile),))
 
 
-def fuse_pre(a_raw: TokenGrid, b_raw: TokenGrid, kind: str,
+def fuse_pre(a_raw: np.ndarray, b_raw: np.ndarray, kind: str,
              shared: Projector) -> VisualSequence:
-    """Concatenate raw post-unshuffle features, then one shared projector."""
-    if a_raw.n_tiles != b_raw.n_tiles:
-        raise ContractError(
-            f"tile counts differ: {a_raw.n_tiles} vs {b_raw.n_tiles}"
-        )
-    n = a_raw.n_tiles
-    ta = a_raw.side * a_raw.side
-    tb = b_raw.side * b_raw.side
-    rows_a = a_raw.flatten_tokens()
-    rows_b = b_raw.flatten_tokens()
+    """Concatenate raw [n_tiles, t, C] post-unshuffle tokens, then one
+    shared projector."""
+    (n, ta, ca), (nb, tb, cb) = a_raw.shape, b_raw.shape
+    if n != nb:
+        raise ContractError(f"tile counts differ: {n} vs {nb}")
     if kind == "pre-sequence":
-        if a_raw.channels != b_raw.channels:
+        if ca != cb:
             raise DimensionError(
-                f"pre-sequence needs equal channels, got "
-                f"{a_raw.channels} vs {b_raw.channels}"
+                f"pre-sequence needs equal channels, got {ca} vs {cb}"
             )
-        rows = np.concatenate([rows_a, rows_b])
-        fused = shared.apply(tz.Tensor(rows[interleave_order(n, ta, tb)]))
+        # per tile, a's tokens then b's: the post-interleave order
+        rows = np.concatenate([a_raw, b_raw], axis=1).reshape(-1, ca)
+        fused = shared.apply(tz.Tensor(rows))
         return VisualSequence(fused, n, (("A", ta), ("B", tb)))
     if kind == "pre-channel":
         if ta != tb:
             raise ContractError(
                 f"pre-channel needs equal token counts, got {ta} vs {tb}"
             )
-        stacked = np.concatenate([rows_a, rows_b], axis=1)
-        fused = shared.apply(tz.Tensor(stacked))
+        rows = np.concatenate([a_raw, b_raw], axis=2).reshape(-1, ca + cb)
+        fused = shared.apply(tz.Tensor(rows))
         return VisualSequence(fused, n, (("A+B", ta),))
     raise ConfigError(f"unknown pre-fusion kind {kind!r}")

@@ -16,16 +16,17 @@ into a one-row SequenceBatch through the same builder (assembly.splice),
 fusing each of its images on its own, and decodes it.
 
 The encoders are frozen in every stage and run forward only, on arrays
-(encoders.py): their TokenGrids hold ndarrays and never enter a graph,
-so no gradient reaches an encoder parameter. They cost one forward pass
-per distinct encoder input per Pipeline, across every run_stage and
-answer call. frozen_tokens keeps post-unshuffle tokens on two levels:
+(encoders.py): their tokens are ndarrays and never enter a graph, so no
+gradient reaches an encoder parameter. They cost one forward pass per
+distinct encoder input per Pipeline, across every run_stage and answer
+call. frozen_tokens keeps each branch's post-unshuffle tokens, one
+channels-last [n_tiles, tokens, channels] array, on two levels:
 
 - token_cache maps an image's content_key (its shape and the sha1 of
-  its pixel bytes, hashed once per ImageBuffer) to {label: TokenGrid};
+  its pixel bytes, hashed once per ImageBuffer) to {label: tokens};
   a repeat image is one dict lookup.
 - view_cache, read only on a token_cache miss, maps each branch's input
-  to that branch's TokenGrid. A branch with an input filter keys it by
+  to that branch's tokens. A branch with an input filter keys it by
   (label, rows shape, sha1 of rows), where rows is Encoder.patch_rows
   of the image's tiles: the encoder's exact input, after its filter
   and normalization. The encoder is a pure function of those rows, so
@@ -33,12 +34,12 @@ answer call. frozen_tokens keeps post-unshuffle tokens on two levels:
   highpass view depends only on its texture) share one encode. An
   unfiltered branch's input is a function of the image alone, so it
   keys its view by (label, content_key) and hashes nothing more.
-  token_cache entries hold the view_cache grids themselves.
+  token_cache entries hold the view_cache arrays themselves.
 
 Both hold only for the encoder weights they were filled with;
 sync_token_cache, which run_stage calls once per stage and answer once
 per call, empties both when those weights' bytes have changed (restore,
-or any write to a weight). A cached grid is the encoder's output on
+or any write to a weight). A cached array is the encoder's output on
 identical rows, so answers from the caches are bitwise the answers of
 an uncached encode (tests/per_image_oracle.py keeps that path as the
 oracle).
@@ -61,7 +62,7 @@ from .assembly import (
     splice,
     splice_batch,
 )
-from .encoders import Encoder, EncoderConfig, TokenGrid, pixel_unshuffle
+from .encoders import Encoder, EncoderConfig, pixel_unshuffle
 from .errors import ContractError, reject
 from .fusion import (
     FUSION_KINDS,
@@ -222,8 +223,8 @@ class Pipeline:
 
         self.lm = LanguageModel(cfg.lm, seed_lm)
 
-        # (image shape, pixel digest) -> {label: TokenGrid} and
-        # each branch's view key -> the same grids, valid for the
+        # (image shape, pixel digest) -> {label: tokens} and
+        # each branch's view key -> the same arrays, valid for the
         # encoder weights whose bytes are token_cache_weights
         self.token_cache = {}
         self.view_cache = {}
@@ -287,15 +288,16 @@ class Pipeline:
             self.token_cache_weights = weights
 
     def frozen_tokens(self, image: ImageBuffer) -> dict:
-        """Each used branch's post-unshuffle TokenGrid of image (tile,
-        encode, unshuffle), keyed "A" and "B", from the two caches.
+        """Each used branch's post-unshuffle [n_tiles, tokens, channels]
+        tokens of image (tile, encode, unshuffle), keyed "A" and "B",
+        from the two caches.
 
         Only for encoder weights that sync_token_cache has seen. A
-        token_cache hit returns the image's grids. On a miss, each
+        token_cache hit returns the image's arrays. On a miss, each
         branch looks up its view key (a filtered branch hashes its
         patch_rows, an unfiltered one reuses the image's content_key)
-        and runs its encoder only if view_cache has no grid for it; the
-        image's entry then holds the view_cache grids.
+        and runs its encoder only if view_cache has no tokens for it;
+        the image's entry then holds the view_cache arrays.
         """
         tokens = self.token_cache.get(image.content_key)
         if tokens is None:
@@ -307,12 +309,12 @@ class Pipeline:
                 else:
                     rows = encoder.patch_rows(tiles)
                     key = (label, rows.shape, hashlib.sha1(rows).digest())
-                grid = self.view_cache.get(key)
-                if grid is None:
-                    grid = pixel_unshuffle(encoder.encode(tiles),
+                view = self.view_cache.get(key)
+                if view is None:
+                    view = pixel_unshuffle(encoder.encode(tiles),
                                            encoder.cfg.unshuffle_r)
-                    self.view_cache[key] = grid
-                tokens[label] = grid
+                    self.view_cache[key] = view
+                tokens[label] = view
             self.token_cache[image.content_key] = tokens
         return tokens
 
@@ -320,7 +322,7 @@ class Pipeline:
         """Trainable half of the image side: project and fuse, for many
         images in one pass.
 
-        tokens holds frozen_tokens output per image. Each branch's grid
+        tokens holds frozen_tokens output per image. Each branch's
         arrays are stacked along the tile axis with np.concatenate, image
         after image, then projected and fused once, so the result's
         n_tiles counts the tiles of the whole stack and image k's rows
@@ -329,9 +331,9 @@ class Pipeline:
         """
         stacked = {}
         for label in tokens[0]:
-            grids = [t[label].data for t in tokens]
-            stacked[label] = TokenGrid(
-                grids[0] if len(grids) == 1 else np.concatenate(grids))
+            views = [t[label] for t in tokens]
+            stacked[label] = (views[0] if len(views) == 1
+                              else np.concatenate(views))
         cfg = self.cfg
         if cfg.encoders == "A":
             return project(self.projector_a, stacked["A"], "A")
@@ -363,7 +365,7 @@ class Pipeline:
                   encode(s.answer)) for s in samples]
         # an image's fused rows: its tiles times fused tokens per tile
         per_tile = self.cfg.tokens_per_tile()
-        counts = [[next(iter(t.values())).n_tiles * per_tile
+        counts = [[next(iter(t.values())).shape[0] * per_tile
                    for t in per_sample] for per_sample in tokens]
         return splice_batch(texts, counts, rows, self.lm.embed,
                             self.cfg.lm.context_limit)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
@@ -89,7 +89,6 @@ class TileSet:
     tiles: list[ImageBuffer]
     grid: TileGrid
     thumbnail: ImageBuffer | None
-    source_dims: tuple[int, int] = field(default=(0, 0))
 
     @property
     def patches(self) -> list[ImageBuffer]:
@@ -186,8 +185,7 @@ def segment(img: ImageBuffer, tile_size: int, max_tiles: int,
     thumb = None
     if patch_count(grid, thumbnail) > grid.n_tiles:
         thumb = resize_bilinear(img, tile_size, tile_size)
-    return TileSet(tiles=tiles, grid=grid, thumbnail=thumb,
-                   source_dims=(img.height, img.width))
+    return TileSet(tiles=tiles, grid=grid, thumbnail=thumb)
 
 
 def normalize_pixels(px: np.ndarray, mean: Sequence[float],
@@ -207,21 +205,6 @@ def normalize_pixels(px: np.ndarray, mean: Sequence[float],
     out = px - mean
     out /= std
     return out
-
-
-def normalize(tileset: TileSet, mean: Sequence[float],
-              std: Sequence[float]) -> TileSet:
-    """normalize_pixels over every patch; pure function."""
-
-    def apply(buf: ImageBuffer) -> ImageBuffer:
-        return ImageBuffer(normalize_pixels(buf.pixels, mean, std))
-
-    return TileSet(
-        tiles=[apply(t) for t in tileset.tiles],
-        grid=tileset.grid,
-        thumbnail=None if tileset.thumbnail is None else apply(tileset.thumbnail),
-        source_dims=tileset.source_dims,
-    )
 
 
 # ---------------------------------------------------------------------------

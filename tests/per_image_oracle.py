@@ -2,8 +2,8 @@
 
 branch_tokens(model, image) is the frozen half without the frozen-token
 caches: tile, encode, unshuffle, on every call. Pipeline.frozen_tokens
-must return its grids bitwise, and uncached_batch is
-Pipeline.assemble_batch on those grids, the reference for training on
+must return its tokens bitwise, and uncached_batch is
+Pipeline.assemble_batch on those tokens, the reference for training on
 cached ones. pixel_shuffle is pixel_unshuffle's inverse, the oracle of
 its index law.
 
@@ -32,7 +32,7 @@ from tilefusion.assembly import (
     SequenceBatch,
     build_prompt,
 )
-from tilefusion.encoders import TokenGrid, pixel_unshuffle
+from tilefusion.encoders import pixel_unshuffle
 from tilefusion.errors import BudgetError, ContractError, DimensionError
 from tilefusion.fusion import (
     fuse_post_channel,
@@ -68,8 +68,9 @@ class AssembledSequence:
 
 
 def branch_tokens(model, image):
-    """Each used branch's post-unshuffle TokenGrid of image, keyed "A"
-    and "B": tile, encode, unshuffle, with no cache."""
+    """Each used branch's post-unshuffle [n_tiles, tokens, channels]
+    tokens of image, keyed "A" and "B": tile, encode, unshuffle, with no
+    cache."""
     tiles = model.segment_image(image)
     return {label: pixel_unshuffle(enc.encode(tiles), enc.cfg.unshuffle_r)
             for label, enc in (("A", model.encoder_a), ("B", model.encoder_b))
@@ -84,14 +85,18 @@ def uncached_batch(model, samples):
                   for s in samples])
 
 
-def pixel_shuffle(grid, r):
-    """Exact inverse of pixel_unshuffle."""
-    n, c, s, _ = grid.data.shape
+def pixel_shuffle(rows, r):
+    """Exact inverse of pixel_unshuffle: [n, m*m, C*r*r] rows back to
+    the [n, m*r, m*r, C] grid."""
+    n, t, c = rows.shape
+    m = int(round(t ** 0.5))
+    if m * m != t:
+        raise DimensionError(f"{t} tokens do not form a square grid")
     if r < 1 or c % (r * r) != 0:
         raise DimensionError(f"channels {c} not divisible by r*r = {r * r}")
-    x = grid.data.reshape(n, c // (r * r), r, r, s, s)
+    x = rows.reshape(n, m, m, c // (r * r), r, r)
     x = x.transpose(0, 1, 4, 2, 5, 3)
-    return TokenGrid(x.reshape(n, c // (r * r), s * r, s * r))
+    return x.reshape(n, m * r, m * r, c // (r * r))
 
 
 def as_batch(seq):

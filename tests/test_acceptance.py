@@ -21,7 +21,7 @@ from tilefusion.assembly import (
     splice,
 )
 from tilefusion.datagen import verify_complementary_blindness
-from tilefusion.encoders import EncoderConfig, TokenGrid, pixel_unshuffle
+from tilefusion.encoders import EncoderConfig, pixel_unshuffle
 from tilefusion.errors import BudgetError
 from tilefusion.experiment import load_config, run_experiment
 from tilefusion.fusion import (
@@ -112,12 +112,10 @@ def test_full_scale_token_arithmetic():
     assert fused.tokens_per_tile() == 512
 
     # the count is realized by the operator, not just the formula
-    grid = TokenGrid(np.zeros((1, 2, 32, 32)))
-    out = pixel_unshuffle(grid, 2)
-    assert out.side * out.side == 256
-    grid_b = TokenGrid(np.zeros((1, 2, 64, 64)))
-    out_b = pixel_unshuffle(grid_b, 4)
-    assert out_b.side * out_b.side == 256
+    out = pixel_unshuffle(np.zeros((1, 32, 32, 2)), 2)
+    assert out.shape[1] == 256
+    out_b = pixel_unshuffle(np.zeros((1, 64, 64, 2)), 4)
+    assert out_b.shape[1] == 256
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -148,11 +146,11 @@ def test_unshuffle_shape_law_and_exact_inverse():
         c = int(rng.integers(1, 4))
         r = int(rng.integers(1, 6))
         s = r * int(rng.integers(1, 5))
-        x = rng.standard_normal((b, c, s, s))
-        out = pixel_unshuffle(TokenGrid(x), r)
-        assert out.data.shape == (b, c * r * r, s // r, s // r)
+        x = rng.standard_normal((b, s, s, c))
+        out = pixel_unshuffle(x, r)
+        assert out.shape == (b, (s // r) ** 2, c * r * r)
         back = pixel_shuffle(out, r)
-        assert back.data.tobytes() == x.tobytes()
+        assert back.tobytes() == x.tobytes()
     assert time.perf_counter() - t0 < 5.0
 
 

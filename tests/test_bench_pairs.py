@@ -5,6 +5,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 import bench_pairs  # noqa: E402
@@ -62,3 +64,35 @@ def test_medians_wins_spread_and_bound():
         (0.03, 0.05, 0)
     assert setup["flagged"]
     assert bench_pairs.format_rows(rows)[2].endswith("WORSE THAN BOUND")
+
+
+def test_trace_runs_summarise_per_layer_metrics_without_bounds():
+    spec = dict(SPEC, per_layer=[
+        {"name": "encoders.encode_ms", "unit": "ms/step", "better": "lower"},
+        {"name": "trace.covered_share", "unit": "share", "better": "higher"},
+    ])
+    parent_ms = [4.0, 5.0, 6.0, 5.5]
+    change_ms = [8.0, 9.0, 7.0, 10.0]  # twice as slow: still no flag
+    parent_cov = [0.8, 0.7, 0.9, 0.8]
+    change_cov = [0.9, 0.6, 0.95, 0.85]
+
+    def runs(ms, cov):
+        return [bench_pairs.result_metrics(stdout(
+            {"train-tiles.encoders.encode_ms": m,
+             "train-tiles.trace.covered_share": c,
+             "train-tiles.samples_per_s": 100.0}), "all")[0]
+            for m, c in zip(ms, cov)]
+
+    rows = bench_pairs.summarise(runs(parent_ms, parent_cov),
+                                 runs(change_ms, change_cov), spec,
+                                 "per_layer")
+    assert [r["metric"] for r in rows] == ["train-tiles.encoders.encode_ms",
+                                           "train-tiles.trace.covered_share"]
+    ms, cov = rows
+    assert (ms["parent"], ms["change"], ms["wins"]) == (5.25, 8.5, 0)
+    assert ms["parent_iqr"] == np.percentile(parent_ms, 75) - \
+        np.percentile(parent_ms, 25)
+    assert (cov["parent"], cov["change"], cov["wins"]) == (0.8, 0.875, 3)
+    assert not ms["flagged"] and not cov["flagged"]
+    assert not any("WORSE" in line
+                   for line in bench_pairs.format_rows(rows))

@@ -1,23 +1,23 @@
 """Encoder and pixel-unshuffle tests.
 
-The unshuffle index law is checked by hand-evaluated examples, by the
-shape rule [n, c*r*r, s/r, s/r], by multiset preservation, and by the
-pixel_shuffle inverse kept in tests/per_image_oracle.py. Encoder output
-shapes follow config arithmetic; input filters are verified to be exact
-on the 8-bit lattice. The encoders are frozen, forward-only array code:
-their grids hold ndarrays, and tests/test_model.py pins that no
-gradient reaches an encoder parameter.
+The unshuffle index law is checked by hand-evaluated examples, on
+random shapes, against the channels-first unshuffle-then-flatten
+written out below, by the shape rule [n, s, s, C] -> [n, (s/r)^2,
+C*r*r], by multiset preservation, and by the pixel_shuffle inverse kept
+in tests/per_image_oracle.py. Encoder output shapes follow config
+arithmetic; input filters are verified to be exact on the 8-bit
+lattice. The encoders are frozen, forward-only array code: their
+tokens are ndarrays, and tests/test_model.py pins that no gradient
+reaches an encoder parameter.
 """
 
 import numpy as np
 import pytest
 
-from tilefusion import tensor as tz
 from tilefusion.encoders import (
     Encoder,
     EncoderConfig,
-    TokenGrid,
-    apply_input_filter,
+    filter_pixels,
     highpass_pixels,
     lowpass_pixels,
     pixel_unshuffle,
@@ -25,7 +25,7 @@ from tilefusion.encoders import (
 from tilefusion.errors import ConfigError, ContractError, DimensionError
 from tilefusion.lm import LMConfig
 from tilefusion.model import PipelineConfig
-from tilefusion.tiling import ImageBuffer, TileSet, normalize, segment
+from tilefusion.tiling import ImageBuffer, TileSet, normalize_pixels, segment
 
 from per_image_oracle import pixel_shuffle
 
@@ -111,51 +111,93 @@ def test_token_budget_full_collapse():
 # pixel unshuffle / shuffle
 
 
+def channels_first_unshuffle_rows(grid, r):
+    """The channels-first unshuffle-then-flatten the encoders once ran:
+    grid [n, s, s, C] turned to [n, C, s, s], unshuffled to
+    [n, C*r*r, s/r, s/r] by out[n, c*r*r + dr*r + dc, i, j] =
+    in[n, c, i*r + dr, j*r + dc], then flattened tile by tile in
+    row-major scan to [n, (s/r)^2, C*r*r]."""
+    x = grid.transpose(0, 3, 1, 2)
+    n, c, s, _ = x.shape
+    x = x.reshape(n, c, s // r, r, s // r, r).transpose(0, 1, 3, 5, 2, 4)
+    x = x.reshape(n, c * r * r, s // r, s // r)
+    return x.transpose(0, 2, 3, 1).reshape(n, (s // r) ** 2, c * r * r)
+
+
+def random_grid_shapes(seed, count):
+    """count random (n, s, C, r) with r dividing s."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        r = int(rng.choice([1, 2, 3, 4]))
+        yield (int(rng.integers(1, 5)), r * int(rng.integers(1, 5)),
+               int(rng.integers(1, 6)), r)
+
+
 def test_unshuffle_shape_law_example():
-    g = TokenGrid(np.zeros((6, 3, 4, 4)))
-    out = pixel_unshuffle(g, 2)
-    assert out.data.shape == (6, 12, 2, 2)
+    out = pixel_unshuffle(np.zeros((6, 4, 4, 3)), 2)
+    assert out.shape == (6, 4, 12)
 
 
 def test_unshuffle_r1_is_identity():
     rng = np.random.default_rng(0)
-    g = TokenGrid(rng.standard_normal((3, 5, 4, 4)))
+    g = rng.standard_normal((3, 4, 4, 5))
     out = pixel_unshuffle(g, 1)
-    assert out.data.tobytes() == g.data.tobytes()
+    assert out.shape == (3, 16, 5)
+    assert out.tobytes() == g.tobytes()
 
 
 def test_unshuffle_hand_case():
-    vals = np.array([[11.0, 22.0], [33.0, 44.0]]).reshape(1, 1, 2, 2)
-    out = pixel_unshuffle(TokenGrid(vals), 2)
-    assert out.data.shape == (1, 4, 1, 1)
-    np.testing.assert_array_equal(out.data[0, :, 0, 0],
-                                  [11.0, 22.0, 33.0, 44.0])
+    vals = np.array([[11.0, 22.0], [33.0, 44.0]]).reshape(1, 2, 2, 1)
+    out = pixel_unshuffle(vals, 2)
+    assert out.shape == (1, 1, 4)
+    np.testing.assert_array_equal(out[0, 0], [11.0, 22.0, 33.0, 44.0])
 
 
 def test_unshuffle_index_formula():
     rng = np.random.default_rng(1)
-    x = rng.standard_normal((2, 3, 6, 6))
-    out = pixel_unshuffle(TokenGrid(x), 3).data
+    x = rng.standard_normal((2, 6, 6, 3))
+    out = pixel_unshuffle(x, 3)
     for n in range(2):
         for c in range(3):
             for dr in range(3):
                 for dc in range(3):
                     for i in range(2):
                         for j in range(2):
-                            assert (out[n, c * 9 + dr * 3 + dc, i, j]
-                                    == x[n, c, i * 3 + dr, j * 3 + dc])
+                            assert (out[n, i * 2 + j, c * 9 + dr * 3 + dc]
+                                    == x[n, i * 3 + dr, j * 3 + dc, c])
+
+
+def test_unshuffle_index_law_random_shapes():
+    for n, s, c, r in random_grid_shapes(9, 40):
+        x = np.random.default_rng(s * c).standard_normal((n, s, s, c))
+        out = pixel_unshuffle(x, r)
+        m = s // r
+        k, i, j, cc, dr, dc = np.meshgrid(
+            np.arange(n), np.arange(m), np.arange(m), np.arange(c),
+            np.arange(r), np.arange(r), indexing="ij")
+        np.testing.assert_array_equal(
+            out[k, i * m + j, cc * r * r + dr * r + dc],
+            x[k, i * r + dr, j * r + dc, cc])
+
+
+def test_unshuffle_matches_channels_first_oracle_bitwise():
+    for n, s, c, r in random_grid_shapes(10, 40):
+        x = np.random.default_rng(s + c).standard_normal((n, s, s, c))
+        out = pixel_unshuffle(x, r)
+        want = channels_first_unshuffle_rows(x, r)
+        assert out.shape == want.shape
+        assert out.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def test_unshuffle_preserves_multiset():
     rng = np.random.default_rng(2)
-    x = rng.standard_normal((4, 2, 8, 8))
-    out = pixel_unshuffle(TokenGrid(x), 4).data
+    x = rng.standard_normal((4, 8, 8, 2))
+    out = pixel_unshuffle(x, 4)
     np.testing.assert_array_equal(np.sort(out.ravel()), np.sort(x.ravel()))
 
 
 def test_shuffle_shape_law():
-    g = TokenGrid(np.zeros((1, 12, 2, 2)))
-    assert pixel_shuffle(g, 2).data.shape == (1, 3, 4, 4)
+    assert pixel_shuffle(np.zeros((1, 4, 12)), 2).shape == (1, 4, 4, 3)
 
 
 def test_shuffle_inverts_unshuffle_100_seeds():
@@ -166,52 +208,38 @@ def test_shuffle_inverts_unshuffle_100_seeds():
         c = int(rng.integers(1, 5))
         blocks = int(rng.integers(1, 4))
         s = r * blocks
-        x = rng.standard_normal((n, c, s, s))
-        back = pixel_shuffle(pixel_unshuffle(TokenGrid(x), r), r)
-        assert back.data.tobytes() == x.tobytes()
+        x = rng.standard_normal((n, s, s, c))
+        back = pixel_shuffle(pixel_unshuffle(x, r), r)
+        assert back.tobytes() == x.tobytes()
 
 
 def test_unshuffle_shape_property_random():
-    rng = np.random.default_rng(3)
-    for _ in range(60):
-        r = int(rng.choice([1, 2, 3, 4]))
-        n = int(rng.integers(1, 5))
-        c = int(rng.integers(1, 6))
-        s = r * int(rng.integers(1, 5))
-        out = pixel_unshuffle(TokenGrid(np.zeros((n, c, s, s))), r)
-        assert out.data.shape == (n, c * r * r, s // r, s // r)
+    for n, s, c, r in random_grid_shapes(3, 60):
+        out = pixel_unshuffle(np.zeros((n, s, s, c)), r)
+        assert out.shape == (n, (s // r) ** 2, c * r * r)
 
 
 def test_unshuffle_divisibility_errors():
-    g = TokenGrid(np.zeros((1, 3, 5, 5)))
     with pytest.raises(DimensionError):
-        pixel_unshuffle(g, 2)
-    h = TokenGrid(np.zeros((1, 5, 2, 2)))
+        pixel_unshuffle(np.zeros((1, 5, 5, 3)), 2)
     with pytest.raises(DimensionError):
-        pixel_shuffle(h, 2)
+        pixel_shuffle(np.zeros((1, 4, 5)), 2)
 
 
-def test_token_grid_validation_and_flatten_order():
+def test_unshuffle_grid_validation_and_scan_order():
     with pytest.raises(DimensionError):
-        TokenGrid(np.zeros((2, 3, 4)))
+        pixel_unshuffle(np.zeros((2, 4, 3)), 1)
     with pytest.raises(DimensionError):
-        TokenGrid(np.zeros((2, 3, 4, 5)))
+        pixel_unshuffle(np.zeros((2, 4, 5, 3)), 1)
     rng = np.random.default_rng(5)
-    x = rng.standard_normal((2, 3, 2, 2))
-    flat = TokenGrid(x).flatten_tokens()
-    assert flat.shape == (8, 3)
+    x = rng.standard_normal((2, 2, 2, 3))
+    rows = pixel_unshuffle(x, 1)
+    assert rows.shape == (2, 4, 3)
     for t in range(2):
         for i in range(2):
             for j in range(2):
-                np.testing.assert_array_equal(flat[t * 4 + i * 2 + j],
-                                              x[t, :, i, j])
-
-
-def test_token_grid_rejects_data_that_is_not_an_array():
-    with pytest.raises(ContractError):
-        TokenGrid(tz.Tensor(np.zeros((2, 3, 4, 4))))
-    with pytest.raises(ContractError):
-        TokenGrid(np.zeros((2, 3, 4, 4)).tolist())
+                np.testing.assert_array_equal(rows[t, i * 2 + j],
+                                              x[t, i, j, :])
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +296,8 @@ def test_filter_block_must_divide():
 
 
 def test_apply_input_filter_none_is_same_object():
-    buf = ImageBuffer(np.zeros((4, 4, 3)))
-    assert apply_input_filter(buf, "none", 2) is buf
+    px = np.zeros((4, 4, 3))
+    assert filter_pixels(px, "none", 2) is px
 
 
 # ---------------------------------------------------------------------------
@@ -280,12 +308,12 @@ def test_encode_desk_shapes():
     tiles = gradient_tiles()
     enc_a = Encoder(desk_cfg_a(), "encoderA", seed=0)
     out_a = enc_a.encode(tiles)
-    assert out_a.data.shape == (7, 8, 8, 8)
+    assert out_a.shape == (7, 8, 8, 8)
     enc_b = Encoder(desk_cfg_b(), "encoderB", seed=1)
     out_b = enc_b.encode(tiles)
-    assert out_b.data.shape == (7, 8, 16, 16)
-    assert pixel_unshuffle(out_a, 2).data.shape == (7, 32, 4, 4)
-    assert pixel_unshuffle(out_b, 4).data.shape == (7, 128, 4, 4)
+    assert out_b.shape == (7, 16, 16, 8)
+    assert pixel_unshuffle(out_a, 2).shape == (7, 16, 32)
+    assert pixel_unshuffle(out_b, 4).shape == (7, 16, 128)
 
 
 def test_encode_rejects_wrong_tile_size():
@@ -300,9 +328,9 @@ def test_encode_is_deterministic():
     tiles = gradient_tiles()
     a = Encoder(desk_cfg_a(), "encoderA", seed=3).encode(tiles)
     b = Encoder(desk_cfg_a(), "encoderA", seed=3).encode(tiles)
-    assert a.data.tobytes() == b.data.tobytes()
+    assert a.tobytes() == b.tobytes()
     c = Encoder(desk_cfg_a(), "encoderA", seed=4).encode(tiles)
-    assert a.data.tobytes() != c.data.tobytes()
+    assert a.tobytes() != c.tobytes()
 
 
 def test_encoder_parameter_names_unique_and_prefixed():
@@ -317,23 +345,18 @@ def test_encoder_filter_changes_output():
     tiles = gradient_tiles()
     plain = Encoder(desk_cfg_a(), "e", seed=0).encode(tiles)
     low = Encoder(desk_cfg_a(input_filter="lowpass"), "e", seed=0).encode(tiles)
-    assert plain.data.tobytes() != low.data.tobytes()
+    assert plain.tobytes() != low.tobytes()
 
 
 def per_tile_patch_rows(enc, tiles):
-    """The embedding input built tile by tile: apply_input_filter and
-    tiling.normalize on each ImageBuffer, then stack and patchify."""
+    """The embedding input built tile by tile: filter_pixels and
+    normalize_pixels on each tile's pixels, then stack and patchify."""
     cfg = enc.cfg
-    filtered = TileSet(
-        tiles=[apply_input_filter(t, cfg.input_filter, cfg.filter_block)
-               for t in tiles.tiles],
-        grid=tiles.grid,
-        thumbnail=apply_input_filter(tiles.thumbnail, cfg.input_filter,
-                                     cfg.filter_block),
-        source_dims=tiles.source_dims,
-    )
-    ready = normalize(filtered, cfg.norm_mean, cfg.norm_std)
-    stack = np.stack([p.pixels for p in ready.patches])
+    stack = np.stack([
+        normalize_pixels(filter_pixels(p.pixels, cfg.input_filter,
+                                       cfg.filter_block),
+                         cfg.norm_mean, cfg.norm_std)
+        for p in tiles.patches])
     n, gs, ps = stack.shape[0], cfg.grid_side, cfg.patch_size
     patched = stack.reshape(n, gs, ps, gs, ps, 3).transpose(0, 1, 3, 2, 4, 5)
     return patched.reshape(n, gs * gs, ps * ps * 3)

@@ -291,6 +291,42 @@ class TestValidation:
         assert "model.fusion" in str(err.value)
         assert "unknown key extra" in str(err.value)
 
+    # tiny_cfg's longest sequence: [BOS], "<img>", 32 visual tokens,
+    # "</img>class?" (9 ids), the answer and [EOS] make 43 positions
+    def test_context_limit_must_hold_the_longest_training_sequence(self):
+        cfg = tiny_cfg()
+        cfg["model"]["lm"]["context_limit"] = 42
+        assert validate_experiment_config(cfg) == [
+            "model.lm.context_limit: training needs 43 positions, "
+            "the limit is 42"]
+        cfg["model"]["lm"]["context_limit"] = 43
+        assert validate_experiment_config(cfg) == []
+
+    def test_context_limit_must_hold_the_longest_eval_decode(self):
+        # the 41-position prompt grows by eval_max_new - 1 positions
+        cfg = tiny_cfg()
+        cfg["training"]["eval_max_new"] = 200
+        assert validate_experiment_config(cfg) == [
+            "model.lm.context_limit: decoding needs 240 positions, "
+            "the limit is 96"]
+        cfg["model"]["lm"]["context_limit"] = 240
+        assert validate_experiment_config(cfg) == []
+
+    def test_context_budget_counts_the_longest_tile_question(self):
+        # a 3x1 tile-detail image asks up to "tile r0c2?" (10 bytes);
+        # 3 tiles and a thumbnail of 2 fused tokens each give 8 visual
+        # tokens, 23 positions
+        path = os.path.join(os.path.dirname(__file__), "..", "configs",
+                            "tile-detail-tiled.json")
+        with open(path) as f:
+            cfg = json.load(f)
+        cfg["training"]["eval_max_new"] = 2  # decoding needs 22
+        cfg["model"]["lm"]["context_limit"] = 22
+        assert [p.split(":")[0] for p in validate_experiment_config(cfg)] \
+            == ["model.lm.context_limit"]
+        cfg["model"]["lm"]["context_limit"] = 23
+        assert validate_experiment_config(cfg) == []
+
     def test_matrix_validation(self):
         assert validate_matrix({"name": "m", "cells": ["a.json"]}) == []
         assert validate_matrix({"cells": ["a.json"]})
@@ -412,6 +448,16 @@ class TestRunExperiment:
         cfg["model"]["encoder_a"].pop("filter_block")
         with pytest.raises(ConfigError):
             run_experiment(cfg)
+
+    def test_run_at_the_exact_context_limit_completes(self):
+        cfg = tiny_cfg()
+        cfg["model"]["lm"]["context_limit"] = 43
+        row = run_experiment(cfg)
+        assert row.steps == 5 and 0.0 <= row.accuracy <= 1.0
+        cfg["model"]["lm"]["context_limit"] = 42
+        with pytest.raises(ConfigError) as err:
+            run_experiment(cfg)
+        assert "model.lm.context_limit" in str(err.value)
 
     def test_deterministic_with_injected_clock(self):
         row1 = run_experiment(tiny_cfg(), clock=fake_clock())

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from tilefusion import tensor as tz
-from tilefusion.encoders import TokenGrid
 from tilefusion.errors import ConfigError, ContractError, DimensionError
 from tilefusion.fusion import (
     FUSION_KINDS,
@@ -36,7 +35,9 @@ def tagged_sequence(n_tiles, per_tile, width, branch, tag_base, rng):
 
 
 def grid_from(rng, n_tiles, side, channels):
-    return TokenGrid(rng.standard_normal((n_tiles, channels, side, side)))
+    """Post-unshuffle branch tokens of a side x side grid per tile:
+    [n_tiles, side * side, channels]."""
+    return rng.standard_normal((n_tiles, side * side, channels))
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +64,7 @@ def test_identity_projector_is_gelu():
     proj.b2.data[...] = 0.0
     grid = grid_from(rng, 1, 2, d)
     out = project(proj, grid, "A")
-    want = tz.gelu(tz.Tensor(grid.flatten_tokens())).data
+    want = tz.gelu(tz.Tensor(grid.reshape(-1, d))).data
     np.testing.assert_array_equal(out.embeddings.data, want)
 
 
@@ -247,6 +248,23 @@ def test_pre_sequence_block_structure():
         (0, "A")] * 4 + [(0, "B")] + [(1, "A")] * 4 + [(1, "B")]
 
 
+def test_pre_sequence_equals_interleave_gather_bitwise():
+    # per tile, a's tokens then b's: the rows the interleave order
+    # gathers from the tile-major [a; b] stack
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        n, ta, tb, c = (int(v) for v in rng.integers(1, 6, size=4))
+        a = rng.standard_normal((n, ta, c))
+        b = rng.standard_normal((n, tb, c))
+        shared = Projector("s", in_dim=c, hidden=4, d_lm=3,
+                           seed=int(rng.integers(1000)))
+        out = fuse_pre(a, b, "pre-sequence", shared)
+        rows = np.concatenate([a.reshape(-1, c), b.reshape(-1, c)])
+        want = shared.apply(tz.Tensor(rows[interleave_order(n, ta, tb)]))
+        assert out.embeddings.data.tobytes() == want.data.tobytes()
+        assert (out.n_tiles, out.segments) == (n, (("A", ta), ("B", tb)))
+
+
 def test_pre_sequence_rejects_channel_mismatch():
     rng = np.random.default_rng(16)
     shared = Projector("s", in_dim=3, hidden=3, d_lm=2, seed=1)
@@ -278,7 +296,7 @@ def test_pre_channel_zero_b_slice_is_branch_a_projection():
     solo.w2.data[...] = shared.w2.data
     solo.b2.data[...] = shared.b2.data
     fused = fuse_pre(a, b, "pre-channel", shared)
-    alone = solo.apply(tz.Tensor(a.flatten_tokens()))
+    alone = solo.apply(tz.Tensor(a.reshape(-1, ca)))
     np.testing.assert_allclose(fused.embeddings.data, alone.data,
                                rtol=0, atol=1e-15)
 

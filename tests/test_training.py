@@ -838,7 +838,7 @@ def test_batched_image_side_matches_per_image_oracle(layout):
         assert [(tile - tile0, b, i) for tile, b, i
                 in fused.provenance[start:start + n]] == want.provenance
         start += n
-        tile0 += next(iter(t.values())).n_tiles
+        tile0 += next(iter(t.values())).shape[0]
     assert start == fused.n_tokens
     assert fused.per_tile == model.cfg.tokens_per_tile()
 
@@ -954,9 +954,9 @@ def test_token_cache_refills_when_encoder_weights_change(monkeypatch, change):
     model = Pipeline(tiny_cfg(ctx=192), seed=5)
     stage1, stage2 = cache_plans()
     run_stage(stage1, model, data, seed=13, batch_size=len(data))
-    old = {key: {label: grid.data.copy() for label, grid in t.items()}
+    old = {key: {label: grid.copy() for label, grid in t.items()}
            for key, t in model.token_cache.items()}
-    old_views = {key: grid.data.copy()
+    old_views = {key: grid.copy()
                  for key, grid in model.view_cache.items()}
     change(model)
     before = len(spy.calls)
@@ -976,11 +976,10 @@ def test_token_cache_refills_when_encoder_weights_change(monkeypatch, change):
             fresh = oracle.branch_tokens(model, img)
             assert cached.keys() == fresh.keys()
             for label in fresh:
-                assert cached[label].data.tobytes() == \
-                    fresh[label].data.tobytes()
-    assert any(not np.array_equal(t["B"], model.token_cache[k]["B"].data)
+                assert cached[label].tobytes() == fresh[label].tobytes()
+    assert any(not np.array_equal(t["B"], model.token_cache[k]["B"])
                for k, t in old.items())
-    assert any(not np.array_equal(grid, model.view_cache[k].data)
+    assert any(not np.array_equal(grid, model.view_cache[k])
                for k, grid in old_views.items() if k[0] == "B")
 
 
@@ -1155,8 +1154,7 @@ def test_view_cache_encodes_each_distinct_view_once(monkeypatch):
         want = oracle.branch_tokens(model, img)
         assert got.keys() == want.keys()
         for label in want:
-            assert got[label].data.tobytes() == \
-                want[label].data.tobytes()
+            assert got[label].tobytes() == want[label].tobytes()
 
 
 # The gain of the view cache rests on this: the shipped complementary

@@ -1,17 +1,21 @@
 """Alternating parent/change perfbench pairs, summarised per metric.
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --pairs 10 \
-        --workload all --seconds 25
+        --workload all --seconds 25 --trace 0
 
-Each pair runs perfbench/run.py --trace 0 once in each checkout, one
-run at a time: the parent runs first on odd pairs (1, 3, ...) and the
-change first on even ones, so drift in the host's load falls on both
-sides alike. For each workload and end-to-end metric it then prints the
-parent and change medians, the pairs the change won (strictly better),
-and the parent's quartile spread (q3 - q1), and flags a metric whose
-change median is worse than the parent's by more than its bound, taken
-as a share of the parent median. Metric directions and bounds come from
-the BENCHMARK.json beside this script, which it only reads.
+Each pair runs perfbench/run.py once in each checkout, one run at a
+time: the parent runs first on odd pairs (1, 3, ...) and the change
+first on even ones, so drift in the host's load falls on both sides
+alike. For each workload and metric it then prints the parent and
+change medians, the pairs the change won (strictly better), and the
+parent's quartile spread (q3 - q1). With --trace 0 (the default) the
+metrics are the end-to-end ones, and a metric whose change median is
+worse than the parent's by more than its bound, taken as a share of
+the parent median, is flagged. With --trace 1 they are the per-layer
+metrics of traced runs, which have no bound and are never flagged:
+several traced runs per side, with medians, attribute a change to a
+layer where one traced run cannot. Metric directions and bounds come
+from the BENCHMARK.json beside this script, which it only reads.
 
 Each run's metrics go to standard error as it ends, so every run made
 is on record. Exits 1 when a metric is flagged or a run gives no
@@ -43,16 +47,18 @@ def result_metrics(stdout: str, workload: str) -> tuple[dict, bool]:
     return metrics, bool(doc["correct"])
 
 
-def summarise(parent: list[dict], change: list[dict], spec: dict) -> list[dict]:
-    """One row per workload x end-to-end metric over paired runs.
+def summarise(parent: list[dict], change: list[dict], spec: dict,
+              section: str = "end_to_end") -> list[dict]:
+    """One row per workload x metric of spec[section] over paired runs.
 
-    parent[i] and change[i] are the metrics of pair i. A metric is
-    flagged when the change median is worse than the parent median by
-    more than bound * |parent median|.
+    parent[i] and change[i] are the metrics of pair i. A metric with a
+    bound is flagged when the change median is worse than the parent
+    median by more than bound * |parent median|; one without a bound
+    (a per-layer metric) never is.
     """
     rows = []
     for workload in spec["workloads"]:
-        for metric in spec["end_to_end"]:
+        for metric in spec[section]:
             key = f"{workload['name']}.{metric['name']}"
             if key not in parent[0]:
                 continue
@@ -65,17 +71,18 @@ def summarise(parent: list[dict], change: list[dict], spec: dict) -> list[dict]:
                 "metric": key, "parent": p_med, "change": c_med,
                 "wins": int(np.sum(sign * (c - p) < 0)), "pairs": len(p),
                 "parent_iqr": float(q3 - q1),
-                "flagged": sign * (c_med - p_med) > metric["bound"] * abs(p_med),
+                "flagged": "bound" in metric and
+                sign * (c_med - p_med) > metric["bound"] * abs(p_med),
             })
     return rows
 
 
 def format_rows(rows: list[dict]) -> list[str]:
-    lines = [f"{'metric':34s} {'parent':>10s} {'change':>10s} "
+    lines = [f"{'metric':44s} {'parent':>10s} {'change':>10s} "
              f"{'wins':>6s} {'parent q3-q1':>12s}"]
     for r in rows:
         lines.append(
-            f"{r['metric']:34s} {r['parent']:10.4g} {r['change']:10.4g} "
+            f"{r['metric']:44s} {r['parent']:10.4g} {r['change']:10.4g} "
             f"{r['wins']:>3d}/{r['pairs']:<2d} {r['parent_iqr']:12.4g}"
             + ("  WORSE THAN BOUND" if r["flagged"] else ""))
     return lines
@@ -84,7 +91,7 @@ def format_rows(rows: list[dict]) -> list[str]:
 def run_once(checkout: Path, args) -> tuple[dict, bool]:
     cmd = [sys.executable, str(checkout / "perfbench" / "run.py"),
            "--workload", args.workload, "--seconds", str(args.seconds),
-           "--trace", "0"]
+           "--trace", str(args.trace)]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True)
     if not proc.stdout.strip():
         raise RuntimeError(f"{checkout}: exited {proc.returncode} "
@@ -99,6 +106,7 @@ def main(argv=None) -> int:
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--workload", default="all")
     p.add_argument("--seconds", type=int, default=25)
+    p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
@@ -119,7 +127,8 @@ def main(argv=None) -> int:
             print(f"pair {i} {side}: {json.dumps(metrics)}",
                   file=sys.stderr, flush=True)
 
-    rows = summarise(runs["parent"], runs["change"], spec)
+    section = "per_layer" if args.trace else "end_to_end"
+    rows = summarise(runs["parent"], runs["change"], spec, section)
     print("\n".join(format_rows(rows)))
     if failed:
         print(f"{failed} runs failed their output checks")
