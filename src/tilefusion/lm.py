@@ -26,19 +26,23 @@ character, so that is a few rows of L. The loss agrees with the one
 taken over forward's logits to rounding (matmuls over fewer rows may
 sum in another order).
 
-forward optionally takes a KVCache holding every block's keys and
-values for the positions already run. The sequence is then a
-continuation that starts at the cached length: its rows take positional
-embeddings from there on, row i may attend to key j only when
-j <= start + i (the same causal mask, offset by start), the budget check
-covers start + L, and its keys and values are appended to the cache.
-greedy_decode runs a one-row prompt batch once into a fresh cache and
-then each emitted token but the last as a one-position continuation,
-so its budget is the prompt length plus max_new - 1. The cache holds
-arrays, not graph nodes: decoding runs outside the graph, and nothing
-differentiates through it. Cached logits agree with a full recompute
-to rounding (not bitwise: the one-row matmuls may sum in a different
-order).
+Decoding never builds a graph: decode_step runs on plain arrays,
+through transformer.block_forward, and forward stays the uncached
+full-logit reference that the tests decode against. decode_step(x,
+cache) takes x, the [1, T, d] rows that continue a KVCache, and returns
+the [V] logits of x's last row alone. Its rows take positional
+embeddings from cache.length on, the budget check covers
+cache.length + T, and every block appends their keys and values to the
+cache. The last block runs with queries_from = T - 1, so its queries and
+MLP, the final norm and the head run on one row. A one-row continuation
+may attend to every cached key, so its causal mask row is all zeros and
+is not built (adding zeros changes no score). greedy_decode runs a
+one-row prompt as one step into a fresh cache and then each emitted
+token but the last as a one-row continuation, so its budget is the
+prompt length plus max_new - 1. A step's logits agree with forward's
+last row to rounding (not bitwise: one-row matmuls may sum in another
+order than the full recompute's); a one-row prompt, which runs every
+row anyway, gives them bitwise.
 """
 from __future__ import annotations
 
@@ -49,7 +53,7 @@ import numpy as np
 from . import tensor as tz
 from .assembly import VOCAB_SIZE, SequenceBatch
 from .errors import BudgetError, ContractError, reject
-from .transformer import KVCache, init_block, run_block
+from .transformer import KVCache, block_forward, init_block, run_block
 
 NEG_INF = -1e30
 
@@ -98,41 +102,42 @@ class LanguageModel:
         out.extend([self.norm_out_g, self.norm_out_b, self.head])
         return out
 
-    def _inputs(self, batch: SequenceBatch, start: int) -> tuple:
-        """Checks, then (the first block's input, the causal mask) for a
-        batch whose first row is position start."""
-        B, L = batch.token_ids.shape
-        if L < 1:
+    def _check(self, start: int, rows: int, width: int) -> None:
+        """Rows start to start + rows fit the context and are d_lm wide."""
+        if rows < 1:
             raise ContractError("cannot run the LM on an empty sequence")
-        if start + L > self.cfg.context_limit:
-            raise BudgetError(required=start + L,
+        if start + rows > self.cfg.context_limit:
+            raise BudgetError(required=start + rows,
                               available=self.cfg.context_limit)
-        if batch.embeddings.shape[2] != self.cfg.d_lm:
+        if width != self.cfg.d_lm:
             raise ContractError(
-                f"sequence width {batch.embeddings.shape[2]} != "
-                f"d_lm {self.cfg.d_lm}"
-            )
-        causal = np.where(
-            np.arange(start + L)[None, :] > start + np.arange(L)[:, None],
-            NEG_INF, 0.0)
+                f"sequence width {width} != d_lm {self.cfg.d_lm}")
+
+    def _causal(self, n: int, rows: int, start: int = 0) -> np.ndarray:
+        """The additive [n, heads, rows, start + rows] mask of rows whose
+        first is position start: row i sees key j iff j <= start + i."""
+        keys = np.arange(start + rows)[None, :]
+        causal = np.where(keys > start + np.arange(rows)[:, None],
+                          NEG_INF, 0.0)
         # a broadcast view, not a copy: every block adds it to its scores
-        mask = np.broadcast_to(causal, (B, self.cfg.heads, L, start + L))
-        pos = tz.slice_axis(self.pos, 0, start, start + L)
-        return tz.add_rowvec(batch.embeddings, pos), mask
+        return np.broadcast_to(causal, (n, self.cfg.heads, rows, start + rows))
+
+    def _inputs(self, batch: SequenceBatch) -> tuple:
+        """Checks, then (the first block's input, the causal mask)."""
+        B, L = batch.token_ids.shape
+        self._check(0, L, batch.embeddings.shape[2])
+        pos = tz.slice_axis(self.pos, 0, 0, L)
+        return tz.add_rowvec(batch.embeddings, pos), self._causal(B, L)
 
     def _head(self, x: tz.Tensor) -> tz.Tensor:
         return tz.matmul(tz.layernorm(x, self.norm_out_g, self.norm_out_b),
                          self.head)
 
-    def forward(self, batch: SequenceBatch,
-                cache: KVCache | None = None) -> tz.Tensor:
-        """[B, L, V] logits of batch; with a cache, batch continues it."""
-        start = 0 if cache is None else cache.length
-        x, mask = self._inputs(batch, start)
-        for i, blk in enumerate(self.blocks):
-            x = run_block(x, blk, self.cfg.heads, mask, cache, i)
-        if cache is not None:
-            cache.length = start + batch.length
+    def forward(self, batch: SequenceBatch) -> tz.Tensor:
+        """[B, L, V] logits of every row of batch, with no cache."""
+        x, mask = self._inputs(batch)
+        for blk in self.blocks:
+            x = run_block(x, blk, self.cfg.heads, mask)
         return self._head(x)
 
     def loss(self, batch: SequenceBatch) -> tz.Tensor:
@@ -147,7 +152,7 @@ class LanguageModel:
         exactly zero.
         """
         L = batch.token_ids.shape[1]
-        x, mask = self._inputs(batch, 0)
+        x, mask = self._inputs(batch)
         read = np.flatnonzero(batch.loss_mask[:, 1:].any(axis=0))
         first = int(read[0]) if read.size else L - 1
         last = len(self.blocks) - 1
@@ -158,13 +163,34 @@ class LanguageModel:
         return tz.masked_cross_entropy(logits, batch.token_ids[:, first + 1:],
                                        batch.loss_mask[:, first + 1:])
 
+    def decode_step(self, x: np.ndarray, cache: KVCache) -> np.ndarray:
+        """[V] logits of the last row of x, the [1, T, d] array of rows
+        that continue cache, on arrays; x's keys and values join cache.
+
+        A step past the context limit raises BudgetError and leaves
+        cache as it was.
+        """
+        start, rows = cache.length, x.shape[1]
+        self._check(start, rows, x.shape[2])
+        x = x + self.pos.data[start:start + rows]
+        # a one-row step sees every cached key: its mask row is all zeros
+        mask = self._causal(1, rows, start) if rows > 1 else None
+        last = len(self.blocks) - 1
+        for i, blk in enumerate(self.blocks):
+            x, _ = block_forward(x, blk, self.cfg.heads, mask, cache, i,
+                                 queries_from=rows - 1 if i == last else 0)
+        cache.length = start + rows
+        h, _, _ = tz.layernorm_forward(x, self.norm_out_g.data,
+                                       self.norm_out_b.data)
+        return np.matmul(h, self.head.data)[0, 0]
+
     def greedy_decode(self, batch: SequenceBatch, max_new: int,
                       eos_id: int | None = None) -> list[int]:
         """Argmax continuation of a one-row batch; ties go to the lowest
         id; stops at EOS.
 
-        The prompt runs once into a KV cache; each emitted token but the
-        last then runs as a one-position continuation of it.
+        The prompt runs as one decode_step into a fresh KV cache; each
+        emitted token but the last then runs as a one-row step.
         """
         if batch.token_ids.shape[0] != 1:
             raise ContractError(
@@ -179,14 +205,11 @@ class LanguageModel:
                               available=self.cfg.context_limit)
         emitted: list[int] = []
         cache = KVCache()
+        x = batch.embeddings.data
         for _ in range(max_new):
-            # positional: perfbench's lm.forward hook reads args[1]
-            logits = self.forward(batch, cache)
-            next_id = int(np.argmax(logits.data[0, -1]))
+            next_id = int(np.argmax(self.decode_step(x, cache)))
             emitted.append(next_id)
             if eos_id is not None and next_id == eos_id:
                 break
-            batch = SequenceBatch(
-                tz.embedding_lookup(self.embed, [[next_id]]), [[next_id]],
-                [[False]])
+            x = self.embed.data[next_id][None, None]
         return emitted

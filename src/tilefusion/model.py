@@ -377,8 +377,10 @@ class Pipeline:
         (frozen_tokens), checked first against the encoder weights
         (sync_token_cache): a repeat image encodes nothing, and a new
         one runs only the branches whose view is new. Every parameter
-        stays out of the graph for the call, so decoding records no
-        autograd edges.
+        stays out of the graph for the call, so fusing and splicing
+        the prompt record no autograd edges; LanguageModel.greedy_decode
+        then runs it once into a KV cache and each emitted token but the
+        last as a one-row step, on arrays.
         """
         self.sync_token_cache()
         with outside_graph(self.parameters()):

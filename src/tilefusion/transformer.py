@@ -7,24 +7,24 @@ whose earlier keys and values come first, so S is the cached length
 plus T. Checkpoints and seeds rely on init_block's parameter names and
 on its draw order: wq, wk, wv, wo, w1, w2.
 
-block_forward runs the block on arrays and returns, beside its output,
-a backward that keeps the activations it needs; run_block makes that
-one autograd node, not ~25. The backward is derived by hand, in the
-order of the composed-op graph (tests/block_oracle.py, which it equals
-bitwise), and accumulates into x and into each block parameter that
-requires grad. The LM runs run_block; the encoders, frozen in every
-stage, call block_forward and keep its output alone, so they build no
-graph. The formulas of layernorm, GELU and
-softmax are tensor.py's, shared with their primitives. The attention
-scores, the block's largest array ([N, heads, T, S]: 1 MB per tile in
-the 256-token encoder), are scaled, masked and softmaxed in the one
-buffer their matmul returns, so no second array of that size is
+block_forward runs the block on arrays and returns, beside its output, a
+backward that keeps the activations it needs; run_block makes that one
+autograd node, not ~25. The backward is derived by hand, in the order of
+the composed-op graph (tests/block_oracle.py, which it equals bitwise),
+and accumulates into x and into each block parameter that requires grad.
+The LM's forward and loss run run_block, with no cache; the encoders,
+frozen in every stage, and the LM's decoding call block_forward and keep
+its output alone, so they build no graph. The formulas of layernorm,
+GELU and softmax are tensor.py's, shared with their primitives. The
+attention scores, the block's largest array ([N, heads, T, S]: 1 MB per
+tile in the 256-token encoder), are scaled, masked and softmaxed in the
+one buffer their matmul returns, so no second array of that size is
 allocated (each fresh one of that size was page-faulted in anew, as
-glibc hands it back to the system on free). queries_from
-(default 0) makes only rows queries_from: queries and outputs, while
-keys and values still cover every row: the offset a KVCache
-continuation applies from the other side. The LM's training loss uses
-it on its last block; encoders and decoding run every row.
+glibc hands it back to the system on free). queries_from (default 0)
+makes only rows queries_from: queries and outputs, while keys and values
+still cover every row: the offset a KVCache continuation applies from
+the other side. The LM's training loss and its decode steps use it on
+their last block; the encoders run every row.
 """
 
 from __future__ import annotations
@@ -62,12 +62,12 @@ def init_block(prefix: str, d: int, rng) -> dict:
 
 class KVCache:
     """Per-block keys and values, [N, heads, length, head_dim], of every
-    position run so far; filled by the blocks, length kept by the LM.
+    position run so far; filled by block_forward, length kept by
+    LanguageModel.decode_step.
 
-    The cache holds plain arrays, not Tensors: a cached continuation's
-    backward treats the earlier positions' keys and values as constants.
-    Nothing differentiates through a cache, because greedy decoding
-    (Pipeline.answer) runs outside the graph.
+    The cache holds plain arrays, not Tensors: decoding is forward-only
+    array code, and block_forward's backward after a cache treats the
+    earlier positions' keys and values as constants.
     """
 
     def __init__(self):
@@ -186,12 +186,12 @@ def block_forward(x: np.ndarray, blk: dict, heads: int,
 
 
 def run_block(x: tz.Tensor, blk: dict, heads: int,
-              mask: np.ndarray | None = None, cache: KVCache | None = None,
-              layer: int = 0, queries_from: int = 0) -> tz.Tensor:
-    """block_forward as one graph node over the Tensor x; same
-    arguments."""
-    data, backward = block_forward(x.data, blk, heads, mask, cache, layer,
-                                   queries_from)
+              mask: np.ndarray | None = None,
+              queries_from: int = 0) -> tz.Tensor:
+    """block_forward, with no cache, as one graph node over the Tensor
+    x; same arguments."""
+    data, backward = block_forward(x.data, blk, heads, mask,
+                                   queries_from=queries_from)
     out = tz._make(data, (x,) + tuple(blk.values()))
     if out.requires_grad:
         out._backward = lambda g: tz._accum(x, backward(g))

@@ -3,8 +3,8 @@
 transformer.run_block runs the block as one graph node with a hand
 derived backward; this is the same block built op by op, whose backward
 is the autograd of the primitives. Tests compare the two, output and
-every gradient. Same arguments as transformer.run_block; the cache's
-earlier keys and values enter the graph as constants.
+every gradient. Same arguments as transformer.block_forward; the
+cache's earlier keys and values enter the graph as constants.
 """
 
 import numpy as np

@@ -16,7 +16,9 @@ bitwise, and the same batch up to stated tolerances.
 
 as_batch runs one AssembledSequence as a one-row SequenceBatch, and
 reference_loss is the LM loss taken over all of forward's logits, the
-reference for LanguageModel.loss.
+reference for LanguageModel.loss. uncached_greedy decodes with no KV
+cache, running forward over the whole grown sequence for every token:
+the reference for LanguageModel.greedy_decode and Pipeline.answer.
 """
 
 from dataclasses import dataclass
@@ -113,6 +115,22 @@ def reference_loss(lm, batch):
     return tz.masked_cross_entropy(
         tz.slice_axis(logits, 1, 0, batch.length - 1),
         batch.token_ids[:, 1:], batch.loss_mask[:, 1:])
+
+
+def uncached_greedy(lm, batch, max_new, eos_id=None):
+    """Argmax of the last row of lm.forward over the one-row batch, grown
+    by each emitted token, until max_new tokens or eos_id."""
+    emitted = []
+    for _ in range(max_new):
+        emitted.append(int(np.argmax(lm.forward(batch).data[0, -1])))
+        if emitted[-1] == eos_id:
+            break
+        step = tz.embedding_lookup(lm.embed, [emitted[-1:]])
+        batch = SequenceBatch(
+            tz.concat([batch.embeddings, step], axis=1),
+            np.append(batch.token_ids, [emitted[-1:]], axis=1),
+            np.append(batch.loss_mask, [[False]], axis=1))
+    return emitted
 
 
 def fuse_tokens(model, tokens):

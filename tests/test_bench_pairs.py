@@ -1,7 +1,9 @@
-"""tools/bench_pairs.py's statistics on canned perfbench result lines;
-no benchmark runs."""
+"""tools/bench_pairs.py's statistics on canned perfbench result lines,
+and the command line of each run, with subprocess.run faked; no
+benchmark runs."""
 
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -96,3 +98,23 @@ def test_trace_runs_summarise_per_layer_metrics_without_bounds():
     assert not ms["flagged"] and not cov["flagged"]
     assert not any("WORSE" in line
                    for line in bench_pairs.format_rows(rows))
+
+
+def test_every_run_takes_the_seed(monkeypatch, tmp_path):
+    commands = []
+
+    def fake_run(cmd, **kwargs):
+        commands.append(cmd)
+        return subprocess.CompletedProcess(
+            cmd, 0, stdout=stdout({"samples_per_s": 100.0}))
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    sides = [str(tmp_path / "parent"), str(tmp_path / "change")]
+    common = ["--pairs", "2", "--workload", "train-tiles", "--seconds", "1"]
+    assert bench_pairs.main(sides + common + ["--seed", "5"]) == 0
+    assert len(commands) == 4
+    for cmd in commands:
+        assert cmd[cmd.index("--seed") + 1] == "5"
+    commands.clear()
+    assert bench_pairs.main(sides + common) == 0
+    assert [cmd[cmd.index("--seed") + 1] for cmd in commands] == ["0"] * 4

@@ -5,9 +5,12 @@ leave every prefix logit byte-identical. Zeroing the head makes the
 uniform-loss value an analytic constant, ln(vocab). The loss mask is
 checked against a hand-computed cross entropy and by the all-false case
 (zero loss, exactly zero gradients). A short SGD loop verifies a model
-can overfit one sample and greedy-decode it back. KV-cached forwards
-are checked against uncached ones within a stated tolerance (1e-12
-relative): one-row matmuls may round differently from a full recompute.
+can overfit one sample and greedy-decode it back. KV-cached decode
+steps are checked against uncached forwards within a stated tolerance
+(1e-12 relative): one-row matmuls may round differently from a full
+recompute. A one-row prompt, whose last block runs every row, must give
+forward's logits bitwise, and a one-row continuation, which builds no
+causal mask, must equal the same step run with its all-zero mask.
 """
 
 import numpy as np
@@ -29,9 +32,10 @@ from tilefusion.errors import (
     ContractError,
     DimensionError,
 )
+from tilefusion import lm as lm_module
 from tilefusion.lm import KVCache, LanguageModel, LMConfig
 
-from per_image_oracle import reference_loss
+from per_image_oracle import reference_loss, uncached_greedy
 
 TOK = ByteTokenizer()
 
@@ -357,15 +361,19 @@ def test_cached_steps_match_uncached_forward(seed, prompt_len):
     rng = np.random.default_rng(seed)
     full = raw_sequence(lm, prompt_len, rng)
     cache = KVCache()
-    first = lm.forward(full, cache=cache).data
-    # an empty cache runs exactly the uncached computation
-    assert first.tobytes() == lm.forward(full).data.tobytes()
+    first = lm.decode_step(full.embeddings.data, cache)
+    want = lm.forward(full).data[0, -1]
+    assert first.shape == (VOCAB_SIZE,)
+    assert tz.relative_error(first, want) <= 1e-12
+    if prompt_len == 1:  # queries_from is 0: forward's own arithmetic
+        assert first.tobytes() == want.tobytes()
     assert cache.length == prompt_len
     for token_id in rng.integers(0, 256, size=6):
-        step = lm.forward(one_token(lm, int(token_id)), cache=cache).data
+        step = lm.decode_step(one_token(lm, int(token_id)).embeddings.data,
+                              cache)
         full = grown(full, int(token_id), lm)
-        want = lm.forward(full).data[:, -1:]
-        assert step.shape == (1, 1, VOCAB_SIZE)
+        want = lm.forward(full).data[0, -1]
+        assert step.shape == (VOCAB_SIZE,)
         assert tz.relative_error(step, want) <= 1e-12
         assert cache.length == full.length
 
@@ -374,12 +382,8 @@ def test_cached_decode_equals_uncached_greedy_loop():
     for seed in (23, 24, 25):
         lm = random_head_lm(seed)
         seq = text_sequence(lm, f"prompt {seed}", "")
-        want = []
-        current = seq
-        for _ in range(8):
-            logits = lm.forward(current).data
-            want.append(int(np.argmax(logits[0, -1])))
-            current = grown(current, want[-1], lm)
+        want = uncached_greedy(lm, seq, 8)
+        assert len(want) == 8
         assert lm.greedy_decode(seq, 8) == want
 
 
@@ -387,46 +391,78 @@ def test_multi_token_continuation_matches_full_rows():
     lm = random_head_lm(26)
     rng = np.random.default_rng(27)
     seq = raw_sequence(lm, 11, rng)
-    full = lm.forward(seq).data
-
-    def part(a, b):
-        return SequenceBatch(tz.slice_axis(seq.embeddings, 1, a, b),
-                             seq.token_ids[:, a:b], seq.loss_mask[:, a:b])
-
+    full = lm.forward(seq).data[0]
     cache = KVCache()
-    pieces = [lm.forward(part(a, b), cache=cache).data
-              for a, b in ((0, 4), (4, 9), (9, 11))]
-    assert tz.relative_error(np.concatenate(pieces, axis=1), full) <= 1e-12
+    for a, b in ((0, 4), (4, 9), (9, 11)):
+        got = lm.decode_step(seq.embeddings.data[:, a:b], cache)
+        assert tz.relative_error(got, full[b - 1]) <= 1e-12
+        assert cache.length == b
 
 
 def test_continuation_past_context_limit_is_budget_error():
     lm = random_head_lm(28, context=8)
     rng = np.random.default_rng(29)
     cache = KVCache()
-    lm.forward(raw_sequence(lm, 6, rng), cache=cache)
+    lm.decode_step(raw_sequence(lm, 6, rng).embeddings.data, cache)
     with pytest.raises(BudgetError):
-        lm.forward(raw_sequence(lm, 3, rng), cache=cache)
+        lm.decode_step(raw_sequence(lm, 3, rng).embeddings.data, cache)
     assert cache.length == 6
-    lm.forward(raw_sequence(lm, 2, rng), cache=cache)
+    lm.decode_step(raw_sequence(lm, 2, rng).embeddings.data, cache)
     assert cache.length == 8
     with pytest.raises(BudgetError):
-        lm.forward(one_token(lm, 1), cache=cache)
+        lm.decode_step(one_token(lm, 1).embeddings.data, cache)
+    assert cache.length == 8
+
+
+def test_one_row_step_without_mask_equals_it_with_zero_mask(monkeypatch):
+    lm = random_head_lm(33, layers=3)
+    prompt = raw_sequence(lm, 7, np.random.default_rng(34))
+    token = one_token(lm, 65).embeddings.data
+
+    def continuation():
+        cache = KVCache()
+        lm.decode_step(prompt.embeddings.data, cache)
+        return lm.decode_step(token, cache)
+
+    free = continuation()
+    real = lm_module.block_forward
+    masked = []
+
+    def with_mask(x, blk, heads, mask, cache, layer, queries_from=0):
+        if mask is None:  # the causal mask the step skipped: all zeros
+            mask = lm._causal(1, x.shape[1], cache.length)
+            assert mask.shape == (1, 2, 1, 8) and not mask.any()
+            masked.append(layer)
+        return real(x, blk, heads, mask, cache, layer,
+                    queries_from=queries_from)
+
+    monkeypatch.setattr(lm_module, "block_forward", with_mask)
+    got = continuation()
+    assert masked == [0, 1, 2]
+    assert got.tobytes() == free.tobytes()
+
+
+def spy_step_rows(monkeypatch):
+    """The row count of every decode_step call, in order."""
+    rows = []
+    original = LanguageModel.decode_step
+
+    def spy(self, x, cache):
+        rows.append(x.shape[1])
+        return original(self, x, cache)
+
+    monkeypatch.setattr(LanguageModel, "decode_step", spy)
+    return rows
 
 
 def test_greedy_budget_counts_only_the_positions_it_runs(monkeypatch):
     # the last emitted token is never run: a 6-token prompt and 3 new
     # tokens run 6 + 2 = 8 positions, which a context of 8 holds
-    lengths = []
-    original = LanguageModel.forward
-
-    def spy(self, seq, *args, **kwargs):
-        lengths.append(seq.length)
-        return original(self, seq, *args, **kwargs)
-
-    monkeypatch.setattr(LanguageModel, "forward", spy)
+    lengths = spy_step_rows(monkeypatch)
     lm = random_head_lm(31, context=8)
     prompt = raw_sequence(lm, 6, np.random.default_rng(32))
     assert len(lm.greedy_decode(prompt, 3)) == 3
+    assert lengths == [6, 1, 1]
     assert sum(lengths) == 8
     with pytest.raises(BudgetError) as err:
         lm.greedy_decode(prompt, 4)
@@ -434,21 +470,14 @@ def test_greedy_budget_counts_only_the_positions_it_runs(monkeypatch):
 
 
 def test_greedy_runs_prompt_once_then_one_position_per_token(monkeypatch):
-    lengths = []
-    original = LanguageModel.forward
-
-    def spy(self, seq, *args, **kwargs):
-        lengths.append(seq.length)
-        return original(self, seq, *args, **kwargs)
-
-    monkeypatch.setattr(LanguageModel, "forward", spy)
+    lengths = spy_step_rows(monkeypatch)
     lm = random_head_lm(30)
     seq = text_sequence(lm, "count", "")
     emitted = lm.greedy_decode(seq, 5)
     assert len(emitted) == 5
     assert lengths == [seq.length] + [1] * 4
 
-    # stopping at EOS: still one forward per emitted token, none after
+    # stopping at EOS: still one step per emitted token, none after
     lengths.clear()
     emitted = lm.greedy_decode(seq, 5, eos_id=emitted[2])
     assert len(emitted) == 3

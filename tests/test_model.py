@@ -257,22 +257,30 @@ class TestForward:
         assert len(text) <= 4
 
     def test_answer_builds_no_graph(self, monkeypatch):
-        outputs = []
-        original = LanguageModel.forward
+        # the prompt is spliced outside the graph; every decode step
+        # then runs on plain arrays
+        prompts, steps = [], []
+        decode, step = LanguageModel.greedy_decode, LanguageModel.decode_step
 
-        def spy(self, seq, *args, **kwargs):
-            out = original(self, seq, *args, **kwargs)
-            outputs.append((seq.embeddings, out))
+        def decode_spy(self, batch, *args, **kwargs):
+            prompts.append(batch.embeddings)
+            return decode(self, batch, *args, **kwargs)
+
+        def step_spy(self, x, cache):
+            out = step(self, x, cache)
+            steps.append((x, out))
             return out
 
-        monkeypatch.setattr(LanguageModel, "forward", spy)
+        monkeypatch.setattr(LanguageModel, "greedy_decode", decode_spy)
+        monkeypatch.setattr(LanguageModel, "decode_step", step_spy)
         pipe = Pipeline(desk_cfg(), seed=2)
         pipe.answer([landscape_image()], "q", max_new=4)
-        assert outputs
-        for embeddings, logits in outputs:
-            for t in (embeddings, logits):
-                assert not t.requires_grad
-                assert t._prev == ()
+        [embeddings] = prompts
+        assert not embeddings.requires_grad
+        assert embeddings._prev == ()
+        assert steps
+        for x, logits in steps:
+            assert type(x) is np.ndarray and type(logits) is np.ndarray
 
     def test_answer_restores_requires_grad(self):
         pipe = Pipeline(desk_cfg(), seed=2)

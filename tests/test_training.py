@@ -860,7 +860,8 @@ def test_batched_image_side_matches_per_image_oracle(layout):
 
 # answer splices one sample through the B = 1 builder (model.splice),
 # fusing each image on its own; its prompt is the per-image oracle's
-# sample with an empty answer and the closing EOS slot trimmed, bitwise.
+# sample with an empty answer and the closing EOS slot trimmed, bitwise,
+# and its answer is the uncached greedy oracle's on that prompt.
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 def test_answer_prompt_matches_per_image_oracle(layout, monkeypatch):
     model = Pipeline(LAYOUTS[layout], seed=5)
@@ -894,7 +895,7 @@ def test_answer_prompt_matches_per_image_oracle(layout, monkeypatch):
         want = SequenceBatch(tz.Tensor(seq.embeddings.data[None, :L]),
                              seq.token_ids[None, :L],
                              seq.loss_mask[None, :L])
-        want_ids = real_decode(model.lm, want, 4, eos_id=EOS_ID)
+        want_ids = oracle.uncached_greedy(model.lm, want, 4, eos_id=EOS_ID)
         assert text == model.tokenizer.decode(want_ids)
 
 

@@ -4,8 +4,10 @@ transformer.run_block is one graph node with a hand-derived backward;
 tests/block_oracle.py builds the same block from tensor primitives.
 The two must agree bitwise, output and every gradient, with and without
 a mask, with queries_from > 0, after a pre-filled KV cache, and with
-some parameters left out of the graph. Finite differences check the
-fused node's gradients independently of both backward passes.
+some parameters left out of the graph. run_block takes no cache, so
+the cached cases run block_forward's output and backward as the same
+one node (fused_block). Finite differences check the fused node's
+gradients independently of both backward passes.
 """
 
 import tracemalloc
@@ -17,11 +19,26 @@ import block_oracle
 from test_tensor import assert_freed_by_refcount
 from tilefusion import tensor as tz
 from tilefusion.errors import DimensionError
-from tilefusion.transformer import KVCache, init_block, run_block
+from tilefusion.transformer import (KVCache, block_forward, init_block,
+                                    run_block)
 
 HEADS = 2
 D = 8
 NEG_INF = -1e30
+
+
+def fused_block(x, blk, heads, mask=None, cache=None, layer=0,
+                queries_from=0):
+    """run_block, or, after a cache, block_forward as one graph node the
+    way run_block makes it."""
+    if cache is None:
+        return run_block(x, blk, heads, mask, queries_from)
+    data, backward = block_forward(x.data, blk, heads, mask, cache, layer,
+                                   queries_from)
+    out = tz._make(data, (x,) + tuple(blk.values()))
+    if out.requires_grad:
+        out._backward = lambda g: tz._accum(x, backward(g))
+    return out
 
 
 def make_case(n, t, queries_from=0, masked=False, past=0, seed=0):
@@ -79,7 +96,7 @@ def grads(x, blk, loss, block):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_fused_block_equals_composed_oracle_bitwise(case):
     x, blk, loss = make_case(**CASES[case])
-    got_out, got = grads(x, blk, loss, run_block)
+    got_out, got = grads(x, blk, loss, fused_block)
     want_out, want = grads(x, blk, loss, block_oracle.run_block)
     assert got_out.tobytes() == want_out.tobytes()
     names = ["x", *blk]
@@ -91,12 +108,12 @@ def test_fused_block_equals_composed_oracle_bitwise(case):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_fused_block_gradients_match_finite_differences(case):
     x, blk, loss = make_case(**CASES[case])
-    _, got = grads(x, blk, loss, run_block)
+    _, got = grads(x, blk, loss, fused_block)
     rng = np.random.default_rng(1)
     for t, g in zip([x, *blk.values()], got):
         idx = rng.choice(t.size, size=min(t.size, 5), replace=False)
         fd = tz.finite_difference_grad_at(
-            lambda _t: loss(run_block)[0], t, idx)
+            lambda _t: loss(fused_block)[0], t, idx)
         assert tz.relative_error(g.reshape(-1)[idx], fd) < 1e-4
 
 
@@ -104,7 +121,7 @@ def test_fused_block_accumulates_only_into_what_requires_grad():
     x, blk, loss = make_case(n=2, t=5, masked=True)
     left_out = [blk[k] for k in ("norm1.g", "wk", "b1", "w2")]
     with tz.outside_graph(left_out):
-        got_out, got = grads(x, blk, loss, run_block)
+        got_out, got = grads(x, blk, loss, fused_block)
         want_out, want = grads(x, blk, loss, block_oracle.run_block)
     assert got_out.tobytes() == want_out.tobytes()
     for t, g, w in zip([x, *blk.values()], got, want):
@@ -126,7 +143,7 @@ def test_fused_block_rejects_bad_mask_and_query_range():
 def test_fused_block_graph_freed_without_cyclic_gc():
     def build():
         _, _, loss = make_case(n=2, t=5, queries_from=2, masked=True)
-        return loss(run_block)  # (loss, the block's output node)
+        return loss(fused_block)  # (loss, the block's output node)
 
     assert_freed_by_refcount(build)
 

@@ -1,7 +1,7 @@
 """Alternating parent/change perfbench pairs, summarised per metric.
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --pairs 10 \
-        --workload all --seconds 25 --trace 0
+        --workload all --seconds 25 --trace 0 --seed 0
 
 Each pair runs perfbench/run.py once in each checkout, one run at a
 time: the parent runs first on odd pairs (1, 3, ...) and the change
@@ -16,6 +16,9 @@ metrics of traced runs, which have no bound and are never flagged:
 several traced runs per side, with medians, attribute a change to a
 layer where one traced run cannot. Metric directions and bounds come
 from the BENCHMARK.json beside this script, which it only reads.
+
+Every run takes the task seed --seed (default 0), so a claimed gain
+can be checked again on a seed the change was not written on.
 
 Each run's metrics go to standard error as it ends, so every run made
 is on record. Exits 1 when a metric is flagged or a run gives no
@@ -91,7 +94,7 @@ def format_rows(rows: list[dict]) -> list[str]:
 def run_once(checkout: Path, args) -> tuple[dict, bool]:
     cmd = [sys.executable, str(checkout / "perfbench" / "run.py"),
            "--workload", args.workload, "--seconds", str(args.seconds),
-           "--trace", str(args.trace)]
+           "--trace", str(args.trace), "--seed", str(args.seed)]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True)
     if not proc.stdout.strip():
         raise RuntimeError(f"{checkout}: exited {proc.returncode} "
@@ -107,6 +110,7 @@ def main(argv=None) -> int:
     p.add_argument("--workload", default="all")
     p.add_argument("--seconds", type=int, default=25)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    p.add_argument("--seed", type=int, default=0)
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
