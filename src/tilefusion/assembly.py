@@ -11,9 +11,11 @@ selects.
 SequenceBatch is the one sequence type the LM takes, for training and
 answering alike: B sequences right-padded to one length, [B, L, d]
 embeddings with [B, L] ids and mask. splice_batch builds a whole step's
-batch as one row gather from [visual rows; embedding table; zero row]:
-one index per position, with a scatter-add backward. splice is its
-B = 1 case and returns the one-row batch.
+training batch as one row gather from [visual rows; embedding table;
+zero row]: one index per position, with a scatter-add backward. splice
+is the one-row assembler that answering runs: the same index (_layout),
+gathered on arrays from the visual rows and the embedding table's own
+array, with no graph and no copy of the table.
 
 Overflowing the context limit is a hard error. Upstream tile capping is
 the intended way to stay under budget; silent truncation would corrupt
@@ -129,24 +131,40 @@ class SequenceBatch:
 
 def splice(prompt_ids, answer_ids, visual: list[VisualSequence],
            embed_table: tz.Tensor, context_limit: int) -> SequenceBatch:
-    """Assemble [BOS] + prompt + answer + [EOS] with markers expanded.
+    """Assemble [BOS] + prompt + answer + [EOS] with markers expanded, as
+    a one-row batch, on arrays.
 
     Each image-context marker in the prompt expands to the matching
     image's visual embeddings; text positions are embedding-table rows.
     The loss mask selects the answer bytes and the closing EOS, nothing
-    else. Exceeding context_limit raises a budget error. This is the
-    B = 1 case of splice_batch, and returns its one-row batch.
+    else. Exceeding context_limit raises a budget error. The layout is
+    splice_batch's (_layout), and so is every row, bitwise: text rows
+    are gathered by id from embed_table.data in place, and each image's
+    rows are copied to the run of positions where the index takes them.
+    The result is a constant that records no graph.
     """
-    d = embed_table.shape[1]
-    if not visual:
-        rows = tz.Tensor(np.zeros((0, d)))
-    elif len(visual) == 1:
-        rows = visual[0].embeddings
-    else:
-        rows = tz.concat([vs.embeddings for vs in visual], axis=0)
-    return splice_batch([(prompt_ids, answer_ids)],
-                        [[vs.n_tokens for vs in visual]], rows,
-                        embed_table, context_limit)
+    table = embed_table.data
+    d = table.shape[1]
+    for vs in visual:
+        if vs.width != d:
+            raise DimensionError(
+                f"visual width {vs.width} does not match LM width {d}")
+    counts = [vs.n_tokens for vs in visual]
+    index, ids, answer_start = _layout(prompt_ids, answer_ids, counts, 0,
+                                       sum(counts), context_limit)
+    ids = np.array(ids)
+    # a text position's table row is its id; a marker's rows hold the
+    # marker's embedding until its image's rows replace them
+    out = table[ids]
+    first = 0
+    for vs, n in zip(visual, counts):
+        if n:
+            at = index.index(first)
+            out[at:at + n] = vs.embeddings
+            first += n
+    loss_mask = np.zeros((1, len(ids)), dtype=bool)
+    loss_mask[0, answer_start:] = True
+    return SequenceBatch(tz.Tensor(out[None]), ids[None], loss_mask)
 
 
 def _layout(prompt_ids, answer_ids, counts, first_row: int,

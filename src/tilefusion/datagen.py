@@ -98,6 +98,8 @@ def _balanced_ids(n: int, n_classes: int, rng) -> np.ndarray:
 
 CELL = 2
 SHAPE_CANVAS = 12
+# (jx, jy) block offsets verify_complementary_blindness renders shapes at
+BLINDNESS_JITTERS = ((0, 0), (2, 1), (4, 4))
 TEXTURE_DELTA = 40
 COMPLEMENTARY_QUESTION = "class?"
 N_SHAPES = 4
@@ -143,10 +145,11 @@ def _complementary_geometry(spec: TaskSpec) -> list:
     elif w % CELL != 0:
         problems.append(
             f"image_size: side {w} not divisible by cell {CELL}")
-    elif w // CELL < SHAPE_CANVAS:
+    elif w // CELL < SHAPE_CANVAS + max(map(max, BLINDNESS_JITTERS)):
         problems.append(
-            f"image_size: image holds {w // CELL} blocks per side, "
-            f"shapes need {SHAPE_CANVAS}")
+            f"image_size: image holds {w // CELL} blocks per side; "
+            f"shapes need {SHAPE_CANVAS}, and the blindness check places "
+            f"them up to {max(map(max, BLINDNESS_JITTERS))} blocks in")
     if spec.n_classes != N_SHAPES * N_TEXTURES:
         problems.append(
             f"n_classes: complementary task has {N_SHAPES * N_TEXTURES} "
@@ -179,10 +182,8 @@ def verify_complementary_blindness(side: int = 32) -> dict:
     branch accuracy bounds. Raises if the construction is broken.
     """
     levels = [(62, 172), (70, 180), (78, 188)]
-    jitters = [(0, 0), (2, 1), (4, 4)]
-
     for s in range(N_SHAPES):
-        for (jx, jy), (bg, fg) in zip(jitters, levels):
+        for (jx, jy), (bg, fg) in zip(BLINDNESS_JITTERS, levels):
             views = []
             for t in range(N_TEXTURES):
                 img = render_complementary(side, s, t, jx, jy, bg, fg)
@@ -195,7 +196,7 @@ def verify_complementary_blindness(side: int = 32) -> dict:
     for t in range(N_TEXTURES):
         views = []
         for s in range(N_SHAPES):
-            for (jx, jy), (bg, fg) in zip(jitters, levels):
+            for (jx, jy), (bg, fg) in zip(BLINDNESS_JITTERS, levels):
                 img = render_complementary(side, s, t, jx, jy, bg, fg)
                 px = image_from_u8(img).pixels
                 views.append(highpass_pixels(px, CELL).tobytes())

@@ -1,10 +1,8 @@
-"""Projectors and token-fusion strategies.
+"""Projectors and token-fusion strategies, forward-only on arrays.
 
 Each branch owns a two-layer GELU MLP projector into the language model
 width. A fused visual sequence carries its tile layout: its tile count
 and the (branch_id, count) segments every tile holds, in row order.
-Per-token provenance (tile_index, branch_id, within-tile position) is
-derived from that layout, so ordering laws are checkable after the fact.
 
 Strategies:
   post-interleave  per tile: branch-A block then branch-B block, both in
@@ -16,14 +14,22 @@ Strategies:
 
 Branch tokens are frozen encoder output after pixel unshuffle:
 [n_tiles, tokens, channels] arrays, outside every graph. project and
-fuse_pre read them as [n_tiles * tokens, channels] rows, tile-major,
-and wrap those as a constant Tensor, so a fused sequence's graph starts
-at the projectors.
+fuse_pre read them as [n_tiles * tokens, channels] rows, tile-major.
+Every function here runs on arrays and returns a VisualSequence whose
+embeddings are an ndarray and whose backward, given those embeddings'
+gradient, accumulates into each projector and fusion.down parameter
+that requires grad (the branch tokens are constants, so it returns
+nothing). Answering drops the backward; training wraps the fused rows
+and their backward as one autograd node (Pipeline.visual_rows), as
+transformer.run_block wraps block_forward. The backward is derived by
+hand in the order of the composed-op graph that
+tests/fusion_oracle.py keeps as the oracle, and equals it bitwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -37,14 +43,21 @@ FUSION_KINDS = ("post-interleave", "post-channel", "pre-sequence", "pre-channel"
 @dataclass
 class VisualSequence:
     """Projected visual tokens, tile-major: every tile holds the same
-    segments, each a (branch_id, count) run of rows, in row order."""
+    segments, each a (branch_id, count) run of rows, in row order.
 
-    embeddings: tz.Tensor
+    embeddings is [n_tokens, d]. backward(g), if set, takes their
+    [n_tokens, d] gradient and accumulates it into the parameters that
+    made them.
+    """
+
+    embeddings: np.ndarray
     n_tiles: int
     segments: tuple[tuple[str, int], ...]
+    backward: Callable[[np.ndarray], None] | None = field(
+        default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.embeddings.data.ndim != 2:
+        if len(self.embeddings.shape) != 2:
             raise DimensionError(
                 f"embeddings must be [n_tokens, d], got {self.embeddings.shape}"
             )
@@ -69,11 +82,17 @@ class VisualSequence:
     def width(self) -> int:
         return self.embeddings.shape[1]
 
-    @property
-    def provenance(self) -> list[tuple[int, str, int]]:
-        """(tile_index, branch_id, within-tile position) of each row."""
-        return [(t, branch, i) for t in range(self.n_tiles)
-                for branch, count in self.segments for i in range(count)]
+
+def _weight_grad(w: tz.Parameter, a: np.ndarray, g: np.ndarray) -> None:
+    """Accumulate a.T @ g, w's gradient in a @ w, if w requires grad."""
+    if w.requires_grad:
+        tz._accum(w, a.T @ g)
+
+
+def _bias_grad(b: tz.Parameter, g: np.ndarray) -> None:
+    """Accumulate g summed over its rows, the gradient of a row bias."""
+    if b.requires_grad:
+        tz._accum(b, g.reshape(-1, b.shape[0]).sum(axis=0))
 
 
 class Projector:
@@ -92,13 +111,32 @@ class Projector:
     def parameters(self) -> list[tz.Parameter]:
         return [self.w1, self.b1, self.w2, self.b2]
 
-    def apply(self, rows: tz.Tensor) -> tz.Tensor:
+    def forward(self, rows: np.ndarray) -> tuple:
+        """(output, backward) of the MLP on constant [n, in_dim] rows.
+
+        backward(g), given the output's gradient, accumulates into each
+        parameter that requires grad.
+        """
         if rows.shape[-1] != self.in_dim:
             raise DimensionError(
                 f"projector expects width {self.in_dim}, got {rows.shape[-1]}"
             )
-        hidden = tz.gelu(tz.add_rowvec(tz.matmul(rows, self.w1), self.b1))
-        return tz.add_rowvec(tz.matmul(hidden, self.w2), self.b2)
+        w1, b1, w2, b2 = self.parameters()
+        pre = np.matmul(rows, w1.data)
+        pre += b1.data
+        hidden, tanh = tz.gelu_forward(pre)
+        out = np.matmul(hidden, w2.data)
+        out += b2.data
+
+        def backward(g):
+            _bias_grad(b2, g)
+            _weight_grad(w2, hidden, g)
+            if w1.requires_grad or b1.requires_grad:
+                g_pre = tz.gelu_backward(g @ w2.data.T, pre, tanh)
+                _bias_grad(b1, g_pre)
+                _weight_grad(w1, rows, g_pre)
+
+        return out, backward
 
 
 def project(proj: Projector, tokens: np.ndarray,
@@ -106,20 +144,8 @@ def project(proj: Projector, tokens: np.ndarray,
     """Project [n_tiles, t, C] branch tokens, preserving tile order and
     spatial scan order."""
     n, t, c = tokens.shape
-    out = proj.apply(tz.Tensor(tokens.reshape(n * t, c)))
-    return VisualSequence(out, n, ((branch_id, t),))
-
-
-def interleave_order(n_tiles: int, ta: int, tb: int) -> np.ndarray:
-    """Row order of [a; b] that puts, per tile, a's ta rows then b's tb.
-
-    a holds n_tiles tiles of ta rows, b n_tiles tiles of tb rows, both
-    tile-major; b's row i sits at n_tiles * ta + i.
-    """
-    tile = np.arange(n_tiles)[:, None]
-    return np.concatenate([tile * ta + np.arange(ta),
-                           n_tiles * ta + tile * tb + np.arange(tb)],
-                          axis=1).ravel()
+    out, backward = proj.forward(tokens.reshape(n * t, c))
+    return VisualSequence(out, n, ((branch_id, t),), backward)
 
 
 def fuse_post_interleave(a: VisualSequence, b: VisualSequence) -> VisualSequence:
@@ -128,14 +154,24 @@ def fuse_post_interleave(a: VisualSequence, b: VisualSequence) -> VisualSequence
         raise DimensionError(f"width mismatch: {a.width} vs {b.width}")
     if a.n_tiles != b.n_tiles:
         raise ContractError(f"tile counts differ: {a.n_tiles} vs {b.n_tiles}")
-    rows = tz.concat([a.embeddings, b.embeddings], axis=0)
-    order = interleave_order(a.n_tiles, a.per_tile, b.per_tile)
-    return VisualSequence(tz.embedding_lookup(rows, order), a.n_tiles,
-                          a.segments + b.segments)
+    n, ta, tb, d = a.n_tiles, a.per_tile, b.per_tile, a.width
+    # one tile per row of the [n, ta + tb, d] view: a's block, b's block
+    out = np.empty((n * (ta + tb), d))
+    tiles = out.reshape(n, ta + tb, d)
+    tiles[:, :ta] = a.embeddings.reshape(n, ta, d)
+    tiles[:, ta:] = b.embeddings.reshape(n, tb, d)
+
+    def backward(g):
+        g = g.reshape(n, ta + tb, d)
+        for seq, part in ((a, g[:, :ta]), (b, g[:, ta:])):
+            if seq.backward is not None:
+                seq.backward(np.ascontiguousarray(part).reshape(-1, d))
+
+    return VisualSequence(out, n, a.segments + b.segments, backward)
 
 
 def fuse_post_channel(a: VisualSequence, b: VisualSequence,
-                      down: tz.Tensor) -> VisualSequence:
+                      down: tz.Parameter) -> VisualSequence:
     """Aligned channel concat followed by a learned [2d -> d] map."""
     if a.width != b.width:
         raise DimensionError(f"width mismatch: {a.width} vs {b.width}")
@@ -144,13 +180,22 @@ def fuse_post_channel(a: VisualSequence, b: VisualSequence,
             f"tile layouts differ: {a.n_tiles} tiles of {a.per_tile} vs "
             f"{b.n_tiles} tiles of {b.per_tile}"
         )
-    if down.shape != (2 * a.width, a.width):
+    d = a.width
+    if down.shape != (2 * d, d):
         raise DimensionError(
-            f"down map must be [{2 * a.width}, {a.width}], got {down.shape}"
+            f"down map must be [{2 * d}, {d}], got {down.shape}"
         )
-    paired = tz.concat([a.embeddings, b.embeddings], axis=1)
-    fused = tz.matmul(paired, down)
-    return VisualSequence(fused, a.n_tiles, (("A+B", a.per_tile),))
+    paired = np.concatenate([a.embeddings, b.embeddings], axis=1)
+    fused = np.matmul(paired, down.data)
+
+    def backward(g):
+        g_paired = g @ down.data.T
+        _weight_grad(down, paired, g)
+        for seq, part in ((a, g_paired[:, :d]), (b, g_paired[:, d:])):
+            if seq.backward is not None:
+                seq.backward(np.ascontiguousarray(part))
+
+    return VisualSequence(fused, a.n_tiles, (("A+B", a.per_tile),), backward)
 
 
 def fuse_pre(a_raw: np.ndarray, b_raw: np.ndarray, kind: str,
@@ -167,14 +212,15 @@ def fuse_pre(a_raw: np.ndarray, b_raw: np.ndarray, kind: str,
             )
         # per tile, a's tokens then b's: the post-interleave order
         rows = np.concatenate([a_raw, b_raw], axis=1).reshape(-1, ca)
-        fused = shared.apply(tz.Tensor(rows))
-        return VisualSequence(fused, n, (("A", ta), ("B", tb)))
-    if kind == "pre-channel":
+        segments = (("A", ta), ("B", tb))
+    elif kind == "pre-channel":
         if ta != tb:
             raise ContractError(
                 f"pre-channel needs equal token counts, got {ta} vs {tb}"
             )
         rows = np.concatenate([a_raw, b_raw], axis=2).reshape(-1, ca + cb)
-        fused = shared.apply(tz.Tensor(rows))
-        return VisualSequence(fused, n, (("A+B", ta),))
-    raise ConfigError(f"unknown pre-fusion kind {kind!r}")
+        segments = (("A+B", ta),)
+    else:
+        raise ConfigError(f"unknown pre-fusion kind {kind!r}")
+    fused, backward = shared.forward(rows)
+    return VisualSequence(fused, n, segments, backward)

@@ -7,13 +7,16 @@ by pixel unshuffle, projected into LM width, fused into a single visual
 sequence, and spliced into the token stream around the prompt text.
 
 The image side after the encoders runs once per batch, not once per
-image: fuse_images stacks every image's post-unshuffle tokens along the
-tile axis and calls project and the fusion function once, and
+image, and on arrays: fuse_images stacks every image's post-unshuffle
+tokens along the tile axis and calls project and the fusion function
+once, returning a VisualSequence whose backward is hand-derived
+(fusion.py). Because fusion is tile-local, image k's rows are the
+contiguous rows of its tiles. Training wraps those rows as one autograd
+node over the projector and fusion.down parameters (visual_rows), and
 assemble_batch splices a whole step with one row gather
-(assembly.splice_batch). Because fusion is tile-local, image k's rows
-are the contiguous rows of its tiles. answer splices its one sample
-into a one-row SequenceBatch through the same builder (assembly.splice),
-fusing each of its images on its own, and decodes it.
+(assembly.splice_batch). answer fuses each of its images on its own,
+splices its one sample on arrays (assembly.splice) and decodes it
+(LanguageModel.greedy_decode), so answering builds no graph at all.
 
 The encoders are frozen in every stage and run forward only, on arrays
 (encoders.py): their tokens are ndarrays and never enter a graph, so no
@@ -74,7 +77,7 @@ from .fusion import (
     project,
 )
 from .lm import LanguageModel, LMConfig
-from .tensor import Tensor, outside_graph, slice_axis
+from .tensor import Tensor, _make
 from .tiling import ImageBuffer, segment
 from .transformer import linear
 
@@ -122,6 +125,12 @@ class PipelineConfig:
                     f"{key}: expects {enc.tile_side}px tiles (patch_size "
                     f"x grid_side), the pipeline's tile_size is "
                     f"{self.tile_size}")
+            if (self._uses(label) and enc.input_filter != "none"
+                    and self.tile_size % enc.filter_block != 0):
+                problems.append(
+                    f"{key}.filter_block: {enc.filter_block} does not "
+                    f"divide tile_size {self.tile_size}, and the "
+                    f"{enc.input_filter} filter runs on whole tiles")
         if self.encoders == "A+B":
             wa = self.width_a
             wb = self.width_b
@@ -241,16 +250,23 @@ class Pipeline:
         out = []
         for _, enc in self._branches():
             out.extend(enc.parameters())
+        out.extend(self._adapter_parameters())
+        out.extend(self.lm.parameters())
+        names = [p.name for p in out]
+        if len(set(names)) != len(names):
+            raise ContractError("duplicate parameter names in pipeline")
+        return out
+
+    def _adapter_parameters(self) -> list:
+        """The projectors' parameters, then fusion.down: what
+        fuse_images trains."""
+        out = []
         for proj in (self.projector_a, self.projector_b,
                      self.projector_shared):
             if proj is not None:
                 out.extend(proj.parameters())
         if self.down is not None:
             out.append(self.down)
-        out.extend(self.lm.parameters())
-        names = [p.name for p in out]
-        if len(set(names)) != len(names):
-            raise ContractError("duplicate parameter names in pipeline")
         return out
 
     def set_frozen(self, prefixes) -> None:
@@ -320,14 +336,14 @@ class Pipeline:
 
     def fuse_images(self, tokens: list) -> VisualSequence:
         """Trainable half of the image side: project and fuse, for many
-        images in one pass.
+        images in one pass, on arrays.
 
         tokens holds frozen_tokens output per image. Each branch's
         arrays are stacked along the tile axis with np.concatenate, image
         after image, then projected and fused once, so the result's
         n_tiles counts the tiles of the whole stack and image k's rows
-        follow image k - 1's. The stack is a constant: gradients start
-        at the projectors.
+        follow image k - 1's. The stack is a constant: the result's
+        backward accumulates into the projectors and fusion.down only.
         """
         stacked = {}
         for label in tokens[0]:
@@ -351,14 +367,24 @@ class Pipeline:
             return fuse_post_channel(seq_a, seq_b, self.down)
         return fuse_pre(tok_a, tok_b, cfg.fusion, self.projector_shared)
 
+    def visual_rows(self, tokens: list) -> Tensor:
+        """fuse_images' rows as one autograd node over the projector and
+        fusion.down parameters, whose backward is fuse_images'; a
+        constant when none of them requires grad."""
+        fused = self.fuse_images(tokens)
+        rows = _make(fused.embeddings, self._adapter_parameters())
+        if rows.requires_grad:
+            rows._backward = fused.backward
+        return rows
+
     def assemble_batch(self, samples, tokens) -> SequenceBatch:
         """Splice samples (each with .images, .question, .answer) into one
-        right-padded batch: one fuse_images pass over all their images
+        right-padded batch: one visual_rows node over all their images
         and one row gather. tokens holds frozen_tokens output per image
         per sample; the graph it starts reaches the projectors, the
         fusion map and the LM, never an encoder."""
         flat = [t for per_sample in tokens for t in per_sample]
-        rows = (self.fuse_images(flat).embeddings if flat
+        rows = (self.visual_rows(flat) if flat
                 else Tensor(np.zeros((0, self.cfg.lm.d_lm))))
         encode = self.tokenizer.encode
         texts = [(encode(build_prompt(len(s.images), s.question)),
@@ -371,32 +397,31 @@ class Pipeline:
                             self.cfg.lm.context_limit)
 
     def answer(self, images, question: str, max_new: int) -> str:
-        """Greedy decode an answer string for one question.
+        """Greedy decode an answer string for one question, on arrays.
 
         Each image's branch tokens come from the frozen-token caches
         (frozen_tokens), checked first against the encoder weights
         (sync_token_cache): a repeat image encodes nothing, and a new
-        one runs only the branches whose view is new. Every parameter
-        stays out of the graph for the call, so fusing and splicing
-        the prompt record no autograd edges; LanguageModel.greedy_decode
-        then runs it once into a KV cache and each emitted token but the
-        last as a one-row step, on arrays.
+        one runs only the branches whose view is new. Each image is
+        fused on its own (fuse_images), the prompt is spliced from the
+        fused arrays and the embedding table's (splice), and
+        LanguageModel.greedy_decode runs it once into a KV cache and
+        each emitted token but the last as a one-row step. No step
+        builds a graph node or touches a parameter's requires_grad or
+        grad.
         """
         self.sync_token_cache()
-        with outside_graph(self.parameters()):
-            # splice takes one sequence per image; every shipped task has
-            # one image per sample, so this is one fused pass
-            visuals = [self.fuse_images([self.frozen_tokens(img)])
-                       for img in images]
-            prompt_ids = self.tokenizer.encode(
-                build_prompt(len(images), question))
-            batch = splice(prompt_ids, [], visuals, self.lm.embed,
-                           self.cfg.lm.context_limit)
-            # The training assembler closes every sequence with EOS. For
-            # inference that final slot must stay open, so trim it off.
-            L = batch.length
-            prompt = SequenceBatch(slice_axis(batch.embeddings, 1, 0, L - 1),
-                                   batch.token_ids[:, :L - 1],
-                                   batch.loss_mask[:, :L - 1])
-            new_ids = self.lm.greedy_decode(prompt, max_new, eos_id=EOS_ID)
+        # splice takes one sequence per image; every shipped task has
+        # one image per sample, so this is one fused pass
+        visuals = [self.fuse_images([self.frozen_tokens(img)])
+                   for img in images]
+        prompt_ids = self.tokenizer.encode(build_prompt(len(images), question))
+        batch = splice(prompt_ids, [], visuals, self.lm.embed,
+                       self.cfg.lm.context_limit)
+        # The assembler closes every sequence with EOS. For inference
+        # that final slot must stay open, so trim it off.
+        prompt = SequenceBatch(Tensor(batch.embeddings.data[:, :-1]),
+                               batch.token_ids[:, :-1],
+                               batch.loss_mask[:, :-1])
+        new_ids = self.lm.greedy_decode(prompt, max_new, eos_id=EOS_ID)
         return self.tokenizer.decode(new_ids)

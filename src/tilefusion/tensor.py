@@ -1,17 +1,17 @@
 """Dense f64 tensors with reverse-mode differentiation.
 
 Every differentiable value in the package is a float64 ``Tensor``; the
-frozen encoders alone run on plain arrays (encoders.py). Operations
-record graph edges whenever an input has ``requires_grad`` set; calling
-:func:`backward` on a scalar loss fills ``grad`` buffers by walking the
-recorded graph in reverse topological order. The ``frozen`` flag alone
-does not cut a parameter out of the graph: only the optimizer consults
-it, so a frozen parameter used outside the blocks below still receives a
-gradient (gradients must flow through frozen sub-models). Inside an
-:func:`outside_graph` block the listed parameters record no edges at
-all; ``training.run_stage`` holds its frozen parameters there for the
-whole stage, and ``Pipeline.answer`` holds every parameter there, so
-greedy decoding builds no graph.
+frozen encoders, the projectors and fusion, and greedy decoding run on
+plain arrays. Operations record graph edges whenever an input has
+``requires_grad`` set; calling :func:`backward` on a scalar loss fills
+``grad`` buffers by walking the recorded graph in reverse topological
+order. The ``frozen`` flag alone does not cut a parameter out of the
+graph: only the optimizer consults it, so a frozen parameter used
+outside the block below still receives a gradient (gradients must flow
+through frozen sub-models). Inside an :func:`outside_graph` block the
+listed parameters record no edges at all; ``training.run_stage`` holds
+its frozen parameters there for the whole stage. ``Pipeline.answer``
+needs no such block: it builds no Tensor over a parameter.
 
 Graphs are acyclic: a node refers only to its inputs (``_prev`` and the
 closure in ``_backward``), never to itself, so a step's graph is freed by
@@ -21,20 +21,24 @@ gradient as its argument (``backward`` calls ``node._backward(node.grad)``)
 and must never capture its output tensor.
 
 The array-level forward and backward formulas of layernorm, GELU and
-softmax (``*_forward``/``*_backward``) are kept apart from their Tensor
-primitives, so that transformer.run_block, a fused node built with the
-same ``_make``/``_accum`` protocol as the primitives, runs the same
-arithmetic as the ops it replaces. They allocate no more than that
-arithmetic needs: layernorm computes the deviation from the mean once
-and normalizes it in place (bitwise numpy's mean/var), and
+softmax (``*_forward``/``*_backward``) are kept apart from any Tensor
+primitive, so that the fused nodes built with the same ``_make``/
+``_accum`` protocol as the primitives (transformer.run_block, and
+Pipeline.visual_rows over fusion.py's projectors) run the same
+arithmetic as the composed ops they replace. They allocate no more
+than that arithmetic needs: layernorm computes the deviation from the mean
+once and normalizes it in place (bitwise numpy's mean/var), and
 ``softmax_forward(x, out=x)`` overwrites its input, so a caller that
 owns a megabyte score array pays for no second one.
 
-Broadcasting is deliberately restricted: elementwise ops demand equal
-shapes, scalars are explicit (``mul_scalar``), and adding one tensor to
-every leading index of another (a bias over the trailing dim, positional
-embeddings over a batch) is its own primitive (``add_rowvec``). Explicit
-shapes keep the fusion contracts downstream testable.
+Broadcasting is deliberately restricted: ops demand equal shapes, and
+adding one tensor to every leading index of another (a bias over the
+trailing dim, positional embeddings over a batch) is its own primitive
+(``add_rowvec``). Explicit shapes keep the fusion contracts downstream
+testable. Ops that only the test oracles compose (``reshape``,
+``permute``, ``gelu``, ``softmax_lastdim``, ``add``, ``mul``,
+``mul_scalar``, ``sum_all``) and the ``OPS`` registry live in
+tests/oracle_ops.py.
 """
 
 from __future__ import annotations
@@ -172,19 +176,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; shapes must match exactly."""
-    if a.shape != b.shape:
-        raise DimensionError(f"add shapes differ: {a.shape} vs {b.shape}")
-    out = _make(a.data + b.data, (a, b))
-    if out.requires_grad:
-        def backward(g):
-            _accum(a, g)
-            _accum(b, g)
-        out._backward = backward
-    return out
-
-
 def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
     """Add v to x at every leading index; v has x's trailing shape.
 
@@ -201,27 +192,6 @@ def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
             _accum(x, g)
             _accum(v, g.reshape((-1,) + v.shape).sum(axis=0))
         out._backward = backward
-    return out
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product; shapes must match exactly."""
-    if a.shape != b.shape:
-        raise DimensionError(f"mul shapes differ: {a.shape} vs {b.shape}")
-    out = _make(a.data * b.data, (a, b))
-    if out.requires_grad:
-        def backward(g):
-            _accum(a, g * b.data)
-            _accum(b, g * a.data)
-        out._backward = backward
-    return out
-
-
-def mul_scalar(x: Tensor, s: float) -> Tensor:
-    s = float(s)
-    out = _make(x.data * s, (x,))
-    if out.requires_grad:
-        out._backward = lambda g: _accum(x, g * s)
     return out
 
 
@@ -244,15 +214,6 @@ def softmax_backward(g: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Gradient of the softmax input, given its output p and output grad g."""
     dot = (g * p).sum(axis=-1, keepdims=True)
     return (g - dot) * p
-
-
-def softmax_lastdim(x: Tensor) -> Tensor:
-    """Softmax along the last axis (max-shifted for stability)."""
-    p = softmax_forward(x.data)
-    out = _make(p, (x,))
-    if out.requires_grad:
-        out._backward = lambda g: _accum(x, softmax_backward(g, p))
-    return out
 
 
 LN_EPS = 1e-5
@@ -353,15 +314,6 @@ def gelu_backward(g: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return dy
 
 
-def gelu(x: Tensor) -> Tensor:
-    """GELU, tanh approximation (exact derivative of the approximation)."""
-    data, t = gelu_forward(x.data)
-    out = _make(data, (x,))
-    if out.requires_grad:
-        out._backward = lambda g: _accum(x, gelu_backward(g, x.data, t))
-    return out
-
-
 def embedding_lookup(table: Tensor, ids) -> Tensor:
     """Gather rows of a [vocab, dim] table by integer id."""
     ids = np.asarray(ids, dtype=np.int64)
@@ -428,14 +380,6 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     return out
 
 
-def sum_all(x: Tensor) -> Tensor:
-    """Full reduction to a scalar."""
-    out = _make(np.asarray(x.data.sum()), (x,))
-    if out.requires_grad:
-        out._backward = lambda g: _accum(x, np.full_like(x.data, float(g)))
-    return out
-
-
 def masked_cross_entropy(logits: Tensor, targets, mask) -> Tensor:
     """Mean cross-entropy of logits[i] vs targets[i] over mask-true rows.
 
@@ -446,7 +390,7 @@ def masked_cross_entropy(logits: Tensor, targets, mask) -> Tensor:
     targets and mask) each sample's masked mean is taken on its own,
     the B means are added in sample order and the total is scaled by
     1/B: bitwise the mean of B separate calls chained through add and
-    mul_scalar.
+    mul_scalar (tests/oracle_ops.py).
     """
     targets = np.asarray(targets, dtype=np.int64)
     mask = np.asarray(mask, dtype=bool)
@@ -487,25 +431,6 @@ def masked_cross_entropy(logits: Tensor, targets, mask) -> Tensor:
             _accum(logits, gl.reshape(logits.shape))
         out._backward = backward
     return out
-
-
-# Registry of differentiable primitives, keyed by the op-kind names used in
-# contracts; tests iterate it for gradient checks.
-OPS: dict[str, Callable] = {
-    "matmul": matmul,
-    "add": add,
-    "add-rowvec": add_rowvec,
-    "mul": mul,
-    "mul-scalar": mul_scalar,
-    "softmax-lastdim": softmax_lastdim,
-    "layernorm": layernorm,
-    "gelu": gelu,
-    "embedding-lookup": embedding_lookup,
-    "concat-along-axis": concat,
-    "slice": slice_axis,
-    "sum": sum_all,
-    "masked-cross-entropy": masked_cross_entropy,
-}
 
 
 # ---------------------------------------------------------------------------

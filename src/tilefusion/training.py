@@ -16,7 +16,7 @@ buffers of the same size.
 
 Each step builds one right-padded [B, L, d] batch
 (Pipeline.assemble_batch: one projector/fusion pass over all the step's
-images, one row gather) and runs the LM on it once: one graph per step,
+images, one graph node, then one row gather) and runs the LM on it once: one graph per step,
 not one per sample. The causal mask keeps every pad out of every real
 position's attention, and pads carry no loss, so the step loss is the
 mean of the samples' masked losses. The step runs LanguageModel.loss:

@@ -9,7 +9,8 @@ cache's earlier keys and values enter the graph as constants.
 
 import numpy as np
 
-from oracle_ops import permute, reshape
+from oracle_ops import (add, gelu, mul_scalar, permute, reshape,
+                        softmax_lastdim)
 from tilefusion import tensor as tz
 
 
@@ -34,13 +35,13 @@ def run_block(x, blk, heads, mask=None, cache=None, layer=0,
         if past:
             k = tz.concat([tz.Tensor(all_k[:, :, :past]), k], axis=2)
             v = tz.concat([tz.Tensor(all_v[:, :, :past]), v], axis=2)
-    scores = tz.mul_scalar(tz.matmul(q, permute(k, (0, 1, 3, 2))),
+    scores = mul_scalar(tz.matmul(q, permute(k, (0, 1, 3, 2))),
                            1.0 / np.sqrt(hd))
     if mask is not None:
-        scores = tz.add(scores, tz.Tensor(mask[:, :, queries_from:]))
-    mixed = tz.matmul(tz.softmax_lastdim(scores), v)
+        scores = add(scores, tz.Tensor(mask[:, :, queries_from:]))
+    mixed = tz.matmul(softmax_lastdim(scores), v)
     merged = reshape(permute(mixed, (0, 2, 1, 3)), (n, t - queries_from, d))
-    x = tz.add(x, tz.matmul(merged, blk["wo"]))
+    x = add(x, tz.matmul(merged, blk["wo"]))
     normed = tz.layernorm(x, blk["norm2.g"], blk["norm2.b"])
-    hidden = tz.gelu(tz.add_rowvec(tz.matmul(normed, blk["w1"]), blk["b1"]))
-    return tz.add(x, tz.add_rowvec(tz.matmul(hidden, blk["w2"]), blk["b2"]))
+    hidden = gelu(tz.add_rowvec(tz.matmul(normed, blk["w1"]), blk["b1"]))
+    return add(x, tz.add_rowvec(tz.matmul(hidden, blk["w2"]), blk["b2"]))

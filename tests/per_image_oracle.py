@@ -7,12 +7,13 @@ Pipeline.assemble_batch on those tokens, the reference for training on
 cached ones. pixel_shuffle is pixel_unshuffle's inverse, the oracle of
 its index law.
 
-Each image is projected and fused on its own (fuse_tokens), each sample
-is spliced from concatenated runs of embedding lookups and visual rows
-(splice) into its own AssembledSequence, and the samples are
-right-padded into one batch by concat (pad_batch). Pipeline.assemble_batch
-and Pipeline.answer must give the same visual rows and provenance
-bitwise, and the same batch up to stated tolerances.
+Each image is projected and fused on its own, op by op
+(fusion_oracle.fuse_tokens), each sample is spliced from concatenated
+runs of embedding lookups and visual rows (splice) into its own
+AssembledSequence, and the samples are right-padded into one batch by
+concat (pad_batch). Pipeline.assemble_batch and Pipeline.answer must
+give the same visual rows and layout bitwise, and the same batch up to
+stated tolerances.
 
 as_batch runs one AssembledSequence as a one-row SequenceBatch, and
 reference_loss is the LM loss taken over all of forward's logits, the
@@ -36,13 +37,8 @@ from tilefusion.assembly import (
 )
 from tilefusion.encoders import pixel_unshuffle
 from tilefusion.errors import BudgetError, ContractError, DimensionError
-from tilefusion.fusion import (
-    fuse_post_channel,
-    fuse_post_interleave,
-    fuse_pre,
-    project,
-)
 
+from fusion_oracle import fuse_tokens
 from oracle_ops import reshape
 
 
@@ -131,24 +127,6 @@ def uncached_greedy(lm, batch, max_new, eos_id=None):
             np.append(batch.token_ids, [emitted[-1:]], axis=1),
             np.append(batch.loss_mask, [[False]], axis=1))
     return emitted
-
-
-def fuse_tokens(model, tokens):
-    """Project, then fuse, one image's branch tokens."""
-    cfg = model.cfg
-    if cfg.encoders == "A":
-        return project(model.projector_a, tokens["A"], "A")
-    if cfg.encoders == "B":
-        return project(model.projector_b, tokens["B"], "B")
-    tok_a, tok_b = tokens["A"], tokens["B"]
-    if cfg.fusion == "post-interleave":
-        return fuse_post_interleave(project(model.projector_a, tok_a, "A"),
-                                    project(model.projector_b, tok_b, "B"))
-    if cfg.fusion == "post-channel":
-        return fuse_post_channel(project(model.projector_a, tok_a, "A"),
-                                 project(model.projector_b, tok_b, "B"),
-                                 model.down)
-    return fuse_pre(tok_a, tok_b, cfg.fusion, model.projector_shared)
 
 
 def splice(prompt_ids, answer_ids, visual, embed_table, context_limit):

@@ -28,17 +28,21 @@ from tilefusion.assembly import (
 from tilefusion.errors import BudgetError, ContractError, DimensionError
 from tilefusion.fusion import VisualSequence
 
+from oracle_ops import mul, sum_all
 import per_image_oracle as oracle
 from per_image_oracle import pad_batch
 
 TOK = ByteTokenizer()
 
 
-def visual_seq(n_tokens, width, tag_base=0.0):
+def visual_seq(n_tokens, width, tag_base=0.0, tensor=False):
+    """One tile of tagged rows: an array, or for the per-image oracle's
+    splice a Tensor that requires grad."""
     data = np.zeros((n_tokens, width))
     data[:, 0] = tag_base + np.arange(n_tokens)
-    return VisualSequence(tz.Tensor(data, requires_grad=True), 1,
-                          (("A", n_tokens),))
+    if tensor:
+        data = tz.Tensor(data, requires_grad=True)
+    return VisualSequence(data, 1, (("A", n_tokens),))
 
 
 def n_visual(seq):
@@ -222,23 +226,25 @@ def test_splice_visual_rows_carry_exact_embeddings():
     seq = splice(prompt, [120], [vs], table(), 64)
     rows = np.nonzero(seq.token_ids[0] == IMG_CONTEXT_ID)[0]
     np.testing.assert_array_equal(seq.embeddings.data[0, rows],
-                                  vs.embeddings.data)
+                                  vs.embeddings)
 
 
-def test_splice_gradients_reach_table_and_visuals():
+def test_splice_is_splice_batch_one_row_and_records_no_graph():
+    # splice, answering's assembler, gathers on arrays: bitwise
+    # splice_batch's one row, with no graph edge to the table, whose
+    # array it reads in place
     tab = table()
-    vs = visual_seq(4, 4)
-    prompt = TOK.encode(build_prompt(1, "q"))
-    seq = splice(prompt, [97, 98], [vs], tab, 64)
-    rng = np.random.default_rng(1)
-    r = tz.Tensor(rng.standard_normal(seq.embeddings.shape))
-    tz.backward(tz.sum_all(tz.mul(seq.embeddings, r)))
-    assert np.abs(tab.grad).max() > 0
-    assert np.abs(vs.embeddings.grad).max() > 0
-    used = set(int(i) for i in seq.token_ids[0] if i != IMG_CONTEXT_ID)
-    unused = [i for i in range(VOCAB_SIZE) if i not in used and
-              i != IMG_CONTEXT_ID]
-    assert np.abs(tab.grad[unused]).max() == 0.0
+    va = visual_seq(3, 4, tag_base=100.0)
+    vb = visual_seq(2, 4, tag_base=200.0)
+    prompt = TOK.encode(build_prompt(2, "q"))
+    seq = splice(prompt, [97, 98], [va, vb], tab, 64)
+    rows = tz.Tensor(np.concatenate([va.embeddings, vb.embeddings]))
+    want = splice_batch([(prompt, [97, 98])], [[3, 2]], rows, tab, 64)
+    assert seq.embeddings.data.tobytes() == want.embeddings.data.tobytes()
+    assert seq.token_ids.tobytes() == want.token_ids.tobytes()
+    assert seq.loss_mask.tobytes() == want.loss_mask.tobytes()
+    assert not seq.embeddings.requires_grad
+    assert seq.embeddings._prev == ()
 
 
 def test_sequence_batch_validation():
@@ -273,7 +279,7 @@ def test_pad_batch_right_pads_with_zero_rows_and_no_loss():
     tab = table()
     short = oracle.splice(TOK.encode("ab"), [99], [], tab, 64)
     longer = oracle.splice(TOK.encode(build_prompt(1, "what?")), [97, 98],
-                           [visual_seq(3, 4)], tab, 64)
+                           [visual_seq(3, 4, tensor=True)], tab, 64)
     batch = pad_batch([short, longer])
     L = longer.length
     assert batch.embeddings.shape == (2, L, 4)
@@ -297,7 +303,7 @@ def test_pad_batch_gradients_reach_each_sample_only_from_its_rows():
             for q in ("a", "bcd")]
     batch = pad_batch(seqs)
     weights = np.random.default_rng(1).standard_normal(batch.embeddings.shape)
-    tz.backward(tz.sum_all(tz.mul(batch.embeddings, tz.Tensor(weights))))
+    tz.backward(sum_all(mul(batch.embeddings, tz.Tensor(weights))))
     want = np.zeros_like(tab.data)
     for b, s in enumerate(seqs):
         np.add.at(want, s.token_ids, weights[b, :s.length])
@@ -328,7 +334,8 @@ def batch_case():
 
 def test_splice_batch_is_per_sample_splice_right_padded():
     tab, texts, visuals = batch_case()
-    rows = tz.concat([v.embeddings for vs in visuals for v in vs], axis=0)
+    rows = tz.Tensor(np.concatenate(
+        [v.embeddings for vs in visuals for v in vs]))
     counts = [[v.n_tokens for v in vs] for vs in visuals]
     batch = splice_batch(texts, counts, rows, tab, 64)
     seqs = [splice(p, a, vs, tab, 64) for (p, a), vs in zip(texts, visuals)]
@@ -348,11 +355,11 @@ def test_splice_batch_is_per_sample_splice_right_padded():
 def test_splice_batch_gradients_scatter_into_rows_and_table():
     tab, texts, visuals = batch_case()
     rows = tz.Tensor(np.concatenate(
-        [v.embeddings.data for vs in visuals for v in vs]), requires_grad=True)
+        [v.embeddings for vs in visuals for v in vs]), requires_grad=True)
     counts = [[v.n_tokens for v in vs] for vs in visuals]
     batch = splice_batch(texts, counts, rows, tab, 64)
     weights = np.random.default_rng(2).standard_normal(batch.embeddings.shape)
-    tz.backward(tz.sum_all(tz.mul(batch.embeddings, tz.Tensor(weights))))
+    tz.backward(sum_all(mul(batch.embeddings, tz.Tensor(weights))))
     want_tab = np.zeros_like(tab.data)
     want_rows = []
     for b in range(len(texts)):
@@ -367,7 +374,8 @@ def test_splice_batch_gradients_scatter_into_rows_and_table():
 
 def test_splice_batch_rejects_bad_inputs():
     tab, texts, visuals = batch_case()
-    rows = tz.concat([v.embeddings for vs in visuals for v in vs], axis=0)
+    rows = tz.Tensor(np.concatenate(
+        [v.embeddings for vs in visuals for v in vs]))
     counts = [[v.n_tokens for v in vs] for vs in visuals]
     with pytest.raises(ContractError):
         splice_batch([], [], rows, tab, 64)

@@ -118,3 +118,78 @@ def test_every_run_takes_the_seed(monkeypatch, tmp_path):
     commands.clear()
     assert bench_pairs.main(sides + common) == 0
     assert [cmd[cmd.index("--seed") + 1] for cmd in commands] == ["0"] * 4
+
+
+def claim_row(parent_values, change_values, better="higher"):
+    spec = {"workloads": [{"name": "eval-decode"}],
+            "end_to_end": [{"name": "samples_per_s", "unit": "1/s",
+                            "better": better, "bound": 0.25}]}
+    parent = [{"eval-decode.samples_per_s": v} for v in parent_values]
+    change = [{"eval-decode.samples_per_s": v} for v in change_values]
+    [row] = bench_pairs.summarise(parent, change, spec)
+    return row
+
+
+def test_claim_needs_nine_in_ten_wins_and_a_gain_beyond_parent_spread():
+    parent = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 103.0, 97.0, 100.0,
+              100.0]
+    q1, q3 = np.percentile(parent, [25, 75])
+    assert q3 - q1 == 1.5
+    # 10/10 wins, median 110 against 100
+    holds, report = bench_pairs.claim_verdict(
+        claim_row(parent, [v + 10.0 for v in parent]))
+    assert holds and "HOLDS" in report and "10/10" in report
+    # 9/10: one pair lost
+    change = [v + 10.0 for v in parent]
+    change[6] = 90.0
+    assert bench_pairs.claim_verdict(claim_row(parent, change))[0]
+    # 8/10: a lost pair and a tie, which counts for neither side
+    change[3] = parent[3]
+    holds, report = bench_pairs.claim_verdict(claim_row(parent, change))
+    assert not holds and "DOES NOT HOLD" in report and "8/10" in report
+    # 10/10 wins, but the median gain 1.5 is not more than the parent's
+    # q3 - q1 of 1.5
+    holds, report = bench_pairs.claim_verdict(
+        claim_row(parent, [v + 1.5 for v in parent]))
+    assert not holds and "wins 10/10" in report
+    # lower is better: the same runs read the other way round
+    assert bench_pairs.claim_verdict(
+        claim_row([v + 10.0 for v in parent], parent, better="lower"))[0]
+    assert not bench_pairs.claim_verdict(
+        claim_row(parent, [v + 10.0 for v in parent], better="lower"))[0]
+
+
+def test_claim_sets_the_exit_status(monkeypatch, capsys, tmp_path):
+    # parent and change alternate first; each side reads its own value
+    values = {"parent": 700.0, "change": 800.0}
+    commands = []
+
+    def fake_run(cmd, cwd, **kwargs):
+        commands.append(cmd)
+        sps = values[Path(cwd).name]
+        return subprocess.CompletedProcess(cmd, 0, stdout=stdout(
+            {"samples_per_s": sps, "setup_s": 0.1}))
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    (tmp_path / "parent").mkdir()
+    (tmp_path / "change").mkdir()
+    sides = [str(tmp_path / "parent"), str(tmp_path / "change")]
+    args = sides + ["--pairs", "10", "--workload", "eval-decode",
+                    "--claim", "eval-decode.samples_per_s"]
+    assert bench_pairs.main(args) == 0
+    assert "claim eval-decode.samples_per_s (higher is better): HOLDS" \
+        in capsys.readouterr().out
+    values["change"] = 690.0
+    assert bench_pairs.main(args) == 1
+    assert "DOES NOT HOLD" in capsys.readouterr().out
+    # a metric the runs cannot report is refused before any run
+    commands.clear()
+    for claim in ("train-tiles.samples_per_s", "eval-decode.nope"):
+        try:
+            bench_pairs.main(sides + ["--workload", "eval-decode",
+                                      "--claim", claim])
+        except SystemExit as err:
+            assert err.code == 2
+        else:
+            raise AssertionError(f"--claim {claim} was accepted")
+    assert commands == []

@@ -174,6 +174,20 @@ class TestComplementaryGeneration:
         with pytest.raises(ConfigError):
             generate_complementary(detail_spec())
 
+    def test_sizes_below_the_blindness_check_rejected(self):
+        # the blindness check places a 12-block shape up to 4 blocks in,
+        # so a side under 16 blocks (32 px) is a ConfigError, not an
+        # IndexError from render_complementary
+        for side in (24, 26, 28, 30):
+            with pytest.raises(ConfigError, match="image_size"):
+                TaskSpec(kind="complementary", image_size=(side, side),
+                         tile_size=32, n_classes=16, n_train=4, n_eval=0,
+                         seed=0)
+        data = generate_complementary(TaskSpec(
+            kind="complementary", image_size=(32, 32), tile_size=32,
+            n_classes=16, n_train=4, n_eval=0, seed=0))
+        assert len(data.train) == 4
+
     def test_deterministic_per_seed(self):
         a = generate_complementary(comp_spec(n_train=32, n_eval=16))
         b = generate_complementary(comp_spec(n_train=32, n_eval=16))

@@ -5,13 +5,17 @@ unique token tags: output rows must be a permutation of the inputs,
 tile-major, A-block before B-block per tile, each branch's relative
 order intact. Channel fusion is checked by its length law and by the
 [I | 0] selector: a down map that copies branch A must reproduce branch
-A exactly.
+A exactly. Every strategy runs on arrays; its hand-derived backward is
+checked bitwise against the composed-op oracle (tests/fusion_oracle.py),
+rows and every projector and fusion.down gradient, for each layout a
+Pipeline builds, and under frozen adapters.
 """
 
 import numpy as np
 import pytest
 
 from tilefusion import tensor as tz
+from tilefusion.encoders import EncoderConfig
 from tilefusion.errors import ConfigError, ContractError, DimensionError
 from tilefusion.fusion import (
     FUSION_KINDS,
@@ -20,18 +24,26 @@ from tilefusion.fusion import (
     fuse_post_channel,
     fuse_post_interleave,
     fuse_pre,
-    interleave_order,
     project,
 )
+from tilefusion.lm import LMConfig
+from tilefusion.model import Pipeline, PipelineConfig
+
+import fusion_oracle as oracle
+from fusion_oracle import interleave_order, provenance
+from oracle_ops import gelu, mul, sum_all
 
 
 def tagged_sequence(n_tiles, per_tile, width, branch, tag_base, rng):
-    """VisualSequence whose column 0 holds a unique increasing tag."""
+    """VisualSequence whose column 0 holds a unique increasing tag, and
+    whose backward keeps each gradient it is given in .grads."""
     n = n_tiles * per_tile
     data = rng.standard_normal((n, width))
     data[:, 0] = tag_base + np.arange(n)
-    return VisualSequence(tz.Tensor(data, requires_grad=True), n_tiles,
-                          ((branch, per_tile),))
+    seq = VisualSequence(data, n_tiles, ((branch, per_tile),))
+    seq.grads = []
+    seq.backward = seq.grads.append
+    return seq
 
 
 def grid_from(rng, n_tiles, side, channels):
@@ -51,7 +63,7 @@ def test_zero_projector_gives_zero_embeddings():
         p.data[...] = 0.0
     out = project(proj, grid_from(rng, 2, 2, 3), "A")
     assert out.embeddings.shape == (8, 4)
-    np.testing.assert_array_equal(out.embeddings.data, np.zeros((8, 4)))
+    np.testing.assert_array_equal(out.embeddings, np.zeros((8, 4)))
 
 
 def test_identity_projector_is_gelu():
@@ -64,8 +76,8 @@ def test_identity_projector_is_gelu():
     proj.b2.data[...] = 0.0
     grid = grid_from(rng, 1, 2, d)
     out = project(proj, grid, "A")
-    want = tz.gelu(tz.Tensor(grid.reshape(-1, d))).data
-    np.testing.assert_array_equal(out.embeddings.data, want)
+    want = gelu(tz.Tensor(grid.reshape(-1, d))).data
+    np.testing.assert_array_equal(out.embeddings, want)
 
 
 def test_project_desk_token_count():
@@ -82,7 +94,8 @@ def test_project_preserves_scan_order():
     grid = grid_from(rng, 2, 2, 3)
     proj = Projector("p", in_dim=3, hidden=3, d_lm=3, seed=0)
     out = project(proj, grid, "B")
-    assert out.provenance == [(t, "B", i) for t in range(2) for i in range(4)]
+    assert provenance(out) == [(t, "B", i) for t in range(2)
+                               for i in range(4)]
 
 
 def test_projector_rejects_width_mismatch():
@@ -97,15 +110,12 @@ def test_projector_rejects_width_mismatch():
 
 
 def test_interleave_hand_case():
-    a = VisualSequence(
-        tz.Tensor(np.array([[1.0], [2.0], [3.0], [4.0]])), 2, (("A", 2),)
-    )
-    b = VisualSequence(
-        tz.Tensor(np.array([[10.0], [20.0], [30.0], [40.0]])), 2, (("B", 2),)
-    )
+    a = VisualSequence(np.array([[1.0], [2.0], [3.0], [4.0]]), 2, (("A", 2),))
+    b = VisualSequence(np.array([[10.0], [20.0], [30.0], [40.0]]), 2,
+                       (("B", 2),))
     out = fuse_post_interleave(a, b)
     np.testing.assert_array_equal(
-        out.embeddings.data.ravel(),
+        out.embeddings.ravel(),
         [1.0, 2.0, 10.0, 20.0, 3.0, 4.0, 30.0, 40.0],
     )
     assert out.n_tokens == 8
@@ -123,22 +133,20 @@ def test_interleave_permutation_oracle_random_configs():
         out = fuse_post_interleave(a, b)
 
         assert out.n_tokens == a.n_tokens + b.n_tokens
-        tags = out.embeddings.data[:, 0]
-        all_tags = np.concatenate([a.embeddings.data[:, 0],
-                                   b.embeddings.data[:, 0]])
+        tags = out.embeddings[:, 0]
+        all_tags = np.concatenate([a.embeddings[:, 0], b.embeddings[:, 0]])
         np.testing.assert_array_equal(np.sort(tags), np.sort(all_tags))
 
-        a_tags = tags[[i for i, (_, br, _) in enumerate(out.provenance)
-                       if br == "A"]]
-        b_tags = tags[[i for i, (_, br, _) in enumerate(out.provenance)
-                       if br == "B"]]
+        prov = provenance(out)
+        a_tags = tags[[i for i, (_, br, _) in enumerate(prov) if br == "A"]]
+        b_tags = tags[[i for i, (_, br, _) in enumerate(prov) if br == "B"]]
         assert (np.diff(a_tags) > 0).all()
         assert (np.diff(b_tags) > 0).all()
 
-        tiles = [t for t, _, _ in out.provenance]
+        tiles = [t for t, _, _ in prov]
         assert tiles == sorted(tiles)
         for t in range(n_tiles):
-            branches = [br for tt, br, _ in out.provenance if tt == t]
+            branches = [br for tt, br, _ in prov if tt == t]
             assert branches == ["A"] * ta + ["B"] * tb
 
 
@@ -177,10 +185,10 @@ def test_interleave_gradients_reach_both_inputs():
     a = tagged_sequence(2, 2, 3, "A", 0, rng)
     b = tagged_sequence(2, 3, 3, "B", 100, rng)
     out = fuse_post_interleave(a, b)
-    r = tz.Tensor(rng.standard_normal(out.embeddings.shape))
-    tz.backward(tz.sum_all(tz.mul(out.embeddings, r)))
-    assert np.abs(a.embeddings.grad).max() > 0
-    assert np.abs(b.embeddings.grad).max() > 0
+    out.backward(rng.standard_normal(out.embeddings.shape))
+    [a_grad], [b_grad] = a.grads, b.grads
+    assert np.abs(a_grad).max() > 0
+    assert np.abs(b_grad).max() > 0
 
 
 # ---------------------------------------------------------------------------
@@ -192,18 +200,19 @@ def test_post_channel_length_law_and_selector():
     d = 4
     a = tagged_sequence(2, 3, d, "A", 0, rng)
     b = tagged_sequence(2, 3, d, "B", 100, rng)
-    down = tz.Tensor(np.vstack([np.eye(d), np.zeros((d, d))]))
+    down = tz.Parameter("fusion.down", np.vstack([np.eye(d),
+                                                  np.zeros((d, d))]))
     out = fuse_post_channel(a, b, down)
     assert out.n_tokens == a.n_tokens
-    np.testing.assert_array_equal(out.embeddings.data, a.embeddings.data)
-    assert all(br == "A+B" for _, br, _ in out.provenance)
+    np.testing.assert_array_equal(out.embeddings, a.embeddings)
+    assert all(br == "A+B" for _, br, _ in provenance(out))
 
 
 def test_post_channel_desk_arithmetic():
     rng = np.random.default_rng(11)
     a = tagged_sequence(1, 16, 3, "A", 0, rng)
     b = tagged_sequence(1, 16, 3, "B", 50, rng)
-    down = tz.Tensor(rng.standard_normal((6, 3)))
+    down = tz.Parameter("fusion.down", rng.standard_normal((6, 3)))
     assert fuse_post_channel(a, b, down).n_tokens == 16
 
 
@@ -211,7 +220,7 @@ def test_post_channel_rejects_unequal_counts():
     rng = np.random.default_rng(12)
     a = tagged_sequence(1, 4, 3, "A", 0, rng)
     b = tagged_sequence(1, 5, 3, "B", 50, rng)
-    down = tz.Tensor(np.zeros((6, 3)))
+    down = tz.Parameter("fusion.down", np.zeros((6, 3)))
     with pytest.raises(ContractError):
         fuse_post_channel(a, b, down)
 
@@ -221,7 +230,8 @@ def test_post_channel_rejects_bad_down_shape():
     a = tagged_sequence(1, 2, 3, "A", 0, rng)
     b = tagged_sequence(1, 2, 3, "B", 10, rng)
     with pytest.raises(DimensionError):
-        fuse_post_channel(a, b, tz.Tensor(np.zeros((5, 3))))
+        fuse_post_channel(a, b, tz.Parameter("fusion.down",
+                                             np.zeros((5, 3))))
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +254,7 @@ def test_pre_sequence_block_structure():
     b = grid_from(rng, 2, 1, 3)
     shared = Projector("s", in_dim=3, hidden=3, d_lm=2, seed=1)
     out = fuse_pre(a, b, "pre-sequence", shared)
-    assert [(t, br) for t, br, _ in out.provenance] == [
+    assert [(t, br) for t, br, _ in provenance(out)] == [
         (0, "A")] * 4 + [(0, "B")] + [(1, "A")] * 4 + [(1, "B")]
 
 
@@ -260,8 +270,8 @@ def test_pre_sequence_equals_interleave_gather_bitwise():
                            seed=int(rng.integers(1000)))
         out = fuse_pre(a, b, "pre-sequence", shared)
         rows = np.concatenate([a.reshape(-1, c), b.reshape(-1, c)])
-        want = shared.apply(tz.Tensor(rows[interleave_order(n, ta, tb)]))
-        assert out.embeddings.data.tobytes() == want.data.tobytes()
+        want, _ = shared.forward(rows[interleave_order(n, ta, tb)])
+        assert out.embeddings.tobytes() == want.tobytes()
         assert (out.n_tiles, out.segments) == (n, (("A", ta), ("B", tb)))
 
 
@@ -296,9 +306,8 @@ def test_pre_channel_zero_b_slice_is_branch_a_projection():
     solo.w2.data[...] = shared.w2.data
     solo.b2.data[...] = shared.b2.data
     fused = fuse_pre(a, b, "pre-channel", shared)
-    alone = solo.apply(tz.Tensor(a.reshape(-1, ca)))
-    np.testing.assert_allclose(fused.embeddings.data, alone.data,
-                               rtol=0, atol=1e-15)
+    alone, _ = solo.forward(a.reshape(-1, ca))
+    np.testing.assert_allclose(fused.embeddings, alone, rtol=0, atol=1e-15)
 
 
 def test_pre_channel_rejects_unequal_counts_and_bad_kind():
@@ -322,8 +331,7 @@ def test_gradients_flow_to_both_projectors_under_interleave():
     ga = grid_from(rng, 2, 2, 3)
     gb = grid_from(rng, 2, 3, 2)
     out = fuse_post_interleave(project(pa, ga, "A"), project(pb, gb, "B"))
-    r = tz.Tensor(rng.standard_normal(out.embeddings.shape))
-    tz.backward(tz.sum_all(tz.mul(out.embeddings, r)))
+    out.backward(rng.standard_normal(out.embeddings.shape))
     assert np.abs(pa.w1.grad).max() > 0
     assert np.abs(pb.w1.grad).max() > 0
 
@@ -334,18 +342,92 @@ def test_gradients_flow_to_both_projectors_under_interleave():
 
 def test_visual_sequence_validation():
     with pytest.raises(DimensionError):
-        VisualSequence(tz.Tensor(np.zeros(4)), 1, (("A", 4),))
+        VisualSequence(np.zeros(4), 1, (("A", 4),))
     with pytest.raises(ContractError):
-        VisualSequence(tz.Tensor(np.zeros((5, 3))), 2, (("A", 2),))
+        VisualSequence(np.zeros((5, 3)), 2, (("A", 2),))
     with pytest.raises(ContractError):
-        VisualSequence(tz.Tensor(np.zeros((4, 3))), 1,
-                       (("A", 1), ("B", 2), ("A", 1)))
-    seq = VisualSequence(tz.Tensor(np.zeros((6, 3))), 2,
-                         (("A", 2), ("B", 1)))
-    assert seq.provenance == [(0, "A", 0), (0, "A", 1), (0, "B", 0),
+        VisualSequence(np.zeros((4, 3)), 1, (("A", 1), ("B", 2), ("A", 1)))
+    seq = VisualSequence(np.zeros((6, 3)), 2, (("A", 2), ("B", 1)))
+    assert provenance(seq) == [(0, "A", 0), (0, "A", 1), (0, "B", 0),
                               (1, "A", 0), (1, "A", 1), (1, "B", 0)]
 
 
 def test_fusion_kind_registry():
     assert FUSION_KINDS == ("post-interleave", "post-channel",
                             "pre-sequence", "pre-channel")
+
+
+# ---------------------------------------------------------------------------
+# the one graph node against the composed-op oracle
+
+
+def layout_cfg(encoders="A+B", fusion="post-interleave", embed_b=8):
+    # A: 16 tokens of 32 channels per tile; B: 16 tokens of
+    # embed_b * 16 channels
+    enc_a = EncoderConfig(patch_size=4, embed_dim=8, depth=1, heads=2,
+                          grid_side=8, unshuffle_r=2)
+    enc_b = EncoderConfig(patch_size=2, embed_dim=embed_b, depth=1, heads=2,
+                          grid_side=16, unshuffle_r=4)
+    return PipelineConfig(encoder_a=enc_a, encoder_b=enc_b,
+                          lm=LMConfig(d_lm=16, layers=1, heads=2),
+                          tile_size=32, encoders=encoders, fusion=fusion,
+                          projector_hidden=8)
+
+
+NODE_LAYOUTS = {
+    "post-interleave": layout_cfg(),
+    "post-channel": layout_cfg(fusion="post-channel"),
+    "pre-sequence": layout_cfg(fusion="pre-sequence", embed_b=2),
+    "pre-channel": layout_cfg(fusion="pre-channel"),
+    "A-only": layout_cfg(encoders="A"),
+    "B-only": layout_cfg(encoders="B"),
+}
+
+
+def random_tokens(model, tiles, rng):
+    """frozen_tokens-shaped random arrays, one dict per image."""
+    widths = {"A": model.cfg.width_a, "B": model.cfg.width_b}
+    encoders = {"A": model.encoder_a, "B": model.encoder_b}
+    return [{label: rng.standard_normal(
+                (n, encoders[label].cfg.tokens_per_tile, widths[label]))
+             for label in model.cfg.encoders.split("+")} for n in tiles]
+
+
+def adapter_grads(model, rows, weights):
+    """Each adapter parameter's gradient of sum(rows * weights), or None."""
+    params = model._adapter_parameters()
+    for p in params:
+        p.zero_grad()
+    tz.backward(sum_all(mul(rows, tz.Tensor(weights))))
+    return {p.name: None if p.grad is None else p.grad.tobytes()
+            for p in params}
+
+
+@pytest.mark.parametrize("frozen", ["none", "projectorA.", "all"])
+@pytest.mark.parametrize("layout", sorted(NODE_LAYOUTS))
+def test_visual_rows_node_equals_composed_oracle_bitwise(layout, frozen):
+    model = Pipeline(NODE_LAYOUTS[layout], seed=4)
+    rng = np.random.default_rng(5)
+    tokens = random_tokens(model, [3, 1, 2], rng)
+    stacked = {label: np.concatenate([t[label] for t in tokens])
+               for label in tokens[0]}
+    adapters = model._adapter_parameters()
+    held = {"none": [], "all": adapters,
+            "projectorA.": [p for p in adapters
+                            if p.name.startswith("projectorA.")]}[frozen]
+    with tz.outside_graph(held):
+        rows = model.visual_rows(tokens)
+        want = oracle.fuse_tokens(model, stacked)
+        assert rows.data.tobytes() == want.embeddings.data.tobytes()
+        fused = model.fuse_images(tokens)
+        assert (fused.n_tiles, fused.segments) == (want.n_tiles,
+                                                   want.segments)
+        weights = rng.standard_normal(rows.shape)
+        got = adapter_grads(model, rows, weights)
+        expected = adapter_grads(model, want.embeddings, weights)
+    # one node over the adapters, or a constant when they are all held
+    trained = any(p not in held for p in adapters)
+    assert rows._prev == (tuple(adapters) if trained else ())
+    assert got == expected
+    for p in adapters:
+        assert (got[p.name] is None) == (p in held), p.name

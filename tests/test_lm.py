@@ -25,6 +25,7 @@ from tilefusion.assembly import (
     SequenceBatch,
     build_prompt,
     splice,
+    splice_batch,
 )
 from tilefusion.errors import (
     BudgetError,
@@ -45,9 +46,17 @@ def small_lm(d=8, layers=1, heads=2, context=64, seed=0):
                                   context_limit=context), seed=seed)
 
 
+def text_batch(lm, prompt_ids, answer_ids, context_limit):
+    """A one-row pure-text batch from the training assembler
+    (splice_batch), so lm.embed takes part in the graph."""
+    no_rows = tz.Tensor(np.zeros((0, lm.cfg.d_lm)))
+    return splice_batch([(prompt_ids, answer_ids)], [[]], no_rows, lm.embed,
+                        context_limit)
+
+
 def text_sequence(lm, prompt, answer):
-    return splice(TOK.encode(prompt), TOK.encode(answer), [], lm.embed,
-                  lm.cfg.context_limit)
+    return text_batch(lm, TOK.encode(prompt), TOK.encode(answer),
+                      lm.cfg.context_limit)
 
 
 def raw_sequence(lm, length, rng):
@@ -249,7 +258,7 @@ def test_lm_gradient_matches_finite_differences():
     ans_ids = TOK.encode("c")
 
     def loss_fn():
-        seq = splice(seq_ids, ans_ids, [], lm.embed, 16)
+        seq = text_batch(lm, seq_ids, ans_ids, 16)
         return reference_loss(lm, seq)
 
     for p in lm.parameters():
@@ -312,7 +321,7 @@ def test_overfit_one_sample_then_decode_it():
     for step in range(150):
         for p in params:
             p.zero_grad()
-        seq = splice(TOK.encode(prompt), TOK.encode(answer), [], lm.embed, 32)
+        seq = text_batch(lm, TOK.encode(prompt), TOK.encode(answer), 32)
         loss = reference_loss(lm, seq)
         tz.backward(loss)
         for p in params:

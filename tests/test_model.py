@@ -8,10 +8,13 @@ encoder parameter ever receives a gradient.
 import hashlib
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from tilefusion import model as model_module
+from tilefusion import tensor as tensor_module
 from tilefusion.assembly import IMG_CONTEXT_ID, VOCAB_SIZE
 from tilefusion.datagen import Sample
 from tilefusion.encoders import EncoderConfig, pixel_unshuffle
@@ -29,6 +32,7 @@ from tilefusion.tensor import (
 from tilefusion.tiling import ImageBuffer
 from tilefusion.training import snapshot
 
+from fusion_oracle import provenance
 from per_image_oracle import branch_tokens, uncached_batch
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -117,6 +121,36 @@ class TestConfigValidation:
             PipelineConfig(encoder_a=enc_a, encoder_b=enc_b,
                            lm=LMConfig(d_lm=16, layers=1, heads=2),
                            tile_size=32, fusion="post-channel")
+
+    def test_filter_block_must_divide_tile_size(self):
+        # the filters run on whole tiles: a block that does not divide
+        # the tile would fail on the first image, after validation
+        def with_filter(key, block, encoders="A+B"):
+            cfg = desk_cfg()
+            enc = replace(getattr(cfg, key), input_filter="lowpass",
+                          filter_block=block)
+            return replace(cfg, encoders=encoders, **{key: enc})
+
+        with pytest.raises(ConfigError, match="encoder_a.filter_block"):
+            with_filter("encoder_a", 3)
+        with pytest.raises(ConfigError, match="encoder_b.filter_block"):
+            with_filter("encoder_b", 5)
+        assert with_filter("encoder_a", 4).encoder_a.filter_block == 4
+        # an unused branch, or one with no filter, is not checked
+        assert with_filter("encoder_b", 3, encoders="A").encoders == "A"
+        cfg = desk_cfg()
+        assert replace(cfg, encoder_a=replace(cfg.encoder_a,
+                                              filter_block=3))
+
+    def test_filter_block_checked_on_shipped_tile_detail_config(self):
+        cfg = load_config(os.path.join(CONFIG_DIR, "tile-detail-tiled.json"))
+        model = dict(cfg["model"])
+        model["encoder_a"] = {**model["encoder_a"], "input_filter": "lowpass",
+                              "filter_block": 3}
+        with pytest.raises(ConfigError, match="filter_block"):
+            build_pipeline_config(model)
+        model["encoder_a"]["filter_block"] = 4
+        assert build_pipeline_config(model).encoder_a.filter_block == 4
 
     def test_token_count_helper(self):
         assert desk_cfg().tokens_per_tile() == 32
@@ -212,8 +246,8 @@ class TestForward:
         grid = pipe.encoder_a.encode(pipe.segment_image(img))
         manual = project(pipe.projector_a, pixel_unshuffle(grid, 2), "A")
         got = encode_image(pipe, img)
-        assert got.embeddings.data.tobytes() == manual.embeddings.data.tobytes()
-        assert got.provenance == manual.provenance
+        assert got.embeddings.tobytes() == manual.embeddings.tobytes()
+        assert provenance(got) == provenance(manual)
 
     def test_tiling_off_forces_single_tile(self):
         img = landscape_image()
@@ -304,6 +338,38 @@ class TestForward:
         with pytest.raises(BudgetError):
             pipe.answer([landscape_image()], "what?", max_new=4)
         assert all(p.requires_grad for p in params)
+
+    def test_answer_builds_no_graph_node_and_leaves_parameters_as_found(
+            self, monkeypatch):
+        pipe = Pipeline(desk_cfg(fusion="post-channel"), seed=2)
+        params = pipe.parameters()
+        rng = np.random.default_rng(3)
+        # a mix of earlier states: held out of the graph or not, with a
+        # gradient buffer or none
+        for p in params[::3]:
+            p.requires_grad = False
+        for p in params[::2]:
+            p.grad = rng.standard_normal(p.shape)
+        before = [(p.requires_grad, p.grad,
+                   None if p.grad is None else p.grad.tobytes())
+                  for p in params]
+        nodes = []
+        real_make = tensor_module._make
+
+        def make_spy(data, inputs):
+            nodes.append(inputs)
+            return real_make(data, inputs)
+
+        monkeypatch.setattr(tensor_module, "_make", make_spy)
+        monkeypatch.setattr(model_module, "_make", make_spy)
+        pipe.answer([landscape_image(), landscape_image(1, w=32)], "q",
+                    max_new=3)
+        assert nodes == []
+        after = [(p.requires_grad, p.grad,
+                  None if p.grad is None else p.grad.tobytes())
+                 for p in params]
+        for (flag, grad, data), (flag2, grad2, data2) in zip(before, after):
+            assert flag2 == flag and grad2 is grad and data2 == data
 
     def test_two_images_double_the_visual_tokens(self):
         pipe = Pipeline(desk_cfg(ctx=300), seed=0)

@@ -4,10 +4,10 @@ The load-bearing oracle is finite differences: every differentiable
 primitive's reverse-mode gradient is checked against a central-difference
 estimate on repeated random small tensors, relative error under 1e-4 at
 eps=1e-5 in float64. Structural facts (shape algebra, inverse pairs,
-normalization) are asserted directly. reshape and permute are no
-longer in src/ (nothing there moves elements between axes in a graph);
-they are checked here as the ops tests/oracle_ops.py keeps for the
-composed-block and per-image oracles.
+normalization) are asserted directly. reshape, permute, gelu,
+softmax_lastdim, add, mul, mul_scalar and sum_all are no longer in src/
+(nothing there runs them in a graph); they are checked here as the ops
+tests/oracle_ops.py keeps for the composed oracles and the tests.
 """
 
 import gc
@@ -22,31 +22,34 @@ from tilefusion.errors import ContractError, DimensionError
 from tilefusion.lm import LMConfig
 from tilefusion.model import Pipeline, PipelineConfig
 from tilefusion.tensor import (
-    OPS,
     Parameter,
     Tensor,
-    add,
     add_rowvec,
     backward,
     concat,
     embedding_lookup,
     finite_difference_grad,
-    gelu,
     layernorm,
     layernorm_forward,
     masked_cross_entropy,
     matmul,
-    mul,
-    mul_scalar,
     relative_error,
     slice_axis,
     softmax_forward,
-    softmax_lastdim,
-    sum_all,
 )
 from tilefusion.tiling import ImageBuffer
 
-from oracle_ops import permute, reshape
+from oracle_ops import (
+    OPS,
+    add,
+    gelu,
+    mul,
+    mul_scalar,
+    permute,
+    reshape,
+    softmax_lastdim,
+    sum_all,
+)
 from per_image_oracle import uncached_batch
 
 N_RANDOM_CASES = 20

@@ -49,6 +49,8 @@ from tilefusion.training import (
 )
 
 import per_image_oracle as oracle
+from fusion_oracle import provenance
+from oracle_ops import add, mul_scalar
 from per_image_oracle import as_batch, pad_batch, reference_loss
 
 
@@ -702,8 +704,8 @@ def per_sample_mean(model, samples):
         for s in samples]
     total = losses[0]
     for extra in losses[1:]:
-        total = tz.add(total, extra)
-    return tz.mul_scalar(total, 1.0 / len(losses))
+        total = add(total, extra)
+    return mul_scalar(total, 1.0 / len(losses))
 
 
 def batched_mean(model, samples):
@@ -833,10 +835,10 @@ def test_batched_image_side_matches_per_image_oracle(layout):
     for t in flat:
         want = oracle.fuse_tokens(model, t)
         n = want.n_tokens
-        assert fused.embeddings.data[start:start + n].tobytes() == \
+        assert fused.embeddings[start:start + n].tobytes() == \
             want.embeddings.data.tobytes()
         assert [(tile - tile0, b, i) for tile, b, i
-                in fused.provenance[start:start + n]] == want.provenance
+                in provenance(fused)[start:start + n]] == provenance(want)
         start += n
         tile0 += next(iter(t.values())).shape[0]
     assert start == fused.n_tokens
@@ -858,10 +860,11 @@ def test_batched_image_side_matches_per_image_oracle(layout):
         assert tz.relative_error(got_grads[name], g) <= 1e-12, name
 
 
-# answer splices one sample through the B = 1 builder (model.splice),
-# fusing each image on its own; its prompt is the per-image oracle's
-# sample with an empty answer and the closing EOS slot trimmed, bitwise,
-# and its answer is the uncached greedy oracle's on that prompt.
+# answer splices one sample through the one-row array assembler
+# (model.splice), fusing each image on its own; its prompt is the
+# per-image oracle's sample with an empty answer and the closing EOS
+# slot trimmed, bitwise, and its answer is the uncached greedy oracle's
+# on that prompt.
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 def test_answer_prompt_matches_per_image_oracle(layout, monkeypatch):
     model = Pipeline(LAYOUTS[layout], seed=5)
@@ -874,11 +877,13 @@ def test_answer_prompt_matches_per_image_oracle(layout, monkeypatch):
     real_splice = model_module.splice
     monkeypatch.setattr(model_module, "splice",
                         lambda *a: seen.append(a[2]) or real_splice(*a))
-    # a two-tile image with a thumbnail, then a two-image sample
+    # a two-tile image with a thumbnail, a two-image sample, and a sample
+    # of two images of 3 and 1 tiles, whose marker runs differ in length
     wide, pair = mixed_dataset()[:2]
     assert [img.pixels.shape[:2] for img in wide.images] == [(16, 32)]
     assert len(pair.images) == 2
-    for s in (wide, pair):
+    uneven = Sample(wide.images + pair.images[:1], "which?", "")
+    for s in (wide, pair, uneven):
         text = model.answer(s.images, s.question, max_new=4)
         got = prompts.pop()
         seq, want_vis = oracle.assemble(model, s.images, s.question, "")
@@ -889,9 +894,9 @@ def test_answer_prompt_matches_per_image_oracle(layout, monkeypatch):
         assert got.token_ids.tobytes() == seq.token_ids[None, :L].tobytes()
         assert got.loss_mask.tobytes() == seq.loss_mask[None, :L].tobytes()
         # splice got each image's own rows and provenance
-        assert [(v.embeddings.data.tobytes(), v.provenance)
+        assert [(v.embeddings.tobytes(), provenance(v))
                 for v in seen.pop()] == \
-            [(v.embeddings.data.tobytes(), v.provenance) for v in want_vis]
+            [(v.embeddings.data.tobytes(), provenance(v)) for v in want_vis]
         want = SequenceBatch(tz.Tensor(seq.embeddings.data[None, :L]),
                              seq.token_ids[None, :L],
                              seq.loss_mask[None, :L])

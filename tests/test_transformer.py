@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import block_oracle
+from oracle_ops import mul, sum_all
 from test_tensor import assert_freed_by_refcount
 from tilefusion import tensor as tz
 from tilefusion.errors import DimensionError
@@ -70,7 +71,7 @@ def make_case(n, t, queries_from=0, masked=False, past=0, seed=0):
     def loss(block):
         out = block(x, blk, HEADS, mask, cache(), 0,
                     queries_from=queries_from)
-        return tz.sum_all(tz.mul(out, weights)), out
+        return sum_all(mul(out, weights)), out
 
     return x, blk, loss
 

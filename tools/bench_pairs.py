@@ -20,13 +20,21 @@ from the BENCHMARK.json beside this script, which it only reads.
 Every run takes the task seed --seed (default 0), so a claimed gain
 can be checked again on a seed the change was not written on.
 
+--claim WORKLOAD.METRIC (for example eval-decode.samples_per_s) checks
+a claimed gain on one metric by the gain rule: the change wins at least
+9 in 10 of the pairs (ties count for neither side), and the change
+median is better than the parent median, in the metric's direction, by
+more than the parent's q3 - q1. It prints whether the claim holds and
+exits 1 when it does not.
+
 Each run's metrics go to standard error as it ends, so every run made
-is on record. Exits 1 when a metric is flagged or a run gives no
-result or fails its output checks.
+is on record. Exits 1 when a metric is flagged, a claim does not hold,
+or a run gives no result or fails its output checks.
 """
 
 import argparse
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +42,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+CLAIM_WIN_SHARE = 0.9  # the change must win 9 in 10 pairs
 
 
 def result_metrics(stdout: str, workload: str) -> tuple[dict, bool]:
@@ -71,7 +80,8 @@ def summarise(parent: list[dict], change: list[dict], spec: dict,
             p_med, c_med = float(np.median(p)), float(np.median(c))
             q1, q3 = np.percentile(p, [25, 75])
             rows.append({
-                "metric": key, "parent": p_med, "change": c_med,
+                "metric": key, "better": metric["better"],
+                "parent": p_med, "change": c_med,
                 "wins": int(np.sum(sign * (c - p) < 0)), "pairs": len(p),
                 "parent_iqr": float(q3 - q1),
                 "flagged": "bound" in metric and
@@ -89,6 +99,26 @@ def format_rows(rows: list[dict]) -> list[str]:
             f"{r['wins']:>3d}/{r['pairs']:<2d} {r['parent_iqr']:12.4g}"
             + ("  WORSE THAN BOUND" if r["flagged"] else ""))
     return lines
+
+
+def claim_verdict(row: dict) -> tuple[bool, str]:
+    """(holds, one-line report) of the gain rule on one summarise row.
+
+    The claim holds when the change won at least CLAIM_WIN_SHARE of the
+    pairs (a tie is no win) and its median is better than the parent's,
+    in the metric's direction, by more than the parent's q3 - q1.
+    """
+    sign = 1.0 if row["better"] == "lower" else -1.0
+    gain = sign * (row["parent"] - row["change"])
+    need = math.ceil(CLAIM_WIN_SHARE * row["pairs"])
+    wins_ok = row["wins"] >= need
+    gain_ok = gain > row["parent_iqr"]
+    holds = wins_ok and gain_ok
+    return holds, (
+        f"claim {row['metric']} ({row['better']} is better): "
+        f"{'HOLDS' if holds else 'DOES NOT HOLD'}; wins "
+        f"{row['wins']}/{row['pairs']} (need {need}), median gain "
+        f"{gain:.4g} vs parent q3-q1 {row['parent_iqr']:.4g}")
 
 
 def run_once(checkout: Path, args) -> tuple[dict, bool]:
@@ -111,10 +141,20 @@ def main(argv=None) -> int:
     p.add_argument("--seconds", type=int, default=25)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--claim", metavar="WORKLOAD.METRIC",
+                   help="check a claimed gain on this metric")
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    section = "per_layer" if args.trace else "end_to_end"
+    if args.claim is not None:
+        known = {f"{w['name']}.{m['name']}" for w in spec["workloads"]
+                 for m in spec[section]
+                 if args.workload in ("all", w["name"])}
+        if args.claim not in known:
+            p.error(f"--claim {args.claim}: not a {section} metric of "
+                    f"--workload {args.workload}")
 
     runs = {"parent": [], "change": []}
     failed = 0
@@ -131,12 +171,21 @@ def main(argv=None) -> int:
             print(f"pair {i} {side}: {json.dumps(metrics)}",
                   file=sys.stderr, flush=True)
 
-    section = "per_layer" if args.trace else "end_to_end"
     rows = summarise(runs["parent"], runs["change"], spec, section)
     print("\n".join(format_rows(rows)))
+    claim_holds = True
+    if args.claim is not None:
+        claimed = [r for r in rows if r["metric"] == args.claim]
+        if claimed:
+            claim_holds, report = claim_verdict(claimed[0])
+        else:
+            claim_holds, report = False, (
+                f"claim {args.claim}: DOES NOT HOLD; no run reported it")
+        print(report)
     if failed:
         print(f"{failed} runs failed their output checks")
-    return 1 if failed or any(r["flagged"] for r in rows) else 0
+    flagged = any(r["flagged"] for r in rows)
+    return 1 if failed or flagged or not claim_holds else 0
 
 
 if __name__ == "__main__":
