@@ -10,12 +10,14 @@ selects.
 
 SequenceBatch is the one sequence type the LM takes, for training and
 answering alike: B sequences right-padded to one length, [B, L, d]
-embeddings with [B, L] ids and mask. splice_batch builds a whole step's
-training batch as one row gather from [visual rows; embedding table;
-zero row]: one index per position, with a scatter-add backward. splice
-is the one-row assembler that answering runs: the same index (_layout),
-gathered on arrays from the visual rows and the embedding table's own
-array, with no graph and no copy of the table.
+embedding array with [B, L] ids and mask. splice_batch builds a whole
+step's batch on arrays: each visual row, in order, goes to the next
+position whose id is the image-context marker, each text position takes
+its id's row of the embedding table's own array (read in place, never
+copied), and a pad is a zero row. Its backward gathers the visual rows'
+gradient and scatter-adds the text positions' gradient into the table.
+splice, the one-row assembler that answering runs, is splice_batch of
+one sample.
 
 Overflowing the context limit is a hard error. Upstream tile capping is
 the intended way to stay under budget; silent truncation would corrupt
@@ -24,7 +26,8 @@ the image markup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -106,12 +109,18 @@ class SequenceBatch:
 
     embeddings [B, L, d], token_ids and loss_mask [B, L]. A pad position
     has a zero embedding row, PAD_ID and a false loss mask; under the
-    LM's causal mask no real position ever attends to it.
+    LM's causal mask no real position ever attends to it. backward(g),
+    if set, takes the embeddings' [B, L, d] gradient and accumulates it
+    into the parameters that made them; splice_batch's returns the
+    gradient of the visual rows, which Pipeline.assemble_batch hands on
+    to the fused rows' backward.
     """
 
-    embeddings: tz.Tensor
+    embeddings: np.ndarray
     token_ids: np.ndarray
     loss_mask: np.ndarray
+    backward: Callable[[np.ndarray], np.ndarray] | None = field(
+        default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.token_ids = np.asarray(self.token_ids, dtype=np.int64)
@@ -132,47 +141,28 @@ class SequenceBatch:
 def splice(prompt_ids, answer_ids, visual: list[VisualSequence],
            embed_table: tz.Tensor, context_limit: int) -> SequenceBatch:
     """Assemble [BOS] + prompt + answer + [EOS] with markers expanded, as
-    a one-row batch, on arrays.
+    a one-row batch: splice_batch of one sample.
 
     Each image-context marker in the prompt expands to the matching
     image's visual embeddings; text positions are embedding-table rows.
     The loss mask selects the answer bytes and the closing EOS, nothing
-    else. Exceeding context_limit raises a budget error. The layout is
-    splice_batch's (_layout), and so is every row, bitwise: text rows
-    are gathered by id from embed_table.data in place, and each image's
-    rows are copied to the run of positions where the index takes them.
-    The result is a constant that records no graph.
+    else. Exceeding context_limit raises a budget error.
     """
-    table = embed_table.data
-    d = table.shape[1]
-    for vs in visual:
+    d = embed_table.shape[1]
+    for vs in visual:  # before they are stacked into splice_batch's rows
         if vs.width != d:
             raise DimensionError(
                 f"visual width {vs.width} does not match LM width {d}")
-    counts = [vs.n_tokens for vs in visual]
-    index, ids, answer_start = _layout(prompt_ids, answer_ids, counts, 0,
-                                       sum(counts), context_limit)
-    ids = np.array(ids)
-    # a text position's table row is its id; a marker's rows hold the
-    # marker's embedding until its image's rows replace them
-    out = table[ids]
-    first = 0
-    for vs, n in zip(visual, counts):
-        if n:
-            at = index.index(first)
-            out[at:at + n] = vs.embeddings
-            first += n
-    loss_mask = np.zeros((1, len(ids)), dtype=bool)
-    loss_mask[0, answer_start:] = True
-    return SequenceBatch(tz.Tensor(out[None]), ids[None], loss_mask)
+    return splice_batch(
+        [(prompt_ids, answer_ids)], [[vs.n_tokens for vs in visual]],
+        np.concatenate([vs.embeddings for vs in visual] or [np.zeros((0, d))]),
+        embed_table, context_limit)
 
 
-def _layout(prompt_ids, answer_ids, counts, first_row: int,
-            text_row: int, context_limit: int):
-    """One sample's gather index, token ids and answer start.
+def _layout(prompt_ids, answer_ids, counts, context_limit: int):
+    """One sample's token ids, markers expanded, and its answer start.
 
-    Marker k takes the next counts[k] visual rows from first_row on;
-    token id t takes table row text_row + t.
+    Marker k expands to counts[k] IMG_CONTEXT_ID positions.
     """
     prompt_ids = [int(i) for i in prompt_ids]
     tail = [int(i) for i in answer_ids] + [EOS_ID]
@@ -188,68 +178,73 @@ def _layout(prompt_ids, answer_ids, counts, first_row: int,
     if length > context_limit:
         raise BudgetError(required=length, available=context_limit)
 
-    index = [text_row + BOS_ID]
     ids = [BOS_ID]
     images = iter(counts)
-    row = first_row
     for i in prompt_ids:
         if i == IMG_CONTEXT_ID:
-            n = next(images)
-            index.extend(range(row, row + n))
-            ids.extend([IMG_CONTEXT_ID] * n)
-            row += n
+            ids.extend([IMG_CONTEXT_ID] * next(images))
         else:
-            index.append(text_row + i)
             ids.append(i)
     answer_start = len(ids)
-    index.extend(text_row + i for i in tail)
     ids.extend(tail)
-    return index, ids, answer_start
+    return ids, answer_start
 
 
-def splice_batch(texts, visual_counts, rows: tz.Tensor,
+def splice_batch(texts, visual_counts, rows: np.ndarray,
                  embed_table: tz.Tensor, context_limit: int) -> SequenceBatch:
-    """Splice B samples into one right-padded batch with one row gather.
+    """Splice B samples into one right-padded batch, on arrays.
 
     texts[b] is sample b's (prompt_ids, answer_ids); visual_counts[b]
     holds the visual row count of each of its images, in marker order.
     rows [R, d] stacks every image's visual rows, sample after sample
-    and image after image, so they are consumed in order. Every
-    position, real or pad, is one row of [rows; embed_table; zero row],
-    gathered in one lookup whose backward scatter-adds into rows and
-    embed_table. Each sample follows splice's rules (markers, loss
-    mask, budget); a pad has the zero row, PAD_ID and no loss.
+    and image after image, and they fill the marker positions in that
+    order. A text position takes its id's row of embed_table.data; a
+    pad has a zero row, PAD_ID and no loss. Each sample follows
+    splice's rules (markers, loss mask, budget). The batch's backward(g)
+    scatter-adds the text positions' gradient into embed_table, if it
+    requires grad, and returns the [R, d] gradient of rows.
     """
     if not texts:
         raise ContractError("cannot batch zero sequences")
     if len(visual_counts) != len(texts):
         raise ContractError(
             f"{len(texts)} samples but {len(visual_counts)} visual lists")
-    d = embed_table.shape[1]
-    if rows.data.ndim != 2 or rows.shape[1] != d:
+    table = embed_table.data
+    d = table.shape[1]
+    if rows.ndim != 2 or rows.shape[1] != d:
         raise DimensionError(
             f"visual rows {rows.shape} do not match LM width {d}")
-    n_rows = rows.shape[0]
-    layouts = []
-    first = 0
-    for (prompt_ids, answer_ids), counts in zip(texts, visual_counts):
-        layouts.append(_layout(prompt_ids, answer_ids, counts, first,
-                               n_rows, context_limit))
-        first += sum(counts)
-    if first != n_rows:
+    layouts = [_layout(prompt_ids, answer_ids, counts, context_limit)
+               for (prompt_ids, answer_ids), counts
+               in zip(texts, visual_counts)]
+    taken = sum(sum(counts) for counts in visual_counts)
+    if taken != rows.shape[0]:
         raise ContractError(
-            f"samples take {first} visual rows, {n_rows} were supplied")
+            f"samples take {taken} visual rows, {rows.shape[0]} were "
+            "supplied")
 
     B = len(texts)
-    L = max(len(ids) for _, ids, _ in layouts)
-    index = np.full((B, L), n_rows + embed_table.shape[0], dtype=np.int64)
+    L = max(len(ids) for ids, _ in layouts)
     token_ids = np.full((B, L), PAD_ID, dtype=np.int64)
     loss_mask = np.zeros((B, L), dtype=bool)
-    for b, (idx, ids, answer_start) in enumerate(layouts):
-        index[b, :len(idx)] = idx
+    real = np.zeros((B, L), dtype=bool)
+    for b, (ids, answer_start) in enumerate(layouts):
         token_ids[b, :len(ids)] = ids
         loss_mask[b, answer_start:len(ids)] = True
-    table = tz.concat([rows, embed_table, tz.Tensor(np.zeros((1, d)))],
-                      axis=0)
-    return SequenceBatch(tz.embedding_lookup(table, index), token_ids,
-                         loss_mask)
+        real[b, :len(ids)] = True
+    visual = token_ids == IMG_CONTEXT_ID
+    text = real & ~visual
+    text_ids = token_ids[text]
+    embeddings = np.zeros((B, L, d))
+    embeddings[text] = table[text_ids]
+    embeddings[visual] = rows
+
+    def backward(g):
+        if embed_table.requires_grad:
+            # position order, as the composed lookup's scatter-add
+            g_table = np.zeros_like(table)
+            np.add.at(g_table, text_ids, g[text])
+            tz._accum(embed_table, g_table)
+        return g[visual]
+
+    return SequenceBatch(embeddings, token_ids, loss_mask, backward)

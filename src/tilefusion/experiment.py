@@ -19,11 +19,10 @@ Validating a config is building it. Each section is type-checked
 against its dataclass, then its nested sections are built, then the
 section itself; every problem on the way is collected under its key
 path. A section whose type check or nested section failed is not
-built, so one mistake does not cascade into follow-on reports. The
-validate_* functions return the problem list; load_config, the
-build_* functions, run_experiment, evaluate_run and ablate raise it as
-one ConfigError, before any compute starts. Every config key is
-documented in configs/schema.md.
+built, so one mistake does not cascade into follow-on reports.
+load_config, the build_* functions, run_experiment, evaluate_run and
+ablate raise the problem list as one ConfigError, before any compute
+starts. Every config key is documented in configs/schema.md.
 """
 
 import json
@@ -270,20 +269,6 @@ def _construct(obj, cls, prefix="", what="config"):
     return built
 
 
-def validate_experiment_config(cfg) -> list:
-    """Every problem with an experiment config, each with its key path."""
-    problems = []
-    _build(problems, cfg, ExperimentConfig, "")
-    return problems
-
-
-def validate_matrix(matrix) -> list:
-    """Every problem with a matrix config, each with its key path."""
-    problems = []
-    _build(problems, matrix, MatrixConfig, "")
-    return problems
-
-
 def load_config(path) -> dict:
     """Read and validate one experiment config file; returns its JSON."""
     with open(path) as f:
@@ -304,10 +289,6 @@ def build_task_spec(task, seed_override=None) -> TaskSpec:
     if seed_override is not None:
         task = dict(task, seed=seed_override)
     return _construct(task, TaskSpec, "task.")
-
-
-def build_encoder_config(enc) -> EncoderConfig:
-    return _construct(enc, EncoderConfig)
 
 
 def build_pipeline_config(model) -> PipelineConfig:

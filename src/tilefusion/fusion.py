@@ -19,11 +19,11 @@ Every function here runs on arrays and returns a VisualSequence whose
 embeddings are an ndarray and whose backward, given those embeddings'
 gradient, accumulates into each projector and fusion.down parameter
 that requires grad (the branch tokens are constants, so it returns
-nothing). Answering drops the backward; training wraps the fused rows
-and their backward as one autograd node (Pipeline.visual_rows), as
-transformer.run_block wraps block_forward. The backward is derived by
-hand in the order of the composed-op graph that
-tests/fusion_oracle.py keeps as the oracle, and equals it bitwise.
+nothing). Answering drops the backward; training calls it at the end
+of the step's one backward chain (Pipeline.assemble_batch,
+Pipeline.loss). The backward is derived by hand in the order of the
+composed-op graph that tests/fusion_oracle.py keeps as the oracle, and
+equals it bitwise.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ edits). The loss is mean cross entropy of logits[t] against token[t+1],
 restricted to positions whose target is supervised by the loss mask.
 The LM owns the text embedding table that the assembler splices from.
 
-Every input is a SequenceBatch of B right-padded sequences, run as one
+Everything runs on arrays, through transformer.block_forward. Every
+input is a SequenceBatch of B right-padded sequences, run as one
 [B, L, d] batch; forward returns its [B, L, V] logits. Pads need no
 mask of their own: each comes after every real position of its row, so
 the causal mask already gives it zero weight, and pads carry no loss.
@@ -24,13 +25,17 @@ sample supervises, so its queries and MLP, the final norm and the
 [B, rows, V] head run on those rows only; shipped answers are one
 character, so that is a few rows of L. The loss agrees with the one
 taken over forward's logits to rounding (matmuls over fewer rows may
-sum in another order).
+sum in another order). It returns the value and a backward that chains
+the head's, the blocks' and the positional embeddings' gradients by
+hand, in the order of the composed-op graph that
+tests/per_image_oracle.py keeps (lm_loss), which it equals bitwise, and
+ends in batch.backward; Pipeline.loss makes the whole chain one graph
+node.
 
-Decoding never builds a graph: decode_step runs on plain arrays,
-through transformer.block_forward, and forward stays the uncached
-full-logit reference that the tests decode against. decode_step(x,
-cache) takes x, the [1, T, d] rows that continue a KVCache, and returns
-the [V] logits of x's last row alone. Its rows take positional
+Decoding keeps no backward, and forward stays the uncached full-logit
+reference that the tests decode against. decode_step(x, cache) takes
+x, the [1, T, d] rows that continue a KVCache, and returns the [V]
+logits of x's last row alone. Its rows take positional
 embeddings from cache.length on, the budget check covers
 cache.length + T, and every block appends their keys and values to the
 cache. The last block runs with queries_from = T - 1, so its queries and
@@ -53,7 +58,7 @@ import numpy as np
 from . import tensor as tz
 from .assembly import VOCAB_SIZE, SequenceBatch
 from .errors import BudgetError, ContractError, reject
-from .transformer import KVCache, block_forward, init_block, run_block
+from .transformer import KVCache, block_forward, init_block
 
 NEG_INF = -1e30
 
@@ -126,42 +131,71 @@ class LanguageModel:
         """Checks, then (the first block's input, the causal mask)."""
         B, L = batch.token_ids.shape
         self._check(0, L, batch.embeddings.shape[2])
-        pos = tz.slice_axis(self.pos, 0, 0, L)
-        return tz.add_rowvec(batch.embeddings, pos), self._causal(B, L)
+        return batch.embeddings + self.pos.data[:L], self._causal(B, L)
 
-    def _head(self, x: tz.Tensor) -> tz.Tensor:
-        return tz.matmul(tz.layernorm(x, self.norm_out_g, self.norm_out_b),
-                         self.head)
+    def _head(self, x: np.ndarray) -> tuple:
+        """(logits, normed rows, layernorm's xhat and inv) of rows x."""
+        h, xhat, inv = tz.layernorm_forward(x, self.norm_out_g.data,
+                                            self.norm_out_b.data)
+        return np.matmul(h, self.head.data), h, xhat, inv
 
-    def forward(self, batch: SequenceBatch) -> tz.Tensor:
+    def forward(self, batch: SequenceBatch) -> np.ndarray:
         """[B, L, V] logits of every row of batch, with no cache."""
         x, mask = self._inputs(batch)
         for blk in self.blocks:
-            x = run_block(x, blk, self.cfg.heads, mask)
-        return self._head(x)
+            x, _ = block_forward(x, blk, self.cfg.heads, mask)
+        return self._head(x)[0]
 
-    def loss(self, batch: SequenceBatch) -> tz.Tensor:
-        """Mean masked cross entropy of forward(batch)'s logits[:, :-1]
-        against token_ids[:, 1:], computing only the logits it reads.
+    def loss(self, batch: SequenceBatch) -> tuple:
+        """(value, backward) of the mean masked cross entropy of
+        forward(batch)'s logits[:, :-1] against token_ids[:, 1:], on
+        arrays, computing only the logits it reads.
 
         Row r's logits predict token r + 1, so the rows read start at
         first, the earliest row whose next token some sample supervises.
         The last block runs rows first: as queries, and the final norm
         and the head run on rows first to L - 2. With nothing
         supervised, first is L - 1: the loss is 0.0 and every gradient
-        exactly zero.
+        exactly zero. backward(g), given the loss's gradient,
+        accumulates into each LM parameter that requires grad, hands
+        the [B, L, d] gradient of batch.embeddings to batch.backward and
+        returns what that returns.
         """
         L = batch.token_ids.shape[1]
         x, mask = self._inputs(batch)
         read = np.flatnonzero(batch.loss_mask[:, 1:].any(axis=0))
         first = int(read[0]) if read.size else L - 1
         last = len(self.blocks) - 1
+        backwards = []
         for i, blk in enumerate(self.blocks):
-            x = run_block(x, blk, self.cfg.heads, mask,
-                          queries_from=first if i == last else 0)
-        logits = self._head(tz.slice_axis(x, 1, 0, L - 1 - first))
-        return tz.masked_cross_entropy(logits, batch.token_ids[:, first + 1:],
-                                       batch.loss_mask[:, first + 1:])
+            x, block_backward = block_forward(
+                x, blk, self.cfg.heads, mask,
+                queries_from=first if i == last else 0)
+            backwards.append(block_backward)
+        n = L - 1 - first
+        logits, h, xhat, inv = self._head(x[:, :n])
+        value, ce_backward = tz.cross_entropy_forward(
+            logits, batch.token_ids[:, first + 1:],
+            batch.loss_mask[:, first + 1:])
+
+        def backward(g):
+            g_logits = ce_backward(g)
+            g_h = np.matmul(g_logits, self.head.data.T)
+            if self.head.requires_grad:
+                tz._accum(self.head, h.reshape(-1, h.shape[-1]).T
+                          @ g_logits.reshape(-1, g_logits.shape[-1]))
+            g_x = np.zeros_like(x)
+            g_x[:, :n] = tz.layernorm_backward(
+                g_h, xhat, inv, self.norm_out_g, self.norm_out_b)
+            for block_backward in reversed(backwards):
+                g_x = block_backward(g_x)
+            if self.pos.requires_grad:
+                g_pos = np.zeros_like(self.pos.data)
+                g_pos[:L] = g_x.sum(axis=0)
+                tz._accum(self.pos, g_pos)
+            return batch.backward(g_x)
+
+        return value, backward
 
     def decode_step(self, x: np.ndarray, cache: KVCache) -> np.ndarray:
         """[V] logits of the last row of x, the [1, T, d] array of rows
@@ -180,9 +214,7 @@ class LanguageModel:
             x, _ = block_forward(x, blk, self.cfg.heads, mask, cache, i,
                                  queries_from=rows - 1 if i == last else 0)
         cache.length = start + rows
-        h, _, _ = tz.layernorm_forward(x, self.norm_out_g.data,
-                                       self.norm_out_b.data)
-        return np.matmul(h, self.head.data)[0, 0]
+        return self._head(x)[0][0, 0]
 
     def greedy_decode(self, batch: SequenceBatch, max_new: int,
                       eos_id: int | None = None) -> list[int]:
@@ -205,7 +237,7 @@ class LanguageModel:
                               available=self.cfg.context_limit)
         emitted: list[int] = []
         cache = KVCache()
-        x = batch.embeddings.data
+        x = batch.embeddings
         for _ in range(max_new):
             next_id = int(np.argmax(self.decode_step(x, cache)))
             emitted.append(next_id)

@@ -11,12 +11,14 @@ image, and on arrays: fuse_images stacks every image's post-unshuffle
 tokens along the tile axis and calls project and the fusion function
 once, returning a VisualSequence whose backward is hand-derived
 (fusion.py). Because fusion is tile-local, image k's rows are the
-contiguous rows of its tiles. Training wraps those rows as one autograd
-node over the projector and fusion.down parameters (visual_rows), and
-assemble_batch splices a whole step with one row gather
-(assembly.splice_batch). answer fuses each of its images on its own,
-splices its one sample on arrays (assembly.splice) and decodes it
-(LanguageModel.greedy_decode), so answering builds no graph at all.
+contiguous rows of its tiles. assemble_batch splices a whole step on
+arrays (assembly.splice_batch), and loss runs the LM's loss on it
+(LanguageModel.loss): the step's forward is array code throughout, and
+its backward, the LM's, then the splice's, then the fused rows', is
+wrapped as ONE autograd node over the pipeline's parameters. answer
+fuses each of its images on its own, splices its one sample
+(assembly.splice) and decodes it (LanguageModel.greedy_decode), so
+answering builds no graph at all.
 
 The encoders are frozen in every stage and run forward only, on arrays
 (encoders.py): their tokens are ndarrays and never enter a graph, so no
@@ -367,25 +369,18 @@ class Pipeline:
             return fuse_post_channel(seq_a, seq_b, self.down)
         return fuse_pre(tok_a, tok_b, cfg.fusion, self.projector_shared)
 
-    def visual_rows(self, tokens: list) -> Tensor:
-        """fuse_images' rows as one autograd node over the projector and
-        fusion.down parameters, whose backward is fuse_images'; a
-        constant when none of them requires grad."""
-        fused = self.fuse_images(tokens)
-        rows = _make(fused.embeddings, self._adapter_parameters())
-        if rows.requires_grad:
-            rows._backward = fused.backward
-        return rows
-
     def assemble_batch(self, samples, tokens) -> SequenceBatch:
         """Splice samples (each with .images, .question, .answer) into one
-        right-padded batch: one visual_rows node over all their images
-        and one row gather. tokens holds frozen_tokens output per image
-        per sample; the graph it starts reaches the projectors, the
-        fusion map and the LM, never an encoder."""
+        right-padded batch, on arrays: one fuse_images pass over all
+        their images, then splice_batch. tokens holds frozen_tokens
+        output per image per sample. The batch's backward accumulates
+        into lm.embed and, through the fused rows' backward, into the
+        projectors and fusion.down, never into an encoder; it returns
+        nothing."""
         flat = [t for per_sample in tokens for t in per_sample]
-        rows = (self.visual_rows(flat) if flat
-                else Tensor(np.zeros((0, self.cfg.lm.d_lm))))
+        fused = self.fuse_images(flat) if flat else None
+        rows = (fused.embeddings if flat
+                else np.zeros((0, self.cfg.lm.d_lm)))
         encode = self.tokenizer.encode
         texts = [(encode(build_prompt(len(s.images), s.question)),
                   encode(s.answer)) for s in samples]
@@ -393,8 +388,23 @@ class Pipeline:
         per_tile = self.cfg.tokens_per_tile()
         counts = [[next(iter(t.values())).shape[0] * per_tile
                    for t in per_sample] for per_sample in tokens]
-        return splice_batch(texts, counts, rows, self.lm.embed,
-                            self.cfg.lm.context_limit)
+        batch = splice_batch(texts, counts, rows, self.lm.embed,
+                             self.cfg.lm.context_limit)
+        if fused is not None:
+            rows_backward = batch.backward
+            batch.backward = lambda g: fused.backward(rows_backward(g))
+        return batch
+
+    def loss(self, samples, tokens) -> Tensor:
+        """A training step's mean loss over samples (assemble_batch,
+        then LanguageModel.loss) as one graph node over parameters(),
+        whose backward is the hand-derived chain of them all; a constant
+        when no parameter requires grad."""
+        value, backward = self.lm.loss(self.assemble_batch(samples, tokens))
+        out = _make(value, self.parameters())
+        if out.requires_grad:
+            out._backward = backward
+        return out
 
     def answer(self, images, question: str, max_new: int) -> str:
         """Greedy decode an answer string for one question, on arrays.
@@ -420,7 +430,7 @@ class Pipeline:
                        self.cfg.lm.context_limit)
         # The assembler closes every sequence with EOS. For inference
         # that final slot must stay open, so trim it off.
-        prompt = SequenceBatch(Tensor(batch.embeddings.data[:, :-1]),
+        prompt = SequenceBatch(batch.embeddings[:, :-1],
                                batch.token_ids[:, :-1],
                                batch.loss_mask[:, :-1])
         new_ids = self.lm.greedy_decode(prompt, max_new, eos_id=EOS_ID)

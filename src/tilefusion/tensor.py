@@ -1,17 +1,20 @@
-"""Dense f64 tensors with reverse-mode differentiation.
+"""Dense f64 tensors with reverse-mode differentiation, and the array
+formulas the hand-derived backwards share.
 
-Every differentiable value in the package is a float64 ``Tensor``; the
-frozen encoders, the projectors and fusion, and greedy decoding run on
-plain arrays. Operations record graph edges whenever an input has
-``requires_grad`` set; calling :func:`backward` on a scalar loss fills
-``grad`` buffers by walking the recorded graph in reverse topological
-order. The ``frozen`` flag alone does not cut a parameter out of the
-graph: only the optimizer consults it, so a frozen parameter used
-outside the block below still receives a gradient (gradients must flow
-through frozen sub-models). Inside an :func:`outside_graph` block the
-listed parameters record no edges at all; ``training.run_stage`` holds
-its frozen parameters there for the whole stage. ``Pipeline.answer``
-needs no such block: it builds no Tensor over a parameter.
+The program differentiates on plain arrays: the projectors and fusion,
+the splice, the LM and its loss each run forward on arrays and return a
+backward derived by hand (the frozen encoders run forward only), and a
+training step (``Pipeline.loss``) chains them into ONE graph node over
+the pipeline's parameters, made with :func:`_make` and :func:`_accum`.
+Calling :func:`backward` on that scalar loss runs the chain, which
+accumulates into the parameters that require grad. The ``frozen`` flag alone does
+not cut a parameter out: only the optimizer consults it, so a frozen
+parameter used outside the block below still receives a gradient
+(gradients must flow through frozen sub-models). Inside an
+:func:`outside_graph` block the listed parameters require no grad, so
+no backward accumulates into them; ``training.run_stage`` holds its
+frozen parameters there for the whole stage. ``Pipeline.answer``
+builds no Tensor over a parameter.
 
 Graphs are acyclic: a node refers only to its inputs (``_prev`` and the
 closure in ``_backward``), never to itself, so a step's graph is freed by
@@ -20,25 +23,17 @@ garbage collector. To keep it so, a backward closure receives its output
 gradient as its argument (``backward`` calls ``node._backward(node.grad)``)
 and must never capture its output tensor.
 
-The array-level forward and backward formulas of layernorm, GELU and
-softmax (``*_forward``/``*_backward``) are kept apart from any Tensor
-primitive, so that the fused nodes built with the same ``_make``/
-``_accum`` protocol as the primitives (transformer.run_block, and
-Pipeline.visual_rows over fusion.py's projectors) run the same
-arithmetic as the composed ops they replace. They allocate no more
-than that arithmetic needs: layernorm computes the deviation from the mean
-once and normalizes it in place (bitwise numpy's mean/var), and
-``softmax_forward(x, out=x)`` overwrites its input, so a caller that
-owns a megabyte score array pays for no second one.
-
-Broadcasting is deliberately restricted: ops demand equal shapes, and
-adding one tensor to every leading index of another (a bias over the
-trailing dim, positional embeddings over a batch) is its own primitive
-(``add_rowvec``). Explicit shapes keep the fusion contracts downstream
-testable. Ops that only the test oracles compose (``reshape``,
-``permute``, ``gelu``, ``softmax_lastdim``, ``add``, ``mul``,
-``mul_scalar``, ``sum_all``) and the ``OPS`` registry live in
-tests/oracle_ops.py.
+The array-level forward and backward formulas of layernorm, GELU,
+softmax and the masked cross entropy (``*_forward``/``*_backward``) are
+what the hand-derived backwards run, and what the composed Tensor ops
+of the test oracles wrap, so the two run the same arithmetic. They
+allocate no more than that arithmetic needs: layernorm computes the
+deviation from the mean once and normalizes it in place (bitwise
+numpy's mean/var), and ``softmax_forward(x, out=x)`` overwrites its
+input, so a caller that owns a megabyte score array pays for no second
+one. The composed ops themselves (matmul, layernorm, embedding lookup,
+concat, slice, cross entropy and the rest), with the ``OPS`` registry,
+live in tests/oracle_ops.py.
 """
 
 from __future__ import annotations
@@ -148,51 +143,7 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# primitives
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product. Supports 2-D x 2-D, batched (equal leading dims),
-    and stacked-left x 2-D (shared weight applied to every row block)."""
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise DimensionError(f"matmul needs >=2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    if b.data.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
-        raise DimensionError(f"matmul batch dims differ: {a.shape} @ {b.shape}")
-    out = _make(np.matmul(a.data, b.data), (a, b))
-    if out.requires_grad:
-        def backward(g):
-            if a.requires_grad:
-                _accum(a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
-            if b.requires_grad:
-                if b.data.ndim == 2 and a.data.ndim > 2:
-                    k = a.shape[-1]
-                    gb = a.data.reshape(-1, k).T @ g.reshape(-1, g.shape[-1])
-                else:
-                    gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-                _accum(b, gb)
-        out._backward = backward
-    return out
-
-
-def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
-    """Add v to x at every leading index; v has x's trailing shape.
-
-    A 1-D v is a bias over the trailing dim; a [T, d] v adds positional
-    embeddings to every sequence of an [N, T, d] batch. v's gradient sums
-    g over the leading axes.
-    """
-    k = v.data.ndim
-    if k < 1 or k > x.data.ndim or x.shape[-k:] != v.shape:
-        raise DimensionError(f"add_rowvec: {x.shape} + {v.shape}")
-    out = _make(x.data + v.data, (x, v))
-    if out.requires_grad:
-        def backward(g):
-            _accum(x, g)
-            _accum(v, g.reshape((-1,) + v.shape).sum(axis=0))
-        out._backward = backward
-    return out
+# array formulas
 
 
 def softmax_forward(x: np.ndarray,
@@ -256,22 +207,6 @@ def layernorm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
     return gx
 
 
-def layernorm(x: Tensor, gamma: Tensor, beta: Tensor,
-              eps: float = LN_EPS) -> Tensor:
-    """Layer normalization over the last axis with affine gain/shift."""
-    d = x.shape[-1]
-    if gamma.shape != (d,) or beta.shape != (d,):
-        raise DimensionError(
-            f"layernorm affine shapes {gamma.shape}/{beta.shape} vs feature dim {d}"
-        )
-    data, xhat, inv = layernorm_forward(x.data, gamma.data, beta.data, eps)
-    out = _make(data, (x, gamma, beta))
-    if out.requires_grad:
-        out._backward = lambda g: _accum(
-            x, layernorm_backward(g, xhat, inv, gamma, beta))
-    return out
-
-
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
@@ -314,87 +249,23 @@ def gelu_backward(g: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return dy
 
 
-def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Gather rows of a [vocab, dim] table by integer id."""
-    ids = np.asarray(ids, dtype=np.int64)
-    if table.data.ndim != 2:
-        raise DimensionError(f"embedding table must be 2-D, got {table.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise DimensionError(
-            f"embedding id out of range [0, {table.shape[0]}): {ids.min()}..{ids.max()}"
-        )
-    out = _make(table.data[ids], (table,))
-    if out.requires_grad:
-        def backward(g):
-            gt = np.zeros_like(table.data)
-            np.add.at(gt, ids, g)
-            _accum(table, gt)
-        out._backward = backward
-    return out
+def cross_entropy_forward(logits: np.ndarray, targets, mask) -> tuple:
+    """(value, backward) of the mean cross entropy of logits[i] against
+    targets[i] over the mask-true rows; backward(g) returns the logits'
+    gradient, g times d(value)/d(logits).
 
-
-def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    """Concatenate along an existing axis."""
-    if not tensors:
-        raise ContractError("concat needs at least one tensor")
-    nd = tensors[0].data.ndim
-    axis = axis % nd
-    ref = list(tensors[0].shape)
-    for t in tensors[1:]:
-        other = list(t.shape)
-        if len(other) != nd or other[:axis] + other[axis + 1:] != ref[:axis] + ref[axis + 1:]:
-            raise DimensionError(
-                f"concat axis {axis}: shapes {[u.shape for u in tensors]} incompatible"
-            )
-    out = _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
-    if out.requires_grad:
-        sizes = [t.shape[axis] for t in tensors]
-        def backward(g):
-            offset = 0
-            idx = [slice(None)] * nd
-            for t, n in zip(tensors, sizes):
-                idx[axis] = slice(offset, offset + n)
-                _accum(t, g[tuple(idx)])
-                offset += n
-        out._backward = backward
-    return out
-
-
-def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    """Contiguous slice [start, stop) along one axis."""
-    nd = x.data.ndim
-    axis = axis % nd
-    n = x.shape[axis]
-    if not (0 <= start <= stop <= n):
-        raise DimensionError(f"slice [{start}:{stop}) outside axis {axis} of {x.shape}")
-    idx = [slice(None)] * nd
-    idx[axis] = slice(start, stop)
-    idx = tuple(idx)
-    out = _make(x.data[idx], (x,))
-    if out.requires_grad:
-        def backward(g):
-            gx = np.zeros_like(x.data)
-            gx[idx] = g
-            _accum(x, gx)
-        out._backward = backward
-    return out
-
-
-def masked_cross_entropy(logits: Tensor, targets, mask) -> Tensor:
-    """Mean cross-entropy of logits[i] vs targets[i] over mask-true rows.
-
-    Fused softmax + NLL for numerical stability; gradient is
-    (softmax - onehot) / n_masked on selected rows, zero elsewhere.
-    A sample whose mask selects nothing contributes a 0.0 loss (zero
+    Fused softmax + NLL for numerical stability; the gradient is
+    (softmax - onehot) / n_masked on selected rows, zero elsewhere. A
+    sample whose mask selects nothing contributes a 0.0 loss (zero
     gradient). With a leading batch axis ([B, n, V] logits, [B, n]
-    targets and mask) each sample's masked mean is taken on its own,
-    the B means are added in sample order and the total is scaled by
-    1/B: bitwise the mean of B separate calls chained through add and
-    mul_scalar (tests/oracle_ops.py).
+    targets and mask) each sample's masked mean is taken on its own, the
+    B means are added in sample order and the total is scaled by 1/B:
+    bitwise the mean of B separate calls chained through add and
+    mul_scalar (tests/oracle_ops.py). value is a 0-d float64 array.
     """
     targets = np.asarray(targets, dtype=np.int64)
     mask = np.asarray(mask, dtype=bool)
-    if logits.data.ndim not in (2, 3):
+    if logits.ndim not in (2, 3):
         raise DimensionError(
             f"cross entropy expects [n, V] or [B, n, V] logits, "
             f"got {logits.shape}")
@@ -404,8 +275,8 @@ def masked_cross_entropy(logits: Tensor, targets, mask) -> Tensor:
             f"cross entropy rows {lead} vs targets {targets.shape}, "
             f"mask {mask.shape}"
         )
-    B = logits.shape[0] if logits.data.ndim == 3 else 1
-    x = logits.data.reshape((B,) + logits.shape[-2:])
+    B = logits.shape[0] if logits.ndim == 3 else 1
+    x = logits.reshape((B,) + logits.shape[-2:])
     mask = mask.reshape(B, -1)
     bi, ri = np.nonzero(mask)  # selected rows, sample-major
     counts = mask.sum(axis=1)
@@ -421,16 +292,15 @@ def masked_cross_entropy(logits: Tensor, targets, mask) -> Tensor:
     for extra in per_sample[1:]:
         total = total + extra
     total = total * (1.0 / B)
-    out = _make(np.asarray(total, dtype=np.float64), (logits,))
-    if out.requires_grad:
-        def backward(g):
-            p = np.exp(logp)
-            p[np.arange(len(bi)), chosen] -= 1.0
-            gl = np.zeros_like(x)
-            gl[bi, ri] = p * (float(g) * (1.0 / B) / counts[bi])[:, None]
-            _accum(logits, gl.reshape(logits.shape))
-        out._backward = backward
-    return out
+
+    def backward(g):
+        p = np.exp(logp)
+        p[np.arange(len(bi)), chosen] -= 1.0
+        gl = np.zeros_like(x)
+        gl[bi, ri] = p * (float(g) * (1.0 / B) / counts[bi])[:, None]
+        return gl.reshape(logits.shape)
+
+    return np.asarray(total, dtype=np.float64), backward
 
 
 # ---------------------------------------------------------------------------

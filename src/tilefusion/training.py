@@ -14,16 +14,18 @@ AdamW holds only the parameters that stage trains, as views into its
 one flat buffer, and updates them through two preallocated scratch
 buffers of the same size.
 
-Each step builds one right-padded [B, L, d] batch
+Each step builds one right-padded [B, L, d] batch on arrays
 (Pipeline.assemble_batch: one projector/fusion pass over all the step's
-images, one graph node, then one row gather) and runs the LM on it once: one graph per step,
-not one per sample. The causal mask keeps every pad out of every real
-position's attention, and pads carry no loss, so the step loss is the
-mean of the samples' masked losses. The step runs LanguageModel.loss:
-the loss over forward's logits up to rounding, with the last block's
-queries, the final norm and the head run only on the rows the loss
-reads (from the earliest supervised next token on), where forward
-computes every logit.
+images, then one splice) and runs the LM's loss on it once
+(Pipeline.loss). The step is ONE graph node, whose backward chains the
+hand-derived backwards of the LM, the splice and the fusion, so
+tensor.backward runs one closure per step. The causal mask keeps every
+pad out of every real position's attention, and pads carry no loss, so
+the step loss is the mean of the samples' masked losses.
+LanguageModel.loss is the loss over forward's logits up to rounding,
+with the last block's queries, the final norm and the head run only on
+the rows the loss reads (from the earliest supervised next token on),
+where forward computes every logit.
 
 Every step draws its batch from a generator keyed by (seed, stage,
 step), so a resumed run reconstructs the exact batch sequence without
@@ -107,16 +109,6 @@ def stage_plan(name: str, steps: int, base_lr=None,
         weight_decay=weight_decay, steps=steps,
         warmup_steps=(int(round(0.03 * steps)) if warmup_steps is None
                       else warmup_steps))
-
-
-def stage1_plan(steps: int, **kw) -> StagePlan:
-    """Projector training: encoders and LM stay fixed."""
-    return stage_plan("stage1", steps, **kw)
-
-
-def stage2_plan(steps: int, **kw) -> StagePlan:
-    """Finetuning: projectors and LM train, encoders stay fixed."""
-    return stage_plan("stage2", steps, **kw)
 
 
 @dataclass(frozen=True)
@@ -457,14 +449,14 @@ def run_stage(plan: StagePlan, model, dataset, seed: int,
     tokens come from the model's token cache (Pipeline.frozen_tokens),
     as arrays outside the graph: the encoders run once per distinct
     encoder input per Pipeline, not per stage, and receive no gradient.
-    The cache is
-    checked once here against a copy of the encoder weights and
-    emptied if they changed. A step's samples are then spliced into one
-    padded batch (Pipeline.assemble_batch) and run through the LM's loss
-    in one call; padding on the right is safe because the causal mask
-    already hides each pad from every real position. No frozen parameter accumulates
-    a gradient during the call, and the stage's AdamW, built after the
-    freeze, holds only the trainable ones; its ContractError on a
+    The cache is checked once here against a copy of the encoder
+    weights and emptied if they changed. A step's samples are then
+    spliced into one padded batch and run through the LM's loss in one
+    call, as one graph node (Pipeline.loss); padding on the right is
+    safe because the causal mask already hides each pad from every real
+    position. No frozen parameter accumulates a gradient during the
+    call, and the stage's AdamW, built after the freeze, holds only the
+    trainable ones; its ContractError on a
     non-finite gradient comes back with the stage and step added.
     When out_dir is given, metrics stream to out_dir/metrics.jsonl, opened
     once for the stage and appended to, one flushed record per step;
@@ -494,8 +486,7 @@ def run_stage(plan: StagePlan, model, dataset, seed: int,
             samples = [dataset[int(i)] for i in idx]
             tokens = [[model.frozen_tokens(img) for img in s.images]
                       for s in samples]
-            batch = model.assemble_batch(samples, tokens)
-            mean_loss = model.lm.loss(batch)
+            mean_loss = model.loss(samples, tokens)
             loss = mean_loss.item()
             if not np.isfinite(loss):
                 raise ContractError(

@@ -8,23 +8,24 @@ plus T. Checkpoints and seeds rely on init_block's parameter names and
 on its draw order: wq, wk, wv, wo, w1, w2.
 
 block_forward runs the block on arrays and returns, beside its output, a
-backward that keeps the activations it needs; run_block makes that one
-autograd node, not ~25. The backward is derived by hand, in the order of
-the composed-op graph (tests/block_oracle.py, which it equals bitwise),
-and accumulates into x and into each block parameter that requires grad.
-The LM's forward and loss run run_block, with no cache; the encoders,
-frozen in every stage, and the LM's decoding call block_forward and keep
-its output alone, so they build no graph. The formulas of layernorm,
-GELU and softmax are tensor.py's, shared with their primitives. The
-attention scores, the block's largest array ([N, heads, T, S]: 1 MB per
-tile in the 256-token encoder), are scaled, masked and softmaxed in the
-one buffer their matmul returns, so no second array of that size is
-allocated (each fresh one of that size was page-faulted in anew, as
-glibc hands it back to the system on free). queries_from (default 0)
-makes only rows queries_from: queries and outputs, while keys and values
-still cover every row: the offset a KVCache continuation applies from
-the other side. The LM's training loss and its decode steps use it on
-their last block; the encoders run every row.
+backward that keeps the activations it needs. The backward is derived by
+hand, in the order of the composed-op graph (tests/block_oracle.py,
+which it equals bitwise), accumulates into each block parameter that
+requires grad and returns x's gradient. The LM's loss chains its
+blocks' backwards inside the training step's one graph node
+(LanguageModel.loss, Pipeline.loss); the encoders, frozen in every
+stage, and the LM's forward and decoding keep the output alone. The
+formulas of layernorm, GELU and softmax are tensor.py's, shared with
+the oracle's ops. The attention scores, the block's largest array
+([N, heads, T, S]: 1 MB per tile in the 256-token encoder), are scaled,
+masked and softmaxed in the one buffer their matmul returns, so no
+second array of that size is allocated (each fresh one of that size was
+page-faulted in anew, as glibc hands it back to the system on free).
+queries_from (default 0) makes only rows queries_from: queries and
+outputs, while keys and values still cover every row: the offset a
+KVCache continuation applies from the other side. The LM's training
+loss and its decode steps use it on their last block; the encoders run
+every row.
 """
 
 from __future__ import annotations
@@ -184,15 +185,3 @@ def block_forward(x: np.ndarray, blk: dict, heads: int,
 
     return x1 + mlp, backward
 
-
-def run_block(x: tz.Tensor, blk: dict, heads: int,
-              mask: np.ndarray | None = None,
-              queries_from: int = 0) -> tz.Tensor:
-    """block_forward, with no cache, as one graph node over the Tensor
-    x; same arguments."""
-    data, backward = block_forward(x.data, blk, heads, mask,
-                                   queries_from=queries_from)
-    out = tz._make(data, (x,) + tuple(blk.values()))
-    if out.requires_grad:
-        out._backward = lambda g: tz._accum(x, backward(g))
-    return out

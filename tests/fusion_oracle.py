@@ -1,8 +1,8 @@
 """The projectors and fusion composed from tensor primitives: the oracle.
 
 fusion.py runs the trainable image side on arrays with a hand-derived
-backward, and Pipeline.visual_rows makes it one graph node; this is the
-same arithmetic built op by op, whose backward is the autograd of the
+backward, which a training step calls inside its one graph node; this
+is the same arithmetic built op by op, whose backward is the autograd of the
 primitives. Each function takes what its fusion.py namesake takes and
 returns a VisualSequence whose embeddings are a Tensor; tests compare
 the two, rows and every projector and fusion.down gradient, bitwise.
@@ -19,7 +19,7 @@ from tilefusion import tensor as tz
 from tilefusion.errors import ConfigError, ContractError, DimensionError
 from tilefusion.fusion import VisualSequence
 
-from oracle_ops import gelu
+from oracle_ops import add_rowvec, concat, embedding_lookup, gelu, matmul
 
 
 def provenance(seq):
@@ -33,8 +33,8 @@ def apply(proj, rows):
     if rows.shape[-1] != proj.in_dim:
         raise DimensionError(
             f"projector expects width {proj.in_dim}, got {rows.shape[-1]}")
-    hidden = gelu(tz.add_rowvec(tz.matmul(rows, proj.w1), proj.b1))
-    return tz.add_rowvec(tz.matmul(hidden, proj.w2), proj.b2)
+    hidden = gelu(add_rowvec(matmul(rows, proj.w1), proj.b1))
+    return add_rowvec(matmul(hidden, proj.w2), proj.b2)
 
 
 def project(proj, tokens, branch_id):
@@ -60,9 +60,9 @@ def fuse_post_interleave(a, b):
         raise DimensionError(f"width mismatch: {a.width} vs {b.width}")
     if a.n_tiles != b.n_tiles:
         raise ContractError(f"tile counts differ: {a.n_tiles} vs {b.n_tiles}")
-    rows = tz.concat([a.embeddings, b.embeddings], axis=0)
+    rows = concat([a.embeddings, b.embeddings], axis=0)
     order = interleave_order(a.n_tiles, a.per_tile, b.per_tile)
-    return VisualSequence(tz.embedding_lookup(rows, order), a.n_tiles,
+    return VisualSequence(embedding_lookup(rows, order), a.n_tiles,
                           a.segments + b.segments)
 
 
@@ -73,8 +73,8 @@ def fuse_post_channel(a, b, down):
         raise ContractError("tile layouts differ")
     if down.shape != (2 * a.width, a.width):
         raise DimensionError(f"down map shape {down.shape}")
-    paired = tz.concat([a.embeddings, b.embeddings], axis=1)
-    return VisualSequence(tz.matmul(paired, down), a.n_tiles,
+    paired = concat([a.embeddings, b.embeddings], axis=1)
+    return VisualSequence(matmul(paired, down), a.n_tiles,
                           (("A+B", a.per_tile),))
 
 

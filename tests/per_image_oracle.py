@@ -1,24 +1,35 @@
-"""The per-image image side, kept as the oracle for the batched one.
+"""The composed oracles of a training step and of answering.
+
+Every function here builds its path from the Tensor ops of
+tests/oracle_ops.py, whose backward is the autograd of the primitives;
+its sequences and batches hold Tensor embeddings (a SequenceBatch here
+may carry a Tensor where the program's holds an array).
 
 branch_tokens(model, image) is the frozen half without the frozen-token
 caches: tile, encode, unshuffle, on every call. Pipeline.frozen_tokens
-must return its tokens bitwise, and uncached_batch is
-Pipeline.assemble_batch on those tokens, the reference for training on
-cached ones. pixel_shuffle is pixel_unshuffle's inverse, the oracle of
-its index law.
+must return its tokens bitwise. uncached_batch is Pipeline.assemble_batch
+composed op by op on those tokens: one stacked fusion pass
+(fusion_oracle.fuse_tokens) and one row gather from [visual rows;
+embedding table; zero row] (splice_batch). lm_loss is LanguageModel.loss
+composed from tests/block_oracle.py's blocks, and the two chained are
+the bitwise reference for Pipeline.loss, value and every gradient.
+pixel_shuffle is pixel_unshuffle's inverse, the oracle of its index law.
 
-Each image is projected and fused on its own, op by op
-(fusion_oracle.fuse_tokens), each sample is spliced from concatenated
-runs of embedding lookups and visual rows (splice) into its own
-AssembledSequence, and the samples are right-padded into one batch by
-concat (pad_batch). Pipeline.assemble_batch and Pipeline.answer must
-give the same visual rows and layout bitwise, and the same batch up to
-stated tolerances.
+The per-image path projects and fuses each image on its own
+(fusion_oracle.fuse_tokens), splices each sample from concatenated runs
+of embedding lookups and visual rows (splice) into its own
+AssembledSequence, and right-pads the samples into one batch by concat
+(pad_batch). Pipeline.assemble_batch and Pipeline.answer must give the
+same visual rows and layout bitwise, and the same batch up to stated
+tolerances.
 
-as_batch runs one AssembledSequence as a one-row SequenceBatch, and
-reference_loss is the LM loss taken over all of forward's logits, the
-reference for LanguageModel.loss. uncached_greedy decodes with no KV
-cache, running forward over the whole grown sequence for every token:
+as_batch runs one AssembledSequence as a one-row SequenceBatch.
+lm_forward is LanguageModel.forward composed, and reference_loss is the
+LM loss taken over all of its logits, the reference for
+LanguageModel.loss. arrays hands an oracle batch to the program's LM,
+and lm_loss_node makes LanguageModel.loss one graph node, as
+Pipeline.loss does. uncached_greedy decodes with no KV cache, running
+LanguageModel.forward over the whole grown sequence for every token:
 the reference for LanguageModel.greedy_decode and Pipeline.answer.
 """
 
@@ -26,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from tilefusion import assembly
 from tilefusion import tensor as tz
 from tilefusion.assembly import (
     BOS_ID,
@@ -38,8 +50,11 @@ from tilefusion.assembly import (
 from tilefusion.encoders import pixel_unshuffle
 from tilefusion.errors import BudgetError, ContractError, DimensionError
 
+from block_oracle import run_block
 from fusion_oracle import fuse_tokens
-from oracle_ops import reshape
+from oracle_ops import (add_rowvec, concat, embedding_lookup, layernorm,
+                        masked_cross_entropy, matmul, mul, reshape,
+                        slice_axis, sum_all)
 
 
 @dataclass
@@ -75,12 +90,54 @@ def branch_tokens(model, image):
             if enc is not None}
 
 
+def uncached_tokens(model, samples):
+    """branch_tokens of every image, per sample: what run_stage passes
+    Pipeline.loss, with no cache."""
+    return [[branch_tokens(model, img) for img in s.images] for s in samples]
+
+
 def uncached_batch(model, samples):
-    """Pipeline.assemble_batch of samples on branch_tokens of every
-    image."""
-    return model.assemble_batch(
-        samples, [[branch_tokens(model, img) for img in s.images]
-                  for s in samples])
+    """Pipeline.assemble_batch of samples on uncached_tokens, composed:
+    every image's tokens stacked along the tile axis and fused in one
+    pass, then splice_batch."""
+    tokens = uncached_tokens(model, samples)
+    flat = [t for per_sample in tokens for t in per_sample]
+    rows = tz.Tensor(np.zeros((0, model.cfg.lm.d_lm)))
+    if flat:
+        rows = fuse_tokens(model, {label: np.concatenate(
+            [t[label] for t in flat]) for label in flat[0]}).embeddings
+    encode = model.tokenizer.encode
+    texts = [(encode(build_prompt(len(s.images), s.question)),
+              encode(s.answer)) for s in samples]
+    per_tile = model.cfg.tokens_per_tile()
+    counts = [[next(iter(t.values())).shape[0] * per_tile
+               for t in per_sample] for per_sample in tokens]
+    return splice_batch(texts, counts, rows, model.lm.embed,
+                        model.cfg.lm.context_limit)
+
+
+def uncached_loss(model, samples):
+    """Pipeline.loss of samples on uncached_tokens: the program's one
+    graph node."""
+    return model.loss(samples, uncached_tokens(model, samples))
+
+
+def splice_batch(texts, visual_counts, rows, embed_table, context_limit):
+    """assembly.splice_batch composed: every position, real or pad, is
+    one row of [rows; embed_table; zero row], gathered by one lookup
+    whose backward scatter-adds into rows and embed_table. The ids and
+    loss mask, and every check, are assembly.splice_batch's."""
+    layout = assembly.splice_batch(texts, visual_counts, rows.data,
+                                   embed_table, context_limit)
+    ids = layout.token_ids
+    n_rows, d = rows.shape
+    index = n_rows + ids
+    visual = ids == IMG_CONTEXT_ID
+    index[visual] = np.arange(n_rows)
+    index[ids == PAD_ID] = n_rows + embed_table.shape[0]
+    table = concat([rows, embed_table, tz.Tensor(np.zeros((1, d)))], axis=0)
+    return SequenceBatch(embedding_lookup(table, index), ids,
+                         layout.loss_mask)
 
 
 def pixel_shuffle(rows, r):
@@ -104,28 +161,87 @@ def as_batch(seq):
         seq.token_ids[None], seq.loss_mask[None])
 
 
+def lm_inputs(lm, batch):
+    """The first block's input, composed, and the causal mask."""
+    B, L = batch.token_ids.shape
+    lm._check(0, L, batch.embeddings.shape[2])
+    return (add_rowvec(batch.embeddings, slice_axis(lm.pos, 0, 0, L)),
+            lm._causal(B, L))
+
+
+def lm_head(lm, x):
+    return matmul(layernorm(x, lm.norm_out_g, lm.norm_out_b), lm.head)
+
+
+def lm_forward(lm, batch):
+    """LanguageModel.forward composed: the [B, L, V] logits Tensor."""
+    x, mask = lm_inputs(lm, batch)
+    for blk in lm.blocks:
+        x = run_block(x, blk, lm.cfg.heads, mask)
+    return lm_head(lm, x)
+
+
+def lm_loss(lm, batch):
+    """LanguageModel.loss composed: the last block's queries and the
+    head on the rows the loss reads only, from the earliest row whose
+    next token some sample supervises."""
+    L = batch.token_ids.shape[1]
+    x, mask = lm_inputs(lm, batch)
+    read = np.flatnonzero(batch.loss_mask[:, 1:].any(axis=0))
+    first = int(read[0]) if read.size else L - 1
+    last = len(lm.blocks) - 1
+    for i, blk in enumerate(lm.blocks):
+        x = run_block(x, blk, lm.cfg.heads, mask,
+                      queries_from=first if i == last else 0)
+    logits = lm_head(lm, slice_axis(x, 1, 0, L - 1 - first))
+    return masked_cross_entropy(logits, batch.token_ids[:, first + 1:],
+                                batch.loss_mask[:, first + 1:])
+
+
 def reference_loss(lm, batch):
-    """Mean masked cross entropy of all of lm.forward(batch)'s logits
+    """Mean masked cross entropy of all of lm_forward(batch)'s logits
     but the last row, against the next token."""
-    logits = lm.forward(batch)
-    return tz.masked_cross_entropy(
-        tz.slice_axis(logits, 1, 0, batch.length - 1),
+    logits = lm_forward(lm, batch)
+    return masked_cross_entropy(
+        slice_axis(logits, 1, 0, batch.length - 1),
         batch.token_ids[:, 1:], batch.loss_mask[:, 1:])
 
 
+def arrays(batch):
+    """An oracle batch as the array batch the program's LM takes; its
+    backward runs the oracle batch's graph on the gradient it gets."""
+    embeddings = batch.embeddings
+
+    def backward(g):
+        tz.backward(sum_all(mul(embeddings, tz.Tensor(g))))
+
+    return SequenceBatch(embeddings.data, batch.token_ids, batch.loss_mask,
+                         backward)
+
+
+def lm_loss_node(lm, batch):
+    """LanguageModel.loss of an array batch as one graph node over lm's
+    parameters, as Pipeline.loss makes it."""
+    value, backward = lm.loss(batch)
+    out = tz._make(value, lm.parameters())
+    if out.requires_grad:
+        out._backward = backward
+    return out
+
+
 def uncached_greedy(lm, batch, max_new, eos_id=None):
-    """Argmax of the last row of lm.forward over the one-row batch, grown
-    by each emitted token, until max_new tokens or eos_id."""
+    """Argmax of the last row of lm.forward over the one-row array
+    batch, grown by each emitted token, until max_new tokens or
+    eos_id."""
     emitted = []
+    x, ids = batch.embeddings, batch.token_ids
     for _ in range(max_new):
-        emitted.append(int(np.argmax(lm.forward(batch).data[0, -1])))
+        grown = SequenceBatch(x, ids, np.zeros(ids.shape, dtype=bool))
+        emitted.append(int(np.argmax(lm.forward(grown)[0, -1])))
         if emitted[-1] == eos_id:
             break
-        step = tz.embedding_lookup(lm.embed, [emitted[-1:]])
-        batch = SequenceBatch(
-            tz.concat([batch.embeddings, step], axis=1),
-            np.append(batch.token_ids, [emitted[-1:]], axis=1),
-            np.append(batch.loss_mask, [[False]], axis=1))
+        x = np.concatenate([x, lm.embed.data[emitted[-1:]][None]], axis=1)
+        ids = np.append(ids, [emitted[-1:]], axis=1)
     return emitted
 
 
@@ -154,7 +270,7 @@ def splice(prompt_ids, answer_ids, visual, embed_table, context_limit):
 
     def flush_run():
         if run:
-            segments.append(tz.embedding_lookup(embed_table, run))
+            segments.append(embedding_lookup(embed_table, run))
             run.clear()
 
     image_index = 0
@@ -176,7 +292,7 @@ def splice(prompt_ids, answer_ids, visual, embed_table, context_limit):
         loss_mask.append(True)
     flush_run()
     embeddings = (segments[0] if len(segments) == 1
-                  else tz.concat(segments, axis=0))
+                  else concat(segments, axis=0))
     return AssembledSequence(embeddings, np.array(token_ids),
                              np.array(loss_mask))
 
@@ -199,7 +315,7 @@ def pad_batch(seqs):
         parts.append(s.embeddings)
         if s.length < L:
             parts.append(tz.Tensor(np.zeros((L - s.length, d))))
-    flat = parts[0] if len(parts) == 1 else tz.concat(parts, axis=0)
+    flat = parts[0] if len(parts) == 1 else concat(parts, axis=0)
     return SequenceBatch(reshape(flat, (len(seqs), L, d)), ids, mask)
 
 

@@ -41,12 +41,11 @@ from tilefusion.training import (
     Checkpoint,
     restore,
     run_stage,
-    stage1_plan,
-    stage2_plan,
+    stage_plan,
 )
 
 from fusion_oracle import provenance
-from per_image_oracle import pixel_shuffle, uncached_batch
+from per_image_oracle import pixel_shuffle, uncached_loss
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                           "..", "configs")
@@ -220,7 +219,7 @@ def test_end_to_end_gradients_match_finite_differences():
     img = ImageBuffer(np.random.default_rng(5).random((8, 16, 3)))
 
     def loss_value(_ignored=None):
-        return pipe.lm.loss(uncached_batch(pipe, [Sample([img], "q", "ab")]))
+        return uncached_loss(pipe, [Sample([img], "q", "ab")])
 
     loss = loss_value()
     backward(loss)
@@ -255,7 +254,7 @@ def test_two_stage_freeze_semantics():
 
     frozen_before = param_bytes(pipe, ("encoderA.", "encoderB.", "lm."))
     proj_before = param_bytes(pipe, ("projector",))
-    plan = stage1_plan(steps=56, warmup_steps=6, base_lr=2e-3)
+    plan = stage_plan("stage1", steps=56, warmup_steps=6, base_lr=2e-3)
     _, recs = run_stage(plan, pipe, data, seed=11, batch_size=len(data))
 
     assert param_bytes(pipe, ("encoderA.", "encoderB.", "lm.")) == \
@@ -270,7 +269,8 @@ def test_two_stage_freeze_semantics():
     enc_before = param_bytes(pipe, ("encoderA.", "encoderB."))
     lm_before = param_bytes(pipe, ("lm.",))
     proj_before = param_bytes(pipe, ("projector",))
-    _, recs2 = run_stage(stage2_plan(steps=20, warmup_steps=2, base_lr=5e-4),
+    _, recs2 = run_stage(stage_plan("stage2", steps=20, warmup_steps=2,
+                                    base_lr=5e-4),
                          pipe, data, seed=12, batch_size=len(data))
     assert param_bytes(pipe, ("encoderA.", "encoderB.")) == enc_before
     lm_after = param_bytes(pipe, ("lm.",))
@@ -336,7 +336,7 @@ def test_tiling_beats_untiled_at_equal_budget():
 def test_determinism_and_checkpoint_resume(tmp_path):
     t0 = time.perf_counter()
     data = one_batch_dataset(n=4)
-    plan = stage1_plan(steps=5, warmup_steps=1, base_lr=1e-3)
+    plan = stage_plan("stage1", steps=5, warmup_steps=1, base_lr=1e-3)
     streams = []
     for k in range(2):
         out = str(tmp_path / f"run{k}")
@@ -346,7 +346,7 @@ def test_determinism_and_checkpoint_resume(tmp_path):
             streams.append(fh.read())
     assert streams[0] == streams[1]
 
-    first = stage1_plan(steps=4, warmup_steps=1, base_lr=1e-3)
+    first = stage_plan("stage1", steps=4, warmup_steps=1, base_lr=1e-3)
     m1 = desk_pipe(seed=7)
     ckpt_dir = str(tmp_path / "ckpt")
     run_stage(first, m1, data, seed=21, batch_size=2, out_dir=ckpt_dir)
@@ -354,7 +354,7 @@ def test_determinism_and_checkpoint_resume(tmp_path):
     m2 = desk_pipe(seed=8)  # different init, fully overwritten by restore
     restore(m2, Checkpoint.load(ckpt_dir))
 
-    cont = stage1_plan(steps=1, warmup_steps=0, base_lr=1e-3)
+    cont = stage_plan("stage1", steps=1, warmup_steps=0, base_lr=1e-3)
     _, rec1 = run_stage(cont, m1, data, seed=22, batch_size=2)
     _, rec2 = run_stage(cont, m2, data, seed=22, batch_size=2)
     assert rec1[0].loss == rec2[0].loss

@@ -208,6 +208,10 @@ def test_splice_rejects_width_mismatch():
     prompt = TOK.encode(build_prompt(1, "q"))
     with pytest.raises(DimensionError):
         splice(prompt, [97], [visual_seq(4, 3)], table(d=4), 64)
+    prompt = TOK.encode(build_prompt(2, "q"))
+    with pytest.raises(DimensionError):
+        splice(prompt, [97], [visual_seq(4, 4), visual_seq(4, 3)],
+               table(d=4), 64)
 
 
 def test_splice_order_stability_two_images():
@@ -216,7 +220,7 @@ def test_splice_order_stability_two_images():
     vb = visual_seq(2, 4, tag_base=200.0)
     seq = splice(prompt, [97], [va, vb], table(), 64)
     rows = np.nonzero(seq.token_ids[0] == IMG_CONTEXT_ID)[0]
-    tags = seq.embeddings.data[0, rows, 0]
+    tags = seq.embeddings[0, rows, 0]
     np.testing.assert_array_equal(tags, [100.0, 101.0, 102.0, 200.0, 201.0])
 
 
@@ -225,36 +229,34 @@ def test_splice_visual_rows_carry_exact_embeddings():
     vs = visual_seq(5, 4, tag_base=7.0)
     seq = splice(prompt, [120], [vs], table(), 64)
     rows = np.nonzero(seq.token_ids[0] == IMG_CONTEXT_ID)[0]
-    np.testing.assert_array_equal(seq.embeddings.data[0, rows],
-                                  vs.embeddings)
+    np.testing.assert_array_equal(seq.embeddings[0, rows], vs.embeddings)
 
 
 def test_splice_is_splice_batch_one_row_and_records_no_graph():
-    # splice, answering's assembler, gathers on arrays: bitwise
-    # splice_batch's one row, with no graph edge to the table, whose
-    # array it reads in place
+    # splice, answering's assembler, is splice_batch of one sample: an
+    # array batch, with no graph edge to the table
     tab = table()
     va = visual_seq(3, 4, tag_base=100.0)
     vb = visual_seq(2, 4, tag_base=200.0)
     prompt = TOK.encode(build_prompt(2, "q"))
     seq = splice(prompt, [97, 98], [va, vb], tab, 64)
-    rows = tz.Tensor(np.concatenate([va.embeddings, vb.embeddings]))
+    rows = np.concatenate([va.embeddings, vb.embeddings])
     want = splice_batch([(prompt, [97, 98])], [[3, 2]], rows, tab, 64)
-    assert seq.embeddings.data.tobytes() == want.embeddings.data.tobytes()
+    assert seq.embeddings.tobytes() == want.embeddings.tobytes()
     assert seq.token_ids.tobytes() == want.token_ids.tobytes()
     assert seq.loss_mask.tobytes() == want.loss_mask.tobytes()
-    assert not seq.embeddings.requires_grad
-    assert seq.embeddings._prev == ()
+    assert type(seq.embeddings) is np.ndarray
+    assert tab.grad is None
 
 
 def test_sequence_batch_validation():
-    emb = tz.Tensor(np.zeros((1, 3, 2)))
+    emb = np.zeros((1, 3, 2))
     with pytest.raises(DimensionError):  # ids too short
         SequenceBatch(emb, np.zeros((1, 2)), np.zeros((1, 3), dtype=bool))
     with pytest.raises(DimensionError):  # mask too short
         SequenceBatch(emb, np.zeros((1, 3)), np.zeros((1, 2), dtype=bool))
     with pytest.raises(DimensionError):  # not [B, L, d]
-        SequenceBatch(tz.Tensor(np.zeros((3, 2))), np.zeros(3),
+        SequenceBatch(np.zeros((3, 2)), np.zeros(3),
                       np.zeros(3, dtype=bool))
     batch = SequenceBatch(emb, np.zeros((1, 3)), np.zeros((1, 3)))
     assert batch.token_ids.dtype == np.int64
@@ -266,7 +268,7 @@ def test_splice_deterministic():
     prompt = TOK.encode(build_prompt(1, "same?"))
     a = splice(prompt, [97], [visual_seq(4, 4)], table(), 64)
     b = splice(prompt, [97], [visual_seq(4, 4)], table(), 64)
-    assert a.embeddings.data.tobytes() == b.embeddings.data.tobytes()
+    assert a.embeddings.tobytes() == b.embeddings.tobytes()
     assert a.token_ids.tobytes() == b.token_ids.tobytes()
     assert a.loss_mask.tobytes() == b.loss_mask.tobytes()
 
@@ -320,11 +322,13 @@ def test_pad_batch_rejects_empty_and_mixed_widths():
 
 
 def batch_case():
-    """Three samples: one image, pure text, two images; their rows."""
+    """Three samples: one image, pure text (padded), two images of one
+    and two tiles; their rows."""
     tab = table()
     va = visual_seq(3, 4, tag_base=10.0)
     vb = visual_seq(2, 4, tag_base=20.0)
-    vc = visual_seq(4, 4, tag_base=30.0)
+    vc = VisualSequence(visual_seq(4, 4, tag_base=30.0).embeddings, 2,
+                        (("A", 2),))
     texts = [(TOK.encode(build_prompt(1, "what?")), [97, 98]),
              (TOK.encode("ab"), [99]),
              (TOK.encode(build_prompt(2, "q")), [100])]
@@ -334,8 +338,7 @@ def batch_case():
 
 def test_splice_batch_is_per_sample_splice_right_padded():
     tab, texts, visuals = batch_case()
-    rows = tz.Tensor(np.concatenate(
-        [v.embeddings for vs in visuals for v in vs]))
+    rows = np.concatenate([v.embeddings for vs in visuals for v in vs])
     counts = [[v.n_tokens for v in vs] for vs in visuals]
     batch = splice_batch(texts, counts, rows, tab, 64)
     seqs = [splice(p, a, vs, tab, 64) for (p, a), vs in zip(texts, visuals)]
@@ -343,9 +346,9 @@ def test_splice_batch_is_per_sample_splice_right_padded():
     assert batch.embeddings.shape == (3, L, 4)
     for b, s in enumerate(seqs):
         n = s.length
-        assert batch.embeddings.data[b, :n].tobytes() == \
-            s.embeddings.data[0].tobytes()
-        np.testing.assert_array_equal(batch.embeddings.data[b, n:], 0.0)
+        assert batch.embeddings[b, :n].tobytes() == \
+            s.embeddings[0].tobytes()
+        np.testing.assert_array_equal(batch.embeddings[b, n:], 0.0)
         assert list(batch.token_ids[b]) == list(s.token_ids[0]) + \
             [PAD_ID] * (L - n)
         assert list(batch.loss_mask[b]) == list(s.loss_mask[0]) + \
@@ -353,13 +356,29 @@ def test_splice_batch_is_per_sample_splice_right_padded():
 
 
 def test_splice_batch_gradients_scatter_into_rows_and_table():
+    # batch.backward against the composed row gather from [rows; table;
+    # zero row] (oracle.splice_batch), bitwise, over pads and two images
+    # of unequal tile counts
     tab, texts, visuals = batch_case()
-    rows = tz.Tensor(np.concatenate(
-        [v.embeddings for vs in visuals for v in vs]), requires_grad=True)
+    rows = np.concatenate([v.embeddings for vs in visuals for v in vs])
     counts = [[v.n_tokens for v in vs] for vs in visuals]
     batch = splice_batch(texts, counts, rows, tab, 64)
     weights = np.random.default_rng(2).standard_normal(batch.embeddings.shape)
-    tz.backward(sum_all(mul(batch.embeddings, tz.Tensor(weights))))
+    got_rows = batch.backward(weights)
+    got_tab = tab.grad
+    tab.zero_grad()
+    rows_node = tz.Tensor(rows, requires_grad=True)
+    composed = oracle.splice_batch(texts, counts, rows_node, tab, 64)
+    assert composed.embeddings.data.tobytes() == batch.embeddings.tobytes()
+    tz.backward(sum_all(mul(composed.embeddings, tz.Tensor(weights))))
+    assert got_rows.tobytes() == rows_node.grad.tobytes()
+    assert got_tab.tobytes() == tab.grad.tobytes()
+    # a table held outside the graph gets nothing; the rows still do
+    tab.zero_grad()
+    with tz.outside_graph([tab]):
+        assert batch.backward(weights).tobytes() == got_rows.tobytes()
+    assert tab.grad is None
+
     want_tab = np.zeros_like(tab.data)
     want_rows = []
     for b in range(len(texts)):
@@ -367,15 +386,14 @@ def test_splice_batch_gradients_scatter_into_rows_and_table():
         text = (ids != IMG_CONTEXT_ID) & (ids != PAD_ID)
         np.add.at(want_tab, ids[text], weights[b, text])
         want_rows.append(weights[b, ids == IMG_CONTEXT_ID])
-    np.testing.assert_allclose(tab.grad, want_tab, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got_tab, want_tab, rtol=0, atol=1e-12)
     # every visual row is gathered exactly once, so its gradient is exact
-    assert rows.grad.tobytes() == np.concatenate(want_rows).tobytes()
+    assert got_rows.tobytes() == np.concatenate(want_rows).tobytes()
 
 
 def test_splice_batch_rejects_bad_inputs():
     tab, texts, visuals = batch_case()
-    rows = tz.Tensor(np.concatenate(
-        [v.embeddings for vs in visuals for v in vs]))
+    rows = np.concatenate([v.embeddings for vs in visuals for v in vs])
     counts = [[v.n_tokens for v in vs] for vs in visuals]
     with pytest.raises(ContractError):
         splice_batch([], [], rows, tab, 64)

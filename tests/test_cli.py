@@ -6,10 +6,11 @@ import os
 import numpy as np
 import pytest
 
+from tilefusion import experiment
 from tilefusion.cli import main
 from tilefusion.datagen import load_dataset
-from tilefusion.experiment import build_pipeline_config, load_config, \
-    planned_patches
+from tilefusion.experiment import build_pipeline_config, build_task_spec, \
+    load_config, planned_patches
 from tilefusion.model import Pipeline
 from tilefusion.tiling import ImageBuffer
 
@@ -128,6 +129,24 @@ class TestTrainEval:
         path = write_cfg(tmp_path, tiny_cfg())
         assert main(["train", "--config", path]) == 0
         assert "eval accuracy:" in capsys.readouterr().out
+
+    def test_seed_override_leaves_the_task_data(self, tmp_path,
+                                                monkeypatch):
+        # train --seed replaces the top-level seed alone (the init and
+        # the batch order); the task, and so the data, stay the config's
+        cfg = tiny_cfg()
+        path = write_cfg(tmp_path, cfg)
+        specs, seeds = [], []
+        generate, pipeline = experiment.generate, experiment.Pipeline
+        monkeypatch.setattr(experiment, "generate",
+                            lambda spec: specs.append(spec) or generate(spec))
+        monkeypatch.setattr(
+            experiment, "Pipeline",
+            lambda model, seed: seeds.append(seed) or pipeline(model, seed))
+        assert main(["train", "--config", path, "--seed", "11"]) == 0
+        assert specs == [build_task_spec(cfg["task"])]
+        assert specs[0].seed == cfg["task"]["seed"] == 5
+        assert seeds == [11]
 
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         cfg = tiny_cfg()

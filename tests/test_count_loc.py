@@ -1,5 +1,6 @@
 """tools/count_loc.py counts code lines, never docstrings or comments,
-and with --against REV each file's change since a git revision."""
+and with --against REV each file's change since a git revision, with a
+subtotal per path when given several."""
 
 import subprocess
 import sys
@@ -78,3 +79,37 @@ def test_against_a_revision_prints_each_files_change(tmp_path, capsys):
         "     3     +1  total",
     ]
     assert count_loc.main([str(src), "--against", "no-such-rev"]) == 1
+
+
+def test_against_with_several_paths_prints_each_subtotal(tmp_path, capsys):
+    # code moved from src/ to tests/ shows on both sides of one call
+    repo = tmp_path / "repo"
+    src, tests = repo / "src", repo / "tests"
+    src.mkdir(parents=True)
+    tests.mkdir()
+    git(repo, "init", "-q")
+    (src / "ops.py").write_text("a = 1\nb = 2\nc = 3\n")
+    (tests / "test_ops.py").write_text("t = 1\n")
+    git(repo, "add", "-A")
+    git(repo, "commit", "-q", "-m", "first")
+    (src / "ops.py").write_text("a = 1\n")
+    (tests / "oracle.py").write_text("b = 2\nc = 3\n")
+
+    assert count_loc.main([str(src), str(tests), "--against", "HEAD"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "     1     -2  src/ops.py",
+        "     1     -2  src subtotal",
+        "     2     +2  tests/oracle.py",
+        "     1     +0  tests/test_ops.py",
+        "     3     +2  tests subtotal",
+        "     4     +0  total",
+    ]
+    # a file that two paths hold counts once, under the first
+    assert count_loc.main([str(src), str(src / "ops.py"),
+                           "--against", "HEAD"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "     1     -2  src/ops.py",
+        "     1     -2  src subtotal",
+        "     0     +0  src/ops.py subtotal",
+        "     1     -2  total",
+    ]

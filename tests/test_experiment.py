@@ -16,7 +16,6 @@ from tilefusion.errors import ConfigError
 from tilefusion.experiment import (
     CSV_COLUMNS,
     ablate,
-    build_encoder_config,
     build_pipeline_config,
     build_stage_plans,
     build_task_spec,
@@ -25,11 +24,12 @@ from tilefusion.experiment import (
     run_experiment,
     report_to_csv,
     report_to_json,
-    validate_experiment_config,
-    validate_matrix,
     write_report,
 )
 from tilefusion.training import read_metrics
+
+from config_checks import (build_encoder_config, validate_experiment_config,
+                           validate_matrix)
 
 
 def tiny_cfg():

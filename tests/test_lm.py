@@ -25,7 +25,6 @@ from tilefusion.assembly import (
     SequenceBatch,
     build_prompt,
     splice,
-    splice_batch,
 )
 from tilefusion.errors import (
     BudgetError,
@@ -36,7 +35,10 @@ from tilefusion.errors import (
 from tilefusion import lm as lm_module
 from tilefusion.lm import KVCache, LanguageModel, LMConfig
 
-from per_image_oracle import reference_loss, uncached_greedy
+import per_image_oracle as oracle
+from oracle_ops import concat, embedding_lookup
+from per_image_oracle import (arrays, lm_loss_node, reference_loss,
+                              uncached_greedy)
 
 TOK = ByteTokenizer()
 
@@ -47,11 +49,11 @@ def small_lm(d=8, layers=1, heads=2, context=64, seed=0):
 
 
 def text_batch(lm, prompt_ids, answer_ids, context_limit):
-    """A one-row pure-text batch from the training assembler
-    (splice_batch), so lm.embed takes part in the graph."""
+    """A one-row pure-text batch from the composed training assembler
+    (oracle.splice_batch), so lm.embed takes part in the graph."""
     no_rows = tz.Tensor(np.zeros((0, lm.cfg.d_lm)))
-    return splice_batch([(prompt_ids, answer_ids)], [[]], no_rows, lm.embed,
-                        context_limit)
+    return oracle.splice_batch([(prompt_ids, answer_ids)], [[]], no_rows,
+                               lm.embed, context_limit)
 
 
 def text_sequence(lm, prompt, answer):
@@ -62,7 +64,7 @@ def text_sequence(lm, prompt, answer):
 def raw_sequence(lm, length, rng):
     """One row of random ids and their embeddings, with no loss."""
     ids = rng.integers(0, 256, size=(1, length))
-    return SequenceBatch(tz.embedding_lookup(lm.embed, ids), ids,
+    return SequenceBatch(embedding_lookup(lm.embed, ids), ids,
                          np.zeros((1, length), dtype=bool))
 
 
@@ -83,21 +85,21 @@ def test_single_position_logits_no_loss():
     lm = small_lm()
     rng = np.random.default_rng(0)
     seq = raw_sequence(lm, 1, rng)
-    assert lm.forward(seq).shape == (1, 1, VOCAB_SIZE)
+    assert lm.forward(arrays(seq)).shape == (1, 1, VOCAB_SIZE)
     assert reference_loss(lm, seq).item() == 0.0
 
 
 def test_logit_shape_matches_length():
     lm = small_lm()
     seq = text_sequence(lm, "hello", "world")
-    assert lm.forward(seq).shape == (1, seq.length, VOCAB_SIZE)
+    assert lm.forward(arrays(seq)).shape == (1, seq.length, VOCAB_SIZE)
 
 
 def test_oversize_input_is_budget_error():
     lm = small_lm(context=8)
     rng = np.random.default_rng(1)
     with pytest.raises(BudgetError):
-        lm.forward(raw_sequence(lm, 9, rng))
+        lm.forward(arrays(raw_sequence(lm, 9, rng)))
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +120,7 @@ def test_loss_matches_hand_computed_cross_entropy():
         if p.name == "lm.head":
             p.data[...] = np.random.default_rng(5).standard_normal(p.shape) * 0.3
     seq = text_sequence(lm, "q", "ab")
-    logits = lm.forward(seq).data[0, :-1]
+    logits = lm.forward(arrays(seq))[0, :-1]
     targets = seq.token_ids[0, 1:]
     mask = seq.loss_mask[0, 1:]
     rows = np.nonzero(mask)[0]
@@ -148,7 +150,7 @@ def raw_batch(lm, mask, seed):
     """Random ids and their embeddings, as one [B, L] batch."""
     mask = np.asarray(mask, dtype=bool)
     ids = np.random.default_rng(seed).integers(0, 256, size=mask.shape)
-    return SequenceBatch(tz.embedding_lookup(lm.embed, ids), ids, mask)
+    return SequenceBatch(embedding_lookup(lm.embed, ids), ids, mask)
 
 
 def loss_and_grads(lm, make_batch, loss_fn):
@@ -163,7 +165,8 @@ def assert_loss_matches_forward(lm, mask, seed):
     def make_batch():
         return raw_batch(lm, mask, seed)
 
-    got, got_grads = loss_and_grads(lm, make_batch, lm.loss)
+    got, got_grads = loss_and_grads(
+        lm, make_batch, lambda b: lm_loss_node(lm, arrays(b)))
     want, want_grads = loss_and_grads(
         lm, make_batch, lambda b: reference_loss(lm, b))
     assert abs(got - want) <= 1e-15 * abs(want)
@@ -217,16 +220,16 @@ def test_prefix_logits_bit_stable_under_suffix_edit():
         lm.head.shape) * 0.5
     rng = np.random.default_rng(10)
     ids = rng.integers(0, 256, size=10)
-    base = tz.embedding_lookup(lm.embed, ids).data.copy()
+    base = lm.embed.data[ids]
     for j in [3, 7, 9]:
         bumped = base.copy()
         bumped[j] += rng.standard_normal(base.shape[1])
-        seq_a = SequenceBatch(tz.Tensor(base[None]), ids[None],
+        seq_a = SequenceBatch(base[None], ids[None],
                               np.zeros((1, 10), dtype=bool))
-        seq_b = SequenceBatch(tz.Tensor(bumped[None]), ids[None],
+        seq_b = SequenceBatch(bumped[None], ids[None],
                               np.zeros((1, 10), dtype=bool))
-        la = lm.forward(seq_a).data[0]
-        lb = lm.forward(seq_b).data[0]
+        la = lm.forward(seq_a)[0]
+        lb = lm.forward(seq_b)[0]
         assert la[:j].tobytes() == lb[:j].tobytes(), f"prefix broke at {j}"
         assert la[j:].tobytes() != lb[j:].tobytes()
 
@@ -238,11 +241,11 @@ def test_attention_rows_sum_to_one_despite_mask():
     lm.head.data[...] = np.random.default_rng(12).standard_normal(
         lm.head.shape) * 0.5
     emb = np.ones((1, 5, lm.cfg.d_lm)) * 0.3
-    seq = SequenceBatch(tz.Tensor(emb), np.zeros((1, 5), dtype=np.int64),
+    seq = SequenceBatch(emb, np.zeros((1, 5), dtype=np.int64),
                         np.zeros((1, 5), dtype=bool))
     # constant input: position t attends over t identical values, so all
     # positions see the same mix and differ only through pos embeddings
-    out = lm.forward(seq).data
+    out = lm.forward(seq)
     assert np.isfinite(out).all()
 
 
@@ -277,7 +280,7 @@ def test_lm_gradient_matches_finite_differences():
 
 def test_greedy_zero_budget_and_empty():
     lm = small_lm()
-    seq = text_sequence(lm, "q", "")
+    seq = arrays(text_sequence(lm, "q", ""))
     assert lm.greedy_decode(seq, 0) == []
     with pytest.raises(BudgetError):
         lm.greedy_decode(seq, lm.cfg.context_limit)
@@ -288,19 +291,19 @@ def test_greedy_zero_budget_and_empty():
 def test_greedy_rejects_more_than_one_row():
     lm = small_lm()
     rng = np.random.default_rng(2)
-    two = raw_batch(lm, np.zeros((2, 4)), 3)
+    two = arrays(raw_batch(lm, np.zeros((2, 4)), 3))
     with pytest.raises(ContractError):
         lm.greedy_decode(two, 1)
-    assert lm.greedy_decode(raw_sequence(lm, 4, rng), 1)
+    assert lm.greedy_decode(arrays(raw_sequence(lm, 4, rng)), 1)
 
 
 def test_greedy_is_deterministic():
     lm = small_lm(seed=15)
     lm.head.data[...] = np.random.default_rng(16).standard_normal(
         lm.head.shape) * 0.5
-    seq = text_sequence(lm, "abc", "")
+    seq = arrays(text_sequence(lm, "abc", ""))
     a = lm.greedy_decode(seq, 5)
-    b = lm.greedy_decode(text_sequence(lm, "abc", ""), 5)
+    b = lm.greedy_decode(arrays(text_sequence(lm, "abc", "")), 5)
     assert a == b and len(a) == 5
 
 
@@ -308,7 +311,7 @@ def test_greedy_ties_pick_lowest_id():
     lm = small_lm(seed=17)
     # zero the head: every logit equal, so argmax must return id 0
     lm.head.data[...] = 0.0
-    seq = text_sequence(lm, "x", "")
+    seq = arrays(text_sequence(lm, "x", ""))
     assert lm.greedy_decode(seq, 1) == [0]
 
 
@@ -331,7 +334,7 @@ def test_overfit_one_sample_then_decode_it():
     probe = splice(TOK.encode(prompt), [], [], lm.embed, 32)
     # drop the trailing EOS the empty answer produced; keep BOS + prompt
     trimmed = SequenceBatch(
-        tz.slice_axis(probe.embeddings, 1, 0, probe.length - 1),
+        probe.embeddings[:, :-1],
         probe.token_ids[:, :-1],
         probe.loss_mask[:, :-1],
     )
@@ -352,14 +355,14 @@ def random_head_lm(seed, layers=2, context=64):
 
 
 def one_token(lm, token_id):
-    return SequenceBatch(tz.embedding_lookup(lm.embed, [[token_id]]),
+    return SequenceBatch(embedding_lookup(lm.embed, [[token_id]]),
                          [[token_id]], [[False]])
 
 
 def grown(seq, token_id, lm):
     step = one_token(lm, token_id)
     return SequenceBatch(
-        tz.concat([seq.embeddings, step.embeddings], axis=1),
+        concat([seq.embeddings, step.embeddings], axis=1),
         np.concatenate([seq.token_ids, step.token_ids], axis=1),
         np.concatenate([seq.loss_mask, step.loss_mask], axis=1))
 
@@ -371,7 +374,7 @@ def test_cached_steps_match_uncached_forward(seed, prompt_len):
     full = raw_sequence(lm, prompt_len, rng)
     cache = KVCache()
     first = lm.decode_step(full.embeddings.data, cache)
-    want = lm.forward(full).data[0, -1]
+    want = lm.forward(arrays(full))[0, -1]
     assert first.shape == (VOCAB_SIZE,)
     assert tz.relative_error(first, want) <= 1e-12
     if prompt_len == 1:  # queries_from is 0: forward's own arithmetic
@@ -381,7 +384,7 @@ def test_cached_steps_match_uncached_forward(seed, prompt_len):
         step = lm.decode_step(one_token(lm, int(token_id)).embeddings.data,
                               cache)
         full = grown(full, int(token_id), lm)
-        want = lm.forward(full).data[0, -1]
+        want = lm.forward(arrays(full))[0, -1]
         assert step.shape == (VOCAB_SIZE,)
         assert tz.relative_error(step, want) <= 1e-12
         assert cache.length == full.length
@@ -390,7 +393,7 @@ def test_cached_steps_match_uncached_forward(seed, prompt_len):
 def test_cached_decode_equals_uncached_greedy_loop():
     for seed in (23, 24, 25):
         lm = random_head_lm(seed)
-        seq = text_sequence(lm, f"prompt {seed}", "")
+        seq = arrays(text_sequence(lm, f"prompt {seed}", ""))
         want = uncached_greedy(lm, seq, 8)
         assert len(want) == 8
         assert lm.greedy_decode(seq, 8) == want
@@ -400,7 +403,7 @@ def test_multi_token_continuation_matches_full_rows():
     lm = random_head_lm(26)
     rng = np.random.default_rng(27)
     seq = raw_sequence(lm, 11, rng)
-    full = lm.forward(seq).data[0]
+    full = lm.forward(arrays(seq))[0]
     cache = KVCache()
     for a, b in ((0, 4), (4, 9), (9, 11)):
         got = lm.decode_step(seq.embeddings.data[:, a:b], cache)
@@ -470,6 +473,7 @@ def test_greedy_budget_counts_only_the_positions_it_runs(monkeypatch):
     lengths = spy_step_rows(monkeypatch)
     lm = random_head_lm(31, context=8)
     prompt = raw_sequence(lm, 6, np.random.default_rng(32))
+    prompt = arrays(prompt)
     assert len(lm.greedy_decode(prompt, 3)) == 3
     assert lengths == [6, 1, 1]
     assert sum(lengths) == 8
@@ -481,7 +485,7 @@ def test_greedy_budget_counts_only_the_positions_it_runs(monkeypatch):
 def test_greedy_runs_prompt_once_then_one_position_per_token(monkeypatch):
     lengths = spy_step_rows(monkeypatch)
     lm = random_head_lm(30)
-    seq = text_sequence(lm, "count", "")
+    seq = arrays(text_sequence(lm, "count", ""))
     emitted = lm.greedy_decode(seq, 5)
     assert len(emitted) == 5
     assert lengths == [seq.length] + [1] * 4

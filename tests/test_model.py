@@ -33,7 +33,8 @@ from tilefusion.tiling import ImageBuffer
 from tilefusion.training import snapshot
 
 from fusion_oracle import provenance
-from per_image_oracle import branch_tokens, uncached_batch
+from per_image_oracle import (branch_tokens, uncached_batch, uncached_loss,
+                              uncached_tokens)
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                           "..", "configs")
@@ -70,8 +71,7 @@ def encode_image(pipe, img):
 
 def sample_loss(pipe, images, question, answer):
     """Training's loss for one sample, on its uncached branch tokens."""
-    return pipe.lm.loss(uncached_batch(pipe, [Sample(images, question,
-                                                     answer)]))
+    return uncached_loss(pipe, [Sample(images, question, answer)])
 
 
 def landscape_image(seed=0, h=32, w=64):
@@ -291,8 +291,8 @@ class TestForward:
         assert len(text) <= 4
 
     def test_answer_builds_no_graph(self, monkeypatch):
-        # the prompt is spliced outside the graph; every decode step
-        # then runs on plain arrays
+        # the prompt is spliced on arrays; every decode step then runs
+        # on plain arrays
         prompts, steps = [], []
         decode, step = LanguageModel.greedy_decode, LanguageModel.decode_step
 
@@ -310,8 +310,7 @@ class TestForward:
         pipe = Pipeline(desk_cfg(), seed=2)
         pipe.answer([landscape_image()], "q", max_new=4)
         [embeddings] = prompts
-        assert not embeddings.requires_grad
-        assert embeddings._prev == ()
+        assert type(embeddings) is np.ndarray
         assert steps
         for x, logits in steps:
             assert type(x) is np.ndarray and type(logits) is np.ndarray
@@ -475,11 +474,10 @@ class TestFullPipelineGradients:
         pipe.sync_token_cache()
         cached = [[pipe.frozen_tokens(img) for img in s.images]
                   for s in samples]
-        for batch in (pipe.assemble_batch(samples, cached),
-                      uncached_batch(pipe, samples)):
+        for tokens in (cached, uncached_tokens(pipe, samples)):
             for p in params:
                 p.zero_grad()
-            backward(pipe.lm.loss(batch))
+            backward(pipe.loss(samples, tokens))
             for p in params:
                 if p.name.startswith(ENCODER_PREFIXES):
                     assert p.grad is None, p.name

@@ -3,8 +3,8 @@
 Each key table in the schema doc must list exactly the keys validation
 accepts in that section, with the same JSON type and required column.
 The tables are checked against the schemas validation uses, and every
-documented key is probed through validate_experiment_config (or
-validate_matrix): a value of the wrong type must be reported with the
+documented key is probed through tests/config_checks.py's
+validate_experiment_config (or validate_matrix): a value of the wrong type must be reported with the
 documented type, and removing the key must be reported as missing
 exactly when the doc says it is required.
 """
@@ -20,6 +20,8 @@ from tilefusion.encoders import EncoderConfig
 from tilefusion.lm import LMConfig
 from tilefusion.model import PipelineConfig
 from tilefusion.training import StageConfig, TrainingConfig
+
+import config_checks
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -84,8 +86,8 @@ def problems_with(path, key, value=None, remove=False) -> list:
     else:
         section[key] = value
     if path is None:
-        return experiment.validate_matrix(cfg)
-    return experiment.validate_experiment_config(cfg)
+        return config_checks.validate_matrix(cfg)
+    return config_checks.validate_experiment_config(cfg)
 
 
 def test_every_table_is_checked():

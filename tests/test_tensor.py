@@ -4,10 +4,10 @@ The load-bearing oracle is finite differences: every differentiable
 primitive's reverse-mode gradient is checked against a central-difference
 estimate on repeated random small tensors, relative error under 1e-4 at
 eps=1e-5 in float64. Structural facts (shape algebra, inverse pairs,
-normalization) are asserted directly. reshape, permute, gelu,
-softmax_lastdim, add, mul, mul_scalar and sum_all are no longer in src/
-(nothing there runs them in a graph); they are checked here as the ops
-tests/oracle_ops.py keeps for the composed oracles and the tests.
+normalization) are asserted directly. The graph ops are no longer in
+src/ (it runs every path on arrays, inside one graph node per training
+step); they are checked here as the ops tests/oracle_ops.py keeps for
+the composed oracles and the tests.
 """
 
 import gc
@@ -24,17 +24,10 @@ from tilefusion.model import Pipeline, PipelineConfig
 from tilefusion.tensor import (
     Parameter,
     Tensor,
-    add_rowvec,
     backward,
-    concat,
-    embedding_lookup,
     finite_difference_grad,
-    layernorm,
     layernorm_forward,
-    masked_cross_entropy,
-    matmul,
     relative_error,
-    slice_axis,
     softmax_forward,
 )
 from tilefusion.tiling import ImageBuffer
@@ -42,15 +35,22 @@ from tilefusion.tiling import ImageBuffer
 from oracle_ops import (
     OPS,
     add,
+    add_rowvec,
+    concat,
+    embedding_lookup,
     gelu,
+    layernorm,
+    masked_cross_entropy,
+    matmul,
     mul,
     mul_scalar,
     permute,
     reshape,
+    slice_axis,
     softmax_lastdim,
     sum_all,
 )
-from per_image_oracle import uncached_batch
+from per_image_oracle import uncached_loss
 
 N_RANDOM_CASES = 20
 FD_EPS = 1e-5
@@ -622,9 +622,9 @@ def test_pipeline_graph_freed_without_cyclic_gc():
     img = ImageBuffer(np.random.default_rng(31).random((32, 64, 3)))
 
     def build():
-        loss = pipe.lm.loss(uncached_batch(pipe, [Sample([img], "what?",
-                                                          "ab")]))
-        return loss, loss._prev[0]
+        # the step's one node is its only interior node
+        loss = uncached_loss(pipe, [Sample([img], "what?", "ab")])
+        return loss, loss
 
     assert_freed_by_refcount(build)
 

@@ -36,7 +36,9 @@ from tilefusion.training import (
     AdamW,
     Checkpoint,
     MetricsRecord,
+    StageConfig,
     StagePlan,
+    TrainingConfig,
     batch_indices,
     config_hash,
     cosine_lr,
@@ -44,14 +46,14 @@ from tilefusion.training import (
     restore,
     run_stage,
     snapshot,
-    stage1_plan,
-    stage2_plan,
+    stage_plan,
 )
 
 import per_image_oracle as oracle
 from fusion_oracle import provenance
 from oracle_ops import add, mul_scalar
-from per_image_oracle import as_batch, pad_batch, reference_loss
+from per_image_oracle import (arrays, as_batch, lm_loss, pad_batch,
+                              reference_loss, uncached_loss)
 
 
 @dataclass
@@ -254,7 +256,7 @@ def random_grads(params, rng):
 @pytest.mark.parametrize("checkpoint", ["snapshot", "restore"])
 def test_checkpoint_keeps_optimizer_storage(checkpoint):
     model = tiny_pipe(seed=3)
-    model.set_frozen(stage2_plan(steps=1).frozen_prefixes)
+    model.set_frozen(stage_plan("stage2", steps=1).frozen_prefixes)
     opt = AdamW(model.parameters(), weight_decay=0.01)
     rng = np.random.default_rng(4)
     random_grads(opt.params, rng)
@@ -278,7 +280,7 @@ def test_checkpoint_keeps_optimizer_storage(checkpoint):
 
 class TestStagePlans:
     def test_stage1_freezes_encoders_and_lm(self):
-        plan = stage1_plan(steps=100)
+        plan = stage_plan("stage1", steps=100)
         assert set(plan.frozen_prefixes) >= {"encoderA.", "encoderB.",
                                              "lm."}
         assert plan.base_lr == 4e-4
@@ -286,13 +288,13 @@ class TestStagePlans:
         assert plan.warmup_steps == 3
 
     def test_stage2_trains_the_lm(self):
-        plan = stage2_plan(steps=200, base_lr=4e-5)
+        plan = stage_plan("stage2", steps=200, base_lr=4e-5)
         assert "lm." not in plan.frozen_prefixes
         assert set(plan.frozen_prefixes) >= {"encoderA.", "encoderB."}
         assert plan.warmup_steps == 6
 
     def test_extra_frozen_prefixes_are_kept(self):
-        plan = stage1_plan(steps=10, extra_frozen=("projectorA.",))
+        plan = stage_plan("stage1", steps=10, extra_frozen=("projectorA.",))
         assert "projectorA." in plan.frozen_prefixes
 
     def test_invalid_plans_rejected(self):
@@ -306,13 +308,13 @@ class TestStagePlans:
             StagePlan("stage2", ("encoderA.", "encoderB.", "lm."), 1e-3,
                       0.0, 10, 0)
         with pytest.raises(ConfigError):
-            stage1_plan(steps=0)
+            stage_plan("stage1", steps=0)
         with pytest.raises(ConfigError):
-            stage1_plan(steps=10, warmup_steps=11)
+            stage_plan("stage1", steps=10, warmup_steps=11)
         with pytest.raises(ConfigError):
-            stage1_plan(steps=10, base_lr=0.0)
+            stage_plan("stage1", steps=10, base_lr=0.0)
         with pytest.raises(ConfigError):
-            stage1_plan(steps=10, weight_decay=-0.1)
+            stage_plan("stage1", steps=10, weight_decay=-0.1)
 
 
 # batching
@@ -475,13 +477,14 @@ def fake_clock():
 class TestRunStage:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ContractError):
-            run_stage(stage1_plan(steps=1), tiny_pipe(), [], seed=0)
+            run_stage(stage_plan("stage1", steps=1), tiny_pipe(), [], seed=0)
 
     def test_nan_loss_aborts_with_step(self):
         pipe = tiny_pipe(seed=0)
         pipe.lm.head.data[...] = np.nan
         with pytest.raises(ContractError) as err:
-            run_stage(stage1_plan(steps=3), pipe, make_dataset(2), seed=0)
+            run_stage(stage_plan("stage1", steps=3), pipe, make_dataset(2),
+                      seed=0)
         assert "step 0" in str(err.value)
 
     def test_nan_grad_aborts_before_any_update(self, monkeypatch):
@@ -495,7 +498,8 @@ class TestRunStage:
 
         monkeypatch.setattr(tz, "backward", poisoned)
         with pytest.raises(ContractError) as err:
-            run_stage(stage1_plan(steps=3), pipe, make_dataset(2), seed=0)
+            run_stage(stage_plan("stage1", steps=3), pipe, make_dataset(2),
+                      seed=0)
         msg = str(err.value)
         assert "projectorB.w1" in msg
         assert "stage1" in msg and "step 0" in msg
@@ -503,7 +507,7 @@ class TestRunStage:
         assert all(p.requires_grad for p in pipe.parameters())
 
     def test_metrics_stream_shape(self):
-        plan = stage1_plan(steps=6, warmup_steps=2, base_lr=1e-3)
+        plan = stage_plan("stage1", steps=6, warmup_steps=2, base_lr=1e-3)
         ckpt, recs = run_stage(plan, tiny_pipe(seed=1), make_dataset(4),
                                seed=5, batch_size=2, clock=fake_clock())
         assert len(recs) == 6
@@ -516,7 +520,7 @@ class TestRunStage:
         assert ckpt.manifest["step"] == 6
 
     def test_identical_runs_give_identical_streams(self):
-        plan = stage1_plan(steps=5, warmup_steps=1, base_lr=1e-3)
+        plan = stage_plan("stage1", steps=5, warmup_steps=1, base_lr=1e-3)
         data = make_dataset(4)
         outs = []
         for _ in range(2):
@@ -530,7 +534,7 @@ class TestRunStage:
         data = make_dataset(4)
         frozen_before = param_bytes(pipe, ("encoderA.", "encoderB.", "lm."))
         proj_before = param_bytes(pipe, ("projector",))
-        plan = stage1_plan(steps=30, warmup_steps=2, base_lr=2e-3)
+        plan = stage_plan("stage1", steps=30, warmup_steps=2, base_lr=2e-3)
         _, recs = run_stage(plan, pipe, data, seed=11, batch_size=4)
         assert param_bytes(pipe, ("encoderA.", "encoderB.", "lm.")) == \
             frozen_before
@@ -543,12 +547,12 @@ class TestRunStage:
     def test_stage2_trains_projectors_and_lm(self):
         pipe = tiny_pipe(seed=4)
         data = make_dataset(4)
-        run_stage(stage1_plan(steps=10, warmup_steps=1, base_lr=2e-3),
+        run_stage(stage_plan("stage1", steps=10, warmup_steps=1, base_lr=2e-3),
                   pipe, data, seed=11, batch_size=4)
         enc_before = param_bytes(pipe, ("encoderA.", "encoderB."))
         lm_before = param_bytes(pipe, ("lm.",))
         proj_before = param_bytes(pipe, ("projector",))
-        plan = stage2_plan(steps=10, warmup_steps=1, base_lr=5e-4)
+        plan = stage_plan("stage2", steps=10, warmup_steps=1, base_lr=5e-4)
         _, recs = run_stage(plan, pipe, data, seed=12, batch_size=4)
         assert param_bytes(pipe, ("encoderA.", "encoderB.")) == enc_before
         lm_after = param_bytes(pipe, ("lm.",))
@@ -558,7 +562,7 @@ class TestRunStage:
         assert recs[-1].loss < recs[0].loss
 
     def test_out_dir_writes_metrics_and_checkpoint(self, tmp_path):
-        plan = stage1_plan(steps=4, warmup_steps=1, base_lr=1e-3)
+        plan = stage_plan("stage1", steps=4, warmup_steps=1, base_lr=1e-3)
         out = str(tmp_path / "run")
         ckpt, recs = run_stage(plan, tiny_pipe(seed=5), make_dataset(2),
                                seed=6, batch_size=2, out_dir=out,
@@ -574,7 +578,7 @@ class TestRunStage:
         # a clock that reads the file: run_stage calls it at the start
         # and the end of each step, and at the start of a step the file
         # must hold every record of the steps before it
-        plan = stage1_plan(steps=5, warmup_steps=1, base_lr=1e-3)
+        plan = stage_plan("stage1", steps=5, warmup_steps=1, base_lr=1e-3)
         out = tmp_path / "run"
         out.mkdir()
         path = out / "metrics.jsonl"
@@ -598,7 +602,7 @@ class TestRunStage:
 
     def test_resume_reproduces_next_step_loss_exactly(self, tmp_path):
         data = make_dataset(4)
-        first = stage1_plan(steps=4, warmup_steps=1, base_lr=1e-3)
+        first = stage_plan("stage1", steps=4, warmup_steps=1, base_lr=1e-3)
         m1 = tiny_pipe(seed=7)
         ckpt, _ = run_stage(first, m1, data, seed=21, batch_size=2,
                             out_dir=str(tmp_path))
@@ -606,7 +610,7 @@ class TestRunStage:
         m2 = tiny_pipe(seed=8)  # different init, fully overwritten
         restore(m2, Checkpoint.load(str(tmp_path)))
 
-        cont = stage1_plan(steps=1, warmup_steps=0, base_lr=1e-3)
+        cont = stage_plan("stage1", steps=1, warmup_steps=0, base_lr=1e-3)
         _, rec1 = run_stage(cont, m1, data, seed=22, batch_size=2)
         _, rec2 = run_stage(cont, m2, data, seed=22, batch_size=2)
         assert rec1[0].loss == rec2[0].loss
@@ -618,7 +622,7 @@ def test_gapped_trainable_set_trains_only_its_own_slices():
     # post-channel orders projectorA, projectorB, fusion.down: freezing
     # projectorB leaves a gap inside the trained set
     model = Pipeline(equal_token_cfg("post-channel"), seed=5)
-    plan = stage1_plan(steps=3, warmup_steps=1, base_lr=2e-3,
+    plan = stage_plan("stage1", steps=3, warmup_steps=1, base_lr=2e-3,
                        extra_frozen=("projectorB.",))
     model.set_frozen(plan.frozen_prefixes)
     trained = [k for k, p in enumerate(model.parameters()) if not p.frozen]
@@ -682,8 +686,8 @@ def equal_token_cfg(fusion):
 ], ids=["post-interleave", "post-channel", "pre-sequence", "B-only"])
 def test_cached_tokens_match_uncached_oracle_bitwise(cfg):
     data = mixed_dataset()
-    plans = [stage1_plan(steps=4, warmup_steps=1, base_lr=2e-3),
-             stage2_plan(steps=4, warmup_steps=1, base_lr=5e-4)]
+    plans = [stage_plan("stage1", steps=4, warmup_steps=1, base_lr=2e-3),
+             stage_plan("stage2", steps=4, warmup_steps=1, base_lr=5e-4)]
     fast, slow = Pipeline(cfg, seed=5), Pipeline(cfg, seed=5)
     encoders = ("encoderA.", "encoderB.")
     enc_before = param_bytes(fast, encoders)
@@ -722,7 +726,7 @@ def trainable_grads(model, loss):
 
 def stage2_model():
     model = Pipeline(tiny_cfg(ctx=192), seed=5)
-    model.set_frozen(stage2_plan(steps=1).frozen_prefixes)
+    model.set_frozen(stage_plan("stage2", steps=1).frozen_prefixes)
     return model
 
 
@@ -757,15 +761,15 @@ def test_padding_does_not_leak_into_a_shorter_sample():
     short, long_a, long_b = seqs[1], seqs[0], seqs[2]
     assert short.length < long_a.length == long_b.length
     n = short.length
-    alone = model.lm.forward(as_batch(short)).data[0]
-    beside_a = model.lm.forward(pad_batch([short, long_a])).data
-    beside_b = model.lm.forward(pad_batch([long_b, short])).data
+    alone = model.lm.forward(arrays(as_batch(short)))[0]
+    beside_a = model.lm.forward(arrays(pad_batch([short, long_a])))
+    beside_b = model.lm.forward(arrays(pad_batch([long_b, short])))
     # at one padded length, nothing of the partner reaches the short rows
     assert beside_a[0, :n].tobytes() == beside_b[1, :n].tobytes()
     assert tz.relative_error(beside_a[0, :n], alone) <= 1e-13
     # an unpadded sample's rows are bitwise its unbatched rows
     assert beside_a[1].tobytes() == \
-        model.lm.forward(as_batch(long_a)).data[0].tobytes()
+        model.lm.forward(arrays(as_batch(long_a)))[0].tobytes()
 
 
 def test_batched_loss_gradient_matches_finite_differences():
@@ -796,7 +800,7 @@ def test_lm_loss_matches_forward_loss(data):
     model = stage2_model()
     want_loss = batched_mean(model, data)
     want = trainable_grads(model, want_loss)
-    got_loss = model.lm.loss(oracle.uncached_batch(model, data))
+    got_loss = uncached_loss(model, data)
     got = trainable_grads(model, got_loss)
     assert abs(got_loss.item() - want_loss.item()) <= \
         1e-15 * want_loss.item()
@@ -823,7 +827,7 @@ LAYOUTS = {
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
 def test_batched_image_side_matches_per_image_oracle(layout):
     model = Pipeline(LAYOUTS[layout], seed=5)
-    model.set_frozen(stage2_plan(steps=1).frozen_prefixes)
+    model.set_frozen(stage_plan("stage2", steps=1).frozen_prefixes)
     data = mixed_dataset()
     model.sync_token_cache()
     tokens = [[model.frozen_tokens(img) for img in s.images] for s in data]
@@ -846,18 +850,61 @@ def test_batched_image_side_matches_per_image_oracle(layout):
 
     got = model.assemble_batch(data, tokens)
     want, _ = oracle.assemble_batch(model, data, tokens)
-    assert got.embeddings.data.tobytes() == want.embeddings.data.tobytes()
+    assert got.embeddings.tobytes() == want.embeddings.data.tobytes()
     assert got.token_ids.tobytes() == want.token_ids.tobytes()
     assert got.loss_mask.tobytes() == want.loss_mask.tobytes()
 
-    want_loss = reference_loss(model.lm, want)
+    want_loss = lm_loss(model.lm, want)
     want_grads = trainable_grads(model, want_loss)
-    got_loss = reference_loss(model.lm, got)
+    got_loss = model.loss(data, tokens)
     got_grads = trainable_grads(model, got_loss)
     assert got_loss.item().hex() == want_loss.item().hex()
     assert got_grads.keys() == want_grads.keys()
     for name, g in want_grads.items():
         assert tz.relative_error(got_grads[name], g) <= 1e-12, name
+
+
+# A training step is one graph node (Pipeline.loss): the LM's, the
+# splice's and the fusion's hand-derived backwards chained. Value and
+# every gradient must be bitwise those of the same step composed op by op
+# (oracle.uncached_batch, then oracle.lm_loss), under each freeze a
+# stage applies; frozen parameters get no gradient at all.
+STEP_LAYOUTS = {**LAYOUTS, "A-only": replace(tiny_cfg(ctx=192), encoders="A")}
+
+
+def all_grads(model, loss):
+    for p in model.parameters():
+        p.zero_grad()
+    tz.backward(loss)
+    return {p.name: None if p.grad is None else p.grad.tobytes()
+            for p in model.parameters()}
+
+
+@pytest.mark.parametrize("freeze", ["stage1", "stage2",
+                                    "freeze_vision_adapters"])
+@pytest.mark.parametrize("layout", sorted(STEP_LAYOUTS))
+def test_step_is_one_node_equal_to_composed_oracle_bitwise(layout, freeze):
+    model = Pipeline(STEP_LAYOUTS[layout], seed=5)
+    params = model.parameters()
+    training = TrainingConfig(
+        StageConfig(steps=1), StageConfig(steps=1),
+        freeze_vision_adapters=freeze == "freeze_vision_adapters")
+    plans, _ = training.plans([p.name for p in params])
+    model.set_frozen((plans[-1] if freeze == "stage2" else plans[0])
+                     .frozen_prefixes)
+    data = mixed_dataset()
+    with tz.outside_graph([p for p in params if p.frozen]):
+        got = oracle.uncached_loss(model, data)
+        got_grads = all_grads(model, got)
+        want = lm_loss(model.lm, oracle.uncached_batch(model, data))
+        want_grads = all_grads(model, want)
+    assert got.item().hex() == want.item().hex()
+    assert got_grads == want_grads
+    for p in params:
+        assert (got_grads[p.name] is None) == p.frozen, p.name
+    # the step's node is the graph's only non-leaf node
+    assert got._prev == tuple(params)
+    assert not any(p._prev for p in got._prev)
 
 
 # answer splices one sample through the one-row array assembler
@@ -889,7 +936,7 @@ def test_answer_prompt_matches_per_image_oracle(layout, monkeypatch):
         seq, want_vis = oracle.assemble(model, s.images, s.question, "")
         L = seq.length - 1
         assert seq.token_ids[L] == EOS_ID
-        assert got.embeddings.data.tobytes() == \
+        assert got.embeddings.tobytes() == \
             seq.embeddings.data[None, :L].tobytes()
         assert got.token_ids.tobytes() == seq.token_ids[None, :L].tobytes()
         assert got.loss_mask.tobytes() == seq.loss_mask[None, :L].tobytes()
@@ -897,7 +944,7 @@ def test_answer_prompt_matches_per_image_oracle(layout, monkeypatch):
         assert [(v.embeddings.tobytes(), provenance(v))
                 for v in seen.pop()] == \
             [(v.embeddings.data.tobytes(), provenance(v)) for v in want_vis]
-        want = SequenceBatch(tz.Tensor(seq.embeddings.data[None, :L]),
+        want = SequenceBatch(seq.embeddings.data[None, :L],
                              seq.token_ids[None, :L],
                              seq.loss_mask[None, :L])
         want_ids = oracle.uncached_greedy(model.lm, want, 4, eos_id=EOS_ID)
@@ -922,8 +969,8 @@ class EncodeSpy:
 
 def cache_plans():
     # batch_size = len(data) below: every step draws every sample
-    return [stage1_plan(steps=2, warmup_steps=1, base_lr=2e-3),
-            stage2_plan(steps=2, warmup_steps=1, base_lr=5e-4)]
+    return [stage_plan("stage1", steps=2, warmup_steps=1, base_lr=2e-3),
+            stage_plan("stage2", steps=2, warmup_steps=1, base_lr=5e-4)]
 
 
 def distinct_images(data):
@@ -1085,7 +1132,7 @@ def answer_prompts(monkeypatch, model, samples, max_new=4):
         for s in samples:
             text = model.answer(s.images, s.question, max_new=max_new)
             batch = prompts.pop()
-            out.append((text, batch.embeddings.data.tobytes(),
+            out.append((text, batch.embeddings.tobytes(),
                         batch.token_ids.tobytes(),
                         batch.loss_mask.tobytes()))
     return out
@@ -1100,7 +1147,8 @@ def test_answer_matches_uncached_branch_tokens_path(monkeypatch):
     spec = build_task_spec({**cfg["task"], "n_train": 24, "n_eval": 24})
     data = generate(spec)
     model = Pipeline(build_pipeline_config(cfg["model"]), seed=cfg["seed"])
-    ckpt, _ = run_stage(stage1_plan(steps=2, warmup_steps=1, base_lr=3e-3),
+    ckpt, _ = run_stage(stage_plan("stage1", steps=2, warmup_steps=1,
+                                   base_lr=3e-3),
                         model, data.train, seed=3, batch_size=8)
     uncached = Pipeline(model.cfg, seed=cfg["seed"])
     restore(uncached, ckpt)

@@ -1,13 +1,12 @@
 """The fused transformer block against its composed oracle.
 
-transformer.run_block is one graph node with a hand-derived backward;
+transformer.block_forward runs the block on arrays with a hand-derived
+backward, which the tests make one graph node (fused_block);
 tests/block_oracle.py builds the same block from tensor primitives.
 The two must agree bitwise, output and every gradient, with and without
 a mask, with queries_from > 0, after a pre-filled KV cache, and with
-some parameters left out of the graph. run_block takes no cache, so
-the cached cases run block_forward's output and backward as the same
-one node (fused_block). Finite differences check the fused node's
-gradients independently of both backward passes.
+some parameters left out of the graph. Finite differences check the
+fused node's gradients independently of both backward passes.
 """
 
 import tracemalloc
@@ -20,8 +19,7 @@ from oracle_ops import mul, sum_all
 from test_tensor import assert_freed_by_refcount
 from tilefusion import tensor as tz
 from tilefusion.errors import DimensionError
-from tilefusion.transformer import (KVCache, block_forward, init_block,
-                                    run_block)
+from tilefusion.transformer import KVCache, block_forward, init_block
 
 HEADS = 2
 D = 8
@@ -30,10 +28,8 @@ NEG_INF = -1e30
 
 def fused_block(x, blk, heads, mask=None, cache=None, layer=0,
                 queries_from=0):
-    """run_block, or, after a cache, block_forward as one graph node the
-    way run_block makes it."""
-    if cache is None:
-        return run_block(x, blk, heads, mask, queries_from)
+    """block_forward as one graph node over x and the block's
+    parameters."""
     data, backward = block_forward(x.data, blk, heads, mask, cache, layer,
                                    queries_from)
     out = tz._make(data, (x,) + tuple(blk.values()))
@@ -135,10 +131,10 @@ def test_fused_block_accumulates_only_into_what_requires_grad():
 def test_fused_block_rejects_bad_mask_and_query_range():
     x, blk, _ = make_case(n=2, t=4)
     with pytest.raises(DimensionError):
-        run_block(x, blk, HEADS, np.zeros((2, HEADS, 3, 4)))
+        fused_block(x, blk, HEADS, np.zeros((2, HEADS, 3, 4)))
     for queries_from in (-1, 4):
         with pytest.raises(DimensionError):
-            run_block(x, blk, HEADS, queries_from=queries_from)
+            fused_block(x, blk, HEADS, queries_from=queries_from)
 
 
 def test_fused_block_graph_freed_without_cyclic_gc():
@@ -158,11 +154,11 @@ def test_block_forward_allocates_no_second_score_array():
     blk = init_block("blk", D, rng)
     x = tz.Tensor(rng.standard_normal((1, t, D)))
     with tz.outside_graph(blk.values()):
-        run_block(x, blk, HEADS)  # warm numpy's caches outside the trace
+        fused_block(x, blk, HEADS)  # warm numpy's caches outside the trace
         scores_nbytes = 1 * HEADS * t * t * 8
         tracemalloc.start()
         try:
-            out = run_block(x, blk, HEADS)
+            out = fused_block(x, blk, HEADS)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -8,11 +8,14 @@ tokenizer. A string literal inside code counts every line it spans.
     python3 tools/count_loc.py            # every .py file under src/
     python3 tools/count_loc.py src/tilefusion/lm.py tools
     python3 tools/count_loc.py --against HEAD~1
+    python3 tools/count_loc.py --against HEAD~1 src tests
 
 Prints one line per file and a total line last. With --against REV it
 also prints, beside each count, the change against the same paths at
 git revision REV, whose files it reads with git show, so no second
 checkout is needed; a file only one side has counts 0 on the other.
+Given several paths, it prints a subtotal after each path's files, so
+code moved from one path to another shows on both sides.
 """
 
 import argparse
@@ -58,24 +61,34 @@ def git(top, *args) -> str:
 
 
 def print_deltas(paths, rev: str) -> None:
-    """Each file's code lines and their change since rev, then the
-    total; files are named relative to their repository's top."""
+    """Each file's code lines and their change since rev, then, given
+    more than one path, each path's subtotal, then the total; files are
+    named relative to their repository's top, and a file that two paths
+    hold counts under the first."""
     paths = [Path(p).resolve() for p in paths]
     first = paths[0] if paths[0].is_dir() else paths[0].parent
     top = Path(git(first, "rev-parse", "--show-toplevel").strip())
-    now = {path.relative_to(top).as_posix(): code_lines(path.read_text())
-           for path in python_files(paths)}
-    listed = git(top, "ls-tree", "-r", "--name-only", rev, "--",
-                 *(p.relative_to(top).as_posix() for p in paths))
-    then = {name: code_lines(git(top, "show", f"{rev}:{name}"))
-            for name in listed.splitlines() if name.endswith(".py")}
+    seen = set()
     total = delta = 0
-    for name in sorted(now.keys() | then.keys()):
-        n = now.get(name, 0)
-        d = n - then.get(name, 0)
-        total += n
-        delta += d
-        print(f"{n:6d} {d:+6d}  {name}")
+    for path in paths:
+        rel = path.relative_to(top).as_posix()
+        now = {f.relative_to(top).as_posix(): code_lines(f.read_text())
+               for f in python_files([path])}
+        listed = git(top, "ls-tree", "-r", "--name-only", rev, "--", rel)
+        then = {name: code_lines(git(top, "show", f"{rev}:{name}"))
+                for name in listed.splitlines() if name.endswith(".py")}
+        count = change = 0
+        for name in sorted((now.keys() | then.keys()) - seen):
+            n = now.get(name, 0)
+            d = n - then.get(name, 0)
+            count += n
+            change += d
+            print(f"{n:6d} {d:+6d}  {name}")
+        seen |= now.keys() | then.keys()
+        if len(paths) > 1:
+            print(f"{count:6d} {change:+6d}  {rel} subtotal")
+        total += count
+        delta += change
     print(f"{total:6d} {delta:+6d}  total")
 
 
