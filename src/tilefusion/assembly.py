@@ -139,7 +139,7 @@ class SequenceBatch:
 
 
 def splice(prompt_ids, answer_ids, visual: list[VisualSequence],
-           embed_table: tz.Tensor, context_limit: int) -> SequenceBatch:
+           embed_table: tz.Parameter, context_limit: int) -> SequenceBatch:
     """Assemble [BOS] + prompt + answer + [EOS] with markers expanded, as
     a one-row batch: splice_batch of one sample.
 
@@ -191,7 +191,7 @@ def _layout(prompt_ids, answer_ids, counts, context_limit: int):
 
 
 def splice_batch(texts, visual_counts, rows: np.ndarray,
-                 embed_table: tz.Tensor, context_limit: int) -> SequenceBatch:
+                 embed_table: tz.Parameter, context_limit: int) -> SequenceBatch:
     """Splice B samples into one right-padded batch, on arrays.
 
     texts[b] is sample b's (prompt_ids, answer_ids); visual_counts[b]
@@ -201,8 +201,8 @@ def splice_batch(texts, visual_counts, rows: np.ndarray,
     order. A text position takes its id's row of embed_table.data; a
     pad has a zero row, PAD_ID and no loss. Each sample follows
     splice's rules (markers, loss mask, budget). The batch's backward(g)
-    scatter-adds the text positions' gradient into embed_table, if it
-    requires grad, and returns the [R, d] gradient of rows.
+    scatter-adds the text positions' gradient into embed_table, unless
+    it is frozen, and returns the [R, d] gradient of rows.
     """
     if not texts:
         raise ContractError("cannot batch zero sequences")
@@ -240,7 +240,7 @@ def splice_batch(texts, visual_counts, rows: np.ndarray,
     embeddings[visual] = rows
 
     def backward(g):
-        if embed_table.requires_grad:
+        if not embed_table.frozen:
             # position order, as the composed lookup's scatter-add
             g_table = np.zeros_like(table)
             np.add.at(g_table, text_ids, g[text])

@@ -10,9 +10,9 @@ channels] rows the projectors read.
 
 Every training stage freezes both encoders, so they are forward-only
 array code: encode runs on the parameters' arrays (the block through
-transformer.block_forward), builds no graph node, and returns an
-ndarray. No gradient ever reaches an encoder parameter; the projectors
-wrap a branch's rows as a constant Tensor.
+transformer.block_forward), keeps no backward, and returns an ndarray.
+No gradient ever reaches an encoder parameter; the projectors read a
+branch's rows as a constant array.
 
 A branch may declare an input filter that keeps only the coarse 8-bit
 block structure (lowpass) or only the within-block detail (highpass).

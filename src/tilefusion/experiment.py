@@ -203,17 +203,18 @@ def _check_channel_stats(enc, problems, prefix):
 
 
 def _check_experiment(cfg, problems, prefix):
-    """An experiment's id is a plain name, and it scores at least one
-    eval sample (a task on its own may have none)."""
+    """An experiment's id is a plain name, and it trains on at least one
+    sample and scores at least one (a task on its own may have none)."""
     cid = cfg.get("config_id")
     if isinstance(cid, str) and (not cid or set(cid) - _ID_CHARS):
         problems.append(
             f"{prefix}config_id: use letters, digits, '_' or '-' only")
-    task = cfg.get("task")
-    n_eval = task.get("n_eval") if isinstance(task, dict) else None
-    if _is_type(n_eval, int) and n_eval < 1:
-        problems.append(f"{prefix}task.n_eval: experiments need at "
-                        "least one eval sample")
+    task = cfg.get("task") if isinstance(cfg.get("task"), dict) else {}
+    for key, split in (("n_train", "train"), ("n_eval", "eval")):
+        n = task.get(key)
+        if _is_type(n, int) and n < 1:
+            problems.append(f"{prefix}task.{key}: experiments need at "
+                            f"least one {split} sample")
 
 
 # Rules checked on a section's JSON whether or not it builds: they are

@@ -13,14 +13,14 @@ Strategies:
   pre-channel      raw channel concat, then ONE shared projector
 
 Branch tokens are frozen encoder output after pixel unshuffle:
-[n_tiles, tokens, channels] arrays, outside every graph. project and
+[n_tiles, tokens, channels] arrays that no gradient reaches. project and
 fuse_pre read them as [n_tiles * tokens, channels] rows, tile-major.
 Every function here runs on arrays and returns a VisualSequence whose
 embeddings are an ndarray and whose backward, given those embeddings'
 gradient, accumulates into each projector and fusion.down parameter
-that requires grad (the branch tokens are constants, so it returns
+that is not frozen (the branch tokens are constants, so it returns
 nothing). Answering drops the backward; training calls it at the end
-of the step's one backward chain (Pipeline.assemble_batch,
+of the step's one backward closure (Pipeline.assemble_batch,
 Pipeline.loss). The backward is derived by hand in the order of the
 composed-op graph that tests/fusion_oracle.py keeps as the oracle, and
 equals it bitwise.
@@ -84,14 +84,14 @@ class VisualSequence:
 
 
 def _weight_grad(w: tz.Parameter, a: np.ndarray, g: np.ndarray) -> None:
-    """Accumulate a.T @ g, w's gradient in a @ w, if w requires grad."""
-    if w.requires_grad:
+    """Accumulate a.T @ g, w's gradient in a @ w, unless w is frozen."""
+    if not w.frozen:
         tz._accum(w, a.T @ g)
 
 
 def _bias_grad(b: tz.Parameter, g: np.ndarray) -> None:
     """Accumulate g summed over its rows, the gradient of a row bias."""
-    if b.requires_grad:
+    if not b.frozen:
         tz._accum(b, g.reshape(-1, b.shape[0]).sum(axis=0))
 
 
@@ -115,7 +115,7 @@ class Projector:
         """(output, backward) of the MLP on constant [n, in_dim] rows.
 
         backward(g), given the output's gradient, accumulates into each
-        parameter that requires grad.
+        parameter that is not frozen.
         """
         if rows.shape[-1] != self.in_dim:
             raise DimensionError(
@@ -131,7 +131,7 @@ class Projector:
         def backward(g):
             _bias_grad(b2, g)
             _weight_grad(w2, hidden, g)
-            if w1.requires_grad or b1.requires_grad:
+            if not (w1.frozen and b1.frozen):
                 g_pre = tz.gelu_backward(g @ w2.data.T, pre, tanh)
                 _bias_grad(b1, g_pre)
                 _weight_grad(w1, rows, g_pre)

@@ -29,8 +29,8 @@ sum in another order). It returns the value and a backward that chains
 the head's, the blocks' and the positional embeddings' gradients by
 hand, in the order of the composed-op graph that
 tests/per_image_oracle.py keeps (lm_loss), which it equals bitwise, and
-ends in batch.backward; Pipeline.loss makes the whole chain one graph
-node.
+ends in batch.backward; Pipeline.loss returns the whole chain as the
+training step's one backward closure.
 
 Decoding keeps no backward, and forward stays the uncached full-logit
 reference that the tests decode against. decode_step(x, cache) takes
@@ -157,7 +157,7 @@ class LanguageModel:
         and the head run on rows first to L - 2. With nothing
         supervised, first is L - 1: the loss is 0.0 and every gradient
         exactly zero. backward(g), given the loss's gradient,
-        accumulates into each LM parameter that requires grad, hands
+        accumulates into each LM parameter that is not frozen, hands
         the [B, L, d] gradient of batch.embeddings to batch.backward and
         returns what that returns.
         """
@@ -181,7 +181,7 @@ class LanguageModel:
         def backward(g):
             g_logits = ce_backward(g)
             g_h = np.matmul(g_logits, self.head.data.T)
-            if self.head.requires_grad:
+            if not self.head.frozen:
                 tz._accum(self.head, h.reshape(-1, h.shape[-1]).T
                           @ g_logits.reshape(-1, g_logits.shape[-1]))
             g_x = np.zeros_like(x)
@@ -189,7 +189,7 @@ class LanguageModel:
                 g_h, xhat, inv, self.norm_out_g, self.norm_out_b)
             for block_backward in reversed(backwards):
                 g_x = block_backward(g_x)
-            if self.pos.requires_grad:
+            if not self.pos.frozen:
                 g_pos = np.zeros_like(self.pos.data)
                 g_pos[:L] = g_x.sum(axis=0)
                 tz._accum(self.pos, g_pos)

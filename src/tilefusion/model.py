@@ -14,15 +14,15 @@ once, returning a VisualSequence whose backward is hand-derived
 contiguous rows of its tiles. assemble_batch splices a whole step on
 arrays (assembly.splice_batch), and loss runs the LM's loss on it
 (LanguageModel.loss): the step's forward is array code throughout, and
-its backward, the LM's, then the splice's, then the fused rows', is
-wrapped as ONE autograd node over the pipeline's parameters. answer
-fuses each of its images on its own, splices its one sample
-(assembly.splice) and decodes it (LanguageModel.greedy_decode), so
-answering builds no graph at all.
+its backward is one closure, the LM's backward, then the splice's, then
+the fused rows', that accumulates into every parameter not frozen.
+answer fuses each of its images on its own, splices its one sample
+(assembly.splice) and decodes it (LanguageModel.greedy_decode), and
+keeps no backward at all.
 
 The encoders are frozen in every stage and run forward only, on arrays
-(encoders.py): their tokens are ndarrays and never enter a graph, so no
-gradient reaches an encoder parameter. They cost one forward pass per
+(encoders.py): their tokens are ndarrays that no backward reaches, so
+no gradient reaches an encoder parameter. They cost one forward pass per
 distinct encoder input per Pipeline, across every run_stage and answer
 call. frozen_tokens keeps each branch's post-unshuffle tokens, one
 channels-last [n_tiles, tokens, channels] array, on two levels:
@@ -79,7 +79,6 @@ from .fusion import (
     project,
 )
 from .lm import LanguageModel, LMConfig
-from .tensor import Tensor, _make
 from .tiling import ImageBuffer, segment
 from .transformer import linear
 
@@ -395,16 +394,13 @@ class Pipeline:
             batch.backward = lambda g: fused.backward(rows_backward(g))
         return batch
 
-    def loss(self, samples, tokens) -> Tensor:
-        """A training step's mean loss over samples (assemble_batch,
-        then LanguageModel.loss) as one graph node over parameters(),
-        whose backward is the hand-derived chain of them all; a constant
-        when no parameter requires grad."""
-        value, backward = self.lm.loss(self.assemble_batch(samples, tokens))
-        out = _make(value, self.parameters())
-        if out.requires_grad:
-            out._backward = backward
-        return out
+    def loss(self, samples, tokens) -> tuple:
+        """(value, backward) of a training step's mean loss over samples:
+        assemble_batch, then LanguageModel.loss. backward(g) is the
+        hand-derived chain of them all, the LM's, the splice's and the
+        fused rows', and accumulates into every parameter that is not
+        frozen."""
+        return self.lm.loss(self.assemble_batch(samples, tokens))
 
     def answer(self, images, question: str, max_new: int) -> str:
         """Greedy decode an answer string for one question, on arrays.
@@ -416,9 +412,8 @@ class Pipeline:
         fused on its own (fuse_images), the prompt is spliced from the
         fused arrays and the embedding table's (splice), and
         LanguageModel.greedy_decode runs it once into a KV cache and
-        each emitted token but the last as a one-row step. No step
-        builds a graph node or touches a parameter's requires_grad or
-        grad.
+        each emitted token but the last as a one-row step. Nothing
+        here keeps a backward or touches a parameter's grad.
         """
         self.sync_token_cache()
         # splice takes one sequence per image; every shipped task has

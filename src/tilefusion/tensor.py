@@ -1,141 +1,85 @@
-"""Dense f64 tensors with reverse-mode differentiation, and the array
-formulas the hand-derived backwards share.
+"""Parameters, gradient accumulation, and the array formulas the
+hand-derived backwards share.
 
 The program differentiates on plain arrays: the projectors and fusion,
 the splice, the LM and its loss each run forward on arrays and return a
-backward derived by hand (the frozen encoders run forward only), and a
-training step (``Pipeline.loss``) chains them into ONE graph node over
-the pipeline's parameters, made with :func:`_make` and :func:`_accum`.
-Calling :func:`backward` on that scalar loss runs the chain, which
-accumulates into the parameters that require grad. The ``frozen`` flag alone does
-not cut a parameter out: only the optimizer consults it, so a frozen
-parameter used outside the block below still receives a gradient
-(gradients must flow through frozen sub-models). Inside an
-:func:`outside_graph` block the listed parameters require no grad, so
-no backward accumulates into them; ``training.run_stage`` holds its
-frozen parameters there for the whole stage. ``Pipeline.answer``
-builds no Tensor over a parameter.
+backward derived by hand (the frozen encoders run forward only). A
+training step (``Pipeline.loss``) chains those backwards into one
+closure, and :func:`backward` runs it: each link accumulates into the
+parameters it reads through :func:`_accum`, and passes its input's
+gradient on to the link before it. There is no graph: the closure
+chain is the step's whole reverse pass.
 
-Graphs are acyclic: a node refers only to its inputs (``_prev`` and the
-closure in ``_backward``), never to itself, so a step's graph is freed by
-reference counting as soon as its loss is dropped, not by the cyclic
-garbage collector. To keep it so, a backward closure receives its output
-gradient as its argument (``backward`` calls ``node._backward(node.grad)``)
-and must never capture its output tensor.
+Freezing is one flag. A frozen :class:`Parameter` takes no gradient:
+``_accum`` and every backward that could skip work check ``frozen``,
+and the optimizer leaves the parameter alone. Gradients still flow
+*through* a frozen parameter (a frozen LM still passes gradient down to
+the projectors); only the accumulation into it stops. ``Pipeline.answer``
+runs forward only and touches no parameter's grad.
+
+A step's closure refers only to what its forward computed and to the
+closures of the links before it, never to itself, so it is freed by
+reference counting as soon as the step drops it, not by the cyclic
+garbage collector.
 
 The array-level forward and backward formulas of layernorm, GELU,
 softmax and the masked cross entropy (``*_forward``/``*_backward``) are
-what the hand-derived backwards run, and what the composed Tensor ops
-of the test oracles wrap, so the two run the same arithmetic. They
-allocate no more than that arithmetic needs: layernorm computes the
-deviation from the mean once and normalizes it in place (bitwise
-numpy's mean/var), and ``softmax_forward(x, out=x)`` overwrites its
-input, so a caller that owns a megabyte score array pays for no second
-one. The composed ops themselves (matmul, layernorm, embedding lookup,
-concat, slice, cross entropy and the rest), with the ``OPS`` registry,
-live in tests/oracle_ops.py.
+what the hand-derived backwards run, and what the composed ops of the
+test oracles wrap, so the two run the same arithmetic. They allocate no
+more than that arithmetic needs: layernorm computes the deviation from
+the mean once and normalizes it in place (bitwise numpy's mean/var),
+and ``softmax_forward(x, out=x)`` overwrites its input, so a caller
+that owns a megabyte score array pays for no second one. The composed
+ops themselves, with the reverse-mode graph engine they build on, live
+in tests/oracle_ops.py.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import ContractError, DimensionError
 
 
-class Tensor:
-    """A float64 array plus an optional gradient and graph record."""
+class Parameter:
+    """A named float64 array of trained values, its gradient and its
+    freeze flag.
 
-    __slots__ = ("data", "requires_grad", "grad", "_prev", "_backward")
+    A frozen parameter takes no gradient: every backward checks the flag
+    before it accumulates (:func:`_accum`), and the optimizer skips it.
+    Gradients still flow through it to whatever is upstream. An
+    optimizer may hold ``data`` as a view into its own buffer, so code
+    that changes a parameter's values writes them in place
+    (``p.data[...] = values``) instead of rebinding ``data``.
+    """
 
-    def __init__(self, data, requires_grad: bool = False):
+    __slots__ = ("name", "data", "grad", "frozen")
+
+    def __init__(self, name: str, data, frozen: bool = False):
+        self.name = name
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self._prev: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self.frozen = frozen
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-class Parameter(Tensor):
-    """A named, trainable tensor. ``frozen`` excludes it from optimizer steps.
-
-    An optimizer may hold ``data`` as a view into its own buffer, so code
-    that changes a parameter's values writes them in place
-    (``p.data[...] = values``) instead of rebinding ``data``.
-    """
-
-    __slots__ = ("name", "frozen")
-
-    def __init__(self, name: str, data, frozen: bool = False):
-        super().__init__(data, requires_grad=True)
-        self.name = name
-        self.frozen = frozen
-
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.shape}, frozen={self.frozen})"
 
 
-@contextmanager
-def outside_graph(params):
-    """Leave params out of every graph built inside the block.
-
-    Gradients still flow through the ops that use them to whatever still
-    requires grad upstream; only the accumulation into these leaves is
-    skipped. Each parameter gets its previous ``requires_grad`` back on
-    exit, also when the block raises, so blocks nest.
-    """
-    saved = [(p, p.requires_grad) for p in params]
-    for p, _ in saved:
-        p.requires_grad = False
-    try:
-        yield
-    finally:
-        for p, flag in saved:
-            p.requires_grad = flag
-
-
-def _make(data: np.ndarray, inputs: Sequence[Tensor]) -> Tensor:
-    """Wrap an op result, recording graph edges iff any input needs grad.
-
-    The caller assigns ``out._backward`` afterwards when the result
-    requires grad.
-    """
-    out = Tensor(data)
-    for t in inputs:
-        if t.requires_grad:
-            out.requires_grad = True
-            out._prev = tuple(inputs)
-            break
-    return out
-
-
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
+def _accum(t: Parameter, g: np.ndarray) -> None:
+    """Add g to t's gradient, unless t is frozen."""
+    if t.frozen:
         return
     if t.grad is None:
-        # a fresh buffer in t.data's layout, never an alias of g (add
-        # hands one g to both inputs); 0.0 + g turns -0.0 into +0.0
+        # a fresh buffer in t.data's layout, never an alias of g (a
+        # caller may hand one g to two inputs); 0.0 + g turns -0.0 into
+        # +0.0
         t.grad = np.empty_like(t.data)
         np.add(0.0, g, out=t.grad)
     else:
@@ -190,13 +134,13 @@ def layernorm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
 
 
 def layernorm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
-                       gamma: Tensor, beta: Tensor) -> np.ndarray:
-    """Accumulate gamma's and beta's gradients (those that require
-    grad); return the gradient of the normalized input."""
+                       gamma: Parameter, beta: Parameter) -> np.ndarray:
+    """Accumulate gamma's and beta's gradients (those not frozen);
+    return the gradient of the normalized input."""
     d = xhat.shape[-1]
-    if beta.requires_grad:
+    if not beta.frozen:
         _accum(beta, g.reshape(-1, d).sum(axis=0))
-    if gamma.requires_grad:
+    if not gamma.frozen:
         _accum(gamma, (g * xhat).reshape(-1, d).sum(axis=0))
     gx = g * gamma.data
     m1 = gx.mean(axis=-1, keepdims=True)
@@ -307,53 +251,31 @@ def cross_entropy_forward(logits: np.ndarray, targets, mask) -> tuple:
 # reverse pass
 
 
-def backward(loss: Tensor, seed_grad: float = 1.0) -> None:
-    """Fill grads of every reachable requires_grad tensor with d(loss)/d(t).
+def backward(step_backward: Callable[[np.ndarray], object]) -> None:
+    """Run a training step's backward closure (``Pipeline.loss``) on the
+    loss's own gradient, 1.
 
-    Gradients accumulate across calls (per-sample graphs sharing parameter
-    leaves sum naturally); clear with ``zero_grad`` between steps.
+    Each parameter the chain reads and that is not frozen gets its
+    gradient added to ``grad``; gradients accumulate across calls, so
+    clear them between steps.
     """
-    if loss.size != 1:
-        raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if not loss.requires_grad:
-        return
-
-    # Iterative topological sort; graphs are deep enough to overflow recursion.
-    topo: list[Tensor] = []
-    visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for child in node._prev:
-            if child.requires_grad and id(child) not in visited:
-                stack.append((child, False))
-
-    _accum(loss, np.full_like(loss.data, float(seed_grad)))
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+    step_backward(np.ones(()))
 
 
-def finite_difference_grad(f: Callable[[Tensor], Tensor], x: Tensor,
-                           eps: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient estimate of a tensor->scalar function.
+def finite_difference_grad(f: Callable, x, eps: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient estimate of a scalar function of x,
+    anything whose ``data`` array f reads (a Parameter, or a test
+    oracle's tensor); f's result must convert with float().
 
     The test oracle for every differentiable primitive; independent of the
     reverse pass (only calls f forward).
     """
-    grad = finite_difference_grad_at(f, x, range(x.size), eps)
-    return grad.reshape(x.shape)
+    grad = finite_difference_grad_at(f, x, range(x.data.size), eps)
+    return grad.reshape(x.data.shape)
 
 
-def finite_difference_grad_at(f: Callable[[Tensor], Tensor], x: Tensor,
-                              flat_indices, eps: float = 1e-5) -> np.ndarray:
+def finite_difference_grad_at(f: Callable, x, flat_indices,
+                              eps: float = 1e-5) -> np.ndarray:
     """Central differences at selected flat indices only.
 
     The oracle behind finite_difference_grad; a subset lets large
@@ -361,10 +283,6 @@ def finite_difference_grad_at(f: Callable[[Tensor], Tensor], x: Tensor,
     """
     if eps <= 0:
         raise ContractError(f"eps must be positive, got {eps}")
-
-    def value(t: Tensor) -> float:
-        out = f(t)
-        return out.item() if isinstance(out, Tensor) else float(out)
 
     flat = x.data.reshape(-1) if x.data.flags["C_CONTIGUOUS"] else None
     if flat is None:
@@ -374,9 +292,9 @@ def finite_difference_grad_at(f: Callable[[Tensor], Tensor], x: Tensor,
         i = int(i)
         orig = flat[i]
         flat[i] = orig + eps
-        fp = value(x)
+        fp = float(f(x))
         flat[i] = orig - eps
-        fm = value(x)
+        fm = float(f(x))
         flat[i] = orig
         out[k] = (fp - fm) / (2.0 * eps)
     return out

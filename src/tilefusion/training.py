@@ -8,18 +8,18 @@ run_stage trains on their cached output tokens
 (Pipeline.frozen_tokens): the cache lives on the Pipeline, keyed by
 image and, on an image miss, by each branch's encoder input, so each
 encoder runs once per distinct input per Pipeline, across both
-stages, until the encoder weights change. Inside
-run_stage no frozen parameter receives a gradient, and each stage's
-AdamW holds only the parameters that stage trains, as views into its
-one flat buffer, and updates them through two preallocated scratch
-buffers of the same size.
+stages, until the encoder weights change. A frozen parameter takes no
+gradient (Parameter.frozen is the one flag every backward checks), and
+each stage's AdamW holds only the parameters that stage trains, as
+views into its one flat buffer, and updates them through two
+preallocated scratch buffers of the same size.
 
 Each step builds one right-padded [B, L, d] batch on arrays
 (Pipeline.assemble_batch: one projector/fusion pass over all the step's
 images, then one splice) and runs the LM's loss on it once
-(Pipeline.loss). The step is ONE graph node, whose backward chains the
-hand-derived backwards of the LM, the splice and the fusion, so
-tensor.backward runs one closure per step. The causal mask keeps every
+(Pipeline.loss), which returns the loss and one backward closure that
+chains the hand-derived backwards of the LM, the splice and the fusion;
+tensor.backward runs it, once per step. The causal mask keeps every
 pad out of every real position's attention, and pads carry no loss, so
 the step loss is the mean of the samples' masked losses.
 LanguageModel.loss is the loss over forward's logits up to rounding,
@@ -409,9 +409,10 @@ def snapshot(model, step: int, stage: str) -> Checkpoint:
     return Checkpoint(manifest, blob)
 
 
-def restore(model, ckpt: Checkpoint, strict: bool = True) -> None:
-    """Load a checkpoint's parameters into a freshly built model."""
-    if strict and ckpt.manifest["config_hash"] != config_hash(model.cfg):
+def restore(model, ckpt: Checkpoint) -> None:
+    """Load a checkpoint's parameters into a freshly built model of the
+    config that wrote it, with the same parameter names and shapes."""
+    if ckpt.manifest["config_hash"] != config_hash(model.cfg):
         raise ContractError("checkpoint was written by a different config")
     params = model.parameters()
     entries = ckpt.manifest["params"]
@@ -447,16 +448,17 @@ def run_stage(plan: StagePlan, model, dataset, seed: int,
 
     Every stage freezes both encoders, so each image's post-unshuffle
     tokens come from the model's token cache (Pipeline.frozen_tokens),
-    as arrays outside the graph: the encoders run once per distinct
-    encoder input per Pipeline, not per stage, and receive no gradient.
+    as arrays: the encoders run once per distinct encoder input per
+    Pipeline, not per stage, and receive no gradient.
     The cache is checked once here against a copy of the encoder
     weights and emptied if they changed. A step's samples are then
     spliced into one padded batch and run through the LM's loss in one
-    call, as one graph node (Pipeline.loss); padding on the right is
-    safe because the causal mask already hides each pad from every real
-    position. No frozen parameter accumulates a gradient during the
-    call, and the stage's AdamW, built after the freeze, holds only the
-    trainable ones; its ContractError on a
+    call (Pipeline.loss); padding on the right is safe because the
+    causal mask already hides each pad from every real position. The
+    step's backward closure runs through tensor.backward once; no
+    frozen parameter accumulates a gradient, and the stage's AdamW,
+    built after the freeze, holds only the trainable ones; its
+    ContractError on a
     non-finite gradient comes back with the stage and step added.
     When out_dir is given, metrics stream to out_dir/metrics.jsonl, opened
     once for the stage and appended to, one flushed record per step;
@@ -468,7 +470,6 @@ def run_stage(plan: StagePlan, model, dataset, seed: int,
         clock = time.perf_counter
     model.set_frozen(plan.frozen_prefixes)
     params = model.parameters()
-    frozen = [p for p in params if p.frozen]
     opt = AdamW(params, weight_decay=plan.weight_decay)
     stage_index = STAGE_NAMES.index(plan.name) + 1
 
@@ -478,7 +479,7 @@ def run_stage(plan: StagePlan, model, dataset, seed: int,
         os.makedirs(out_dir, exist_ok=True)
         metrics = open(os.path.join(out_dir, "metrics.jsonl"), "a")
     records = []
-    with metrics as metrics_file, tz.outside_graph(frozen):
+    with metrics as metrics_file:
         for step in range(plan.steps):
             t0 = clock()
             idx = batch_indices(seed, stage_index, step, len(dataset),
@@ -486,14 +487,14 @@ def run_stage(plan: StagePlan, model, dataset, seed: int,
             samples = [dataset[int(i)] for i in idx]
             tokens = [[model.frozen_tokens(img) for img in s.images]
                       for s in samples]
-            mean_loss = model.loss(samples, tokens)
-            loss = mean_loss.item()
+            value, step_backward = model.loss(samples, tokens)
+            loss = float(value)
             if not np.isfinite(loss):
                 raise ContractError(
                     f"non-finite loss {loss} at {plan.name} step {step}")
             for p in params:
-                p.zero_grad()
-            tz.backward(mean_loss)
+                p.grad = None
+            tz.backward(step_backward)
             lr = cosine_lr(step, plan.base_lr, plan.steps, plan.warmup_steps)
             try:
                 opt.step(lr)

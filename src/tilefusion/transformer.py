@@ -10,9 +10,9 @@ on its draw order: wq, wk, wv, wo, w1, w2.
 block_forward runs the block on arrays and returns, beside its output, a
 backward that keeps the activations it needs. The backward is derived by
 hand, in the order of the composed-op graph (tests/block_oracle.py,
-which it equals bitwise), accumulates into each block parameter that
-requires grad and returns x's gradient. The LM's loss chains its
-blocks' backwards inside the training step's one graph node
+which it equals bitwise), accumulates into each block parameter that is
+not frozen and returns x's gradient. The LM's loss chains its blocks'
+backwards into the training step's one backward closure
 (LanguageModel.loss, Pipeline.loss); the encoders, frozen in every
 stage, and the LM's forward and decoding keep the output alone. The
 formulas of layernorm, GELU and softmax are tensor.py's, shared with
@@ -66,7 +66,7 @@ class KVCache:
     position run so far; filled by block_forward, length kept by
     LanguageModel.decode_step.
 
-    The cache holds plain arrays, not Tensors: decoding is forward-only
+    The cache holds plain arrays: decoding is forward-only
     array code, and block_forward's backward after a cache treats the
     earlier positions' keys and values as constants.
     """
@@ -99,8 +99,8 @@ def block_forward(x: np.ndarray, blk: dict, heads: int,
     rows queries_from: are queries, so the output is [N, T - queries_from,
     d]. mask, if given, is additive and [N, heads, T, S]; the block uses
     its rows queries_from:. layer indexes the cache. backward(g), given
-    the output's gradient, accumulates into each block parameter that
-    requires grad and returns x's gradient; the encoders, which are
+    the output's gradient, accumulates into each block parameter that is
+    not frozen and returns x's gradient; the encoders, which are
     frozen, keep the output alone.
     """
     n, t, d = x.shape
@@ -146,17 +146,17 @@ def block_forward(x: np.ndarray, blk: dict, heads: int,
 
     def weight_grad(name, a, g):  # a: [..., fan_in], g: [..., fan_out]
         w = blk[name]
-        if w.requires_grad:
+        if not w.frozen:
             tz._accum(w, a.reshape(-1, a.shape[-1]).T
                       @ g.reshape(-1, g.shape[-1]))
 
     def backward(g):
         weight_grad("w2", hidden, g)
-        if blk["b2"].requires_grad:
+        if not blk["b2"].frozen:
             tz._accum(blk["b2"], g.reshape(-1, d).sum(axis=0))
         g_pre = tz.gelu_backward(np.matmul(g, p["w2"].T), pre, tanh)
         weight_grad("w1", h2, g_pre)
-        if blk["b1"].requires_grad:
+        if not blk["b1"].frozen:
             tz._accum(blk["b1"], g_pre.reshape(-1, 4 * d).sum(axis=0))
         g_x1 = tz.layernorm_backward(np.matmul(g_pre, p["w1"].T), xhat2,
                                      inv2, blk["norm2.g"], blk["norm2.b"])

@@ -9,10 +9,9 @@ cache's earlier keys and values enter the graph as constants.
 
 import numpy as np
 
-from oracle_ops import (add, add_rowvec, concat, gelu, layernorm, matmul,
-                        mul_scalar, permute, reshape, slice_axis,
+from oracle_ops import (Tensor, add, add_rowvec, concat, gelu, layernorm,
+                        matmul, mul_scalar, permute, reshape, slice_axis,
                         softmax_lastdim)
-from tilefusion import tensor as tz
 
 
 def run_block(x, blk, heads, mask=None, cache=None, layer=0,
@@ -34,12 +33,12 @@ def run_block(x, blk, heads, mask=None, cache=None, layer=0,
         past = cache.keys[layer].shape[2] if layer < len(cache.keys) else 0
         all_k, all_v = cache.extend(layer, k.data, v.data)
         if past:
-            k = concat([tz.Tensor(all_k[:, :, :past]), k], axis=2)
-            v = concat([tz.Tensor(all_v[:, :, :past]), v], axis=2)
+            k = concat([Tensor(all_k[:, :, :past]), k], axis=2)
+            v = concat([Tensor(all_v[:, :, :past]), v], axis=2)
     scores = mul_scalar(matmul(q, permute(k, (0, 1, 3, 2))),
                            1.0 / np.sqrt(hd))
     if mask is not None:
-        scores = add(scores, tz.Tensor(mask[:, :, queries_from:]))
+        scores = add(scores, Tensor(mask[:, :, queries_from:]))
     mixed = matmul(softmax_lastdim(scores), v)
     merged = reshape(permute(mixed, (0, 2, 1, 3)), (n, t - queries_from, d))
     x = add(x, matmul(merged, blk["wo"]))

@@ -1,8 +1,8 @@
 """The projectors and fusion composed from tensor primitives: the oracle.
 
 fusion.py runs the trainable image side on arrays with a hand-derived
-backward, which a training step calls inside its one graph node; this
-is the same arithmetic built op by op, whose backward is the autograd of the
+backward, which a training step calls at the end of its one backward
+closure; this is the same arithmetic built op by op, whose backward is the autograd of the
 primitives. Each function takes what its fusion.py namesake takes and
 returns a VisualSequence whose embeddings are a Tensor; tests compare
 the two, rows and every projector and fusion.down gradient, bitwise.
@@ -15,11 +15,11 @@ interleave gathers by.
 
 import numpy as np
 
-from tilefusion import tensor as tz
 from tilefusion.errors import ConfigError, ContractError, DimensionError
 from tilefusion.fusion import VisualSequence
 
-from oracle_ops import add_rowvec, concat, embedding_lookup, gelu, matmul
+from oracle_ops import (Tensor, add_rowvec, concat, embedding_lookup, gelu,
+                        matmul)
 
 
 def provenance(seq):
@@ -39,7 +39,7 @@ def apply(proj, rows):
 
 def project(proj, tokens, branch_id):
     n, t, c = tokens.shape
-    out = apply(proj, tz.Tensor(tokens.reshape(n * t, c)))
+    out = apply(proj, Tensor(tokens.reshape(n * t, c)))
     return VisualSequence(out, n, ((branch_id, t),))
 
 
@@ -86,13 +86,13 @@ def fuse_pre(a_raw, b_raw, kind, shared):
         if ca != cb:
             raise DimensionError(f"pre-sequence channels {ca} vs {cb}")
         rows = np.concatenate([a_raw, b_raw], axis=1).reshape(-1, ca)
-        return VisualSequence(apply(shared, tz.Tensor(rows)), n,
+        return VisualSequence(apply(shared, Tensor(rows)), n,
                               (("A", ta), ("B", tb)))
     if kind == "pre-channel":
         if ta != tb:
             raise ContractError(f"pre-channel token counts {ta} vs {tb}")
         rows = np.concatenate([a_raw, b_raw], axis=2).reshape(-1, ca + cb)
-        return VisualSequence(apply(shared, tz.Tensor(rows)), n,
+        return VisualSequence(apply(shared, Tensor(rows)), n,
                               (("A+B", ta),))
     raise ConfigError(f"unknown pre-fusion kind {kind!r}")
 

@@ -27,8 +27,9 @@ as_batch runs one AssembledSequence as a one-row SequenceBatch.
 lm_forward is LanguageModel.forward composed, and reference_loss is the
 LM loss taken over all of its logits, the reference for
 LanguageModel.loss. arrays hands an oracle batch to the program's LM,
-and lm_loss_node makes LanguageModel.loss one graph node, as
-Pipeline.loss does. uncached_greedy decodes with no KV cache, running
+and lm_loss_node and uncached_loss make the program's (value, backward)
+of LanguageModel.loss and of Pipeline.loss one oracle graph node, so
+that one backward drives the program and the composed oracles alike. uncached_greedy decodes with no KV cache, running
 LanguageModel.forward over the whole grown sequence for every token:
 the reference for LanguageModel.greedy_decode and Pipeline.answer.
 """
@@ -38,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from tilefusion import assembly
-from tilefusion import tensor as tz
 from tilefusion.assembly import (
     BOS_ID,
     EOS_ID,
@@ -52,16 +52,16 @@ from tilefusion.errors import BudgetError, ContractError, DimensionError
 
 from block_oracle import run_block
 from fusion_oracle import fuse_tokens
-from oracle_ops import (add_rowvec, concat, embedding_lookup, layernorm,
-                        masked_cross_entropy, matmul, mul, reshape,
-                        slice_axis, sum_all)
+from oracle_ops import (Tensor, add_rowvec, as_node, backward, concat,
+                        embedding_lookup, layernorm, masked_cross_entropy,
+                        matmul, mul, reshape, slice_axis, sum_all)
 
 
 @dataclass
 class AssembledSequence:
     """One unpadded sequence: [L, d] embeddings, [L] ids and loss mask."""
 
-    embeddings: tz.Tensor
+    embeddings: Tensor
     token_ids: np.ndarray
     loss_mask: np.ndarray
 
@@ -102,7 +102,7 @@ def uncached_batch(model, samples):
     pass, then splice_batch."""
     tokens = uncached_tokens(model, samples)
     flat = [t for per_sample in tokens for t in per_sample]
-    rows = tz.Tensor(np.zeros((0, model.cfg.lm.d_lm)))
+    rows = Tensor(np.zeros((0, model.cfg.lm.d_lm)))
     if flat:
         rows = fuse_tokens(model, {label: np.concatenate(
             [t[label] for t in flat]) for label in flat[0]}).embeddings
@@ -117,9 +117,10 @@ def uncached_batch(model, samples):
 
 
 def uncached_loss(model, samples):
-    """Pipeline.loss of samples on uncached_tokens: the program's one
-    graph node."""
-    return model.loss(samples, uncached_tokens(model, samples))
+    """Pipeline.loss of samples on uncached_tokens, as one graph node
+    over the model's parameters."""
+    return as_node(*model.loss(samples, uncached_tokens(model, samples)),
+                   model.parameters())
 
 
 def splice_batch(texts, visual_counts, rows, embed_table, context_limit):
@@ -135,7 +136,7 @@ def splice_batch(texts, visual_counts, rows, embed_table, context_limit):
     visual = ids == IMG_CONTEXT_ID
     index[visual] = np.arange(n_rows)
     index[ids == PAD_ID] = n_rows + embed_table.shape[0]
-    table = concat([rows, embed_table, tz.Tensor(np.zeros((1, d)))], axis=0)
+    table = concat([rows, embed_table, Tensor(np.zeros((1, d)))], axis=0)
     return SequenceBatch(embedding_lookup(table, index), ids,
                          layout.loss_mask)
 
@@ -212,21 +213,17 @@ def arrays(batch):
     backward runs the oracle batch's graph on the gradient it gets."""
     embeddings = batch.embeddings
 
-    def backward(g):
-        tz.backward(sum_all(mul(embeddings, tz.Tensor(g))))
+    def embeddings_backward(g):
+        backward(sum_all(mul(embeddings, Tensor(g))))
 
     return SequenceBatch(embeddings.data, batch.token_ids, batch.loss_mask,
-                         backward)
+                         embeddings_backward)
 
 
 def lm_loss_node(lm, batch):
     """LanguageModel.loss of an array batch as one graph node over lm's
-    parameters, as Pipeline.loss makes it."""
-    value, backward = lm.loss(batch)
-    out = tz._make(value, lm.parameters())
-    if out.requires_grad:
-        out._backward = backward
-    return out
+    parameters."""
+    return as_node(*lm.loss(batch), lm.parameters())
 
 
 def uncached_greedy(lm, batch, max_new, eos_id=None):
@@ -314,7 +311,7 @@ def pad_batch(seqs):
         mask[b, :s.length] = s.loss_mask
         parts.append(s.embeddings)
         if s.length < L:
-            parts.append(tz.Tensor(np.zeros((L - s.length, d))))
+            parts.append(Tensor(np.zeros((L - s.length, d))))
     flat = parts[0] if len(parts) == 1 else concat(parts, axis=0)
     return SequenceBatch(reshape(flat, (len(seqs), L, d)), ids, mask)
 

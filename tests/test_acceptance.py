@@ -31,11 +31,7 @@ from tilefusion.fusion import (
 )
 from tilefusion.lm import LMConfig
 from tilefusion.model import Pipeline, PipelineConfig
-from tilefusion.tensor import (
-    backward,
-    finite_difference_grad_at,
-    relative_error,
-)
+from tilefusion.tensor import finite_difference_grad_at, relative_error
 from tilefusion.tiling import ImageBuffer, TileGrid, segment, select_grid
 from tilefusion.training import (
     Checkpoint,
@@ -45,7 +41,7 @@ from tilefusion.training import (
 )
 
 from fusion_oracle import provenance
-from per_image_oracle import pixel_shuffle, uncached_loss
+from per_image_oracle import pixel_shuffle, uncached_tokens
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                           "..", "configs")
@@ -218,11 +214,15 @@ def test_end_to_end_gradients_match_finite_differences():
     pipe.lm.head.data = rng.standard_normal(pipe.lm.head.data.shape) * 0.1
     img = ImageBuffer(np.random.default_rng(5).random((8, 16, 3)))
 
-    def loss_value(_ignored=None):
-        return uncached_loss(pipe, [Sample([img], "q", "ab")])
+    samples = [Sample([img], "q", "ab")]
 
-    loss = loss_value()
-    backward(loss)
+    def step():  # training's (value, backward) on uncached tokens
+        return pipe.loss(samples, uncached_tokens(pipe, samples))
+
+    def loss_value(_ignored=None):
+        return step()[0]
+
+    tz.backward(step()[1])
 
     d = cfg.lm.d_lm
     used_rows = [257, 259, 260, ord("q"), ord("a"), ord("b"), 258]
@@ -367,7 +367,7 @@ def test_context_budget_enforced_and_full_scale_fits():
     t0 = time.perf_counter()
     d = 8
     tok = ByteTokenizer()
-    embed = tz.Tensor(np.zeros((VOCAB_SIZE, d)))
+    embed = tz.Parameter("lm.embed", np.zeros((VOCAB_SIZE, d)))
     prompt = tok.encode(build_prompt(1, "describe the scene"))
     answer = tok.encode("a short caption")
 

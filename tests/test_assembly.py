@@ -10,7 +10,6 @@ visual rows.
 import numpy as np
 import pytest
 
-from tilefusion import tensor as tz
 from tilefusion.assembly import (
     BOS_ID,
     EOS_ID,
@@ -28,7 +27,7 @@ from tilefusion.assembly import (
 from tilefusion.errors import BudgetError, ContractError, DimensionError
 from tilefusion.fusion import VisualSequence
 
-from oracle_ops import mul, sum_all
+from oracle_ops import Tensor, backward, mul, sum_all
 import per_image_oracle as oracle
 from per_image_oracle import pad_batch
 
@@ -41,7 +40,7 @@ def visual_seq(n_tokens, width, tag_base=0.0, tensor=False):
     data = np.zeros((n_tokens, width))
     data[:, 0] = tag_base + np.arange(n_tokens)
     if tensor:
-        data = tz.Tensor(data, requires_grad=True)
+        data = Tensor(data, requires_grad=True)
     return VisualSequence(data, 1, (("A", n_tokens),))
 
 
@@ -51,7 +50,7 @@ def n_visual(seq):
 
 def table(d=4, seed=0):
     rng = np.random.default_rng(seed)
-    return tz.Tensor(rng.standard_normal((VOCAB_SIZE, d)), requires_grad=True)
+    return Tensor(rng.standard_normal((VOCAB_SIZE, d)), requires_grad=True)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +304,7 @@ def test_pad_batch_gradients_reach_each_sample_only_from_its_rows():
             for q in ("a", "bcd")]
     batch = pad_batch(seqs)
     weights = np.random.default_rng(1).standard_normal(batch.embeddings.shape)
-    tz.backward(sum_all(mul(batch.embeddings, tz.Tensor(weights))))
+    backward(sum_all(mul(batch.embeddings, Tensor(weights))))
     want = np.zeros_like(tab.data)
     for b, s in enumerate(seqs):
         np.add.at(want, s.token_ids, weights[b, :s.length])
@@ -367,16 +366,16 @@ def test_splice_batch_gradients_scatter_into_rows_and_table():
     got_rows = batch.backward(weights)
     got_tab = tab.grad
     tab.zero_grad()
-    rows_node = tz.Tensor(rows, requires_grad=True)
+    rows_node = Tensor(rows, requires_grad=True)
     composed = oracle.splice_batch(texts, counts, rows_node, tab, 64)
     assert composed.embeddings.data.tobytes() == batch.embeddings.tobytes()
-    tz.backward(sum_all(mul(composed.embeddings, tz.Tensor(weights))))
+    backward(sum_all(mul(composed.embeddings, Tensor(weights))))
     assert got_rows.tobytes() == rows_node.grad.tobytes()
     assert got_tab.tobytes() == tab.grad.tobytes()
-    # a table held outside the graph gets nothing; the rows still do
+    # a frozen table gets nothing; the rows still do
     tab.zero_grad()
-    with tz.outside_graph([tab]):
-        assert batch.backward(weights).tobytes() == got_rows.tobytes()
+    tab.frozen = True
+    assert batch.backward(weights).tobytes() == got_rows.tobytes()
     assert tab.grad is None
 
     want_tab = np.zeros_like(tab.data)

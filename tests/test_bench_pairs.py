@@ -68,6 +68,47 @@ def test_medians_wins_spread_and_bound():
     assert bench_pairs.format_rows(rows)[2].endswith("WORSE THAN BOUND")
 
 
+def test_spread_wider_than_bound_is_unresolved_unless_every_run_is_better(
+        monkeypatch, tmp_path, capsys):
+    # setup_s spreading 35% of its median against a 0.25 bound, as
+    # train-tiles' setup_s has spread 38%
+    parent_setup = [0.08, 0.09, 0.10, 0.125, 0.13]
+    same = [0.085, 0.10, 0.11, 0.095, 0.12]
+    better = [0.05, 0.06, 0.07, 0.06, 0.079]  # each under every parent run
+    narrow = [100.0, 101.0, 99.0, 100.0, 100.5]
+
+    def runs(setup):
+        return [bench_pairs.result_metrics(stdout(
+            {"samples_per_s": s, "setup_s": t}), "train-tiles")[0]
+            for s, t in zip(narrow, setup)]
+
+    rows = bench_pairs.summarise(runs(parent_setup), runs(same), SPEC)
+    sps, setup = rows
+    assert setup["parent_iqr"] > 0.25 * setup["parent"]
+    assert setup["unresolved"] and not setup["flagged"]
+    assert not sps["unresolved"]  # its spread is inside the bound
+    lines = bench_pairs.format_rows(rows)
+    assert lines[2].endswith("UNRESOLVED") and "UNRESOLVED" not in lines[1]
+    _, setup = bench_pairs.summarise(runs(parent_setup), runs(better), SPEC)
+    assert not setup["unresolved"] and setup["wins"] == 5
+
+    # unresolved is reported, and the exit code stays what the flags say
+    values = {"parent": iter(parent_setup), "change": iter(same)}
+
+    def fake_run(cmd, **kwargs):
+        side = Path(cmd[1]).parent.parent.name
+        return subprocess.CompletedProcess(cmd, 0, stdout=stdout(
+            {"samples_per_s": 100.0, "setup_s": next(values[side])}))
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    sides = [str(tmp_path / "parent"), str(tmp_path / "change")]
+    assert bench_pairs.main(sides + ["--pairs", "5", "--workload",
+                                     "train-tiles"]) == 0
+    assert "UNRESOLVED" in capsys.readouterr().out
+
+
 def test_trace_runs_summarise_per_layer_metrics_without_bounds():
     spec = dict(SPEC, per_layer=[
         {"name": "encoders.encode_ms", "unit": "ms/step", "better": "lower"},

@@ -143,6 +143,17 @@ class TestValidation:
         text = "; ".join(validate_experiment_config(cfg))
         assert "task.n_eval" in text
 
+    def test_train_split_required(self, tmp_path):
+        # an empty train split used to pass validation, build the model
+        # and then fail in run_stage with "dataset is empty"
+        cfg = tiny_cfg()
+        cfg["task"]["n_train"] = 0
+        assert validate_experiment_config(cfg) == [
+            "task.n_train: experiments need at least one train sample"]
+        with pytest.raises(ConfigError, match="task.n_train"):
+            run_experiment(cfg, out_dir=str(tmp_path))
+        assert not os.listdir(tmp_path)
+
     @pytest.mark.parametrize("key, value", [
         ("batch_size", 0), ("batch_size", -3),
         ("eval_max_new", 0), ("eval_max_new", -1),

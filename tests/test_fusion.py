@@ -31,7 +31,7 @@ from tilefusion.model import Pipeline, PipelineConfig
 
 import fusion_oracle as oracle
 from fusion_oracle import interleave_order, provenance
-from oracle_ops import gelu, mul, sum_all
+from oracle_ops import Tensor, backward, gelu, mul, sum_all
 
 
 def tagged_sequence(n_tiles, per_tile, width, branch, tag_base, rng):
@@ -76,7 +76,7 @@ def test_identity_projector_is_gelu():
     proj.b2.data[...] = 0.0
     grid = grid_from(rng, 1, 2, d)
     out = project(proj, grid, "A")
-    want = gelu(tz.Tensor(grid.reshape(-1, d))).data
+    want = gelu(Tensor(grid.reshape(-1, d))).data
     np.testing.assert_array_equal(out.embeddings, want)
 
 
@@ -358,7 +358,7 @@ def test_fusion_kind_registry():
 
 
 # ---------------------------------------------------------------------------
-# the fused rows' backward, which a training step's one graph node runs,
+# the fused rows' backward, the last link of a training step's closure,
 # against the composed-op oracle
 
 
@@ -398,8 +398,8 @@ def adapter_grads(model, rows, weights):
     """Each adapter parameter's gradient of sum(rows * weights), or None."""
     params = model._adapter_parameters()
     for p in params:
-        p.zero_grad()
-    tz.backward(sum_all(mul(rows, tz.Tensor(weights))))
+        p.grad = None
+    backward(sum_all(mul(rows, Tensor(weights))))
     return {p.name: None if p.grad is None else p.grad.tobytes()
             for p in params}
 
@@ -416,19 +416,19 @@ def test_visual_rows_node_equals_composed_oracle_bitwise(layout, frozen):
     held = {"none": [], "all": adapters,
             "projectorA.": [p for p in adapters
                             if p.name.startswith("projectorA.")]}[frozen]
-    with tz.outside_graph(held):
-        fused = model.fuse_images(tokens)
-        want = oracle.fuse_tokens(model, stacked)
-        assert fused.embeddings.tobytes() == want.embeddings.data.tobytes()
-        assert (fused.n_tiles, fused.segments) == (want.n_tiles,
-                                                   want.segments)
-        weights = rng.standard_normal(fused.embeddings.shape)
-        for p in adapters:
-            p.zero_grad()
-        fused.backward(weights)
-        got = {p.name: None if p.grad is None else p.grad.tobytes()
-               for p in adapters}
-        expected = adapter_grads(model, want.embeddings, weights)
+    for p in held:
+        p.frozen = True
+    fused = model.fuse_images(tokens)
+    want = oracle.fuse_tokens(model, stacked)
+    assert fused.embeddings.tobytes() == want.embeddings.data.tobytes()
+    assert (fused.n_tiles, fused.segments) == (want.n_tiles, want.segments)
+    weights = rng.standard_normal(fused.embeddings.shape)
+    for p in adapters:
+        p.grad = None
+    fused.backward(weights)
+    got = {p.name: None if p.grad is None else p.grad.tobytes()
+           for p in adapters}
+    expected = adapter_grads(model, want.embeddings, weights)
     assert got == expected
     for p in adapters:
         assert (got[p.name] is None) == (p in held), p.name

@@ -36,7 +36,7 @@ from tilefusion import lm as lm_module
 from tilefusion.lm import KVCache, LanguageModel, LMConfig
 
 import per_image_oracle as oracle
-from oracle_ops import concat, embedding_lookup
+from oracle_ops import Tensor, backward, concat, embedding_lookup
 from per_image_oracle import (arrays, lm_loss_node, reference_loss,
                               uncached_greedy)
 
@@ -51,7 +51,7 @@ def small_lm(d=8, layers=1, heads=2, context=64, seed=0):
 def text_batch(lm, prompt_ids, answer_ids, context_limit):
     """A one-row pure-text batch from the composed training assembler
     (oracle.splice_batch), so lm.embed takes part in the graph."""
-    no_rows = tz.Tensor(np.zeros((0, lm.cfg.d_lm)))
+    no_rows = Tensor(np.zeros((0, lm.cfg.d_lm)))
     return oracle.splice_batch([(prompt_ids, answer_ids)], [[]], no_rows,
                                lm.embed, context_limit)
 
@@ -136,7 +136,7 @@ def test_all_mask_false_gives_zero_loss_and_zero_grads():
     seq = raw_sequence(lm, 12, rng)  # an all-false mask
     loss = reference_loss(lm, seq)
     assert loss.item() == 0.0
-    tz.backward(loss)
+    backward(loss)
     for p in lm.parameters():
         if p.grad is not None:
             assert np.abs(p.grad).max() == 0.0, p.name
@@ -155,9 +155,9 @@ def raw_batch(lm, mask, seed):
 
 def loss_and_grads(lm, make_batch, loss_fn):
     for p in lm.parameters():
-        p.zero_grad()
+        p.grad = None
     loss = loss_fn(make_batch())  # a fresh graph for each backward
-    tz.backward(loss)
+    backward(loss)
     return loss.item(), {p.name: p.grad for p in lm.parameters()}
 
 
@@ -265,8 +265,8 @@ def test_lm_gradient_matches_finite_differences():
         return reference_loss(lm, seq)
 
     for p in lm.parameters():
-        p.zero_grad()
-    tz.backward(loss_fn())
+        p.grad = None
+    backward(loss_fn())
     for p in [lm.pos, lm.head, lm.norm_out_g,
               lm.blocks[0]["wq"], lm.blocks[0]["w1"]]:
         fd = tz.finite_difference_grad(lambda _t: loss_fn(), p)
@@ -323,10 +323,10 @@ def test_overfit_one_sample_then_decode_it():
     last = None
     for step in range(150):
         for p in params:
-            p.zero_grad()
+            p.grad = None
         seq = text_batch(lm, TOK.encode(prompt), TOK.encode(answer), 32)
         loss = reference_loss(lm, seq)
-        tz.backward(loss)
+        backward(loss)
         for p in params:
             p.data -= 0.05 * p.grad
         last = loss.item()

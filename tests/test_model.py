@@ -13,8 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tilefusion import model as model_module
-from tilefusion import tensor as tensor_module
+from tilefusion import tensor as tz
 from tilefusion.assembly import IMG_CONTEXT_ID, VOCAB_SIZE
 from tilefusion.datagen import Sample
 from tilefusion.encoders import EncoderConfig, pixel_unshuffle
@@ -23,16 +22,12 @@ from tilefusion.experiment import build_pipeline_config, load_config
 from tilefusion.fusion import project
 from tilefusion.lm import LanguageModel, LMConfig
 from tilefusion.model import ENCODER_CHOICES, Pipeline, PipelineConfig
-from tilefusion.tensor import (
-    backward,
-    finite_difference_grad_at,
-    outside_graph,
-    relative_error,
-)
+from tilefusion.tensor import finite_difference_grad_at, relative_error
 from tilefusion.tiling import ImageBuffer
-from tilefusion.training import snapshot
+from tilefusion.training import StageConfig, TrainingConfig, snapshot
 
 from fusion_oracle import provenance
+from oracle_ops import backward
 from per_image_oracle import (branch_tokens, uncached_batch, uncached_loss,
                               uncached_tokens)
 
@@ -315,56 +310,23 @@ class TestForward:
         for x, logits in steps:
             assert type(x) is np.ndarray and type(logits) is np.ndarray
 
-    def test_answer_restores_requires_grad(self):
-        pipe = Pipeline(desk_cfg(), seed=2)
-        params = pipe.parameters()
-        # a mix of earlier values, so restoring cannot just mean True
-        for p in params[::3]:
-            p.requires_grad = False
-        before = [p.requires_grad for p in params]
-        pipe.answer([landscape_image()], "q", max_new=2)
-        assert [p.requires_grad for p in params] == before
-
-        enc = [p for p in params if p.name.startswith("encoderA.")]
-        with outside_graph(enc):
-            pipe.answer([landscape_image()], "q", max_new=2)
-            assert not any(p.requires_grad for p in enc)
-        assert [p.requires_grad for p in params] == before
-
-    def test_answer_restores_requires_grad_on_budget_error(self):
-        pipe = Pipeline(desk_cfg(ctx=100), seed=0)
-        params = pipe.parameters()
-        with pytest.raises(BudgetError):
-            pipe.answer([landscape_image()], "what?", max_new=4)
-        assert all(p.requires_grad for p in params)
-
     def test_answer_builds_no_graph_node_and_leaves_parameters_as_found(
-            self, monkeypatch):
+            self):
         pipe = Pipeline(desk_cfg(fusion="post-channel"), seed=2)
         params = pipe.parameters()
         rng = np.random.default_rng(3)
-        # a mix of earlier states: held out of the graph or not, with a
-        # gradient buffer or none
+        # a mix of earlier states: frozen or not, with a gradient buffer
+        # or none
         for p in params[::3]:
-            p.requires_grad = False
+            p.frozen = True
         for p in params[::2]:
             p.grad = rng.standard_normal(p.shape)
-        before = [(p.requires_grad, p.grad,
+        before = [(p.frozen, p.grad,
                    None if p.grad is None else p.grad.tobytes())
                   for p in params]
-        nodes = []
-        real_make = tensor_module._make
-
-        def make_spy(data, inputs):
-            nodes.append(inputs)
-            return real_make(data, inputs)
-
-        monkeypatch.setattr(tensor_module, "_make", make_spy)
-        monkeypatch.setattr(model_module, "_make", make_spy)
         pipe.answer([landscape_image(), landscape_image(1, w=32)], "q",
                     max_new=3)
-        assert nodes == []
-        after = [(p.requires_grad, p.grad,
+        after = [(p.frozen, p.grad,
                   None if p.grad is None else p.grad.tobytes())
                  for p in params]
         for (flag, grad, data), (flag2, grad2, data2) in zip(before, after):
@@ -447,28 +409,43 @@ class TestFullPipelineGradients:
         for pre, mag in touched.items():
             assert mag > 0.0, f"no gradient reached {pre}"
 
-    def test_frozen_parameters_still_carry_gradients(self):
-        pipe = Pipeline(desk_cfg(), seed=1)
+    @pytest.mark.parametrize("freeze", ["stage1", "stage2",
+                                        "freeze_vision_adapters"])
+    def test_frozen_parameters_take_no_gradient(self, freeze):
+        # freezing is the one flag set_frozen writes: a step's backward,
+        # run outside run_stage, leaves every frozen grad None, and
+        # gradient still flows through a frozen LM to the projectors
+        pipe = Pipeline(desk_cfg(fusion="post-channel"), seed=1)
         rng = np.random.default_rng(2)
-        pipe.lm.head.data = rng.standard_normal(pipe.lm.head.data.shape) * 0.1
-        pipe.set_frozen(["lm."])
-        loss = sample_loss(pipe, [landscape_image(8)], "q", "y")
-        backward(loss)
-        frozen = [p for p in pipe.parameters()
-                  if p.name.startswith("lm.block0.attn.")]
-        assert frozen
-        assert all(p.frozen for p in frozen)
-        assert any(np.abs(p.grad).max() > 0 for p in frozen)
+        pipe.lm.head.data[...] = rng.standard_normal(pipe.lm.head.shape) * 0.1
+        params = pipe.parameters()
+        training = TrainingConfig(
+            StageConfig(steps=1), StageConfig(steps=1),
+            freeze_vision_adapters=freeze == "freeze_vision_adapters")
+        plans, _ = training.plans([p.name for p in params])
+        pipe.set_frozen((plans[-1] if freeze == "stage2" else plans[0])
+                        .frozen_prefixes)
+        samples = [Sample([landscape_image(8)], "q", "y")]
+        _, step_backward = pipe.loss(samples,
+                                     uncached_tokens(pipe, samples))
+        tz.backward(step_backward)
+        assert any(p.frozen for p in params)
+        for p in params:
+            assert (p.grad is None) == p.frozen, p.name
+        if freeze == "stage1":
+            assert all(p.frozen for p in params if p.name.startswith("lm."))
+            for p in pipe._adapter_parameters():
+                assert np.abs(p.grad).max() > 0, p.name
 
     @pytest.mark.parametrize("fusion", ["post-interleave", "post-channel",
                                         "pre-channel"])
     def test_encoders_never_enter_a_graph(self, fusion):
-        # every parameter requires grad and none is held outside the
-        # graph, yet the encoders, forward-only array code, get nothing,
-        # whether their tokens come from the caches or a fresh encode
+        # no parameter is frozen, yet the encoders, forward-only array
+        # code, get nothing, whether their tokens come from the caches or
+        # a fresh encode
         pipe = Pipeline(desk_cfg(fusion=fusion), seed=1)
         params = pipe.parameters()
-        assert all(p.requires_grad for p in params)
+        assert not any(p.frozen for p in params)
         samples = [Sample([landscape_image(8)], "q", "y"),
                    Sample([landscape_image(9)], "which?", "zz")]
         pipe.sync_token_cache()
@@ -476,8 +453,8 @@ class TestFullPipelineGradients:
                   for s in samples]
         for tokens in (cached, uncached_tokens(pipe, samples)):
             for p in params:
-                p.zero_grad()
-            backward(pipe.loss(samples, tokens))
+                p.grad = None
+            tz.backward(pipe.loss(samples, tokens)[1])
             for p in params:
                 if p.name.startswith(ENCODER_PREFIXES):
                     assert p.grad is None, p.name

@@ -4,10 +4,10 @@ The load-bearing oracle is finite differences: every differentiable
 primitive's reverse-mode gradient is checked against a central-difference
 estimate on repeated random small tensors, relative error under 1e-4 at
 eps=1e-5 in float64. Structural facts (shape algebra, inverse pairs,
-normalization) are asserted directly. The graph ops are no longer in
-src/ (it runs every path on arrays, inside one graph node per training
-step); they are checked here as the ops tests/oracle_ops.py keeps for
-the composed oracles and the tests.
+normalization) are asserted directly. The graph and its ops are not
+in src/ (it runs every path on arrays, and a training step's backward
+is one closure); they are checked here as what tests/oracle_ops.py
+keeps for the composed oracles and the tests.
 """
 
 import gc
@@ -16,6 +16,7 @@ import weakref
 import numpy as np
 import pytest
 
+from tilefusion import tensor as tz
 from tilefusion.datagen import Sample
 from tilefusion.encoders import EncoderConfig
 from tilefusion.errors import ContractError, DimensionError
@@ -23,8 +24,6 @@ from tilefusion.lm import LMConfig
 from tilefusion.model import Pipeline, PipelineConfig
 from tilefusion.tensor import (
     Parameter,
-    Tensor,
-    backward,
     finite_difference_grad,
     layernorm_forward,
     relative_error,
@@ -34,8 +33,10 @@ from tilefusion.tiling import ImageBuffer
 
 from oracle_ops import (
     OPS,
+    Tensor,
     add,
     add_rowvec,
+    backward,
     concat,
     embedding_lookup,
     gelu,
@@ -50,7 +51,7 @@ from oracle_ops import (
     softmax_lastdim,
     sum_all,
 )
-from per_image_oracle import uncached_loss
+from per_image_oracle import uncached_tokens
 
 N_RANDOM_CASES = 20
 FD_EPS = 1e-5
@@ -126,9 +127,9 @@ def test_pixelwise_ops_reject_shape_mismatch():
 
 def test_parameter_flags():
     p = Parameter("lm.head", np.zeros((2, 2)))
-    assert p.requires_grad and not p.frozen
+    assert not p.frozen and p.grad is None
     q = Parameter("encoderA.embed", np.zeros(3), frozen=True)
-    assert q.frozen and q.requires_grad
+    assert q.frozen
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +147,7 @@ def test_frozen_weight_does_not_block_flow():
     x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
     w = Parameter("w", rng.standard_normal((3, 4)), frozen=True)
     backward(sum_all(matmul(x, w)))
-    assert w.grad is not None, "frozen params still receive gradients"
+    assert w.grad is None, "a frozen parameter takes no gradient"
     want = np.ones((2, 4)) @ w.data.T
     np.testing.assert_allclose(x.grad, want, rtol=1e-12)
     assert np.abs(x.grad).max() > 0
@@ -621,12 +622,21 @@ def test_pipeline_graph_freed_without_cyclic_gc():
         tile_size=32, max_tiles=6, projector_hidden=8), seed=0)
     img = ImageBuffer(np.random.default_rng(31).random((32, 64, 3)))
 
-    def build():
-        # the step's one node is its only interior node
-        loss = uncached_loss(pipe, [Sample([img], "what?", "ab")])
-        return loss, loss
-
-    assert_freed_by_refcount(build)
+    samples = [Sample([img], "what?", "ab")]
+    gc.collect()
+    gc.disable()
+    try:
+        # a step's backward is one closure, run by tensor.backward
+        value, step_backward = pipe.loss(samples,
+                                         uncached_tokens(pipe, samples))
+        tz.backward(step_backward)
+        assert pipe.projector_a.w1.grad is not None
+        closure = weakref.ref(step_backward)
+        del value, step_backward
+        assert closure() is None, "the step's closure outlived the step"
+        assert gc.collect() == 0, "the step left cyclic garbage"
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

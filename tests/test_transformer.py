@@ -5,7 +5,7 @@ backward, which the tests make one graph node (fused_block);
 tests/block_oracle.py builds the same block from tensor primitives.
 The two must agree bitwise, output and every gradient, with and without
 a mask, with queries_from > 0, after a pre-filled KV cache, and with
-some parameters left out of the graph. Finite differences check the
+some parameters frozen. Finite differences check the
 fused node's gradients independently of both backward passes.
 """
 
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import block_oracle
-from oracle_ops import mul, sum_all
+from oracle_ops import Tensor, as_node, backward, mul, sum_all
 from test_tensor import assert_freed_by_refcount
 from tilefusion import tensor as tz
 from tilefusion.errors import DimensionError
@@ -30,12 +30,10 @@ def fused_block(x, blk, heads, mask=None, cache=None, layer=0,
                 queries_from=0):
     """block_forward as one graph node over x and the block's
     parameters."""
-    data, backward = block_forward(x.data, blk, heads, mask, cache, layer,
-                                   queries_from)
-    out = tz._make(data, (x,) + tuple(blk.values()))
-    if out.requires_grad:
-        out._backward = lambda g: tz._accum(x, backward(g))
-    return out
+    data, block_backward = block_forward(x.data, blk, heads, mask, cache,
+                                         layer, queries_from)
+    return as_node(data, lambda g: tz._accum(x, block_backward(g)),
+                   (x,) + tuple(blk.values()))
 
 
 def make_case(n, t, queries_from=0, masked=False, past=0, seed=0):
@@ -44,7 +42,7 @@ def make_case(n, t, queries_from=0, masked=False, past=0, seed=0):
     blk = init_block("blk", D, rng)
     for p in blk.values():  # off the init values, so no gradient is trivial
         p.data[...] += 0.3 * rng.standard_normal(p.shape)
-    x = tz.Tensor(rng.standard_normal((n, t, D)), requires_grad=True)
+    x = Tensor(rng.standard_normal((n, t, D)), requires_grad=True)
     hd = D // HEADS
     cached = (rng.standard_normal((n, HEADS, past, hd)),
               rng.standard_normal((n, HEADS, past, hd)))
@@ -53,7 +51,7 @@ def make_case(n, t, queries_from=0, masked=False, past=0, seed=0):
         causal = np.where(np.arange(past + t)[None, :]
                           > past + np.arange(t)[:, None], NEG_INF, 0.0)
         mask = np.broadcast_to(causal, (n, HEADS, t, past + t))
-    weights = tz.Tensor(rng.standard_normal((n, t - queries_from, D)))
+    weights = Tensor(rng.standard_normal((n, t - queries_from, D)))
 
     def cache():
         if not past:
@@ -84,9 +82,9 @@ CASES = {
 
 def grads(x, blk, loss, block):
     for t in [x, *blk.values()]:
-        t.zero_grad()
+        t.grad = None
     value, out = loss(block)
-    tz.backward(value)
+    backward(value)
     return out.data, [t.grad for t in [x, *blk.values()]]
 
 
@@ -108,7 +106,8 @@ def test_fused_block_gradients_match_finite_differences(case):
     _, got = grads(x, blk, loss, fused_block)
     rng = np.random.default_rng(1)
     for t, g in zip([x, *blk.values()], got):
-        idx = rng.choice(t.size, size=min(t.size, 5), replace=False)
+        idx = rng.choice(t.data.size, size=min(t.data.size, 5),
+                         replace=False)
         fd = tz.finite_difference_grad_at(
             lambda _t: loss(fused_block)[0], t, idx)
         assert tz.relative_error(g.reshape(-1)[idx], fd) < 1e-4
@@ -117,9 +116,10 @@ def test_fused_block_gradients_match_finite_differences(case):
 def test_fused_block_accumulates_only_into_what_requires_grad():
     x, blk, loss = make_case(n=2, t=5, masked=True)
     left_out = [blk[k] for k in ("norm1.g", "wk", "b1", "w2")]
-    with tz.outside_graph(left_out):
-        got_out, got = grads(x, blk, loss, fused_block)
-        want_out, want = grads(x, blk, loss, block_oracle.run_block)
+    for p in left_out:
+        p.frozen = True
+    got_out, got = grads(x, blk, loss, fused_block)
+    want_out, want = grads(x, blk, loss, block_oracle.run_block)
     assert got_out.tobytes() == want_out.tobytes()
     for t, g, w in zip([x, *blk.values()], got, want):
         if any(t is p for p in left_out):
@@ -152,15 +152,16 @@ def test_block_forward_allocates_no_second_score_array():
     rng = np.random.default_rng(5)
     t = 256
     blk = init_block("blk", D, rng)
-    x = tz.Tensor(rng.standard_normal((1, t, D)))
-    with tz.outside_graph(blk.values()):
-        fused_block(x, blk, HEADS)  # warm numpy's caches outside the trace
-        scores_nbytes = 1 * HEADS * t * t * 8
-        tracemalloc.start()
-        try:
-            out = fused_block(x, blk, HEADS)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+    x = Tensor(rng.standard_normal((1, t, D)))
+    for p in blk.values():
+        p.frozen = True
+    fused_block(x, blk, HEADS)  # warm numpy's caches outside the trace
+    scores_nbytes = 1 * HEADS * t * t * 8
+    tracemalloc.start()
+    try:
+        out = fused_block(x, blk, HEADS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert out.shape == (1, t, D)
     assert peak < 2 * scores_nbytes, (peak, scores_nbytes)

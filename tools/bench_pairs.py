@@ -11,7 +11,10 @@ change medians, the pairs the change won (strictly better), and the
 parent's quartile spread (q3 - q1). With --trace 0 (the default) the
 metrics are the end-to-end ones, and a metric whose change median is
 worse than the parent's by more than its bound, taken as a share of
-the parent median, is flagged. With --trace 1 they are the per-layer
+the parent median, is flagged. A metric is also marked unresolved
+when the parent's own q3 - q1 exceeds that bound, unless every change
+run reads better than every parent run: its runs spread too widely to
+call it unchanged. With --trace 1 they are the per-layer
 metrics of traced runs, which have no bound and are never flagged:
 several traced runs per side, with medians, attribute a change to a
 layer where one traced run cannot. Metric directions and bounds come
@@ -65,8 +68,10 @@ def summarise(parent: list[dict], change: list[dict], spec: dict,
 
     parent[i] and change[i] are the metrics of pair i. A metric with a
     bound is flagged when the change median is worse than the parent
-    median by more than bound * |parent median|; one without a bound
-    (a per-layer metric) never is.
+    median by more than bound * |parent median|, and unresolved when
+    the parent's q3 - q1 exceeds bound * |parent median| and some change
+    run does not read better than every parent run; one without a bound
+    (a per-layer metric) is neither.
     """
     rows = []
     for workload in spec["workloads"]:
@@ -79,13 +84,15 @@ def summarise(parent: list[dict], change: list[dict], spec: dict,
             sign = 1.0 if metric["better"] == "lower" else -1.0
             p_med, c_med = float(np.median(p)), float(np.median(c))
             q1, q3 = np.percentile(p, [25, 75])
+            allowed = metric.get("bound", math.inf) * abs(p_med)
             rows.append({
                 "metric": key, "better": metric["better"],
                 "parent": p_med, "change": c_med,
                 "wins": int(np.sum(sign * (c - p) < 0)), "pairs": len(p),
                 "parent_iqr": float(q3 - q1),
-                "flagged": "bound" in metric and
-                sign * (c_med - p_med) > metric["bound"] * abs(p_med),
+                "flagged": sign * (c_med - p_med) > allowed,
+                "unresolved": bool(q3 - q1 > allowed
+                                   and np.max(sign * c) >= np.min(sign * p)),
             })
     return rows
 
@@ -97,6 +104,7 @@ def format_rows(rows: list[dict]) -> list[str]:
         lines.append(
             f"{r['metric']:44s} {r['parent']:10.4g} {r['change']:10.4g} "
             f"{r['wins']:>3d}/{r['pairs']:<2d} {r['parent_iqr']:12.4g}"
+            + ("  UNRESOLVED" if r["unresolved"] else "")
             + ("  WORSE THAN BOUND" if r["flagged"] else ""))
     return lines
 
