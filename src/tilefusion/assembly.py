@@ -26,6 +26,7 @@ the image markup.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -55,6 +56,12 @@ _SPECIAL_LITERALS = (
     (IMG_START_TEXT.encode("ascii"), IMG_START_ID),
 )
 
+# Split on the literals, longest first: at each offset the first
+# alternative that matches wins, as a left-to-right scan would pick it.
+_SPECIAL_SPLIT = re.compile(b"(" + b"|".join(
+    re.escape(literal) for literal, _ in _SPECIAL_LITERALS) + b")")
+_LITERAL_TO_ID = dict(_SPECIAL_LITERALS)
+
 _ID_TO_LITERAL = {
     IMG_CONTEXT_ID: IMG_CONTEXT_TEXT,
     IMG_END_ID: IMG_END_TEXT,
@@ -66,18 +73,17 @@ class ByteTokenizer:
     """Reversible byte-level tokenizer with image-markup specials."""
 
     def encode(self, text: str) -> list[int]:
-        raw = text.encode("utf-8")
+        """UTF-8 bytes as ids 0..255, each markup literal as its id.
+
+        The split alternates plain byte runs (even parts) with the
+        literals between them (odd parts)."""
         ids: list[int] = []
-        i = 0
-        while i < len(raw):
-            for literal, token_id in _SPECIAL_LITERALS:
-                if raw.startswith(literal, i):
-                    ids.append(token_id)
-                    i += len(literal)
-                    break
+        parts = _SPECIAL_SPLIT.split(text.encode("utf-8"))
+        for k, part in enumerate(parts):
+            if k % 2:
+                ids.append(_LITERAL_TO_ID[part])
             else:
-                ids.append(raw[i])
-                i += 1
+                ids.extend(part)
         return ids
 
     def decode(self, ids) -> str:

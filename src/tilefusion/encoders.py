@@ -12,13 +12,17 @@ Every training stage freezes both encoders, so they are forward-only
 array code: encode runs on the parameters' arrays (the block through
 transformer.block_forward), keeps no backward, and returns an ndarray.
 No gradient ever reaches an encoder parameter; the projectors read a
-branch's rows as a constant array.
+branch's rows as a constant array. encode(tiles, rows) takes its input
+rows, patch_rows(tiles), from the caller, which computes them once
+per input whether or not it also hashes them.
 
 A branch may declare an input filter that keeps only the coarse 8-bit
 block structure (lowpass) or only the within-block detail (highpass).
 Filters run on the integer pixel lattice with a single final division,
 so two images with equal block sums produce bit-identical filtered
-output; the synthetic-task oracles rely on that exactness.
+output; the synthetic-task oracles rely on that exactness. A block sum
+adds the block's b x b strided sub-grids; sums of integers are exact
+in any order.
 """
 
 from __future__ import annotations
@@ -86,8 +90,17 @@ def _block_sums(ints: np.ndarray, b: int) -> np.ndarray:
     *lead, h, w, c = ints.shape
     if h % b or w % b:
         raise DimensionError(f"filter block {b} does not divide image {h}x{w}")
-    s = ints.reshape(*lead, h // b, b, w // b, b, c).sum(axis=(-4, -2))
-    return np.repeat(np.repeat(s, b, axis=-3), b, axis=-2)
+    # v[..., i, :, j, :] is the sub-grid of offset (i, j) in every block;
+    # the sums are of integers, so exact in any order
+    v = ints.reshape(*lead, h // b, b, w // b, b, c)
+    s = v[..., 0, :, 0, :].copy()
+    for i in range(b):
+        for j in range(b):
+            if i or j:
+                s += v[..., i, :, j, :]
+    out = np.empty_like(v)
+    out[...] = s[..., None, :, None, :]
+    return out.reshape(ints.shape)
 
 
 def lowpass_pixels(px: np.ndarray, block: int) -> np.ndarray:
@@ -177,13 +190,23 @@ class Encoder:
         patched = patched.transpose(0, 1, 3, 2, 4, 5)
         return patched.reshape(len(patches), gs * gs, ps * ps * IN_CHANNELS)
 
-    def encode(self, tiles: TileSet) -> np.ndarray:
-        """Raw [0,1] tiles -> patch_rows -> ViT -> [n, gs, gs, d] token
-        grid, channels last, on arrays."""
+    def encode(self, tiles: TileSet, rows: np.ndarray) -> np.ndarray:
+        """ViT forward of rows, patch_rows(tiles), -> [n, gs, gs, d]
+        token grid, channels last, on arrays.
+
+        The caller computes rows, once per input (Pipeline.frozen_tokens
+        hashes a filtered branch's rows for its view key, then encodes
+        the same array); encode checks that their shape is that of
+        tiles' patch rows and reads nothing else of tiles.
+        """
         cfg = self.cfg
-        flat = self.patch_rows(tiles)
-        n, gs = flat.shape[0], cfg.grid_side
-        x = flat @ self.patch_w.data + self.patch_b.data + self.pos.data
+        n, gs, ps = tiles.patch_count, cfg.grid_side, cfg.patch_size
+        want = (n, gs * gs, ps * ps * IN_CHANNELS)
+        if rows.shape != want:
+            raise DimensionError(
+                f"encoder rows must be {want} for {n} tiles, "
+                f"got {rows.shape}")
+        x = rows @ self.patch_w.data + self.patch_b.data + self.pos.data
         for blk in self.blocks:
             x, _ = block_forward(x, blk, cfg.heads)
         x, _, _ = tz.layernorm_forward(x, self.norm_out_g.data,

@@ -39,7 +39,13 @@ channels-last [n_tiles, tokens, channels] array, on two levels:
   highpass view depends only on its texture) share one encode. An
   unfiltered branch's input is a function of the image alone, so it
   keys its view by (label, content_key) and hashes nothing more.
+  A miss computes each branch's rows once: the same array is hashed
+  for the key and handed to Encoder.encode(tiles, rows).
   token_cache entries hold the view_cache arrays themselves.
+
+run_stage fills both before its first step, walking its whole
+schedule in the order its steps read it, so a step's frozen_tokens
+calls are all hits; answer fills them as it goes.
 
 Both hold only for the encoder weights they were filled with;
 sync_token_cache, which run_stage calls once per stage and answer once
@@ -313,14 +319,17 @@ class Pipeline:
         token_cache hit returns the image's arrays. On a miss, each
         branch looks up its view key (a filtered branch hashes its
         patch_rows, an unfiltered one reuses the image's content_key)
-        and runs its encoder only if view_cache has no tokens for it;
-        the image's entry then holds the view_cache arrays.
+        and runs its encoder only if view_cache has no tokens for it,
+        on the rows computed for the key if there are any: a branch
+        computes its patch_rows at most once per miss. The image's
+        entry then holds the view_cache arrays.
         """
         tokens = self.token_cache.get(image.content_key)
         if tokens is None:
             tiles = self.segment_image(image)
             tokens = {}
             for label, encoder in self._branches():
+                rows = None
                 if encoder.cfg.input_filter == "none":
                     key = (label, image.content_key)
                 else:
@@ -328,7 +337,9 @@ class Pipeline:
                     key = (label, rows.shape, hashlib.sha1(rows).digest())
                 view = self.view_cache.get(key)
                 if view is None:
-                    view = pixel_unshuffle(encoder.encode(tiles),
+                    if rows is None:
+                        rows = encoder.patch_rows(tiles)
+                    view = pixel_unshuffle(encoder.encode(tiles, rows),
                                            encoder.cfg.unshuffle_r)
                     self.view_cache[key] = view
                 tokens[label] = view

@@ -8,11 +8,13 @@ run_stage trains on their cached output tokens
 (Pipeline.frozen_tokens): the cache lives on the Pipeline, keyed by
 image and, on an image miss, by each branch's encoder input, so each
 encoder runs once per distinct input per Pipeline, across both
-stages, until the encoder weights change. A frozen parameter takes no
-gradient (Parameter.frozen is the one flag every backward checks), and
-each stage's AdamW holds only the parameters that stage trains, as
-views into its one flat buffer, and updates them through two
-preallocated scratch buffers of the same size.
+stages, until the encoder weights change. run_stage fills the cache
+before its first step, in one pass over the stage's schedule of
+batches, so its steps read cached tokens only. A frozen parameter
+takes no gradient (Parameter.frozen is the one flag every backward
+checks), and each stage's AdamW holds only the parameters that stage
+trains, as views into its one flat buffer, and updates them through
+two preallocated scratch buffers of the same size.
 
 Each step builds one right-padded [B, L, d] batch on arrays
 (Pipeline.assemble_batch: one projector/fusion pass over all the step's
@@ -447,19 +449,28 @@ def run_stage(plan: StagePlan, model, dataset, seed: int,
     """Train one stage; returns (final Checkpoint, metrics records).
 
     Every stage freezes both encoders, so each image's post-unshuffle
-    tokens come from the model's token cache (Pipeline.frozen_tokens),
-    as arrays: the encoders run once per distinct encoder input per
-    Pipeline, not per stage, and receive no gradient.
-    The cache is checked once here against a copy of the encoder
-    weights and emptied if they changed. A step's samples are then
-    spliced into one padded batch and run through the LM's loss in one
-    call (Pipeline.loss); padding on the right is safe because the
-    causal mask already hides each pad from every real position. The
-    step's backward closure runs through tensor.backward once; no
+    tokens come from the model's caches (Pipeline.frozen_tokens), as
+    arrays: the encoders run once per distinct encoder input per
+    Pipeline, not per stage, and receive no gradient. The caches are
+    checked once here against a copy of the encoder weights and emptied
+    if they changed. The stage's whole schedule of batches is drawn
+    first, with the same keyed draws (batch_indices); one pass over it,
+    in step, sample and image order, then fills the caches, so the
+    encoders run before the first step, in the order and as many times
+    as steps that filled them one by one would run them, and never on
+    an image no step draws. The pass counts in step 0's wall_ms, so the
+    records' wall_ms still add up to the stage's time, less its metrics
+    writes.
+
+    Each step splices its samples into one padded batch and runs the
+    LM's loss on it in one call (Pipeline.loss), reading every image's
+    tokens from the filled caches; padding on the right is safe because
+    the causal mask already hides each pad from every real position.
+    The step's backward closure runs through tensor.backward once; no
     frozen parameter accumulates a gradient, and the stage's AdamW,
     built after the freeze, holds only the trainable ones; its
-    ContractError on a
-    non-finite gradient comes back with the stage and step added.
+    ContractError on a non-finite gradient comes back with the stage
+    and step added.
     When out_dir is given, metrics stream to out_dir/metrics.jsonl, opened
     once for the stage and appended to, one flushed record per step;
     the final checkpoint is written there too.
@@ -474,16 +485,24 @@ def run_stage(plan: StagePlan, model, dataset, seed: int,
     stage_index = STAGE_NAMES.index(plan.name) + 1
 
     model.sync_token_cache()
+    schedule = [batch_indices(seed, stage_index, step, len(dataset),
+                              batch_size) for step in range(plan.steps)]
     metrics = contextlib.nullcontext()
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         metrics = open(os.path.join(out_dir, "metrics.jsonl"), "a")
     records = []
     with metrics as metrics_file:
-        for step in range(plan.steps):
-            t0 = clock()
-            idx = batch_indices(seed, stage_index, step, len(dataset),
-                                batch_size)
+        # the encoder pass, timed in step 0: every image the schedule
+        # draws, in the order the steps would first ask for it
+        t0 = clock()
+        for idx in schedule:
+            for i in idx:
+                for img in dataset[int(i)].images:
+                    model.frozen_tokens(img)
+        for step, idx in enumerate(schedule):
+            if step > 0:
+                t0 = clock()
             samples = [dataset[int(i)] for i in idx]
             tokens = [[model.frozen_tokens(img) for img in s.images]
                       for s in samples]

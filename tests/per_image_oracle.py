@@ -85,7 +85,8 @@ def branch_tokens(model, image):
     tokens of image, keyed "A" and "B": tile, encode, unshuffle, with no
     cache."""
     tiles = model.segment_image(image)
-    return {label: pixel_unshuffle(enc.encode(tiles), enc.cfg.unshuffle_r)
+    return {label: pixel_unshuffle(enc.encode(tiles, enc.patch_rows(tiles)),
+                                   enc.cfg.unshuffle_r)
             for label, enc in (("A", model.encoder_a), ("B", model.encoder_b))
             if enc is not None}
 

@@ -97,6 +97,50 @@ def test_roundtrip_with_specials_and_unicode():
         assert TOK.decode(TOK.encode(s)) == s
 
 
+def oracle_encode(text):
+    """The tokenizer as first written: a left-to-right scan that tries
+    each literal, longest first, at every byte offset."""
+    literals = [(b"<IMG-CONTEXT>", IMG_CONTEXT_ID), (b"</img>", IMG_END_ID),
+                (b"<img>", IMG_START_ID)]
+    raw = text.encode("utf-8")
+    ids, i = [], 0
+    while i < len(raw):
+        for literal, token_id in literals:
+            if raw.startswith(literal, i):
+                ids.append(token_id)
+                i += len(literal)
+                break
+        else:
+            ids.append(raw[i])
+            i += 1
+    return ids
+
+
+def test_encode_equals_scan_oracle_on_random_markup():
+    # whole literals, their fragments and near misses, back to back,
+    # between plain and non-ASCII text
+    pieces = ["<img>", "</img>", "<IMG-CONTEXT>", "<img", "</img", "<IMG-",
+              "<IMG-CONTEX>", "IMG-CONTEXT>", "img>", "<", ">", "/", "<<",
+              "a", "b c", "?", "é", "日本", "\u00ff", "\n", ""]
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        n = int(rng.integers(0, 12))
+        s = "".join(pieces[k] for k in rng.integers(0, len(pieces), n))
+        assert TOK.encode(s) == oracle_encode(s), s
+        assert TOK.decode(TOK.encode(s)) == s
+
+
+def test_encode_equals_scan_oracle_on_random_bytes_text():
+    # Latin-1 text with the markup characters weighted up: many '<' and
+    # near misses, which must stay plain bytes
+    rng = np.random.default_rng(12)
+    alphabet = "<>/-imgIMGCONTEXT" * 16 + "".join(map(chr, range(32, 256)))
+    for _ in range(1000):
+        n = int(rng.integers(0, 60))
+        s = "".join(alphabet[k] for k in rng.integers(0, len(alphabet), n))
+        assert TOK.encode(s) == oracle_encode(s), s
+
+
 def test_decode_hides_structural_tokens():
     assert TOK.decode([BOS_ID, 104, 105, EOS_ID, PAD_ID]) == "hi"
 

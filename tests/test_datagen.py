@@ -142,17 +142,20 @@ class TestComplementaryConstruction:
                                                      70, 180))
             return segment(img, 32, 6)
 
-        lp_views = {enc_lp.encode(tiles(1, t)).data.tobytes()
+        def encode(enc, tiles):
+            return enc.encode(tiles, enc.patch_rows(tiles))
+
+        lp_views = {encode(enc_lp, tiles(1, t)).data.tobytes()
                     for t in range(4)}
         assert len(lp_views) == 1
-        hp_views = {enc_hp.encode(tiles(s, 2)).data.tobytes()
+        hp_views = {encode(enc_hp, tiles(s, 2)).data.tobytes()
                     for s in range(4)}
         assert len(hp_views) == 1
         # and each branch does see its own factor
-        lp_shapes = {enc_lp.encode(tiles(s, 0)).data.tobytes()
+        lp_shapes = {encode(enc_lp, tiles(s, 0)).data.tobytes()
                      for s in range(4)}
         assert len(lp_shapes) == 4
-        hp_textures = {enc_hp.encode(tiles(0, t)).data.tobytes()
+        hp_textures = {encode(enc_hp, tiles(0, t)).data.tobytes()
                        for t in range(4)}
         assert len(hp_textures) == 4
 

@@ -300,17 +300,72 @@ def test_apply_input_filter_none_is_same_object():
     assert filter_pixels(px, "none", 2) is px
 
 
+# The filters and normalization as first written: a 6-D block sum with
+# two np.repeat calls, and a per-channel broadcast. The shipped ones
+# must equal them byte for byte.
+def oracle_block_sums(ints, b):
+    *lead, h, w, c = ints.shape
+    s = ints.reshape(*lead, h // b, b, w // b, b, c).sum(axis=(-4, -2))
+    return np.repeat(np.repeat(s, b, axis=-3), b, axis=-2)
+
+
+def oracle_lowpass(px, b):
+    return oracle_block_sums(np.rint(px * 255.0), b) / (b * b * 255.0)
+
+
+def oracle_highpass(px, b):
+    ints = np.rint(px * 255.0)
+    return (ints * float(b * b) - oracle_block_sums(ints, b)) / (b * b * 255.0)
+
+
+def oracle_normalize(px, mean, std):
+    out = px - np.asarray(mean, dtype=np.float64)
+    out /= np.asarray(std, dtype=np.float64)
+    return out
+
+
+@pytest.mark.parametrize("block", [1, 2, 4])
+@pytest.mark.parametrize("shape", [(8, 8, 3), (3, 16, 8, 3), (2, 2, 8, 4, 1)],
+                         ids=["image", "stack", "nested"])
+def test_filters_equal_block_sum_oracle_bytewise(block, shape):
+    rng = np.random.default_rng(block * 100 + len(shape))
+    for _ in range(5):
+        px = rng.integers(0, 256, size=shape) / 255.0
+        assert lowpass_pixels(px, block).tobytes() == \
+            oracle_lowpass(px, block).tobytes()
+        assert highpass_pixels(px, block).tobytes() == \
+            oracle_highpass(px, block).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(32, 32, 3), (7, 32, 32, 3), (4, 5, 1),
+                                   (2, 3, 6, 2)])
+def test_normalize_equals_per_channel_oracle_bytewise(shape):
+    rng = np.random.default_rng(len(shape) + shape[-1])
+    c = shape[-1]
+    for _ in range(5):
+        px = rng.integers(0, 256, size=shape) / 255.0
+        mean = rng.random(c)
+        std = rng.random(c) + 0.1
+        got = normalize_pixels(px, mean, std)
+        assert got.shape == px.shape
+        assert got.tobytes() == oracle_normalize(px, mean, std).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # encoder forward
+
+
+def encode(enc, tiles):
+    return enc.encode(tiles, enc.patch_rows(tiles))
 
 
 def test_encode_desk_shapes():
     tiles = gradient_tiles()
     enc_a = Encoder(desk_cfg_a(), "encoderA", seed=0)
-    out_a = enc_a.encode(tiles)
+    out_a = encode(enc_a, tiles)
     assert out_a.shape == (7, 8, 8, 8)
     enc_b = Encoder(desk_cfg_b(), "encoderB", seed=1)
-    out_b = enc_b.encode(tiles)
+    out_b = encode(enc_b, tiles)
     assert out_b.shape == (7, 16, 16, 8)
     assert pixel_unshuffle(out_a, 2).shape == (7, 16, 32)
     assert pixel_unshuffle(out_b, 4).shape == (7, 16, 128)
@@ -321,15 +376,15 @@ def test_encode_rejects_wrong_tile_size():
     cfg = EncoderConfig(patch_size=4, embed_dim=8, depth=1, heads=2,
                         grid_side=16, unshuffle_r=2)  # wants 64px tiles
     with pytest.raises(DimensionError):
-        Encoder(cfg, "encoderA", seed=0).encode(tiles)
+        encode(Encoder(cfg, "encoderA", seed=0), tiles)
 
 
 def test_encode_is_deterministic():
     tiles = gradient_tiles()
-    a = Encoder(desk_cfg_a(), "encoderA", seed=3).encode(tiles)
-    b = Encoder(desk_cfg_a(), "encoderA", seed=3).encode(tiles)
+    a = encode(Encoder(desk_cfg_a(), "encoderA", seed=3), tiles)
+    b = encode(Encoder(desk_cfg_a(), "encoderA", seed=3), tiles)
     assert a.tobytes() == b.tobytes()
-    c = Encoder(desk_cfg_a(), "encoderA", seed=4).encode(tiles)
+    c = encode(Encoder(desk_cfg_a(), "encoderA", seed=4), tiles)
     assert a.tobytes() != c.tobytes()
 
 
@@ -343,8 +398,9 @@ def test_encoder_parameter_names_unique_and_prefixed():
 
 def test_encoder_filter_changes_output():
     tiles = gradient_tiles()
-    plain = Encoder(desk_cfg_a(), "e", seed=0).encode(tiles)
-    low = Encoder(desk_cfg_a(input_filter="lowpass"), "e", seed=0).encode(tiles)
+    plain = encode(Encoder(desk_cfg_a(), "e", seed=0), tiles)
+    low = encode(Encoder(desk_cfg_a(input_filter="lowpass"), "e", seed=0),
+                 tiles)
     assert plain.tobytes() != low.tobytes()
 
 
@@ -380,10 +436,10 @@ def test_stacked_preprocessing_equals_per_tile_bitwise(kind):
 def test_encode_rejects_bad_normalize_stats():
     tiles = gradient_tiles()
     with pytest.raises(ContractError):
-        Encoder(desk_cfg_a(norm_std=(0.5, 0.0, 0.5)), "e", 0).encode(tiles)
+        encode(Encoder(desk_cfg_a(norm_std=(0.5, 0.0, 0.5)), "e", 0), tiles)
     with pytest.raises(DimensionError):
-        Encoder(desk_cfg_a(norm_mean=(0.5, 0.5)), "e", 0).encode(tiles)
+        encode(Encoder(desk_cfg_a(norm_mean=(0.5, 0.5)), "e", 0), tiles)
     four = TileSet(tiles=[ImageBuffer(np.zeros((32, 32, 4)))], grid=None,
                    thumbnail=None)
     with pytest.raises(DimensionError):
-        Encoder(desk_cfg_a(), "e", 0).encode(four)
+        encode(Encoder(desk_cfg_a(), "e", 0), four)

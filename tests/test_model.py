@@ -238,7 +238,8 @@ class TestForward:
     def test_single_branch_equals_manual_projection(self):
         pipe = Pipeline(desk_cfg(encoders="A"), seed=9)
         img = landscape_image(3)
-        grid = pipe.encoder_a.encode(pipe.segment_image(img))
+        tiles = pipe.segment_image(img)
+        grid = pipe.encoder_a.encode(tiles, pipe.encoder_a.patch_rows(tiles))
         manual = project(pipe.projector_a, pixel_unshuffle(grid, 2), "A")
         got = encode_image(pipe, img)
         assert got.embeddings.tobytes() == manual.embeddings.tobytes()

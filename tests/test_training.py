@@ -948,16 +948,16 @@ def test_answer_prompt_matches_per_image_oracle(layout, monkeypatch):
 
 class EncodeSpy:
     """Records (encoder prefix, input shape, input bytes) of every
-    Encoder.encode; the input is the encoder's patch_rows."""
+    Encoder.encode; the input is the encoder's patch_rows, its rows
+    argument."""
 
     def __init__(self, monkeypatch):
         self.calls = []
         original = Encoder.encode
 
-        def spy(encoder, tiles):
-            rows = encoder.patch_rows(tiles)
+        def spy(encoder, tiles, rows):
             self.calls.append((encoder.prefix, rows.shape, rows.tobytes()))
-            return original(encoder, tiles)
+            return original(encoder, tiles, rows)
 
         monkeypatch.setattr(Encoder, "encode", spy)
 
@@ -1081,6 +1081,126 @@ def test_new_pipeline_starts_with_empty_token_cache(monkeypatch):
     before = len(spy.calls)
     run_stage(plan, second, data, seed=13, batch_size=len(data))
     assert len(spy.calls) - before == 2 * distinct_images(data)
+
+
+def lowpass_a_cfg():
+    cfg = tiny_cfg(ctx=192)
+    return replace(cfg, encoder_a=replace(cfg.encoder_a,
+                                          input_filter="lowpass"))
+
+
+def lazy_encode_order(model, data, plan, seed, batch_size):
+    """(prefix, rows shape, rows bytes) of every encode that frozen_tokens
+    called step by step would run: each image a step draws, in step,
+    sample and image order, each branch's view the first time it is
+    seen. Images here are distinct, so a view is its rows."""
+    stage_index = STAGE_NAMES.index(plan.name) + 1
+    seen, order = set(), []
+    for step in range(plan.steps):
+        for i in batch_indices(seed, stage_index, step, len(data),
+                               batch_size):
+            for img in data[int(i)].images:
+                tiles = model.segment_image(img)
+                for enc in (model.encoder_a, model.encoder_b):
+                    rows = enc.patch_rows(tiles)
+                    key = (enc.prefix, rows.shape, rows.tobytes())
+                    if key not in seen:
+                        seen.add(key)
+                        order.append(key)
+    return order
+
+
+# A stage encodes its whole schedule's images before its first step, in
+# the order the steps would have asked for them, and nothing else.
+def test_stage_encodes_its_schedule_before_its_first_step(monkeypatch):
+    data = mixed_dataset()
+    model = Pipeline(lowpass_a_cfg(), seed=5)
+    spy = EncodeSpy(monkeypatch)
+    encodes_at_loss = []
+    real_loss = Pipeline.loss
+
+    def loss(self, samples, tokens):
+        encodes_at_loss.append(len(spy.calls))
+        return real_loss(self, samples, tokens)
+
+    monkeypatch.setattr(Pipeline, "loss", loss)
+    plan = stage_plan("stage1", steps=3, warmup_steps=1, base_lr=2e-3)
+    # seed 0 draws samples {2, 5}, {3, 5}, {2, 5}: step 1 brings a new
+    # image, step 2 none, and samples 0, 1 and 4 are never drawn
+    draws = [set(batch_indices(0, 1, step, len(data), 2).tolist())
+             for step in range(plan.steps)]
+    assert draws[1] - draws[0] and not draws[2] - draws[0] - draws[1]
+    want = lazy_encode_order(model, data, plan, seed=0, batch_size=2)
+    run_stage(plan, model, data, seed=0, batch_size=2)
+    assert spy.calls == want
+    assert encodes_at_loss == [len(want)] * plan.steps
+    undrawn = [img for k, s in enumerate(data) if k not in set().union(*draws)
+               for img in s.images]
+    assert undrawn
+    assert all(img.content_key not in model.token_cache for img in undrawn)
+
+
+# A miss computes each branch's patch_rows once: a filtered branch
+# hashes them and, on a view miss, encodes the same array.
+def test_frozen_tokens_miss_computes_each_branch_rows_once(monkeypatch):
+    model = Pipeline(lowpass_a_cfg(), seed=5)
+    model.sync_token_cache()
+    spy = EncodeSpy(monkeypatch)
+    calls = []
+    real_rows = Encoder.patch_rows
+
+    def patch_rows(encoder, tiles):
+        calls.append(encoder.prefix)
+        return real_rows(encoder, tiles)
+
+    monkeypatch.setattr(Encoder, "patch_rows", patch_rows)
+    rng = np.random.default_rng(8)
+    # one tile, no resize; zero-sum detail inside each 2 x 2 block keeps
+    # the lowpass view
+    base = rng.integers(8, 248, size=(16, 16, 3))
+    detail = np.tile(np.array([[5, -5], [-5, 5]]), (8, 8))[:, :, None]
+    first = image_from_u8(base.astype(np.uint8))
+    same_view = image_from_u8((base + detail).astype(np.uint8))
+    model.frozen_tokens(first)
+    assert calls == ["encoderA", "encoderB"]
+    assert [c[0] for c in spy.calls] == ["encoderA", "encoderB"]
+    model.frozen_tokens(first)
+    assert len(calls) == 2  # an image hit computes no rows
+    model.frozen_tokens(same_view)
+    assert calls == ["encoderA", "encoderB"] * 2
+    assert [c[0] for c in spy.calls] == ["encoderA", "encoderB",
+                                         "encoderB"]
+
+
+# The encoder pass is timed in step 0, so a stage's wall_ms values add
+# up to the span of its clock, under a clock that only the encoder and
+# the loss move.
+def test_stage_wall_ms_adds_up_to_its_clock_span(monkeypatch):
+    now, readings = [0.0], []
+
+    def clock():
+        readings.append(now[0])
+        return now[0]
+
+    def costing(seconds, fn):
+        def timed(*args):
+            now[0] += seconds
+            return fn(*args)
+        return timed
+
+    monkeypatch.setattr(Encoder, "encode", costing(0.005, Encoder.encode))
+    monkeypatch.setattr(Pipeline, "loss", costing(0.001, Pipeline.loss))
+    data = mixed_dataset()
+    model = Pipeline(tiny_cfg(ctx=192), seed=5)
+    plan = stage_plan("stage1", steps=4, warmup_steps=1, base_lr=2e-3)
+    _, recs = run_stage(plan, model, data, seed=13, batch_size=2,
+                        clock=clock)
+    encodes = 2 * len(model.token_cache)
+    assert encodes > 0
+    walls = [r.wall_ms for r in recs]
+    assert walls[0] == pytest.approx(5.0 * encodes + 1.0)
+    assert walls[1:] == pytest.approx([1.0] * (plan.steps - 1))
+    assert sum(walls) == pytest.approx((readings[-1] - readings[0]) * 1e3)
 
 
 def shipped_complementary(n_train):
