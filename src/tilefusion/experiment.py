@@ -25,6 +25,7 @@ ablate raise the problem list as one ConfigError, before any compute
 starts. Every config key is documented in configs/schema.md.
 """
 
+import contextlib
 import json
 import os
 import time
@@ -330,7 +331,8 @@ def run_experiment(cfg: dict, out_dir=None, clock=None,
     geometry or (on the complementary task) encoder front ends that do
     not separate the coarse and fine factors fail before compute. A
     rerun into the same out_dir replaces its metrics, checkpoint and
-    result.
+    result; one that raises in training or evaluation removes the
+    previous result as it fails.
     """
     exp = build_experiment(cfg, seed_override)
     tick = time.perf_counter if clock is None else clock
@@ -347,16 +349,21 @@ def run_experiment(cfg: dict, out_dir=None, clock=None,
         stale = os.path.join(out_dir, "metrics.jsonl")
         if os.path.exists(stale):
             os.remove(stale)
-    total_steps = 0
-    for plan in plans:
-        run_stage(plan, model, data.train, seed=exp.seed,
-                  batch_size=exp.training.batch_size, out_dir=out_dir,
-                  clock=clock)
-        total_steps += plan.steps
-
-    t_eval = tick()
-    accuracy = evaluate(model, data.eval,
-                        max_new=exp.training.eval_max_new)
+    try:
+        for plan in plans:
+            run_stage(plan, model, data.train, seed=exp.seed,
+                      batch_size=exp.training.batch_size, out_dir=out_dir,
+                      clock=clock)
+        t_eval = tick()
+        accuracy = evaluate(model, data.eval,
+                            max_new=exp.training.eval_max_new)
+    except BaseException:
+        # a rerun that fails before its result must not leave the
+        # previous run's result beside its own metrics and checkpoint
+        if out_dir is not None:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, "result.json"))
+        raise
     t_end = tick()
     result = ExperimentResult(
         config_id=exp.config_id,
@@ -368,7 +375,7 @@ def run_experiment(cfg: dict, out_dir=None, clock=None,
         tokens_per_tile=exp.model.tokens_per_tile(),
         tokens_per_image=exp.model.tokens_per_tile()
         * planned_patches(exp.model, exp.task.image_size),
-        steps=total_steps,
+        steps=sum(plan.steps for plan in plans),
         wall_ms=(t_end - t0) * 1000.0,
         eval_ms=(t_end - t_eval) * 1000.0,
     )

@@ -30,15 +30,15 @@ channels-last [n_tiles, tokens, channels] array, on two levels:
 - token_cache maps an image's content_key (its shape and the sha1 of
   its pixel bytes, hashed once per ImageBuffer) to {label: tokens};
   a repeat image is one dict lookup.
-- view_cache, read only on a token_cache miss, maps each branch's input
-  to that branch's tokens. A branch with an input filter keys it by
-  (label, rows shape, sha1 of rows), where rows is Encoder.patch_rows
-  of the image's tiles: the encoder's exact input, after its filter
-  and normalization. The encoder is a pure function of those rows, so
-  two images whose filtered views agree (a complementary image's
-  highpass view depends only on its texture) share one encode. An
-  unfiltered branch's input is a function of the image alone, so it
-  keys its view by (label, content_key) and hashes nothing more.
+- view_cache, read only on a token_cache miss, maps a filtered branch's
+  input to that branch's tokens, keyed by (label, rows shape, sha1 of
+  rows), where rows is Encoder.patch_rows of the image's tiles: the
+  encoder's exact input, after its filter and normalization. The
+  encoder is a pure function of those rows, so two images whose
+  filtered views agree (a complementary image's highpass view depends
+  only on its texture) share one encode. An unfiltered branch's input
+  is a function of the image alone, so it encodes on every token_cache
+  miss and keeps no view entry.
   A miss computes each branch's rows once: the same array is hashed
   for the key and handed to Encoder.encode(tiles, rows).
   token_cache entries hold the view_cache arrays themselves.
@@ -47,13 +47,15 @@ run_stage fills both before its first step, walking its whole
 schedule in the order its steps read it, so a step's frozen_tokens
 calls are all hits; answer fills them as it goes.
 
-Both hold only for the encoder weights they were filled with;
-sync_token_cache, which run_stage calls once per stage and answer once
-per call, empties both when those weights' bytes have changed (restore,
-or any write to a weight). A cached array is the encoder's output on
-identical rows, so answers from the caches are bitwise the answers of
-an uncached encode (tests/per_image_oracle.py keeps that path as the
-oracle).
+Both hold for the Pipeline's life, because its encoder weights do:
+the first fill makes every encoder parameter array read-only
+(flags.writeable = False), so a later in-place write, a restore's
+included, raises numpy's ValueError where it happens instead of
+leaving a stale cache. Weights written before the first fill (a
+restore into a fresh Pipeline) are the ones the caches hold. A cached
+array is the encoder's output on identical rows, so answers from the
+caches are bitwise the answers of an uncached encode
+(tests/per_image_oracle.py keeps that path as the oracle).
 
 Parameter names are namespaced by component ("encoderA.", "projectorB.",
 "fusion.down", "lm.") so training stages can freeze whole subsystems by
@@ -239,12 +241,10 @@ class Pipeline:
 
         self.lm = LanguageModel(cfg.lm, seed_lm)
 
-        # (image shape, pixel digest) -> {label: tokens} and
-        # each branch's view key -> the same arrays, valid for the
-        # encoder weights whose bytes are token_cache_weights
+        # (image shape, pixel digest) -> {label: tokens} and a
+        # filtered branch's view key -> the same arrays
         self.token_cache = {}
         self.view_cache = {}
-        self.token_cache_weights = None
 
         # Start every parameter on the f32 lattice. Checkpoints store
         # f32, and saving quantizes live values in place; with lattice
@@ -297,51 +297,38 @@ class Pipeline:
                 (("A", self.encoder_a), ("B", self.encoder_b))
                 if encoder is not None]
 
-    def sync_token_cache(self) -> None:
-        """Empty token_cache and view_cache if the encoder weights
-        changed since they were filled. Call it before frozen_tokens
-        whenever the weights may have been written; run_stage calls it
-        once per stage and answer once per call. The check compares a
-        kept copy of the weights' bytes, so it is exact."""
-        weights = b"".join(p.data.tobytes() for _, enc in self._branches()
-                           for p in enc.parameters())
-        if weights != self.token_cache_weights:
-            self.token_cache.clear()
-            self.view_cache.clear()
-            self.token_cache_weights = weights
-
     def frozen_tokens(self, image: ImageBuffer) -> dict:
         """Each used branch's post-unshuffle [n_tiles, tokens, channels]
         tokens of image (tile, encode, unshuffle), keyed "A" and "B",
         from the two caches.
 
-        Only for encoder weights that sync_token_cache has seen. A
-        token_cache hit returns the image's arrays. On a miss, each
-        branch looks up its view key (a filtered branch hashes its
-        patch_rows, an unfiltered one reuses the image's content_key)
-        and runs its encoder only if view_cache has no tokens for it,
-        on the rows computed for the key if there are any: a branch
-        computes its patch_rows at most once per miss. The image's
-        entry then holds the view_cache arrays.
+        A token_cache hit returns the image's arrays. On a miss, an
+        unfiltered branch encodes; a filtered one hashes its patch_rows
+        for its view key and encodes those rows only if view_cache has
+        no tokens for them. The image's entry then holds the view
+        arrays. The first miss locks every encoder's weights read-only
+        before it encodes, so no cache entry outlives the weights it
+        came from.
         """
         tokens = self.token_cache.get(image.content_key)
         if tokens is None:
+            if not self.token_cache:
+                for _, encoder in self._branches():
+                    for p in encoder.parameters():
+                        p.data.flags.writeable = False
             tiles = self.segment_image(image)
             tokens = {}
             for label, encoder in self._branches():
-                rows = None
-                if encoder.cfg.input_filter == "none":
-                    key = (label, image.content_key)
-                else:
-                    rows = encoder.patch_rows(tiles)
+                rows = encoder.patch_rows(tiles)
+                key = view = None
+                if encoder.cfg.input_filter != "none":
                     key = (label, rows.shape, hashlib.sha1(rows).digest())
-                view = self.view_cache.get(key)
+                    view = self.view_cache.get(key)
                 if view is None:
-                    if rows is None:
-                        rows = encoder.patch_rows(tiles)
                     view = pixel_unshuffle(encoder.encode(tiles, rows),
                                            encoder.cfg.unshuffle_r)
-                    self.view_cache[key] = view
+                    if key is not None:
+                        self.view_cache[key] = view
                 tokens[label] = view
             self.token_cache[image.content_key] = tokens
         return tokens
@@ -417,16 +404,14 @@ class Pipeline:
         """Greedy decode an answer string for one question, on arrays.
 
         Each image's branch tokens come from the frozen-token caches
-        (frozen_tokens), checked first against the encoder weights
-        (sync_token_cache): a repeat image encodes nothing, and a new
-        one runs only the branches whose view is new. Each image is
+        (frozen_tokens): a repeat image encodes nothing, and a new one
+        runs only the branches whose view is new. Each image is
         fused on its own (fuse_images), the prompt is spliced from the
         fused arrays and the embedding table's (splice), and
         LanguageModel.greedy_decode runs it once into a KV cache and
         each emitted token but the last as a one-row step. Nothing
         here keeps a backward or touches a parameter's grad.
         """
-        self.sync_token_cache()
         # splice takes one sequence per image; every shipped task has
         # one image per sample, so this is one fused pass
         visuals = [self.fuse_images([self.frozen_tokens(img)])

@@ -6,9 +6,10 @@ Freezing is enforced by parameter-name prefix. Because the encoders
 are frozen in every stage, they run forward only, on arrays, and
 run_stage trains on their cached output tokens
 (Pipeline.frozen_tokens): the cache lives on the Pipeline, keyed by
-image and, on an image miss, by each branch's encoder input, so each
-encoder runs once per distinct input per Pipeline, across both
-stages, until the encoder weights change. run_stage fills the cache
+image and, on an image miss, by each filtered branch's encoder input,
+so each encoder runs once per distinct input per Pipeline, across both
+stages. Its first fill locks the encoder weights read-only, so it
+holds for the Pipeline's life. run_stage fills the cache
 before its first step, in one pass over the stage's schedule of
 batches, so its steps read cached tokens only. A frozen parameter
 takes no gradient (Parameter.frozen is the one flag every backward
@@ -34,6 +35,8 @@ step), so a resumed run reconstructs the exact batch sequence without
 replaying RNG history. Checkpoints store one little-endian f32 blob in
 manifest order; saving quantizes the live parameters to the same f32
 values, which makes resume-then-train bitwise equal to train-through.
+A parameter already on that lattice is not written, so saving never
+touches a locked encoder array.
 """
 
 import contextlib
@@ -391,14 +394,18 @@ def snapshot(model, step: int, stage: str) -> Checkpoint:
     """Serialize model parameters, quantizing them to f32 in place.
 
     The in-place quantization is what makes a later resume bit-identical
-    to simply continuing: both runs proceed from the f32 lattice.
+    to simply continuing: both runs proceed from the f32 lattice. Only
+    arrays the quantization changes are written, so the encoder arrays
+    Pipeline.frozen_tokens made read-only, on the lattice since init or
+    restore, are left as they are.
     """
     entries = []
     chunks = []
     offset = 0
     for p in model.parameters():
         q = p.data.astype("<f4")
-        p.data[...] = q
+        if not np.array_equal(q, p.data):
+            p.data[...] = q
         raw = q.tobytes()
         entries.append({"name": p.name, "shape": list(p.data.shape),
                         "offset": offset})
@@ -413,7 +420,10 @@ def snapshot(model, step: int, stage: str) -> Checkpoint:
 
 def restore(model, ckpt: Checkpoint) -> None:
     """Load a checkpoint's parameters into a freshly built model of the
-    config that wrote it, with the same parameter names and shapes."""
+    config that wrote it, with the same parameter names and shapes.
+
+    Fresh means before its first frozen_tokens call: from then on the
+    encoder arrays are read-only, and writing them raises ValueError."""
     if ckpt.manifest["config_hash"] != config_hash(model.cfg):
         raise ContractError("checkpoint was written by a different config")
     params = model.parameters()
@@ -451,16 +461,16 @@ def run_stage(plan: StagePlan, model, dataset, seed: int,
     Every stage freezes both encoders, so each image's post-unshuffle
     tokens come from the model's caches (Pipeline.frozen_tokens), as
     arrays: the encoders run once per distinct encoder input per
-    Pipeline, not per stage, and receive no gradient. The caches are
-    checked once here against a copy of the encoder weights and emptied
-    if they changed. The stage's whole schedule of batches is drawn
-    first, with the same keyed draws (batch_indices); one pass over it,
-    in step, sample and image order, then fills the caches, so the
-    encoders run before the first step, in the order and as many times
-    as steps that filled them one by one would run them, and never on
-    an image no step draws. The pass counts in step 0's wall_ms, so the
-    records' wall_ms still add up to the stage's time, less its metrics
-    writes.
+    Pipeline, not per stage, and receive no gradient. The caches hold
+    for the Pipeline's life: their first fill locks the encoder weights
+    read-only, so no stage can find them stale. The stage's whole
+    schedule of batches is drawn first, with the same keyed draws
+    (batch_indices); one pass over it, in step, sample and image order,
+    then fills the caches, so the encoders run before the first step,
+    in the order and as many times as steps that filled them one by one
+    would run them, and never on an image no step draws. The pass
+    counts in step 0's wall_ms, so the records' wall_ms still add up to
+    the stage's time, less its metrics writes.
 
     Each step splices its samples into one padded batch and runs the
     LM's loss on it in one call (Pipeline.loss), reading every image's
@@ -484,7 +494,6 @@ def run_stage(plan: StagePlan, model, dataset, seed: int,
     opt = AdamW(params, weight_decay=plan.weight_decay)
     stage_index = STAGE_NAMES.index(plan.name) + 1
 
-    model.sync_token_cache()
     schedule = [batch_indices(seed, stage_index, step, len(dataset),
                               batch_size) for step in range(plan.steps)]
     metrics = contextlib.nullcontext()

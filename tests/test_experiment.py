@@ -12,7 +12,8 @@ from dataclasses import asdict
 
 import pytest
 
-from tilefusion.errors import ConfigError
+from tilefusion import experiment
+from tilefusion.errors import ConfigError, ContractError
 from tilefusion.experiment import (
     CSV_COLUMNS,
     ablate,
@@ -26,6 +27,7 @@ from tilefusion.experiment import (
     report_to_json,
     write_report,
 )
+from tilefusion.model import Pipeline
 from tilefusion.training import read_metrics
 
 from config_checks import (build_encoder_config, validate_experiment_config,
@@ -446,6 +448,28 @@ class TestRunExperiment:
         assert steps == [("stage1", 0), ("stage1", 1),
                          ("stage2", 0), ("stage2", 1), ("stage2", 2)]
 
+    def test_failed_rerun_removes_previous_result(self, tmp_path,
+                                                  monkeypatch):
+        out = str(tmp_path / "run")
+        run_experiment(tiny_cfg(), out_dir=out)
+        real = experiment.run_stage
+
+        def run_stage(plan, *args, **kwargs):
+            if plan.name == "stage2":
+                raise ContractError("non-finite loss at stage2 step 0")
+            return real(plan, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "run_stage", run_stage)
+        cfg = tiny_cfg()
+        cfg["seed"] = 4
+        with pytest.raises(ContractError):
+            run_experiment(cfg, out_dir=out)
+        assert sorted(os.listdir(out)) == [
+            "manifest.json", "metrics.jsonl", "weights.bin"]
+        records = read_metrics(os.path.join(out, "metrics.jsonl"))
+        assert [(r.stage, r.step) for r in records] == [("stage1", 0),
+                                                        ("stage1", 1)]
+
     def test_invalid_config_rejected(self):
         cfg = tiny_cfg()
         cfg["model"]["fusion"] = "mean-pool"
@@ -479,6 +503,27 @@ class TestRunExperiment:
         out = str(tmp_path / "run")
         row = run_experiment(tiny_cfg(), out_dir=out)
         assert evaluate_run(tiny_cfg(), out) == row.accuracy
+
+    def test_evaluate_run_seed_changes_nothing(self, tmp_path, monkeypatch):
+        # restore overwrites the whole init the seed drew, and the eval
+        # split comes from task.seed
+        out = str(tmp_path / "run")
+        run_experiment(tiny_cfg(), out_dir=out)
+        answers = []
+        real = Pipeline.answer
+
+        def answer(self, *args, **kwargs):
+            answers.append(real(self, *args, **kwargs))
+            return answers[-1]
+
+        monkeypatch.setattr(Pipeline, "answer", answer)
+        runs = []
+        for seed in (None, 0, 7):
+            runs.append((evaluate_run(tiny_cfg(), out, seed_override=seed),
+                         answers[:]))
+            answers.clear()
+        assert len(runs[0][1]) == 8
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 def write_cells(tmp_path, cells):

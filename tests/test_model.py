@@ -449,7 +449,6 @@ class TestFullPipelineGradients:
         assert not any(p.frozen for p in params)
         samples = [Sample([landscape_image(8)], "q", "y"),
                    Sample([landscape_image(9)], "which?", "zz")]
-        pipe.sync_token_cache()
         cached = [[pipe.frozen_tokens(img) for img in s.images]
                   for s in samples]
         for tokens in (cached, uncached_tokens(pipe, samples)):

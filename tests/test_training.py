@@ -32,6 +32,7 @@ from tilefusion.model import Pipeline, PipelineConfig
 from tilefusion.tensor import Parameter
 from tilefusion.tiling import ImageBuffer, image_from_u8
 from tilefusion.training import (
+    ENCODER_PREFIXES,
     STAGE_NAMES,
     AdamW,
     Checkpoint,
@@ -827,7 +828,6 @@ def test_batched_image_side_matches_per_image_oracle(layout):
     model = Pipeline(LAYOUTS[layout], seed=5)
     model.set_frozen(stage_plan("stage2", steps=1).frozen_prefixes)
     data = mixed_dataset()
-    model.sync_token_cache()
     tokens = [[model.frozen_tokens(img) for img in s.images] for s in data]
     flat = [t for per_sample in tokens for t in per_sample]
 
@@ -986,7 +986,7 @@ def test_token_cache_encodes_each_image_once_across_stages(monkeypatch):
 
 
 def bump_encoder_weight(model):
-    # an f32 value, so the end-of-stage snapshot leaves it as it is
+    # an f32 value, so a snapshot leaves it as it is
     model.encoder_b.pos.data[0, 0] = 0.5
 
 
@@ -994,48 +994,67 @@ def restore_other_weights(model):
     restore(model, snapshot(Pipeline(model.cfg, seed=99), 0, "stage1"))
 
 
+def cache_bytes(model):
+    return ({key: {label: grid.tobytes() for label, grid in t.items()}
+             for key, t in model.token_cache.items()},
+            {key: grid.tobytes() for key, grid in model.view_cache.items()})
+
+
+# The caches hold for a Pipeline's life: once filled, a weight change,
+# in place or by restore, raises ValueError where it writes and changes
+# nothing, and the next stage still encodes nothing. The encoder arrays
+# stay read-only and unchanged through a stage.
 @pytest.mark.parametrize("change", [bump_encoder_weight, restore_other_weights],
                          ids=["in-place-write", "restore"])
 def test_token_cache_refills_when_encoder_weights_change(monkeypatch, change):
     spy = EncodeSpy(monkeypatch)
     data = mixed_dataset()
-    model = Pipeline(tiny_cfg(ctx=192), seed=5)
+    model = Pipeline(lowpass_a_cfg(), seed=5)
     stage1, stage2 = cache_plans()
     run_stage(stage1, model, data, seed=13, batch_size=len(data))
-    old = {key: {label: grid.copy() for label, grid in t.items()}
-           for key, t in model.token_cache.items()}
-    old_views = {key: grid.copy()
-                 for key, grid in model.view_cache.items()}
-    change(model)
+    weights = param_bytes(model, ("",))
+    caches = cache_bytes(model)
+    assert caches[0] and caches[1]
+    with pytest.raises(ValueError, match="read-only"):
+        change(model)
+    assert param_bytes(model, ("",)) == weights
+    assert cache_bytes(model) == caches
     before = len(spy.calls)
     run_stage(stage2, model, data, seed=14, batch_size=len(data))
-    assert len(spy.calls) - before == 2 * distinct_images(data)
-    assert model.token_cache.keys() == old.keys()
-    assert model.view_cache.keys() == old_views.keys()
-    assert len(old_views) == 2 * distinct_images(data)
-    views = {id(grid) for grid in model.view_cache.values()}
-    assert all(id(grid) in views
-               for t in model.token_cache.values() for grid in t.values())
-    for s in data:
-        for img in s.images:
-            n = len(spy.calls)
-            cached = model.frozen_tokens(img)
-            assert len(spy.calls) == n  # a hit
-            fresh = oracle.branch_tokens(model, img)
-            assert cached.keys() == fresh.keys()
-            for label in fresh:
-                assert cached[label].tobytes() == fresh[label].tobytes()
-    assert any(not np.array_equal(t["B"], model.token_cache[k]["B"])
-               for k, t in old.items())
-    assert any(not np.array_equal(grid, model.view_cache[k])
-               for k, grid in old_views.items() if k[0] == "B")
+    assert len(spy.calls) == before
+    assert cache_bytes(model) == caches
+    encoders = model.encoder_a.parameters() + model.encoder_b.parameters()
+    assert not any(p.data.flags.writeable for p in encoders)
+    assert param_bytes(model, ENCODER_PREFIXES) == \
+        {k: v for k, v in weights.items() if k.startswith(ENCODER_PREFIXES)}
+
+
+# Encoder arrays lock at the first fill, not at construction: a fresh
+# Pipeline's weights can still be written (restore into it is how a run
+# is re-evaluated), and no other parameter ever locks.
+def test_first_fill_locks_the_encoder_weights_alone():
+    model = Pipeline(lowpass_a_cfg(), seed=5)
+    assert all(p.data.flags.writeable for p in model.parameters())
+    model.frozen_tokens(mixed_dataset()[0].images[0])
+    for p in model.parameters():
+        assert p.data.flags.writeable != p.name.startswith(ENCODER_PREFIXES)
+
+
+# Only a filtered branch keeps view entries: an unfiltered branch's view
+# could only be asked for on the image miss that would write it.
+def test_unfiltered_branch_keeps_no_view_entry():
+    model = Pipeline(lowpass_a_cfg(), seed=5)
+    images = [img for s in mixed_dataset() for img in s.images]
+    for img in images:
+        model.frozen_tokens(img)
+    assert len(model.token_cache) == len(images)
+    assert {key[0] for key in model.view_cache} == {"A"}
 
 
 def sha1_calls(monkeypatch, model, pixels):
     """hashlib.sha1 calls so far after each of: a first frozen_tokens of
     an image, the same buffer again, then an equal image in a new buffer;
     the last two must return the first call's grids."""
-    model.sync_token_cache()
     hashed = []
     sha1 = hashlib.sha1
     monkeypatch.setattr(hashlib, "sha1",
@@ -1050,9 +1069,9 @@ def sha1_calls(monkeypatch, model, pixels):
     return counts
 
 
-# A miss hashes the image's content_key, which an unfiltered branch
-# reuses as its view key; a repeat is a hit; an equal image in another
-# buffer is hashed once, then a hit.
+# A miss hashes the image's content_key, and an unfiltered branch hashes
+# nothing more; a repeat is a hit; an equal image in another buffer is
+# hashed once, then a hit.
 def test_frozen_tokens_hashes_each_image_once(monkeypatch):
     model = Pipeline(tiny_cfg(ctx=192), seed=5)
     pixels = np.random.default_rng(8).random((16, 32, 3))
@@ -1144,7 +1163,6 @@ def test_stage_encodes_its_schedule_before_its_first_step(monkeypatch):
 # hashes them and, on a view miss, encodes the same array.
 def test_frozen_tokens_miss_computes_each_branch_rows_once(monkeypatch):
     model = Pipeline(lowpass_a_cfg(), seed=5)
-    model.sync_token_cache()
     spy = EncodeSpy(monkeypatch)
     calls = []
     real_rows = Encoder.patch_rows
@@ -1279,20 +1297,25 @@ def test_answer_matches_uncached_branch_tokens_path(monkeypatch):
     assert 0 < len(model.view_cache) - views < 2 * new_images
 
 
-# After a weight change that skips run_stage, the next answer must
-# resync: it equals a fresh Pipeline's answer with the new weights.
+# A weight change before the first fill, in place or by restore, is what
+# the answers see: they equal a fresh Pipeline's restored from the
+# changed weights. After the first fill the change raises ValueError and
+# the answers stand.
 @pytest.mark.parametrize("change", [bump_encoder_weight, restore_other_weights],
                          ids=["in-place-write", "restore"])
 def test_answer_resyncs_after_encoder_weight_change(monkeypatch, change):
     data = mixed_dataset()
     model = Pipeline(tiny_cfg(ctx=192), seed=5)
-    before = answer_prompts(monkeypatch, model, data)
+    untouched = answer_prompts(monkeypatch, Pipeline(model.cfg, seed=5), data)
     change(model)
     fresh = Pipeline(model.cfg, seed=5)
     restore(fresh, snapshot(model, 0, "stage1"))
     want = answer_prompts(monkeypatch, fresh, data)
     assert answer_prompts(monkeypatch, model, data) == want
-    assert [p[1] for p in want] != [p[1] for p in before]
+    assert [p[1] for p in want] != [p[1] for p in untouched]
+    with pytest.raises(ValueError, match="read-only"):
+        change(model)
+    assert answer_prompts(monkeypatch, model, data) == want
 
 
 # Branch A sees a lowpass view, which no texture changes, and branch B a
@@ -1302,7 +1325,6 @@ def test_answer_resyncs_after_encoder_weight_change(monkeypatch, change):
 def test_view_cache_encodes_each_distinct_view_once(monkeypatch):
     data, model = shipped_complementary(48)
     spy = EncodeSpy(monkeypatch)
-    model.sync_token_cache()
     # a small split rarely repeats a lowpass view, so add two shapes in
     # two placements, each in every texture
     images = [img for s in data for img in s.images] + [
