@@ -6,6 +6,12 @@ Verbs:
   eval            re-evaluate a finished run from its checkpoint
   ablate          run a matrix of experiment configs, emit reports
   inspect-tiling  show the grid the tiler picks for an image size
+
+The config carries every seed of a run, and --seed writes into the
+dict a verb loaded: gen-data sets task.seed, train sets seed, and
+ablate sets the matrix seed, which replaces every cell's seed. eval
+takes no --seed. A config that is not an object is left as it is, for
+validation to report.
 """
 
 import argparse
@@ -38,7 +44,9 @@ def _load_json(path):
 def cmd_gen_data(args) -> int:
     cfg = _load_json(args.config)
     task = cfg.get("task", cfg) if isinstance(cfg, dict) else cfg
-    spec = build_task_spec(task, seed_override=args.seed)
+    if args.seed is not None and isinstance(task, dict):
+        task["seed"] = args.seed
+    spec = build_task_spec(task)
     data = generate(spec)
     for split, samples in (("train", data.train), ("eval", data.eval)):
         index = save_dataset(samples, args.out, split)
@@ -48,8 +56,9 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    result = run_experiment(cfg, out_dir=args.out,
-                            seed_override=args.seed)
+    if args.seed is not None:
+        cfg["seed"] = args.seed
+    result = run_experiment(cfg, out_dir=args.out)
     print(f"config_id: {result.config_id}")
     print(f"steps: {result.steps}")
     print(f"eval accuracy: {result.accuracy:.4f}")
@@ -60,7 +69,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
-    accuracy = evaluate_run(cfg, args.out, seed_override=args.seed)
+    accuracy = evaluate_run(cfg, args.out)
     print(f"config_id: {cfg['config_id']}")
     print(f"eval accuracy: {accuracy:.4f}")
     return 0
@@ -68,10 +77,11 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     matrix = _load_json(args.config)
+    if args.seed is not None and isinstance(matrix, dict):
+        matrix["seed"] = args.seed
     formats = ("csv", "json") if args.report is None else (args.report,)
     report = ablate(matrix, os.path.dirname(os.path.abspath(args.config)),
-                    out_dir=args.out, seed_override=args.seed,
-                    formats=formats)
+                    out_dir=args.out, formats=formats)
     if args.out:
         for name in formats:
             print(f"wrote {os.path.join(args.out, 'report.' + name)}")
@@ -99,7 +109,7 @@ def cmd_inspect_tiling(args) -> int:
         cfg = load_config(args.config)
         pipe_cfg = build_pipeline_config(cfg["model"])
         tile = pipe_cfg.tile_size
-        max_tiles, thumbnail = pipe_cfg.tiler_args()
+        max_tiles, thumbnail = pipe_cfg.max_tiles, pipe_cfg.thumbnail
     grid = select_grid(width, height, max_tiles)
     patches = patch_count(grid, thumbnail)
     print(f"input: {width}x{height}")
@@ -120,20 +130,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="tiled dual-encoder vision-language experiments")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, need_out):
+    def common(p, need_out, seed_help=None):
         p.add_argument("--config", required=True, metavar="PATH",
                        help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, metavar="N",
-                       help="override the config's seed")
+        if seed_help is not None:
+            p.add_argument("--seed", type=int, default=None, metavar="N",
+                           help=seed_help)
         p.add_argument("--out", required=need_out, metavar="DIR",
                        help="output directory")
 
     p = sub.add_parser("gen-data", help="write a synthetic dataset")
-    common(p, need_out=True)
+    common(p, need_out=True, seed_help="set the config's task.seed")
     p.set_defaults(fn=cmd_gen_data)
 
     p = sub.add_parser("train", help="train one experiment")
-    common(p, need_out=False)
+    common(p, need_out=False, seed_help="set the config's seed")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a saved checkpoint")
@@ -141,7 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("ablate", help="run an ablation matrix")
-    common(p, need_out=False)
+    common(p, need_out=False, seed_help="set the matrix seed, which "
+           "replaces every cell's seed")
     p.add_argument("--report", choices=("csv", "json"), default=None,
                    help="write only this report format")
     p.set_defaults(fn=cmd_ablate)

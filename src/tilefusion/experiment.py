@@ -42,12 +42,15 @@ from .errors import ConfigError, reject
 from .lm import LMConfig
 from .model import Pipeline, PipelineConfig
 from .tiling import patch_count, select_grid
-from .training import Checkpoint, StageConfig, TrainingConfig, restore, \
-    run_stage, write_atomic
+from .training import MANIFEST_NAME, WEIGHTS_NAME, Checkpoint, \
+    StageConfig, TrainingConfig, restore, run_stage, write_atomic
 
 CSV_COLUMNS = ("config_id", "encoders", "fusion", "tiling", "frozen",
                "accuracy", "tokens_per_tile", "tokens_per_image",
                "steps", "wall_ms", "eval_ms", "status")
+
+# what a run writes into its out_dir, all removed before a rerun trains
+_RUN_FILES = ("metrics.jsonl", "result.json", MANIFEST_NAME, WEIGHTS_NAME)
 
 _ID_CHARS = set("abcdefghijklmnopqrstuvwxyz"
                 "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-")
@@ -115,8 +118,9 @@ class MatrixConfig:
 
 @dataclass
 class ExperimentResult:
-    """One completed run, in report-row form. wall_ms times the whole
-    run and eval_ms its evaluate call, both on the run's clock."""
+    """One completed run, in report-row form. tiling is max_tiles > 1;
+    wall_ms times the whole run and eval_ms its evaluate call, both on
+    the run's clock."""
 
     config_id: str
     encoders: str
@@ -279,17 +283,12 @@ def load_config(path) -> dict:
     return cfg
 
 
-def build_experiment(cfg, seed_override=None) -> ExperimentConfig:
-    """Every section of an experiment config, built; seed_override, when
-    given, replaces its seed."""
-    if seed_override is not None:
-        cfg = dict(cfg, seed=seed_override)
+def build_experiment(cfg) -> ExperimentConfig:
+    """Every section of an experiment config, built."""
     return _construct(cfg, ExperimentConfig)
 
 
-def build_task_spec(task, seed_override=None) -> TaskSpec:
-    if seed_override is not None:
-        task = dict(task, seed=seed_override)
+def build_task_spec(task) -> TaskSpec:
     return _construct(task, TaskSpec, "task.")
 
 
@@ -306,9 +305,8 @@ def build_stage_plans(training, param_names):
 
 def planned_patches(cfg: PipelineConfig, image_size) -> int:
     """Patch count the tiler will produce for this image size."""
-    max_tiles, thumbnail = cfg.tiler_args()
-    return patch_count(select_grid(image_size[0], image_size[1], max_tiles),
-                       thumbnail)
+    return patch_count(select_grid(image_size[0], image_size[1],
+                                   cfg.max_tiles), cfg.thumbnail)
 
 
 def evaluate(model: Pipeline, samples, max_new: int) -> float:
@@ -322,19 +320,20 @@ def evaluate(model: Pipeline, samples, max_new: int) -> float:
     return hits / len(samples)
 
 
-def run_experiment(cfg: dict, out_dir=None, clock=None,
-                   seed_override=None) -> ExperimentResult:
+def run_experiment(cfg: dict, out_dir=None, clock=None) -> ExperimentResult:
     """Build, train both stages, evaluate; returns the report row.
 
-    Every config object and the model are built before any data
-    generation or training, so an unknown fusion kind, an impossible
-    geometry or (on the complementary task) encoder front ends that do
-    not separate the coarse and fine factors fail before compute. A
-    rerun into the same out_dir replaces its metrics, checkpoint and
-    result; one that raises in training or evaluation removes the
-    previous result as it fails.
+    cfg carries the run's seeds: `seed` sets the init and the batch
+    order, `task.seed` the data. Every config object and the model are
+    built before any data generation or training, so an unknown fusion
+    kind, an impossible geometry or (on the complementary task) encoder
+    front ends that do not separate the coarse and fine factors fail
+    before compute. A run owns its out_dir: once the model and data are
+    built, and before stage 1, it removes the previous run's metrics,
+    checkpoint and result, so a run that fails leaves only what it
+    wrote itself.
     """
-    exp = build_experiment(cfg, seed_override)
+    exp = build_experiment(cfg)
     tick = time.perf_counter if clock is None else clock
     t0 = tick()
 
@@ -344,32 +343,21 @@ def run_experiment(cfg: dict, out_dir=None, clock=None,
 
     data = generate(exp.task)
     if out_dir is not None:
-        # run_stage appends, so a rerun into the same directory would
-        # otherwise keep the previous run's records
-        stale = os.path.join(out_dir, "metrics.jsonl")
-        if os.path.exists(stale):
-            os.remove(stale)
-    try:
-        for plan in plans:
-            run_stage(plan, model, data.train, seed=exp.seed,
-                      batch_size=exp.training.batch_size, out_dir=out_dir,
-                      clock=clock)
-        t_eval = tick()
-        accuracy = evaluate(model, data.eval,
-                            max_new=exp.training.eval_max_new)
-    except BaseException:
-        # a rerun that fails before its result must not leave the
-        # previous run's result beside its own metrics and checkpoint
-        if out_dir is not None:
+        for name in _RUN_FILES:
             with contextlib.suppress(FileNotFoundError):
-                os.remove(os.path.join(out_dir, "result.json"))
-        raise
+                os.remove(os.path.join(out_dir, name))
+    for plan in plans:
+        run_stage(plan, model, data.train, seed=exp.seed,
+                  batch_size=exp.training.batch_size, out_dir=out_dir,
+                  clock=clock)
+    t_eval = tick()
+    accuracy = evaluate(model, data.eval, max_new=exp.training.eval_max_new)
     t_end = tick()
     result = ExperimentResult(
         config_id=exp.config_id,
         encoders=exp.model.encoders,
         fusion=exp.model.fusion,
-        tiling=exp.model.tiling,
+        tiling=exp.model.max_tiles > 1,
         frozen=frozen,
         accuracy=accuracy,
         tokens_per_tile=exp.model.tokens_per_tile(),
@@ -386,9 +374,9 @@ def run_experiment(cfg: dict, out_dir=None, clock=None,
     return result
 
 
-def evaluate_run(cfg: dict, run_dir, seed_override=None) -> float:
+def evaluate_run(cfg: dict, run_dir) -> float:
     """Rebuild the model, load the run's checkpoint, re-evaluate."""
-    exp = build_experiment(cfg, seed_override)
+    exp = build_experiment(cfg)
     model = Pipeline(exp.model, seed=exp.seed)
     restore(model, Checkpoint.load(run_dir))
     data = generate(exp.task)
@@ -396,17 +384,15 @@ def evaluate_run(cfg: dict, run_dir, seed_override=None) -> float:
 
 
 def ablate(matrix: dict, matrix_dir, out_dir=None, clock=None,
-           seed_override=None,
            formats=("csv", "json")) -> AblationReport:
     """Run every cell of a matrix; never stops at a failed cell.
 
     Cell paths are resolved relative to the matrix file's directory.
-    A matrix-level seed (or an explicit override) is shared by every
-    cell so rows differ only in what the cell config changes. Each
-    failure is recorded on its row and flips the report to partial.
+    A matrix-level seed, when set, replaces every cell's own seed, so
+    rows differ only in what the cell config changes. Each failure is
+    recorded on its row and flips the report to partial.
     """
     spec = _construct(matrix, MatrixConfig, what="matrix")
-    seed = spec.seed if seed_override is None else seed_override
     rows = []
     seen = set()
     for rel in spec.cells:
@@ -417,16 +403,17 @@ def ablate(matrix: dict, matrix_dir, out_dir=None, clock=None,
             if cid in seen:
                 raise ConfigError(f"duplicate config_id {cid!r}")
             seen.add(cid)
+            if spec.seed is not None:
+                cfg["seed"] = spec.seed
             cell_out = None
             if out_dir is not None:
                 cell_out = os.path.join(out_dir, cid)
-            result = run_experiment(cfg, out_dir=cell_out, clock=clock,
-                                    seed_override=seed)
+            result = run_experiment(cfg, out_dir=cell_out, clock=clock)
             rows.append(CellResult(cid, "ok", None, result))
         except Exception as err:
             rows.append(CellResult(cid, "failed",
                                    f"{type(err).__name__}: {err}", None))
-    report = AblationReport(name=spec.name, seed=seed,
+    report = AblationReport(name=spec.name, seed=spec.seed,
                             complete=all(r.status == "ok" for r in rows),
                             rows=rows)
     if out_dir is not None:

@@ -139,12 +139,25 @@ class LanguageModel:
                                             self.norm_out_b.data)
         return np.matmul(h, self.head.data), h, xhat, inv
 
+    def _run_blocks(self, x: np.ndarray, mask, queries_from: int,
+                    cache: KVCache | None = None) -> tuple:
+        """(output, backwards) of the blocks run in turn over x, with
+        cache if given. Every block but the last takes all of its rows
+        as queries, and the last takes rows queries_from on. backwards
+        holds each block's backward, first block first."""
+        last = len(self.blocks) - 1
+        backwards = []
+        for i, blk in enumerate(self.blocks):
+            x, block_backward = block_forward(
+                x, blk, self.cfg.heads, mask, cache, i,
+                queries_from=queries_from if i == last else 0)
+            backwards.append(block_backward)
+        return x, backwards
+
     def forward(self, batch: SequenceBatch) -> np.ndarray:
         """[B, L, V] logits of every row of batch, with no cache."""
         x, mask = self._inputs(batch)
-        for blk in self.blocks:
-            x, _ = block_forward(x, blk, self.cfg.heads, mask)
-        return self._head(x)[0]
+        return self._head(self._run_blocks(x, mask, 0)[0])[0]
 
     def loss(self, batch: SequenceBatch) -> tuple:
         """(value, backward) of the mean masked cross entropy of
@@ -165,13 +178,7 @@ class LanguageModel:
         x, mask = self._inputs(batch)
         read = np.flatnonzero(batch.loss_mask[:, 1:].any(axis=0))
         first = int(read[0]) if read.size else L - 1
-        last = len(self.blocks) - 1
-        backwards = []
-        for i, blk in enumerate(self.blocks):
-            x, block_backward = block_forward(
-                x, blk, self.cfg.heads, mask,
-                queries_from=first if i == last else 0)
-            backwards.append(block_backward)
+        x, backwards = self._run_blocks(x, mask, first)
         n = L - 1 - first
         logits, h, xhat, inv = self._head(x[:, :n])
         value, ce_backward = tz.cross_entropy_forward(
@@ -209,10 +216,7 @@ class LanguageModel:
         x = x + self.pos.data[start:start + rows]
         # a one-row step sees every cached key: its mask row is all zeros
         mask = self._causal(1, rows, start) if rows > 1 else None
-        last = len(self.blocks) - 1
-        for i, blk in enumerate(self.blocks):
-            x, _ = block_forward(x, blk, self.cfg.heads, mask, cache, i,
-                                 queries_from=rows - 1 if i == last else 0)
+        x, _ = self._run_blocks(x, mask, rows - 1, cache)
         cache.length = start + rows
         return self._head(x)[0][0, 0]
 

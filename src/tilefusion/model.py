@@ -99,8 +99,8 @@ class PipelineConfig:
 
     encoders selects which vision branches exist. With a single branch
     the fusion kind is ignored; that branch's projector output is the
-    visual sequence. tiling=False forces every image onto a single tile
-    with no thumbnail, which is the no-tiling baseline.
+    visual sequence. max_tiles=1 puts every image on a single tile,
+    which never gets a thumbnail: the no-tiling baseline.
     """
 
     encoder_a: EncoderConfig
@@ -108,7 +108,6 @@ class PipelineConfig:
     lm: LMConfig
     tile_size: int
     max_tiles: int = 6
-    tiling: bool = True
     thumbnail: bool = True
     encoders: str = "A+B"
     fusion: str = "post-interleave"
@@ -158,13 +157,6 @@ class PipelineConfig:
 
     def _uses(self, branch: str) -> bool:
         return branch in self.encoders.split("+")
-
-    def tiler_args(self) -> tuple:
-        """(max_tiles, thumbnail) the tiler runs with; tiling=False
-        means one tile and no thumbnail."""
-        if self.tiling:
-            return self.max_tiles, self.thumbnail
-        return 1, False
 
     @property
     def width_a(self) -> int:
@@ -287,9 +279,8 @@ class Pipeline:
             p.frozen = any(p.name.startswith(pre) for pre in prefixes)
 
     def segment_image(self, image: ImageBuffer):
-        max_tiles, thumbnail = self.cfg.tiler_args()
-        return segment(image, self.cfg.tile_size, max_tiles,
-                       thumbnail=thumbnail)
+        return segment(image, self.cfg.tile_size, self.cfg.max_tiles,
+                       thumbnail=self.cfg.thumbnail)
 
     def _branches(self) -> list:
         """(label, encoder) of each used branch, "A" first."""

@@ -298,13 +298,3 @@ def finite_difference_grad_at(f: Callable, x, flat_indices,
         flat[i] = orig
         out[k] = (fp - fm) / (2.0 * eps)
     return out
-
-
-def relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-3) -> float:
-    """Max elementwise |a-b| / max(|a|, |b|, floor)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(a - b) / denom))

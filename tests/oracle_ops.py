@@ -15,7 +15,8 @@ sum_all. So the graph lives here: Tensor, _make and a topologically
 sorted backward, with the ops built on tensor.py's _accum and array
 formulas, and gradient-checked in tests/test_tensor.py. OPS lists the
 differentiable primitives by the op-kind names used in contracts; tests
-iterate it for gradient checks.
+iterate it for gradient checks, and compare gradients with
+relative_error.
 
 A tilefusion Parameter is a leaf of these graphs as it is: a leaf, a
 Tensor or a Parameter, requires grad exactly when it is not frozen, so
@@ -357,6 +358,16 @@ def masked_cross_entropy(logits, targets, mask):
     if out.requires_grad:
         out._backward = lambda g: tz._accum(logits, backward(g))
     return out
+
+
+def relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-3) -> float:
+    """Max elementwise |a-b| / max(|a|, |b|, floor)."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
+    if a.size == 0:
+        return 0.0
+    return float(np.max(np.abs(a - b) / denom))
 
 
 OPS = {

@@ -31,7 +31,7 @@ from tilefusion.fusion import (
 )
 from tilefusion.lm import LMConfig
 from tilefusion.model import Pipeline, PipelineConfig
-from tilefusion.tensor import finite_difference_grad_at, relative_error
+from tilefusion.tensor import finite_difference_grad_at
 from tilefusion.tiling import ImageBuffer, TileGrid, segment, select_grid
 from tilefusion.training import (
     Checkpoint,
@@ -41,6 +41,7 @@ from tilefusion.training import (
 )
 
 from fusion_oracle import provenance
+from oracle_ops import relative_error
 from per_image_oracle import pixel_shuffle, uncached_tokens
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -203,7 +204,7 @@ def test_end_to_end_gradients_match_finite_differences():
     cfg = PipelineConfig(
         encoder_a=enc_a, encoder_b=enc_b,
         lm=LMConfig(d_lm=6, layers=1, heads=2, context_limit=64),
-        tile_size=8, max_tiles=6, tiling=True, thumbnail=False,
+        tile_size=8, max_tiles=6, thumbnail=False,
         fusion="post-interleave", projector_hidden=4)
     pipe = Pipeline(cfg, seed=3)
     n_params = sum(p.data.size for p in pipe.parameters())
@@ -322,8 +323,8 @@ def test_tiling_beats_untiled_at_equal_budget():
         assert tiled_cfg["training"][key]["steps"] == \
             untiled_cfg["training"][key]["steps"]
     assert tiled_cfg["task"] == untiled_cfg["task"]
-    assert tiled_cfg["model"]["tiling"] is True
-    assert untiled_cfg["model"]["tiling"] is False
+    assert tiled_cfg["model"]["max_tiles"] > 1
+    assert untiled_cfg["model"]["max_tiles"] == 1
 
     tiled = run_experiment(tiled_cfg)
     untiled = run_experiment(untiled_cfg)

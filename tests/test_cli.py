@@ -27,7 +27,6 @@ def tiny_cfg():
         "model": {
             "encoders": "A+B",
             "fusion": "post-interleave",
-            "tiling": True,
             "thumbnail": True,
             "tile_size": 32,
             "max_tiles": 6,
@@ -109,6 +108,15 @@ class TestGenData:
         assert "error: invalid config: task: expected an object" in \
             capsys.readouterr().err
 
+    def test_seed_on_non_object_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1]")
+        code = main(["gen-data", "--config", str(path),
+                     "--out", str(tmp_path / "d"), "--seed", "4"])
+        assert code == 2
+        assert "error: invalid config: task: expected an object" in \
+            capsys.readouterr().err
+
 
 class TestTrainEval:
     def test_train_then_eval(self, tmp_path, capsys):
@@ -147,6 +155,16 @@ class TestTrainEval:
         assert specs == [build_task_spec(cfg["task"])]
         assert specs[0].seed == cfg["task"]["seed"] == 5
         assert seeds == [11]
+
+    def test_eval_takes_no_seed(self, tmp_path, capsys):
+        # a checkpoint overwrites the whole init a seed draws, and the
+        # eval split comes from task.seed, so eval has no seed to set
+        path = write_cfg(tmp_path, tiny_cfg())
+        with pytest.raises(SystemExit) as err:
+            main(["eval", "--config", path, "--out", str(tmp_path / "run"),
+                  "--seed", "3"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         cfg = tiny_cfg()
@@ -206,6 +224,29 @@ class TestAblateVerb:
         assert "tiny-bad: FAILED" in text
         assert "PARTIAL" in text
 
+    def test_seed_sets_the_matrix_seed(self, tmp_path, monkeypatch):
+        b = tiny_cfg()
+        b["config_id"] = "tiny-b"
+        b["seed"] = 9
+        path = self.write_matrix(tmp_path, [tiny_cfg(), b])
+        out = tmp_path / "out"
+        seeds = []
+        pipeline = experiment.Pipeline
+        monkeypatch.setattr(
+            experiment, "Pipeline",
+            lambda model, seed: seeds.append(seed) or pipeline(model, seed))
+        assert main(["ablate", "--config", path, "--out", str(out),
+                     "--seed", "8"]) == 0
+        assert seeds == [8, 8]
+        assert json.loads((out / "report.json").read_text())["seed"] == 8
+
+    def test_seed_on_non_object_matrix_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "matrix.json"
+        path.write_text('"cells"')
+        assert main(["ablate", "--config", str(path), "--seed", "8"]) == 2
+        assert "error: invalid matrix: config: expected an object" in \
+            capsys.readouterr().err
+
     def test_report_format_restriction(self, tmp_path):
         path = self.write_matrix(tmp_path, [tiny_cfg()])
         out = str(tmp_path / "out")
@@ -248,9 +289,9 @@ class TestInspectTiling:
         cfg = build_pipeline_config(load_config(path)["model"])
         tiles = Pipeline(cfg).segment_image(ImageBuffer(np.zeros((32, 96, 3))))
         patches = len(tiles.patches)
-        assert patches == (4 if cfg.tiling else 1)
+        assert patches == (4 if cfg.max_tiles > 1 else 1)
         assert patches == planned_patches(cfg, (96, 32))
-        assert f"thumbnail: {'yes' if cfg.tiling else 'no'}\n" in text
+        assert f"thumbnail: {'yes' if cfg.max_tiles > 1 else 'no'}\n" in text
         assert f"patches: {patches}\n" in text
         assert (f"tokens per image: {cfg.tokens_per_tile() * patches}\n"
                 in text)

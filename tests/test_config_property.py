@@ -95,11 +95,17 @@ def draw_model(rng, kind, tile):
                 enc_b.update(unshuffle_r=r, embed_dim=width // (r * r))
                 break
     lm_heads = pick(rng, [1, 2])
+    # about one draw in five is untiled, max_tiles 1; the grid bound is
+    # drawn either way, so no later draw depends on that choice
+    tiled = rng.random() < 0.8
+    thumbnail = bool(rng.random() < 0.5)
+    max_tiles = int(rng.integers(1, 5))
+    if not tiled:
+        max_tiles = 1
     return {
         "encoders": encoders, "fusion": fusion,
-        "tiling": bool(rng.random() < 0.8),
-        "thumbnail": bool(rng.random() < 0.5), "tile_size": tile,
-        "max_tiles": int(rng.integers(1, 5)),
+        "thumbnail": thumbnail, "tile_size": tile,
+        "max_tiles": max_tiles,
         "projector_hidden": pick(rng, [4, 8]),
         "encoder_a": enc_a, "encoder_b": enc_b,
         "lm": {"d_lm": lm_heads * pick(rng, [4, 8]),
@@ -121,8 +127,8 @@ def longest_sequence(task, model, eval_max_new):
     channel = model["fusion"] in ("post-channel", "pre-channel")
     per_tile = (tokens_per_tile(used[0]) if channel and len(used) == 2
                 else sum(tokens_per_tile(e) for e in used))
-    patches = (patch_count(select_grid(w, h, model["max_tiles"]),
-                           model["thumbnail"]) if model["tiling"] else 1)
+    patches = patch_count(select_grid(w, h, model["max_tiles"]),
+                          model["thumbnail"])
     return prompt + per_tile * patches + max(2, eval_max_new - 1)
 
 

@@ -19,7 +19,6 @@ from tilefusion.experiment import (
     ablate,
     build_pipeline_config,
     build_stage_plans,
-    build_task_spec,
     evaluate_run,
     load_config,
     run_experiment,
@@ -27,7 +26,6 @@ from tilefusion.experiment import (
     report_to_json,
     write_report,
 )
-from tilefusion.model import Pipeline
 from tilefusion.training import read_metrics
 
 from config_checks import (build_encoder_config, validate_experiment_config,
@@ -44,7 +42,6 @@ def tiny_cfg():
         "model": {
             "encoders": "A+B",
             "fusion": "post-interleave",
-            "tiling": True,
             "thumbnail": True,
             "tile_size": 32,
             "max_tiles": 6,
@@ -124,10 +121,17 @@ class TestValidation:
     def test_type_problems_listed(self):
         cfg = tiny_cfg()
         cfg["task"]["n_train"] = "many"
-        cfg["model"]["tiling"] = 1
+        cfg["model"]["thumbnail"] = 1
         text = "; ".join(validate_experiment_config(cfg))
         assert "task.n_train: expected int" in text
-        assert "model.tiling: expected bool" in text
+        assert "model.thumbnail: expected bool" in text
+
+    def test_tiling_flag_is_unknown(self):
+        # max_tiles 1 is the untiled baseline; there is no second switch
+        cfg = tiny_cfg()
+        cfg["model"]["tiling"] = False
+        assert validate_experiment_config(cfg) == [
+            "unknown key model.tiling"]
 
     def test_bad_choice_values_listed(self):
         cfg = tiny_cfg()
@@ -348,11 +352,6 @@ class TestValidation:
 
 
 class TestBuilders:
-    def test_task_spec_seed_override(self):
-        spec = build_task_spec(tiny_cfg()["task"], seed_override=99)
-        assert spec.seed == 99
-        assert spec.image_size == (32, 32)
-
     def test_encoder_norms_become_tuples(self):
         enc = dict(tiny_cfg()["model"]["encoder_a"])
         enc["norm_mean"] = [0.4, 0.4, 0.4]
@@ -423,21 +422,17 @@ class TestRunExperiment:
         with open(os.path.join(out, "result.json")) as f:
             assert json.load(f) == asdict(row)
 
-    def test_failed_result_write_keeps_previous_result(self, tmp_path,
-                                                       monkeypatch):
+    def test_failed_result_write_leaves_no_result(self, tmp_path,
+                                                  monkeypatch):
         out = str(tmp_path / "run")
         run_experiment(tiny_cfg(), out_dir=out)
-        with open(os.path.join(out, "result.json")) as f:
-            before = f.read()
         monkeypatch.setattr(os, "replace", failing_replace("result.json"))
         cfg = tiny_cfg()
         cfg["seed"] = 4
         with pytest.raises(OSError):
             run_experiment(cfg, out_dir=out)
-        with open(os.path.join(out, "result.json")) as f:
-            assert f.read() == before
         assert sorted(os.listdir(out)) == [
-            "manifest.json", "metrics.jsonl", "result.json", "weights.bin"]
+            "manifest.json", "metrics.jsonl", "weights.bin"]
 
     def test_rerun_into_same_dir_keeps_one_run_of_metrics(self, tmp_path):
         out = str(tmp_path / "run")
@@ -504,27 +499,6 @@ class TestRunExperiment:
         row = run_experiment(tiny_cfg(), out_dir=out)
         assert evaluate_run(tiny_cfg(), out) == row.accuracy
 
-    def test_evaluate_run_seed_changes_nothing(self, tmp_path, monkeypatch):
-        # restore overwrites the whole init the seed drew, and the eval
-        # split comes from task.seed
-        out = str(tmp_path / "run")
-        run_experiment(tiny_cfg(), out_dir=out)
-        answers = []
-        real = Pipeline.answer
-
-        def answer(self, *args, **kwargs):
-            answers.append(real(self, *args, **kwargs))
-            return answers[-1]
-
-        monkeypatch.setattr(Pipeline, "answer", answer)
-        runs = []
-        for seed in (None, 0, 7):
-            runs.append((evaluate_run(tiny_cfg(), out, seed_override=seed),
-                         answers[:]))
-            answers.clear()
-        assert len(runs[0][1]) == 8
-        assert runs[1] == runs[0] and runs[2] == runs[0]
-
 
 def write_cells(tmp_path, cells):
     paths = []
@@ -552,6 +526,30 @@ class TestAblate:
         assert [c.config_id for c in report.rows] == ["tiny", "tiny-b"]
         assert all(c.status == "ok" for c in report.rows)
         assert report.seed == 3
+
+    def test_matrix_seed_replaces_every_cell_seed(self, tmp_path,
+                                                  monkeypatch):
+        a = tiny_cfg()
+        b = tiny_cfg()
+        b["config_id"] = "tiny-b"
+        b["seed"] = 9
+        names = write_cells(tmp_path, [a, b])
+        seeds = []
+        pipeline = experiment.Pipeline
+        monkeypatch.setattr(
+            experiment, "Pipeline",
+            lambda model, seed: seeds.append(seed) or pipeline(model, seed))
+        matrix = tiny_matrix(tmp_path, names)
+        matrix["seed"] = 6
+        report = ablate(matrix, str(tmp_path), clock=fake_clock())
+        assert seeds == [6, 6]
+        assert report.seed == 6
+        assert json.loads(report_to_json(report))["seed"] == 6
+        seeds.clear()
+        del matrix["seed"]
+        report = ablate(matrix, str(tmp_path), clock=fake_clock())
+        assert seeds == [3, 9]
+        assert report.seed is None
 
     def test_csv_bytes_deterministic(self, tmp_path):
         a = tiny_cfg()

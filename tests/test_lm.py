@@ -36,7 +36,8 @@ from tilefusion import lm as lm_module
 from tilefusion.lm import KVCache, LanguageModel, LMConfig
 
 import per_image_oracle as oracle
-from oracle_ops import Tensor, backward, concat, embedding_lookup
+from oracle_ops import (Tensor, backward, concat, embedding_lookup,
+                        relative_error)
 from per_image_oracle import (arrays, lm_loss_node, reference_loss,
                               uncached_greedy)
 
@@ -171,7 +172,7 @@ def assert_loss_matches_forward(lm, mask, seed):
         lm, make_batch, lambda b: reference_loss(lm, b))
     assert abs(got - want) <= 1e-15 * abs(want)
     for name, g in want_grads.items():
-        assert tz.relative_error(got_grads[name], g) <= 1e-12, name
+        assert relative_error(got_grads[name], g) <= 1e-12, name
     return got, got_grads
 
 
@@ -270,7 +271,7 @@ def test_lm_gradient_matches_finite_differences():
     for p in [lm.pos, lm.head, lm.norm_out_g,
               lm.blocks[0]["wq"], lm.blocks[0]["w1"]]:
         fd = tz.finite_difference_grad(lambda _t: loss_fn(), p)
-        err = tz.relative_error(p.grad, fd)
+        err = relative_error(p.grad, fd)
         assert err < 1e-4, f"{p.name}: rel err {err:.2e}"
 
 
@@ -376,7 +377,7 @@ def test_cached_steps_match_uncached_forward(seed, prompt_len):
     first = lm.decode_step(full.embeddings.data, cache)
     want = lm.forward(arrays(full))[0, -1]
     assert first.shape == (VOCAB_SIZE,)
-    assert tz.relative_error(first, want) <= 1e-12
+    assert relative_error(first, want) <= 1e-12
     if prompt_len == 1:  # queries_from is 0: forward's own arithmetic
         assert first.tobytes() == want.tobytes()
     assert cache.length == prompt_len
@@ -386,7 +387,7 @@ def test_cached_steps_match_uncached_forward(seed, prompt_len):
         full = grown(full, int(token_id), lm)
         want = lm.forward(arrays(full))[0, -1]
         assert step.shape == (VOCAB_SIZE,)
-        assert tz.relative_error(step, want) <= 1e-12
+        assert relative_error(step, want) <= 1e-12
         assert cache.length == full.length
 
 
@@ -407,7 +408,7 @@ def test_multi_token_continuation_matches_full_rows():
     cache = KVCache()
     for a, b in ((0, 4), (4, 9), (9, 11)):
         got = lm.decode_step(seq.embeddings.data[:, a:b], cache)
-        assert tz.relative_error(got, full[b - 1]) <= 1e-12
+        assert relative_error(got, full[b - 1]) <= 1e-12
         assert cache.length == b
 
 

@@ -22,12 +22,12 @@ from tilefusion.experiment import build_pipeline_config, load_config
 from tilefusion.fusion import project
 from tilefusion.lm import LanguageModel, LMConfig
 from tilefusion.model import ENCODER_CHOICES, Pipeline, PipelineConfig
-from tilefusion.tensor import finite_difference_grad_at, relative_error
+from tilefusion.tensor import finite_difference_grad_at
 from tilefusion.tiling import ImageBuffer
 from tilefusion.training import StageConfig, TrainingConfig, snapshot
 
 from fusion_oracle import provenance
-from oracle_ops import backward
+from oracle_ops import backward, relative_error
 from per_image_oracle import (branch_tokens, uncached_batch, uncached_loss,
                               uncached_tokens)
 
@@ -39,7 +39,7 @@ KNOWN_PREFIXES = ("encoderA.", "encoderB.", "projectorA.", "projectorB.",
                   "projector_shared.", "fusion.down", "lm.")
 
 
-def desk_cfg(encoders="A+B", fusion="post-interleave", tiling=True,
+def desk_cfg(encoders="A+B", fusion="post-interleave", max_tiles=6,
              thumbnail=True, ctx=160, embed_b=8):
     enc_a = EncoderConfig(patch_size=4, embed_dim=8, depth=1, heads=2,
                           grid_side=8, unshuffle_r=2)
@@ -50,8 +50,7 @@ def desk_cfg(encoders="A+B", fusion="post-interleave", tiling=True,
         encoder_b=enc_b,
         lm=LMConfig(d_lm=16, layers=1, heads=2, context_limit=ctx),
         tile_size=32,
-        max_tiles=6,
-        tiling=tiling,
+        max_tiles=max_tiles,
         thumbnail=thumbnail,
         encoders=encoders,
         fusion=fusion,
@@ -248,7 +247,7 @@ class TestForward:
     def test_tiling_off_forces_single_tile(self):
         img = landscape_image()
         on = Pipeline(desk_cfg(), seed=0)
-        off = Pipeline(desk_cfg(tiling=False), seed=0)
+        off = Pipeline(desk_cfg(max_tiles=1), seed=0)
         assert on.segment_image(img).patch_count == 3
         ts = off.segment_image(img)
         assert ts.patch_count == 1
@@ -356,7 +355,7 @@ class TestFullPipelineGradients:
         cfg = PipelineConfig(
             encoder_a=enc_a, encoder_b=enc_b,
             lm=LMConfig(d_lm=8, layers=1, heads=2, context_limit=32),
-            tile_size=4, max_tiles=6, tiling=True, thumbnail=False,
+            tile_size=4, max_tiles=6, thumbnail=False,
             fusion="post-interleave", projector_hidden=4)
         pipe = Pipeline(cfg, seed=3)
         rng = np.random.default_rng(11)

@@ -26,7 +26,6 @@ from tilefusion.tensor import (
     Parameter,
     finite_difference_grad,
     layernorm_forward,
-    relative_error,
     softmax_forward,
 )
 from tilefusion.tiling import ImageBuffer
@@ -46,6 +45,7 @@ from oracle_ops import (
     mul,
     mul_scalar,
     permute,
+    relative_error,
     reshape,
     slice_axis,
     softmax_lastdim,

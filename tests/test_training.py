@@ -52,7 +52,7 @@ from tilefusion.training import (
 
 import per_image_oracle as oracle
 from fusion_oracle import provenance
-from oracle_ops import add, as_node, backward, mul_scalar
+from oracle_ops import add, as_node, backward, mul_scalar, relative_error
 from per_image_oracle import (arrays, as_batch, lm_loss, pad_batch,
                               reference_loss, uncached_loss)
 
@@ -750,7 +750,7 @@ def test_batched_lm_matches_per_sample_graphs(data, loss_rtol):
         loss_rtol * want_loss.item()
     assert got.keys() == want.keys()
     for name, g in want.items():
-        assert tz.relative_error(got[name], g) <= 1e-12, name
+        assert relative_error(got[name], g) <= 1e-12, name
 
 
 def test_padding_does_not_leak_into_a_shorter_sample():
@@ -765,7 +765,7 @@ def test_padding_does_not_leak_into_a_shorter_sample():
     beside_b = model.lm.forward(arrays(pad_batch([long_b, short])))
     # at one padded length, nothing of the partner reaches the short rows
     assert beside_a[0, :n].tobytes() == beside_b[1, :n].tobytes()
-    assert tz.relative_error(beside_a[0, :n], alone) <= 1e-13
+    assert relative_error(beside_a[0, :n], alone) <= 1e-13
     # an unpadded sample's rows are bitwise its unbatched rows
     assert beside_a[1].tobytes() == \
         model.lm.forward(arrays(as_batch(long_a)))[0].tobytes()
@@ -788,7 +788,7 @@ def test_batched_loss_gradient_matches_finite_differences():
             lambda _t: batched_mean(model, data), p, idx)
         got = grads[p.name].reshape(-1)[idx]
         assert np.all(got != 0.0), p.name
-        assert tz.relative_error(got, fd) < 1e-4, p.name
+        assert relative_error(got, fd) < 1e-4, p.name
 
 
 @pytest.mark.parametrize("data", [make_dataset(4), mixed_dataset()],
@@ -805,7 +805,7 @@ def test_lm_loss_matches_forward_loss(data):
         1e-15 * want_loss.item()
     assert got.keys() == want.keys()
     for name, g in want.items():
-        assert tz.relative_error(got[name], g) <= 1e-12, name
+        assert relative_error(got[name], g) <= 1e-12, name
 
 
 # The batched image side against the per-image oracle. Fusion is
@@ -859,7 +859,7 @@ def test_batched_image_side_matches_per_image_oracle(layout):
     assert got_loss.item().hex() == want_loss.item().hex()
     assert got_grads.keys() == want_grads.keys()
     for name, g in want_grads.items():
-        assert tz.relative_error(got_grads[name], g) <= 1e-12, name
+        assert relative_error(got_grads[name], g) <= 1e-12, name
 
 
 # A training step's backward is one closure (Pipeline.loss): the LM's,

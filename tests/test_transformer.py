@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 import block_oracle
-from oracle_ops import Tensor, as_node, backward, mul, sum_all
+from oracle_ops import (Tensor, as_node, backward, mul, relative_error,
+                        sum_all)
 from test_tensor import assert_freed_by_refcount
 from tilefusion import tensor as tz
 from tilefusion.errors import DimensionError
@@ -110,7 +111,7 @@ def test_fused_block_gradients_match_finite_differences(case):
                          replace=False)
         fd = tz.finite_difference_grad_at(
             lambda _t: loss(fused_block)[0], t, idx)
-        assert tz.relative_error(g.reshape(-1)[idx], fd) < 1e-4
+        assert relative_error(g.reshape(-1)[idx], fd) < 1e-4
 
 
 def test_fused_block_accumulates_only_into_what_requires_grad():
