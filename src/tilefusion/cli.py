@@ -3,9 +3,14 @@
 Verbs:
   gen-data        write a synthetic dataset (JSONL index + PPM images)
   train           run both training stages for one experiment config
-  eval            re-evaluate a finished run from its checkpoint
-  ablate          run a matrix of experiment configs, emit reports
-  inspect-tiling  show the grid the tiler picks for an image size
+  eval            re-evaluate a finished run from its checkpoint; a
+                  run whose checkpoint is not its last stage's end
+                  is refused (exit 2)
+  ablate          run a matrix of experiment configs, write
+                  report.csv and report.json
+  inspect-tiling  show the grid the tiler picks for an image size;
+                  with --config, at that config's tile side (its
+                  encoders') and grid bound
 
 The config carries every seed of a run, and --seed writes into the
 dict a verb loaded: gen-data sets task.seed, train sets seed, and
@@ -79,11 +84,10 @@ def cmd_ablate(args) -> int:
     matrix = _load_json(args.config)
     if args.seed is not None and isinstance(matrix, dict):
         matrix["seed"] = args.seed
-    formats = ("csv", "json") if args.report is None else (args.report,)
     report = ablate(matrix, os.path.dirname(os.path.abspath(args.config)),
-                    out_dir=args.out, formats=formats)
+                    out_dir=args.out)
     if args.out:
-        for name in formats:
+        for name in ("csv", "json"):
             print(f"wrote {os.path.join(args.out, 'report.' + name)}")
     for cell in report.rows:
         if cell.result is None:
@@ -154,8 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="run an ablation matrix")
     common(p, need_out=False, seed_help="set the matrix seed, which "
            "replaces every cell's seed")
-    p.add_argument("--report", choices=("csv", "json"), default=None,
-                   help="write only this report format")
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("inspect-tiling",

@@ -16,6 +16,12 @@ branch's rows as a constant array. encode(tiles, rows) takes its input
 rows, patch_rows(tiles), from the caller, which computes them once
 per input whether or not it also hashes them.
 
+The encoders are frozen at their random init, never pretrained, so no
+preprocessing statistics come with them: patch_rows maps every [0, 1]
+pixel to [-1, 1], (x - 0.5) / 0.5, in every branch. A branch's tiles
+are tile_side = patch_size x grid_side pixels on a side, and the
+pipeline cuts its tiles at that side (PipelineConfig.tile_size).
+
 A branch may declare an input filter that keeps only the coarse 8-bit
 block structure (lowpass) or only the within-block detail (highpass).
 Filters run on the integer pixel lattice with a single final division,
@@ -33,7 +39,7 @@ import numpy as np
 
 from . import tensor as tz
 from .errors import ConfigError, DimensionError, reject
-from .tiling import TileSet, normalize_pixels
+from .tiling import TileSet
 from .transformer import block_forward, init_block, linear
 
 INPUT_FILTERS = ("none", "lowpass", "highpass")
@@ -50,8 +56,6 @@ class EncoderConfig:
     heads: int
     grid_side: int
     unshuffle_r: int
-    norm_mean: tuple = (0.5, 0.5, 0.5)
-    norm_std: tuple = (0.5, 0.5, 0.5)
     input_filter: str = "none"
     filter_block: int = 2
 
@@ -73,6 +77,7 @@ class EncoderConfig:
 
     @property
     def tile_side(self) -> int:
+        """Side of the square tiles this branch reads."""
         return self.grid_side * self.patch_size
 
     @property
@@ -160,12 +165,12 @@ class Encoder:
         return out
 
     def patch_rows(self, tiles: TileSet) -> np.ndarray:
-        """Raw [0,1] tiles -> filter -> normalize -> [n, gs * gs, ps * ps
-        * C] patch rows, the embedding's input.
+        """Raw [0,1] tiles -> filter -> (x - 0.5) / 0.5 -> [n, gs * gs,
+        ps * ps * C] patch rows, the embedding's input.
 
         Filter and normalization run once on the stacked [n, H, W, C]
         patches; elementwise and exact-integer arithmetic, they equal
-        filter_pixels and normalize_pixels run tile by tile.
+        filter_pixels and the same normalization run tile by tile.
         """
         cfg = self.cfg
         side = cfg.tile_side
@@ -182,9 +187,8 @@ class Encoder:
                     f"encoder expects {IN_CHANNELS} channels, got {p.channels}"
                 )
         stack = np.stack([p.pixels for p in patches])  # [n, H, W, C]
-        stack = normalize_pixels(
-            filter_pixels(stack, cfg.input_filter, cfg.filter_block),
-            cfg.norm_mean, cfg.norm_std)
+        stack = filter_pixels(stack, cfg.input_filter, cfg.filter_block) - 0.5
+        stack /= 0.5
         gs, ps = cfg.grid_side, cfg.patch_size
         patched = stack.reshape(len(patches), gs, ps, gs, ps, IN_CHANNELS)
         patched = patched.transpose(0, 1, 3, 2, 4, 5)

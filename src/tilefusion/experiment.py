@@ -37,8 +37,8 @@ from .assembly import ByteTokenizer, build_prompt
 from .datagen import (COMPLEMENTARY_QUESTION, TaskSpec,
                       check_frequency_separation, generate,
                       tile_detail_question)
-from .encoders import IN_CHANNELS, EncoderConfig
-from .errors import ConfigError, reject
+from .encoders import EncoderConfig
+from .errors import ConfigError, ContractError, reject
 from .lm import LMConfig
 from .model import Pipeline, PipelineConfig
 from .tiling import patch_count, select_grid
@@ -191,22 +191,6 @@ _SCHEMAS = {cls: _json_schema(cls)
                         StageConfig, MatrixConfig)}
 
 
-def _check_channel_stats(enc, problems, prefix):
-    """norm_mean and norm_std hold one number per input channel, and
-    no std is zero: normalize would otherwise fail at the first encode."""
-    for key in ("norm_mean", "norm_std"):
-        stats = enc.get(key)
-        if not isinstance(stats, list):
-            continue  # absent, or already reported as not a list
-        ok = (len(stats) == IN_CHANNELS
-              and all(_is_type(v, float) for v in stats))
-        if ok and key == "norm_std" and 0 in stats:
-            problems.append(f"{prefix}{key}: every std must be nonzero")
-        elif not ok:
-            problems.append(f"{prefix}{key}: expected {IN_CHANNELS} "
-                            "numbers, one per input channel")
-
-
 def _check_experiment(cfg, problems, prefix):
     """An experiment's id is a plain name, and it trains on at least one
     sample and scores at least one (a task on its own may have none)."""
@@ -224,10 +208,8 @@ def _check_experiment(cfg, problems, prefix):
 
 # Rules checked on a section's JSON whether or not it builds: they are
 # reported beside every other problem, and a section that breaks one
-# is still built. The channel stats stay out of EncoderConfig, whose
-# encode reports a bad std itself.
-_JSON_RULES = {EncoderConfig: _check_channel_stats,
-               ExperimentConfig: _check_experiment}
+# is still built.
+_JSON_RULES = {ExperimentConfig: _check_experiment}
 
 
 def _build(problems, obj, cls, prefix):
@@ -375,22 +357,39 @@ def run_experiment(cfg: dict, out_dir=None, clock=None) -> ExperimentResult:
 
 
 def evaluate_run(cfg: dict, run_dir) -> float:
-    """Rebuild the model, load the run's checkpoint, re-evaluate."""
+    """Rebuild the model, load the run's checkpoint, re-evaluate.
+
+    Only a finished run is scored: before anything is restored, the
+    checkpoint's stage and step must be where the config's last stage
+    plan ends, or ContractError names both. A run whose later stage
+    failed leaves its earlier stage's checkpoint behind, and that is
+    refused.
+    """
     exp = build_experiment(cfg)
     model = Pipeline(exp.model, seed=exp.seed)
-    restore(model, Checkpoint.load(run_dir))
+    plans, _ = exp.training.plans([p.name for p in model.parameters()])
+    ckpt = Checkpoint.load(run_dir)
+    got = (ckpt.manifest.get("stage"), ckpt.manifest.get("step"))
+    want = (plans[-1].name, plans[-1].steps)
+    if got != want:
+        raise ContractError(
+            f"checkpoint holds {got[0]} step {got[1]}, but the config's "
+            f"run ends at {want[0]} step {want[1]}: eval scores only a "
+            "finished run")
+    restore(model, ckpt)
     data = generate(exp.task)
     return evaluate(model, data.eval, max_new=exp.training.eval_max_new)
 
 
-def ablate(matrix: dict, matrix_dir, out_dir=None, clock=None,
-           formats=("csv", "json")) -> AblationReport:
+def ablate(matrix: dict, matrix_dir, out_dir=None,
+           clock=None) -> AblationReport:
     """Run every cell of a matrix; never stops at a failed cell.
 
     Cell paths are resolved relative to the matrix file's directory.
     A matrix-level seed, when set, replaces every cell's own seed, so
     rows differ only in what the cell config changes. Each failure is
-    recorded on its row and flips the report to partial.
+    recorded on its row and flips the report to partial. With out_dir,
+    the report is written there in both formats (write_report).
     """
     spec = _construct(matrix, MatrixConfig, what="matrix")
     rows = []
@@ -417,7 +416,7 @@ def ablate(matrix: dict, matrix_dir, out_dir=None, clock=None,
                             complete=all(r.status == "ok" for r in rows),
                             rows=rows)
     if out_dir is not None:
-        write_report(report, out_dir, formats)
+        write_report(report, out_dir)
     return report
 
 
@@ -456,13 +455,12 @@ def report_to_json(report: AblationReport) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def write_report(report: AblationReport, out_dir,
-                 formats=("csv", "json")) -> list:
-    """Write report files; returns the paths written."""
+def write_report(report: AblationReport, out_dir) -> list:
+    """Write report.csv and report.json, each atomically; returns the
+    paths written."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for fmt, render in (("csv", report_to_csv), ("json", report_to_json)):
-        if fmt in formats:
-            write_atomic(out_dir, f"report.{fmt}", render(report).encode())
-            paths.append(os.path.join(out_dir, f"report.{fmt}"))
+        write_atomic(out_dir, f"report.{fmt}", render(report).encode())
+        paths.append(os.path.join(out_dir, f"report.{fmt}"))
     return paths

@@ -99,14 +99,15 @@ class PipelineConfig:
 
     encoders selects which vision branches exist. With a single branch
     the fusion kind is ignored; that branch's projector output is the
-    visual sequence. max_tiles=1 puts every image on a single tile,
-    which never gets a thumbnail: the no-tiling baseline.
+    visual sequence. Every used branch reads the same tiles, so the
+    tile side is the encoders' (tile_size), not a field of its own.
+    max_tiles=1 puts every image on a single tile, which never gets a
+    thumbnail: the no-tiling baseline.
     """
 
     encoder_a: EncoderConfig
     encoder_b: EncoderConfig
     lm: LMConfig
-    tile_size: int
     max_tiles: int = 6
     thumbnail: bool = True
     encoders: str = "A+B"
@@ -121,25 +122,29 @@ class PipelineConfig:
         if self.fusion not in FUSION_KINDS:
             problems.append(f"fusion: must be one of {FUSION_KINDS}, "
                             f"got {self.fusion!r}")
-        if self.tile_size < 2:
-            problems.append("tile_size: must be >= 2")
         for key in ("max_tiles", "projector_hidden"):
             if getattr(self, key) <= 0:
                 problems.append(f"{key}: must be positive")
         for label, key in (("A", "encoder_a"), ("B", "encoder_b")):
             enc = getattr(self, key)
-            if self._uses(label) and enc.tile_side != self.tile_size:
-                problems.append(
-                    f"{key}: expects {enc.tile_side}px tiles (patch_size "
-                    f"x grid_side), the pipeline's tile_size is "
-                    f"{self.tile_size}")
             if (self._uses(label) and enc.input_filter != "none"
-                    and self.tile_size % enc.filter_block != 0):
+                    and enc.tile_side % enc.filter_block != 0):
                 problems.append(
                     f"{key}.filter_block: {enc.filter_block} does not "
-                    f"divide tile_size {self.tile_size}, and the "
-                    f"{enc.input_filter} filter runs on whole tiles")
+                    f"divide the branch's {enc.tile_side}px tiles, and "
+                    f"the {enc.input_filter} filter runs on whole tiles")
+        if self.encoders in ENCODER_CHOICES and self.tile_size < 2:
+            key = "encoder_a" if self._uses("A") else "encoder_b"
+            problems.append(f"{key}: tiles must be >= 2 px (patch_size "
+                            f"x grid_side), got {self.tile_size}")
         if self.encoders == "A+B":
+            side_a = self.encoder_a.tile_side
+            side_b = self.encoder_b.tile_side
+            if side_a != side_b:
+                problems.append(
+                    f"encoder_b: expects {side_b}px tiles (patch_size x "
+                    f"grid_side), encoder_a {side_a}px; both branches "
+                    f"read the same tiles")
             wa = self.width_a
             wb = self.width_b
             if self.fusion == "pre-sequence" and wa != wb:
@@ -157,6 +162,13 @@ class PipelineConfig:
 
     def _uses(self, branch: str) -> bool:
         return branch in self.encoders.split("+")
+
+    @property
+    def tile_size(self) -> int:
+        """Side of the square tiles the tiler cuts: the used branches'
+        tile_side (patch_size x grid_side), equal for A+B."""
+        enc = self.encoder_a if self._uses("A") else self.encoder_b
+        return enc.tile_side
 
     @property
     def width_a(self) -> int:

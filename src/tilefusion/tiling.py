@@ -18,7 +18,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,14 +33,10 @@ class TileGrid(NamedTuple):
     def n_tiles(self) -> int:
         return self.cols * self.rows
 
-    def transpose(self) -> "TileGrid":
-        return TileGrid(self.rows, self.cols)
-
 
 @dataclass(frozen=True)
 class ImageBuffer:
-    """A float64 HWC pixel array. Loader output lives in [0, 1];
-    normalized buffers may leave that range.
+    """A float64 HWC pixel array; loader output lives in [0, 1].
 
     The pixels are read-only from construction on (a view of another
     array is copied first, since its base could still be written), so
@@ -186,29 +182,6 @@ def segment(img: ImageBuffer, tile_size: int, max_tiles: int,
     if patch_count(grid, thumbnail) > grid.n_tiles:
         thumb = resize_bilinear(img, tile_size, tile_size)
     return TileSet(tiles=tiles, grid=grid, thumbnail=thumb)
-
-
-def normalize_pixels(px: np.ndarray, mean: Sequence[float],
-                     std: Sequence[float]) -> np.ndarray:
-    """Per-channel (px - mean) / std over the trailing channel axis of
-    px, with any leading axes: one image [H, W, C] or a stack of them."""
-    mean = np.asarray(mean, dtype=np.float64).reshape(-1)
-    std = np.asarray(std, dtype=np.float64).reshape(-1)
-    if np.any(std == 0.0):
-        raise ContractError("normalize std must be nonzero in every channel")
-    c = px.shape[-1]
-    if c != mean.size or c != std.size:
-        raise DimensionError(
-            f"normalize stats cover {mean.size}/{std.size} channels, "
-            f"image has {c}"
-        )
-    # over [..., W * C] rows with the stats tiled W times: the same
-    # elementwise arithmetic, in numpy loops W times longer
-    rows = px.reshape(*px.shape[:-2], -1)
-    reps = rows.shape[-1] // c
-    out = rows - np.repeat(mean[None], reps, axis=0).ravel()
-    out /= np.repeat(std[None], reps, axis=0).ravel()
-    return out.reshape(px.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,6 @@ from .errors import ConfigError, ContractError, DimensionError, reject
 ENCODER_PREFIXES = ("encoderA.", "encoderB.")
 ADAPTER_PREFIXES = ("projectorA.", "projectorB.", "projector_shared.",
                     "fusion.")
-KNOWN_PREFIXES = ENCODER_PREFIXES + ("lm.",) + ADAPTER_PREFIXES
 STAGE_NAMES = ("stage1", "stage2")
 STAGE_FROZEN = {"stage1": ENCODER_PREFIXES + ("lm.",),
                 "stage2": ENCODER_PREFIXES}
@@ -119,24 +118,21 @@ def stage_plan(name: str, steps: int, base_lr=None,
 @dataclass(frozen=True)
 class StageConfig:
     """One stage section of a training config; stage_plan fills in the
-    defaults of base_lr and warmup_steps left unset."""
+    defaults of base_lr and warmup_steps left unset. What a stage
+    freezes is the recipe's (STAGE_FROZEN), plus the adapters when
+    TrainingConfig.freeze_vision_adapters is set, so that the freeze
+    tag TrainingConfig.plans returns names it exactly."""
 
     steps: int
     base_lr: float | None = None
     weight_decay: float = 0.01
     warmup_steps: int | None = None
-    extra_frozen: tuple = ()
-
-    def __post_init__(self):
-        reject([f"extra_frozen: unknown prefix {p!r}, expected one of "
-                f"{KNOWN_PREFIXES}" for p in self.extra_frozen
-                if p not in KNOWN_PREFIXES])
 
     def plan(self, name: str, extra_frozen=()) -> StagePlan:
         """This section as the named stage's plan, freezing extra_frozen
-        on top of its own."""
+        on top of the stage's own prefixes."""
         return stage_plan(name, self.steps, self.base_lr, self.weight_decay,
-                          self.warmup_steps, self.extra_frozen + extra_frozen)
+                          self.warmup_steps, extra_frozen)
 
 
 @dataclass(frozen=True)

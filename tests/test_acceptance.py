@@ -67,8 +67,7 @@ def desk_pipe(seed=3):
     cfg = PipelineConfig(
         encoder_a=enc_a, encoder_b=enc_b,
         lm=LMConfig(d_lm=16, layers=1, heads=2, context_limit=96),
-        tile_size=16, max_tiles=4, fusion="post-interleave",
-        projector_hidden=8)
+        max_tiles=4, fusion="post-interleave", projector_hidden=8)
     return Pipeline(cfg, seed=seed)
 
 
@@ -104,8 +103,8 @@ def test_full_scale_token_arithmetic():
     assert branch_a.tokens_per_tile == 256
     assert branch_b.tokens_per_tile == 256
     fused = PipelineConfig(encoder_a=branch_a, encoder_b=branch_b,
-                           lm=LMConfig(d_lm=16, layers=1, heads=2),
-                           tile_size=448)
+                           lm=LMConfig(d_lm=16, layers=1, heads=2))
+    assert fused.tile_size == 448
     assert fused.tokens_per_tile() == 512
 
     # the count is realized by the operator, not just the formula
@@ -204,7 +203,7 @@ def test_end_to_end_gradients_match_finite_differences():
     cfg = PipelineConfig(
         encoder_a=enc_a, encoder_b=enc_b,
         lm=LMConfig(d_lm=6, layers=1, heads=2, context_limit=64),
-        tile_size=8, max_tiles=6, thumbnail=False,
+        max_tiles=6, thumbnail=False,
         fusion="post-interleave", projector_hidden=4)
     pipe = Pipeline(cfg, seed=3)
     n_params = sum(p.data.size for p in pipe.parameters())

@@ -9,49 +9,15 @@ import pytest
 from tilefusion import experiment
 from tilefusion.cli import main
 from tilefusion.datagen import load_dataset
+from tilefusion.errors import ContractError
 from tilefusion.experiment import build_pipeline_config, build_task_spec, \
     load_config, planned_patches
 from tilefusion.model import Pipeline
 from tilefusion.tiling import ImageBuffer
 
+from config_checks import tiny_cfg
+
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
-
-
-def tiny_cfg():
-    return {
-        "config_id": "tiny",
-        "seed": 3,
-        "task": {"kind": "complementary", "image_size": [32, 32],
-                 "tile_size": 32, "n_classes": 16, "n_train": 24,
-                 "n_eval": 8, "seed": 5},
-        "model": {
-            "encoders": "A+B",
-            "fusion": "post-interleave",
-            "thumbnail": True,
-            "tile_size": 32,
-            "max_tiles": 6,
-            "projector_hidden": 8,
-            "encoder_a": {"patch_size": 4, "embed_dim": 8, "depth": 1,
-                          "heads": 2, "grid_side": 8, "unshuffle_r": 2,
-                          "input_filter": "lowpass",
-                          "filter_block": 2},
-            "encoder_b": {"patch_size": 2, "embed_dim": 8, "depth": 1,
-                          "heads": 2, "grid_side": 16,
-                          "unshuffle_r": 4,
-                          "input_filter": "highpass",
-                          "filter_block": 2},
-            "lm": {"d_lm": 16, "layers": 1, "heads": 2,
-                   "context_limit": 96},
-        },
-        "training": {
-            "batch_size": 4,
-            "eval_max_new": 2,
-            "stage1": {"steps": 2, "base_lr": 1e-3,
-                       "weight_decay": 0.01},
-            "stage2": {"steps": 3, "base_lr": 1e-3,
-                       "weight_decay": 0.01},
-        },
-    }
 
 
 def write_cfg(tmp_path, cfg, name="exp.json"):
@@ -173,6 +139,25 @@ class TestTrainEval:
         assert main(["train", "--config", path]) == 2
         assert "model.fusion" in capsys.readouterr().err
 
+    def test_eval_of_unfinished_run_exits_2(self, tmp_path, monkeypatch,
+                                             capsys):
+        # stage 2 fails, so the run directory holds stage 1's checkpoint
+        real = experiment.run_stage
+
+        def run_stage(plan, *args, **kwargs):
+            if plan.name == "stage2":
+                raise ContractError("non-finite loss at stage2 step 0")
+            return real(plan, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "run_stage", run_stage)
+        path = write_cfg(tmp_path, tiny_cfg())
+        out = str(tmp_path / "run")
+        assert main(["train", "--config", path, "--out", out]) == 2
+        capsys.readouterr()
+        assert main(["eval", "--config", path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "stage1 step 2" in err and "stage2 step 3" in err
+
     def test_malformed_manifest_exits_2(self, tmp_path, capsys):
         path = write_cfg(tmp_path, tiny_cfg())
         out = tmp_path / "run"
@@ -247,13 +232,14 @@ class TestAblateVerb:
         assert "error: invalid matrix: config: expected an object" in \
             capsys.readouterr().err
 
-    def test_report_format_restriction(self, tmp_path):
+    def test_report_format_is_not_an_option(self, tmp_path, capsys):
+        # every report is written in both formats
         path = self.write_matrix(tmp_path, [tiny_cfg()])
-        out = str(tmp_path / "out")
-        assert main(["ablate", "--config", path, "--out", out,
-                     "--report", "csv"]) == 0
-        assert os.path.exists(os.path.join(out, "report.csv"))
-        assert not os.path.exists(os.path.join(out, "report.json"))
+        with pytest.raises(SystemExit) as err:
+            main(["ablate", "--config", path, "--report", "csv"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --report csv" in \
+            capsys.readouterr().err
 
 
 class TestInspectTiling:

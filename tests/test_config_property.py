@@ -104,8 +104,7 @@ def draw_model(rng, kind, tile):
         max_tiles = 1
     return {
         "encoders": encoders, "fusion": fusion,
-        "thumbnail": thumbnail, "tile_size": tile,
-        "max_tiles": max_tiles,
+        "thumbnail": thumbnail, "max_tiles": max_tiles,
         "projector_hidden": pick(rng, [4, 8]),
         "encoder_a": enc_a, "encoder_b": enc_b,
         "lm": {"d_lm": lm_heads * pick(rng, [4, 8]),

@@ -22,10 +22,10 @@ from tilefusion.encoders import (
     lowpass_pixels,
     pixel_unshuffle,
 )
-from tilefusion.errors import ConfigError, ContractError, DimensionError
+from tilefusion.errors import ConfigError, DimensionError
 from tilefusion.lm import LMConfig
 from tilefusion.model import PipelineConfig
-from tilefusion.tiling import ImageBuffer, TileSet, normalize_pixels, segment
+from tilefusion.tiling import ImageBuffer, TileSet, segment
 
 from per_image_oracle import pixel_shuffle
 
@@ -57,8 +57,7 @@ def paper_cfg_b():
 def interleaved_tokens_per_tile(a, b):
     """Fused tokens per tile of an A+B post-interleave pipeline."""
     cfg = PipelineConfig(encoder_a=a, encoder_b=b,
-                         lm=LMConfig(d_lm=16, layers=1, heads=2),
-                         tile_size=a.tile_side)
+                         lm=LMConfig(d_lm=16, layers=1, heads=2))
     return cfg.tokens_per_tile()
 
 
@@ -318,12 +317,6 @@ def oracle_highpass(px, b):
     return (ints * float(b * b) - oracle_block_sums(ints, b)) / (b * b * 255.0)
 
 
-def oracle_normalize(px, mean, std):
-    out = px - np.asarray(mean, dtype=np.float64)
-    out /= np.asarray(std, dtype=np.float64)
-    return out
-
-
 @pytest.mark.parametrize("block", [1, 2, 4])
 @pytest.mark.parametrize("shape", [(8, 8, 3), (3, 16, 8, 3), (2, 2, 8, 4, 1)],
                          ids=["image", "stack", "nested"])
@@ -335,20 +328,6 @@ def test_filters_equal_block_sum_oracle_bytewise(block, shape):
             oracle_lowpass(px, block).tobytes()
         assert highpass_pixels(px, block).tobytes() == \
             oracle_highpass(px, block).tobytes()
-
-
-@pytest.mark.parametrize("shape", [(32, 32, 3), (7, 32, 32, 3), (4, 5, 1),
-                                   (2, 3, 6, 2)])
-def test_normalize_equals_per_channel_oracle_bytewise(shape):
-    rng = np.random.default_rng(len(shape) + shape[-1])
-    c = shape[-1]
-    for _ in range(5):
-        px = rng.integers(0, 256, size=shape) / 255.0
-        mean = rng.random(c)
-        std = rng.random(c) + 0.1
-        got = normalize_pixels(px, mean, std)
-        assert got.shape == px.shape
-        assert got.tobytes() == oracle_normalize(px, mean, std).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -406,12 +385,11 @@ def test_encoder_filter_changes_output():
 
 def per_tile_patch_rows(enc, tiles):
     """The embedding input built tile by tile: filter_pixels and
-    normalize_pixels on each tile's pixels, then stack and patchify."""
+    (x - 0.5) / 0.5 on each tile's pixels, then stack and patchify."""
     cfg = enc.cfg
     stack = np.stack([
-        normalize_pixels(filter_pixels(p.pixels, cfg.input_filter,
-                                       cfg.filter_block),
-                         cfg.norm_mean, cfg.norm_std)
+        (filter_pixels(p.pixels, cfg.input_filter, cfg.filter_block) - 0.5)
+        / 0.5
         for p in tiles.patches])
     n, gs, ps = stack.shape[0], cfg.grid_side, cfg.patch_size
     patched = stack.reshape(n, gs, ps, gs, ps, 3).transpose(0, 1, 3, 2, 4, 5)
@@ -424,21 +402,41 @@ def test_stacked_preprocessing_equals_per_tile_bitwise(kind):
     px = rng.integers(0, 256, size=(100, 160, 3)) / 255.0
     tiles = segment(ImageBuffer(px), 32, 6)
     assert len(tiles.tiles) > 1 and tiles.thumbnail is not None
-    enc = Encoder(desk_cfg_a(input_filter=kind, filter_block=4,
-                             norm_mean=(0.4, 0.5, 0.6),
-                             norm_std=(0.2, 0.3, 0.7)), "e", seed=0)
+    enc = Encoder(desk_cfg_a(input_filter=kind, filter_block=4), "e", seed=0)
     got = enc.patch_rows(tiles)
     want = per_tile_patch_rows(enc, tiles)
     assert got.shape == want.shape == (tiles.patch_count, 64, 48)
     assert got.tobytes() == want.tobytes()
 
 
-def test_encode_rejects_bad_normalize_stats():
-    tiles = gradient_tiles()
-    with pytest.raises(ContractError):
-        encode(Encoder(desk_cfg_a(norm_std=(0.5, 0.0, 0.5)), "e", 0), tiles)
-    with pytest.raises(DimensionError):
-        encode(Encoder(desk_cfg_a(norm_mean=(0.5, 0.5)), "e", 0), tiles)
+def oracle_normalize(px, mean, std):
+    out = px - np.asarray(mean, dtype=np.float64)
+    out /= np.asarray(std, dtype=np.float64)
+    return out
+
+
+@pytest.mark.parametrize("shape", [(4, 8, 2), (2, 16, 4), (2, 4, 1),
+                                   (3, 5, 1)])
+def test_normalize_equals_per_channel_oracle_bytewise(shape):
+    # patch_size, grid_side, unshuffle_r: patch_rows' (x - 0.5) / 0.5 is
+    # the per-channel normalization with 0.5 in every channel, at every
+    # tile side
+    ps, gs, r = shape
+    enc = Encoder(desk_cfg_a(patch_size=ps, grid_side=gs, unshuffle_r=r),
+                  "e", seed=0)
+    rng = np.random.default_rng(ps * gs)
+    px = rng.integers(0, 256, size=(3 * ps * gs, 2 * ps * gs, 3)) / 255.0
+    tiles = segment(ImageBuffer(px), enc.cfg.tile_side, 6)
+    stack = oracle_normalize(np.stack([p.pixels for p in tiles.patches]),
+                             (0.5,) * 3, (0.5,) * 3)
+    n = stack.shape[0]
+    want = stack.reshape(n, gs, ps, gs, ps, 3).transpose(0, 1, 3, 2, 4, 5)
+    want = want.reshape(n, gs * gs, ps * ps * 3)
+    assert n == 7  # a 2x3 grid and its thumbnail
+    assert enc.patch_rows(tiles).tobytes() == want.tobytes()
+
+
+def test_encode_rejects_non_rgb_tiles():
     four = TileSet(tiles=[ImageBuffer(np.zeros((32, 32, 4)))], grid=None,
                    thumbnail=None)
     with pytest.raises(DimensionError):

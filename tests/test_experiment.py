@@ -19,6 +19,7 @@ from tilefusion.experiment import (
     ablate,
     build_pipeline_config,
     build_stage_plans,
+    build_task_spec,
     evaluate_run,
     load_config,
     run_experiment,
@@ -28,45 +29,8 @@ from tilefusion.experiment import (
 )
 from tilefusion.training import read_metrics
 
-from config_checks import (build_encoder_config, validate_experiment_config,
+from config_checks import (tiny_cfg, validate_experiment_config,
                            validate_matrix)
-
-
-def tiny_cfg():
-    return {
-        "config_id": "tiny",
-        "seed": 3,
-        "task": {"kind": "complementary", "image_size": [32, 32],
-                 "tile_size": 32, "n_classes": 16, "n_train": 24,
-                 "n_eval": 8, "seed": 5},
-        "model": {
-            "encoders": "A+B",
-            "fusion": "post-interleave",
-            "thumbnail": True,
-            "tile_size": 32,
-            "max_tiles": 6,
-            "projector_hidden": 8,
-            "encoder_a": {"patch_size": 4, "embed_dim": 8, "depth": 1,
-                          "heads": 2, "grid_side": 8, "unshuffle_r": 2,
-                          "input_filter": "lowpass",
-                          "filter_block": 2},
-            "encoder_b": {"patch_size": 2, "embed_dim": 8, "depth": 1,
-                          "heads": 2, "grid_side": 16,
-                          "unshuffle_r": 4,
-                          "input_filter": "highpass",
-                          "filter_block": 2},
-            "lm": {"d_lm": 16, "layers": 1, "heads": 2,
-                   "context_limit": 96},
-        },
-        "training": {
-            "batch_size": 4,
-            "eval_max_new": 2,
-            "stage1": {"steps": 2, "base_lr": 1e-3,
-                       "weight_decay": 0.01},
-            "stage2": {"steps": 3, "base_lr": 1e-3,
-                       "weight_decay": 0.01},
-        },
-    }
 
 
 def fake_clock():
@@ -187,13 +151,6 @@ class TestValidation:
         cfg["config_id"] = "bad,id"
         assert validate_experiment_config(cfg)
 
-    def test_unknown_extra_frozen_prefix(self):
-        cfg = tiny_cfg()
-        cfg["training"]["stage1"]["extra_frozen"] = ["decoder."]
-        text = "; ".join(validate_experiment_config(cfg))
-        assert "extra_frozen" in text
-        assert "decoder." in text
-
     @pytest.mark.parametrize("key, value", [
         ("norm_mean", [0.5, 0.5]),
         ("norm_std", [0.5, 0.5, 0.5, 0.5]),
@@ -202,22 +159,30 @@ class TestValidation:
         ("norm_std", [0.5, 0.0, 0.5]),
     ], ids=["short", "long", "string", "bool", "zero-std"])
     def test_channel_stats_checked_before_any_compute(self, key, value):
+        # every branch normalizes with the constant 0.5, so a channel
+        # stat of any value is an unknown key
         cfg = tiny_cfg()
         cfg["model"]["encoder_b"][key] = value
-        assert [p.split(":")[0] for p in validate_experiment_config(cfg)] \
-            == [f"model.encoder_b.{key}"]
+        assert validate_experiment_config(cfg) == [
+            f"unknown key model.encoder_b.{key}"]
 
-    def test_channel_stat_problems_share_one_report(self):
+    # the tile side is the encoders', and the stats and extra freezes
+    # had one value in use: each is refused, whatever its value
+    REMOVED_KEYS = [("model.tile_size", 32),
+                    ("model.encoder_a.norm_mean", [0.5, 0.5, 0.5]),
+                    ("model.encoder_b.norm_std", [0.5, 0.5, 0.5]),
+                    ("training.stage1.extra_frozen", ["projectorA."])]
+
+    @pytest.mark.parametrize("key, value", REMOVED_KEYS,
+                             ids=[key for key, _ in REMOVED_KEYS])
+    def test_removed_key_is_unknown(self, key, value):
         cfg = tiny_cfg()
-        cfg["model"]["encoder_a"]["norm_mean"] = [0.5, 0.5]
-        cfg["model"]["encoder_b"]["norm_std"] = [1, "x", 1]
-        cfg["model"]["fusion"] = "mean-pool"
-        cfg["model"]["encoder_a"]["norm_std"] = [1, 2, 3]  # ints are fine
-        text = "; ".join(validate_experiment_config(cfg))
-        assert "model.encoder_a.norm_mean: expected 3 numbers" in text
-        assert "model.encoder_b.norm_std: expected 3 numbers" in text
-        assert "model.fusion" in text
-        assert "encoder_a.norm_std" not in text
+        *parents, last = key.split(".")
+        section = cfg
+        for part in parents:
+            section = section[part]
+        section[last] = value
+        assert validate_experiment_config(cfg) == [f"unknown key {key}"]
 
     def test_stage_problems_share_one_report(self):
         cfg = tiny_cfg()
@@ -233,7 +198,8 @@ class TestValidation:
         ("training.stage1.steps", 0, "training.stage1.steps"),
         ("training.stage2.warmup_steps", -5, "training.stage2.warmup_steps"),
         ("training.stage2.base_lr", -1.0, "training.stage2.base_lr"),
-        ("model.encoder_a.grid_side", 4, "model.encoder_a"),
+        # A's 16px tiles against B's 32px: the mismatch is B's
+        ("model.encoder_a.grid_side", 4, "model.encoder_b"),
         ("model.lm.heads", 3, "model.lm.heads"),
         ("model.lm.context_limit", 0, "model.lm.context_limit"),
         ("task.image_size", [32, 16], "task.image_size"),
@@ -254,18 +220,18 @@ class TestValidation:
             == [reported]
 
     def test_one_pixel_tiles_rejected_before_any_compute(self):
-        # encoders sized for 1-pixel tiles agree with tile_size 1, but
+        # encoders sized for 1-pixel tiles agree with each other, but
         # the tiler needs tiles of at least 2 pixels
         path = os.path.join(os.path.dirname(__file__), "..", "configs",
                             "tile-detail-tiled.json")
         with open(path) as f:
             cfg = json.load(f)
-        cfg["model"]["tile_size"] = 1
         for key in ("encoder_a", "encoder_b"):
             cfg["model"][key].update(patch_size=1, grid_side=1,
                                      unshuffle_r=1)
-        assert validate_experiment_config(cfg) == \
-            ["model.tile_size: must be >= 2"]
+        assert validate_experiment_config(cfg) == [
+            "model.encoder_a: tiles must be >= 2 px (patch_size x "
+            "grid_side), got 1"]
 
     def test_failed_section_is_not_built(self):
         # the LM section fails, so the model and the experiment are not
@@ -352,13 +318,8 @@ class TestValidation:
 
 
 class TestBuilders:
-    def test_encoder_norms_become_tuples(self):
-        enc = dict(tiny_cfg()["model"]["encoder_a"])
-        enc["norm_mean"] = [0.4, 0.4, 0.4]
-        enc["norm_std"] = [0.3, 0.3, 0.3]
-        built = build_encoder_config(enc)
-        assert built.norm_mean == (0.4, 0.4, 0.4)
-        assert built.norm_std == (0.3, 0.3, 0.3)
+    def test_list_fields_become_tuples(self):
+        assert build_task_spec(tiny_cfg()["task"]).image_size == (32, 32)
 
     def test_pipeline_config_roundtrip(self):
         cfg = build_pipeline_config(tiny_cfg()["model"])
@@ -386,14 +347,6 @@ class TestBuilders:
         for prefix in ("projectorA.", "projectorB.", "fusion."):
             assert prefix in plans[0].frozen_prefixes
         assert "projector_shared." not in plans[0].frozen_prefixes
-
-    def test_stage_plans_single_projector_mode(self):
-        training = copy.deepcopy(tiny_cfg()["training"])
-        training["stage1"]["extra_frozen"] = ["projectorA."]
-        names = ["projectorA.w1", "projectorB.w1", "lm.head"]
-        plans, _ = build_stage_plans(training, names)
-        assert "projectorA." in plans[0].frozen_prefixes
-        assert "projectorA." not in plans[1].frozen_prefixes
 
 
 class TestRunExperiment:
@@ -498,6 +451,29 @@ class TestRunExperiment:
         out = str(tmp_path / "run")
         row = run_experiment(tiny_cfg(), out_dir=out)
         assert evaluate_run(tiny_cfg(), out) == row.accuracy
+
+    def test_evaluate_run_refuses_an_unfinished_run(self, tmp_path,
+                                                     monkeypatch):
+        # stage 2 fails, so the run directory holds stage 1's checkpoint
+        out = str(tmp_path / "run")
+        real = experiment.run_stage
+
+        def run_stage(plan, *args, **kwargs):
+            if plan.name == "stage2":
+                raise ContractError("non-finite loss at stage2 step 0")
+            return real(plan, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "run_stage", run_stage)
+        with pytest.raises(ContractError):
+            run_experiment(tiny_cfg(), out_dir=out)
+        restored = []
+        monkeypatch.setattr(experiment, "restore",
+                            lambda *args: restored.append(args))
+        with pytest.raises(ContractError) as err:
+            evaluate_run(tiny_cfg(), out)
+        assert "stage1 step 2" in str(err.value)
+        assert "stage2 step 3" in str(err.value)
+        assert restored == []
 
 
 def write_cells(tmp_path, cells):

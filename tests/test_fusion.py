@@ -371,7 +371,7 @@ def layout_cfg(encoders="A+B", fusion="post-interleave", embed_b=8):
                           grid_side=16, unshuffle_r=4)
     return PipelineConfig(encoder_a=enc_a, encoder_b=enc_b,
                           lm=LMConfig(d_lm=16, layers=1, heads=2),
-                          tile_size=32, encoders=encoders, fusion=fusion,
+                          encoders=encoders, fusion=fusion,
                           projector_hidden=8)
 
 

@@ -49,7 +49,6 @@ def desk_cfg(encoders="A+B", fusion="post-interleave", max_tiles=6,
         encoder_a=enc_a,
         encoder_b=enc_b,
         lm=LMConfig(d_lm=16, layers=1, heads=2, context_limit=ctx),
-        tile_size=32,
         max_tiles=max_tiles,
         thumbnail=thumbnail,
         encoders=encoders,
@@ -88,17 +87,29 @@ class TestConfigValidation:
         enc_a = EncoderConfig(patch_size=4, embed_dim=8, depth=1, heads=2,
                               grid_side=8, unshuffle_r=2)
         enc_b = EncoderConfig(patch_size=2, embed_dim=8, depth=1, heads=2,
-                              grid_side=16, unshuffle_r=4)
-        with pytest.raises(ConfigError):
+                              grid_side=8, unshuffle_r=4)
+        # 32px tiles for A, 16px for B: A+B is reported under encoder_b
+        with pytest.raises(ConfigError,
+                           match=r"encoder_b: expects 16px .* encoder_a 32px"):
             PipelineConfig(encoder_a=enc_a, encoder_b=enc_b,
-                           lm=LMConfig(d_lm=16, layers=1, heads=2),
-                           tile_size=16)
-        # unused branch is never checked against tile size
+                           lm=LMConfig(d_lm=16, layers=1, heads=2))
+        # unused branch is never checked against the tile side
         cfg = PipelineConfig(encoder_a=enc_a, encoder_b=enc_b,
                              lm=LMConfig(d_lm=16, layers=1, heads=2),
-                             tile_size=32, encoders="A",
-                             fusion="post-interleave")
+                             encoders="A", fusion="post-interleave")
         assert cfg.encoders == "A"
+
+    @pytest.mark.parametrize("encoders, side_b",
+                             [("A", 16), ("B", 16), ("A+B", 32)])
+    def test_tile_size_is_the_used_encoders_tile_side(self, encoders,
+                                                      side_b):
+        # A reads 32px tiles; B's 2px patches give side_b
+        cfg = desk_cfg(encoders=encoders)
+        cfg = replace(cfg, encoder_b=replace(cfg.encoder_b,
+                                             grid_side=side_b // 2))
+        for label, enc in (("A", cfg.encoder_a), ("B", cfg.encoder_b)):
+            if label in encoders:
+                assert cfg.tile_size == enc.patch_size * enc.grid_side
 
     def test_pre_sequence_needs_equal_widths(self):
         with pytest.raises(ConfigError):
@@ -114,7 +125,7 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             PipelineConfig(encoder_a=enc_a, encoder_b=enc_b,
                            lm=LMConfig(d_lm=16, layers=1, heads=2),
-                           tile_size=32, fusion="post-channel")
+                           fusion="post-channel")
 
     def test_filter_block_must_divide_tile_size(self):
         # the filters run on whole tiles: a block that does not divide
@@ -355,7 +366,7 @@ class TestFullPipelineGradients:
         cfg = PipelineConfig(
             encoder_a=enc_a, encoder_b=enc_b,
             lm=LMConfig(d_lm=8, layers=1, heads=2, context_limit=32),
-            tile_size=4, max_tiles=6, thumbnail=False,
+            max_tiles=6, thumbnail=False,
             fusion="post-interleave", projector_hidden=4)
         pipe = Pipeline(cfg, seed=3)
         rng = np.random.default_rng(11)

@@ -619,7 +619,7 @@ def test_pipeline_graph_freed_without_cyclic_gc():
     pipe = Pipeline(PipelineConfig(
         encoder_a=enc_a, encoder_b=enc_b,
         lm=LMConfig(d_lm=16, layers=1, heads=2, context_limit=160),
-        tile_size=32, max_tiles=6, projector_hidden=8), seed=0)
+        max_tiles=6, projector_hidden=8), seed=0)
     img = ImageBuffer(np.random.default_rng(31).random((32, 64, 3)))
 
     samples = [Sample([img], "what?", "ab")]

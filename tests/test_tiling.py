@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from tilefusion.encoders import Encoder, EncoderConfig
 from tilefusion.errors import ContractError, DimensionError
 from tilefusion.tiling import (
     ImageBuffer,
@@ -18,7 +19,6 @@ from tilefusion.tiling import (
     candidate_grids,
     image_from_u8,
     image_to_u8,
-    normalize_pixels,
     read_ppm,
     resize_bilinear,
     segment,
@@ -114,7 +114,8 @@ def test_select_grid_transposition_symmetry():
     for _ in range(100):
         w = int(rng.integers(1, 4000))
         h = int(rng.integers(1, 4000))
-        assert select_grid(w, h, 6) == select_grid(h, w, 6).transpose()
+        g = select_grid(h, w, 6)
+        assert select_grid(w, h, 6) == TileGrid(g.rows, g.cols)
 
 
 def test_select_grid_exact_ratio_prefers_smallest():
@@ -243,47 +244,24 @@ def test_segment_tile_count_never_exceeds_max():
 
 
 # ---------------------------------------------------------------------------
-# normalization
+# normalization: Encoder.patch_rows maps segment's [0, 1] tiles to
+# [-1, 1], (x - 0.5) / 0.5
 
 
-def test_normalize_identity():
-    ts = segment(gradient_image(64, 96), 32, 6)
-    for p in ts.patches:
-        out = normalize_pixels(p.pixels, [0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
-        assert out.tobytes() == p.pixels.tobytes()
+def normalized_rows(img):
+    enc = Encoder(EncoderConfig(patch_size=4, embed_dim=8, depth=1, heads=2,
+                                grid_side=8, unshuffle_r=2), "e", seed=0)
+    return enc.patch_rows(segment(img, 32, 6))
 
 
 def test_normalize_constant_at_mean_is_zero():
-    ts = segment(ImageBuffer(np.full((64, 96, 3), 0.25)), 32, 6)
-    for p in ts.patches:
-        out = normalize_pixels(p.pixels, [0.25, 0.25, 0.25], [1.0, 1.0, 1.0])
-        np.testing.assert_array_equal(out, np.zeros_like(p.pixels))
+    rows = normalized_rows(ImageBuffer(np.full((32, 96, 3), 0.5)))
+    np.testing.assert_array_equal(rows, np.zeros_like(rows))
 
 
 def test_normalize_arithmetic():
-    ts = segment(ImageBuffer(np.full((64, 64, 3), 0.5)), 32, 1)
-    out = normalize_pixels(ts.tiles[0].pixels, [0.5, 0.5, 0.5],
-                           [0.25, 0.25, 0.25])
-    np.testing.assert_array_equal(out, np.zeros((32, 32, 3)))
-
-
-def test_normalize_is_pure():
-    px = gradient_image(64, 96).pixels.copy()  # writable
-    before = px.copy()
-    normalize_pixels(px, [0.1, 0.2, 0.3], [0.5, 0.5, 0.5])
-    np.testing.assert_array_equal(px, before)
-
-
-def test_normalize_rejects_zero_std():
-    px = gradient_image(64, 96).pixels
-    with pytest.raises(ContractError):
-        normalize_pixels(px, [0.0, 0.0, 0.0], [1.0, 0.0, 1.0])
-
-
-def test_normalize_rejects_stat_channel_mismatch():
-    px = gradient_image(64, 96).pixels
-    with pytest.raises(DimensionError):
-        normalize_pixels(px, [0.0, 0.0], [1.0, 1.0])
+    rows = normalized_rows(ImageBuffer(np.full((32, 96, 3), 1.0)))
+    np.testing.assert_array_equal(rows, np.ones_like(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ def tiny_cfg(ctx=96, fusion="post-interleave"):
     return PipelineConfig(
         encoder_a=enc_a, encoder_b=enc_b,
         lm=LMConfig(d_lm=16, layers=1, heads=2, context_limit=ctx),
-        tile_size=16, max_tiles=4, fusion=fusion, projector_hidden=8)
+        max_tiles=4, fusion=fusion, projector_hidden=8)
 
 
 def tiny_pipe(seed=0, **kw):
