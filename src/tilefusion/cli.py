@@ -8,8 +8,9 @@ Verbs:
                   is refused (exit 2)
   ablate          run a matrix of experiment configs, write
                   report.csv and report.json
-  inspect-tiling  show the grid the tiler picks for an image size;
-                  with --config, at that config's tile side (its
+  inspect-tiling  show the grid the tiler picks for an image size:
+                  at --tile and --max-tiles, or with --config (which
+                  refuses both) at that config's tile side (its
                   encoders') and grid bound
 
 The config carries every seed of a run, and --seed writes into the
@@ -37,6 +38,8 @@ from .experiment import (
     run_experiment,
 )
 from .tiling import patch_count, select_grid
+
+DEFAULT_TILE, DEFAULT_MAX_TILES = 448, 6  # inspect-tiling without --config
 
 _SIZE_RE = re.compile(r"^(\d+)x(\d+)$")
 
@@ -107,8 +110,9 @@ def cmd_inspect_tiling(args) -> int:
         raise ConfigError(
             f"size must look like 1024x768, got {args.size!r}")
     width, height = int(m.group(1)), int(m.group(2))
-    tile, max_tiles, thumbnail = args.tile, args.max_tiles, True
-    pipe_cfg = None
+    tile = DEFAULT_TILE if args.tile is None else args.tile
+    max_tiles = DEFAULT_MAX_TILES if args.max_tiles is None else args.max_tiles
+    thumbnail, pipe_cfg = True, None
     if args.config:
         cfg = load_config(args.config)
         pipe_cfg = build_pipeline_config(cfg["model"])
@@ -165,8 +169,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("size", help="image size as WIDTHxHEIGHT")
     p.add_argument("--config", default=None, metavar="PATH",
                    help="take tile geometry from this experiment config")
-    p.add_argument("--tile", type=int, default=448)
-    p.add_argument("--max-tiles", type=int, default=6)
+    p.add_argument("--tile", type=int, default=None, metavar="PX",
+                   help=f"tile side (default {DEFAULT_TILE}; not with "
+                   "--config)")
+    p.add_argument("--max-tiles", type=int, default=None, metavar="N",
+                   help=f"grid bound (default {DEFAULT_MAX_TILES}; not "
+                   "with --config)")
     p.set_defaults(fn=cmd_inspect_tiling)
     return parser
 
@@ -174,6 +182,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.verb == "inspect-tiling" and args.config is not None:
+        given = [flag for flag, value in (("--tile", args.tile),
+                                          ("--max-tiles", args.max_tiles))
+                 if value is not None]
+        if given:
+            parser.error(f"inspect-tiling: {' and '.join(given)} cannot "
+                         "be given with --config, which sets the tile "
+                         "geometry")
     try:
         return args.fn(args)
     except (ConfigError, ContractError, DimensionError, BudgetError,

@@ -6,9 +6,11 @@ bilinear resampling (half-pixel centers; an image already at the grid's
 size is used as it is, which the resampling would only copy), and cut
 row-major into tile_size x tile_size buffers. Multi-tile sets also
 carry a full-image thumbnail, appended after the tiles, so downstream
-consumers keep a global view. Images travel as float64 HWC arrays; the
-portable pixmap reader and writer map 8-bit files to [0, 1] by dividing
-by 255.
+consumers keep a global view. An ImageBuffer built from 8-bit data
+(image_from_u8, which the data generators and the pixmap reader use)
+stores those bytes; one built from floats (tiles, resized thumbnails)
+stores float64. Either way its pixels read as a float64 HWC array, an
+8-bit one mapped to [0, 1] by dividing by 255.
 """
 
 from __future__ import annotations
@@ -34,48 +36,73 @@ class TileGrid(NamedTuple):
         return self.cols * self.rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class ImageBuffer:
-    """A float64 HWC pixel array; loader output lives in [0, 1].
+    """An HWC image whose pixels read as a read-only float64 array.
 
-    The pixels are read-only from construction on (a view of another
-    array is copied first, since its base could still be written), so
-    content_key, computed on first use, cannot go stale.
+    It stores float64 pixels, or the uint8 bytes image_from_u8 built it
+    from, an eighth of their size. For the bytes, each read of pixels
+    returns a fresh u8 / 255.0, bitwise the array a float build of the
+    same image stores, and nothing keeps it. The stored array is
+    read-only from construction on (a view of another array is copied
+    first, since its base could still be written), so content_key,
+    computed on first use, cannot go stale. content_key is the image's
+    identity: == and hash follow it, so an 8-bit image equals its
+    float twin.
     """
 
-    pixels: np.ndarray
+    _data: np.ndarray
 
-    def __post_init__(self):
-        pixels = np.asarray(self.pixels, dtype=np.float64)
-        if pixels.ndim != 3:
+    def __init__(self, pixels: np.ndarray):
+        self._store(np.asarray(pixels, dtype=np.float64))
+
+    def _store(self, data: np.ndarray) -> None:
+        if data.ndim != 3:
             raise DimensionError(
-                f"image pixels must be H x W x C, got shape {pixels.shape}"
+                f"image pixels must be H x W x C, got shape {data.shape}"
             )
-        h, w, _ = pixels.shape
+        h, w, _ = data.shape
         if h < 1 or w < 1:
             raise DimensionError(f"image dims must be positive, got {h}x{w}")
-        if pixels.base is not None:
-            pixels = pixels.copy()
+        if data.base is not None:
+            data = data.copy()
+        data.flags.writeable = False
+        object.__setattr__(self, "_data", data)
+
+    @property
+    def pixels(self) -> np.ndarray:
+        if self._data.dtype != np.uint8:
+            return self._data
+        pixels = self._data.astype(np.float64) / 255.0
         pixels.flags.writeable = False
-        object.__setattr__(self, "pixels", pixels)
+        return pixels
 
     @cached_property
     def content_key(self) -> tuple:
-        """(shape, sha1 of the pixel bytes): equal for equal images."""
-        return (self.pixels.shape,
+        """(shape, sha1 of the float64 pixel bytes): equal for equal
+        images, however they are stored."""
+        return (self._data.shape,
                 hashlib.sha1(np.ascontiguousarray(self.pixels)).digest())
+
+    def __eq__(self, other):
+        if not isinstance(other, ImageBuffer):
+            return NotImplemented
+        return self.content_key == other.content_key
+
+    def __hash__(self) -> int:
+        return hash(self.content_key)
 
     @property
     def height(self) -> int:
-        return self.pixels.shape[0]
+        return self._data.shape[0]
 
     @property
     def width(self) -> int:
-        return self.pixels.shape[1]
+        return self._data.shape[1]
 
     @property
     def channels(self) -> int:
-        return self.pixels.shape[2]
+        return self._data.shape[2]
 
 
 @dataclass
@@ -171,10 +198,11 @@ def segment(img: ImageBuffer, tile_size: int, max_tiles: int,
     if tile_size < 2:
         raise ContractError(f"tile_size must be >= 2, got {tile_size}")
     grid = select_grid(img.width, img.height, max_tiles)
-    resized = resize_bilinear(img, grid.cols * tile_size, grid.rows * tile_size)
+    resized = resize_bilinear(img, grid.cols * tile_size,
+                              grid.rows * tile_size).pixels
     tiles = [
-        ImageBuffer(resized.pixels[r * tile_size:(r + 1) * tile_size,
-                                   c * tile_size:(c + 1) * tile_size].copy())
+        ImageBuffer(resized[r * tile_size:(r + 1) * tile_size,
+                            c * tile_size:(c + 1) * tile_size].copy())
         for r in range(grid.rows)
         for c in range(grid.cols)
     ]
@@ -189,11 +217,14 @@ def segment(img: ImageBuffer, tile_size: int, max_tiles: int,
 
 
 def image_from_u8(arr: np.ndarray) -> ImageBuffer:
-    """uint8 HWC array to a [0, 1] float image."""
+    """uint8 HWC array to an image that stores a copy of its bytes and
+    reads as [0, 1] floats, arr / 255.0."""
     arr = np.asarray(arr)
     if arr.dtype != np.uint8:
         raise ContractError(f"expected uint8 pixels, got {arr.dtype}")
-    return ImageBuffer(arr.astype(np.float64) / 255.0)
+    img = ImageBuffer.__new__(ImageBuffer)
+    img._store(arr.copy())
+    return img
 
 
 def image_to_u8(img: ImageBuffer) -> np.ndarray:
@@ -215,7 +246,7 @@ def write_ppm(path, img: ImageBuffer) -> None:
 
 
 def read_ppm(path) -> ImageBuffer:
-    """Read a binary P6 pixmap into a [0, 1] float image."""
+    """Read a binary P6 pixmap into an 8-bit image (image_from_u8)."""
     with open(path, "rb") as f:
         blob = f.read()
     m = _PPM_HEADER.match(blob)

@@ -282,6 +282,28 @@ class TestInspectTiling:
         assert (f"tokens per image: {cfg.tokens_per_tile() * patches}\n"
                 in text)
 
+    def test_geometry_flags_without_config(self, capsys):
+        assert main(["inspect-tiling", "2048x1280", "--tile", "224",
+                     "--max-tiles", "2"]) == 0
+        text = capsys.readouterr().out
+        assert "tile: 224, max tiles: 2" in text
+        assert "grid: 2x1 (2 tiles)" in text
+        assert "patches: 3" in text
+
+    @pytest.mark.parametrize("flags", [["--tile", "448"],
+                                       ["--max-tiles", "2"],
+                                       ["--tile", "448", "--max-tiles", "2"]])
+    def test_geometry_flags_refused_beside_config(self, flags, capsys):
+        # the config sets the tile side and the grid bound
+        path = os.path.join(CONFIG_DIR, "complementary-hybrid.json")
+        with pytest.raises(SystemExit) as err:
+            main(["inspect-tiling", "2048x1280", *flags, "--config", path])
+        assert err.value.code == 2
+        out, err_text = capsys.readouterr()
+        assert out == ""
+        given = " and ".join(f for f in flags if f.startswith("--"))
+        assert f"{given} cannot be given with --config" in err_text
+
     def test_bad_size_exits_2(self, capsys):
         assert main(["inspect-tiling", "wide"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -10,6 +10,7 @@ template-matching oracle is exact on generated data.
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -365,6 +366,24 @@ def test_generate_dispatch():
     assert d2.train[0].question.startswith("tile ")
 
 
+@pytest.mark.parametrize("spec", [comp_spec(n_train=48, n_eval=16),
+                                  detail_spec(n_train=24, n_eval=8)],
+                         ids=["complementary", "tile-detail"])
+def test_dataset_holds_its_images_at_8_bits(spec):
+    # tracemalloc sees numpy's buffers: what a dataset keeps alive is
+    # about its images' bytes, not a float64 copy of them (8x)
+    generate(spec)  # warm-up, so one-time tables are not counted
+    tracemalloc.start()
+    try:
+        data = generate(spec)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    u8_bytes = sum(img.height * img.width * img.channels
+                   for s in data.train + data.eval for img in s.images)
+    assert held <= 2 * u8_bytes, held / u8_bytes
+
+
 def test_dataset_save_load_round_trip(tmp_path):
     data = generate_complementary(comp_spec(n_train=6, n_eval=0))
     index = save_dataset(data.train, str(tmp_path), "train")
@@ -378,6 +397,7 @@ def test_dataset_save_load_round_trip(tmp_path):
             assert os.path.exists(os.path.join(str(tmp_path), rel))
     loaded = load_dataset(index)
     assert len(loaded) == 6
+    assert loaded == data.train  # images compare by content_key
     for a, b in zip(data.train, loaded):
         assert a.question == b.question
         assert a.answer == b.answer

@@ -23,7 +23,7 @@ from tilefusion.fusion import project
 from tilefusion.lm import LanguageModel, LMConfig
 from tilefusion.model import ENCODER_CHOICES, Pipeline, PipelineConfig
 from tilefusion.tensor import finite_difference_grad_at
-from tilefusion.tiling import ImageBuffer
+from tilefusion.tiling import ImageBuffer, image_from_u8
 from tilefusion.training import StageConfig, TrainingConfig, snapshot
 
 from fusion_oracle import provenance
@@ -470,6 +470,23 @@ class TestFullPipelineGradients:
                     assert p.grad is None, p.name
                 else:
                     assert p.grad is not None, p.name
+
+
+@pytest.mark.parametrize("u8_first", [True, False])
+def test_u8_image_shares_frozen_tokens_with_its_float_twin(u8_first):
+    # both read as the same float64 pixels, so they share one content_key
+    # and one token_cache entry, whichever is seen first
+    pipe = Pipeline(desk_cfg(), seed=1)
+    arr = np.random.default_rng(3).integers(0, 256, (32, 64, 3),
+                                            dtype=np.uint8)
+    twins = [image_from_u8(arr), ImageBuffer(arr.astype(np.float64) / 255.0)]
+    if not u8_first:
+        twins.reverse()
+    first = pipe.frozen_tokens(twins[0])
+    second = pipe.frozen_tokens(twins[1])
+    assert second is first and len(pipe.token_cache) == 1
+    assert sorted(first) == ["A", "B"]
+    assert all(second[label] is first[label] for label in first)
 
 
 def test_encoder_choices_registry():

@@ -335,6 +335,57 @@ def test_image_buffer_pixels_cannot_change_under_its_key():
     assert ImageBuffer(pixels[:, ::-1]).content_key != key
 
 
+U8_SHAPES = [(1, 1, 3), (5, 3, 3), (32, 96, 3), (64, 64, 3), (7, 9, 1)]
+
+
+@pytest.mark.parametrize("shape", U8_SHAPES)
+def test_u8_image_reads_as_its_float_twin_bitwise(shape):
+    rng = np.random.default_rng(sum(shape))
+    arr = rng.integers(0, 256, shape, dtype=np.uint8)
+    twin = arr.astype(np.float64) / 255.0
+    img = image_from_u8(arr)
+    px = img.pixels
+    assert px.dtype == np.float64 and px.tobytes() == twin.tobytes()
+    with pytest.raises(ValueError):
+        px[0, 0, 0] = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        img.pixels = twin
+    float_img = ImageBuffer(twin.copy())
+    assert img.content_key == float_img.content_key
+    key = img.content_key
+    arr[...] = 255 - arr  # the caller's array stays writable and apart
+    assert img.pixels.tobytes() == twin.tobytes()
+    assert img.content_key == key
+    assert image_from_u8(arr).content_key != key
+
+
+@pytest.mark.parametrize("shape", [(32, 96, 3), (20, 50, 3), (64, 64, 3),
+                                   (16, 16, 3)])
+@pytest.mark.parametrize("thumbnail", [True, False])
+def test_segment_of_u8_image_equals_float_twin(shape, thumbnail):
+    arr = np.random.default_rng(shape[1]).integers(0, 256, shape,
+                                                   dtype=np.uint8)
+    a = segment(image_from_u8(arr), 16, 6, thumbnail=thumbnail)
+    b = segment(ImageBuffer(arr.astype(np.float64) / 255.0), 16, 6,
+                thumbnail=thumbnail)
+    assert a.grid == b.grid and a.patch_count == b.patch_count
+    for pa, pb in zip(a.patches, b.patches, strict=True):
+        assert pa.pixels.tobytes() == pb.pixels.tobytes()
+
+
+def test_image_equality_and_hash_follow_content_key():
+    arr = np.random.default_rng(4).integers(0, 256, (4, 6, 3),
+                                            dtype=np.uint8)
+    u8 = image_from_u8(arr)
+    twin = ImageBuffer(arr.astype(np.float64) / 255.0)
+    other = ImageBuffer(np.zeros((4, 6, 3)))
+    assert u8 == twin and hash(u8) == hash(twin)
+    assert u8 != other and twin != other
+    assert ImageBuffer(np.zeros((6, 4, 3))) != other  # same bytes, new shape
+    assert len({u8, twin, other}) == 2
+    assert u8 != "image"
+
+
 def half_pixel_bilinear(px, out_w, out_h):
     """The resampling formula written out pixel by pixel."""
     h, w, _ = px.shape
