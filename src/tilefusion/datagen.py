@@ -159,18 +159,23 @@ def _complementary_geometry(spec: TaskSpec) -> list:
 
 def render_complementary(side: int, shape_id: int, texture_id: int,
                          jx: int, jy: int, bg: int, fg: int) -> np.ndarray:
-    """One u8 image; all construction stays on the integer lattice."""
+    """One gray u8 image, H x W x 3; all construction stays on the
+    integer lattice. The three channels are one plane broadcast (a
+    read-only view with channel stride 0), so the other two are never
+    built, and image_from_u8 keeps the one plane."""
     blocks = side // CELL
     base = np.full((blocks, blocks), bg, dtype=np.int64)
     mask = SHAPE_MASKS[shape_id]
     region = base[jy:jy + SHAPE_CANVAS, jx:jx + SHAPE_CANVAS]
     region[mask] = fg
-    pixels = np.repeat(np.repeat(base, CELL, axis=0), CELL, axis=1)
-    delta = np.tile(TEXTURE_CELLS[texture_id], (blocks, blocks))
-    out = pixels + delta
+    # pixel (CELL*i + a, CELL*j + b) is block (i, j)'s level plus the
+    # texture cell's delta (a, b)
+    cell = TEXTURE_CELLS[texture_id]
+    out = (base[:, None, :, None] + cell[None, :, None, :]).reshape(
+        blocks * CELL, blocks * CELL)
     if out.min() < 0 or out.max() > 255:
         raise ContractError("complementary rendering left the u8 range")
-    return np.repeat(out.astype(np.uint8)[:, :, None], 3, axis=2)
+    return np.broadcast_to(out.astype(np.uint8)[:, :, None], (*out.shape, 3))
 
 
 def verify_complementary_blindness(side: int = 32) -> dict:

@@ -472,7 +472,9 @@ def run_stage(plan: StagePlan, model, dataset, seed: int,
     LM's loss on it in one call (Pipeline.loss), reading every image's
     tokens from the filled caches; padding on the right is safe because
     the causal mask already hides each pad from every real position.
-    The step's backward closure runs through tensor.backward once; no
+    The step's backward closure runs through tensor.backward once and
+    is dropped right after, so the activations it holds are freed
+    before the next step's forward and two steps' never coexist; no
     frozen parameter accumulates a gradient, and the stage's AdamW,
     built after the freeze, holds only the trainable ones; its
     ContractError on a non-finite gradient comes back with the stage
@@ -519,6 +521,9 @@ def run_stage(plan: StagePlan, model, dataset, seed: int,
             for p in params:
                 p.grad = None
             tz.backward(step_backward)
+            # the closure holds all of this step's activations; unbound
+            # now, they are freed before the next step's forward
+            del step_backward
             lr = cosine_lr(step, plan.base_lr, plan.steps, plan.warmup_steps)
             try:
                 opt.step(lr)

@@ -366,12 +366,14 @@ def test_generate_dispatch():
     assert d2.train[0].question.startswith("tile ")
 
 
-@pytest.mark.parametrize("spec", [comp_spec(n_train=48, n_eval=16),
-                                  detail_spec(n_train=24, n_eval=8)],
-                         ids=["complementary", "tile-detail"])
-def test_dataset_holds_its_images_at_8_bits(spec):
+@pytest.mark.parametrize("spec, planes", [
+    (comp_spec(n_train=48, n_eval=16), 1),  # gray: one plane of bytes
+    (detail_spec(n_train=24, n_eval=8), 3),
+], ids=["complementary", "tile-detail"])
+def test_dataset_holds_its_images_at_8_bits(spec, planes):
     # tracemalloc sees numpy's buffers: what a dataset keeps alive is
-    # about its images' bytes, not a float64 copy of them (8x)
+    # about its images' distinct bytes, not a float64 copy of them (8x)
+    # nor, for a gray image, three copies of its one plane
     generate(spec)  # warm-up, so one-time tables are not counted
     tracemalloc.start()
     try:
@@ -379,9 +381,14 @@ def test_dataset_holds_its_images_at_8_bits(spec):
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    u8_bytes = sum(img.height * img.width * img.channels
-                   for s in data.train + data.eval for img in s.images)
+    images = [img for s in data.train + data.eval for img in s.images]
+    u8_bytes = sum(img.height * img.width * planes for img in images)
     assert held <= 2 * u8_bytes, held / u8_bytes
+    for img in images:
+        owner = img._data
+        while owner.base is not None:
+            owner = owner.base
+        assert owner.nbytes == img.height * img.width * planes
 
 
 def test_dataset_save_load_round_trip(tmp_path):

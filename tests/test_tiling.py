@@ -7,6 +7,7 @@ reassembly of the resized image; pixmap files round-trip byte-identical.
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -384,6 +385,73 @@ def test_image_equality_and_hash_follow_content_key():
     assert ImageBuffer(np.zeros((6, 4, 3))) != other  # same bytes, new shape
     assert len({u8, twin, other}) == 2
     assert u8 != "image"
+
+
+def stored_bytes(img):
+    """Bytes of the array that owns an image's store."""
+    owner = img._data
+    while owner.base is not None:
+        owner = owner.base
+    return owner.nbytes
+
+
+def gray_u8(shape, seed):
+    """A random gray uint8 plane broadcast to shape's channels."""
+    plane = np.random.default_rng(seed).integers(0, 256, shape[:2] + (1,),
+                                                 dtype=np.uint8)
+    return np.broadcast_to(plane, shape)
+
+
+@pytest.mark.parametrize("shape", [s for s in U8_SHAPES if s[2] == 3])
+def test_one_plane_image_equals_its_three_plane_build_bitwise(shape,
+                                                             tmp_path):
+    gray = gray_u8(shape, sum(shape))
+    one = image_from_u8(gray)
+    full = image_from_u8(np.ascontiguousarray(gray))
+    assert one._data.strides[2] == 0 and full._data.strides[2] != 0
+    assert one._data.shape == full._data.shape == shape
+    assert (one.height, one.width, one.channels) == shape
+    px = one.pixels
+    assert px.dtype == np.float64 and px.shape == shape
+    assert px.tobytes() == full.pixels.tobytes()
+    with pytest.raises(ValueError):
+        px[0, 0, 0] = 0.5
+    assert one.content_key == full.content_key
+    assert one == full and hash(one) == hash(full)
+    assert image_to_u8(one).tobytes() == image_to_u8(full).tobytes()
+    write_ppm(tmp_path / "one.ppm", one)
+    write_ppm(tmp_path / "full.ppm", full)
+    assert (tmp_path / "one.ppm").read_bytes() == \
+        (tmp_path / "full.ppm").read_bytes()
+
+
+def test_broadcast_input_is_copied_apart_from_its_base():
+    plane = np.random.default_rng(3).integers(0, 256, (4, 6, 1),
+                                              dtype=np.uint8)
+    img = image_from_u8(np.broadcast_to(plane, (4, 6, 3)))
+    before, key = img.pixels.tobytes(), img.content_key
+    plane[...] = 255 - plane  # the caller's plane stays writable and apart
+    assert img.pixels.tobytes() == before and img.content_key == key
+    assert img._data.base is not None and not img._data.base.flags.writeable
+
+
+@pytest.mark.parametrize("build, planes", [
+    (lambda: image_from_u8(np.random.default_rng(6).integers(
+        0, 256, (5, 7, 3), dtype=np.uint8)), 3),
+    (lambda: image_from_u8(gray_u8((5, 7, 3), 6)), 1),
+    (lambda: ImageBuffer(np.random.default_rng(6).random((5, 7, 3))), 3),
+], ids=["u8", "one-plane", "float"])
+def test_pickled_image_is_rebuilt_read_only_with_a_fresh_key(build, planes):
+    img = build()
+    key = img.content_key
+    copy = pickle.loads(pickle.dumps(img))
+    assert "content_key" not in vars(copy)  # computed afresh on use
+    assert copy._data.dtype == img._data.dtype
+    assert stored_bytes(copy) == 5 * 7 * planes * copy._data.itemsize
+    with pytest.raises(ValueError):
+        copy._data[0, 0, 0] = 1
+    assert copy.pixels.tobytes() == img.pixels.tobytes()
+    assert copy.content_key == key and copy == img
 
 
 def half_pixel_bilinear(px, out_w, out_h):

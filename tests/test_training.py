@@ -7,10 +7,12 @@ twice and comparing metric streams, and resume is checked by comparing
 load-then-train against train-through at byte level.
 """
 
+import gc
 import hashlib
 import json
 import os
 import tracemalloc
+import weakref
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -598,6 +600,29 @@ class TestRunStage:
         from_disk = read_metrics(str(path))
         assert from_disk[0].stage == "stage0"  # appended, not truncated
         assert from_disk[1:] == recs
+
+    def test_step_frees_its_activations_before_the_next_forward(self):
+        # step k's backward closure holds all of its activations: it
+        # must be dead, with no cycle collection, once step k+1's loss
+        # is entered, so two steps' activations never coexist
+        pipe = tiny_pipe(seed=5)
+        real_loss = pipe.loss
+        closures, alive = [], []
+
+        def loss(samples, tokens):
+            alive.append([ref() is not None for ref in closures])
+            value, step_backward = real_loss(samples, tokens)
+            closures.append(weakref.ref(step_backward))
+            return value, step_backward
+
+        pipe.loss = loss
+        gc.disable()
+        try:
+            run_stage(stage_plan("stage1", steps=3), pipe, make_dataset(2),
+                      seed=6, batch_size=2)
+        finally:
+            gc.enable()
+        assert alive == [[], [False], [False, False]]
 
     def test_resume_reproduces_next_step_loss_exactly(self, tmp_path):
         data = make_dataset(4)

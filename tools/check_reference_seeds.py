@@ -16,9 +16,12 @@ against the reference and against the cold first pass.
 The reference check allows a relative loss tolerance, so it cannot show
 that a change is bitwise. --dump writes every seed's outputs, from
 its first repetition, to a JSON file (train losses as float.hex, eval
-answers and the decoded token count as they are); dumps made on two
-commits are byte-identical exactly when the outputs are, so compare
-them with cmp. For a change
+answers and the decoded token count as they are), with a sha1 over the
+generated splits (each sample's images' content_keys, question and
+answer, in order); dumps made on two commits are byte-identical
+exactly when the outputs and the data are, so compare them with cmp.
+The data digest shows a change in how images are stored to leave
+their pixels bitwise as they were. For a change
 that is not bitwise by design, --against DUMP reads a dump made on
 another commit and prints, per workload, the share of outputs that are
 bitwise equal to it and, for the train workloads, the largest relative
@@ -28,6 +31,7 @@ It imports perfbench/workloads.py and changes nothing under perfbench/.
 """
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -38,11 +42,24 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
 
 
+def data_digest(data) -> str:
+    """sha1 over both splits of a TaskData: per split its length, then
+    per sample its images' content_keys, question and answer."""
+    h = hashlib.sha1()
+    for split in (data.train, data.eval):
+        h.update(repr(len(split)).encode())
+        for s in split:
+            keys = [img.content_key for img in s.images]
+            h.update(repr((keys, s.question, s.answer)).encode())
+    return h.hexdigest()
+
+
 def check_seed(tf, name: str, seed: int) -> tuple:
-    """(check result, exact outputs of the first repetition) of one
-    seed. An eval workload runs a second, untraced repetition on the
-    same Pipeline, whose frozen-token caches the first one filled, so
-    the check holds the cache-warm answers to the cold ones."""
+    """(check result, exact outputs of the first repetition and the
+    generated data's digest) of one seed. An eval workload runs a
+    second, untraced repetition on the same Pipeline, whose frozen-token
+    caches the first one filled, so the check holds the cache-warm
+    answers to the cold ones."""
     wl = workloads.Workload(tf, name, seed)
     wl.set_up()
     rep, tracer = wl.traced_once()
@@ -54,6 +71,7 @@ def check_seed(tf, name: str, seed: int) -> tuple:
     else:
         exact = {"answers": list(rep["outputs"]),
                  "tokens": int(tracer.counts["lm.decoded_tokens"])}
+    exact["data_sha1"] = data_digest(wl.data)
     return check, exact
 
 
