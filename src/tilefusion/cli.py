@@ -13,6 +13,10 @@ Verbs:
                   refuses both) at that config's tile side (its
                   encoders') and grid bound
 
+Every verb but ablate reads its config file through read_config, so a
+file that names a `base` is read merged over it; ablate's matrix file
+is plain JSON, and each of its cells is read like a train config.
+
 The config carries every seed of a run, and --seed writes into the
 dict a verb loaded: gen-data sets task.seed, train sets seed, and
 ablate sets the matrix seed, which replaces every cell's seed. eval
@@ -35,6 +39,7 @@ from .experiment import (
     build_task_spec,
     evaluate_run,
     load_config,
+    read_config,
     run_experiment,
 )
 from .tiling import patch_count, select_grid
@@ -44,13 +49,8 @@ DEFAULT_TILE, DEFAULT_MAX_TILES = 448, 6  # inspect-tiling without --config
 _SIZE_RE = re.compile(r"^(\d+)x(\d+)$")
 
 
-def _load_json(path):
-    with open(path) as f:
-        return json.load(f)
-
-
 def cmd_gen_data(args) -> int:
-    cfg = _load_json(args.config)
+    cfg = read_config(args.config)
     task = cfg.get("task", cfg) if isinstance(cfg, dict) else cfg
     if args.seed is not None and isinstance(task, dict):
         task["seed"] = args.seed
@@ -84,7 +84,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    matrix = _load_json(args.config)
+    with open(args.config) as f:
+        matrix = json.load(f)
     if args.seed is not None and isinstance(matrix, dict):
         matrix["seed"] = args.seed
     report = ablate(matrix, os.path.dirname(os.path.abspath(args.config)),

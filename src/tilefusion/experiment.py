@@ -1,10 +1,15 @@
 """Experiment runner: config files in, trained models and reports out.
 
 An experiment config is one JSON file describing the task, the model,
-and the two training stages. A matrix config lists experiment configs
-by path and runs them as cells of an ablation, collecting one report
-row per cell. Reports are written as CSV with a fixed column order
-plus a JSON mirror carrying the same rows.
+and the two training stages. A file may instead name a `base` file and
+state only its difference: read_config, which every reader of a config
+file goes through, merges the file's keys over its base's (objects key
+by key, any other value replacing the base's). A base names no base of
+its own, and a file with a base sets its own config_id. A matrix
+config lists experiment configs by path and runs them as cells of an
+ablation, collecting one report row per cell. Reports are written as
+CSV with a fixed column order plus a JSON mirror carrying the same
+rows.
 
 Every config section is defined once, by the dataclass it builds
 (ExperimentConfig, TaskSpec, PipelineConfig, EncoderConfig, LMConfig,
@@ -257,10 +262,44 @@ def _construct(obj, cls, prefix="", what="config"):
     return built
 
 
-def load_config(path) -> dict:
-    """Read and validate one experiment config file; returns its JSON."""
+def _merge(base: dict, over: dict) -> dict:
+    """over's keys over base: objects merge key by key, recursively,
+    and any other value replaces the base's."""
+    out = dict(base)
+    for key, value in over.items():
+        both = isinstance(value, dict) and isinstance(out.get(key), dict)
+        out[key] = _merge(out[key], value) if both else value
+    return out
+
+
+def read_config(path):
+    """A config file's JSON. A file naming a `base` (a path relative to
+    its own directory) is merged over that file's JSON, and the `base`
+    key is dropped; the base may not name a base of its own, and the
+    file must set its own config_id."""
     with open(path) as f:
         cfg = json.load(f)
+    if not isinstance(cfg, dict) or "base" not in cfg:
+        return cfg
+    rel = cfg.pop("base")
+    if not isinstance(rel, str):
+        raise ConfigError(f"config {path}: base: expected str")
+    if "config_id" not in cfg:
+        raise ConfigError(f"config {path}: a config with a base must "
+                          "set its own config_id")
+    base_path = os.path.join(os.path.dirname(path), rel)
+    with open(base_path) as f:
+        base = json.load(f)
+    if not isinstance(base, dict) or "base" in base:
+        raise ConfigError(f"config {path}: its base {base_path} must be "
+                          "an object that names no base of its own")
+    return _merge(base, cfg)
+
+
+def load_config(path) -> dict:
+    """Read one experiment config file (read_config) and validate it;
+    returns its JSON."""
+    cfg = read_config(path)
     _construct(cfg, ExperimentConfig, what=f"config {path}")
     return cfg
 

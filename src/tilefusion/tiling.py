@@ -87,9 +87,16 @@ class ImageBuffer:
 
     @property
     def pixels(self) -> np.ndarray:
-        if self._data.dtype != np.uint8:
-            return self._data
-        pixels = self._data.astype(np.float64) / 255.0
+        data = self._data
+        if data.dtype != np.uint8:
+            return data
+        if data.strides[2] == 0:
+            # astype over a stride-0 channel axis runs a 3-element inner
+            # loop, so cast the one stored plane, then fill the channels
+            pixels = np.empty(data.shape)
+            pixels[...] = data[:, :, :1].astype(np.float64) / 255.0
+        else:
+            pixels = data.astype(np.float64) / 255.0
         pixels.flags.writeable = False
         return pixels
 

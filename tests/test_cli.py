@@ -242,6 +242,68 @@ class TestAblateVerb:
             capsys.readouterr().err
 
 
+class TestVariantConfigs:
+    """A variant names a base and states only its difference; every verb
+    that reads a config file sees the merged config."""
+
+    OVER = {"config_id": "tiny-untiled", "model": {"max_tiles": 1}}
+
+    def write_pair(self, tmp_path):
+        """(variant path, path of the equivalent full file)."""
+        write_cfg(tmp_path, tiny_cfg(), "base.json")
+        variant = write_cfg(tmp_path, {"base": "base.json", **self.OVER},
+                            "variant.json")
+        full = tiny_cfg()
+        full["config_id"] = self.OVER["config_id"]
+        full["model"]["max_tiles"] = 1
+        return variant, write_cfg(tmp_path, full, "full.json")
+
+    @staticmethod
+    def tree(root):
+        return {os.path.relpath(os.path.join(d, n), root):
+                open(os.path.join(d, n), "rb").read()
+                for d, _, names in os.walk(root) for n in names}
+
+    def test_gen_data_matches_the_full_file(self, tmp_path):
+        variant, full = self.write_pair(tmp_path)
+        for name, path in (("v", variant), ("f", full)):
+            assert main(["gen-data", "--config", path,
+                         "--out", str(tmp_path / name)]) == 0
+        assert self.tree(tmp_path / "v") == self.tree(tmp_path / "f")
+
+    def test_train_matches_the_full_file(self, tmp_path, capsys):
+        variant, full = self.write_pair(tmp_path)
+        outs = []
+        for name, path in (("v", variant), ("f", full)):
+            out = str(tmp_path / name)
+            assert main(["train", "--config", path, "--out", out]) == 0
+            outs.append(capsys.readouterr().out.replace(out, "OUT"))
+        assert outs[0] == outs[1]
+        assert "config_id: tiny-untiled" in outs[0]
+        assert (tmp_path / "v" / "weights.bin").read_bytes() == \
+            (tmp_path / "f" / "weights.bin").read_bytes()
+
+    def test_inspect_tiling_matches_the_full_file(self, tmp_path, capsys):
+        variant, full = self.write_pair(tmp_path)
+        outs = []
+        for path in (variant, full):
+            assert main(["inspect-tiling", "96x32", "--config", path]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert "max tiles: 1" in outs[0]
+
+    def test_missing_base_exits_2_naming_it(self, tmp_path, capsys):
+        variant = write_cfg(tmp_path, {"base": "gone.json", **self.OVER})
+        assert main(["train", "--config", variant]) == 2
+        assert str(tmp_path / "gone.json") in capsys.readouterr().err
+
+    def test_base_that_is_not_a_string_exits_2(self, tmp_path, capsys):
+        variant = write_cfg(tmp_path, {"base": 3, **self.OVER})
+        assert main(["inspect-tiling", "96x32", "--config", variant]) == 2
+        assert f"error: config {variant}: base: expected str" in \
+            capsys.readouterr().err
+
+
 class TestInspectTiling:
     def test_default_geometry(self, capsys):
         assert main(["inspect-tiling", "2048x1280"]) == 0

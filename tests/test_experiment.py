@@ -317,6 +317,78 @@ class TestValidation:
         assert validate_matrix({"name": "m", "cells": [3]})
 
 
+def write_variant(tmp_path, over, base=None):
+    """tiny_cfg (or base) as base.json and a variant.json naming it as
+    its base with over's keys; returns the variant's path."""
+    (tmp_path / "base.json").write_text(json.dumps(base or tiny_cfg()))
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps({"base": "base.json", **over}))
+    return str(path)
+
+
+class TestVariantConfig:
+    def test_nested_override_keeps_the_base_siblings(self, tmp_path):
+        path = write_variant(tmp_path, {"config_id": "v",
+                                        "model": {"lm": {"layers": 2}}})
+        want = tiny_cfg()
+        want["config_id"] = "v"
+        want["model"]["lm"]["layers"] = 2
+        assert load_config(path) == want
+
+    def test_list_and_scalar_replace_the_base_value(self, tmp_path):
+        path = write_variant(tmp_path, {
+            "config_id": "v", "seed": 9,
+            "task": {"image_size": [16], "kind": "tile-detail"}})
+        cfg = experiment.read_config(path)
+        assert cfg["seed"] == 9
+        assert cfg["task"]["image_size"] == [16]
+        assert cfg["task"]["kind"] == "tile-detail"
+        assert cfg["task"]["n_classes"] == tiny_cfg()["task"]["n_classes"]
+        assert "base" not in cfg
+
+    @pytest.mark.parametrize("model, problem", [
+        ({"encodrs": "A"}, "unknown key model.encodrs"),
+        ({"lm": 3}, "model.lm: expected dict"),
+    ])
+    def test_override_problems_are_reported_under_their_path(
+            self, tmp_path, model, problem):
+        path = write_variant(tmp_path, {"config_id": "v", "model": model})
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value) == f"invalid config {path}: {problem}"
+
+    def test_base_may_not_name_a_base(self, tmp_path):
+        base = {**tiny_cfg(), "base": "other.json"}
+        path = write_variant(tmp_path, {"config_id": "v"}, base=base)
+        with pytest.raises(ConfigError, match="names no base of its own"):
+            load_config(path)
+
+    def test_variant_must_set_its_own_config_id(self, tmp_path):
+        path = write_variant(tmp_path, {"seed": 4})
+        with pytest.raises(ConfigError,
+                           match="must set its own config_id"):
+            load_config(path)
+
+    def test_base_resolves_against_the_variant_directory(
+            self, tmp_path, monkeypatch):
+        # a base.json in the working directory is not the one meant
+        variant_dir = tmp_path / "configs"
+        variant_dir.mkdir()
+        write_variant(variant_dir, {"config_id": "v"})
+        decoy = tiny_cfg()
+        decoy["seed"] = 99
+        (tmp_path / "base.json").write_text(json.dumps(decoy))
+        monkeypatch.chdir(tmp_path)
+        assert load_config(os.path.join("configs", "variant.json"))[
+            "seed"] == tiny_cfg()["seed"]
+
+    def test_a_dict_is_never_resolved(self):
+        cfg = {**tiny_cfg(), "base": "base.json"}
+        assert validate_experiment_config(cfg) == ["unknown key base"]
+        with pytest.raises(ConfigError, match="unknown key base"):
+            experiment.build_experiment(cfg)
+
+
 class TestBuilders:
     def test_list_fields_become_tuples(self):
         assert build_task_spec(tiny_cfg()["task"]).image_size == (32, 32)
@@ -641,7 +713,6 @@ def test_shipped_configs_validate():
             for cell in payload["cells"]:
                 assert os.path.exists(os.path.join(root, cell))
         else:
-            load_config(path)
-            build_pipeline_config(payload["model"])
+            build_pipeline_config(load_config(path)["model"])
         seen += 1
     assert seen >= 11
